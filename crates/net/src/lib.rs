@@ -18,9 +18,11 @@
 //! admitted sockets round-robin to N reactor threads, which sweep their
 //! owned connections with nonblocking reads, execute every pipelined
 //! frame against the hash-striped [`ecc_core::ShardedNode`], and flush all
-//! responses in one gathered write per sweep. Clients can pipeline
+//! responses in one gathered write per sweep; a reactor with nothing to
+//! do blocks in `poll(2)` on its sockets, so an idle node costs no CPU and
+//! a request into it costs one kernel wakeup. Clients can pipeline
 //! ([`client::PipelinedConn`]) to amortize syscalls across in-flight
-//! requests.
+//! requests. Unix only (`poll`, `UnixStream` wakers).
 //!
 //! # Example
 //!
@@ -38,9 +40,13 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+#[cfg(not(unix))]
+compile_error!("ecc-net needs poll(2) and Unix socket pairs: Unix targets only");
+
 pub mod client;
 pub mod coordinator;
 pub mod loadgen;
 pub mod protocol;
 pub mod reactor;
 pub mod server;
+mod sys;

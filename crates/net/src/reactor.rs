@@ -1,18 +1,11 @@
 //! Event-driven multi-reactor connection engine.
 //!
-//! PR 5's thread-per-connection server spent its budget on context
-//! switches: every request woke a dedicated blocking thread for one frame,
-//! so wire throughput *fell* as workers grew (`wire_node_w1..w8` inverted,
-//! 84k → 70k ops/s) while the in-process node did 5M GETs/s. This module
-//! replaces that with N **reactor threads**, each owning a disjoint slice
-//! of connections handed off round-robin by the acceptor:
+//! N **reactor threads** each own a disjoint slice of the server's
+//! connections, handed off round-robin by the acceptor:
 //!
-//! * **Nonblocking sockets, level sampling.** Each sweep, a reactor polls
+//! * **Nonblocking sockets, level sampling.** Each sweep, a reactor visits
 //!   every owned connection with a nonblocking `read` into that
-//!   connection's reused [`FrameAssembler`] buffer. (The workspace bans
-//!   `unsafe`, so there is no raw `epoll`; an idle reactor backs off
-//!   adaptively — spin, then `yield_now`, then bounded `park_timeout` —
-//!   and the acceptor unparks it when it hands off a connection.)
+//!   connection's reused [`FrameAssembler`] buffer.
 //! * **Request pipelining.** Every complete frame that arrived is decoded
 //!   and executed back-to-back against the shared `ShardedNode`; the
 //!   responses accumulate in the connection's write queue and are flushed
@@ -25,20 +18,42 @@
 //!   nothing for the lock-order auditor to even see.
 //! * **Backpressure.** A connection whose peer stops draining responses
 //!   accumulates at most [`WRITE_HIGH_WATER`] queued bytes; past that the
-//!   reactor parks its read side until the queue drains, mirroring the
-//!   old blocking server's natural backpressure.
+//!   reactor stops reading it until the queue drains.
+//! * **Idle discipline: hot yield window, then an untimed `poll(2)`.** A
+//!   sweep that moved nothing is followed by `yield_now`, up to
+//!   [`HOT_SWEEPS`] times — a closed-loop client's next request lands
+//!   inside that window and costs no wakeup. After it the reactor blocks
+//!   in `sys::wait` with no timeout on its waker plus every owned
+//!   socket, so a cold node costs no CPU and answers one kernel wakeup
+//!   after the bytes arrive. A connection asks for `POLLIN` while the
+//!   reactor would read it (`Conn::wants_read`: not at EOF, not closing,
+//!   under the write high-water mark) and for `POLLOUT` while it has
+//!   unflushed responses, so a stalled flush resumes when the peer drains
+//!   and a backpressured connection is read again once its queue falls.
+//! * **The waker.** Three things a reactor must notice are not bytes on an
+//!   owned socket, so each reactor also polls one end of a nonblocking
+//!   `UnixStream` pair, and whoever causes the event writes a byte to the
+//!   other end: the acceptor after handing off a connection, `stop()`
+//!   after raising `halt`, and the reactor that executes a wire
+//!   `Shutdown` — its siblings have no connection that would tell them.
+//!
+//! Unix only: `poll` and the waker pair are the platform's.
 //!
 //! Observability: `reactor_dispatch_us` histograms wakeup-with-data →
-//! responses fully flushed (the queueing+execution slice of wire RTT), and
+//! responses fully flushed (the queueing+execution slice of wire RTT),
 //! `reactor_frames_per_wake` histograms the burst size each wakeup
-//! retired — the direct measure of how well pipelining amortizes.
+//! retired, `reactor_idle_wakes` counts returns from the blocking wait,
+//! and `reactor_wake_us` histograms wait returned → first byte read on
+//! that wake (the reactor's own share of a cold request's latency; the
+//! kernel's share is only visible from the client).
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crossbeam::channel;
 use ecc_core::ShardedNode;
@@ -48,6 +63,7 @@ use crate::protocol::{
     append_frame, decode_with_trace, FrameAssembler, Request, Response, Status, TraceContext,
 };
 use crate::server::{handle, op_hist_name, ConnSlot};
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 
 /// Default reactor-thread count: one per core up to 4. Cache serving is
 /// memory-bound long before 4 reactors saturate; more threads on few cores
@@ -58,14 +74,9 @@ pub const DEFAULT_REACTOR_THREADS: usize = 4;
 /// until the peer drains (slow-consumer backpressure).
 const WRITE_HIGH_WATER: usize = 4 * 1024 * 1024;
 
-/// Unproductive sweeps a reactor tolerates before it starts parking
+/// Unproductive sweeps a reactor tolerates before it blocks in `poll`
 /// (below this it only yields, keeping closed-loop RTT tight).
 const HOT_SWEEPS: u32 = 64;
-
-/// Longest a reactor parks between idle sweeps. Bounds both the latency
-/// penalty of a request arriving into a cold reactor and the time for a
-/// reactor to notice `halt`/`shutdown`.
-const MAX_PARK: Duration = Duration::from_millis(1);
 
 /// Pick the spawn-time reactor count: the configured override, else
 /// [`DEFAULT_REACTOR_THREADS`] capped by available parallelism.
@@ -112,6 +123,27 @@ impl Conn {
         self.wbuf.len() - self.wpos
     }
 
+    /// Whether a sweep reads this socket: not after EOF, not while closing,
+    /// and not while the peer is a slow consumer with a full write queue
+    /// (backpressure).
+    fn wants_read(&self) -> bool {
+        !self.got_eof && !self.close_after_flush && self.pending_write() < WRITE_HIGH_WATER
+    }
+
+    /// The `poll` events whose arrival lets the next sweep move bytes on
+    /// this connection. Never empty for a connection a sweep kept: one
+    /// that will not be read again and owes nothing is closed.
+    fn interest(&self) -> i16 {
+        let mut events = 0;
+        if self.wants_read() {
+            events |= POLLIN;
+        }
+        if self.pending_write() > 0 {
+            events |= POLLOUT;
+        }
+        events
+    }
+
     /// Write as much of the queue as the socket accepts right now.
     /// Returns whether any bytes moved.
     fn flush(&mut self) -> io::Result<bool> {
@@ -136,23 +168,46 @@ impl Conn {
     }
 }
 
+/// The write ends of every reactor's waker pair, indexed like the
+/// reactors. One byte makes the read end readable, which ends that
+/// reactor's blocking wait.
+struct Wakers(Vec<UnixStream>);
+
+impl Wakers {
+    fn wake(&self, i: usize) {
+        // Nonblocking: `WouldBlock` means unread wake bytes already fill
+        // the socket buffer, so the reactor is as good as woken.
+        let _ = (&self.0[i]).write(&[1]);
+    }
+
+    fn wake_all(&self) {
+        for i in 0..self.0.len() {
+            self.wake(i);
+        }
+    }
+}
+
 /// What everything on a reactor's request path shares.
-pub(crate) struct ReactorShared {
+#[derive(Clone)]
+struct ReactorShared {
     /// The node every request executes against.
-    pub node: Arc<ShardedNode>,
+    node: Arc<ShardedNode>,
     /// Shared histogram/event registry (the `ObsDump` store).
-    pub obs: ObsRegistry,
+    obs: ObsRegistry,
     /// Wire-visible shutdown flag (set by the `Shutdown` op and `stop()`).
-    pub shutdown: Arc<AtomicBool>,
+    shutdown: Arc<AtomicBool>,
     /// `stop()`-only flag: drain pending writes and exit now.
-    pub halt: Arc<AtomicBool>,
+    halt: Arc<AtomicBool>,
+    /// Every reactor's waker, so the one that executes a wire `Shutdown`
+    /// can tell the others.
+    wakers: Arc<Wakers>,
 }
 
 /// The acceptor's handle to the reactor fleet: round-robin handoff of
 /// admitted connections, waking the target reactor.
 pub(crate) struct Handoff {
     senders: Vec<channel::Sender<(TcpStream, ConnSlot)>>,
-    threads: Vec<std::thread::Thread>,
+    wakers: Arc<Wakers>,
     next: usize,
 }
 
@@ -165,70 +220,92 @@ impl Handoff {
         // shutdown race); dropping the stream then reads as EOF to the
         // client, matching the old accept loop's post-shutdown behavior.
         if self.senders[i].send((stream, slot)).is_ok() {
-            self.threads[i].unpark();
+            self.wakers.wake(i);
         }
     }
 }
 
 /// The server's handle: join the fleet on `stop()`.
 pub(crate) struct ReactorPool {
-    threads: Vec<std::thread::Thread>,
+    wakers: Arc<Wakers>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl ReactorPool {
-    /// Wake every reactor (so parked threads notice `halt`) and join.
+    /// Wake every reactor (so blocked threads notice `halt`) and join.
     pub fn join(&mut self) {
-        for t in &self.threads {
-            t.unpark();
-        }
+        self.wakers.wake_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// Spawn `n` reactor threads sharing `shared`; returns the acceptor-side
+/// Spawn `n` reactor threads serving `node`; returns the acceptor-side
 /// handoff and the join handle set.
 pub(crate) fn spawn_reactors(
     n: usize,
     port: u16,
-    shared: &ReactorShared,
+    node: Arc<ShardedNode>,
+    obs: ObsRegistry,
+    shutdown: Arc<AtomicBool>,
+    halt: Arc<AtomicBool>,
 ) -> io::Result<(Handoff, ReactorPool)> {
+    let mut wake_rxs = Vec::with_capacity(n);
+    let mut wake_txs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        wake_rxs.push(rx);
+        wake_txs.push(tx);
+    }
+    let shared = ReactorShared {
+        node,
+        obs,
+        shutdown,
+        halt,
+        wakers: Arc::new(Wakers(wake_txs)),
+    };
     let mut senders = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
-    let mut threads = Vec::with_capacity(n);
-    for i in 0..n {
+    for (i, wake_rx) in wake_rxs.into_iter().enumerate() {
         let (tx, rx) = channel::unbounded::<(TcpStream, ConnSlot)>();
-        let shared = ReactorShared {
-            node: Arc::clone(&shared.node),
-            obs: shared.obs.clone(),
-            shutdown: Arc::clone(&shared.shutdown),
-            halt: Arc::clone(&shared.halt),
-        };
+        let shared = shared.clone();
         let handle = std::thread::Builder::new()
             .name(format!("ecc-reactor-{port}-{i}"))
-            .spawn(move || reactor_loop(rx, shared))?;
-        threads.push(handle.thread().clone());
+            .spawn(move || reactor_loop(rx, wake_rx, shared))?;
         senders.push(tx);
         handles.push(handle);
     }
     Ok((
         Handoff {
             senders,
-            threads: threads.clone(),
+            wakers: Arc::clone(&shared.wakers),
             next: 0,
         },
-        ReactorPool { threads, handles },
+        ReactorPool {
+            wakers: shared.wakers,
+            handles,
+        },
     ))
 }
 
 /// One reactor thread: adopt handed-off connections, sweep owned
 /// connections (read → decode/execute every arrived frame → one flush),
-/// and back off adaptively when a sweep makes no progress.
-fn reactor_loop(rx: channel::Receiver<(TcpStream, ConnSlot)>, shared: ReactorShared) {
+/// yield through the hot window while sweeps move nothing, then block in
+/// `poll` until a socket or the waker is ready.
+fn reactor_loop(
+    rx: channel::Receiver<(TcpStream, ConnSlot)>,
+    mut waker: UnixStream,
+    shared: ReactorShared,
+) {
     let mut conns: Vec<Conn> = Vec::new(); // xtask: allow(no-global-alloc-in-hot-path) — startup
+    let mut pollfds: Vec<PollFd> = Vec::new(); // xtask: allow(no-global-alloc-in-hot-path) — startup
     let mut idle_sweeps: u32 = 0;
+    // When the blocking wait returned, until the sweep that follows it
+    // reads a byte (the `reactor_wake_us` sample) or ends without one.
+    let mut woke_at: Option<u64> = None;
     loop {
         let mut progress = false;
         while let Some((stream, slot)) = rx.try_recv() {
@@ -240,7 +317,7 @@ fn reactor_loop(rx: channel::Receiver<(TcpStream, ConnSlot)>, shared: ReactorSha
 
         let mut i = 0;
         while i < conns.len() {
-            match sweep_conn(&mut conns[i], &shared) {
+            match sweep_conn(&mut conns[i], &shared, &mut woke_at) {
                 Ok(Sweep::Progress(p)) => {
                     progress |= p;
                     i += 1;
@@ -253,6 +330,7 @@ fn reactor_loop(rx: channel::Receiver<(TcpStream, ConnSlot)>, shared: ReactorSha
                 }
             }
         }
+        woke_at = None;
 
         // Acquire pairs with the Release stores of the flags' writers.
         if shared.halt.load(Ordering::Acquire) {
@@ -277,15 +355,41 @@ fn reactor_loop(rx: channel::Receiver<(TcpStream, ConnSlot)>, shared: ReactorSha
             // Hot window: give peers the core (essential on small hosts
             // where client and reactor share it) but stay runnable.
             std::thread::yield_now();
-        } else {
-            // Cold: park with exponential backoff, 30µs doubling to
-            // MAX_PARK. The acceptor unparks on handoff; data arriving on
-            // an owned socket is discovered at the next timed wake.
-            let exp = (idle_sweeps - HOT_SWEEPS).min(5);
-            let park = Duration::from_micros(30u64 << exp).min(MAX_PARK);
-            std::thread::park_timeout(park);
+            continue;
+        }
+
+        // Cold: block until an owned socket can move bytes or someone
+        // writes the waker. Both are level-triggered, so an event between
+        // the sweep above and this call is not lost — the wait returns at
+        // once. The sweep that follows resets `idle_sweeps` only if it
+        // moves something; a wake that finds nothing waits again.
+        pollfds.clear();
+        pollfds.push(PollFd::new(waker.as_raw_fd(), POLLIN));
+        pollfds.extend(
+            conns
+                .iter()
+                .map(|c| PollFd::new(c.stream.as_raw_fd(), c.interest())),
+        );
+        let waited = sys::wait(&mut pollfds, -1); // xtask: allow(no-blocking-io-in-reactor) — the one blocking call
+        if waited.is_err() {
+            // `poll` itself failed (ENOMEM): keep serving by sweeping.
+            std::thread::yield_now();
+            continue;
+        }
+        shared.obs.add_gauge("reactor_idle_wakes", 1);
+        woke_at = Some(shared.obs.now_us());
+        if pollfds[0].revents() != 0 {
+            drain_waker(&mut waker);
         }
     }
+}
+
+/// Empty the waker so the next wait blocks again. A byte written after
+/// the last read here keeps the descriptor readable, so no wake is lost.
+fn drain_waker(waker: &mut UnixStream) {
+    let mut buf = [0u8; 64];
+    // A short read emptied it; `WouldBlock` ends the drain as well.
+    while matches!(waker.read(&mut buf), Ok(n) if n == buf.len()) {}
 }
 
 /// Execute one decoded frame, opening the server-side span triplet when
@@ -333,12 +437,17 @@ enum Sweep {
 
 /// One sweep over one connection: ingest whatever the socket has, retire
 /// every complete frame against the node, flush the response queue.
-fn sweep_conn(conn: &mut Conn, shared: &ReactorShared) -> io::Result<Sweep> {
+/// `woke_at` is when the blocking wait returned, if this sweep follows one
+/// and no connection has read a byte since.
+fn sweep_conn(
+    conn: &mut Conn,
+    shared: &ReactorShared,
+    woke_at: &mut Option<u64>,
+) -> io::Result<Sweep> {
     let mut progress = false;
 
-    // Read until the socket runs dry — skipped while the peer is a slow
-    // consumer with a full write queue (backpressure).
-    if !conn.got_eof && !conn.close_after_flush && conn.pending_write() < WRITE_HIGH_WATER {
+    // Read until the socket runs dry.
+    if conn.wants_read() {
         loop {
             match conn.asm.fill_from_hinted(&mut conn.stream) {
                 Ok((0, _)) => {
@@ -347,6 +456,11 @@ fn sweep_conn(conn: &mut Conn, shared: &ReactorShared) -> io::Result<Sweep> {
                 }
                 Ok((_, drained)) => {
                     progress = true;
+                    if let Some(t) = woke_at.take() {
+                        shared
+                            .obs
+                            .record("reactor_wake_us", shared.obs.now_us() - t);
+                    }
                     // A short read means the socket ran dry: skip the
                     // would-block probe (level polling catches any bytes
                     // that arrive after this instant on the next sweep).
@@ -423,7 +537,12 @@ fn sweep_conn(conn: &mut Conn, shared: &ReactorShared) -> io::Result<Sweep> {
             break;
         }
     }
-    conn.close_after_flush |= shutdown_requested;
+    if shutdown_requested {
+        conn.close_after_flush = true;
+        // The flag this frame set is what idle sibling reactors exit on,
+        // and none of them has a socket that will tell them.
+        shared.wakers.wake_all();
+    }
     if dispatched > 0 {
         progress = true;
         shared.obs.record("reactor_frames_per_wake", dispatched);
@@ -447,10 +566,11 @@ fn sweep_conn(conn: &mut Conn, shared: &ReactorShared) -> io::Result<Sweep> {
     if conn.pending_write() == 0 && conn.close_after_flush {
         return Ok(Sweep::Close);
     }
-    if conn.got_eof && conn.asm.buffered() < 4 && conn.pending_write() == 0 {
+    if conn.got_eof && conn.pending_write() == 0 {
         // Peer closed and everything decodable has been served and
-        // flushed (a trailing partial frame at EOF is discarded, matching
-        // the blocking server's UnexpectedEof exit).
+        // flushed: the decode loop above retired every complete frame, so
+        // whatever is still buffered is a partial frame whose rest will
+        // never arrive, and is discarded.
         return Ok(Sweep::Close);
     }
     Ok(Sweep::Progress(progress))

@@ -26,7 +26,7 @@ use crate::protocol::{
     encode_get_many, encode_keys, encode_range_stats, encode_records, encode_stats,
     encode_statuses, write_frame_buffered, Op, Request, Response, Status,
 };
-use crate::reactor::{spawn_reactors, ReactorPool, ReactorShared};
+use crate::reactor::{spawn_reactors, ReactorPool};
 
 /// Default bound on concurrent client connections. Above it the accept
 /// loop answers with a single [`Status::Busy`] frame and closes, so a
@@ -134,14 +134,14 @@ impl CacheServer {
             ShardedNode::new(capacity_bytes, btree_order, DEFAULT_STRIPES).with_obs(obs.clone()),
         );
 
-        let shared = ReactorShared {
+        let (mut handoff, pool) = spawn_reactors(
+            crate::reactor::effective_reactors(reactor_threads),
+            addr.port(),
             node,
-            obs: obs.clone(),
-            shutdown: Arc::clone(&shutdown),
-            halt: Arc::clone(&halt),
-        };
-        let n_reactors = crate::reactor::effective_reactors(reactor_threads);
-        let (mut handoff, pool) = spawn_reactors(n_reactors, addr.port(), &shared)?;
+            obs.clone(),
+            Arc::clone(&shutdown),
+            Arc::clone(&halt),
+        )?;
 
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_count = Arc::clone(&connections);
@@ -216,23 +216,21 @@ impl CacheServer {
         self.refused.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, drain the reactors, and join every server thread.
-    /// Idempotent. If a wire `Shutdown` already set the flag, the reactors
-    /// wind down on their own as their connections close (mirroring the
-    /// old detached connection threads), and `stop()` does not wait.
+    /// Stop accepting, drain the reactors, and join every server thread —
+    /// also when a wire `Shutdown` already raised the flag: that stops
+    /// admission and lets idle reactors exit, but leaves the acceptor
+    /// blocked in `accept` with the port bound and nobody joined.
+    /// Idempotent: the thread handles are taken on the first call.
     pub fn stop(&mut self) {
-        // AcqRel: the swap both publishes the stop (Release, seen by the
-        // accept loop's Acquire load) and observes a concurrent stop()
-        // (Acquire), making the join-once idempotence race-free.
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Release pairs with the reactors' Acquire loads; everything the
-        // server did is published before they observe the halt.
+        // Release pairs with the Acquire loads in the accept loop and the
+        // reactors; everything the caller did is published before they
+        // observe the flags.
+        self.shutdown.store(true, Ordering::Release);
         self.halt.store(true, Ordering::Release);
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
+            // Unblock the accept loop. Refused means it already exited (a
+            // connect after the wire `Shutdown` got there first).
+            let _ = TcpStream::connect(self.addr);
             let _ = t.join();
         }
         if let Some(mut pool) = self.reactors.take() {

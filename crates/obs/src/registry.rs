@@ -214,6 +214,18 @@ impl ObsRegistry {
         }
     }
 
+    /// Add `delta` to the named gauge (absent reads as 0), which makes it
+    /// a monotonic counter: every writer adds, nobody overwrites.
+    pub fn add_gauge(&self, name: &str, delta: u64) {
+        let mut gauges = self.inner.gauges.lock();
+        match gauges.get_mut(name) {
+            Some(g) => *g += delta,
+            None => {
+                gauges.insert(name.to_owned(), delta);
+            }
+        }
+    }
+
     /// Current value of the named gauge, if ever set.
     pub fn gauge(&self, name: &str) -> Option<u64> {
         self.inner.gauges.lock().get(name).copied()

@@ -85,7 +85,10 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
         let (bytes, records) = coord
             .totals()
             .map_err(|e| fail(format!("totals failed: {e}")))?;
-        let model_bytes: u64 = model.values().map(|v| v.len() as u64).sum();
+        let model_bytes: u64 = model
+            .values()
+            .map(|v| ecc_core::slab::footprint(v.len()))
+            .sum();
         if (bytes, records) != (model_bytes, model.len() as u64) {
             return Err(fail(format!(
                 "fleet holds {records} records / {bytes}B, model {} / {model_bytes}B",

@@ -133,16 +133,16 @@ impl ModelLru {
     pub fn insert(&mut self, key: u64, value: Vec<u8>) {
         if let Some(idx) = self.entries.iter().position(|(k, _)| *k == key) {
             let (_, old) = self.entries.remove(idx);
-            self.bytes -= old.len() as u64;
+            self.bytes -= ecc_core::slab::footprint(old.len());
         }
-        self.bytes += value.len() as u64;
+        self.bytes += ecc_core::slab::footprint(value.len());
         self.entries.insert(0, (key, value));
     }
 
     /// Evict the least recently used entry.
     pub fn pop_lru(&mut self) -> Option<(u64, Vec<u8>)> {
         let e = self.entries.pop()?;
-        self.bytes -= e.1.len() as u64;
+        self.bytes -= ecc_core::slab::footprint(e.1.len());
         Some(e)
     }
 
@@ -296,7 +296,7 @@ impl ModelServer {
                     .iter()
                     .map(|k| match self.map.remove(k) {
                         Some(v) => {
-                            self.used -= v.len() as u64;
+                            self.used -= ecc_core::slab::footprint(v.len());
                             Status::Ok
                         }
                         None => Status::NotFound,
@@ -349,12 +349,13 @@ mod tests {
         let mut l = ModelLru::new();
         l.insert(1, vec![0; 10]);
         l.insert(2, vec![0; 20]);
-        l.insert(3, vec![0; 30]);
-        assert_eq!(l.bytes(), 60);
+        l.insert(3, vec![0; 100]);
+        // Slab footprints, not payload lengths: 64 + 64 + 136.
+        assert_eq!(l.bytes(), 264);
         l.get(1);
         assert_eq!(l.pop_lru().map(|(k, _)| k), Some(2));
         l.insert(3, vec![0; 5]); // replace shrinks bytes, touches
-        assert_eq!(l.bytes(), 15);
+        assert_eq!(l.bytes(), 128);
         assert_eq!(l.pop_lru().map(|(k, _)| k), Some(1));
         assert!(l.contains(3));
         assert_eq!(l.len(), 1);
@@ -362,7 +363,8 @@ mod tests {
 
     #[test]
     fn model_server_charges_replacement_growth_only() {
-        let mut s = ModelServer::new(100);
+        // Slab footprints: 60 B -> 80-byte slot, 150 -> 176, 200 -> 224.
+        let mut s = ModelServer::new(200);
         assert_eq!(
             s.respond(Some(Request::Put {
                 key: 1,
@@ -371,11 +373,11 @@ mod tests {
             .status,
             Status::Ok
         );
-        // Replacement within budget: 60 -> 90.
+        // Replacement within budget: 80 -> 176.
         assert_eq!(
             s.respond(Some(Request::Put {
                 key: 1,
-                value: Bytes::from(vec![0; 90]),
+                value: Bytes::from(vec![0; 150]),
             }))
             .status,
             Status::Ok
@@ -384,12 +386,12 @@ mod tests {
         assert_eq!(
             s.respond(Some(Request::Put {
                 key: 1,
-                value: Bytes::from(vec![0; 101]),
+                value: Bytes::from(vec![0; 200]),
             }))
             .status,
             Status::Overflow
         );
-        assert_eq!(s.used(), 90);
+        assert_eq!(s.used(), 176);
     }
 
     #[test]
@@ -413,7 +415,7 @@ mod tests {
             ]))
         );
         assert_eq!(s.len(), 2);
-        assert_eq!(s.used(), 8);
+        assert_eq!(s.used(), 2 * 64, "two 4-byte records in 64-byte slots");
         let r = s.respond(None);
         assert_eq!(r.status, Status::BadRequest);
     }

@@ -53,7 +53,7 @@ impl ModelFleet {
     /// the owner displaces LRU entries until the record fits — including
     /// when a replacement *grows* an existing entry past capacity.
     fn insert(&mut self, key: u64, value: Vec<u8>) {
-        let size = value.len() as u64;
+        let size = ecc_core::slab::footprint(value.len());
         if size > self.capacity {
             return;
         }

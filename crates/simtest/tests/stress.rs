@@ -150,7 +150,10 @@ fn sharded_node_stress_matches_flat_model() {
         let rec = node.get(*key).expect("model key missing");
         assert_eq!(rec.as_slice(), &v[..], "bytes diverged at key {key}");
     }
-    let expected_bytes: u64 = expect.values().map(|v| v.len() as u64).sum();
+    let expected_bytes: u64 = expect
+        .values()
+        .map(|v| ecc_core::slab::footprint(v.len()))
+        .sum();
     assert_eq!(node.used_bytes(), expected_bytes);
     assert_eq!(node.record_count(), expect.len() as u64);
 }

@@ -26,11 +26,14 @@
 //!   call a blocking primitive at all: `read_exact` / `read_to_end` /
 //!   `write_all` loop until satisfied, the blocking frame helpers
 //!   (`read_frame*` / `write_frame*`) sit on top of them, channel
-//!   `.recv()` parks the thread, and a mutex `.lock()` can block behind
-//!   an arbitrary holder. A reactor thread owns a whole slice of
-//!   connections; any of these stalls all of them. Reactors use
-//!   nonblocking reads/writes that surface `WouldBlock`, `try_recv`, and
-//!   lock-free handoff instead.
+//!   `.recv()` parks the thread, a mutex `.lock()` can block behind an
+//!   arbitrary holder, and `park_timeout` / `thread::sleep` are a timed
+//!   wait that answers a request only when the timer fires. A reactor
+//!   thread owns a whole slice of connections; any of these stalls all
+//!   of them. Reactors use nonblocking reads/writes that surface
+//!   `WouldBlock`, `try_recv`, and lock-free handoff instead, and block
+//!   in exactly one place — the `sys::wait` readiness wait, which is
+//!   banned too so that the single call has to carry the waiver.
 //! * **no-global-alloc-in-hot-path** — the slab-arena storage engine
 //!   (PR 10) got steady-state GET/PUT to zero allocator calls: B+Tree
 //!   nodes use fixed-capacity inline arrays and record payloads live in
@@ -159,6 +162,18 @@ const REACTOR_BLOCKING: &[(&str, &str)] = &[
     ),
     (".recv()", "parks the thread until a message arrives"),
     (".lock()", "blocks behind whichever thread holds the mutex"),
+    (
+        "park_timeout",
+        "is a timed wait: bytes that arrive meanwhile sit until the timer fires",
+    ),
+    (
+        "thread::sleep",
+        "is a timed wait: bytes that arrive meanwhile sit until the timer fires",
+    ),
+    (
+        "sys::wait(",
+        "blocks until a descriptor is ready — sanctioned once, as the idle wait",
+    ),
 ];
 
 /// Frame/socket I/O markers for the guard-across-io pass.
@@ -1141,6 +1156,9 @@ fn drain(&mut self, stream: &mut TcpStream) {
     stream.read_exact(&mut hdr)?;
     stream.write_all(&hdr)?;
     let job = self.rx.recv();
+    std::thread::park_timeout(Duration::from_micros(30));
+    std::thread::sleep(Duration::from_millis(1));
+    let ready = sys::wait(&mut self.pollfds, 1);
 }
 ";
         let f = analyze_source("crates/net/src/reactor.rs", src, ALL);
@@ -1150,6 +1168,9 @@ fn drain(&mut self, stream: &mut TcpStream) {
                 (3, Rule::BlockingIoInReactor),
                 (4, Rule::BlockingIoInReactor),
                 (5, Rule::BlockingIoInReactor),
+                (6, Rule::BlockingIoInReactor),
+                (7, Rule::BlockingIoInReactor),
+                (8, Rule::BlockingIoInReactor),
             ]
         );
     }
@@ -1174,6 +1195,8 @@ fn sweep(&mut self, conn: &mut Conn) -> io::Result<()> {
         let src = "\
 fn startup(&mut self) {
     self.rx.recv(); // xtask: allow(no-blocking-io-in-reactor) — pre-loop handshake
+    let _ = sys::wait(&mut fds, -1); // xtask: allow(no-blocking-io-in-reactor) — the idle wait
+    std::thread::yield_now();
 }
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,9 @@
 //!   outside `crates/bench`, the load generator and `src/bin` entry points;
 //!   simulated time must flow through `ecc_cloudsim::clock`.
 //! * **deny-unsafe** — every crate root must carry `#![deny(unsafe_code)]`
-//!   (or `forbid`).
+//!   (or `forbid`), and only the files in [`UNSAFE_ALLOWLIST`] may lift it:
+//!   anywhere else an `allow(unsafe_code)` or an `unsafe` token is a
+//!   finding, test modules included, with no per-line waiver.
 //! * **must-use** — public result-bearing types (names ending in `Receipt`,
 //!   `Report`, `Metrics`, `Stats`, `Billing`) must be `#[must_use]` so
 //!   simulation outcomes cannot be silently dropped.
@@ -72,6 +74,17 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/lru.rs",
 ];
 
+/// The only files under `crates/*/src` that may contain `unsafe`. Each
+/// opens with `#![allow(unsafe_code)]` against its crate's
+/// `#![deny(unsafe_code)]` and keeps the `unsafe` it needs — raw storage
+/// or one foreign call — behind a safe interface.
+pub const UNSAFE_ALLOWLIST: &[&str] = &[
+    "crates/bptree/src/inline.rs",
+    "crates/core/src/slab.rs",
+    "crates/bench/src/alloc_count.rs",
+    "crates/net/src/sys.rs",
+];
+
 /// One lint rule; `Display` gives its diagnostic slug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
@@ -79,7 +92,8 @@ pub enum Rule {
     NoPanic,
     /// Wall-clock read outside the measurement harness.
     NoWallClock,
-    /// Crate root missing `#![deny(unsafe_code)]`.
+    /// Crate root missing `#![deny(unsafe_code)]`, or `unsafe` /
+    /// `allow(unsafe_code)` in a file off [`UNSAFE_ALLOWLIST`].
     DenyUnsafe,
     /// Result-bearing public type missing `#[must_use]`.
     MustUse,
@@ -185,6 +199,9 @@ pub struct Policy {
     pub must_use: bool,
     /// Require `#![deny(unsafe_code)]` (crate roots only).
     pub deny_unsafe: bool,
+    /// Forbid `unsafe` and `allow(unsafe_code)` (every file off
+    /// [`UNSAFE_ALLOWLIST`]).
+    pub unsafe_free: bool,
     /// Forbid `println!` / `eprintln!` (library code; binaries exempt).
     pub prints: bool,
     /// Forbid `std::sync::Mutex` / `std::sync::RwLock` (data-path crates).
@@ -219,6 +236,7 @@ pub fn policy_for(rel_path: &str) -> Option<Policy> {
         wallclock: !wallclock_exempt,
         must_use: PANIC_FREE_CRATES.contains(&krate),
         deny_unsafe: is_lib_root,
+        unsafe_free: !UNSAFE_ALLOWLIST.contains(&rel.as_str()),
         prints: !is_bin,
         std_mutex: STD_MUTEX_FREE_CRATES.contains(&krate) && !is_bin,
         payload_copy: HOT_PATH_FILES.contains(&rel.as_str()),
@@ -417,6 +435,19 @@ fn is_macro_call(hay: &str, pos: usize, name: &str) -> bool {
     hay[pos + name.len()..].starts_with('!')
 }
 
+/// True when `word` occurs in `line` with no identifier character on
+/// either side (`unsafe` matches, `unsafe_code` and `not_unsafe` do not).
+fn has_word(line: &str, word: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(word).any(|(pos, _)| {
+        !line[..pos].chars().next_back().is_some_and(is_ident)
+            && !line[pos + word.len()..]
+                .chars()
+                .next()
+                .is_some_and(is_ident)
+    })
+}
+
 fn find_macro(line: &str, name: &str) -> bool {
     let mut start = 0;
     while let Some(off) = line[start..].find(name) {
@@ -522,6 +553,21 @@ pub fn scan_source(rel_path: &str, src: &str, policy: Policy) -> Vec<Finding> {
         let stripped_line = stripped_lines[idx];
         let raw_line = raw_lines.get(idx).copied().unwrap_or("");
         let line_no = idx + 1;
+
+        if policy.unsafe_free {
+            let lifts_lint =
+                has_word(stripped_line, "allow") && has_word(stripped_line, "unsafe_code");
+            if lifts_lint || has_word(stripped_line, "unsafe") {
+                findings.push(Finding {
+                    file: rel_path.to_string(),
+                    line: line_no,
+                    rule: Rule::DenyUnsafe,
+                    message: "`unsafe` outside the allowlist — keep it in one of the files \
+                              `xtask::UNSAFE_ALLOWLIST` names, behind a safe interface"
+                        .into(),
+                });
+            }
+        }
 
         if info.in_test {
             continue;
@@ -828,6 +874,7 @@ mod tests {
         wallclock: true,
         must_use: true,
         deny_unsafe: false,
+        unsafe_free: true,
         prints: true,
         std_mutex: false,
         payload_copy: false,
@@ -945,6 +992,36 @@ mod tests {
         assert_eq!(f[0].rule, Rule::DenyUnsafe);
         let ok = scan_source("crates/core/src/lib.rs", "#![deny(unsafe_code)]\n", policy);
         assert!(ok.is_empty());
+    }
+
+    #[test]
+    fn unsafe_is_confined_to_the_allowlist() {
+        let src = "#![allow(unsafe_code)]\nfn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n\
+                   #[cfg(test)]\nmod tests {\n    unsafe fn g() {}\n}\n";
+        let f = scan_source("crates/net/src/reactor.rs", src, LIB_POLICY);
+        let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, vec![1, 3, 7], "{f:?}");
+        assert!(f.iter().all(|x| x.rule == Rule::DenyUnsafe));
+        // No per-line waiver: the allowlist is the one place to look.
+        let waived = "fn f() {\n    unsafe { g() } // xtask: allow(deny-unsafe)\n}\n";
+        assert_eq!(scan_source("f.rs", waived, LIB_POLICY).len(), 1);
+        // The word in prose, in a string, or inside a longer identifier
+        // is not the keyword.
+        let ok = "#![deny(unsafe_code)]\n// unsafe in a comment\nfn f() -> &'static str {\n    \
+                  let not_unsafe = \"unsafe\";\n    not_unsafe\n}\n";
+        assert!(scan_source("f.rs", ok, LIB_POLICY).is_empty());
+        // Exactly the allowlisted files are exempt, and each one exists.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for file in UNSAFE_ALLOWLIST {
+            assert!(root.join(file).is_file(), "stale allowlist entry {file}");
+            let p = policy_for(file).unwrap();
+            assert!(!p.unsafe_free, "{file}");
+            assert!(scan_source(file, src, p)
+                .iter()
+                .all(|x| x.rule != Rule::DenyUnsafe));
+        }
+        assert!(policy_for("crates/net/src/reactor.rs").unwrap().unsafe_free);
+        assert!(policy_for("crates/bptree/src/tree.rs").unwrap().unsafe_free);
     }
 
     #[test]

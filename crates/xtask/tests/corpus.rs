@@ -1,7 +1,7 @@
-//! Golden corpus for the concurrency passes.
+//! Golden corpus for the concurrency passes and the `unsafe` allowlist.
 //!
 //! Every `bad_*.rs` fixture under `tests/fixtures/` seeds a specific
-//! concurrency bug and must be flagged (zero false negatives); every
+//! bug and must be flagged (zero false negatives); every
 //! `good_*.rs` fixture exercises the blessed idioms and must come back
 //! clean. The full finding set is pinned against `expected.json` so a
 //! pass that silently loosens shows up as a golden diff.
@@ -12,7 +12,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use xtask::concurrency::{analyze_source, ConcPolicy};
-use xtask::Rule;
+use xtask::{scan_source, Finding, Policy, Rule};
 
 /// Fixtures are analyzed with every file-wide pass enabled — they stand
 /// in for the strictest real file (a hot-path file in
@@ -37,6 +37,30 @@ fn policy_for_fixture(name: &str) -> ConcPolicy {
         hot_alloc: name.contains("hot_alloc"),
         ..ALL_PASSES
     }
+}
+
+/// The lint pass's allowlist half of `deny-unsafe`, alone: what any file
+/// off `xtask::UNSAFE_ALLOWLIST` is held to.
+const UNSAFE_FREE_ONLY: Policy = Policy {
+    panics: false,
+    wallclock: false,
+    must_use: false,
+    deny_unsafe: false,
+    unsafe_free: true,
+    prints: false,
+    std_mutex: false,
+    payload_copy: false,
+};
+
+/// Everything the passes say about one fixture: the concurrency passes
+/// always, the `unsafe` allowlist rule for fixtures named for it.
+fn fixture_findings(name: &str, src: &str) -> Vec<Finding> {
+    let rel = format!("fixtures/{name}");
+    let mut findings = analyze_source(&rel, src, policy_for_fixture(name));
+    if name.contains("unsafe") {
+        findings.extend(scan_source(&rel, src, UNSAFE_FREE_ONLY));
+    }
+    findings
 }
 
 fn fixtures_dir() -> PathBuf {
@@ -67,8 +91,7 @@ fn fixture_sources() -> Vec<(String, String)> {
 fn corpus_matches_golden_findings() {
     let mut rows = Vec::new();
     for (name, src) in fixture_sources() {
-        let rel = format!("fixtures/{name}");
-        for f in analyze_source(&rel, &src, policy_for_fixture(&name)) {
+        for f in fixture_findings(&name, &src) {
             rows.push(format!(
                 "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\"}}",
                 f.file,
@@ -82,7 +105,7 @@ fn corpus_matches_golden_findings() {
     assert_eq!(
         got.trim(),
         expected.trim(),
-        "concurrency findings drifted from the golden corpus; \
+        "findings drifted from the golden corpus; \
          if the change is intentional, update tests/fixtures/expected.json"
     );
 }
@@ -90,8 +113,7 @@ fn corpus_matches_golden_findings() {
 #[test]
 fn every_bad_fixture_is_flagged_and_every_good_fixture_is_clean() {
     for (name, src) in fixture_sources() {
-        let rel = format!("fixtures/{name}");
-        let findings = analyze_source(&rel, &src, policy_for_fixture(&name));
+        let findings = fixture_findings(&name, &src);
         if name.starts_with("bad_") {
             assert!(
                 !findings.is_empty(),

@@ -6,4 +6,7 @@ pub fn drain_blocking(&mut self, stream: &mut TcpStream) {
     let frame = read_frame(stream).unwrap();
     stream.write_all(&frame).unwrap();
     let job = self.jobs.recv().unwrap();
+    std::thread::park_timeout(Duration::from_micros(30));
+    std::thread::sleep(Duration::from_millis(1));
+    let ready = sys::wait(&mut self.pollfds, 1).unwrap();
 }
