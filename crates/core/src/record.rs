@@ -20,7 +20,7 @@ enum Payload {
 /// A cached derived result: an immutable byte payload behind a refcounted
 /// handle — either a [`Bytes`] heap allocation or a slab-arena slot — so
 /// every clone (a hit returned to a caller, a replica placement, a
-/// migration sweep, a wire response body) is a refcount bump, never a
+/// migration sweep, a batch response body) is a refcount bump, never a
 /// memcpy of the payload.
 #[derive(Debug, Clone)]
 pub struct Record {
@@ -83,7 +83,9 @@ impl Record {
     }
 
     /// A refcounted view of the payload, sharing the backing allocation —
-    /// the zero-copy egress path for wire response bodies. For a
+    /// the zero-copy egress path for batch response bodies (`GetMany`,
+    /// `Sweep`; a single-key wire `Get` reads the record in place, see
+    /// [`crate::ShardedNode::get_with`]). For a
     /// slab-resident record the returned [`Bytes`] owns a clone of the
     /// slot handle, so the slot stays live (and out of the freelist)
     /// until the response is written.
@@ -153,6 +155,15 @@ mod tests {
         assert_eq!(r.as_slice(), &[1, 2, 3]);
         assert!(!r.is_empty());
         assert!(Record::from_vec(vec![]).is_empty());
+    }
+
+    #[test]
+    fn record_is_four_words() {
+        // Records sit inline in B+-tree leaves, so their size is the
+        // leaves' density: `Payload`'s discriminant lives in the niche of
+        // the handles' non-null pointers, and a fifth word would make
+        // every leaf a quarter larger.
+        assert_eq!(std::mem::size_of::<Record>(), 32);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecc_bptree::BPlusTree;
 use ecc_obs::ObsRegistry;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::lockorder::{self, LockClass};
 use crate::metrics::NodeCounters;
@@ -137,8 +137,8 @@ pub struct ShardedNode {
     /// Resident record count.
     count: AtomicU64,
     counters: NodeCounters,
-    /// When present, stripe/structural lock-acquisition waits are recorded
-    /// as `lock_wait_us:{stripe,structural}` histograms.
+    /// When present, stripe/structural lock acquisitions that had to wait
+    /// record how long under `lock_wait_us:{stripe,structural}`.
     obs: Option<ObsRegistry>,
 }
 
@@ -175,8 +175,9 @@ impl ShardedNode {
         }
     }
 
-    /// Attach an observability registry; subsequent lock acquisitions
-    /// record their wait time under `lock_wait_us:{stripe,structural}`.
+    /// Attach an observability registry; subsequent lock acquisitions that
+    /// have to wait record how long under
+    /// `lock_wait_us:{stripe,structural}`.
     #[must_use]
     pub fn with_obs(mut self, obs: ObsRegistry) -> Self {
         self.obs = Some(obs);
@@ -240,18 +241,42 @@ impl ShardedNode {
         }
     }
 
-    /// Record how long one lock acquisition waited.
+    /// Acquire `lock` shared. Only an acquisition that has to wait is
+    /// timed: the uncontended one is a `try_read` with no clock read and
+    /// no registry access, so `lock_wait_us:*` hold the waits of the
+    /// acquisitions that waited, not a zero per request.
     #[inline]
-    fn note_wait(&self, name: &'static str, t0: Option<u64>) {
-        if let (Some(obs), Some(t0)) = (&self.obs, t0) {
-            obs.record(name, obs.now_us().saturating_sub(t0));
+    fn read_lock<'a, T>(&self, lock: &'a RwLock<T>, name: &'static str) -> RwLockReadGuard<'a, T> {
+        match lock.try_read() {
+            Some(guard) => guard,
+            None => self.timed_wait(name, || lock.read()),
         }
     }
 
-    /// Timestamp before a lock acquisition (None when unobserved).
+    /// Acquire `lock` exclusively, timing it like [`Self::read_lock`].
     #[inline]
-    fn wait_start(&self) -> Option<u64> {
-        self.obs.as_ref().map(|o| o.now_us())
+    fn write_lock<'a, T>(
+        &self,
+        lock: &'a RwLock<T>,
+        name: &'static str,
+    ) -> RwLockWriteGuard<'a, T> {
+        match lock.try_write() {
+            Some(guard) => guard,
+            None => self.timed_wait(name, || lock.write()),
+        }
+    }
+
+    /// Block in `acquire` and record how long it took under `name` (not
+    /// timed when unobserved).
+    #[cold]
+    fn timed_wait<G>(&self, name: &'static str, acquire: impl FnOnce() -> G) -> G {
+        let Some(obs) = &self.obs else {
+            return acquire();
+        };
+        let t0 = obs.now_us();
+        let guard = acquire();
+        obs.record(name, obs.now_us().saturating_sub(t0));
+        guard
     }
 
     /// Open a `lock_wait` span under the caller's live span (the server's
@@ -264,24 +289,29 @@ impl ShardedNode {
         self.obs.as_ref().and_then(|o| o.span_follow("lock_wait"))
     }
 
-    /// Look up a record; the returned clone shares the payload allocation
-    /// (refcount bump, no memcpy). Takes `structural.read` + one stripe
-    /// read lock — concurrent GETs never exclude each other.
-    pub fn get(&self, key: u64) -> Option<Record> {
+    /// Look up a record and hand it to `f` by reference, under
+    /// `structural.read` + one stripe read lock — the one lookup path.
+    /// Nothing is cloned or allocated: a caller that only needs the bytes
+    /// (the wire `Get`) copies them out inside `f`, so writers of that
+    /// stripe wait for at most that one copy, and concurrent GETs never
+    /// exclude each other.
+    pub fn get_with<T>(&self, key: u64, f: impl FnOnce(Option<&Record>) -> T) -> T {
         let wait = self.wait_span();
-        let t0 = self.wait_start();
         let _order_s = lockorder::acquire(LockClass::Structural);
-        let _structural = self.structural.read();
-        self.note_wait("lock_wait_us:structural", t0);
-        let t1 = self.wait_start();
+        let _structural = self.read_lock(&self.structural, "lock_wait_us:structural");
         let idx = stripe_of(key, self.mask);
         let _order_t = lockorder::acquire(LockClass::Stripe(idx));
-        let stripe = self.stripes[idx].read();
-        self.note_wait("lock_wait_us:stripe", t1);
+        let stripe = self.read_lock(&self.stripes[idx], "lock_wait_us:stripe");
         drop(wait);
-        let found = stripe.get(&key).cloned();
+        let found = stripe.get(&key);
         self.counters.note_get(found.is_some());
-        found
+        f(found)
+    }
+
+    /// Look up a record; the returned clone shares the payload allocation
+    /// (refcount bump, no memcpy).
+    pub fn get(&self, key: u64) -> Option<Record> {
+        self.get_with(key, |r| r.cloned())
     }
 
     /// Store a pre-built record (in-process callers, migration ingest).
@@ -310,15 +340,11 @@ impl ShardedNode {
     /// PUTs on different stripes cannot jointly overshoot the capacity.
     fn put_inner(&self, key: u64, new_len: usize, make: impl FnOnce() -> Record) -> PutOutcome {
         let wait = self.wait_span();
-        let t0 = self.wait_start();
         let _order_s = lockorder::acquire(LockClass::Structural);
-        let _structural = self.structural.read();
-        self.note_wait("lock_wait_us:structural", t0);
-        let t1 = self.wait_start();
+        let _structural = self.read_lock(&self.structural, "lock_wait_us:structural");
         let idx = stripe_of(key, self.mask);
         let _order_t = lockorder::acquire(LockClass::Stripe(idx));
-        let mut stripe = self.stripes[idx].write();
-        self.note_wait("lock_wait_us:stripe", t1);
+        let mut stripe = self.write_lock(&self.stripes[idx], "lock_wait_us:stripe");
         drop(wait);
 
         let new_fp = slab::footprint(new_len);
@@ -355,15 +381,11 @@ impl ShardedNode {
     /// outlives residency until the caller drops the handle).
     pub fn remove(&self, key: u64) -> Option<Record> {
         let wait = self.wait_span();
-        let t0 = self.wait_start();
         let _order_s = lockorder::acquire(LockClass::Structural);
-        let _structural = self.structural.read();
-        self.note_wait("lock_wait_us:structural", t0);
-        let t1 = self.wait_start();
+        let _structural = self.read_lock(&self.structural, "lock_wait_us:structural");
         let idx = stripe_of(key, self.mask);
         let _order_t = lockorder::acquire(LockClass::Stripe(idx));
-        let mut stripe = self.stripes[idx].write();
-        self.note_wait("lock_wait_us:stripe", t1);
+        let mut stripe = self.write_lock(&self.stripes[idx], "lock_wait_us:stripe");
         drop(wait);
         let removed = stripe.remove(&key);
         if let Some(rec) = &removed {
@@ -378,10 +400,8 @@ impl ShardedNode {
     /// Run `f` under the structural write lock — point ops are quiesced
     /// (they hold `structural.read`) for the duration.
     fn with_structural<T>(&self, f: impl FnOnce() -> T) -> T {
-        let t0 = self.wait_start();
         let _order_s = lockorder::acquire(LockClass::Structural);
-        let _structural = self.structural.write();
-        self.note_wait("lock_wait_us:structural", t0);
+        let _structural = self.write_lock(&self.structural, "lock_wait_us:structural");
         f()
     }
 
@@ -577,6 +597,62 @@ mod tests {
         n.put(7, rec);
         let hit = n.get(7).expect("present");
         assert!(std::ptr::eq(ptr, hit.as_slice().as_ptr()));
+    }
+
+    #[test]
+    fn get_with_lends_the_stored_record_without_cloning_it() {
+        let n = ShardedNode::new(1 << 20, 8, 4);
+        assert_eq!(n.put_slice(7, &[3u8; 100]), PutOutcome::Stored);
+        let stored = n.get(7).expect("present").as_slice().as_ptr();
+        let seen = n.get_with(7, |r| r.map(|r| (r.as_slice().as_ptr(), r.len())));
+        assert_eq!(seen, Some((stored, 100)));
+        assert!(n.get_with(8, |r| r.is_none()));
+        let c = n.counters().snapshot();
+        assert_eq!((c.gets, c.hits), (3, 2));
+    }
+
+    #[test]
+    fn only_a_lock_acquisition_that_waits_is_timed() {
+        use ecc_cloudsim::SimClock;
+        use ecc_obs::TimeSource;
+        use std::sync::atomic::AtomicBool;
+
+        let clock = SimClock::new();
+        let obs = ObsRegistry::new(TimeSource::Sim(clock.clone()));
+        let n = ShardedNode::new(1 << 20, 8, 4).with_obs(obs.clone());
+        n.put_slice(7, &[1u8; 10]);
+        assert!(n.get(7).is_some());
+        assert!(n.remove(7).is_some());
+        assert_eq!(n.range_stats(0, 100), (0, 0));
+        let snap = obs.snapshot();
+        assert_eq!(snap.hist("lock_wait_us:stripe"), None);
+        assert_eq!(snap.hist("lock_wait_us:structural"), None);
+
+        // A writer holds key 7's stripe across a GET of it. The reader
+        // raises `started` just before it calls `get`; the holder then
+        // gives it real time to reach the lock, moves the virtual clock by
+        // the hold time and lets go.
+        const HOLD_US: u64 = 1_000;
+        let started = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let held = n.stripes[stripe_of(7, n.mask)].write();
+            let reader = scope.spawn(|| {
+                started.store(true, Ordering::Release);
+                n.get(7)
+            });
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            clock.advance_us(HOLD_US);
+            drop(held);
+            assert_eq!(reader.join().expect("reader"), None);
+        });
+        let snap = obs.snapshot();
+        let waited = snap.hist("lock_wait_us:stripe").expect("the GET waited");
+        assert_eq!(waited.count(), 1);
+        assert!(waited.sum() >= HOLD_US, "waited {} us", waited.sum());
+        assert_eq!(snap.hist("lock_wait_us:structural"), None);
     }
 
     #[test]

@@ -317,6 +317,28 @@ pub struct PipelinedConn {
     asm: FrameAssembler,
     wbuf: Vec<u8>,
     in_flight: usize,
+    io: IoStats,
+}
+
+/// What a [`PipelinedConn`] has moved over its socket: syscalls, frames
+/// and wire bytes (length prefixes included) each way, so frames-per-read
+/// and bytes-per-syscall are counted, not inferred.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[must_use]
+pub struct IoStats {
+    /// `read` calls that returned bytes.
+    pub reads: u64,
+    /// Non-empty [`PipelinedConn::flush`]es, each one `write_all` — one
+    /// `write` call unless the socket buffer is full.
+    pub writes: u64,
+    /// Request frames written.
+    pub frames_tx: u64,
+    /// Response frames received.
+    pub frames_rx: u64,
+    /// Bytes written.
+    pub bytes_tx: u64,
+    /// Bytes read.
+    pub bytes_rx: u64,
 }
 
 impl PipelinedConn {
@@ -331,7 +353,13 @@ impl PipelinedConn {
             asm: FrameAssembler::new(),
             wbuf: Vec::new(),
             in_flight: 0,
+            io: IoStats::default(),
         })
+    }
+
+    /// Socket traffic since the connection was made.
+    pub fn io_stats(&self) -> IoStats {
+        self.io
     }
 
     /// Requests enqueued or flushed whose responses have not been
@@ -355,6 +383,7 @@ impl PipelinedConn {
             None => append_frame(&mut self.wbuf, |b| req.encode_into(b))?,
         }
         self.in_flight += 1;
+        self.io.frames_tx += 1;
         Ok(())
     }
 
@@ -362,6 +391,8 @@ impl PipelinedConn {
     pub fn flush(&mut self) -> io::Result<()> {
         if !self.wbuf.is_empty() {
             self.stream.write_all(&self.wbuf)?;
+            self.io.writes += 1;
+            self.io.bytes_tx += self.wbuf.len() as u64;
             self.wbuf.clear();
         }
         Ok(())
@@ -376,9 +407,12 @@ impl PipelinedConn {
     pub fn recv(&mut self) -> io::Result<(Status, &[u8])> {
         self.flush()?;
         while !self.asm.has_frame()? {
-            if self.asm.fill_from(&mut self.stream)? == 0 {
+            let n = self.asm.fill_from(&mut self.stream)?;
+            if n == 0 {
                 return Err(io::ErrorKind::UnexpectedEof.into());
             }
+            self.io.reads += 1;
+            self.io.bytes_rx += n as u64;
         }
         let frame = match self.asm.next_frame()? {
             Some(f) => f,
@@ -396,6 +430,7 @@ impl PipelinedConn {
             ));
         }
         self.in_flight = self.in_flight.saturating_sub(1);
+        self.io.frames_rx += 1;
         Ok((status, body))
     }
 }

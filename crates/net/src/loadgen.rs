@@ -782,27 +782,31 @@ mod tests {
         ring.insert_bucket(255, 0).unwrap();
         let addr = s.addr();
 
+        // More frames than two flight-recorder rings hold events: only
+        // the sampled requests' spans go into the ring, so none is lost.
         let trace = TraceOpts {
             obs: client_obs.clone(),
-            sample: 4,
+            sample: 32,
         };
         let report =
-            run_load_fanout_traced(&ring, |_| addr, 2, 1, 400, 256, 64, 8, Some(&trace)).unwrap();
+            run_load_fanout_traced(&ring, |_| addr, 2, 1, 8192, 256, 64, 8, Some(&trace)).unwrap();
         assert_eq!(report.errors, 0, "{report:?}");
+        assert!(report.ops >= 8192, "{report:?}");
 
-        // 2 workers × 200 GETs, 1-in-4 sampled → 100 roots, 300 dropped.
-        assert_eq!(client_obs.spans_dropped(), 300);
+        // 2 workers × 4096 GETs, 1-in-32 sampled → 256 roots, 7936 dropped.
+        assert_eq!(client_obs.spans_dropped(), 7936);
 
         let mut c = RemoteNode::connect(addr).unwrap();
         let server_snap = c.obs_dump().unwrap();
+        assert_eq!(server_snap.dropped, 0);
         let mut events = client_obs.snapshot().events;
         events.extend(server_snap.events);
         let stats = ecc_obs::verify_spans(&events).expect("merged trace is well-formed");
-        assert_eq!(stats.roots, 100);
-        assert_eq!(stats.traces, 100);
+        assert_eq!(stats.roots, 256);
+        assert_eq!(stats.traces, 256);
         // Every sampled request carries its server subtree: root + srv +
         // srv_queue + srv_exec + lock_wait = 5 spans per trace.
-        assert_eq!(stats.spans, 500);
+        assert_eq!(stats.spans, 1280);
         s.stop();
     }
 

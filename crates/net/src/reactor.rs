@@ -39,13 +39,25 @@
 //!
 //! Unix only: `poll` and the waker pair are the platform's.
 //!
-//! Observability: `reactor_dispatch_us` histograms wakeup-with-data →
-//! responses fully flushed (the queueing+execution slice of wire RTT),
-//! `reactor_frames_per_wake` histograms the burst size each wakeup
-//! retired, `reactor_idle_wakes` counts returns from the blocking wait,
-//! and `reactor_wake_us` histograms wait returned → first byte read on
-//! that wake (the reactor's own share of a cold request's latency; the
-//! kernel's share is only visible from the client).
+//! Observability: nothing shared is touched per frame. Each reactor records
+//! into its own `SweepObs` — `server_op_us:<op>` (end of the previous
+//! frame, or the sweep's first clock read, → this frame's response queued:
+//! one clock read per frame, and a sweep's samples add up to its span),
+//! `reactor_frames_per_wake` (the burst one sweep of one connection
+//! retired), `reactor_dispatch_us` (first clock read → responses fully
+//! flushed: the queueing+execution slice of wire RTT), `reactor_wake_us`
+//! (blocking wait returned → first byte read on that wake: the reactor's
+//! own share of a cold request's latency; the kernel's share is only
+//! visible from the client) and the payload-byte counters
+//! `frame_bytes_rx`/`frame_bytes_tx` — and folds it into the node's
+//! [`ObsRegistry`] under one histogram lock per connection-sweep that
+//! dispatched frames. The fold comes before the gathered write, and before
+//! an `ObsDump` frame executes, so a client that has read a reply never
+//! fetches a dump that lacks it; what a sweep measures after its fold (its
+//! `reactor_dispatch_us`) rides in the next one, or in the fold that
+//! precedes the blocking wait. Per-op frame counts are the
+//! `server_op_us:*` counts. `reactor_idle_wakes` counts returns from the
+//! blocking wait.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -57,12 +69,12 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel;
 use ecc_core::ShardedNode;
-use ecc_obs::{ObsEvent, ObsRegistry};
+use ecc_obs::{LogHistogram, ObsRegistry};
 
 use crate::protocol::{
-    append_frame, decode_with_trace, FrameAssembler, Request, Response, Status, TraceContext,
+    append_frame, decode_with_trace, FrameAssembler, Op, Request, Status, TraceContext,
 };
-use crate::server::{handle, op_hist_name, ConnSlot};
+use crate::server::{handle, op_hist_name, reply, ConnSlot};
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 
 /// Default reactor-thread count: one per core up to 4. Cache serving is
@@ -187,6 +199,51 @@ impl Wakers {
     }
 }
 
+/// [`SweepObs::hists`] slots after the per-op ones, which sit at their
+/// opcode (`0` = undecodable frame).
+const FRAMES_PER_WAKE: usize = Op::ObsDump as usize + 1;
+const DISPATCH_US: usize = FRAMES_PER_WAKE + 1;
+const WAKE_US: usize = DISPATCH_US + 1;
+
+/// [`SweepObs::bytes`] slots.
+const RX: usize = 0;
+const TX: usize = 1;
+
+/// What one reactor measured since it last folded into the registry:
+/// plain thread-local data, so recording a sample is an array index and a
+/// few adds.
+struct SweepObs {
+    hists: [(&'static str, LogHistogram); WAKE_US + 1],
+    /// Payload bytes of the request frames read and of the response frames
+    /// queued.
+    bytes: [(&'static str, u64); 2],
+}
+
+impl SweepObs {
+    fn new() -> SweepObs {
+        SweepObs {
+            hists: std::array::from_fn(|slot| {
+                let name = match slot {
+                    FRAMES_PER_WAKE => "reactor_frames_per_wake",
+                    DISPATCH_US => "reactor_dispatch_us",
+                    WAKE_US => "reactor_wake_us",
+                    op => op_hist_name(Op::from_u8(op as u8)),
+                };
+                (name, LogHistogram::new())
+            }),
+            bytes: [("frame_bytes_rx", 0), ("frame_bytes_tx", 0)],
+        }
+    }
+
+    fn record(&mut self, slot: usize, value: u64) {
+        self.hists[slot].1.record(value);
+    }
+
+    fn fold_into(&mut self, registry: &ObsRegistry) {
+        registry.fold(&mut self.hists, &mut self.bytes);
+    }
+}
+
 /// What everything on a reactor's request path shares.
 #[derive(Clone)]
 struct ReactorShared {
@@ -302,6 +359,7 @@ fn reactor_loop(
 ) {
     let mut conns: Vec<Conn> = Vec::new(); // xtask: allow(no-global-alloc-in-hot-path) — startup
     let mut pollfds: Vec<PollFd> = Vec::new(); // xtask: allow(no-global-alloc-in-hot-path) — startup
+    let mut obs = SweepObs::new();
     let mut idle_sweeps: u32 = 0;
     // When the blocking wait returned, until the sweep that follows it
     // reads a byte (the `reactor_wake_us` sample) or ends without one.
@@ -317,7 +375,7 @@ fn reactor_loop(
 
         let mut i = 0;
         while i < conns.len() {
-            match sweep_conn(&mut conns[i], &shared, &mut woke_at) {
+            match sweep_conn(&mut conns[i], &shared, &mut obs, &mut woke_at) {
                 Ok(Sweep::Progress(p)) => {
                     progress |= p;
                     i += 1;
@@ -337,12 +395,14 @@ fn reactor_loop(
             for conn in &mut conns {
                 let _ = conn.flush();
             }
+            obs.fold_into(&shared.obs);
             return;
         }
         if shared.shutdown.load(Ordering::Acquire) && conns.is_empty() {
             // Wire-initiated shutdown: exit once the served connections
             // drain (the acceptor stops admitting; `stop()` may never be
             // called, so the reactor must wind down on its own).
+            obs.fold_into(&shared.obs);
             return;
         }
 
@@ -362,7 +422,10 @@ fn reactor_loop(
         // writes the waker. Both are level-triggered, so an event between
         // the sweep above and this call is not lost — the wait returns at
         // once. The sweep that follows resets `idle_sweeps` only if it
-        // moves something; a wake that finds nothing waits again.
+        // moves something; a wake that finds nothing waits again. An idle
+        // node's registry is complete: what the last sweeps measured after
+        // their own fold goes in first.
+        obs.fold_into(&shared.obs);
         pollfds.clear();
         pollfds.push(PollFd::new(waker.as_raw_fd(), POLLIN));
         pollfds.extend(
@@ -392,21 +455,22 @@ fn drain_waker(waker: &mut UnixStream) {
     while matches!(waker.read(&mut buf), Ok(n) if n == buf.len()) {}
 }
 
-/// Execute one decoded frame, opening the server-side span triplet when
-/// the frame carried a sampled trace context: `srv` (back-dated to the
-/// sweep wakeup `t_wake`, parented under the client's wire span), a
-/// `srv_queue` child covering wakeup → execute (per-frame arrival is not
-/// individually timestamped, so queueing is attributed from the sweep
-/// wakeup), and `srv_exec` around `handle()` — whose own descendants
-/// (`lock_wait` in the sharded node) attach through the thread-local span
-/// stack. `srv` closes when the response is produced; the flush that
-/// follows is charged to the client's network share.
+/// Execute one decoded frame into `out`, opening the server-side span
+/// triplet when the frame carried a sampled trace context: `srv`
+/// (back-dated to the sweep wakeup `t_wake`, parented under the client's
+/// wire span), a `srv_queue` child covering wakeup → execute (per-frame
+/// arrival is not individually timestamped, so queueing is attributed from
+/// the sweep wakeup), and `srv_exec` around `handle()` — whose own
+/// descendants (`lock_wait` in the sharded node) attach through the
+/// thread-local span stack. `srv` closes when the response is queued; the
+/// flush that follows is charged to the client's network share.
 fn serve_traced(
     ctx: Option<TraceContext>,
     req: Request,
     shared: &ReactorShared,
     t_wake: u64,
-) -> Response {
+    out: &mut Vec<u8>,
+) {
     let srv = ctx.filter(|c| c.sampled).map(|c| {
         let srv = shared
             .obs
@@ -418,13 +482,10 @@ fn serve_traced(
         );
         srv
     });
-    let exec = srv
+    let _exec = srv
         .as_ref()
         .map(|s| shared.obs.span_start("srv_exec", s.trace_id(), s.id()));
-    let resp = handle(req, &shared.node, &shared.shutdown, &shared.obs);
-    drop(exec);
-    drop(srv);
-    resp
+    handle(req, &shared.node, &shared.shutdown, &shared.obs, out);
 }
 
 /// Per-sweep verdict for one connection.
@@ -437,11 +498,13 @@ enum Sweep {
 
 /// One sweep over one connection: ingest whatever the socket has, retire
 /// every complete frame against the node, flush the response queue.
-/// `woke_at` is when the blocking wait returned, if this sweep follows one
-/// and no connection has read a byte since.
+/// `obs` is the reactor's own batch. `woke_at` is when the blocking wait
+/// returned, if this sweep follows one and no connection has read a byte
+/// since.
 fn sweep_conn(
     conn: &mut Conn,
     shared: &ReactorShared,
+    obs: &mut SweepObs,
     woke_at: &mut Option<u64>,
 ) -> io::Result<Sweep> {
     let mut progress = false;
@@ -457,9 +520,7 @@ fn sweep_conn(
                 Ok((_, drained)) => {
                     progress = true;
                     if let Some(t) = woke_at.take() {
-                        shared
-                            .obs
-                            .record("reactor_wake_us", shared.obs.now_us() - t);
+                        obs.record(WAKE_US, shared.obs.now_us() - t);
                     }
                     // A short read means the socket ran dry: skip the
                     // would-block probe (level polling catches any bytes
@@ -476,12 +537,16 @@ fn sweep_conn(
     }
 
     // Decode and execute every frame that fully arrived. `t_wake` to
-    // flush-complete is the `reactor_dispatch_us` sample.
+    // flush-complete is the `reactor_dispatch_us` sample; the clock is not
+    // read for a sweep with nothing buffered, which dispatches nothing.
     let t_wake = if conn.asm.buffered() > 0 {
-        Some(shared.obs.now_us())
+        shared.obs.now_us()
     } else {
-        None
+        0
     };
+    // Where the next frame's `server_op_us` sample starts: the clock is
+    // read once per frame, when its response is queued.
+    let mut frame_start = t_wake;
     let mut dispatched: u64 = 0;
     let mut shutdown_requested = false;
     let mut framing_error: Option<io::Error> = None;
@@ -499,41 +564,34 @@ fn sweep_conn(
                 break;
             }
         };
-        let op_byte = frame.first().copied().unwrap_or(0);
-        shared.obs.emit(ObsEvent::FrameRx {
-            at_us: shared.obs.now_us(),
-            op: op_byte,
-            bytes: frame.len() as u64,
-        });
-        let t0 = shared.obs.now_us();
-        let (resp, is_shutdown, hist) = match decode_with_trace(frame) {
+        obs.bytes[RX].1 += frame.len() as u64;
+        let queued = wbuf.len();
+        let mut slot = 0;
+        append_frame(wbuf, |out| match decode_with_trace(frame) {
             Some((ctx, req)) => {
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let hist = op_hist_name(Some(req.op()));
-                let resp = serve_traced(ctx, req, shared, t_wake.unwrap_or(t0));
-                (resp, is_shutdown, hist)
+                slot = req.op() as usize;
+                match req {
+                    Request::Shutdown => shutdown_requested = true,
+                    // The dump must hold every frame served before it,
+                    // the ones of this very sweep included.
+                    Request::ObsDump => obs.fold_into(&shared.obs),
+                    _ => {}
+                }
+                serve_traced(ctx, req, shared, t_wake, out);
             }
-            None => (
-                Response::status(Status::BadRequest),
-                false,
-                op_hist_name(None),
-            ),
-        };
+            None => reply(out, Status::BadRequest, &[]),
+        })?;
         // Request boundary: every `handle()` must return with all
         // ShardedNode guards released — a guard surviving into the next
         // pipelined frame would block every connection on that stripe.
         // Debug-build check, compiled out in release.
         ecc_core::lockorder::assert_quiescent();
-        shared.obs.record(hist, shared.obs.now_us() - t0);
-        append_frame(wbuf, |b| resp.encode_into(b))?;
-        shared.obs.emit(ObsEvent::FrameTx {
-            at_us: shared.obs.now_us(),
-            op: op_byte,
-            bytes: resp.body.len() as u64 + 1,
-        });
+        obs.bytes[TX].1 += (wbuf.len() - queued - 4) as u64;
+        let now = shared.obs.now_us();
+        obs.record(slot, now - frame_start);
+        frame_start = now;
         dispatched += 1;
-        if is_shutdown {
-            shutdown_requested = true;
+        if shutdown_requested {
             break;
         }
     }
@@ -545,7 +603,9 @@ fn sweep_conn(
     }
     if dispatched > 0 {
         progress = true;
-        shared.obs.record("reactor_frames_per_wake", dispatched);
+        obs.record(FRAMES_PER_WAKE, dispatched);
+        // Before the write: whoever reads these replies finds them counted.
+        obs.fold_into(&shared.obs);
     }
 
     // One gathered write for every response this sweep produced (plus any
@@ -556,11 +616,7 @@ fn sweep_conn(
     }
 
     if dispatched > 0 && conn.pending_write() == 0 {
-        if let Some(t_wake) = t_wake {
-            shared
-                .obs
-                .record("reactor_dispatch_us", shared.obs.now_us() - t_wake);
-        }
+        obs.record(DISPATCH_US, shared.obs.now_us() - t_wake);
     }
 
     if conn.pending_write() == 0 && conn.close_after_flush {

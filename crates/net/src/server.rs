@@ -10,8 +10,9 @@
 //! admitted sockets round-robin to N reactor threads, each sweeping its
 //! owned connections with nonblocking reads, pipelined decode/execute
 //! against the shared [`ShardedNode`], and one gathered flush per sweep.
-//! Response bodies are refcounted [`bytes::Bytes`] views of the stored
-//! records: a GET never memcpys the payload.
+//! A response is written straight into its connection's write queue: a GET
+//! hit is one copy from the stored record into that queue, with no
+//! allocation on the way.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -245,8 +246,10 @@ impl Drop for CacheServer {
     }
 }
 
-/// Execute one request against the node. Point ops take only the key's
-/// stripe lock; Stats reads atomics with no lock at all; range ops
+/// Execute one request against the node and append the response payload
+/// (status byte, then body) to `out` — the connection's write queue, inside
+/// the frame the reactor opened. Point ops take only the key's stripe
+/// lock; Stats reads atomics with no lock at all; range ops
 /// (Sweep/Keys/RangeStats) serialize behind the structural lock. Called
 /// from the reactor threads, one pipelined frame at a time.
 pub(crate) fn handle(
@@ -254,18 +257,21 @@ pub(crate) fn handle(
     node: &ShardedNode,
     shutdown: &AtomicBool,
     obs: &ObsRegistry,
-) -> Response {
+    out: &mut Vec<u8>,
+) {
     match req {
-        Request::Get { key } => match node.get(key) {
-            // The body shares the stored record's allocation: the only
-            // payload copy on a GET is the kernel socket write.
-            Some(rec) => Response::ok(rec.bytes()),
-            None => Response::status(Status::NotFound),
-        },
-        Request::Put { key, value } => Response::status(put_record(node, key, value)),
+        // The hit is copied out of the stored record under the stripe read
+        // guard — the one payload copy a GET makes in user space (the
+        // socket write is the kernel's). No record clone, no `Bytes`, no
+        // allocation; a writer of that stripe waits for at most this copy.
+        Request::Get { key } => node.get_with(key, |rec| match rec {
+            Some(rec) => reply(out, Status::Ok, rec.as_slice()),
+            None => reply(out, Status::NotFound, &[]),
+        }),
+        Request::Put { key, value } => reply(out, put_record(node, key, value), &[]),
         Request::Remove { key } => match node.remove(key) {
-            Some(_) => Response::status(Status::Ok),
-            None => Response::status(Status::NotFound),
+            Some(_) => reply(out, Status::Ok, &[]),
+            None => reply(out, Status::NotFound, &[]),
         },
         Request::PutMany { items } => {
             // Per-item verdicts: a refused item never aborts the rest of
@@ -274,14 +280,14 @@ pub(crate) fn handle(
                 .into_iter()
                 .map(|(key, value)| put_record(node, key, value))
                 .collect();
-            Response::ok(encode_statuses(&statuses))
+            reply(out, Status::Ok, &encode_statuses(&statuses));
         }
         Request::GetMany { keys } => {
             let entries: Vec<Option<bytes::Bytes>> = keys
                 .iter()
                 .map(|&k| node.get(k).map(|r| r.bytes()))
                 .collect();
-            Response::ok(encode_get_many(&entries))
+            reply(out, Status::Ok, &encode_get_many(&entries));
         }
         Request::EvictMany { keys } => {
             let statuses: Vec<Status> = keys
@@ -294,7 +300,7 @@ pub(crate) fn handle(
                     }
                 })
                 .collect();
-            Response::ok(encode_statuses(&statuses))
+            reply(out, Status::Ok, &encode_statuses(&statuses));
         }
         Request::Sweep { lo, hi } => {
             let records: Vec<(u64, bytes::Bytes)> = node
@@ -302,30 +308,40 @@ pub(crate) fn handle(
                 .into_iter()
                 .map(|(k, r)| (k, r.bytes()))
                 .collect();
-            Response::ok(encode_records(&records))
+            reply(out, Status::Ok, &encode_records(&records));
         }
-        Request::Keys { lo, hi } => Response::ok(encode_keys(&node.keys_in_range(lo, hi))),
+        Request::Keys { lo, hi } => {
+            reply(out, Status::Ok, &encode_keys(&node.keys_in_range(lo, hi)));
+        }
         Request::RangeStats { lo, hi } => {
             let (bytes, records) = node.range_stats(lo, hi);
-            Response::ok(encode_range_stats(bytes, records))
+            reply(out, Status::Ok, &encode_range_stats(bytes, records));
         }
-        Request::Stats => Response::ok(encode_stats(
-            node.used_bytes(),
-            node.record_count(),
-            node.capacity_bytes(),
-        )),
-        Request::Ping => Response::status(Status::Ok),
-        Request::ObsDump => {
-            let snap = obs.snapshot();
-            Response::ok(bytes::Bytes::from(encode_dump(&snap)))
-        }
+        Request::Stats => reply(
+            out,
+            Status::Ok,
+            &encode_stats(
+                node.used_bytes(),
+                node.record_count(),
+                node.capacity_bytes(),
+            ),
+        ),
+        Request::Ping => reply(out, Status::Ok, &[]),
+        Request::ObsDump => reply(out, Status::Ok, &encode_dump(&obs.snapshot())),
         Request::Shutdown => {
             // Release pairs with the accept loop's Acquire load; no
             // total order with unrelated atomics is needed.
             shutdown.store(true, Ordering::Release);
-            Response::status(Status::Ok)
+            reply(out, Status::Ok, &[]);
         }
     }
+}
+
+/// Append one response payload: the status byte, then the body.
+#[inline]
+pub(crate) fn reply(out: &mut Vec<u8>, status: Status, body: &[u8]) {
+    out.push(status as u8);
+    out.extend_from_slice(body);
 }
 
 /// Static per-op histogram name (`server_op_us:<op>`), so the hot path
@@ -547,20 +563,50 @@ mod tests {
         client.get(1).unwrap();
         client.get(2).unwrap();
         let snap = client.obs_dump().unwrap();
+        // Per-op frame counts are the per-op histogram counts.
         assert_eq!(snap.hist("server_op_us:put").map(|h| h.count()), Some(1));
         assert_eq!(snap.hist("server_op_us:get").map(|h| h.count()), Some(2));
-        // The sharded node records its lock waits into the same registry.
-        assert!(
-            snap.hist("lock_wait_us:stripe")
-                .map(|h| h.count())
-                .unwrap_or(0)
-                > 0
-        );
-        let counts = snap.event_counts();
-        // Rx events for put + 2 gets + the dump itself; Tx lags by the
-        // in-flight dump response.
-        assert_eq!(counts.get("frame_rx"), Some(&4));
-        assert_eq!(counts.get("frame_tx"), Some(&3));
+        // Payload bytes in: put 1+8+3, two gets of 1+8, the dump's own
+        // opcode. Out: Ok, Ok+"abc", NotFound; the dump's response is
+        // still being built.
+        assert_eq!(snap.gauge("frame_bytes_rx"), Some(12 + 9 + 9 + 1));
+        assert_eq!(snap.gauge("frame_bytes_tx"), Some(1 + 4 + 1));
+        // One client at a time never waits for a lock, and only waits are
+        // recorded.
+        assert_eq!(snap.hist("lock_wait_us:stripe"), None);
+        assert_eq!(snap.hist("lock_wait_us:structural"), None);
+        // Requests leave nothing in the flight recorder.
+        assert_eq!(snap.events, vec![]);
+        server.stop();
+    }
+
+    #[test]
+    fn a_dump_pipelined_behind_gets_in_one_write_reports_all_of_them() {
+        use crate::protocol::{append_frame, read_frame, Response};
+        use std::io::Write;
+
+        let mut server = CacheServer::spawn(1 << 20, 16).unwrap();
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        // 16 GETs and the dump leave in ONE write, so the reactor finds
+        // them in one sweep: the dump must not be taken from a registry
+        // that is still waiting for that sweep's batch.
+        let mut burst = Vec::new();
+        for key in 0..16u64 {
+            append_frame(&mut burst, |b| Request::Get { key }.encode_into(b)).unwrap();
+        }
+        append_frame(&mut burst, |b| Request::ObsDump.encode_into(b)).unwrap();
+        raw.write_all(&burst).unwrap();
+        for _ in 0..16 {
+            let resp = read_frame(&mut raw).unwrap();
+            assert_eq!(Status::from_u8(resp[0]), Some(Status::NotFound));
+        }
+        let dump = Response::decode(read_frame(&mut raw).unwrap()).unwrap();
+        assert_eq!(dump.status, Status::Ok);
+        let snap = ecc_obs::decode_dump(&dump.body).unwrap();
+        assert_eq!(snap.hist("server_op_us:get").map(|h| h.count()), Some(16));
+        assert_eq!(snap.gauge("frame_bytes_rx"), Some(16 * 9 + 1));
+        assert_eq!(snap.gauge("frame_bytes_tx"), Some(16));
         server.stop();
     }
 

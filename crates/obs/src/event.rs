@@ -83,24 +83,6 @@ pub enum ObsEvent {
         /// The evicted keys, in eviction order.
         keys: Vec<u64>,
     },
-    /// The server request loop received one frame.
-    FrameRx {
-        /// Event time, µs.
-        at_us: u64,
-        /// Request opcode byte (0 when undecodable).
-        op: u8,
-        /// Frame payload bytes.
-        bytes: u64,
-    },
-    /// The server request loop sent one response frame.
-    FrameTx {
-        /// Event time, µs.
-        at_us: u64,
-        /// Request opcode byte the response answers (0 when undecodable).
-        op: u8,
-        /// Response payload bytes.
-        bytes: u64,
-    },
     /// An admission failed mid-insert and the record was served uncached.
     InsertError {
         /// Event time, µs.
@@ -147,8 +129,6 @@ impl ObsEvent {
             ObsEvent::NodeDealloc { .. } => "node_dealloc",
             ObsEvent::SliceExpire { .. } => "slice_expire",
             ObsEvent::EvictBatch { .. } => "evict_batch",
-            ObsEvent::FrameRx { .. } => "frame_rx",
-            ObsEvent::FrameTx { .. } => "frame_tx",
             ObsEvent::InsertError { .. } => "insert_error",
             ObsEvent::SpanStart { .. } => "span_start",
             ObsEvent::SpanEnd { .. } => "span_end",
@@ -165,8 +145,6 @@ impl ObsEvent {
             | ObsEvent::NodeDealloc { at_us, .. }
             | ObsEvent::SliceExpire { at_us, .. }
             | ObsEvent::EvictBatch { at_us, .. }
-            | ObsEvent::FrameRx { at_us, .. }
-            | ObsEvent::FrameTx { at_us, .. }
             | ObsEvent::InsertError { at_us, .. } => at_us,
             ObsEvent::SpanStart { at_us, .. } | ObsEvent::SpanEnd { at_us, .. } => at_us,
         }
@@ -233,12 +211,6 @@ impl ObsEvent {
                      \"keys\":[{list}]}}"
                 )
             }
-            ObsEvent::FrameRx { at_us, op, bytes } => {
-                format!("{{\"type\":\"frame_rx\",\"at_us\":{at_us},\"op\":{op},\"bytes\":{bytes}}}")
-            }
-            ObsEvent::FrameTx { at_us, op, bytes } => {
-                format!("{{\"type\":\"frame_tx\",\"at_us\":{at_us},\"op\":{op},\"bytes\":{bytes}}}")
-            }
             ObsEvent::InsertError { at_us, key } => {
                 format!("{{\"type\":\"insert_error\",\"at_us\":{at_us},\"key\":{key}}}")
             }
@@ -304,16 +276,6 @@ impl ObsEvent {
                 at_us,
                 node: json_u64(line, "node")? as u32,
                 keys: json_u64_array(line, "keys")?,
-            },
-            "frame_rx" => ObsEvent::FrameRx {
-                at_us,
-                op: json_u64(line, "op")? as u8,
-                bytes: json_u64(line, "bytes")?,
-            },
-            "frame_tx" => ObsEvent::FrameTx {
-                at_us,
-                op: json_u64(line, "op")? as u8,
-                bytes: json_u64(line, "bytes")?,
             },
             "insert_error" => ObsEvent::InsertError {
                 at_us,
@@ -418,16 +380,6 @@ mod tests {
                 at_us: 17,
                 node: 1,
                 keys: vec![],
-            },
-            ObsEvent::FrameRx {
-                at_us: 18,
-                op: 0x02,
-                bytes: 64,
-            },
-            ObsEvent::FrameTx {
-                at_us: 19,
-                op: 0x02,
-                bytes: 1,
             },
             ObsEvent::InsertError { at_us: 20, key: 77 },
             ObsEvent::SpanStart {

@@ -9,8 +9,10 @@
 //! * [`ObsEvent`] / [`FlightRecorder`] — a fixed-capacity ring buffer of
 //!   typed structural events (`BucketSplit`, `SweepMigrate`, `NodeMerge`,
 //!   `NodeAlloc`/`NodeDealloc`, `SliceExpire`, `EvictBatch`,
-//!   `FrameRx`/`FrameTx`, `InsertError`), dumpable as JSONL for post-mortem
-//!   analysis and CI artifact upload.
+//!   `InsertError`, span starts and ends), dumpable as JSONL for
+//!   post-mortem analysis and CI artifact upload. An unsampled request
+//!   emits nothing, so the ring holds the cluster's structural history
+//!   however much traffic a node serves.
 //! * [`LogHistogram`] — mergeable power-of-two-bucketed latency histograms
 //!   with p50/p90/p99/p99.9 readouts.
 //! * [`ObsRegistry`] — a cheaply cloneable handle bundling one recorder and

@@ -202,6 +202,33 @@ impl ObsRegistry {
         }
     }
 
+    /// Fold what one thread accumulated on its own into the shared store —
+    /// the batched form of [`record`](Self::record) and
+    /// [`add_gauge`](Self::add_gauge) for a path too hot to take a
+    /// registry lock per sample. Every non-empty histogram of `hists` is
+    /// merged into the registry's histogram of that name and emptied,
+    /// under one acquisition of the histogram lock; every non-zero delta
+    /// of `counters` is added to the gauge of that name and zeroed. A batch
+    /// with nothing in it takes no lock. The result is what per-sample
+    /// calls would have left.
+    pub fn fold(&self, hists: &mut [(&str, LogHistogram)], counters: &mut [(&str, u64)]) {
+        if hists.iter().any(|(_, h)| !h.is_empty()) {
+            let mut shared = self.inner.hists.lock();
+            for (name, h) in hists.iter_mut().filter(|(_, h)| !h.is_empty()) {
+                match shared.get_mut(*name) {
+                    Some(mine) => mine.merge(h),
+                    None => {
+                        shared.insert((*name).to_owned(), h.clone());
+                    }
+                }
+                *h = LogHistogram::new();
+            }
+        }
+        for (name, delta) in counters.iter_mut().filter(|(_, delta)| *delta > 0) {
+            self.add_gauge(name, std::mem::take(delta));
+        }
+    }
+
     /// Set the named gauge to `value` (last write wins). Same naming
     /// convention as histograms: `metric` or `metric:label`.
     pub fn set_gauge(&self, name: &str, value: u64) {
@@ -436,6 +463,49 @@ mod tests {
         assert_eq!(a.hists["x"].count(), 3);
         let times: Vec<u64> = a.events.iter().map(ObsEvent::at_us).collect();
         assert_eq!(times, vec![2, 5]);
+    }
+
+    #[test]
+    fn folding_a_local_batch_equals_recording_each_sample() {
+        let samples: [(&str, &[u64]); 3] = [
+            ("server_op_us:get", &[0, 1, 1, 0, 7, 300, u64::MAX]),
+            ("reactor_frames_per_wake", &[16, 16, 3]),
+            ("reactor_wake_us", &[]),
+        ];
+        let direct = ObsRegistry::new(TimeSource::real());
+        let folded = ObsRegistry::new(TimeSource::real());
+        // Both registries start with history the fold must merge into.
+        direct.record("server_op_us:get", 5);
+        folded.record("server_op_us:get", 5);
+        direct.add_gauge("frame_bytes_rx", 10);
+        folded.add_gauge("frame_bytes_rx", 10);
+
+        let mut hists = samples.map(|(name, _)| (name, LogHistogram::new()));
+        let mut counters = [("frame_bytes_rx", 0u64), ("frame_bytes_tx", 0)];
+        // Two folds, the samples split between them.
+        for half in 0..2u64 {
+            for (slot, (name, values)) in samples.iter().enumerate() {
+                for v in values.iter().skip(half as usize).step_by(2) {
+                    direct.record(name, *v);
+                    hists[slot].1.record(*v);
+                }
+            }
+            direct.add_gauge("frame_bytes_rx", 9 + half);
+            counters[0].1 += 9 + half;
+            folded.fold(&mut hists, &mut counters);
+            assert!(hists.iter().all(|(_, h)| h.is_empty()), "fold empties");
+            assert_eq!(counters.map(|(_, d)| d), [0, 0], "fold zeroes");
+        }
+
+        // Equal on count, sum, min, max and every bucket; a histogram and
+        // a gauge that never got a sample are absent, not present-empty.
+        let (direct, folded) = (direct.snapshot(), folded.snapshot());
+        assert_eq!(folded.hists, direct.hists);
+        assert_eq!(folded.gauges, direct.gauges);
+        assert_eq!(folded.hist("server_op_us:get").map(|h| h.count()), Some(8));
+        assert_eq!(folded.hist("reactor_wake_us"), None);
+        assert_eq!(folded.gauge("frame_bytes_rx"), Some(29));
+        assert_eq!(folded.gauge("frame_bytes_tx"), None);
     }
 
     #[test]

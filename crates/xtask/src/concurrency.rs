@@ -690,11 +690,21 @@ struct Acquisition {
     binds: bool,
 }
 
-/// Find lock-acquisition call sites (`.read()` / `.write()` / `.lock()`
-/// with an empty argument list, which distinguishes them from socket
-/// `.read(buf)` / `.write(buf)`).
+/// Find lock-acquisition call sites: `.read()` / `.write()` / `.lock()`
+/// with an empty argument list (which distinguishes them from socket
+/// `.read(buf)` / `.write(buf)`), and `ShardedNode`'s wait-timing helpers
+/// `.read_lock(&<lock>, …)` / `.write_lock(&<lock>, …)`, whose lock is the
+/// first argument.
 fn find_acquisitions(line: &str) -> Vec<Acquisition> {
     let mut out = Vec::new();
+    for helper in [".read_lock(&", ".write_lock(&"] {
+        if let Some(pos) = line.find(helper) {
+            let args = &line[pos + helper.len()..];
+            let receiver = args.split(',').next().unwrap_or("").trim().to_string();
+            let binds = line.trim_start().starts_with("let ") && line.trim_end().ends_with(");");
+            out.push(Acquisition { receiver, binds });
+        }
+    }
     for method in [".read()", ".write()", ".lock()"] {
         let mut start = 0;
         while let Some(off) = line[start..].find(method) {
@@ -995,6 +1005,25 @@ fn sweep(&self) {
 }
 ";
         assert!(analyze_source("crates/core/src/x.rs", src, ALL).is_empty());
+    }
+
+    #[test]
+    fn timed_lock_helpers_are_acquisitions_of_their_first_argument() {
+        let ok = "\
+fn get(&self, key: u64) {
+    let _structural = self.read_lock(&self.structural, \"lock_wait_us:structural\");
+    let stripe = self.read_lock(&self.stripes[idx], \"lock_wait_us:stripe\");
+}
+";
+        assert!(analyze_source("crates/core/src/x.rs", ok, ALL).is_empty());
+        let bad = "\
+fn bad(&self) {
+    let stripe = self.write_lock(&self.stripes[0], \"lock_wait_us:stripe\");
+    let _structural = self.write_lock(&self.structural, \"lock_wait_us:structural\");
+}
+";
+        let f = analyze_source("crates/core/src/x.rs", bad, ALL);
+        assert_eq!(rules(&f), vec![(3, Rule::LockOrder)]);
     }
 
     #[test]

@@ -853,8 +853,6 @@ fn describe(ev: &ecc_obs::ObsEvent) -> String {
             ..
         } => format!("slice {expiration} expired, {victims} victim(s)"),
         EvictBatch { node, keys, .. } => format!("{} key(s) evicted from node {node}", keys.len()),
-        FrameRx { op, bytes, .. } => format!("op 0x{op:02X}, {bytes}B payload"),
-        FrameTx { op, bytes, .. } => format!("op 0x{op:02X}, {bytes}B response"),
         InsertError { key, .. } => format!("insert of key {key} failed"),
         SpanStart {
             trace,
