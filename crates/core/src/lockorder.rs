@@ -191,8 +191,8 @@ pub fn held() -> Vec<LockClass> {
 }
 
 /// Assert the thread holds no audited locks — request boundaries in the
-/// server and fan-out joins in the coordinator are quiescent points; a
-/// guard surviving one is a leak. No-op in release builds.
+/// server are quiescent points; a guard surviving one is a leak. No-op in
+/// release builds.
 #[inline]
 pub fn assert_quiescent() {
     #[cfg(debug_assertions)]

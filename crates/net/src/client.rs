@@ -5,12 +5,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use bytes::Bytes;
-use ecc_obs::ObsRegistry;
+use ecc_obs::{ObsRegistry, SpanGuard};
 
 use crate::protocol::{
-    append_frame, decode_get_many, decode_keys, decode_range_stats, decode_records, decode_stats,
-    decode_statuses, encode_traced_into, read_frame_into, write_frame_buffered, FrameAssembler, Op,
-    Request, Status, TraceContext,
+    append_frame, decode_get_many, decode_keys, decode_range_stats, decode_stats, decode_statuses,
+    encode_traced_into, read_frame_into, write_frame_buffered, FrameAssembler, Op, Request, Status,
+    TraceContext,
 };
 
 /// Static span kind for a client-side wire exchange (`wire:<op>`), so the
@@ -20,7 +20,6 @@ pub(crate) fn wire_span_kind(op: Op) -> &'static str {
         Op::Get => "wire:get",
         Op::Put => "wire:put",
         Op::Remove => "wire:remove",
-        Op::Sweep => "wire:sweep",
         Op::Keys => "wire:keys",
         Op::Stats => "wire:stats",
         Op::Ping => "wire:ping",
@@ -39,10 +38,10 @@ pub(crate) fn wire_span_kind(op: Op) -> &'static str {
 /// requests, so steady-state calls perform no per-frame allocations on
 /// the framing path.
 ///
-/// With [`RemoteNode::with_obs`] attached and a trace scope set via
-/// [`RemoteNode::set_trace`], every call opens a `wire:<op>` span under
-/// that scope and ships the request as a traced (`0x0E`) frame, so the
-/// server's `srv` span becomes its child in the merged trace.
+/// With [`RemoteNode::with_obs`] attached, every call made while the
+/// calling thread has a live span opens a `wire:<op>` span under it and
+/// ships the request as a traced (`0x0E`) frame, so the server's `srv`
+/// span becomes its child in the merged trace.
 #[derive(Debug)]
 pub struct RemoteNode {
     addr: SocketAddr,
@@ -50,8 +49,6 @@ pub struct RemoteNode {
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     obs: Option<ObsRegistry>,
-    /// `(trace_id, parent_span_id)` the next calls' wire spans attach to.
-    trace: Option<(u64, u64)>,
 }
 
 fn bad_frame(what: &str) -> io::Error {
@@ -69,7 +66,6 @@ impl RemoteNode {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             obs: None,
-            trace: None,
         })
     }
 
@@ -87,7 +83,6 @@ impl RemoteNode {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             obs: None,
-            trace: None,
         })
     }
 
@@ -99,18 +94,6 @@ impl RemoteNode {
     pub fn with_obs(mut self, obs: ObsRegistry) -> Self {
         self.obs = Some(obs);
         self
-    }
-
-    /// Scope subsequent calls under `(trace_id, parent_span_id)`: each
-    /// call opens a `wire:<op>` child span and propagates its context on
-    /// the wire. `None` reverts to the thread-local scope (the innermost
-    /// live span on the calling thread, if any — how a coordinator's
-    /// direct calls attach to its elastic root spans). The explicit form
-    /// exists because coordinator fan-outs run their per-node calls on
-    /// scoped worker threads, where the spawning span's thread-local
-    /// stack is out of reach.
-    pub fn set_trace(&mut self, trace: Option<(u64, u64)>) {
-        self.trace = trace;
     }
 
     /// Bound how long any single response read may block (`None` removes
@@ -125,38 +108,54 @@ impl RemoteNode {
     }
 
     /// One request/response exchange through the reused buffers; the
-    /// returned body borrows from the connection's read buffer.
+    /// returned body borrows from the connection's read buffer. The wire
+    /// span parents under the innermost live span on the calling thread —
+    /// how a coordinator's calls attach to its elastic root spans.
     fn call(&mut self, req: &Request) -> io::Result<(Status, &[u8])> {
-        // The wire span covers write → response fully read; it is the
-        // per-node child of a coordinator fan-out and the minuend of the
-        // "network" share in critical-path breakdowns (wire − srv).
-        let scope = match &self.obs {
-            Some(_) => self.trace.or_else(ecc_obs::current_span),
-            None => None,
-        };
-        let span = match (&self.obs, scope) {
-            (Some(obs), Some((trace_id, parent))) => Some((
-                obs.span_start(wire_span_kind(req.op()), trace_id, parent),
-                parent,
-            )),
-            _ => None,
-        };
-        if let Some((span, parent)) = &span {
-            let ctx = TraceContext {
-                trace_id: span.trace_id(),
-                span_id: span.id(),
-                parent_span_id: *parent,
-                sampled: true,
-            };
-            write_frame_buffered(&mut self.stream, &mut self.wbuf, |b| {
-                encode_traced_into(&ctx, req, b)
-            })?;
-        } else {
-            write_frame_buffered(&mut self.stream, &mut self.wbuf, |b| req.encode_into(b))?;
-        }
-        let read = read_frame_into(&mut self.stream, &mut self.rbuf);
+        let span = self.send(req, ecc_obs::current_span())?;
+        let reply = self.recv();
         drop(span);
-        read?;
+        reply
+    }
+
+    /// The send half of a call: write `req`. With a registry attached and
+    /// a `(trace_id, parent_span_id)` scope, the request travels as a
+    /// traced frame under a fresh `wire:<op>` span, returned so that the
+    /// caller ends it once the reply is read: the span covers write →
+    /// reply read, the minuend of the "network" share in critical-path
+    /// breakdowns (wire − srv). The scope is explicit so that a fan-out can
+    /// open one span per node under the same parent.
+    pub(crate) fn send(
+        &mut self,
+        req: &Request,
+        scope: Option<(u64, u64)>,
+    ) -> io::Result<Option<SpanGuard>> {
+        let span = match (&self.obs, scope) {
+            (Some(obs), Some((trace_id, parent))) => {
+                let span = obs.span_start(wire_span_kind(req.op()), trace_id, parent);
+                let ctx = TraceContext {
+                    trace_id,
+                    span_id: span.id(),
+                    parent_span_id: parent,
+                    sampled: true,
+                };
+                write_frame_buffered(&mut self.stream, &mut self.wbuf, |b| {
+                    encode_traced_into(&ctx, req, b)
+                })?;
+                Some(span)
+            }
+            _ => {
+                write_frame_buffered(&mut self.stream, &mut self.wbuf, |b| req.encode_into(b))?;
+                None
+            }
+        };
+        Ok(span)
+    }
+
+    /// The receive half of a call: read the next reply, its body borrowing
+    /// the connection's read buffer.
+    pub(crate) fn recv(&mut self) -> io::Result<(Status, &[u8])> {
+        read_frame_into(&mut self.stream, &mut self.rbuf)?;
         let (&status_byte, body) = self
             .rbuf
             .split_first()
@@ -234,23 +233,7 @@ impl RemoteNode {
         let (status, body) = self.call(&Request::EvictMany {
             keys: keys.to_vec(),
         })?;
-        if status != Status::Ok {
-            return Err(bad_frame("evict-many rejected"));
-        }
-        let statuses = decode_statuses(body).ok_or_else(|| bad_frame("bad evict-many body"))?;
-        if statuses.len() != keys.len() {
-            return Err(bad_frame("evict-many status count mismatch"));
-        }
-        Ok(statuses)
-    }
-
-    /// Destructively read all records in `[lo, hi]`.
-    pub fn sweep(&mut self, lo: u64, hi: u64) -> io::Result<Vec<(u64, Vec<u8>)>> {
-        let (status, body) = self.call(&Request::Sweep { lo, hi })?;
-        if status != Status::Ok {
-            return Err(bad_frame("sweep rejected"));
-        }
-        decode_records(body).ok_or_else(|| bad_frame("bad sweep body"))
+        evict_many_reply(keys.len(), status, body)
     }
 
     /// List keys in `[lo, hi]`.
@@ -274,20 +257,14 @@ impl RemoteNode {
     /// `(used_bytes, record_count, capacity_bytes)`.
     pub fn stats(&mut self) -> io::Result<(u64, u64, u64)> {
         let (status, body) = self.call(&Request::Stats)?;
-        if status != Status::Ok {
-            return Err(bad_frame("stats rejected"));
-        }
-        decode_stats(body).ok_or_else(|| bad_frame("bad stats body"))
+        stats_reply(status, body)
     }
 
     /// Fetch the node's observability snapshot (flight-recorder events +
     /// latency histograms).
     pub fn obs_dump(&mut self) -> io::Result<ecc_obs::ObsSnapshot> {
         let (status, body) = self.call(&Request::ObsDump)?;
-        if status != Status::Ok {
-            return Err(bad_frame("obs-dump rejected"));
-        }
-        ecc_obs::decode_dump(body).ok_or_else(|| bad_frame("bad obs-dump body"))
+        obs_dump_reply(status, body)
     }
 
     /// Liveness probe.
@@ -300,6 +277,41 @@ impl RemoteNode {
         let _ = self.call(&Request::Shutdown)?;
         Ok(())
     }
+}
+
+/// Decode an `EvictMany` reply to `count` keys: per-key verdicts in
+/// request order. Free-standing, like the other `*_reply` decoders, so a
+/// coordinator fan-out can decode a reply it read with
+/// [`RemoteNode::recv`].
+pub(crate) fn evict_many_reply(
+    count: usize,
+    status: Status,
+    body: &[u8],
+) -> io::Result<Vec<Status>> {
+    if status != Status::Ok {
+        return Err(bad_frame("evict-many rejected"));
+    }
+    let statuses = decode_statuses(body).ok_or_else(|| bad_frame("bad evict-many body"))?;
+    if statuses.len() != count {
+        return Err(bad_frame("evict-many status count mismatch"));
+    }
+    Ok(statuses)
+}
+
+/// Decode a `Stats` reply as `(used_bytes, record_count, capacity_bytes)`.
+pub(crate) fn stats_reply(status: Status, body: &[u8]) -> io::Result<(u64, u64, u64)> {
+    if status != Status::Ok {
+        return Err(bad_frame("stats rejected"));
+    }
+    decode_stats(body).ok_or_else(|| bad_frame("bad stats body"))
+}
+
+/// Decode an `ObsDump` reply.
+pub(crate) fn obs_dump_reply(status: Status, body: &[u8]) -> io::Result<ecc_obs::ObsSnapshot> {
+    if status != Status::Ok {
+        return Err(bad_frame("obs-dump rejected"));
+    }
+    ecc_obs::decode_dump(body).ok_or_else(|| bad_frame("bad obs-dump body"))
 }
 
 /// A pipelining connection: many requests in flight at once.

@@ -17,21 +17,30 @@ use ecc_chash::HashRing;
 use ecc_core::SlidingWindow;
 use ecc_obs::{ObsEvent, ObsRegistry, ObsSnapshot, TimeSource};
 
-use crate::client::RemoteNode;
-use crate::protocol::Status;
+use crate::client::{evict_many_reply, obs_dump_reply, stats_reply, RemoteNode};
+use crate::protocol::{Request, Status};
 use crate::server::{CacheServer, DEFAULT_MAX_CONNECTIONS};
 
-/// Flush a migration/merge `PutMany` batch once it holds this many items…
-const PUT_BATCH_MAX_ITEMS: usize = 512;
-/// …or this many payload bytes, whichever comes first (keeps frames well
-/// under [`crate::protocol::MAX_FRAME`]).
-const PUT_BATCH_MAX_BYTES: usize = 1 << 20;
+/// A migration copies at most this many records per chunk (one `GetMany`
+/// from the source)…
+const CHUNK_RECORDS: usize = 64;
+/// …and ships them in `PutMany` frames of at most this much payload (plus
+/// the one record that crosses it). Small on purpose: the coordinator
+/// holds one chunk at a time, so this pair bounds what a migration keeps
+/// in memory, however large the span.
+const CHUNK_BYTES: usize = 64 << 10;
 
 /// One managed node: the in-process server plus the coordinator's client
 /// connection to it.
 struct ManagedNode {
     server: CacheServer,
     client: RemoteNode,
+    /// Keys the node may still hold outside its arcs: the delete that
+    /// should have removed them failed (see
+    /// [`LiveCoordinator::delete_or_defer`]). The ring never routes to
+    /// them, and every hand-off the node takes part in purges them first,
+    /// so they can never come back into an arc the node owns.
+    stale: Vec<u64>,
 }
 
 /// A violated coordinator-internal invariant, surfaced as a typed
@@ -41,15 +50,15 @@ fn internal(what: &str) -> io::Error {
     io::Error::other(format!("coordinator invariant violated: {what}"))
 }
 
-/// Send one `PutMany` frame and fail with `what` on any per-item refusal.
-fn flush_put_batch(
-    client: &mut RemoteNode,
-    batch: Vec<(u64, Bytes)>,
-    what: &str,
-) -> io::Result<()> {
+/// Send one `PutMany` frame; all-`Ok` statuses are the ack, and any
+/// per-item refusal fails the copy (the destination was sized to hold
+/// what moves, so a refusal is a bug).
+fn put_acked(client: &mut RemoteNode, batch: Vec<(u64, Bytes)>) -> io::Result<()> {
     for status in client.put_many(batch)? {
         if status != Status::Ok {
-            return Err(io::Error::other(format!("{what}: {status:?}")));
+            return Err(io::Error::other(format!(
+                "migration put refused: {status:?}"
+            )));
         }
     }
     Ok(())
@@ -141,7 +150,7 @@ impl LiveCoordinator {
     /// (histograms add bucket-wise, events interleave by timestamp).
     pub fn cluster_obs(&mut self) -> io::Result<ObsSnapshot> {
         let mut merged = self.obs.snapshot();
-        for (_, snap) in self.fan_out(|_, client| client.obs_dump())? {
+        for (_, snap) in self.fan_out(|_| Some(Request::ObsDump), |_, s, b| obs_dump_reply(s, b))? {
             merged.merge(&snap);
         }
         Ok(merged)
@@ -158,7 +167,7 @@ impl LiveCoordinator {
     /// Total `(bytes, records)` across nodes, collected with one
     /// concurrent stats fan-out instead of sequential round-trips.
     pub fn totals(&mut self) -> io::Result<(u64, u64)> {
-        let stats = self.fan_out(|_, client| client.stats())?;
+        let stats = self.stats()?;
         let mut bytes = 0;
         let mut records = 0;
         for (_, (b, r, _)) in stats {
@@ -168,56 +177,64 @@ impl LiveCoordinator {
         Ok((bytes, records))
     }
 
-    /// Run `f` against every active node's client concurrently (one scoped
-    /// thread per node) and collect `(node_id, result)` pairs. The first
-    /// node error wins; all threads are joined either way.
+    /// Send `request(id)` to every active node it names, then read every
+    /// reply and decode it with `reply`; collect `(node_id, value)` pairs.
+    /// All on the calling thread: the nodes work on their requests
+    /// concurrently while the coordinator waits for the first reply. The
+    /// first error wins, but every reply that was asked for is still read,
+    /// so no connection is left out of step.
     ///
     /// When the calling thread has a live span (an elastic operation in
     /// progress), the whole fan-out gets a `coord_fanout` child span and
-    /// every worker's wire ops attach under it — the worker threads cannot
-    /// see the coordinator's thread-local stack, so the scope is handed to
-    /// each client explicitly. With no live span the fan-out is untraced
-    /// (`cluster_obs` in particular must stay untraced: a traced `ObsDump`
-    /// would dump its own server span mid-flight, start without end).
-    fn fan_out<T, F>(&mut self, f: F) -> io::Result<Vec<(usize, T)>>
-    where
-        T: Send,
-        F: Fn(usize, &mut RemoteNode) -> io::Result<T> + Sync,
-    {
+    /// every node's wire span hangs under it. With no live span the fan-out
+    /// is untraced (`cluster_obs` in particular must stay untraced: a
+    /// traced `ObsDump` would dump its own server span mid-flight, start
+    /// without end).
+    fn fan_out<T>(
+        &mut self,
+        request: impl Fn(usize) -> Option<Request>,
+        reply: impl Fn(usize, Status, &[u8]) -> io::Result<T>,
+    ) -> io::Result<Vec<(usize, T)>> {
         let fanout = self.obs.span_follow("coord_fanout");
         let scope = fanout.as_ref().map(|s| (s.trace_id(), s.id()));
-        let f = &f;
-        let mut out = Vec::new();
         let t0 = self.obs.now_us();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .nodes
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(id, slot)| slot.as_mut().map(|n| (id, &mut n.client)))
-                .map(|(id, client)| {
-                    s.spawn(move || {
-                        client.set_trace(scope);
-                        let res = f(id, client);
-                        client.set_trace(None);
-                        (id, res)
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok((id, Ok(v))) => out.push((id, v)),
-                    Ok((_, Err(e))) => return Err(e),
-                    Err(_) => return Err(internal("fan-out worker panicked")),
+        let mut first_err = None;
+        let mut asked = Vec::new();
+        for (id, slot) in self.nodes.iter_mut().enumerate() {
+            let Some(node) = slot else { continue };
+            let Some(req) = request(id) else { continue };
+            match node.client.send(&req, scope) {
+                Ok(span) => asked.push((id, span)),
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
             }
-            Ok(())
-        })?;
-        // Fan-out joins are quiescent points: no worker may leak a node
-        // lock guard past its join. Debug-build check, no-op in release.
-        ecc_core::lockorder::assert_quiescent();
+        }
+        let mut out = Vec::with_capacity(asked.len());
+        for (id, span) in asked {
+            let got = self
+                .client(id)
+                .and_then(|c| c.recv().and_then(|(s, b)| reply(id, s, b)));
+            drop(span);
+            match got {
+                Ok(v) => out.push((id, v)),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
         self.obs.record("coord_fanout_us", self.obs.now_us() - t0);
-        Ok(out)
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
+    }
+
+    /// `(node_id, (used, records, capacity))` of every active node, by one
+    /// fan-out.
+    #[allow(clippy::type_complexity)]
+    fn stats(&mut self) -> io::Result<Vec<(usize, (u64, u64, u64))>> {
+        self.fan_out(|_| Some(Request::Stats), |_, s, b| stats_reply(s, b))
     }
 
     fn active_ids(&self) -> Vec<usize> {
@@ -248,7 +265,11 @@ impl LiveCoordinator {
             id as u32 + 1,
         )?;
         let client = RemoteNode::connect(server.addr())?.with_obs(self.obs.clone());
-        self.nodes.push(Some(ManagedNode { server, client }));
+        self.nodes.push(Some(ManagedNode {
+            server,
+            client,
+            stale: Vec::new(),
+        }));
         self.nodes_spawned += 1;
         self.obs.emit(ObsEvent::NodeAlloc {
             at_us: self.obs.now_us(),
@@ -303,12 +324,17 @@ impl LiveCoordinator {
         Err(io::Error::other("GBA split loop exceeded bound"))
     }
 
-    /// Algorithm 1 lines 8–15, over the wire.
+    /// Algorithm 1 lines 8–15, over the wire, with Algorithm 2's hand-off
+    /// as copy → ack → ring flip → delete: `src` keeps every moved record
+    /// until `dest` has acked all of them and the ring routes their arc to
+    /// `dest`, so a failure before the flip leaves `src` and the ring as
+    /// they were.
     fn split_node(&mut self, nid: usize) -> io::Result<()> {
         // First-class root span: every wire op below (bucket sizing,
         // key listing, the migration itself) attaches under it via the
         // thread-local scope.
         let _split = self.obs.span_root("elastic_split");
+        self.purge_stale(nid)?;
         let buckets = self.ring.buckets_of_node(&nid);
         // Fullest bucket by resident bytes.
         let Some(&first) = buckets.first() else {
@@ -331,68 +357,93 @@ impl LiveCoordinator {
         for &(lo, hi) in &spans {
             keys.extend(self.client(nid)?.keys(lo, hi)?);
         }
-        if keys.len() < 2 {
-            // Whole-bucket relocation fallback (see the simulated cache).
+        // What moves, and where the ring puts the moved arc: the whole
+        // bucket (relocation fallback, see the simulated cache) or the
+        // median split's lower part, under a new bucket at k^µ.
+        let (move_spans, moved, new_bucket) = if keys.len() < 2 {
             if buckets.len() < 2 {
                 return Err(io::Error::other("single unsplittable bucket"));
             }
-            let dest = self.migrate(nid, &spans)?;
-            self.ring
-                .remap_bucket(b_max, dest)
-                .map_err(|_| internal("bucket vanished while relocating it"))?;
-            self.splits += 1;
-            self.obs.emit(ObsEvent::BucketSplit {
-                at_us: self.obs.now_us(),
-                node: nid as u32,
-                new_node: dest as u32,
-                bucket: b_max,
-            });
-            return Ok(());
-        }
-        let mut mu_idx = keys.len() / 2;
-        while mu_idx > 0 && self.ring.node_of_bucket(keys[mu_idx]).is_some() {
-            mu_idx -= 1;
-        }
-        let k_mu = keys[mu_idx];
-        if self.ring.node_of_bucket(k_mu).is_some() {
-            return Err(io::Error::other("no split position"));
-        }
-        let mut move_spans = Vec::new();
-        for &(lo, hi) in &spans {
-            if (lo..=hi).contains(&k_mu) {
-                move_spans.push((lo, k_mu));
-                break;
+            (spans, &keys[..], None)
+        } else {
+            let mut mu_idx = keys.len() / 2;
+            while mu_idx > 0 && self.ring.node_of_bucket(keys[mu_idx]).is_some() {
+                mu_idx -= 1;
             }
-            move_spans.push((lo, hi));
+            let k_mu = keys[mu_idx];
+            if self.ring.node_of_bucket(k_mu).is_some() {
+                return Err(io::Error::other("no split position"));
+            }
+            let mut move_spans = Vec::new();
+            for &(lo, hi) in &spans {
+                if (lo..=hi).contains(&k_mu) {
+                    move_spans.push((lo, k_mu));
+                    break;
+                }
+                move_spans.push((lo, hi));
+            }
+            // `keys` lists the spans in order, so the keys at or before
+            // k^µ are exactly those of `move_spans`.
+            (move_spans, &keys[..=mu_idx], Some(k_mu))
+        };
+        let (dest, allocated) = self.choose_dest(nid, &move_spans)?;
+        self.purge_stale(dest)?;
+        let t0 = self.obs.now_us();
+        let copied = self.copy(nid, dest, moved);
+        if copied.is_err() && allocated {
+            // The fleet goes back to what it was.
+            self.dealloc(dest);
         }
-        let dest = self.migrate(nid, &move_spans)?;
-        // Collision with an existing bucket was ruled out when k^µ was
-        // chosen above.
-        self.ring
-            .insert_bucket(k_mu, dest)
-            .map_err(|_| internal("split bucket position already occupied"))?;
+        let (records, bytes) = copied?;
+        // Flip: the arc is dest's from here on. Collision with an existing
+        // bucket was ruled out when k^µ was chosen above.
+        let bucket = match new_bucket {
+            Some(k_mu) => self
+                .ring
+                .insert_bucket(k_mu, dest)
+                .map(|()| k_mu)
+                .map_err(|_| internal("split bucket position already occupied"))?,
+            None => self
+                .ring
+                .remap_bucket(b_max, dest)
+                .map(|_| b_max)
+                .map_err(|_| internal("bucket vanished while relocating it"))?,
+        };
         self.splits += 1;
         self.obs.emit(ObsEvent::BucketSplit {
             at_us: self.obs.now_us(),
             node: nid as u32,
             new_node: dest as u32,
-            bucket: k_mu,
+            bucket,
+        });
+        // Delete: `src` keeps its copies until the ring no longer routes
+        // to them. A move, not an eviction, so no `EvictBatch`. The split
+        // has taken effect either way; a failed delete only defers it.
+        self.delete_or_defer(nid, moved);
+        let duration_us = self.obs.now_us() - t0;
+        self.obs.record("coord_migrate_us", duration_us);
+        self.obs.emit(ObsEvent::SweepMigrate {
+            at_us: t0,
+            src: nid as u32,
+            dest: dest as u32,
+            records,
+            bytes,
+            duration_us,
+            allocated,
         });
         Ok(())
     }
 
-    /// Algorithm 2 over the wire: sweep `spans` off `src` and put them on
-    /// the least-loaded other node (or a freshly spawned one). The sweep
-    /// travels back as record batches and lands on `dest` as chunked
-    /// `PutMany` frames instead of one round-trip per record.
-    fn migrate(&mut self, src: usize, spans: &[(u64, u64)]) -> io::Result<usize> {
+    /// Algorithm 2's destination for `spans` of `src`: the least-loaded
+    /// other node if the spans fit on it, else a freshly spawned one
+    /// (`true` = spawned).
+    fn choose_dest(&mut self, src: usize, spans: &[(u64, u64)]) -> io::Result<(usize, bool)> {
         let mut total = 0u64;
         for &(lo, hi) in spans {
             total += self.client(src)?.range_stats(lo, hi)?.0;
         }
-        // Least-loaded other node, by one concurrent stats fan-out.
         let mut dest: Option<(usize, u64)> = None;
-        for (id, (used, _, _)) in self.fan_out(|_, client| client.stats())? {
+        for (id, (used, _, _)) in self.stats()? {
             if id == src {
                 continue;
             }
@@ -400,56 +451,100 @@ impl LiveCoordinator {
                 dest = Some((id, used));
             }
         }
-        let (dest, allocated) = match dest {
+        Ok(match dest {
             Some((id, used)) if used + total <= self.capacity_bytes => (id, false),
             _ => (self.spawn_node()?, true),
-        };
-        let t0 = self.obs.now_us();
-        let mut moved_records = 0u64;
-        let mut moved_bytes = 0u64;
-        for &(lo, hi) in spans {
-            // One span per migration chunk: the source sweep and the
-            // chunked PutMany replay onto the destination, nested under
-            // the enclosing elastic operation.
-            let _chunk = self.obs.span_follow("migrate_chunk");
-            let records = self.client(src)?.sweep(lo, hi)?;
-            moved_records += records.len() as u64;
-            moved_bytes += records.iter().map(|(_, v)| v.len() as u64).sum::<u64>();
-            self.put_all(dest, records, "migration put failed")?;
-        }
-        let duration_us = self.obs.now_us() - t0;
-        self.obs.record("coord_migrate_us", duration_us);
-        self.obs.emit(ObsEvent::SweepMigrate {
-            at_us: t0,
-            src: src as u32,
-            dest: dest as u32,
-            records: moved_records,
-            bytes: moved_bytes,
-            duration_us,
-            allocated,
-        });
-        Ok(dest)
+        })
     }
 
-    /// Push `records` onto node `dest` as chunked `PutMany` frames; any
-    /// per-item refusal aborts with `what` (migration and merges move
-    /// records the destination was sized to hold, so refusal is a bug).
-    fn put_all(&mut self, dest: usize, records: Vec<(u64, Vec<u8>)>, what: &str) -> io::Result<()> {
+    /// Copy → ack, the first half of a hand-off: copy `keys` from `src` to
+    /// `dest` one chunk at a time — a `GetMany` of at most
+    /// [`CHUNK_RECORDS`] keys, then `PutMany` frames of at most
+    /// [`CHUNK_BYTES`], each acked by all-`Ok` statuses. Returns the
+    /// records and payload bytes copied. `src` is only read. On failure the
+    /// prefix already copied is deleted from `dest` (or deferred, see
+    /// [`Self::delete_or_defer`]): it lies outside every arc `dest` owns.
+    fn copy(&mut self, src: usize, dest: usize, keys: &[u64]) -> io::Result<(u64, u64)> {
+        let mut copied = (0, 0);
+        for (i, chunk) in keys.chunks(CHUNK_RECORDS).enumerate() {
+            // One span per chunk, under the enclosing elastic operation.
+            let _chunk = self.obs.span_follow("migrate_chunk");
+            if let Err(e) = self.copy_chunk(src, dest, chunk, &mut copied) {
+                self.delete_or_defer(dest, &keys[..i * CHUNK_RECORDS + chunk.len()]);
+                return Err(e);
+            }
+        }
+        Ok(copied)
+    }
+
+    fn copy_chunk(
+        &mut self,
+        src: usize,
+        dest: usize,
+        chunk: &[u64],
+        copied: &mut (u64, u64),
+    ) -> io::Result<()> {
+        let values = self.client(src)?.get_many(chunk)?;
         let client = self.client(dest)?;
-        let mut batch: Vec<(u64, Bytes)> = Vec::new();
-        let mut batch_bytes = 0usize;
-        for (k, v) in records {
-            batch_bytes += v.len();
-            batch.push((k, Bytes::from(v)));
-            if batch.len() >= PUT_BATCH_MAX_ITEMS || batch_bytes >= PUT_BATCH_MAX_BYTES {
-                flush_put_batch(client, std::mem::take(&mut batch), what)?;
+        let mut batch = Vec::with_capacity(chunk.len());
+        let mut batch_bytes = 0;
+        // A key listed but absent has nothing to move.
+        for (&key, value) in chunk.iter().zip(values) {
+            let Some(value) = value else { continue };
+            batch_bytes += value.len();
+            copied.0 += 1;
+            copied.1 += value.len() as u64;
+            batch.push((key, Bytes::from(value)));
+            if batch_bytes >= CHUNK_BYTES {
+                put_acked(client, std::mem::take(&mut batch))?;
                 batch_bytes = 0;
             }
         }
         if !batch.is_empty() {
-            flush_put_batch(client, batch, what)?;
+            put_acked(client, batch)?;
         }
         Ok(())
+    }
+
+    /// Delete `keys` from node `id`, which no longer owns them: a move's
+    /// last step, or the cleanup of an aborted copy. If the delete fails
+    /// the keys join the node's [`ManagedNode::stale`] list instead.
+    fn delete_or_defer(&mut self, id: usize, keys: &[u64]) {
+        let Some(node) = self.nodes.get_mut(id).and_then(Option::as_mut) else {
+            return;
+        };
+        if node.client.evict_many(keys).is_err() {
+            node.stale.extend_from_slice(keys);
+        }
+    }
+
+    /// Delete node `id`'s stale copies. Every hand-off calls this for both
+    /// of its nodes before it lists or copies a key: a node that gains an
+    /// arc must not already hold an old copy of a key in it, and a drained
+    /// node must not pass old copies on.
+    fn purge_stale(&mut self, id: usize) -> io::Result<()> {
+        let node = self
+            .nodes
+            .get_mut(id)
+            .and_then(Option::as_mut)
+            .ok_or_else(|| internal("hand-off names an inactive node"))?;
+        if !node.stale.is_empty() {
+            node.client.evict_many(&node.stale)?;
+            node.stale.clear();
+        }
+        Ok(())
+    }
+
+    /// Stop node `id`'s server and drop it from the fleet.
+    fn dealloc(&mut self, id: usize) {
+        if let Some(mut dead) = self.nodes.get_mut(id).and_then(Option::take) {
+            let _ = dead.client.shutdown();
+            dead.server.stop();
+        }
+        self.obs.emit(ObsEvent::NodeDealloc {
+            at_us: self.obs.now_us(),
+            node: id as u32,
+        });
     }
 
     /// Close a time slice: evict expired keys, contract every `ε`
@@ -489,10 +584,13 @@ impl LiveCoordinator {
         if !batches.is_empty() {
             {
                 let batches = &batches;
-                self.fan_out(|id, client| match batches.get(&id) {
-                    Some(keys) => client.evict_many(keys).map(|_| ()),
-                    None => Ok(()),
-                })?;
+                self.fan_out(
+                    |id| {
+                        let keys = batches.get(&id)?.clone();
+                        Some(Request::EvictMany { keys })
+                    },
+                    |id, s, b| evict_many_reply(batches.get(&id).map_or(0, Vec::len), s, b),
+                )?;
             }
             let at_us = self.obs.now_us();
             for (nid, keys) in batches {
@@ -512,7 +610,7 @@ impl LiveCoordinator {
     /// Merge the two least-loaded nodes when their data fits the threshold.
     pub fn try_contract(&mut self) -> io::Result<()> {
         let mut loads: Vec<(u64, usize)> = self
-            .fan_out(|_, client| client.stats())?
+            .stats()?
             .into_iter()
             .map(|(id, (used, _, _))| (used, id))
             .collect();
@@ -529,16 +627,14 @@ impl LiveCoordinator {
         // First-class root span for the merge proper (the stats probe
         // above runs on every contraction check and stays outside it).
         let _merge = self.obs.span_root("elastic_merge");
-        // Drain a into b, as one migration chunk.
+        // Copy a into b, flip every bucket of a to b, then deallocate a
+        // (which deletes its copies with it).
+        self.purge_stale(a)?;
+        self.purge_stale(b)?;
         let t0 = self.obs.now_us();
         let hi = self.ring_range - 1;
-        let moved;
-        {
-            let _chunk = self.obs.span_follow("migrate_chunk");
-            let records = self.client(a)?.sweep(0, hi)?;
-            moved = records.len() as u64;
-            self.put_all(b, records, "merge put failed")?;
-        }
+        let keys = self.client(a)?.keys(0, hi)?;
+        let (moved, _) = self.copy(a, b, &keys)?;
         self.obs.record("coord_migrate_us", self.obs.now_us() - t0);
         for bucket in self.ring.buckets_of_node(&a) {
             self.ring
@@ -565,14 +661,7 @@ impl LiveCoordinator {
             dest: b as u32,
             records: moved,
         });
-        if let Some(mut dead) = self.nodes[a].take() {
-            let _ = dead.client.shutdown();
-            dead.server.stop();
-        }
-        self.obs.emit(ObsEvent::NodeDealloc {
-            at_us: self.obs.now_us(),
-            node: a as u32,
-        });
+        self.dealloc(a);
         self.merges += 1;
         Ok(())
     }
@@ -600,7 +689,7 @@ impl LiveCoordinator {
                 return Err(internal(&format!("live node {id} owns no bucket")));
             }
         }
-        for (id, (used, _, cap)) in self.fan_out(|_, client| client.stats())? {
+        for (id, (used, _, cap)) in self.stats()? {
             if used > cap {
                 return Err(internal(&format!(
                     "node {id} holds {used} B over its {cap} B capacity"
@@ -652,7 +741,12 @@ impl Drop for LiveCoordinator {
 
 #[cfg(test)]
 mod tests {
+    use std::net::{TcpListener, TcpStream};
+
     use super::*;
+    use crate::protocol::{
+        decode_with_trace, encode_stats, read_frame, read_frame_into, write_frame, Response,
+    };
 
     #[test]
     fn put_get_roundtrip() {
@@ -784,8 +878,16 @@ mod tests {
         assert_eq!(count("elastic_merge"), merges);
         assert!(count("elastic_slice_expire") >= 1);
         assert!(count("coord_fanout") >= 1);
-        assert!(count("migrate_chunk") >= splits + merges);
-        assert!(count("wire:sweep") >= 1);
+        // Every hand-off that moves a record copies at least one chunk:
+        // every split here, and each merge of a node the evictions had not
+        // yet emptied.
+        let moving_merges = snap
+            .events
+            .iter()
+            .filter(|e| matches!(e, ObsEvent::NodeMerge { records, .. } if *records > 0))
+            .count();
+        assert!(count("migrate_chunk") >= splits + moving_merges);
+        assert!(count("wire:get_many") >= 1);
         // Surviving nodes dumped the server halves of the traced wire ops.
         assert!(count("srv") >= 1, "no node-side spans in the cluster dump");
         // Fan-out wire ops hang under the coord_fanout span, not the root.
@@ -798,6 +900,198 @@ mod tests {
             .iter()
             .any(|s| s.kind.starts_with("wire:") && fanouts.contains(&s.parent)));
         c.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_merge_that_moves_records_traces_its_copy_chunks() {
+        let mut c = two_node_fleet();
+        for k in [100, 200] {
+            c.put(k, vec![7; 60]).unwrap();
+        }
+        c.put(10_000, vec![9; 100]).unwrap();
+        c.try_contract().unwrap();
+        assert_eq!(c.merges, 1);
+        let snap = c.cluster_obs().unwrap();
+        let spans = ecc_obs::build_spans(&snap.events).unwrap();
+        let merge = spans.iter().find(|s| s.kind == "elastic_merge").unwrap();
+        let chunks: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.kind == "migrate_chunk")
+            .inspect(|s| assert_eq!(s.parent, merge.span, "chunk outside the merge"))
+            .map(|s| s.span)
+            .collect();
+        // Node 0 (one record) drains into node 1: one chunk.
+        assert_eq!(chunks.len(), 1);
+        assert!(spans
+            .iter()
+            .any(|s| s.kind == "wire:get_many" && chunks.contains(&s.parent)));
+        for k in [100, 200] {
+            assert_eq!(c.get(k).unwrap(), Some(vec![7; 60]));
+        }
+        assert_eq!(c.get(10_000).unwrap(), Some(vec![9; 100]));
+    }
+
+    /// Node `id` dies mid-hand-off: its server stops, and the
+    /// coordinator's connection now reaches a stand-in that answers `Stats`
+    /// probes with the node's last figures — so the node is still chosen as
+    /// the destination — and hangs up on the first other request, the copy.
+    fn dies_after_the_stats_probe(c: &mut LiveCoordinator, id: usize) {
+        let (used, records, cap) = c.client(id).unwrap().stats().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut buf = Vec::new();
+            while read_frame_into(&mut conn, &mut buf).is_ok() {
+                let Some((_, Request::Stats)) = decode_with_trace(&buf[..]) else {
+                    return;
+                };
+                let reply = Response::ok(encode_stats(used, records, cap));
+                write_frame(&mut conn, &reply.encode()).unwrap();
+            }
+        });
+        let obs = c.obs.clone();
+        let node = c.nodes[id].as_mut().unwrap();
+        node.server.stop();
+        node.client = RemoteNode::connect(addr).unwrap().with_obs(obs);
+    }
+
+    /// Two nodes: node 1 owns the arc `[0, 9_999]`, node 0 the rest.
+    fn two_node_fleet() -> LiveCoordinator {
+        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        let n1 = c.spawn_node().unwrap();
+        c.ring.insert_bucket(9_999, n1).unwrap();
+        c
+    }
+
+    fn ring_of(c: &LiveCoordinator) -> Vec<(u64, usize)> {
+        c.ring.buckets().map(|(pos, &nid)| (pos, nid)).collect()
+    }
+
+    /// Every record on each of the `live` nodes lies in that node's arc.
+    fn assert_records_in_arcs(c: &mut LiveCoordinator, live: &[usize]) {
+        let hi = c.ring_range - 1;
+        for &id in live {
+            for key in c.client(id).unwrap().keys(0, hi).unwrap() {
+                assert_eq!(c.ring.node_for_key(key), Some(&id), "node {id} holds {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_split_whose_destination_dies_before_the_copy_loses_nothing() {
+        let mut c = two_node_fleet();
+        // Seven 100 B records (136 B slots) fill node 0's 1000 B; the
+        // eighth overflows it, and the split's lower half fits on the empty
+        // node 1 — the least-loaded existing node, so the destination.
+        let keys: Vec<u64> = (0..7).map(|k| 10_000 + k * 1_000).collect();
+        for &k in &keys {
+            c.put(k, vec![k as u8; 100]).unwrap();
+        }
+        let ring = ring_of(&c);
+        dies_after_the_stats_probe(&mut c, 1);
+        assert!(c.put(17_000, vec![1; 100]).is_err());
+        assert_eq!(ring_of(&c), ring, "the ring flipped to a dead node");
+        assert_eq!(c.splits, 0);
+        for &k in &keys {
+            assert_eq!(c.get(k).unwrap(), Some(vec![k as u8; 100]), "key {k} lost");
+        }
+        assert_records_in_arcs(&mut c, &[0]);
+    }
+
+    #[test]
+    fn a_merge_whose_destination_dies_before_the_copy_loses_nothing() {
+        let mut c = two_node_fleet();
+        // Node 1 (2 × 80 B slots) is drained into node 0 (2 × 136 B):
+        // 432 B together, under 65 % of 1000 B.
+        for k in [100, 200] {
+            c.put(k, vec![7; 60]).unwrap();
+        }
+        for k in [10_000, 20_000] {
+            c.put(k, vec![9; 100]).unwrap();
+        }
+        let ring = ring_of(&c);
+        dies_after_the_stats_probe(&mut c, 0);
+        assert!(c.try_contract().is_err());
+        assert_eq!(c.merges, 0);
+        assert_eq!(ring_of(&c), ring, "the ring flipped to a dead node");
+        for k in [100, 200] {
+            assert_eq!(c.get(k).unwrap(), Some(vec![7; 60]), "key {k} lost");
+        }
+        assert_records_in_arcs(&mut c, &[1]);
+    }
+
+    /// Node `id`'s connection now runs through a relay to its server that
+    /// refuses the first `EvictMany` (`BadRequest`, connection kept) and
+    /// forwards every other frame.
+    fn refuses_one_evict(c: &mut LiveCoordinator, id: usize) {
+        let upstream = c.node_addr(id).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let Ok((mut conn, _)) = listener.accept() else {
+                return;
+            };
+            let Ok(mut upstream) = TcpStream::connect(upstream) else {
+                return;
+            };
+            let mut refused = false;
+            let mut buf = Vec::new();
+            while read_frame_into(&mut conn, &mut buf).is_ok() {
+                let evict = matches!(
+                    decode_with_trace(&buf[..]),
+                    Some((_, Request::EvictMany { .. }))
+                );
+                let reply = if evict && !refused {
+                    refused = true;
+                    Response::status(Status::BadRequest).encode()
+                } else {
+                    match write_frame(&mut upstream, &buf).and_then(|()| read_frame(&mut upstream))
+                    {
+                        Ok(reply) => reply,
+                        Err(_) => return,
+                    }
+                };
+                if write_frame(&mut conn, &reply).is_err() {
+                    return;
+                }
+            }
+        });
+        let obs = c.obs.clone();
+        c.nodes[id].as_mut().unwrap().client = RemoteNode::connect(addr).unwrap().with_obs(obs);
+    }
+
+    #[test]
+    fn a_split_whose_source_delete_fails_still_serves_fresh_data() {
+        let mut c = two_node_fleet();
+        let keys: Vec<u64> = (0..7).map(|k| 10_000 + k * 1_000).collect();
+        for &k in &keys {
+            c.put(k, vec![k as u8; 100]).unwrap();
+        }
+        refuses_one_evict(&mut c, 0);
+        // The split flips [10_000, 13_000] to node 1, then its delete on
+        // node 0 is refused: the split stands, the delete is deferred.
+        c.split_node(0).unwrap();
+        assert_eq!(c.splits, 1);
+        let counts = c.obs.snapshot().event_counts();
+        assert_eq!(counts.get("sweep_migrate"), Some(&1));
+        assert_eq!(c.ring.node_for_key(10_000), Some(&1));
+        assert_eq!(c.nodes[0].as_ref().unwrap().stale, keys[..4]);
+        for &k in &keys {
+            assert_eq!(c.get(k).unwrap(), Some(vec![k as u8; 100]), "key {k}");
+        }
+        // A window eviction of a moved key reaches its owner, node 1; node
+        // 0's old copy must not come back when node 1 merges into it.
+        c.client(1).unwrap().evict_many(&[10_000]).unwrap();
+        c.merge_fill_threshold = 2.0;
+        c.try_contract().unwrap();
+        assert_eq!(c.merges, 1);
+        assert_eq!(c.node_count(), 1);
+        assert_eq!(c.get(10_000).unwrap(), None, "stale copy resurrected");
+        for &k in &keys[1..] {
+            assert_eq!(c.get(k).unwrap(), Some(vec![k as u8; 100]), "key {k}");
+        }
+        assert_records_in_arcs(&mut c, &[0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! this module reproduces that pressure: `clients` threads each open their
 //! own connection to every cache node and issue GET/PUT traffic placed by
 //! a shared, read-only copy of the ring. Results stream back over a
-//! crossbeam channel and are folded into a latency/throughput report.
+//! channel and are folded into a latency/throughput report.
 //!
 //! Placement reads are lock-free (each worker owns a clone of the ring);
 //! this measures the *data path* under concurrency. Structural changes
@@ -13,9 +13,9 @@
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use ecc_chash::HashRing;
 use ecc_obs::{LogHistogram, ObsRegistry, SpanGuard};
 use ecc_workload::driver::Op;
@@ -125,7 +125,7 @@ pub fn run_load_with_progress<N: Clone + Eq + Send + Sync>(
 ) -> std::io::Result<LoadReport> {
     assert!(clients >= 1, "need at least one client");
     let per_worker = total_ops.div_ceil(clients as u64);
-    let (tx, rx) = channel::bounded::<WorkerStats>(clients);
+    let (tx, rx) = mpsc::sync_channel::<WorkerStats>(clients);
     let start = Instant::now();
     let done_ops = AtomicU64::new(0);
     let workers_done = AtomicU64::new(0);
@@ -403,7 +403,7 @@ pub fn run_load_fanout_traced<N: Clone + Eq + Send + Sync>(
     assert!(fanout >= 1, "need at least one connection per worker");
     assert!(depth >= 1, "pipeline depth must be positive");
     let per_worker = total_ops.div_ceil(clients as u64);
-    let (tx, rx) = channel::bounded::<(WorkerStats, Vec<LogHistogram>)>(clients);
+    let (tx, rx) = mpsc::sync_channel::<(WorkerStats, Vec<LogHistogram>)>(clients);
     let start = Instant::now();
 
     std::thread::scope(|scope| {
@@ -528,7 +528,7 @@ pub fn run_scenario_load<N: Clone + Eq + Send + Sync>(
     value_len: usize,
 ) -> std::io::Result<LoadReport> {
     assert!(clients >= 1, "need at least one client");
-    let (tx, rx) = channel::bounded::<WorkerStats>(clients);
+    let (tx, rx) = mpsc::sync_channel::<WorkerStats>(clients);
     let start = Instant::now();
 
     std::thread::scope(|scope| {

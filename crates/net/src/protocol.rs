@@ -22,9 +22,8 @@ pub enum Op {
     Put = 0x02,
     /// Remove one key.
     Remove = 0x03,
-    /// Destructively read all records in an inclusive key range
-    /// (the migration sweep).
-    Sweep = 0x04,
+    // 0x04 is retired (it was a destructive range read). Never reuse it:
+    // a peer that still sends it must get `BadRequest`.
     /// List keys in an inclusive range (split planning).
     Keys = 0x05,
     /// Report `used_bytes`, `record_count`, `capacity_bytes`.
@@ -55,7 +54,6 @@ impl Op {
             Op::Get => "get",
             Op::Put => "put",
             Op::Remove => "remove",
-            Op::Sweep => "sweep",
             Op::Keys => "keys",
             Op::Stats => "stats",
             Op::Ping => "ping",
@@ -74,7 +72,6 @@ impl Op {
             0x01 => Op::Get,
             0x02 => Op::Put,
             0x03 => Op::Remove,
-            0x04 => Op::Sweep,
             0x05 => Op::Keys,
             0x06 => Op::Stats,
             0x07 => Op::Ping,
@@ -142,13 +139,6 @@ pub enum Request {
         /// Key to remove.
         key: u64,
     },
-    /// Destructively read `[lo, hi]`.
-    Sweep {
-        /// Inclusive lower bound.
-        lo: u64,
-        /// Inclusive upper bound.
-        hi: u64,
-    },
     /// List keys in `[lo, hi]`.
     Keys {
         /// Inclusive lower bound.
@@ -200,7 +190,6 @@ impl Request {
             Request::Get { .. } => Op::Get,
             Request::Put { .. } => Op::Put,
             Request::Remove { .. } => Op::Remove,
-            Request::Sweep { .. } => Op::Sweep,
             Request::Keys { .. } => Op::Keys,
             Request::Stats => Op::Stats,
             Request::Ping => Op::Ping,
@@ -236,11 +225,6 @@ impl Request {
             Request::Remove { key } => {
                 b.put_u8(Op::Remove as u8);
                 b.put_u64_le(*key);
-            }
-            Request::Sweep { lo, hi } => {
-                b.put_u8(Op::Sweep as u8);
-                b.put_u64_le(*lo);
-                b.put_u64_le(*hi);
             }
             Request::Keys { lo, hi } => {
                 b.put_u8(Op::Keys as u8);
@@ -318,15 +302,6 @@ impl Request {
                     key: payload.get_u64_le(),
                 }
             }
-            Op::Sweep => {
-                if payload.remaining() != 16 {
-                    return None;
-                }
-                Request::Sweep {
-                    lo: payload.get_u64_le(),
-                    hi: payload.get_u64_le(),
-                }
-            }
             Op::Keys => {
                 if payload.remaining() != 16 {
                     return None;
@@ -394,7 +369,7 @@ impl Request {
 
 /// Frame-extension marker for trace-context propagation. Deliberately NOT
 /// an [`Op`]: a traced frame is `[0x0E][ver u8][ext_len u8][ext bytes]`
-/// followed by an ordinary request payload, so the 13 pinned opcodes keep
+/// followed by an ordinary request payload, so the 12 pinned opcodes keep
 /// their exact byte layouts and a traceless peer's frames are untouched.
 /// An old server that does not know `0x0E` rejects the frame as
 /// `BadRequest` — interop only requires that *traceless* clients keep
@@ -538,47 +513,6 @@ impl Response {
     }
 }
 
-/// Encode a record batch (sweep response body): `u32` count, then per
-/// record `u64 key`, `u32 len`, bytes. Generic over the payload's borrow
-/// so callers can encode straight from `Record`/`Bytes` views without an
-/// intermediate `Vec<u8>` copy per record.
-pub fn encode_records<T: AsRef<[u8]>>(records: &[(u64, T)]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(records.len() as u32);
-    for (k, v) in records {
-        b.put_u64_le(*k);
-        b.put_u32_le(v.as_ref().len() as u32);
-        b.put_slice(v.as_ref());
-    }
-    b.freeze()
-}
-
-/// Decode a record batch. Generic over [`Buf`] so callers can decode from
-/// an owned [`Bytes`] or borrow straight out of a reused read buffer
-/// (`&frame[..]`).
-pub fn decode_records<B: Buf>(mut body: B) -> Option<Vec<(u64, Vec<u8>)>> {
-    if body.remaining() < 4 {
-        return None;
-    }
-    let count = body.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        if body.remaining() < 12 {
-            return None;
-        }
-        let key = body.get_u64_le();
-        let len = body.get_u32_le() as usize;
-        if body.remaining() < len {
-            return None;
-        }
-        out.push((key, body.copy_to_bytes(len).to_vec()));
-    }
-    if body.has_remaining() {
-        return None;
-    }
-    Some(out)
-}
-
 /// Encode a key list (keys response body).
 pub fn encode_keys(keys: &[u64]) -> Bytes {
     let mut b = BytesMut::with_capacity(4 + keys.len() * 8);
@@ -652,26 +586,33 @@ pub fn decode_statuses<B: Buf>(mut body: B) -> Option<Vec<Status>> {
 
 /// Encode a `GetMany` response body: `u32` count, then per entry a
 /// status byte (`Ok` = present, `NotFound` = absent) followed — only
-/// when present — by `u32 len` and the value bytes. Generic over the
-/// payload's borrow so the server encodes straight from `Bytes` views.
+/// when present — by `u32 len` and the value bytes.
 pub fn encode_get_many<T: AsRef<[u8]>>(entries: &[Option<T>]) -> Bytes {
     let mut b = BytesMut::new();
     b.put_u32_le(entries.len() as u32);
     for e in entries {
-        match e {
-            Some(v) => {
-                b.put_u8(Status::Ok as u8);
-                b.put_u32_le(v.as_ref().len() as u32);
-                b.put_slice(v.as_ref());
-            }
-            None => b.put_u8(Status::NotFound as u8),
-        }
+        encode_get_many_entry(&mut b, e.as_ref().map(AsRef::as_ref));
     }
     b.freeze()
 }
 
-/// Decode a `GetMany` response body; entries are in request order.
-pub fn decode_get_many<B: Buf>(mut body: B) -> Option<Vec<Option<Vec<u8>>>> {
+/// Append one `GetMany` response entry (see [`encode_get_many`]). The
+/// server writes each entry straight into the connection's write queue
+/// with this, under the key's stripe guard.
+pub fn encode_get_many_entry<B: BufMut>(b: &mut B, value: Option<&[u8]>) {
+    match value {
+        Some(v) => {
+            b.put_u8(Status::Ok as u8);
+            b.put_u32_le(v.len() as u32);
+            b.put_slice(v);
+        }
+        None => b.put_u8(Status::NotFound as u8),
+    }
+}
+
+/// Decode a `GetMany` response body; entries are in request order. Each
+/// value is one `Vec`, copied once out of the (contiguous) body.
+pub fn decode_get_many(mut body: &[u8]) -> Option<Vec<Option<Vec<u8>>>> {
     if body.remaining() < 4 {
         return None;
     }
@@ -691,10 +632,9 @@ pub fn decode_get_many<B: Buf>(mut body: B) -> Option<Vec<Option<Vec<u8>>>> {
                     return None;
                 }
                 let len = body.get_u32_le() as usize;
-                if body.remaining() < len {
-                    return None;
-                }
-                out.push(Some(body.copy_to_bytes(len).to_vec()));
+                let (value, rest) = body.split_at_checked(len)?;
+                out.push(Some(value.to_vec()));
+                body = rest;
             }
             Status::NotFound => out.push(None),
             _ => return None,
@@ -915,7 +855,6 @@ mod tests {
                 value: Bytes::from_static(b"hello"),
             },
             Request::Remove { key: u64::MAX },
-            Request::Sweep { lo: 3, hi: 99 },
             Request::Keys { lo: 0, hi: 0 },
             Request::RangeStats { lo: 5, hi: 6 },
             Request::Stats,
@@ -970,7 +909,7 @@ mod tests {
 
     #[test]
     fn plain_frames_decode_without_context() {
-        let req = Request::Sweep { lo: 3, hi: 99 };
+        let req = Request::Keys { lo: 3, hi: 99 };
         let (ctx, back) = decode_with_trace(req.encode()).unwrap();
         assert_eq!(ctx, None);
         assert_eq!(back, req);
@@ -1033,25 +972,15 @@ mod tests {
     fn malformed_frames_rejected() {
         assert_eq!(Request::decode(Bytes::new()), None);
         assert_eq!(Request::decode(Bytes::from_static(&[0xFF])), None);
+        // The retired Sweep opcode, with its old 16-byte range body.
+        let mut sweep = vec![0x04];
+        sweep.extend_from_slice(&[0; 16]);
+        assert_eq!(Op::from_u8(0x04), None);
+        assert_eq!(Request::decode(Bytes::from(sweep)), None);
         // GET with a short key.
         assert_eq!(Request::decode(Bytes::from_static(&[0x01, 1, 2])), None);
         assert_eq!(Response::decode(Bytes::new()), None);
         assert_eq!(Response::decode(Bytes::from_static(&[9])), None);
-    }
-
-    #[test]
-    fn record_batches_roundtrip() {
-        let records = vec![
-            (1u64, vec![1, 2, 3]),
-            (2, vec![]),
-            (u64::MAX, vec![0; 1000]),
-        ];
-        let enc = encode_records(&records);
-        assert_eq!(decode_records(enc), Some(records));
-        assert_eq!(decode_records(Bytes::new()), None);
-        // Truncated batch.
-        let enc = encode_records(&[(1, vec![9; 10])]);
-        assert_eq!(decode_records(enc.slice(0..enc.len() - 1)), None);
     }
 
     #[test]
@@ -1146,18 +1075,15 @@ mod tests {
     fn get_many_bodies_roundtrip() {
         let entries = vec![Some(vec![1u8, 2, 3]), None, Some(vec![]), None];
         let enc = encode_get_many(&entries);
-        assert_eq!(decode_get_many(enc.clone()), Some(entries));
+        assert_eq!(decode_get_many(&enc), Some(entries));
         assert_eq!(
-            decode_get_many(encode_get_many::<Vec<u8>>(&[])),
+            decode_get_many(&encode_get_many::<Vec<u8>>(&[])),
             Some(vec![])
         );
         // Truncated mid-value.
-        assert_eq!(decode_get_many(enc.slice(0..enc.len() - 1)), None);
+        assert_eq!(decode_get_many(&enc[..enc.len() - 1]), None);
         // Hostile count prefix.
-        assert_eq!(
-            decode_get_many(Bytes::from_static(&[0xFF, 0xFF, 0xFF, 0xFF])),
-            None
-        );
+        assert_eq!(decode_get_many(&[0xFF, 0xFF, 0xFF, 0xFF]), None);
     }
 
     #[test]

@@ -64,10 +64,9 @@ use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use crossbeam::channel;
 use ecc_core::ShardedNode;
 use ecc_obs::{LogHistogram, ObsRegistry};
 
@@ -263,7 +262,7 @@ struct ReactorShared {
 /// The acceptor's handle to the reactor fleet: round-robin handoff of
 /// admitted connections, waking the target reactor.
 pub(crate) struct Handoff {
-    senders: Vec<channel::Sender<(TcpStream, ConnSlot)>>,
+    senders: Vec<mpsc::Sender<(TcpStream, ConnSlot)>>,
     wakers: Arc<Wakers>,
     next: usize,
 }
@@ -327,7 +326,9 @@ pub(crate) fn spawn_reactors(
     let mut senders = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
     for (i, wake_rx) in wake_rxs.into_iter().enumerate() {
-        let (tx, rx) = channel::unbounded::<(TcpStream, ConnSlot)>();
+        // A list channel: it allocates per message, not a slot array up
+        // front — the hand-off carries a few sockets over a node's life.
+        let (tx, rx) = mpsc::channel::<(TcpStream, ConnSlot)>();
         let shared = shared.clone();
         let handle = std::thread::Builder::new()
             .name(format!("ecc-reactor-{port}-{i}"))
@@ -353,7 +354,7 @@ pub(crate) fn spawn_reactors(
 /// yield through the hot window while sweeps move nothing, then block in
 /// `poll` until a socket or the waker is ready.
 fn reactor_loop(
-    rx: channel::Receiver<(TcpStream, ConnSlot)>,
+    rx: mpsc::Receiver<(TcpStream, ConnSlot)>,
     mut waker: UnixStream,
     shared: ReactorShared,
 ) {
@@ -366,7 +367,7 @@ fn reactor_loop(
     let mut woke_at: Option<u64> = None;
     loop {
         let mut progress = false;
-        while let Some((stream, slot)) = rx.try_recv() {
+        while let Ok((stream, slot)) = rx.try_recv() {
             if stream.set_nonblocking(true).is_ok() {
                 conns.push(Conn::new(stream, slot));
             }

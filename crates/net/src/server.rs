@@ -20,12 +20,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use ecc_core::{PutOutcome, ShardedNode, DEFAULT_STRIPES};
+use bytes::BufMut;
+use ecc_core::{PutOutcome, Record, ShardedNode, DEFAULT_STRIPES};
 use ecc_obs::{encode_dump, ObsRegistry, TimeSource};
 
 use crate::protocol::{
-    encode_get_many, encode_keys, encode_range_stats, encode_records, encode_stats,
-    encode_statuses, write_frame_buffered, Op, Request, Response, Status,
+    encode_get_many_entry, encode_keys, encode_range_stats, encode_stats, encode_statuses,
+    write_frame_buffered, Op, Request, Response, Status,
 };
 use crate::reactor::{spawn_reactors, ReactorPool};
 
@@ -250,7 +251,7 @@ impl Drop for CacheServer {
 /// (status byte, then body) to `out` — the connection's write queue, inside
 /// the frame the reactor opened. Point ops take only the key's stripe
 /// lock; Stats reads atomics with no lock at all; range ops
-/// (Sweep/Keys/RangeStats) serialize behind the structural lock. Called
+/// (Keys/RangeStats) serialize behind the structural lock. Called
 /// from the reactor threads, one pipelined frame at a time.
 pub(crate) fn handle(
     req: Request,
@@ -282,12 +283,16 @@ pub(crate) fn handle(
                 .collect();
             reply(out, Status::Ok, &encode_statuses(&statuses));
         }
+        // Like `Get`, entry by entry: each value is copied from its record
+        // into the write queue under that key's stripe guard.
         Request::GetMany { keys } => {
-            let entries: Vec<Option<bytes::Bytes>> = keys
-                .iter()
-                .map(|&k| node.get(k).map(|r| r.bytes()))
-                .collect();
-            reply(out, Status::Ok, &encode_get_many(&entries));
+            out.push(Status::Ok as u8);
+            out.put_u32_le(keys.len() as u32);
+            for key in keys {
+                node.get_with(key, |rec| {
+                    encode_get_many_entry(out, rec.map(Record::as_slice));
+                });
+            }
         }
         Request::EvictMany { keys } => {
             let statuses: Vec<Status> = keys
@@ -301,14 +306,6 @@ pub(crate) fn handle(
                 })
                 .collect();
             reply(out, Status::Ok, &encode_statuses(&statuses));
-        }
-        Request::Sweep { lo, hi } => {
-            let records: Vec<(u64, bytes::Bytes)> = node
-                .drain_range(lo, hi)
-                .into_iter()
-                .map(|(k, r)| (k, r.bytes()))
-                .collect();
-            reply(out, Status::Ok, &encode_records(&records));
         }
         Request::Keys { lo, hi } => {
             reply(out, Status::Ok, &encode_keys(&node.keys_in_range(lo, hi)));
@@ -351,7 +348,6 @@ pub(crate) fn op_hist_name(op: Option<Op>) -> &'static str {
         Some(Op::Get) => "server_op_us:get",
         Some(Op::Put) => "server_op_us:put",
         Some(Op::Remove) => "server_op_us:remove",
-        Some(Op::Sweep) => "server_op_us:sweep",
         Some(Op::Keys) => "server_op_us:keys",
         Some(Op::Stats) => "server_op_us:stats",
         Some(Op::Ping) => "server_op_us:ping",
@@ -469,15 +465,22 @@ mod tests {
     }
 
     #[test]
-    fn sweep_drains_a_range_over_the_wire() {
+    fn a_range_moves_out_by_keys_get_many_and_evict_many() {
+        // The migration's source-side ops: list, copy out, then delete.
         let mut server = CacheServer::spawn(1_000_000, 16).unwrap();
         let mut client = RemoteNode::connect(server.addr()).unwrap();
         for k in 0..50u64 {
             client.put(k, vec![k as u8; 4]).unwrap();
         }
-        let swept = client.sweep(10, 19).unwrap();
-        assert_eq!(swept.len(), 10);
-        assert_eq!(swept[0], (10, vec![10u8; 4]));
+        let keys = client.keys(10, 19).unwrap();
+        assert_eq!(keys, (10..20).collect::<Vec<u64>>());
+        let values = client.get_many(&keys).unwrap();
+        assert_eq!(values[0], Some(vec![10u8; 4]));
+        assert!(values.iter().all(Option::is_some));
+        // Reading is not a move: the range is still resident.
+        assert_eq!(client.get(10).unwrap(), Some(vec![10u8; 4]));
+        let statuses = client.evict_many(&keys).unwrap();
+        assert!(statuses.iter().all(|s| *s == Status::Ok));
         assert_eq!(client.get(10).unwrap(), None);
         assert_eq!(client.get(9).unwrap(), Some(vec![9u8; 4]));
         assert_eq!(client.keys(0, 100).unwrap().len(), 40);
@@ -624,10 +627,11 @@ mod tests {
             .unwrap()
             .with_obs(client_obs.clone());
 
-        client.set_trace(Some((0x77, 0)));
+        // Calls made under a live span on this thread are traced.
+        let call = client_obs.span_start("call", 0x77, 0);
         client.put(1, b"abc".to_vec()).unwrap();
         client.get(1).unwrap();
-        client.set_trace(None);
+        drop(call);
 
         // A traceless peer interoperates with the tracing server on the
         // same socket lifetime as the traced one.
@@ -640,16 +644,16 @@ mod tests {
         assert_eq!(server_counts.get("span_start"), Some(&8));
         assert_eq!(server_counts.get("span_end"), Some(&8));
 
-        // Merge both recorders and verify the full trees: every start
-        // ended, no orphans, child intervals nested. The put and get each
-        // form wire → srv → {srv_queue, srv_exec} (lock_wait spans live
-        // under srv_exec when the node records them).
+        // Merge both recorders and verify the full tree: every start
+        // ended, no orphans, child intervals nested. Under the one root,
+        // the put and get each form wire → srv → {srv_queue, srv_exec}
+        // (lock_wait spans live under srv_exec when the node records them).
         let mut events = client_obs.snapshot().events;
         events.extend(snap.events);
         let stats = ecc_obs::verify_spans(&events).expect("merged trace is well-formed");
-        assert_eq!(stats.roots, 2, "one root per traced client call");
+        assert_eq!(stats.roots, 1);
         assert_eq!(stats.traces, 1);
-        assert!(stats.spans >= 8, "spans: {}", stats.spans);
+        assert!(stats.spans >= 9, "spans: {}", stats.spans);
         server.stop();
     }
 

@@ -3,10 +3,10 @@
 
 use bytes::Bytes;
 use ecc_net::protocol::{
-    decode_get_many, decode_keys, decode_range_stats, decode_records, decode_stats,
-    decode_statuses, decode_with_trace, encode_get_many, encode_keys, encode_range_stats,
-    encode_records, encode_stats, encode_statuses, encode_traced, read_frame, write_frame, Request,
-    Response, Status, TraceContext, TRACE_EXT_OPCODE, TRACE_EXT_VERSION,
+    decode_get_many, decode_keys, decode_range_stats, decode_stats, decode_statuses,
+    decode_with_trace, encode_get_many, encode_keys, encode_range_stats, encode_stats,
+    encode_statuses, encode_traced, read_frame, write_frame, Request, Response, Status,
+    TraceContext, TRACE_EXT_OPCODE, TRACE_EXT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -20,7 +20,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
             }
         }),
         any::<u64>().prop_map(|key| Request::Remove { key }),
-        (any::<u64>(), any::<u64>()).prop_map(|(lo, hi)| Request::Sweep { lo, hi }),
         (any::<u64>(), any::<u64>()).prop_map(|(lo, hi)| Request::Keys { lo, hi }),
         (any::<u64>(), any::<u64>()).prop_map(|(lo, hi)| Request::RangeStats { lo, hi }),
         Just(Request::Stats),
@@ -75,11 +74,6 @@ proptest! {
     }
 
     #[test]
-    fn record_batch_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = decode_records(Bytes::from(bytes));
-    }
-
-    #[test]
     fn key_list_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
         let _ = decode_keys(Bytes::from(bytes.clone()));
         let _ = decode_stats(Bytes::from(bytes.clone()));
@@ -89,7 +83,7 @@ proptest! {
     #[test]
     fn batch_body_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
         let _ = decode_statuses(Bytes::from(bytes.clone()));
-        let _ = decode_get_many(Bytes::from(bytes));
+        let _ = decode_get_many(&bytes);
     }
 
     #[test]
@@ -117,18 +111,7 @@ proptest! {
             0..30,
         ),
     ) {
-        prop_assert_eq!(decode_get_many(encode_get_many(&entries)), Some(entries));
-    }
-
-    #[test]
-    fn record_batches_roundtrip(
-        records in proptest::collection::vec(
-            (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..64)),
-            0..30,
-        ),
-    ) {
-        let enc = encode_records(&records);
-        prop_assert_eq!(decode_records(enc), Some(records));
+        prop_assert_eq!(decode_get_many(&encode_get_many(&entries)), Some(entries));
     }
 
     #[test]
@@ -146,8 +129,9 @@ proptest! {
         prop_assert_eq!(decode_stats(encode_stats(used, count, cap)), Some((used, count, cap)));
     }
 
-    /// Adding `ObsDump` (0x0D) must not disturb how any pre-existing
-    /// opcode encodes: the first payload byte is pinned per variant.
+    /// Adding `ObsDump` (0x0D) and retiring `Sweep` (0x04) must not disturb
+    /// how any other opcode encodes: the first payload byte is pinned per
+    /// variant.
     #[test]
     fn opcode_bytes_are_stable_across_protocol_growth(req in arb_request()) {
         let enc = req.encode();
@@ -155,7 +139,6 @@ proptest! {
             Request::Get { .. } => 0x01u8,
             Request::Put { .. } => 0x02,
             Request::Remove { .. } => 0x03,
-            Request::Sweep { .. } => 0x04,
             Request::Keys { .. } => 0x05,
             Request::Stats => 0x06,
             Request::Ping => 0x07,
@@ -315,6 +298,44 @@ mod golden_bytes {
             decode_with_trace(Bytes::copy_from_slice(&frozen)),
             Some((Some(ctx), Request::Get { key: 42 }))
         );
+    }
+
+    /// A `GetMany` response body for `[Some("abc"), None, Some("")]`: the
+    /// encoder and a live server (which writes each entry straight into
+    /// its write queue) must both emit exactly these bytes.
+    #[test]
+    fn get_many_response_bytes_are_frozen() {
+        let frozen: [u8; 18] = [
+            0x03, 0x00, 0x00, 0x00, // count = 3
+            0x00, 0x03, 0x00, 0x00, 0x00, b'a', b'b', b'c', // Ok, len 3, "abc"
+            0x01, // NotFound
+            0x00, 0x00, 0x00, 0x00, 0x00, // Ok, len 0
+        ];
+        let entries = [Some(&b"abc"[..]), None, Some(&b""[..])];
+        assert_eq!(encode_get_many(&entries).as_ref(), &frozen[..]);
+        assert_eq!(
+            decode_get_many(&frozen[..]),
+            Some(vec![Some(b"abc".to_vec()), None, Some(vec![])])
+        );
+
+        let mut server = ecc_net::server::CacheServer::spawn(10_000, 16).unwrap();
+        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+        for (key, value) in [(1u64, &b"abc"[..]), (3, b"")] {
+            let put = Request::Put {
+                key,
+                value: Bytes::copy_from_slice(value),
+            };
+            write_frame(&mut raw, &put.encode()).unwrap();
+            assert_eq!(read_frame(&mut raw).unwrap().as_ref(), [Status::Ok as u8]);
+        }
+        let get = Request::GetMany {
+            keys: vec![1, 2, 3],
+        };
+        write_frame(&mut raw, &get.encode()).unwrap();
+        let reply = read_frame(&mut raw).unwrap();
+        assert_eq!(reply[0], Status::Ok as u8);
+        assert_eq!(&reply[1..], &frozen[..]);
+        server.stop();
     }
 
     /// The extension marker must never collide with a request opcode: a

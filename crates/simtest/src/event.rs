@@ -201,8 +201,17 @@ pub enum WireOp {
         /// Key to remove.
         key: u64,
     },
-    /// Destructive `SWEEP [lo, hi]`.
-    Sweep {
+    /// `GET_MANY` of every key in `[lo, hi]` (none when inverted): the
+    /// migration's copy read.
+    GetMany {
+        /// Inclusive lower bound.
+        lo: u64,
+        /// Inclusive upper bound.
+        hi: u64,
+    },
+    /// `EVICT_MANY` of every key in `[lo, hi]` (none when inverted): the
+    /// migration's delete and the slice-expiry eviction.
+    EvictMany {
         /// Inclusive lower bound.
         lo: u64,
         /// Inclusive upper bound.
@@ -341,7 +350,8 @@ impl SimEvent {
                     WireOp::Get { key } => write!(out, "G{key}"),
                     WireOp::Put { key, len } => write!(out, "P{key}.{len}"),
                     WireOp::Remove { key } => write!(out, "R{key}"),
-                    WireOp::Sweep { lo, hi } => write!(out, "W{lo}.{hi}"),
+                    WireOp::GetMany { lo, hi } => write!(out, "M{lo}.{hi}"),
+                    WireOp::EvictMany { lo, hi } => write!(out, "E{lo}.{hi}"),
                     WireOp::Keys { lo, hi } => write!(out, "K{lo}.{hi}"),
                     WireOp::Stats => write!(out, "T"),
                     WireOp::Ping => write!(out, "I"),
@@ -418,7 +428,7 @@ impl SimEvent {
             'g' => SimEvent::Get {
                 key: args.parse().map_err(|_| bad())?,
             },
-            'G' | 'P' | 'R' | 'W' | 'K' | 'T' | 'I' => {
+            'G' | 'P' | 'R' | 'M' | 'E' | 'K' | 'T' | 'I' => {
                 let op = match tag {
                     'G' => WireOp::Get {
                         key: args.parse().map_err(|_| bad())?,
@@ -433,9 +443,13 @@ impl SimEvent {
                     'R' => WireOp::Remove {
                         key: args.parse().map_err(|_| bad())?,
                     },
-                    'W' => {
+                    'M' => {
                         let (lo, hi) = parse_pair(args).ok_or_else(bad)?;
-                        WireOp::Sweep { lo, hi }
+                        WireOp::GetMany { lo, hi }
+                    }
+                    'E' => {
+                        let (lo, hi) = parse_pair(args).ok_or_else(bad)?;
+                        WireOp::EvictMany { lo, hi }
                     }
                     'K' => {
                         let (lo, hi) = parse_pair(args).ok_or_else(bad)?;
@@ -608,7 +622,11 @@ mod tests {
                 },
                 SimEvent::Frame {
                     fault: Fault::Truncate { len: 4 },
-                    op: WireOp::Sweep { lo: 1, hi: 9 },
+                    op: WireOp::GetMany { lo: 1, hi: 9 },
+                },
+                SimEvent::Frame {
+                    fault: Fault::None,
+                    op: WireOp::EvictMany { lo: 9, hi: 1 },
                 },
                 SimEvent::Frame {
                     fault: Fault::Duplicate,

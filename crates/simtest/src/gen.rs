@@ -240,9 +240,14 @@ fn gen_proto(rng: &mut SmallRng) -> Schedule {
             }
         } else if roll < 80 {
             WireOp::Remove { key }
-        } else if roll < 88 {
+        } else if roll < 84 {
             // Bounds drawn independently: inverted ranges are fair game.
-            WireOp::Sweep {
+            WireOp::GetMany {
+                lo: key,
+                hi: rng.gen_range(0u64..=64),
+            }
+        } else if roll < 88 {
+            WireOp::EvictMany {
                 lo: key,
                 hi: rng.gen_range(0u64..=64),
             }

@@ -151,6 +151,14 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
             coord.splits
         )));
     }
+    // Every split hands its arc over by a copy → flip → delete migration.
+    let migrations_seen = counts.get("sweep_migrate").copied().unwrap_or(0);
+    if migrations_seen != splits_seen {
+        return Err(SimFailure::end(format!(
+            "{splits_seen} BucketSplit events but {migrations_seen} SweepMigrate \
+             events: a split did not migrate"
+        )));
+    }
     // Span oracle: every elastic operation traces as a root span, and the
     // merged stream must form a well-formed forest — every start ended,
     // zero orphans, acyclic parentage, child intervals nested inside their

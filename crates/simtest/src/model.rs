@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use ecc_net::protocol::{
-    encode_get_many, encode_keys, encode_range_stats, encode_records, encode_stats,
-    encode_statuses, Request, Response, Status,
+    encode_get_many, encode_keys, encode_range_stats, encode_stats, encode_statuses, Request,
+    Response, Status,
 };
 
 /// Independent reimplementation of the sliding-window eviction scorer.
@@ -226,20 +226,6 @@ impl ModelServer {
                 }
                 None => Response::status(Status::NotFound),
             },
-            Request::Sweep { lo, hi } => {
-                let drained: Vec<(u64, Vec<u8>)> = if lo > hi {
-                    Vec::new()
-                } else {
-                    let keys: Vec<u64> = self.map.range(lo..=hi).map(|(k, _)| *k).collect();
-                    keys.iter()
-                        .filter_map(|k| self.map.remove(k).map(|v| (*k, v)))
-                        .collect()
-                };
-                for (_, v) in &drained {
-                    self.used -= ecc_core::slab::footprint(v.len());
-                }
-                Response::ok(encode_records(&drained))
-            }
             Request::Keys { lo, hi } => {
                 let keys: Vec<u64> = if lo > hi {
                     Vec::new()
@@ -395,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn model_server_sweep_and_keys_handle_inverted_ranges() {
+    fn model_server_keys_handle_inverted_ranges_and_evict_many_frees() {
         let mut s = ModelServer::new(1000);
         for k in 0..5u64 {
             let _ = s.respond(Some(Request::Put {
@@ -405,13 +391,16 @@ mod tests {
         }
         let r = s.respond(Some(Request::Keys { lo: 9, hi: 1 }));
         assert_eq!(r, Response::ok(encode_keys(&[])));
-        let r = s.respond(Some(Request::Sweep { lo: 1, hi: 3 }));
+        let r = s.respond(Some(Request::EvictMany {
+            keys: vec![1, 2, 3, 9],
+        }));
         assert_eq!(
             r,
-            Response::ok(encode_records(&[
-                (1, vec![1; 4]),
-                (2, vec![2; 4]),
-                (3, vec![3; 4]),
+            Response::ok(encode_statuses(&[
+                Status::Ok,
+                Status::Ok,
+                Status::Ok,
+                Status::NotFound,
             ]))
         );
         assert_eq!(s.len(), 2);

@@ -31,7 +31,12 @@ fn request_for(op: WireOp, step: usize) -> Request {
             value: Bytes::from(record_bytes(key, len, step)),
         },
         WireOp::Remove { key } => Request::Remove { key },
-        WireOp::Sweep { lo, hi } => Request::Sweep { lo, hi },
+        WireOp::GetMany { lo, hi } => Request::GetMany {
+            keys: (lo..=hi).collect(),
+        },
+        WireOp::EvictMany { lo, hi } => Request::EvictMany {
+            keys: (lo..=hi).collect(),
+        },
         WireOp::Keys { lo, hi } => Request::Keys { lo, hi },
         WireOp::Stats => Request::Stats,
         WireOp::Ping => Request::Ping,

@@ -1,6 +1,7 @@
 //! Top-level execution: run one schedule (panic-safe), run the full family
 //! battery for a seed, shrink failures, and report replayable SIMSEEDs.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::event::{Family, Schedule};
@@ -72,10 +73,17 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+thread_local! {
+    /// Set while [`run_schedule`] runs a harness on this thread: the panics
+    /// [`QuietPanics`] silences are exactly the ones it will catch.
+    static CATCHING: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Run one schedule under its family's harness. Panics (debug-build
 /// `validate()` assertions and the like) are caught and recorded as
 /// failures, so a multi-seed run survives them.
 pub fn run_schedule(s: &Schedule) -> Result<(), SimFailure> {
+    let outer = CATCHING.replace(true);
     let res = catch_unwind(AssertUnwindSafe(|| match s.family {
         // Workload schedules use the elastic event subset, so the elastic
         // harness (and its oracles) executes them unchanged.
@@ -84,6 +92,7 @@ pub fn run_schedule(s: &Schedule) -> Result<(), SimFailure> {
         Family::Proto => proto_sim::run(s),
         Family::Live => live_sim::run(s),
     }));
+    CATCHING.set(outer);
     match res {
         Ok(r) => r,
         Err(p) => Err(SimFailure::end(format!("panicked: {}", panic_message(&*p)))),
@@ -142,23 +151,35 @@ pub fn check_seed(seed: u64, include_live: bool) -> Vec<SeedOutcome> {
     out
 }
 
-/// Silence the default panic hook (which prints a backtrace for every
-/// caught `validate()` panic) for the lifetime of the guard; dropping it
-/// reinstates the default hook.
+/// Silence the panic hook (which prints a backtrace for every caught
+/// `validate()` panic) for panics [`run_schedule`] catches, for the
+/// lifetime of the guard; any other panic — a failing test assertion in
+/// the guard's scope — reports through the previous hook as usual.
+/// Dropping the guard reinstates the default hook.
 pub struct QuietPanics(());
 
 impl QuietPanics {
-    /// Install the silent hook.
+    /// Install the silencing hook.
     pub fn install() -> QuietPanics {
-        std::panic::set_hook(Box::new(|_| {}));
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !CATCHING.get() {
+                report(info);
+            }
+        }));
         QuietPanics(())
     }
 }
 
 impl Drop for QuietPanics {
     fn drop(&mut self) {
-        // Taking the hook reinstates the default one.
-        let _ = std::panic::take_hook();
+        // The hook cannot be changed while this thread unwinds (trying
+        // aborts the process); the installed one reports such panics, so
+        // it may stay.
+        if !std::thread::panicking() {
+            // Taking the hook reinstates the default one.
+            let _ = std::panic::take_hook();
+        }
     }
 }
 
@@ -194,6 +215,15 @@ mod tests {
             Ok(()) => {}
             Err(f) => assert!(!f.what.is_empty()),
         }
+    }
+
+    #[test]
+    fn a_panic_in_a_guards_scope_unwinds_and_reports() {
+        let caught = std::panic::catch_unwind(|| {
+            let _q = QuietPanics::install();
+            panic!("reported, not aborted")
+        });
+        assert!(caught.is_err());
     }
 
     #[test]

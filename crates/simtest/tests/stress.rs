@@ -217,9 +217,14 @@ fn wire_stress_matches_model_server_bit_exactly() {
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
                 let mut c = RemoteNode::connect(addr).unwrap();
+                // The coordinator's hand-off ops: list, copy out, delete,
+                // then re-home what was copied.
                 for _ in 0..ROUNDS {
-                    let drained = c.sweep(MIG_LO, MIG_HI).unwrap();
-                    for (k, v) in drained {
+                    let keys = c.keys(MIG_LO, MIG_HI).unwrap();
+                    let values = c.get_many(&keys).unwrap();
+                    c.evict_many(&keys).unwrap();
+                    for (k, v) in keys.into_iter().zip(values) {
+                        let v = v.expect("listed key vanished mid-copy");
                         assert_eq!(c.put(k, v).unwrap(), ecc_net::protocol::Status::Ok);
                     }
                 }
@@ -270,11 +275,10 @@ fn wire_stress_matches_model_server_bit_exactly() {
         },
         Request::Get { key: MIG_LO },
         Request::Get { key: 999_999 },
-        Request::Sweep {
-            lo: 0,
-            hi: u64::MAX,
+        Request::EvictMany {
+            keys: expect.keys().copied().collect(),
         },
-        // After the full-range sweep both sides must be empty.
+        // After evicting every key both sides must be empty.
         Request::Stats,
         Request::Keys {
             lo: 0,
