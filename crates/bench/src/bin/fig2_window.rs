@@ -39,10 +39,10 @@ fn main() {
             let victims = w.victims(&expired);
             print!(
                 "  | expired slice held {:?}",
-                expired.keys().collect::<Vec<_>>()
+                expired.iter().map(|&(k, _)| k).collect::<Vec<_>>()
             );
-            for key in expired.keys() {
-                let lambda = w.lambda(*key);
+            for &(key, _) in &expired {
+                let lambda = w.lambda(key);
                 let verdict = if lambda < threshold { "EVICT" } else { "keep " };
                 print!("  λ({key})={lambda:.3} {verdict}");
             }

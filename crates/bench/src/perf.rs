@@ -621,11 +621,12 @@ fn bench_window(opts: BenchOptions) -> Vec<BenchResult> {
                         w.victims(&expired).len()
                     } else {
                         expired
-                            .keys()
-                            .filter(|&&k| w.lambda(k) < w.threshold())
+                            .iter()
+                            .filter(|&&(k, _)| w.lambda(k) < w.threshold())
                             .count()
                     };
                     std::hint::black_box(evictable);
+                    w.recycle(expired);
                 }
             });
         }

@@ -25,7 +25,7 @@
 use ecc_bptree::ByteSize;
 use ecc_chash::HashRing;
 use ecc_cloudsim::{Event, NetModel, PersistentStore, SimClock, SimCloud, US_PER_SEC};
-use ecc_obs::{ObsEvent, ObsRegistry, TimeSource};
+use ecc_obs::{LogHistogram, ObsEvent, ObsRegistry, TimeSource};
 
 use crate::adaptive::WindowController;
 use crate::config::CacheConfig;
@@ -156,6 +156,10 @@ const MISS_RESP_BYTES: u64 = 8;
 const RECORD_WIRE_OVERHEAD: u64 = 16;
 /// Sanity bound on GBA's split-and-retry recursion.
 const MAX_SPLIT_RETRIES: u32 = 64;
+/// Slots of [`ElasticCache::query_us`], one per query outcome.
+const QUERY_HIT: usize = 0;
+const QUERY_TIER: usize = 1;
+const QUERY_MISS: usize = 2;
 
 /// The coordinator of the elastic cooperative cache.
 pub struct ElasticCache {
@@ -176,6 +180,10 @@ pub struct ElasticCache {
     slice_queries: u64,
     /// Flight recorder + latency histograms, stamped off the virtual clock.
     obs: ObsRegistry,
+    /// Per-outcome query latencies of the open step, folded into `obs`
+    /// once per [`ElasticCache::end_time_step`] instead of taking the
+    /// registry lock per query.
+    query_us: [(&'static str, LogHistogram); 3],
 }
 
 impl ElasticCache {
@@ -232,6 +240,11 @@ impl ElasticCache {
             tier,
             slice_queries: 0,
             obs,
+            query_us: [
+                ("cache_query_us:hit", LogHistogram::new()),
+                ("cache_query_us:tier", LogHistogram::new()),
+                ("cache_query_us:miss", LogHistogram::new()),
+            ],
         }
     }
 
@@ -258,6 +271,9 @@ impl ElasticCache {
     }
 
     /// The observability registry (flight recorder + latency histograms).
+    /// The `cache_query_us:*` histograms hold the queries of every closed
+    /// time step; the open step's are folded in by the next
+    /// [`ElasticCache::end_time_step`].
     pub fn obs(&self) -> &ObsRegistry {
         &self.obs
     }
@@ -349,7 +365,7 @@ impl ElasticCache {
         if let Some(rec) = found {
             let dt = self.clock.now_us() - t0;
             self.metrics.observed_us += dt;
-            self.obs.record("cache_query_us:hit", dt);
+            self.query_us[QUERY_HIT].1.record(dt);
             return rec;
         }
         // Memory miss: the persistent overflow tier (if any) may still
@@ -375,7 +391,7 @@ impl ElasticCache {
                 }
                 let dt = self.clock.now_us() - t0;
                 self.metrics.observed_us += dt;
-                self.obs.record("cache_query_us:tier", dt);
+                self.query_us[QUERY_TIER].1.record(dt);
                 return rec;
             }
         }
@@ -399,7 +415,7 @@ impl ElasticCache {
         }
         let dt = self.clock.now_us() - t0;
         self.metrics.observed_us += dt;
-        self.obs.record("cache_query_us:miss", dt);
+        self.query_us[QUERY_MISS].1.record(dt);
         rec
     }
 
@@ -764,6 +780,7 @@ impl ElasticCache {
     /// and, every `ε` expirations, attempts contraction.
     pub fn end_time_step(&mut self) {
         self.time_steps += 1;
+        self.obs.fold(&mut self.query_us, &mut []);
         let slice_queries = std::mem::take(&mut self.slice_queries);
 
         // Proactive splitting (§VI prefetching): relieve nodes close to
@@ -833,11 +850,17 @@ impl ElasticCache {
         self.expirations += 1;
         // Score the expired slices against the window that remains, then
         // drop the window borrow before mutating nodes.
-        let victims: Vec<u64> = match &self.window {
-            Some(window) => expired_slices
-                .iter()
-                .flat_map(|expired| window.victims(expired))
-                .collect(),
+        let victims: Vec<u64> = match &mut self.window {
+            Some(window) => {
+                let victims = expired_slices
+                    .iter()
+                    .flat_map(|expired| window.victims(expired))
+                    .collect();
+                for expired in expired_slices {
+                    window.recycle(expired);
+                }
+                victims
+            }
             None => Vec::new(),
         };
         self.obs.emit(ObsEvent::SliceExpire {
@@ -1807,6 +1830,52 @@ mod tests {
         assert_eq!(cache.metrics().hits, 1);
         assert!(cache.tier_cost_microdollars() > 0);
         cache.validate();
+    }
+
+    #[test]
+    fn query_histograms_fold_at_step_close_like_per_sample_records() {
+        // Every outcome (miss, memory hit, tier hit) across several steps:
+        // the registry's `cache_query_us:*` after each close must equal a
+        // registry that got one `record` per query as it happened.
+        let mut c = cfg_records(64);
+        c.window = Some(WindowConfig {
+            slices: 2,
+            alpha: 0.99,
+            threshold: None,
+        });
+        c.overflow_tier = Some(ecc_cloudsim::StorageTier::s3_2010());
+        let mut cache = ElasticCache::new(c);
+        let reference = ObsRegistry::new(TimeSource::Sim(SimClock::new()));
+        let query_hists = |obs: &ObsRegistry| {
+            let mut hists = obs.snapshot().hists;
+            hists.retain(|name, _| name.starts_with("cache_query_us:"));
+            hists
+        };
+        for step in 0..8u64 {
+            for k in 0..6u64 {
+                let key = (k + step) % 9;
+                let before = *cache.metrics();
+                let t0 = cache.clock().now_us();
+                cache.query(key, 23_000_000, || Record::filler(100));
+                let dt = cache.clock().now_us() - t0;
+                let m = cache.metrics();
+                let name = if m.hits > before.hits {
+                    "cache_query_us:hit"
+                } else if m.tier_hits > before.tier_hits {
+                    "cache_query_us:tier"
+                } else {
+                    "cache_query_us:miss"
+                };
+                reference.record(name, dt);
+            }
+            cache.end_time_step();
+            assert_eq!(
+                query_hists(cache.obs()),
+                query_hists(&reference),
+                "step {step}"
+            );
+        }
+        assert_eq!(query_hists(cache.obs()).len(), 3, "every outcome exercised");
     }
 
     #[test]

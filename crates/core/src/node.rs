@@ -97,14 +97,18 @@ impl CacheNode {
     /// Insert a primary record; returns any displaced previous value.
     /// Replicas yield space first if the payload would not physically fit.
     pub fn insert(&mut self, key: u64, record: Record) -> Option<Record> {
-        let existing = self
-            .tree
-            .get(&key)
-            .map(|r| r.byte_size() as u64)
-            .unwrap_or(0);
-        let extra = (record.byte_size() as u64).saturating_sub(existing);
-        if extra > 0 && self.replica_bytes() > 0 {
-            self.make_room_for_primary(extra);
+        // Only a node holding replicas can need room made; skip the extra
+        // tree descent that sizes the displaced record otherwise.
+        if self.replica_bytes() > 0 {
+            let existing = self
+                .tree
+                .get(&key)
+                .map(|r| r.byte_size() as u64)
+                .unwrap_or(0);
+            let extra = (record.byte_size() as u64).saturating_sub(existing);
+            if extra > 0 {
+                self.make_room_for_primary(extra);
+            }
         }
         self.tree.insert(key, record)
     }

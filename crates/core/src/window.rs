@@ -14,41 +14,94 @@
 //! decay is amortized in older slices), so a key keeps its cache residency
 //! by being re-queried.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A completed slice: its distinct keys with their query counts, in
+/// ascending key order. [`SlidingWindow::end_slice`] hands expired slices
+/// out in this form; [`SlidingWindow::recycle`] takes the buffer back.
+pub type Slice = Vec<(u64, u32)>;
+
+/// Recycled slice buffers kept for reuse: one per close is the steady
+/// state, a second covers the close that also shrinks the window.
+const SPARE_SLICES: usize = 2;
+
+/// Multiply/xor-shift hasher for the occurrence index. Keys are already
+/// well-spread `u64`s; one multiply by an odd constant diffuses the low
+/// bits upward and the shift folds the well-mixed high half back down,
+/// which is all the table's bucket and tag bits need.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        let x = (self.0 ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The in-window occurrences of one key, oldest first, as
+/// `(epoch, count)` pairs. Most keys sit in a single slice and keep that
+/// occurrence inline; only a key present in two or more slices spills to
+/// a heap deque, and it moves back inline when it drops to one again.
+#[derive(Debug, Clone)]
+enum Occ {
+    One(u64, u32),
+    Many(VecDeque<(u64, u32)>),
+}
 
 /// The global sliding window of queried keys.
 ///
-/// Alongside the per-slice maps the window maintains a per-key *occurrence
-/// index*: for every key resident anywhere in the completed window, the
-/// `(epoch, count)` pairs of the slices it appears in, oldest first. Each
-/// `(key, slice)` occurrence is pushed exactly once (at `end_slice`) and
-/// popped exactly once (when its slice expires), so maintenance is O(1)
-/// amortized per recorded query, and scoring a key is O(occurrences of the
-/// key) instead of O(m) map lookups — `victims()` becomes a threshold scan.
+/// The open slice is the raw list of queried keys; closing it sorts and
+/// run-length-encodes it into a [`Slice`]. Alongside the slices the window
+/// keeps a per-key *occurrence index*: for every key resident anywhere in
+/// the completed window, the `(epoch, count)` pairs of the slices it
+/// appears in. Each `(key, slice)` occurrence is added exactly once (at
+/// `end_slice`) and retired exactly once (when its slice expires), so
+/// scoring a key is O(occurrences of the key) and `victims()` is a
+/// threshold scan.
 ///
-/// Summing only the slices a key actually appears in, newest first, is
-/// *bit-identical* to the full newest-to-oldest sum in [`Self::lambda`]:
-/// every skipped term is `α^i · 0 = +0.0`, and `x + 0.0 == x` exactly for
-/// the non-negative partial sums that arise here. The simtest bit-exact
-/// window oracle relies on this.
+/// Summing only the slices a key actually appears in, newest first and
+/// from `+0.0`, is *bit-identical* to the full newest-to-oldest sum in
+/// [`Self::lambda`]: every skipped term is `α^i · 0 = +0.0`, and
+/// `x + 0.0 == x` exactly for the non-negative partial sums that arise
+/// here. The simtest bit-exact window oracle relies on this.
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
     m: usize,
     alpha: f64,
     threshold: f64,
-    /// The slice currently being recorded (not yet part of the window).
-    current: BTreeMap<u64, u32>,
+    /// Keys queried in the slice being recorded (not yet part of the
+    /// window), in arrival order, repeats included.
+    current: Vec<u64>,
     /// Completed slices, front = `t_1` (newest) … back = `t_m` (oldest).
-    history: VecDeque<BTreeMap<u64, u32>>,
+    history: VecDeque<Slice>,
     /// Precomputed decay powers `α^0 … α^(m-1)`.
     powers: Vec<f64>,
     /// Epoch assigned to the next completed slice. Epochs are contiguous:
     /// `history.front()` holds epoch `next_epoch - 1`, `history.back()`
     /// holds epoch `next_epoch - history.len()`.
     next_epoch: u64,
-    /// Per-key occurrence index over the completed window: `(epoch, count)`
-    /// pairs, front = oldest. Keys with no in-window occurrence are absent.
-    occ: HashMap<u64, VecDeque<(u64, u32)>>,
+    /// Per-key occurrence index over the completed window. Keys with no
+    /// in-window occurrence are absent.
+    occ: HashMap<u64, Occ, BuildHasherDefault<KeyHasher>>,
+    /// Expired slice buffers handed back for the next close to reuse.
+    spare: Vec<Slice>,
+    /// Emptied deques of keys that moved back inline, reused by the next
+    /// spill: keys cross between one and two occurrences every step, and
+    /// the pool keeps that from costing an allocation and a free each.
+    spare_spills: Vec<VecDeque<(u64, u32)>>,
 }
 
 impl SlidingWindow {
@@ -61,21 +114,29 @@ impl SlidingWindow {
     pub fn new(m: usize, alpha: f64, threshold: f64) -> Self {
         assert!(m >= 1, "window needs at least one slice");
         assert!(alpha > 0.0 && alpha < 1.0, "decay must be in (0, 1)");
-        let mut powers = Vec::with_capacity(m);
-        let mut p = 1.0;
-        for _ in 0..m {
-            powers.push(p);
-            p *= alpha;
-        }
-        Self {
+        let mut w = Self {
             m,
             alpha,
             threshold,
-            current: BTreeMap::new(),
+            current: Vec::new(),
             history: VecDeque::with_capacity(m + 1),
-            powers,
+            powers: Vec::with_capacity(m),
             next_epoch: 0,
-            occ: HashMap::new(),
+            occ: HashMap::default(),
+            spare: Vec::new(),
+            spare_spills: Vec::new(),
+        };
+        w.fill_powers();
+        w
+    }
+
+    /// Recompute the decay table `α^0 … α^(m-1)` for the current `m`.
+    fn fill_powers(&mut self) {
+        self.powers.clear();
+        let mut p = 1.0;
+        for _ in 0..self.m {
+            self.powers.push(p);
+            p *= self.alpha;
         }
     }
 
@@ -95,21 +156,44 @@ impl SlidingWindow {
     }
 
     /// Record that `key` was queried in the current slice.
+    #[inline]
     pub fn note_query(&mut self, key: u64) {
-        *self.current.entry(key).or_insert(0) += 1;
+        self.current.push(key);
     }
 
     /// Close the current slice. If the window was already full, the oldest
     /// slice expires and is returned (`t_{m+1}`) — the caller scores its
-    /// keys with [`SlidingWindow::victims`].
-    pub fn end_slice(&mut self) -> Option<BTreeMap<u64, u32>> {
-        let completed = std::mem::take(&mut self.current);
+    /// keys with [`SlidingWindow::victims`] and may hand the buffer back
+    /// with [`SlidingWindow::recycle`].
+    pub fn end_slice(&mut self) -> Option<Slice> {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        for (&key, &count) in &completed {
-            self.occ.entry(key).or_default().push_back((epoch, count));
+        let mut slice = self.spare.pop().unwrap_or_default();
+        slice.clear();
+        self.current.sort_unstable();
+        for &key in &self.current {
+            match slice.last_mut() {
+                Some((last, count)) if *last == key => *count += 1,
+                _ => slice.push((key, 1)),
+            }
         }
-        self.history.push_front(completed);
+        self.current.clear();
+        for &(key, count) in &slice {
+            match self.occ.entry(key) {
+                Entry::Vacant(e) => {
+                    e.insert(Occ::One(epoch, count));
+                }
+                Entry::Occupied(mut e) => match e.get_mut() {
+                    Occ::One(e0, c0) => {
+                        let mut spilled = self.spare_spills.pop().unwrap_or_default();
+                        spilled.extend([(*e0, *c0), (epoch, count)]);
+                        e.insert(Occ::Many(spilled));
+                    }
+                    Occ::Many(entries) => entries.push_back((epoch, count)),
+                },
+            }
+        }
+        self.history.push_front(slice);
         if self.history.len() > self.m {
             self.expire_back()
         } else {
@@ -117,27 +201,51 @@ impl SlidingWindow {
         }
     }
 
+    /// Hand an expired slice's buffer back so a later close reuses its
+    /// allocation instead of growing a fresh one.
+    pub fn recycle(&mut self, slice: Slice) {
+        if self.spare.len() < SPARE_SLICES {
+            self.spare.push(slice);
+        }
+    }
+
     /// Pop the oldest completed slice and retire its occurrence-index
-    /// entries. The expired slice's epoch is `next_epoch - history.len()`
-    /// (epochs are contiguous), computed before the pop.
-    fn expire_back(&mut self) -> Option<BTreeMap<u64, u32>> {
-        let expired_epoch = self.next_epoch - self.history.len() as u64;
+    /// entries. It is the oldest occurrence of every key it holds, so each
+    /// retirement drops the front of that key's entry.
+    fn expire_back(&mut self) -> Option<Slice> {
         let slice = self.history.pop_back()?;
-        for key in slice.keys() {
-            if let Some(entries) = self.occ.get_mut(key) {
-                while entries.front().is_some_and(|&(e, _)| e <= expired_epoch) {
-                    entries.pop_front();
+        for &(key, _) in &slice {
+            let Entry::Occupied(mut e) = self.occ.entry(key) else {
+                continue;
+            };
+            match e.get_mut() {
+                Occ::One(..) => {
+                    e.remove();
                 }
-                if entries.is_empty() {
-                    self.occ.remove(key);
+                Occ::Many(entries) => {
+                    entries.pop_front();
+                    if entries.len() == 1 {
+                        let (epoch, count) = entries[0];
+                        if let Occ::Many(mut spilled) = e.insert(Occ::One(epoch, count)) {
+                            spilled.clear();
+                            self.spare_spills.push(spilled);
+                        }
+                    }
                 }
             }
         }
         Some(slice)
     }
 
+    /// Query count of `key` in the sorted slice `slice` (0 if absent).
+    fn count_in(slice: &[(u64, u32)], key: u64) -> u32 {
+        slice
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .map_or(0, |i| slice[i].1)
+    }
+
     /// The eviction score `λ(k)` over the current window, computed the slow
-    /// way: one map lookup per window slice, O(m·log n). Kept as the
+    /// way: one binary search per window slice, O(m·log n). Kept as the
     /// secondary oracle for the incremental scorer (and for callers probing
     /// arbitrary keys off the hot path); eviction itself goes through
     /// [`Self::lambda_incremental`].
@@ -145,16 +253,16 @@ impl SlidingWindow {
         self.history
             .iter()
             .enumerate()
-            .map(|(i, slice)| self.powers[i] * slice.get(&key).copied().unwrap_or(0) as f64)
+            .map(|(i, slice)| self.powers[i] * Self::count_in(slice, key) as f64)
             .sum()
     }
 
     /// The eviction score `λ(k)` from the per-key occurrence index:
-    /// O(occurrences of `key`) with a single hash lookup, no per-slice map
-    /// walks. Bit-identical to [`Self::lambda`] — the skipped slices
+    /// O(occurrences of `key`) with a single hash lookup, no per-slice
+    /// searches. Bit-identical to [`Self::lambda`] — the skipped slices
     /// contribute exact `+0.0` terms (see the struct docs).
     pub fn lambda_incremental(&self, key: u64) -> f64 {
-        let Some(entries) = self.occ.get(&key) else {
+        let Some(occ) = self.occ.get(&key) else {
             // Bit-faithful to `lambda()`: an empty `.sum()` folds from f64's
             // additive identity -0.0, while any added term — even `α^i · 0`
             // — flips it to +0.0. The index is empty iff the key is absent
@@ -162,35 +270,39 @@ impl SlidingWindow {
             return if self.history.is_empty() { -0.0 } else { 0.0 };
         };
         let newest = self.next_epoch - 1;
+        let term = |epoch: u64, count: u32| self.powers[(newest - epoch) as usize] * count as f64;
         let mut sum = 0.0;
         // Newest-to-oldest, matching `lambda()`'s summation order exactly.
-        for &(epoch, count) in entries.iter().rev() {
-            sum += self.powers[(newest - epoch) as usize] * count as f64;
+        match occ {
+            Occ::One(epoch, count) => sum += term(*epoch, *count),
+            Occ::Many(entries) => {
+                for &(epoch, count) in entries.iter().rev() {
+                    sum += term(epoch, count);
+                }
+            }
         }
         sum
     }
 
     /// Keys of an expired slice whose `λ` falls below `T_λ` — the set to
-    /// evict from the cache. A threshold scan over the occurrence index:
-    /// O(Σ occurrences of the expired keys), not O(|expired|·m·log n).
-    pub fn victims(&self, expired: &BTreeMap<u64, u32>) -> Vec<u64> {
+    /// evict from the cache, in ascending key order. A threshold scan over
+    /// the occurrence index: O(Σ occurrences of the expired keys).
+    pub fn victims(&self, expired: &[(u64, u32)]) -> Vec<u64> {
         expired
-            .keys()
-            .copied()
+            .iter()
+            .map(|&(k, _)| k)
             .filter(|&k| self.lambda_incremental(k) < self.threshold)
             .collect()
     }
 
     /// Number of distinct keys currently tracked anywhere in the window:
     /// the occurrence index already holds every key of the completed
-    /// slices, so only the open slice needs a membership probe each.
+    /// slices, so only the open slice's distinct keys need a probe each.
     pub fn tracked_keys(&self) -> usize {
-        self.occ.len()
-            + self
-                .current
-                .keys()
-                .filter(|k| !self.occ.contains_key(k))
-                .count()
+        let mut open = self.current.clone();
+        open.sort_unstable();
+        open.dedup();
+        self.occ.len() + open.iter().filter(|k| !self.occ.contains_key(k)).count()
     }
 
     /// Resize the window to `new_m` slices (dynamic window sizing, the
@@ -201,16 +313,10 @@ impl SlidingWindow {
     /// # Panics
     ///
     /// Panics if `new_m == 0`.
-    pub fn set_slices(&mut self, new_m: usize) -> Vec<BTreeMap<u64, u32>> {
+    pub fn set_slices(&mut self, new_m: usize) -> Vec<Slice> {
         assert!(new_m >= 1, "window needs at least one slice");
         self.m = new_m;
-        // Recompute decay powers for the new width.
-        self.powers.clear();
-        let mut p = 1.0;
-        for _ in 0..new_m {
-            self.powers.push(p);
-            p *= self.alpha;
-        }
+        self.fill_powers();
         let mut expired = Vec::new();
         while self.history.len() > self.m {
             let Some(slice) = self.expire_back() else {
@@ -222,9 +328,11 @@ impl SlidingWindow {
     }
 
     /// Structural self-check: the history never holds more than `m`
-    /// completed slices and the precomputed decay table matches `α^i`.
-    /// Returns a description of the first violation, so callers (the
-    /// cache-wide auditor) can surface it as a typed error.
+    /// completed slices, each slice is strictly ascending with non-zero
+    /// counts, the precomputed decay table matches `α^i`, and the
+    /// occurrence index mirrors the slices exactly. Returns a description
+    /// of the first violation, so callers (the cache-wide auditor) can
+    /// surface it as a typed error.
     pub fn check_invariants(&self) -> Result<(), &'static str> {
         if self.history.len() > self.m {
             return Err("window holds more than m completed slices");
@@ -239,31 +347,54 @@ impl SlidingWindow {
             }
             p *= self.alpha;
         }
-        // The occurrence index must mirror the completed slices exactly:
-        // every (key, slice) pair indexed once with the right epoch and
+        // Every (key, slice) pair indexed once with the right epoch and
         // count, and nothing else.
         let mut indexed: usize = 0;
         let newest = self.next_epoch.wrapping_sub(1);
         for (age, slice) in self.history.iter().enumerate() {
+            if slice.windows(2).any(|w| w[0].0 >= w[1].0) {
+                return Err("slice keys not strictly ascending");
+            }
             let epoch = newest - age as u64;
-            for (key, &count) in slice {
-                let found = self
-                    .occ
-                    .get(key)
-                    .and_then(|entries| entries.iter().find(|&&(e, _)| e == epoch));
+            for &(key, count) in slice {
+                if count == 0 {
+                    return Err("slice holds a zero count");
+                }
+                let found = match self.occ.get(&key) {
+                    Some(Occ::One(e, c)) => (*e == epoch).then_some(*c),
+                    Some(Occ::Many(entries)) => {
+                        entries.iter().find(|&&(e, _)| e == epoch).map(|&(_, c)| c)
+                    }
+                    None => None,
+                };
                 match found {
-                    Some(&(_, c)) if c == count => indexed += 1,
+                    Some(c) if c == count => indexed += 1,
                     Some(_) => return Err("occurrence index holds a stale count"),
                     None => return Err("occurrence index missing a resident key"),
                 }
             }
         }
-        let total: usize = self.occ.values().map(VecDeque::len).sum();
+        let mut total: usize = 0;
+        for occ in self.occ.values() {
+            match occ {
+                Occ::One(..) => total += 1,
+                Occ::Many(entries) => {
+                    if entries.len() < 2 {
+                        return Err("occurrence index spills a key with under two entries");
+                    }
+                    if entries
+                        .iter()
+                        .zip(entries.iter().skip(1))
+                        .any(|(a, b)| a.0 >= b.0)
+                    {
+                        return Err("occurrence index entries out of epoch order");
+                    }
+                    total += entries.len();
+                }
+            }
+        }
         if total != indexed {
             return Err("occurrence index holds entries for expired slices");
-        }
-        if self.occ.values().any(VecDeque::is_empty) {
-            return Err("occurrence index retains an empty per-key deque");
         }
         Ok(())
     }
@@ -274,7 +405,8 @@ impl SlidingWindow {
     pub fn lambda_reference(&self, key: u64) -> f64 {
         let mut sum = 0.0;
         for (i, slice) in self.history.iter().enumerate() {
-            if let Some(&c) = slice.get(&key) {
+            let c = Self::count_in(slice, key);
+            if c > 0 {
                 sum += self.alpha.powi(i as i32) * c as f64;
             }
         }
@@ -287,11 +419,16 @@ mod tests {
     use super::*;
 
     /// Fill one slice with the given keys and close it.
-    fn push_slice(w: &mut SlidingWindow, keys: &[u64]) -> Option<BTreeMap<u64, u32>> {
+    fn push_slice(w: &mut SlidingWindow, keys: &[u64]) -> Option<Slice> {
         for &k in keys {
             w.note_query(k);
         }
         w.end_slice()
+    }
+
+    /// Whether `key` appears in the expired slice.
+    fn has(slice: &[(u64, u32)], key: u64) -> bool {
+        slice.iter().any(|&(k, _)| k == key)
     }
 
     #[test]
@@ -302,7 +439,7 @@ mod tests {
         assert!(push_slice(&mut w, &[3]).is_none());
         // Fourth closure expires the first slice.
         let expired = push_slice(&mut w, &[4]).expect("window full");
-        assert!(expired.contains_key(&1));
+        assert!(has(&expired, 1));
     }
 
     #[test]
@@ -365,7 +502,7 @@ mod tests {
         push_slice(&mut w, &[9]); // re-query keeps it warm
         push_slice(&mut w, &[]);
         let expired = push_slice(&mut w, &[]).expect("expiry");
-        assert!(expired.contains_key(&9));
+        assert!(has(&expired, 9));
         assert!(w.victims(&expired).is_empty(), "re-queried key evicted");
     }
 
@@ -420,7 +557,7 @@ mod tests {
         let mut w = SlidingWindow::new(3, 0.9, 0.5);
         assert_eq!(w.lambda(42), 0.0);
         assert_eq!(w.tracked_keys(), 0);
-        assert!(w.victims(&BTreeMap::new()).is_empty());
+        assert!(w.victims(&[]).is_empty());
         assert!(w.end_slice().is_none());
         assert!(w.end_slice().is_none());
         assert!(w.end_slice().is_none());
@@ -448,10 +585,7 @@ mod tests {
         // Note: the loop above closed m-1 slices after key 2's, so key 1's
         // slice has expired and key 2's occupies the oldest window slot.
         assert!((w.lambda(2) - t).abs() < 1e-12, "λ(2) = {}", w.lambda(2));
-        let mut expired = BTreeMap::new();
-        expired.insert(1u64, 1u32);
-        expired.insert(2u64, 1u32);
-        let victims = w.victims(&expired);
+        let victims = w.victims(&[(1, 1), (2, 1)]);
         assert!(victims.contains(&1), "λ(1) < T_λ must evict");
         assert!(!victims.contains(&2), "λ(2) == T_λ must survive (strict <)");
     }
@@ -463,7 +597,7 @@ mod tests {
         let mut w = SlidingWindow::new(1, 0.7, 1.0);
         assert!(push_slice(&mut w, &[5]).is_none(), "first slice just fills");
         let expired = push_slice(&mut w, &[5]).expect("m=1 expires every step");
-        assert!(expired.contains_key(&5));
+        assert!(has(&expired, 5));
         // Key 5 was re-queried in the surviving slice: λ = 1 == T_λ, kept.
         assert!(w.victims(&expired).is_empty());
         // Not re-queried this time: λ = 0 < 1, evicted.
@@ -481,9 +615,9 @@ mod tests {
         // Shrink 5 -> 2: slices holding keys 0, 1, 2 expire, oldest first.
         let expired = w.set_slices(2);
         assert_eq!(expired.len(), 3);
-        assert!(expired[0].contains_key(&0));
-        assert!(expired[1].contains_key(&1));
-        assert!(expired[2].contains_key(&2));
+        assert!(has(&expired[0], 0));
+        assert!(has(&expired[1], 1));
+        assert!(has(&expired[2], 2));
         assert_eq!(w.slices(), 2);
         // Remaining window scores only the two newest slices.
         assert_eq!(w.lambda(2), 0.0);
@@ -550,8 +684,8 @@ mod tests {
         let expired = push_slice(&mut w, &[]).expect("expiry");
         let fast = w.victims(&expired);
         let slow: Vec<u64> = expired
-            .keys()
-            .copied()
+            .iter()
+            .map(|&(k, _)| k)
             .filter(|&k| w.lambda(k) < w.threshold())
             .collect();
         assert_eq!(fast, slow);
@@ -579,5 +713,95 @@ mod tests {
         for k in 0..7 {
             assert!((w.lambda(k) - w.lambda_reference(k)).abs() < 1e-9);
         }
+    }
+
+    /// Whether `key`'s index entry is held inline (`Some(true)`), spilled
+    /// (`Some(false)`), or absent (`None`).
+    fn inline(w: &SlidingWindow, key: u64) -> Option<bool> {
+        w.occ.get(&key).map(|o| matches!(o, Occ::One(..)))
+    }
+
+    #[test]
+    fn closed_slice_is_sorted_run_length_encoded() {
+        let mut w = SlidingWindow::new(1, 0.5, 0.0);
+        push_slice(&mut w, &[9, 3, 9, 1, 3, 9]);
+        let expired = push_slice(&mut w, &[]).expect("m=1 expires every step");
+        assert_eq!(expired, vec![(1, 1), (3, 2), (9, 3)]);
+    }
+
+    #[test]
+    fn occurrence_round_trips_inline_spilled_inline() {
+        // Key 7 in one slice, then in two, then back to one and none as
+        // its slices expire; λ stays bit-exact with the full scan.
+        let mut w = SlidingWindow::new(3, 0.9, 0.0);
+        let check = |w: &SlidingWindow, want: Option<bool>| {
+            w.check_invariants().expect("occurrence index in sync");
+            assert_eq!(inline(w, 7), want);
+            assert_eq!(w.lambda(7).to_bits(), w.lambda_incremental(7).to_bits());
+        };
+        push_slice(&mut w, &[7, 7]);
+        check(&w, Some(true));
+        push_slice(&mut w, &[7]);
+        check(&w, Some(false));
+        push_slice(&mut w, &[1]);
+        check(&w, Some(false));
+        // The first slice holding key 7 expires: one occurrence left.
+        let expired = push_slice(&mut w, &[2]).expect("expiry");
+        assert_eq!(expired, vec![(7, 2)]);
+        w.recycle(expired);
+        check(&w, Some(true));
+        // The second one expires: the key leaves the index.
+        let expired = push_slice(&mut w, &[3]).expect("expiry");
+        assert_eq!(expired, vec![(7, 1)]);
+        check(&w, None);
+        assert_eq!(w.lambda_incremental(7).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn recycled_buffers_are_reused_without_leaking_contents() {
+        let mut w = SlidingWindow::new(1, 0.5, 0.0);
+        push_slice(&mut w, &[1, 2, 3, 4]);
+        let expired = push_slice(&mut w, &[5]).expect("expiry");
+        let cap = expired.capacity();
+        w.recycle(expired);
+        let expired = push_slice(&mut w, &[6]).expect("expiry");
+        assert_eq!(expired, vec![(5, 1)]);
+        // The closed slice [6] took the recycled buffer.
+        let expired = push_slice(&mut w, &[]).expect("expiry");
+        assert_eq!(expired, vec![(6, 1)]);
+        assert_eq!(expired.capacity(), cap);
+        w.check_invariants().expect("structurally sound");
+    }
+
+    #[test]
+    fn auditor_rejects_a_corrupted_occurrence_index() {
+        let mut w = SlidingWindow::new(4, 0.9, 0.0);
+        push_slice(&mut w, &[1, 2]);
+        push_slice(&mut w, &[2, 3]);
+        w.check_invariants().expect("structurally sound");
+
+        let mut stale = w.clone();
+        stale.occ.insert(1, Occ::One(1, 1));
+        assert!(stale.check_invariants().is_err(), "wrong epoch");
+
+        let mut miscount = w.clone();
+        miscount.occ.insert(3, Occ::One(1, 5));
+        assert!(miscount.check_invariants().is_err(), "wrong count");
+
+        let mut missing = w.clone();
+        missing.occ.remove(&2);
+        assert!(missing.check_invariants().is_err(), "key dropped");
+
+        let mut extra = w.clone();
+        extra.occ.insert(99, Occ::One(0, 1));
+        assert!(extra.check_invariants().is_err(), "expired entry kept");
+
+        let mut short = w.clone();
+        short.occ.insert(1, Occ::Many(VecDeque::from([(0, 1)])));
+        assert!(short.check_invariants().is_err(), "spilled single entry");
+
+        let mut unsorted = w.clone();
+        unsorted.history[0] = vec![(3, 1), (2, 1)];
+        assert!(unsorted.check_invariants().is_err(), "slice out of order");
     }
 }

@@ -46,18 +46,19 @@ proptest! {
                     if let Some(expired) = w.end_slice() {
                         // The eviction decision must match a full rescore.
                         let slow: Vec<u64> = expired
-                            .keys()
-                            .copied()
+                            .iter()
+                            .map(|&(k, _)| k)
                             .filter(|&k| w.lambda(k) < w.threshold())
                             .collect();
                         prop_assert_eq!(w.victims(&expired), slow);
+                        w.recycle(expired);
                     }
                 }
                 WinOp::Resize(n) => {
                     for expired in w.set_slices(1 + n as usize % 9) {
                         let slow: Vec<u64> = expired
-                            .keys()
-                            .copied()
+                            .iter()
+                            .map(|&(k, _)| k)
                             .filter(|&k| w.lambda(k) < w.threshold())
                             .collect();
                         prop_assert_eq!(w.victims(&expired), slow);

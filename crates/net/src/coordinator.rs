@@ -563,8 +563,12 @@ impl LiveCoordinator {
         let _expire = self.obs.span_root("elastic_slice_expire");
         // Score against the window that remains, then drop its borrow
         // before talking to the nodes.
-        let victims = match &self.window {
-            Some(w) => w.victims(&expired),
+        let victims = match &mut self.window {
+            Some(w) => {
+                let victims = w.victims(&expired);
+                w.recycle(expired);
+                victims
+            }
             None => Vec::new(),
         };
         self.obs.emit(ObsEvent::SliceExpire {

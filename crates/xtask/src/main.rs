@@ -47,8 +47,9 @@
 //!   and write `results/trace_breakdown.csv`.
 //! * `trace --smoke` — end-to-end tracing smoke: grow a live cluster,
 //!   drive sampled pipelined load through it, dump the merged trace to
-//!   `target/obs/trace.jsonl`, analyze it, and fail unless ≥99% of
-//!   sampled requests reconstruct into complete span trees.
+//!   `target/obs/trace.jsonl`, analyze it into
+//!   `target/obs/trace_breakdown.csv`, and fail unless ≥99% of sampled
+//!   requests reconstruct into complete span trees.
 
 #![deny(unsafe_code)]
 
@@ -1051,7 +1052,14 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             p => paths.push(PathBuf::from(p)),
         }
     }
-    let csv = csv.unwrap_or_else(|| workspace_root().join("results").join("trace_breakdown.csv"));
+    // The smoke capture is a throwaway debug-build trace: it writes under
+    // `target/obs/` so it never replaces the committed results breakdown.
+    let dir = if smoke {
+        workspace_root().join("target").join("obs")
+    } else {
+        workspace_root().join("results")
+    };
+    let csv = csv.unwrap_or_else(|| dir.join("trace_breakdown.csv"));
     if smoke {
         return trace_smoke(&csv);
     }
