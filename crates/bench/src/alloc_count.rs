@@ -1,11 +1,11 @@
-//! Counting global allocator for the zero-steady-state-allocation gate.
+//! Counting global allocator behind `tests/zero_alloc.rs`.
 //!
-//! The whole bench binary (and anything else linking `ecc_bench`, e.g.
-//! `cargo xtask`) runs under a thin wrapper around [`System`] that counts
-//! every `alloc`/`realloc`/`alloc_zeroed` call with one relaxed atomic
-//! increment. The storage benches read [`allocation_count`] around their
-//! timed region to measure — and after the slab-arena engine, *assert* —
-//! how many global allocations a steady-state GET/PUT performs.
+//! Every binary linking `ecc_bench` (the figure binaries, `cargo xtask`,
+//! this crate's tests) runs under a thin wrapper around [`System`] that
+//! counts every `alloc`/`realloc`/`alloc_zeroed` call with one relaxed
+//! atomic increment. `tests/zero_alloc.rs` reads [`allocation_count`]
+//! around steady-state wire GETs and shard PUT/GET churn and asserts the
+//! difference is exactly zero.
 //!
 //! Frees are deliberately not counted: the claim under test is "the hot
 //! path never enters the allocator for new memory", and a free without a

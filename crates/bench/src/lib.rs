@@ -11,8 +11,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod alloc_count;
-pub mod gate;
-pub mod perf;
 pub mod scenario;
 
 use std::io::Write;

@@ -19,9 +19,7 @@
 //!
 //! **Release builds compile the auditor out completely**: the thread-local
 //! is absent, [`LockToken`] is a zero-sized type with an empty `Drop`, and
-//! every function body reduces to a constant. The bench-smoke envelope
-//! check (`cargo xtask bench --smoke --check-envelope`) guards against the
-//! auditor ever leaking into the release hot path.
+//! every function body reduces to a constant.
 
 use std::fmt;
 
@@ -124,12 +122,6 @@ impl Drop for LockToken {
             });
         }
     }
-}
-
-/// True when the auditor is active (debug builds only).
-#[inline]
-pub const fn is_enabled() -> bool {
-    cfg!(debug_assertions)
 }
 
 /// Record the acquisition of `class`, returning a typed violation if it

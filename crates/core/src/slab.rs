@@ -246,28 +246,6 @@ pub struct ClassStats {
     pub allocs: u64,
 }
 
-impl ClassStats {
-    /// Fraction of carved slots that are live (0 when the class is unused).
-    pub fn occupancy(&self) -> f64 {
-        if self.total_slots == 0 {
-            0.0
-        } else {
-            self.live_slots as f64 / self.total_slots as f64
-        }
-    }
-
-    /// Fraction of live slot bytes wasted on headers and rounding
-    /// (internal fragmentation; 0 when nothing is live).
-    pub fn fragmentation(&self) -> f64 {
-        let resident = self.live_slots * self.slot_size as u64;
-        if resident == 0 {
-            0.0
-        } else {
-            1.0 - self.live_payload_bytes as f64 / resident as f64
-        }
-    }
-}
-
 /// A cheaply cloneable handle on a size-class slab arena.
 #[derive(Clone)]
 pub struct SlabArena {
@@ -653,9 +631,6 @@ mod tests {
         assert_eq!(s.live_payload_bytes, 1000);
         assert_eq!(s.pages, 1);
         assert_eq!(s.total_slots, (PAGE_BYTES / 136) as u64);
-        let frag = s.fragmentation();
-        assert!((frag - (1.0 - 1000.0 / 1360.0)).abs() < 1e-9);
-        assert!(s.occupancy() > 0.0 && s.occupancy() <= 1.0);
         drop(held);
     }
 

@@ -3,13 +3,13 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! u16 version            currently 3
+//! u16 version            OBS_DUMP_VERSION (3); any other value is rejected
 //! u64 dropped            events lost to ring overflow
-//! u64 spans_dropped      root spans skipped by trace sampling (v2+)
+//! u64 spans_dropped      root spans skipped by trace sampling
 //! u32 hist_count
 //!   per hist: u16 name_len, name bytes (UTF-8),
 //!             LogHistogram wire form (count/sum/min/max/bucket-count/buckets)
-//! u32 gauge_count        (v3+)
+//! u32 gauge_count
 //!   per gauge: u16 name_len, name bytes (UTF-8), u64 value
 //! u32 event_count
 //!   per event: u32 json_len, JSON bytes (one ObsEvent line, no newline)
@@ -26,10 +26,8 @@ use crate::event::ObsEvent;
 use crate::hist::{read_u16, read_u32, read_u64, LogHistogram};
 use crate::registry::ObsSnapshot;
 
-/// Current dump format version. v2 added the `spans_dropped` counter (the
-/// tracing layer's sampling knob); v3 added the gauge section (slab-class
-/// occupancy). Older dumps are still decoded, reading the missing parts
-/// as 0 / empty.
+/// The dump format version. A dump is produced and read by the same build,
+/// so the decoder accepts exactly this version and no other.
 pub const OBS_DUMP_VERSION: u16 = 3;
 
 /// Serialize a snapshot into the versioned dump form.
@@ -61,21 +59,17 @@ pub fn encode_dump(snap: &ObsSnapshot) -> Vec<u8> {
     out
 }
 
-/// Decode a versioned dump. `None` on truncation, a version this reader does
-/// not understand, or malformed structure. Unknown event kinds inside a
+/// Decode a dump. `None` on truncation, any version other than
+/// [`OBS_DUMP_VERSION`], or malformed structure. Unknown event kinds inside a
 /// well-formed dump are skipped, not an error.
 pub fn decode_dump(buf: &[u8]) -> Option<ObsSnapshot> {
     let mut pos = 0usize;
     let version = read_u16(buf, &mut pos)?;
-    if version == 0 || version > OBS_DUMP_VERSION {
+    if version != OBS_DUMP_VERSION {
         return None;
     }
     let dropped = read_u64(buf, &mut pos)?;
-    let spans_dropped = if version >= 2 {
-        read_u64(buf, &mut pos)?
-    } else {
-        0
-    };
+    let spans_dropped = read_u64(buf, &mut pos)?;
     let hist_count = read_u32(buf, &mut pos)? as usize;
     // A histogram needs at least 37 bytes on the wire; reject counts the
     // buffer cannot possibly hold before allocating.
@@ -91,21 +85,19 @@ pub fn decode_dump(buf: &[u8]) -> Option<ObsSnapshot> {
         let h = LogHistogram::decode_from(buf, &mut pos)?;
         hists.insert(name, h);
     }
+    let gauge_count = read_u32(buf, &mut pos)? as usize;
+    // A gauge needs at least 10 bytes on the wire.
+    if gauge_count > buf.len() / 10 + 1 {
+        return None;
+    }
     let mut gauges = BTreeMap::new();
-    if version >= 3 {
-        let gauge_count = read_u32(buf, &mut pos)? as usize;
-        // A gauge needs at least 10 bytes on the wire.
-        if gauge_count > buf.len() / 10 + 1 {
-            return None;
-        }
-        for _ in 0..gauge_count {
-            let name_len = read_u16(buf, &mut pos)? as usize;
-            let name_bytes = buf.get(pos..pos + name_len)?;
-            pos += name_len;
-            let name = std::str::from_utf8(name_bytes).ok()?.to_owned();
-            let v = read_u64(buf, &mut pos)?;
-            gauges.insert(name, v);
-        }
+    for _ in 0..gauge_count {
+        let name_len = read_u16(buf, &mut pos)? as usize;
+        let name_bytes = buf.get(pos..pos + name_len)?;
+        pos += name_len;
+        let name = std::str::from_utf8(name_bytes).ok()?.to_owned();
+        let v = read_u64(buf, &mut pos)?;
+        gauges.insert(name, v);
     }
     let event_count = read_u32(buf, &mut pos)? as usize;
     if event_count > buf.len() / 4 + 1 {
@@ -178,8 +170,10 @@ mod tests {
         for cut in [0, 1, 2, 9, bytes.len() - 1] {
             assert!(decode_dump(&bytes[..cut]).is_none(), "cut at {cut}");
         }
-        bytes[0] = 0xFF;
-        assert!(decode_dump(&bytes).is_none());
+        for version in [0u16, 1, 2, OBS_DUMP_VERSION + 1, 0xFF] {
+            bytes[..2].copy_from_slice(&version.to_le_bytes());
+            assert!(decode_dump(&bytes).is_none(), "version {version}");
+        }
     }
 
     #[test]
@@ -213,40 +207,5 @@ mod tests {
         });
         let back = decode_dump(&encode_dump(&snap)).unwrap();
         assert_eq!(back, snap);
-    }
-
-    /// A v2 dump (pre-gauges peer) still decodes: same layout minus the
-    /// gauge section, which reads as empty.
-    #[test]
-    fn legacy_v2_dump_still_decodes() {
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&2u16.to_le_bytes()); // version 2
-        v2.extend_from_slice(&4u64.to_le_bytes()); // dropped
-        v2.extend_from_slice(&1u64.to_le_bytes()); // spans_dropped
-        v2.extend_from_slice(&0u32.to_le_bytes()); // hist_count
-        v2.extend_from_slice(&0u32.to_le_bytes()); // event_count
-        let snap = decode_dump(&v2).expect("v2 decodes");
-        assert_eq!(snap.dropped, 4);
-        assert_eq!(snap.spans_dropped, 1);
-        assert!(snap.gauges.is_empty());
-    }
-
-    /// A v1 dump (pre-tracing peer) still decodes: the layout was
-    /// identical except for the missing `spans_dropped` word, which reads
-    /// as 0.
-    #[test]
-    fn legacy_v1_dump_still_decodes() {
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&1u16.to_le_bytes()); // version 1
-        v1.extend_from_slice(&7u64.to_le_bytes()); // dropped
-        v1.extend_from_slice(&0u32.to_le_bytes()); // hist_count
-        v1.extend_from_slice(&1u32.to_le_bytes()); // event_count
-        let json = ObsEvent::NodeAlloc { at_us: 3, node: 1 }.to_json();
-        v1.extend_from_slice(&(json.len() as u32).to_le_bytes());
-        v1.extend_from_slice(json.as_bytes());
-        let snap = decode_dump(&v1).expect("v1 decodes");
-        assert_eq!(snap.dropped, 7);
-        assert_eq!(snap.spans_dropped, 0);
-        assert_eq!(snap.events.len(), 1);
     }
 }

@@ -434,8 +434,8 @@ fn contains_token(line: &str, needle: &str) -> bool {
 /// Flag every global-allocator call in a hot-alloc file. The slab engine
 /// exists to make steady-state GET/PUT allocation-free (inline node
 /// arrays, size-class slab slots); one stray `Vec::new` on this path
-/// quietly reintroduces the per-op mallocs the refactor removed — and the
-/// zero-alloc bench gate only catches the workloads it happens to run.
+/// quietly reintroduces the per-op mallocs the refactor removed — and
+/// `crates/bench/tests/zero_alloc.rs` only catches the paths it drives.
 fn hot_alloc_pass(
     rel_path: &str,
     raw_lines: &[&str],

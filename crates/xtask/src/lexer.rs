@@ -1,12 +1,10 @@
 //! A token-level Rust lexer for the static-analysis passes.
 //!
-//! The original lint engine scanned source with a character-state machine
-//! ([`crate::strip_comments_and_strings`]). That is fine for substring
-//! rules but too coarse for the concurrency passes (lock-order,
-//! atomic-ordering, guard-across-I/O), which need to know *what* a piece
-//! of text is — identifier, raw string, nested comment — and *where* it
-//! is (line and column). This module lexes Rust source into a flat token
-//! stream with:
+//! Substring lint rules only need comments and literals blanked out, but
+//! the concurrency passes (lock-order, atomic-ordering, guard-across-I/O)
+//! need to know *what* a piece of text is — identifier, raw string, nested
+//! comment — and *where* it is (line and column). This module lexes Rust
+//! source into a flat token stream with:
 //!
 //! * full raw-string support (`r"…"`, `r#"…"#`, `br##"…"##`, any hash
 //!   depth), byte strings (`b"…"`) and byte chars (`b'x'`);
@@ -16,9 +14,9 @@
 //! * 1-based line / column positions on every token.
 //!
 //! The lexer is intentionally lossless: concatenating every token's text
-//! reproduces the input byte-for-byte, which is what lets
-//! [`strip_via_lexer`] be checked against the legacy stripper on the
-//! whole workspace (see `crates/xtask/tests/agreement.rs`).
+//! reproduces the input byte-for-byte. `crates/xtask/tests/lexer_corpus.rs`
+//! checks that on the whole workspace and pins [`strip_via_lexer`]'s exact
+//! output on an adversarial corpus.
 
 /// What a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,9 +341,8 @@ fn lex_str(cur: &mut Cursor<'_>, quote_at: usize) -> TokenKind {
 }
 
 /// Lex what follows a `'` at offset `quote_at`: a char literal or a
-/// lifetime. Mirrors the legacy stripper's disambiguation: a literal
-/// closes within a few characters (`'a'`, `'\n'`, `'\u{..}'`); anything
-/// else is a lifetime.
+/// lifetime. A literal closes within a few characters (`'a'`, `'\n'`,
+/// `'\u{..}'`); anything else is a lifetime.
 fn lex_quote(cur: &mut Cursor<'_>, quote_at: usize) -> TokenKind {
     let next = cur.peek(quote_at + 1);
     let is_char_lit = match next {
@@ -385,9 +382,9 @@ fn lex_quote(cur: &mut Cursor<'_>, quote_at: usize) -> TokenKind {
 }
 
 /// Replace comments and string/char literal *contents* with spaces while
-/// preserving line structure — the token-level re-expression of
-/// [`crate::strip_comments_and_strings`]. Behavioral contract (pinned by
-/// the agreement tests):
+/// preserving line structure, so substring detectors cannot fire inside
+/// prose or literals. Behavioral contract (pinned by
+/// `tests/lexer_corpus.rs`):
 ///
 /// * comments → spaces, newlines kept;
 /// * `"…"` / `b"…"` → the `b` prefix and both quotes kept, contents

@@ -1,7 +1,7 @@
 //! Source-level lint engine behind `cargo xtask lint`.
 //!
-//! The pass walks `crates/*/src`, strips comments and string literals with a
-//! lightweight scanner, skips `#[cfg(test)]` modules, and enforces the
+//! The pass walks `crates/*/src`, strips comments and string literals with
+//! the token-level [`lexer`], skips `#[cfg(test)]` modules, and enforces the
 //! repo's correctness rules (see DESIGN.md, "Invariants & static analysis"):
 //!
 //! * **no-panic** — library code of `ecc-core`, `ecc-net`, `ecc-chash` and
@@ -10,8 +10,8 @@
 //!   `CacheError` / protocol errors instead. (`assert!` family stays legal:
 //!   invariant auditors are supposed to assert.)
 //! * **no-wallclock** — `Instant::now` / `SystemTime::now` are forbidden
-//!   outside `crates/bench`, the load generator and `src/bin` entry points;
-//!   simulated time must flow through `ecc_cloudsim::clock`.
+//!   outside `crates/obs`, `crates/xtask`, the load generator and `src/bin`
+//!   entry points; simulated time must flow through `ecc_cloudsim::clock`.
 //! * **deny-unsafe** — every crate root must carry `#![deny(unsafe_code)]`
 //!   (or `forbid`), and only the files in [`UNSAFE_ALLOWLIST`] may lift it:
 //!   anywhere else an `allow(unsafe_code)` or an `unsafe` token is a
@@ -49,10 +49,10 @@ use std::path::{Path, PathBuf};
 /// Crates whose library code must be panic-free.
 const PANIC_FREE_CRATES: &[&str] = &["core", "net", "chash", "cloudsim", "obs"];
 
-/// Crates exempt from the wall-clock rule wholesale (measurement harnesses;
+/// Crates exempt from the wall-clock rule wholesale (the workspace tooling;
 /// `obs` owns the `TimeSource::Real` epoch so instrumented crates never
 /// read the wall clock themselves).
-const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["bench", "xtask", "obs"];
+const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["xtask", "obs"];
 
 /// Files exempt from the wall-clock rule: they intentionally measure real
 /// elapsed time (the live-cluster load generator).
@@ -241,185 +241,6 @@ pub fn policy_for(rel_path: &str) -> Option<Policy> {
         std_mutex: STD_MUTEX_FREE_CRATES.contains(&krate) && !is_bin,
         payload_copy: HOT_PATH_FILES.contains(&rel.as_str()),
     })
-}
-
-/// Replace comments and string/char literals with spaces, preserving line
-/// structure, so substring detectors cannot fire inside prose or literals.
-pub fn strip_comments_and_strings(src: &str) -> String {
-    #[derive(PartialEq)]
-    enum State {
-        Normal,
-        LineComment,
-        BlockComment(u32),
-        Str,
-        RawStr(u32),
-        Char,
-    }
-    let bytes: Vec<char> = src.chars().collect();
-    let mut out = String::with_capacity(src.len());
-    let mut state = State::Normal;
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        let next = bytes.get(i + 1).copied();
-        match state {
-            State::Normal => match c {
-                '/' if next == Some('/') => {
-                    state = State::LineComment;
-                    out.push(' ');
-                    out.push(' ');
-                    i += 2;
-                    continue;
-                }
-                '/' if next == Some('*') => {
-                    state = State::BlockComment(1);
-                    out.push(' ');
-                    out.push(' ');
-                    i += 2;
-                    continue;
-                }
-                '"' => {
-                    state = State::Str;
-                    out.push('"');
-                }
-                'r' | 'b'
-                    if i > 0
-                        && bytes
-                            .get(i - 1)
-                            .is_some_and(|p| p.is_alphanumeric() || *p == '_') =>
-                {
-                    // Mid-identifier `r`/`b` (`bar`, `0b1010`) never opens
-                    // a raw or byte string.
-                    out.push(c);
-                }
-                'r' | 'b' => {
-                    // Possible raw string r"..", r#".."#, br".." etc.
-                    let mut j = i + 1;
-                    if c == 'b' && bytes.get(j) == Some(&'r') {
-                        j += 1;
-                    }
-                    let mut hashes = 0u32;
-                    while bytes.get(j) == Some(&'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    if bytes.get(j) == Some(&'"') && (c == 'r' || bytes.get(i + 1) == Some(&'r')) {
-                        for _ in i..=j {
-                            out.push(' ');
-                        }
-                        i = j + 1;
-                        state = State::RawStr(hashes);
-                        continue;
-                    }
-                    out.push(c);
-                }
-                '\'' => {
-                    // Char literal vs lifetime: a literal closes with '
-                    // within a few chars ('a', '\n', '\u{..}').
-                    let is_char_lit = match next {
-                        Some('\\') => true,
-                        Some(_) => bytes.get(i + 2) == Some(&'\''),
-                        None => false,
-                    };
-                    if is_char_lit {
-                        state = State::Char;
-                        out.push(' ');
-                    } else {
-                        out.push('\'');
-                    }
-                }
-                _ => out.push(c),
-            },
-            State::LineComment => {
-                if c == '\n' {
-                    state = State::Normal;
-                    out.push('\n');
-                } else {
-                    out.push(' ');
-                }
-            }
-            State::BlockComment(depth) => {
-                if c == '\n' {
-                    out.push('\n');
-                } else {
-                    out.push(' ');
-                }
-                if c == '/' && next == Some('*') {
-                    state = State::BlockComment(depth + 1);
-                    out.push(' ');
-                    i += 2;
-                    continue;
-                }
-                if c == '*' && next == Some('/') {
-                    state = if depth == 1 {
-                        State::Normal
-                    } else {
-                        State::BlockComment(depth - 1)
-                    };
-                    out.push(' ');
-                    i += 2;
-                    continue;
-                }
-            }
-            State::Str => match c {
-                '\\' => {
-                    out.push(' ');
-                    if next.is_some() {
-                        // A `\<newline>` string continuation must keep its
-                        // newline, or every later line number shifts.
-                        out.push(if next == Some('\n') { '\n' } else { ' ' });
-                        i += 2;
-                        continue;
-                    }
-                }
-                '"' => {
-                    state = State::Normal;
-                    out.push('"');
-                }
-                '\n' => out.push('\n'),
-                _ => out.push(' '),
-            },
-            State::RawStr(hashes) => {
-                if c == '"' {
-                    // Check for closing hashes.
-                    let mut ok = true;
-                    for k in 0..hashes {
-                        if bytes.get(i + 1 + k as usize) != Some(&'#') {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        for _ in 0..=hashes {
-                            out.push(' ');
-                        }
-                        i += 1 + hashes as usize;
-                        state = State::Normal;
-                        continue;
-                    }
-                }
-                if c == '\n' {
-                    out.push('\n');
-                } else {
-                    out.push(' ');
-                }
-            }
-            State::Char => {
-                if c == '\\' && next.is_some() {
-                    out.push(' ');
-                    out.push(' ');
-                    i += 2;
-                    continue;
-                }
-                if c == '\'' {
-                    state = State::Normal;
-                }
-                out.push(' ');
-            }
-        }
-        i += 1;
-    }
-    out
 }
 
 /// True when `hay[pos..]` starts a macro invocation of `name` (i.e. is
@@ -1082,16 +903,17 @@ mod tests {
         // Binaries may touch real time and unwrap CLI setup.
         let p = policy_for("crates/net/src/bin/cache_server.rs").unwrap();
         assert!(!p.panics && !p.wallclock);
-        // bench is a measurement harness.
+        // Figure binaries may too; the bench library may not.
         assert!(
             !policy_for("crates/bench/src/bin/fig_a1.rs")
                 .unwrap()
                 .wallclock
         );
+        assert!(policy_for("crates/bench/src/lib.rs").unwrap().wallclock);
         // Data-path crates ban std::sync locks; measurement crates don't.
         assert!(policy_for("crates/core/src/shard.rs").unwrap().std_mutex);
         assert!(policy_for("crates/net/src/server.rs").unwrap().std_mutex);
-        assert!(!policy_for("crates/bench/src/perf.rs").unwrap().std_mutex);
+        assert!(!policy_for("crates/bench/src/lib.rs").unwrap().std_mutex);
         assert!(
             !policy_for("crates/net/src/bin/cache_server.rs")
                 .unwrap()

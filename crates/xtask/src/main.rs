@@ -18,19 +18,6 @@
 //!   failures are shrunk, printed as replayable SIMSEEDs, and written
 //!   under `target/simtest/`.
 //! * `simtest --replay '<SIMSEED>'` — re-run one schedule exactly.
-//! * `bench [--smoke] [--json [PATH]]` — run the performance harness
-//!   (`crates/bench/src/perf.rs`) and optionally write
-//!   `results/bench.json`, validated against the documented schema.
-//! * `bench --gate [--baseline PATH]` — compare the fresh run against the
-//!   committed baseline (`results/bench_baseline.json`, or
-//!   `results/bench_baseline_smoke.json` under `--smoke` — profiles never
-//!   cross-compare) and fail (nonzero exit, per bench delta table,
-//!   mirrored to `target/bench/gate_report.txt`) when an allowlisted
-//!   hot-path bench loses >15% ops/sec or inflates p99 by >15% (see
-//!   `ecc_bench::gate`). A suspected regression is confirmed by rerunning
-//!   the suite (best-of merge, up to 3 runs) before failing. `--bless`
-//!   rewrites the baseline from the median of 3 fresh runs instead of
-//!   comparing.
 //! * `scenario --list | --name NAME | --all [--steps N] [--seed N]` — run
 //!   zoo scenarios through the cloudsim elastic cache, verifying each
 //!   stream replays byte-identically through a trace round-trip; `--all`
@@ -56,12 +43,10 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ecc_bench::perf::{run_benches, speedup, validate_json, write_json, BenchOptions};
 use ecc_simtest::{check_seed, run_schedule, QuietPanics, Schedule, SeedOutcome};
 
 const USAGE: &str = "usage: cargo xtask <lint | analyze | interleave [--smoke] | simtest \
-     [--seeds N] [--live-every K] [--replay SIMSEED] | bench [--smoke] [--json [PATH]] \
-     [--check-envelope] [--gate [--baseline PATH] | --bless] | \
+     [--seeds N] [--live-every K] [--replay SIMSEED] | \
      scenario <--list | --name NAME | --all> [--steps N] [--seed N] | \
      obs <TRACE.jsonl | --smoke> | trace <TRACE.jsonl... [--csv PATH] | --smoke>>";
 
@@ -72,7 +57,6 @@ fn main() -> ExitCode {
         Some("analyze") => analyze(),
         Some("interleave") => interleave(&args[1..]),
         Some("simtest") => simtest(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         Some("scenario") => scenario(&args[1..]),
         Some("obs") => obs(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
@@ -250,337 +234,6 @@ fn write_interleave_failures(
     Ok(path)
 }
 
-fn bench(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut json: Option<PathBuf> = None;
-    let mut check_envelope = false;
-    let mut gate = false;
-    let mut bless = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--check-envelope" => check_envelope = true,
-            "--gate" => gate = true,
-            "--bless" => bless = true,
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("xtask bench: --baseline takes a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--json" => {
-                json = Some(match it.peek() {
-                    Some(p) if !p.starts_with("--") => {
-                        PathBuf::from(it.next().unwrap_or(&String::new()))
-                    }
-                    _ => workspace_root().join("results").join("bench.json"),
-                });
-            }
-            other => {
-                eprintln!("xtask bench: unknown flag `{other}`");
-                eprintln!("{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    // Baselines are per profile: smoke runs far fewer iterations, so its
-    // throughput sits systematically below full profile (warmup is a
-    // larger fraction of the run) — comparing across profiles would read
-    // as a permanent regression. Each profile gates against its own bless.
-    let baseline_path = baseline.unwrap_or_else(|| {
-        workspace_root().join("results").join(if smoke {
-            "bench_baseline_smoke.json"
-        } else {
-            "bench_baseline.json"
-        })
-    });
-
-    let profile = if smoke { "smoke" } else { "full" };
-    println!("bench: running {profile} profile…");
-    let results = match run_benches(BenchOptions { smoke }) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "{:<28} {:>12} {:>14} {:>12} {:>12}",
-        "bench", "ops", "ops/sec", "p50_ns", "p99_ns"
-    );
-    for r in &results {
-        println!(
-            "{:<28} {:>12} {:>14.1} {:>12} {:>12}",
-            r.name, r.ops, r.ops_per_sec, r.p50_ns, r.p99_ns
-        );
-    }
-    for (label, fast, slow) in [
-        (
-            "window expiry (incremental vs rescore)",
-            "window_expiry_incremental",
-            "window_expiry_rescore",
-        ),
-        (
-            "wire eviction (batched vs sequential)",
-            "wire_evict_batched",
-            "wire_evict_sequential",
-        ),
-        (
-            "node GET @1 worker (sharded vs mutex)",
-            "node_get_sharded_w1",
-            "node_get_mutex_w1",
-        ),
-        (
-            "node GET @4 workers (sharded vs mutex)",
-            "node_get_sharded_w4",
-            "node_get_mutex_w4",
-        ),
-        (
-            "node GET @8 workers (sharded vs mutex)",
-            "node_get_sharded_w8",
-            "node_get_mutex_w8",
-        ),
-    ] {
-        if let Some(s) = speedup(&results, fast, slow) {
-            println!("speedup: {label}: {s:.1}x");
-        }
-    }
-    // Steady-state allocation contract (ISSUE 10): once the working set
-    // is resident, PUT/GET churn recycles slab slots and must never enter
-    // the global allocator. Enforced in every profile so the CI smoke run
-    // catches a reintroduced per-op malloc.
-    if let Some((allocs, ops)) = ecc_bench::perf::steady_state_allocs() {
-        println!("steady-state churn: {allocs} allocator calls across {ops} ops");
-        if allocs != 0 {
-            eprintln!(
-                "xtask bench: steady-state churn entered the global allocator {allocs} \
-                 times across {ops} ops — the slab-arena contract is exactly zero"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    let classes = ecc_bench::perf::steady_state_slab_stats();
-    if !classes.is_empty() {
-        match write_slab_occupancy(&classes) {
-            Ok(path) => println!("bench: wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("xtask bench: could not write slab occupancy csv: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = json {
-        if let Err(e) = write_json(&path, &results) {
-            eprintln!("xtask bench: could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        // Validate what actually landed on disk against the documented
-        // schema (EXPERIMENTS.md §A4): a missing field or NaN is an error.
-        let written = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("xtask bench: could not re-read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match validate_json(&written) {
-            Ok(rows) => println!("bench: wrote {} ({rows} rows, schema ok)", path.display()),
-            Err(e) => {
-                eprintln!(
-                    "xtask bench: {} violates the bench.json schema: {e}",
-                    path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if check_envelope {
-        let envelope = check_bench_envelope(&results);
-        if envelope != ExitCode::SUCCESS {
-            return envelope;
-        }
-    }
-    if bless {
-        // Median-of-N bless: the committed baseline should be the
-        // machine's *typical* state. A single disturbed run would depress
-        // it (hiding real regressions); the luckiest of N runs would set
-        // a bar later honest runs cannot re-hit.
-        let mut runs = vec![results.clone()];
-        while runs.len() < BLESS_RUNS {
-            println!("bench: bless pass {}/{BLESS_RUNS}…", runs.len() + 1);
-            match run_benches(BenchOptions { smoke }) {
-                Ok(r) => runs.push(r),
-                Err(e) => {
-                    eprintln!("xtask bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let merged = ecc_bench::gate::merge_median(&runs);
-        if let Err(e) = write_json(&baseline_path, &merged) {
-            eprintln!(
-                "xtask bench: could not bless {}: {e}",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "bench: blessed {} ({} rows, median of {BLESS_RUNS} runs) — commit it to make \
-             this run the gate baseline",
-            baseline_path.display(),
-            merged.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if gate {
-        let base = match load_baseline(&baseline_path) {
-            Ok(b) => b,
-            Err(code) => return code,
-        };
-        // Confirm-on-retry: a real regression depresses every run, while
-        // scheduler interference on a shared machine only depresses some.
-        // On failure, rerun the suite and fold the best per-bench numbers
-        // into the current side before the final verdict.
-        let mut current = results.clone();
-        let mut report = ecc_bench::gate::GateReport::compare(&base, &current);
-        let mut paired = ecc_bench::gate::trace_overhead(&current);
-        let mut attempt = 1;
-        while (report.failed() || paired.is_err()) && attempt < GATE_ATTEMPTS {
-            attempt += 1;
-            println!(
-                "gate: regression suspected — confirming with rerun \
-                 {attempt}/{GATE_ATTEMPTS} (best-of merge)…"
-            );
-            let rerun = match run_benches(BenchOptions { smoke }) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("xtask bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // The paired tracing check must see one *raw* run: merge_best
-            // picks each row's best across runs, so the traced row and its
-            // untraced twin can come from different runs — exactly the
-            // drift the in-run pairing exists to cancel. A run that passes
-            // settles the question (a real overhead depresses every run).
-            if paired.is_err() {
-                paired = ecc_bench::gate::trace_overhead(&rerun);
-            }
-            current = ecc_bench::gate::merge_best(&[current, rerun]);
-            report = ecc_bench::gate::GateReport::compare(&base, &current);
-        }
-        if let Ok(Some(delta)) = paired {
-            println!(
-                "gate: sampled-tracing overhead ({} vs {}, paired in-run): {:+.1}% ops/sec",
-                ecc_bench::gate::TRACED_ROW,
-                ecc_bench::gate::TRACED_PAIR_ROW,
-                delta * 100.0
-            );
-        }
-        let code = report_gate(&report, &baseline_path);
-        if let Err(msg) = paired {
-            eprintln!("xtask bench: GATE FAILURE: {msg}");
-            return ExitCode::FAILURE;
-        }
-        return code;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Write the per-size-class occupancy snapshot of the churn shard to
-/// `target/bench/slab_occupancy.csv` (the CI artifact): one row per class
-/// that carved at least one page.
-fn write_slab_occupancy(classes: &[ecc_core::ClassStats]) -> std::io::Result<PathBuf> {
-    let out_dir = workspace_root().join("target").join("bench");
-    std::fs::create_dir_all(&out_dir)?;
-    let path = out_dir.join("slab_occupancy.csv");
-    let mut body = String::from(
-        "slot_size,pages,total_slots,live_slots,live_payload_bytes,allocs,occupancy,fragmentation\n",
-    );
-    for c in classes.iter().filter(|c| c.pages > 0) {
-        body.push_str(&format!(
-            "{},{},{},{},{},{},{:.4},{:.4}\n",
-            c.slot_size,
-            c.pages,
-            c.total_slots,
-            c.live_slots,
-            c.live_payload_bytes,
-            c.allocs,
-            c.occupancy(),
-            c.fragmentation()
-        ));
-    }
-    std::fs::write(&path, body)?;
-    Ok(path)
-}
-
-/// Bless commits the per-bench median of this many suite runs.
-const BLESS_RUNS: usize = 3;
-/// The gate gives a suspected regression this many suite runs (first run
-/// + retries) to clear the bar before declaring it real.
-const GATE_ATTEMPTS: usize = 3;
-
-/// Load and parse the committed gate baseline.
-fn load_baseline(baseline_path: &Path) -> Result<Vec<ecc_bench::perf::BenchResult>, ExitCode> {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "xtask bench: no baseline at {} ({e}); bless one with \
-                 `cargo xtask bench --bless`",
-                baseline_path.display()
-            );
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    match ecc_bench::perf::parse_json(&text) {
-        Ok(b) => Ok(b),
-        Err(e) => {
-            eprintln!(
-                "xtask bench: baseline {} is malformed: {e}",
-                baseline_path.display()
-            );
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
-/// Print the gate verdict, mirror the delta table to
-/// `target/bench/gate_report.txt` for CI artifact upload, and map the
-/// report to an exit code.
-fn report_gate(report: &ecc_bench::gate::GateReport, baseline_path: &Path) -> ExitCode {
-    let rendered = report.render();
-    println!("\ngate vs {}:\n{rendered}", baseline_path.display());
-
-    let out_dir = workspace_root().join("target").join("bench");
-    if std::fs::create_dir_all(&out_dir)
-        .and_then(|()| std::fs::write(out_dir.join("gate_report.txt"), &rendered))
-        .is_err()
-    {
-        eprintln!("xtask bench: warning: could not write gate_report.txt");
-    }
-    if report.failed() {
-        for r in report.failures() {
-            eprintln!(
-                "xtask bench: GATE FAILURE: {} (ops {} , p99 {})",
-                r.name,
-                r.ops_delta()
-                    .map(|d| format!("{:+.1}%", d * 100.0))
-                    .unwrap_or_else(|| "missing".into()),
-                r.p99_delta()
-                    .map(|d| format!("{:+.1}%", d * 100.0))
-                    .unwrap_or_else(|| "missing".into()),
-            );
-        }
-        return ExitCode::FAILURE;
-    }
-    println!("gate: ok — no allowlisted bench regressed beyond tolerance");
-    ExitCode::SUCCESS
-}
-
 /// `cargo xtask scenario` — run zoo scenarios through the cloudsim
 /// elastic cache, verifying byte-identical replay for each.
 fn scenario(args: &[String]) -> ExitCode {
@@ -707,65 +360,6 @@ fn scenario(args: &[String]) -> ExitCode {
         "scenario: {} scenario(s) simulated, every stream replayed byte-identically",
         summaries.len()
     );
-    ExitCode::SUCCESS
-}
-
-/// `--check-envelope`: assert the debug-only lock-order auditor has not
-/// leaked into this build's hot path.
-///
-/// Two layers: (1) in a release build, `ecc_core::lockorder::is_enabled()`
-/// must be false — the auditor is `cfg(debug_assertions)`-gated and a
-/// release binary carrying it is a build-system bug; (2) the relative
-/// envelope from `results/bench.json` must hold in-run: the sharded node
-/// beats the mutex baseline by ≥ 2x at 4 workers (the committed release
-/// baseline is ~33x, so 2x only trips on a broken hot path, not on a slow
-/// CI runner), and `node_get_sharded_w4` / `wire_node_w1` both exist with
-/// nonzero throughput.
-fn check_bench_envelope(results: &[ecc_bench::perf::BenchResult]) -> ExitCode {
-    let auditor = ecc_core::lockorder::is_enabled();
-    println!(
-        "envelope: lock-order auditor {} in this build profile",
-        if auditor {
-            "ACTIVE (debug)"
-        } else {
-            "compiled out"
-        }
-    );
-    if !cfg!(debug_assertions) && auditor {
-        eprintln!("xtask bench: release build but the lock-order auditor is active");
-        return ExitCode::FAILURE;
-    }
-    if auditor {
-        println!("envelope: debug numbers are informational; ratios still checked");
-    }
-    let ops = |name: &str| {
-        results
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.ops_per_sec)
-    };
-    for name in ["node_get_sharded_w4", "node_get_mutex_w4", "wire_node_w1"] {
-        match ops(name) {
-            Some(v) if v > 0.0 => {}
-            _ => {
-                eprintln!("xtask bench: envelope bench `{name}` missing or zero");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let ratio = match (ops("node_get_sharded_w4"), ops("node_get_mutex_w4")) {
-        (Some(s), Some(m)) if m > 0.0 => s / m,
-        _ => 0.0,
-    };
-    println!("envelope: sharded/mutex GET @4 workers = {ratio:.1}x (floor 2.0x)");
-    if ratio < 2.0 {
-        eprintln!(
-            "xtask bench: sharded node regressed to {ratio:.1}x over the mutex baseline — \
-             the auditor (or another change) is stalling the release hot path"
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("envelope: ok");
     ExitCode::SUCCESS
 }
 
