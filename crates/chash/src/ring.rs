@@ -241,10 +241,15 @@ impl<N: Clone + Eq> HashRing<N> {
         self.buckets.is_empty()
     }
 
-    /// The auxiliary hash `h'(k) = k mod r`.
+    /// The auxiliary hash `h'(k) = k mod r`. Keys already on the line
+    /// (the common case) skip the division.
     #[inline]
     pub fn aux_hash(&self, key: u64) -> u64 {
-        key % self.r
+        if key < self.r {
+            key
+        } else {
+            key % self.r
+        }
     }
 
     /// The consistent hash `h(k)`: position of the bucket owning `key`.
@@ -255,16 +260,23 @@ impl<N: Clone + Eq> HashRing<N> {
 
     /// Closest upper bucket for a raw line position, wrapping to `b_1`.
     pub fn bucket_for_position(&self, pos: u64) -> Option<u64> {
+        self.entry_for_position(pos).map(|(&b, _)| b)
+    }
+
+    /// The node owning `key`. `None` on an empty ring.
+    #[inline]
+    pub fn node_for_key(&self, key: u64) -> Option<&N> {
+        self.entry_for_position(self.aux_hash(key)).map(|(_, n)| n)
+    }
+
+    /// The `(bucket, node)` entry owning line position `pos`: one ordered
+    /// walk to the closest upper bucket, wrapping to `b_1`.
+    #[inline]
+    fn entry_for_position(&self, pos: u64) -> Option<(&u64, &N)> {
         self.buckets
             .range(pos..)
             .next()
             .or_else(|| self.buckets.iter().next())
-            .map(|(&b, _)| b)
-    }
-
-    /// The node owning `key`. `None` on an empty ring.
-    pub fn node_for_key(&self, key: u64) -> Option<&N> {
-        self.bucket_for_key(key).map(|b| &self.buckets[&b])
     }
 
     /// The node mapped to the bucket at `position`.

@@ -42,6 +42,7 @@ impl NetModel {
     }
 
     /// Time to push `bytes` through the pipe, in microseconds.
+    #[inline]
     pub fn transfer_us(&self, bytes: u64) -> u64 {
         let serialization = if self.bandwidth_bps == u64::MAX {
             0
@@ -54,6 +55,7 @@ impl NetModel {
 
     /// A full request/response exchange carrying `req` and `resp` payload
     /// bytes (two latencies, both serializations).
+    #[inline]
     pub fn rtt_us(&self, req_bytes: u64, resp_bytes: u64) -> u64 {
         self.transfer_us(req_bytes) + self.transfer_us(resp_bytes)
     }
@@ -62,6 +64,7 @@ impl NetModel {
     /// between nodes. Batched migration pays one latency per record batch in
     /// practice; we keep the conservative per-record figure the analysis
     /// uses.
+    #[inline]
     pub fn t_net_us(&self, record_bytes: u64) -> u64 {
         self.transfer_us(record_bytes)
     }

@@ -184,6 +184,11 @@ pub struct ElasticCache {
     /// once per [`ElasticCache::end_time_step`] instead of taking the
     /// registry lock per query.
     query_us: [(&'static str, LogHistogram); 3],
+    /// Virtual cost of every lookup before its response: the overhead
+    /// plus the request transfer. A hit adds its response transfer.
+    lookup_req_us: u64,
+    /// Virtual cost of a lookup that misses (request + negative response).
+    lookup_miss_us: u64,
 }
 
 impl ElasticCache {
@@ -224,6 +229,8 @@ impl ElasticCache {
             at_us: clock.now_us(),
             node: 0,
         });
+        let lookup_req_us = cfg.lookup_overhead_us + net.transfer_us(LOOKUP_REQ_BYTES);
+        let lookup_miss_us = lookup_req_us + net.transfer_us(MISS_RESP_BYTES);
         Self {
             cfg,
             clock,
@@ -245,6 +252,8 @@ impl ElasticCache {
                 ("cache_query_us:tier", LogHistogram::new()),
                 ("cache_query_us:miss", LogHistogram::new()),
             ],
+            lookup_req_us,
+            lookup_miss_us,
         }
     }
 
@@ -358,37 +367,36 @@ impl ElasticCache {
     /// `uncached_us` is what the service would cost without the cache (the
     /// baseline the speedup figures divide by); for a miss it is also the
     /// time actually charged for the service execution.
+    ///
+    /// Each step runs once: the ring owner is resolved once and handed
+    /// from the lookup to the insert, the record moves into the tree, and
+    /// the lookup, service and put-transfer charges reach the clock as one
+    /// sum — after `miss` returns, and before anything reads the clock.
     pub fn query(&mut self, key: u64, uncached_us: u64, miss: impl FnOnce() -> Record) -> Record {
         let t0 = self.clock.now_us();
         self.metrics.baseline_us += uncached_us;
-        let found = self.lookup_inner(key);
-        if let Some(rec) = found {
-            let dt = self.clock.now_us() - t0;
-            self.metrics.observed_us += dt;
-            self.query_us[QUERY_HIT].1.record(dt);
-            return rec;
-        }
+        let (owner, lookup_us) = match self.lookup_uncharged(key) {
+            Ok((rec, lookup_us)) => {
+                let dt = self.clock.advance_us(lookup_us) - t0;
+                self.metrics.observed_us += dt;
+                self.query_us[QUERY_HIT].1.record(dt);
+                return rec;
+            }
+            Err(absent) => absent,
+        };
+        let mut pending_us = lookup_us;
         // Memory miss: the persistent overflow tier (if any) may still
         // hold an evicted copy — a tier fetch beats re-running the 23 s
         // service by orders of magnitude (§IV-D trade-off).
         if let Some(tier) = &mut self.tier {
-            let (found, dur_us) = tier.get(self.clock.now_us(), key);
-            self.clock.advance_us(dur_us);
+            // The fetch reads the clock: charge the lookup first.
+            let now = self.clock.advance_us(pending_us);
+            let (found, dur_us) = tier.get(now, key);
+            pending_us = dur_us;
             if let Some(bytes) = found {
                 let rec = Record::from_bytes(bytes);
                 self.metrics.tier_hits += 1;
-                match self.insert(key, rec.clone()) {
-                    Ok(()) | Err(CacheError::RecordTooLarge { .. }) => {}
-                    // A failed re-admission must not kill the query path;
-                    // the record is served uncached and the fault counted.
-                    Err(_) => {
-                        self.metrics.insert_errors += 1;
-                        self.obs.emit(ObsEvent::InsertError {
-                            at_us: self.clock.now_us(),
-                            key,
-                        });
-                    }
-                }
+                self.admit(key, rec.clone(), owner, pending_us);
                 let dt = self.clock.now_us() - t0;
                 self.metrics.observed_us += dt;
                 self.query_us[QUERY_TIER].1.record(dt);
@@ -397,14 +405,27 @@ impl ElasticCache {
         }
         // Execute the service.
         let rec = miss();
-        self.clock.advance_us(uncached_us);
         self.metrics.service_us += uncached_us;
-        match self.insert(key, rec.clone()) {
-            Ok(()) => {}
-            // A record bigger than a node can never be cached; serve it
-            // uncached rather than dying. Any other failure is a coordinator
-            // fault — likewise served uncached, and counted so it shows up.
-            Err(CacheError::RecordTooLarge { .. }) => {}
+        self.admit(key, rec.clone(), owner, pending_us + uncached_us);
+        let dt = self.clock.now_us() - t0;
+        self.metrics.observed_us += dt;
+        self.query_us[QUERY_MISS].1.record(dt);
+        rec
+    }
+
+    /// Cache a record the query path fetched, charging `pending_us` with
+    /// the insert. A record bigger than a node can never be cached; it is
+    /// served uncached rather than dying. Any other failure is a
+    /// coordinator fault — likewise served uncached, and counted so it
+    /// shows up.
+    ///
+    /// `query` is generic over `miss`, so it is compiled in the caller's
+    /// crate; this and the other query-path helpers are `#[inline]` so they
+    /// are compiled there with it, not called across the crate boundary.
+    #[inline]
+    fn admit(&mut self, key: u64, rec: Record, owner: Option<NodeId>, pending_us: u64) {
+        match self.insert_charged(key, rec, owner, pending_us) {
+            Ok(()) | Err(CacheError::RecordTooLarge { .. }) => {}
             Err(_) => {
                 self.metrics.insert_errors += 1;
                 self.obs.emit(ObsEvent::InsertError {
@@ -413,21 +434,25 @@ impl ElasticCache {
                 });
             }
         }
-        let dt = self.clock.now_us() - t0;
-        self.metrics.observed_us += dt;
-        self.query_us[QUERY_MISS].1.record(dt);
-        rec
     }
 
     /// Look up `key`, charging the lookup path and recording hit/miss.
     pub fn lookup(&mut self, key: u64) -> Option<Record> {
         let t0 = self.clock.now_us();
-        let r = self.lookup_inner(key);
-        self.metrics.observed_us += self.clock.now_us() - t0;
-        r
+        let (rec, lookup_us) = match self.lookup_uncharged(key) {
+            Ok((rec, us)) => (Some(rec), us),
+            Err((_, us)) => (None, us),
+        };
+        self.metrics.observed_us += self.clock.advance_us(lookup_us) - t0;
+        rec
     }
 
-    fn lookup_inner(&mut self, key: u64) -> Option<Record> {
+    /// The lookup step of a query: count it, note it in the window, and
+    /// resolve the owner once. Returns the record with the lookup's cost,
+    /// or on a miss the owner it resolved with the miss's cost. The caller
+    /// charges the cost, together with whatever the query does next.
+    #[inline]
+    fn lookup_uncharged(&mut self, key: u64) -> Result<(Record, u64), (Option<NodeId>, u64)> {
         self.metrics.queries += 1;
         self.slice_queries += 1;
         if let Some(w) = &mut self.window {
@@ -436,25 +461,19 @@ impl ElasticCache {
         // The ring always has a bucket by construction; an empty ring or a
         // dangling owner degrades to a miss instead of tearing down the
         // whole cache.
-        let rec = self
-            .ring
-            .node_for_key(key)
-            .copied()
+        let owner = self.ring.node_for_key(key).copied();
+        let rec = owner
             .and_then(|nid| self.node_at(nid))
             .and_then(|n| n.get(key).cloned());
-        self.clock.advance_us(self.cfg.lookup_overhead_us);
         match rec {
             Some(rec) => {
-                self.clock
-                    .advance_us(self.net.rtt_us(LOOKUP_REQ_BYTES, rec.len() as u64));
                 self.metrics.hits += 1;
-                Some(rec)
+                let us = self.lookup_req_us + self.net.transfer_us(rec.len() as u64);
+                Ok((rec, us))
             }
             None => {
-                self.clock
-                    .advance_us(self.net.rtt_us(LOOKUP_REQ_BYTES, MISS_RESP_BYTES));
                 self.metrics.misses += 1;
-                None
+                Err((owner, self.lookup_miss_us))
             }
         }
     }
@@ -465,6 +484,38 @@ impl ElasticCache {
     /// buckets and (as a last resort) allocating cloud nodes until the
     /// owning node can hold it.
     pub fn insert(&mut self, key: u64, record: Record) -> Result<(), CacheError> {
+        self.insert_charged(key, record, None, 0)
+    }
+
+    /// [`ElasticCache::insert`] with `pending_us` of earlier charges still
+    /// owed to the clock, and optionally the owner a lookup just resolved
+    /// for a key it found absent. Whatever is owed reaches the clock in one
+    /// advance: GBA settles it before placing the record, and an early
+    /// return leaves it here.
+    #[inline]
+    fn insert_charged(
+        &mut self,
+        key: u64,
+        record: Record,
+        owner: Option<NodeId>,
+        mut pending_us: u64,
+    ) -> Result<(), CacheError> {
+        let result = self.gba_insert(key, record, owner, &mut pending_us);
+        if pending_us > 0 {
+            self.clock.advance_us(pending_us);
+        }
+        result
+    }
+
+    /// The body of GBA-Insert. Adds the put transfer to `*pending_us` and
+    /// settles it before the record is placed or a split reads the clock.
+    fn gba_insert(
+        &mut self,
+        key: u64,
+        record: Record,
+        mut owner: Option<NodeId>,
+        pending_us: &mut u64,
+    ) -> Result<(), CacheError> {
         // Capacity decisions charge the record's true slot footprint; the
         // wire transfer below is charged its raw payload length.
         let size = record.byte_size() as u64;
@@ -482,24 +533,38 @@ impl ElasticCache {
         }
         // Charge the put transfer once (the record travels to whichever
         // node finally stores it).
-        self.clock.advance_us(
-            self.net
-                .transfer_us(record.len() as u64 + RECORD_WIRE_OVERHEAD),
-        );
+        *pending_us += self
+            .net
+            .transfer_us(record.len() as u64 + RECORD_WIRE_OVERHEAD);
+        // The first attempt may use the lookup's owner, which also proved
+        // the key absent; a retry after a split resolves both again.
         for _ in 0..MAX_SPLIT_RETRIES {
-            let nid = *self.ring.node_for_key(key).ok_or(CacheError::Internal {
-                what: "ring has no buckets",
-            })?;
             // A replacement is charged only for its byte *growth*: an
             // existing record's bytes are freed by the overwrite, so the
             // overflow test applies to `size - old_size`. A growing
             // replacement that no longer fits triggers a split like any
             // other overflow.
-            let node = self.try_node(nid)?;
-            let old_size = node.get(key).map(|r| r.byte_size() as u64).unwrap_or(0);
-            if node.fits(size.saturating_sub(old_size)) {
-                self.try_node_mut(nid)?.insert(key, record.clone());
-                self.place_replica(key, &record);
+            let (nid, old_size) = match owner.take() {
+                Some(nid) => (nid, 0),
+                None => {
+                    let nid = *self.ring.node_for_key(key).ok_or(CacheError::Internal {
+                        what: "ring has no buckets",
+                    })?;
+                    let old = self.try_node(nid)?.get(key);
+                    (nid, old.map_or(0, |r| r.byte_size() as u64))
+                }
+            };
+            let fits = self.try_node(nid)?.fits(size.saturating_sub(old_size));
+            // Settle what is owed here: a split reads the clock, and the
+            // clock's atomic add is cheapest before the tree insert's stores
+            // queue up behind it.
+            self.clock.advance_us(std::mem::take(pending_us));
+            if fits {
+                let replica = self.cfg.replicate.then(|| record.clone());
+                self.try_node_mut(nid)?.insert(key, record);
+                if let Some(replica) = replica {
+                    self.place_replica(key, replica);
+                }
                 #[cfg(debug_assertions)]
                 self.validate();
                 return Ok(());
@@ -528,11 +593,8 @@ impl ElasticCache {
     }
 
     /// Best-effort replica placement after a primary insertion (no-op when
-    /// replication is disabled or no distinct peer exists).
-    fn place_replica(&mut self, key: u64, record: &Record) {
-        if !self.cfg.replicate {
-            return;
-        }
+    /// no distinct peer exists). Called only with replication enabled.
+    fn place_replica(&mut self, key: u64, record: Record) {
         let Some(target) = self.replica_target(key) else {
             return;
         };
@@ -550,7 +612,7 @@ impl ElasticCache {
         let wire = record.len() as u64 + RECORD_WIRE_OVERHEAD;
         self.clock.advance_us(self.net.t_net_us(wire));
         if let Some(node) = self.node_at_mut(target) {
-            node.insert_replica(key, record.clone());
+            node.insert_replica(key, record);
         }
     }
 
@@ -868,10 +930,10 @@ impl ElasticCache {
             expiration: self.expirations,
             victims: victims.len() as u64,
         });
-        // Keys actually removed, grouped per node, for the EvictBatch
-        // events the simtest differential oracle checks bit-exactly.
-        let mut evicted_by_node: std::collections::BTreeMap<u32, Vec<u64>> =
-            std::collections::BTreeMap::new();
+        // Keys actually removed, grouped per node (indexed by node id), for
+        // the EvictBatch events the simtest differential oracle checks
+        // bit-exactly.
+        let mut evicted_by_node: Vec<Vec<u64>> = vec![Vec::new(); self.nodes.len()];
         for key in victims {
             let Some(nid) = self.ring.node_for_key(key).copied() else {
                 continue;
@@ -879,7 +941,9 @@ impl ElasticCache {
             let removed = self.node_at_mut(nid).and_then(|n| n.remove(key));
             if let Some(rec) = removed {
                 self.metrics.evictions += 1;
-                evicted_by_node.entry(nid.0).or_default().push(key);
+                if let Some(keys) = evicted_by_node.get_mut(nid.0 as usize) {
+                    keys.push(key);
+                }
                 // Write-behind to the overflow tier (off the query
                 // path; the write proceeds between time steps).
                 if let Some(tier) = &mut self.tier {
@@ -900,12 +964,14 @@ impl ElasticCache {
             }
         }
         let evict_at_us = self.clock.now_us();
-        for (node, keys) in evicted_by_node {
-            self.obs.emit(ObsEvent::EvictBatch {
-                at_us: evict_at_us,
-                node,
-                keys,
-            });
+        for (node, keys) in evicted_by_node.into_iter().enumerate() {
+            if !keys.is_empty() {
+                self.obs.emit(ObsEvent::EvictBatch {
+                    at_us: evict_at_us,
+                    node: node as u32,
+                    keys,
+                });
+            }
         }
         if self
             .expirations
@@ -1876,6 +1942,119 @@ mod tests {
             );
         }
         assert_eq!(query_hists(cache.obs()).len(), 3, "every outcome exercised");
+    }
+
+    /// `query` written out step by step: a charged `lookup`, the tier
+    /// fetch, the service charge, then a plain `insert`, with the query's
+    /// own bookkeeping around them.
+    fn stepwise_query(cache: &mut ElasticCache, key: u64, uncached_us: u64, rec: Record) -> Record {
+        let t0 = cache.clock().now_us();
+        cache.metrics.baseline_us += uncached_us;
+        let observed = cache.metrics.observed_us;
+        let found = cache.lookup(key);
+        // The query accounts its whole span below.
+        cache.metrics.observed_us = observed;
+        let (slot, rec) = match found {
+            Some(hit) => (QUERY_HIT, hit),
+            None => {
+                let mut from_tier = None;
+                if let Some(tier) = &mut cache.tier {
+                    let (found, dur_us) = tier.get(cache.clock.now_us(), key);
+                    cache.clock.advance_us(dur_us);
+                    from_tier = found.map(Record::from_bytes);
+                }
+                let slot = if from_tier.is_some() {
+                    cache.metrics.tier_hits += 1;
+                    QUERY_TIER
+                } else {
+                    cache.clock().advance_us(uncached_us);
+                    cache.metrics.service_us += uncached_us;
+                    QUERY_MISS
+                };
+                let rec = from_tier.unwrap_or(rec);
+                match cache.insert(key, rec.clone()) {
+                    Ok(()) | Err(CacheError::RecordTooLarge { .. }) => {}
+                    Err(_) => {
+                        cache.metrics.insert_errors += 1;
+                        cache.obs.emit(ObsEvent::InsertError {
+                            at_us: cache.clock.now_us(),
+                            key,
+                        });
+                    }
+                }
+                (slot, rec)
+            }
+        };
+        let dt = cache.clock().now_us() - t0;
+        cache.metrics.observed_us += dt;
+        cache.query_us[slot].1.record(dt);
+        rec
+    }
+
+    #[test]
+    fn query_equals_lookup_then_charge_then_insert() {
+        // Every charge non-zero, so a misplaced one moves a timestamp.
+        let base = || {
+            let mut c = windowed_cfg(8, 2);
+            c.net = NetModel::lan();
+            c.lookup_overhead_us = 200;
+            c.boot_latency = ecc_cloudsim::BootLatency::fixed(2_000_000);
+            c
+        };
+        let mut replicated = base();
+        replicated.replicate = true;
+        let mut tiered = base();
+        tiered.overflow_tier = Some(ecc_cloudsim::StorageTier::s3_2010());
+        for (name, cfg) in [
+            ("plain", base()),
+            ("replicate", replicated),
+            ("tier", tiered),
+        ] {
+            let mut fused = ElasticCache::new(cfg.clone());
+            let mut twin = ElasticCache::new(cfg);
+            for step in 0..16u64 {
+                // 24 queries a step over two key sets taking turns every
+                // four steps: misses that split and allocate, hits,
+                // evictions, merges, and a set's return to the tier.
+                for i in 0..24u64 {
+                    let key = (i * 37 + (step / 4 % 2) * 101) % 1024;
+                    let len = if i == 5 {
+                        4_000
+                    } else {
+                        40 + (key % 7) as usize * 10
+                    };
+                    let uncached_us = 1_000 + key;
+                    let a = fused.query(key, uncached_us, || Record::filler(len));
+                    let b = stepwise_query(&mut twin, key, uncached_us, Record::filler(len));
+                    assert_eq!(a, b, "{name}: step {step} key {key}");
+                    assert_eq!(fused.clock().now_us(), twin.clock().now_us(), "{name}");
+                    assert_eq!(fused.metrics(), twin.metrics(), "{name}: key {key}");
+                }
+                fused.end_time_step();
+                twin.end_time_step();
+                let buckets = |c: &ElasticCache| -> Vec<(u64, NodeId)> {
+                    c.ring().buckets().map(|(b, &n)| (b, n)).collect()
+                };
+                assert_eq!(buckets(&fused), buckets(&twin), "{name}: step {step}");
+                // Every flight-recorder event, timestamps included, and
+                // every histogram.
+                assert_eq!(fused.obs().snapshot(), twin.obs().snapshot(), "{name}");
+                assert_eq!(fused.clock().now_us(), twin.clock().now_us(), "{name}");
+                assert_eq!(fused.metrics(), twin.metrics(), "{name}");
+            }
+            // The run reached every path it is meant to pin.
+            let m = fused.metrics();
+            assert!(
+                m.splits_with_allocation > 0 && m.merges > 0,
+                "{name}: {m:?}"
+            );
+            assert!(m.hits > 0 && m.evictions > 0, "{name}: {m:?}");
+            match name {
+                "replicate" => assert!(fused.nodes().any(|(_, n)| n.replica_count() > 0)),
+                "tier" => assert!(m.tier_hits > 0, "{m:?}"),
+                _ => {}
+            }
+        }
     }
 
     #[test]

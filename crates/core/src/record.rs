@@ -83,12 +83,12 @@ impl Record {
     }
 
     /// A refcounted view of the payload, sharing the backing allocation —
-    /// the zero-copy egress path for batch response bodies (`GetMany`,
-    /// `Sweep`; a single-key wire `Get` reads the record in place, see
-    /// [`crate::ShardedNode::get_with`]). For a
-    /// slab-resident record the returned [`Bytes`] owns a clone of the
-    /// slot handle, so the slot stays live (and out of the freelist)
-    /// until the response is written.
+    /// the zero-copy hand-off of an evicted record to the overflow tier's
+    /// write-behind. Wire responses do not need it: a `Get` or a `GetMany`
+    /// entry is copied straight from the record in place (see
+    /// [`crate::ShardedNode::get_with`]). For a slab-resident record the
+    /// returned [`Bytes`] owns a clone of the slot handle, so the slot
+    /// stays live (and out of the freelist) until the view is dropped.
     pub fn bytes(&self) -> Bytes {
         match &self.data {
             Payload::Heap(b) => b.clone(),

@@ -7,8 +7,9 @@
 //! memcached-style slab arena replaces that:
 //!
 //! * payload memory is carved from per-class **pages**; each class serves
-//!   one slot size, and classes grow geometrically (×1.25 by default)
-//!   from 64 B to 64 KiB, so internal fragmentation is bounded at ~25 %;
+//!   one slot size, and classes grow geometrically (×1.25) from 64 B to
+//!   64 KiB — one compile-time table — so internal fragmentation is
+//!   bounded at ~25 %;
 //! * freed slots go onto a per-class **freelist** and are recycled, so a
 //!   node in steady state (hit/replace churn at stable occupancy) makes
 //!   **zero global-allocator calls** on the GET/PUT path — asserted by
@@ -76,91 +77,97 @@ const fn align8(n: usize) -> usize {
     (n + 7) & !7
 }
 
+/// The next slot size of the geometric recurrence.
+const fn next_class(s: usize) -> usize {
+    align8(s + s * GROWTH_PCT / 100)
+}
+
+/// Number of canonical classes: `MIN_SLOT` through the first recurrence
+/// value ≥ `MAX_SLOT`.
+const CLASS_COUNT: usize = {
+    let (mut s, mut n) = (MIN_SLOT, 1);
+    while s < MAX_SLOT {
+        s = next_class(s);
+        n += 1;
+    }
+    n
+};
+
+/// The canonical class table, built at compile time: ascending slot sizes
+/// (header included) from 64 B by ×1.25, 8-aligned, ending at the first
+/// size ≥ 64 KiB. [`footprint`], [`SizeClasses`] and every [`SlabArena`]
+/// read this one table.
+const CLASS_SIZES: [usize; CLASS_COUNT] = {
+    let mut sizes = [0; CLASS_COUNT];
+    let (mut s, mut i) = (MIN_SLOT, 0);
+    while i < CLASS_COUNT {
+        sizes[i] = s;
+        s = next_class(s);
+        i += 1;
+    }
+    sizes
+};
+
+/// Index of the smallest class whose payload capacity fits `len` bytes,
+/// or `None` when the payload is oversize.
+const fn class_index(len: usize) -> Option<usize> {
+    let need = len + SLOT_HEADER;
+    // Lower bound: the first class with slot size ≥ need.
+    let (mut lo, mut hi) = (0, CLASS_COUNT);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if CLASS_SIZES[mid] < need {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    if lo < CLASS_COUNT {
+        Some(lo)
+    } else {
+        None
+    }
+}
+
 /// The real resident footprint of a payload of `len` bytes under the
 /// canonical class geometry: the slot size (header included) of the
 /// smallest class that fits it, or `align8(len + 8)` for oversize
 /// payloads that bypass the arena. Pure and shared verbatim by the
 /// admission CAS, the invariant auditor, and the simtest model — the
 /// differential oracles stay bit-exact because all three call this.
+#[inline]
 pub const fn footprint(len: usize) -> u64 {
-    let need = len + SLOT_HEADER;
-    // Largest canonical class: first recurrence value ≥ MAX_SLOT.
-    let mut last = MIN_SLOT;
-    while last < MAX_SLOT {
-        last = align8(last + last * GROWTH_PCT / 100);
+    match class_index(len) {
+        Some(idx) => CLASS_SIZES[idx] as u64,
+        None => align8(len + SLOT_HEADER) as u64,
     }
-    if need > last {
-        return align8(need) as u64;
-    }
-    let mut s = MIN_SLOT;
-    while s < need {
-        s = align8(s + s * GROWTH_PCT / 100);
-    }
-    s as u64
 }
 
-/// The slot-size table of one arena: geometrically growing size classes.
-#[derive(Debug, Clone)]
-pub struct SizeClasses {
-    /// Ascending slot sizes, header included; the last entry is the first
-    /// recurrence value ≥ the configured maximum.
-    sizes: Vec<usize>,
-}
+/// A read-only view of the canonical slot-size table (64 B … 64 KiB,
+/// ×1.25) — exactly what the pure [`footprint`] function models.
+#[derive(Debug, Clone, Copy)]
+pub struct SizeClasses;
 
 impl SizeClasses {
-    /// A class table growing from `min_slot` by `growth_pct` percent per
-    /// class until the first size ≥ `max_slot` (inclusive). Sizes are
-    /// rounded up to 8-byte alignment.
-    pub fn new(min_slot: usize, max_slot: usize, growth_pct: usize) -> Self {
-        assert!(
-            min_slot >= SLOT_HEADER + 8 && min_slot.is_multiple_of(8),
-            "minimum slot must hold the header plus one aligned word"
-        );
-        assert!(max_slot >= min_slot, "class table bounds inverted");
-        assert!(growth_pct >= 1, "growth factor must be > 1.0");
-        let mut sizes = Vec::with_capacity(48);
-        let mut s = min_slot;
-        loop {
-            sizes.push(s);
-            if s >= max_slot {
-                break;
-            }
-            s = align8(s + s * growth_pct / 100);
-        }
-        Self { sizes }
-    }
-
-    /// The canonical geometry: 64 B … 64 KiB, ×1.25 — exactly what the
-    /// pure [`footprint`] function models.
+    /// The canonical geometry.
     pub fn canonical() -> Self {
-        Self::new(MIN_SLOT, MAX_SLOT, GROWTH_PCT)
+        Self
     }
 
     /// Number of classes.
     pub fn count(&self) -> usize {
-        self.sizes.len()
+        CLASS_COUNT
     }
 
     /// Slot size (header included) of class `idx`.
     pub fn slot_size(&self, idx: usize) -> usize {
-        self.sizes[idx]
+        CLASS_SIZES[idx]
     }
 
     /// Index of the smallest class whose payload capacity fits `len`
-    /// bytes, or `None` when the payload is oversize for this table.
+    /// bytes, or `None` when the payload is oversize for the table.
     pub fn index_for(&self, len: usize) -> Option<usize> {
-        let need = len + SLOT_HEADER;
-        let idx = self.sizes.partition_point(|&s| s < need);
-        (idx < self.sizes.len()).then_some(idx)
-    }
-
-    /// Real footprint of a `len`-byte payload under this table: the class
-    /// slot size, or `align8(len + 8)` for oversize payloads.
-    pub fn footprint(&self, len: usize) -> u64 {
-        match self.index_for(len) {
-            Some(idx) => self.sizes[idx] as u64,
-            None => align8(len + SLOT_HEADER) as u64,
-        }
+        class_index(len)
     }
 }
 
@@ -223,8 +230,8 @@ struct ClassState {
 unsafe impl Send for ClassState {}
 unsafe impl Sync for ClassState {}
 
+/// One [`ClassState`] per entry of the canonical class table.
 struct ArenaInner {
-    sizes: SizeClasses,
     classes: Box<[ClassState]>,
 }
 
@@ -255,7 +262,7 @@ pub struct SlabArena {
 impl std::fmt::Debug for SlabArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlabArena")
-            .field("classes", &self.inner.sizes.count())
+            .field("classes", &self.inner.classes.len())
             .finish_non_exhaustive()
     }
 }
@@ -267,17 +274,11 @@ impl Default for SlabArena {
 }
 
 impl SlabArena {
-    /// An arena with the canonical class geometry (64 B … 64 KiB, ×1.25).
+    /// An arena over the canonical class table (64 B … 64 KiB, ×1.25).
     pub fn new() -> Self {
-        Self::with_classes(SizeClasses::canonical())
-    }
-
-    /// An arena with a custom class table (tests, tuning experiments).
-    pub fn with_classes(sizes: SizeClasses) -> Self {
-        let mut classes = Vec::with_capacity(sizes.count());
-        for idx in 0..sizes.count() {
-            let slot_size = sizes.slot_size(idx);
-            classes.push(ClassState {
+        let classes = CLASS_SIZES
+            .iter()
+            .map(|&slot_size| ClassState {
                 slot_size,
                 slots_per_page: (PAGE_BYTES / slot_size).max(1),
                 free: Mutex::new(Vec::with_capacity(0)),
@@ -286,19 +287,16 @@ impl SlabArena {
                 live_slots: AtomicU64::new(0),
                 live_payload: AtomicU64::new(0),
                 allocs: AtomicU64::new(0),
-            });
-        }
+            })
+            .collect();
         Self {
-            inner: Arc::new(ArenaInner {
-                sizes,
-                classes: classes.into_boxed_slice(),
-            }),
+            inner: Arc::new(ArenaInner { classes }),
         }
     }
 
-    /// Real footprint of a `len`-byte payload under this arena's table.
+    /// Real footprint of a `len`-byte payload: [`footprint`].
     pub fn footprint(&self, len: usize) -> u64 {
-        self.inner.sizes.footprint(len)
+        footprint(len)
     }
 
     /// Copy `payload` into a freshly allocated slot of the fitting class.
@@ -307,7 +305,7 @@ impl SlabArena {
     /// place payload bytes are copied on the PUT path (network ingest into
     /// cache-owned memory); every later hand-off is a refcount bump.
     pub fn try_alloc(&self, payload: &[u8]) -> Option<SlabRef> {
-        let idx = self.inner.sizes.index_for(payload.len())?;
+        let idx = class_index(payload.len())?;
         let class = &self.inner.classes[idx];
         let ptr = loop {
             {
@@ -513,24 +511,49 @@ impl Eq for SlabRef {}
 mod tests {
     use super::*;
 
+    /// The canonical table, written out: 64 B × 1.25, 8-aligned, through
+    /// the first size ≥ 64 KiB.
+    const EXPECTED_CLASSES: [usize; 32] = [
+        64, 80, 104, 136, 176, 224, 280, 352, 440, 552, 696, 872, 1096, 1376, 1720, 2152, 2696,
+        3376, 4224, 5280, 6600, 8256, 10320, 12904, 16136, 20176, 25224, 31536, 39424, 49280,
+        61600, 77000,
+    ];
+
     #[test]
     fn footprint_matches_the_canonical_class_table() {
-        let classes = SizeClasses::canonical();
-        // The pure fn and the table agree on every length up to oversize.
-        for len in (0..=70_000).step_by(7) {
-            assert_eq!(footprint(len), classes.footprint(len), "len {len}");
+        // Spot values: header + payload rounds up into its class.
+        for (len, fp) in [
+            (0, 64),
+            (56, 64),
+            (57, 80),
+            (96, 104),
+            (100, 136),
+            (1024, 1096),
+        ] {
+            assert_eq!(footprint(len), fp, "len {len}");
         }
-        // Spot-check the geometry: header + payload rounds into the class.
-        assert_eq!(footprint(0), 64);
-        assert_eq!(footprint(56), 64);
-        assert_eq!(footprint(57), 80);
-        assert_eq!(footprint(96), 104);
-        assert_eq!(footprint(100), 136);
-        assert_eq!(footprint(1024), 1096);
-        // Oversize payloads bypass the table: header + alignment only.
-        let last = classes.slot_size(classes.count() - 1);
-        assert!(last >= MAX_SLOT);
-        assert_eq!(footprint(last), (align8(last + SLOT_HEADER)) as u64);
+        // Every class boundary: the largest payload a class holds is
+        // charged that class, one byte more is charged the next.
+        let classes = SizeClasses::canonical();
+        assert_eq!(classes.count(), EXPECTED_CLASSES.len());
+        let mut prev = 0;
+        for (idx, &slot) in EXPECTED_CLASSES.iter().enumerate() {
+            assert_eq!(classes.slot_size(idx), slot, "class {idx}");
+            let cap = slot - SLOT_HEADER;
+            assert_eq!(footprint(cap), slot as u64, "len {cap}");
+            assert_eq!(classes.index_for(cap), Some(idx));
+            if idx > 0 {
+                assert_eq!(footprint(prev + 1), slot as u64, "len {}", prev + 1);
+            }
+            prev = cap;
+        }
+        // The last class is 77 000 B; past it, payloads bypass the table
+        // and are charged header + alignment only.
+        assert_eq!(footprint(76_992), 77_000);
+        assert_eq!(classes.index_for(76_993), None);
+        assert_eq!(footprint(76_993), 77_008);
+        assert_eq!(footprint(80_000), 80_008);
+        assert_eq!(footprint(100_001), 100_016);
     }
 
     #[test]

@@ -28,6 +28,7 @@ impl Default for LogHistogram {
 }
 
 /// Bucket index of `v`: its bit length.
+#[inline]
 fn bucket_of(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
@@ -54,6 +55,7 @@ impl LogHistogram {
     }
 
     /// Record one value.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
