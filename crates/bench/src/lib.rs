@@ -7,8 +7,8 @@
 //! helpers.
 
 #![deny(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod alloc_count;
 pub mod scenario;
@@ -39,6 +39,10 @@ pub const NODE_RECORDS: u64 = 4096;
 /// an evicted key misses again the harness reuses the already-computed
 /// shoreline instead of re-running marching squares (only the *modelled*
 /// 23 s is charged either way).
+#[expect(
+    clippy::disallowed_types,
+    reason = "a memo of the figure harness, off the data path"
+)]
 pub struct PaperService {
     svc: ShorelineService,
     memo: std::sync::Mutex<std::collections::HashMap<u64, Record>>,
@@ -49,7 +53,7 @@ impl PaperService {
     pub fn new(seed: u64) -> Self {
         Self {
             svc: ShorelineService::paper_default(seed),
-            memo: std::sync::Mutex::new(std::collections::HashMap::new()),
+            memo: Default::default(),
         }
     }
 

@@ -4,12 +4,23 @@
 //! allocation of the process — the client thread, the acceptor and the
 //! reactor alike. It holds a single `#[test]`, run phase by phase, so no
 //! neighbouring test allocates inside a counted window.
+//!
+//! The windows are the one owner of the hot path's no-allocation rule,
+//! on the paths they drive: wire GET, Remove and Ping (`server.rs`,
+//! `reactor.rs`, `record.rs`), shard PUT-replace and GET (`shard.rs`,
+//! `slab.rs`, the B+-tree), fresh-insert/remove churn that splits and
+//! merges B+-tree nodes through `tree.rs`'s free list, and hits plus
+//! replacing inserts on the simulator's `CacheNode` (`node.rs`) and the
+//! static baseline's `Lru` (`lru.rs`). Paths that allocate by design —
+//! the batch and range requests, wire PUT's decoded payload — are not
+//! windows.
 
 use std::sync::Barrier;
 use std::time::Duration;
 
 use ecc_bench::alloc_count::allocation_count;
-use ecc_core::{ShardedNode, DEFAULT_STRIPES};
+use ecc_cloudsim::InstanceId;
+use ecc_core::{CacheNode, Lru, Record, ShardedNode, DEFAULT_STRIPES};
 use ecc_net::client::{PipelinedConn, RemoteNode};
 use ecc_net::protocol::{Request, Response, Status};
 use ecc_net::server::CacheServer;
@@ -18,50 +29,99 @@ const WINDOW: u64 = 16;
 const WINDOWS: u64 = 2_000;
 const RESIDENT: u64 = 1_024;
 
-/// One pipelined window of GETs for `keys`, every reply checked.
-fn window(conn: &mut PipelinedConn, keys: std::ops::Range<u64>, expect: Status) {
+/// First key of the records the wire Remove windows delete, clear of
+/// every GET key.
+const DOOMED: u64 = 1 << 20;
+/// How many of them: 256 windows' worth.
+const DOOMED_COUNT: u64 = 256 * WINDOW;
+
+/// One pipelined window of `op(key)` for `keys`, every reply checked
+/// against `expect` (status, body length).
+fn window(
+    conn: &mut PipelinedConn,
+    keys: std::ops::Range<u64>,
+    op: fn(u64) -> Request,
+    expect: (Status, usize),
+) {
     for key in keys {
-        conn.enqueue(&Request::Get { key }).unwrap();
+        conn.enqueue(&op(key)).unwrap();
     }
     while conn.in_flight() > 0 {
         let (status, body) = conn.recv().unwrap();
-        assert_eq!(status, expect);
-        assert_eq!(body.len(), if expect == Status::Ok { 64 } else { 0 });
+        assert_eq!((status, body.len()), expect);
     }
 }
 
-/// The wire GET path, hits and misses: frame in, stripe lookup, payload
-/// copied into the write queue, the reactor's obs batch folded, frame out.
-fn wire_gets() -> u64 {
-    let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 1 << 20, 64, 256, Some(1)).unwrap();
+fn get(key: u64) -> Request {
+    Request::Get { key }
+}
+
+fn remove(key: u64) -> Request {
+    Request::Remove { key }
+}
+
+fn ping(_: u64) -> Request {
+    Request::Ping
+}
+
+const HIT: (Status, usize) = (Status::Ok, 64);
+const MISS: (Status, usize) = (Status::NotFound, 0);
+const OK: (Status, usize) = (Status::Ok, 0);
+
+/// PUT `keys` over a fresh blocking connection (outside any window).
+fn load(server: &CacheServer, keys: std::ops::Range<u64>) {
     let mut loader = RemoteNode::connect(server.addr()).unwrap();
-    for key in 0..RESIDENT {
+    for key in keys {
         assert_eq!(loader.put(key, vec![key as u8; 64]).unwrap(), Status::Ok);
     }
-    drop(loader);
+}
+
+/// The wire point-op paths through `server.rs`, `reactor.rs` and
+/// `record.rs`. GET hits and misses: frame in, stripe lookup, payload
+/// copied into the write queue, the reactor's obs batch folded, frame
+/// out. Then Remove of resident keys (the record dropped, its slab slot
+/// and B+-tree nodes back on their free lists) and Ping. Returns the
+/// allocator calls of the GET windows and of the Remove + Ping windows.
+fn wire_point_ops() -> (u64, u64) {
+    let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 1 << 20, 64, 256, Some(1)).unwrap();
+    load(&server, 0..RESIDENT);
+    load(&server, DOOMED..DOOMED + DOOMED_COUNT);
     let mut conn = PipelinedConn::connect(server.addr(), Duration::from_secs(10)).unwrap();
     // Warm-up: both sides' buffers grown, every histogram the windows
     // touch created — `reactor_wake_us` too, which needs the reactor to
     // have gone cold once.
     for _ in 0..2 {
         std::thread::sleep(Duration::from_millis(100));
-        window(&mut conn, 0..WINDOW, Status::Ok);
-        window(&mut conn, RESIDENT..RESIDENT + WINDOW, Status::NotFound);
+        window(&mut conn, 0..WINDOW, get, HIT);
+        window(&mut conn, RESIDENT..RESIDENT + WINDOW, get, MISS);
+        window(&mut conn, 0..WINDOW, ping, OK);
     }
+    // One full delete and reload of the doomed keys sizes the slab's and
+    // the trees' free lists for the measured deletes.
+    for first in (DOOMED..DOOMED + DOOMED_COUNT).step_by(WINDOW as usize) {
+        window(&mut conn, first..first + WINDOW, remove, OK);
+    }
+    load(&server, DOOMED..DOOMED + DOOMED_COUNT);
 
     let before = allocation_count();
     for w in 0..WINDOWS {
         let first = (w * WINDOW) % RESIDENT;
-        window(&mut conn, first..first + WINDOW, Status::Ok);
+        window(&mut conn, first..first + WINDOW, get, HIT);
     }
     for w in 0..WINDOWS {
         let first = RESIDENT + w * WINDOW;
-        window(&mut conn, first..first + WINDOW, Status::NotFound);
+        window(&mut conn, first..first + WINDOW, get, MISS);
     }
-    let allocations = allocation_count() - before;
+    let gets = allocation_count() - before;
+    let before = allocation_count();
+    for first in (DOOMED..DOOMED + DOOMED_COUNT).step_by(WINDOW as usize) {
+        window(&mut conn, first..first + WINDOW, remove, OK);
+        window(&mut conn, first..first + WINDOW, ping, OK);
+    }
+    let removes_and_pings = allocation_count() - before;
     drop(conn);
     server.stop();
-    allocations
+    (gets, removes_and_pings)
 }
 
 /// The storage engine under 4-worker PUT/GET churn of resident 1 KiB
@@ -109,6 +169,60 @@ fn shard_churn() -> u64 {
     })
 }
 
+/// Constant-resident-size churn on a shard of order-8 B+-trees: each step
+/// inserts a fresh key above the resident window and removes the oldest,
+/// so leaves split at the right edge and merge at the left, every node
+/// taken from and returned to the tree's free list.
+fn shard_insert_remove_churn() -> u64 {
+    const RESIDENT: u64 = 4_096;
+    const STEPS: u64 = 200_000;
+    let payload = [0x5Au8; 100];
+    let shard = ShardedNode::new(RESIDENT * 1024, 8, DEFAULT_STRIPES);
+    let churn = |from: u64, steps: u64| {
+        for key in from..from + steps {
+            assert!(shard.remove(key).is_some());
+            shard.put_slice(key + RESIDENT, &payload);
+        }
+    };
+    for key in 0..RESIDENT {
+        shard.put_slice(key, &payload);
+    }
+    // Warm-up: eight turnovers of the resident window, long enough for
+    // every stripe's node slab and free list to reach their peak sizes.
+    churn(0, 8 * RESIDENT);
+    let before = allocation_count();
+    churn(8 * RESIDENT, STEPS);
+    allocation_count() - before
+}
+
+/// Hits and replacing inserts on the simulator's cache node and on the
+/// static baseline's LRU; a replacement is a refcounted clone of one
+/// shared record, so neither structure may copy or box the payload.
+fn node_and_lru_hits_and_replaces() -> (u64, u64) {
+    const RESIDENT: u64 = 1_024;
+    const LOOKUPS: u64 = 100_000;
+    let mut node = CacheNode::new(InstanceId(0), 1 << 30, 64);
+    let mut lru = Lru::new();
+    let shared = Record::filler(64);
+    for key in 0..RESIDENT {
+        node.insert(key, shared.clone());
+        lru.insert(key, shared.clone());
+    }
+    let key_at = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % RESIDENT;
+    let before = allocation_count();
+    for i in 0..LOOKUPS {
+        assert_eq!(node.get(key_at(i)).map(Record::len), Some(64));
+        assert!(node.insert(key_at(i + 1), shared.clone()).is_some());
+    }
+    let node_allocations = allocation_count() - before;
+    let before = allocation_count();
+    for i in 0..LOOKUPS {
+        assert_eq!(lru.get(&key_at(i)).map(Record::len), Some(64));
+        assert!(lru.insert(key_at(i + 1), shared.clone()).is_some());
+    }
+    (node_allocations, allocation_count() - before)
+}
+
 #[test]
 fn steady_state_serving_never_enters_the_allocator() {
     // The empty body of every bare-status response: all of them share one
@@ -121,10 +235,25 @@ fn steady_state_serving_never_enters_the_allocator() {
     }
     assert_eq!(allocation_count() - before, 0, "empty Bytes allocated");
 
-    assert_eq!(wire_gets(), 0, "allocator calls over 64 000 wire GETs");
+    let (gets, removes_and_pings) = wire_point_ops();
+    assert_eq!(gets, 0, "allocator calls over 64 000 wire GETs");
+    assert_eq!(
+        removes_and_pings, 0,
+        "allocator calls over 4 096 wire Removes and 4 096 Pings"
+    );
     assert_eq!(
         shard_churn(),
         0,
         "allocator calls over 400 000 shard PUT+GET pairs"
+    );
+    assert_eq!(
+        shard_insert_remove_churn(),
+        0,
+        "allocator calls over 200 000 shard insert-fresh + remove-old steps"
+    );
+    assert_eq!(
+        node_and_lru_hits_and_replaces(),
+        (0, 0),
+        "allocator calls over 100 000 get hits + replacing inserts on CacheNode and on Lru"
     );
 }

@@ -43,8 +43,8 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod bytesize;
 mod inline;

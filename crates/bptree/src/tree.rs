@@ -87,7 +87,7 @@ impl<K: Ord + Clone, V: ByteSize, const CAP: usize> BPlusTree<K, V, CAP> {
             prev: NIL,
             next: NIL,
         };
-        let slab = vec![root]; // xtask: allow(no-global-alloc-in-hot-path) — one-time root alloc at construction
+        let slab = vec![root];
         Self {
             slab,
             free: Vec::with_capacity(0),

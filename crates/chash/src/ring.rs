@@ -497,9 +497,10 @@ impl<N: Clone + Eq> HashRing<N> {
     /// # Panics
     ///
     /// Panics with the violation's description if any invariant is broken.
+    #[expect(clippy::panic, reason = "validate() is the panicking audit wrapper")]
     pub fn validate(&self) {
         if let Err(e) = self.check_invariants() {
-            panic!("ring invariant violated: {e}"); // xtask: allow(no-panic) — validate() is the panicking audit wrapper
+            panic!("ring invariant violated: {e}");
         }
     }
 }

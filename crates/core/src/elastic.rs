@@ -1239,12 +1239,13 @@ impl ElasticCache {
     /// the test suites and by the debug-build hooks that run after every
     /// mutating operation (insert, split, eviction, merge, failure).
     /// Additionally validates each node's B+-tree index.
+    #[expect(clippy::panic, reason = "validate() is the panicking audit wrapper")]
     pub fn validate(&self) {
         for (_, node) in self.nodes() {
             node.validate();
         }
         if let Err(e) = self.check_invariants() {
-            panic!("cache invariant violated: {e}"); // xtask: allow(no-panic) — validate() is the panicking audit wrapper
+            panic!("cache invariant violated: {e}");
         }
     }
 

@@ -1,21 +1,21 @@
 //! Debug-build runtime lock-order auditor for the `ShardedNode` lock
 //! hierarchy.
 //!
-//! The hierarchy (DESIGN.md §13, enforced statically by
-//! `cargo xtask analyze`) is:
+//! The hierarchy (DESIGN.md §13) is:
 //!
 //! 1. [`LockClass::Structural`] — the node-wide order point — is acquired
 //!    first or not at all;
 //! 2. [`LockClass::Stripe`]`(i)` locks are acquired in strictly ascending
-//!    index order, and never before `Structural` on the same thread.
+//!    index order, and never before `Structural` on the same thread. Under
+//!    one `Structural` hold this spans the whole walk: a range op that
+//!    releases stripe 3 may not take stripe 1 next.
 //!
-//! The static pass proves the discipline for the textual idioms it can
-//! see; this module closes the gap at runtime for everything else (new
-//! call paths, refactors, the future reactor's worker threads). Each
-//! thread keeps a thread-local stack of held lock classes; acquiring a
-//! class whose rank is not strictly above every held class yields a typed
-//! [`LockOrderViolation`] — and [`acquire`] panics on it under
-//! `cfg(debug_assertions)`.
+//! This auditor is the one owner of that rule. `ShardedNode` takes every
+//! lock through helpers that call [`acquire`] first, and every debug-build
+//! `cargo test` runs it. Each thread keeps a thread-local stack of held
+//! lock classes; acquiring a class whose rank is not strictly above every
+//! held class yields a typed [`LockOrderViolation`] — and [`acquire`]
+//! panics on it under `cfg(debug_assertions)`.
 //!
 //! **Release builds compile the auditor out completely**: the thread-local
 //! is absent, [`LockToken`] is a zero-sized type with an empty `Drop`, and
@@ -77,6 +77,10 @@ pub struct LockOrderViolation {
     pub held: Vec<LockClass>,
     /// The class whose acquisition violated the hierarchy.
     pub acquiring: LockClass,
+    /// The highest stripe this thread already took and released under its
+    /// current `Structural` hold, when that is what `acquiring` fails to
+    /// rank above.
+    pub after: Option<LockClass>,
 }
 
 impl fmt::Display for LockOrderViolation {
@@ -88,16 +92,33 @@ impl fmt::Display for LockOrderViolation {
             }
             write!(f, "{c}")?;
         }
-        f.write_str("] — the order is structural → stripes ascending")
+        f.write_str("]")?;
+        if let Some(after) = self.after {
+            write!(f, " after {after}")?;
+        }
+        f.write_str(" — the order is structural → stripes ascending")
     }
 }
 
 impl std::error::Error for LockOrderViolation {}
 
+/// One thread's audit state.
+#[cfg(debug_assertions)]
+struct Held {
+    /// Lock classes held, in acquisition order.
+    stack: Vec<LockClass>,
+    /// Highest stripe index released while `Structural` stayed held.
+    released_stripe: Option<usize>,
+}
+
 #[cfg(debug_assertions)]
 thread_local! {
-    /// Lock classes held by this thread, in acquisition order.
-    static HELD: RefCell<Vec<LockClass>> = const { RefCell::new(Vec::new()) };
+    static HELD: RefCell<Held> = const {
+        RefCell::new(Held {
+            stack: Vec::new(),
+            released_stripe: None,
+        })
+    };
 }
 
 /// RAII witness of one audited acquisition: dropping it pops the class
@@ -115,9 +136,16 @@ impl Drop for LockToken {
         #[cfg(debug_assertions)]
         if let Some(class) = self.class.take() {
             HELD.with(|h| {
-                let mut held = h.borrow_mut();
-                if let Some(pos) = held.iter().rposition(|&c| c == class) {
-                    held.remove(pos);
+                let held = &mut *h.borrow_mut();
+                if let Some(pos) = held.stack.iter().rposition(|&c| c == class) {
+                    held.stack.remove(pos);
+                }
+                match class {
+                    LockClass::Structural => held.released_stripe = None,
+                    LockClass::Stripe(i) if held.stack.contains(&LockClass::Structural) => {
+                        held.released_stripe = held.released_stripe.max(Some(i));
+                    }
+                    _ => {}
                 }
             });
         }
@@ -131,22 +159,22 @@ impl Drop for LockToken {
 pub fn try_acquire(class: LockClass) -> Result<LockToken, LockOrderViolation> {
     #[cfg(debug_assertions)]
     {
-        let conflict = HELD.with(|h| {
-            let held = h.borrow();
-            if held.iter().any(|c| c.rank() >= class.rank()) {
-                Some(held.clone())
-            } else {
-                None
+        HELD.with(|h| {
+            let mut held = h.borrow_mut();
+            let after = match (class, held.released_stripe) {
+                (LockClass::Stripe(i), Some(r)) if i <= r => Some(LockClass::Stripe(r)),
+                _ => None,
+            };
+            if after.is_some() || held.stack.iter().any(|c| c.rank() >= class.rank()) {
+                return Err(LockOrderViolation {
+                    held: held.stack.clone(),
+                    acquiring: class,
+                    after,
+                });
             }
-        });
-        if let Some(held) = conflict {
-            return Err(LockOrderViolation {
-                held,
-                acquiring: class,
-            });
-        }
-        HELD.with(|h| h.borrow_mut().push(class));
-        Ok(LockToken { class: Some(class) })
+            held.stack.push(class);
+            Ok(LockToken { class: Some(class) })
+        })
     }
     #[cfg(not(debug_assertions))]
     {
@@ -159,13 +187,14 @@ pub fn try_acquire(class: LockClass) -> Result<LockToken, LockOrderViolation> {
 /// debug builds (compiled out in release). Call immediately *before* the
 /// real lock call so the deadlock is reported instead of hit.
 #[inline]
+#[expect(clippy::panic, reason = "the debug-build auditor fails fast by design")]
 pub fn acquire(class: LockClass) -> LockToken {
     match try_acquire(class) {
         Ok(token) => token,
         Err(v) => {
             // Release builds cannot reach this arm: try_acquire is
             // infallible there.
-            panic!("lock-order violation: {v}") // xtask: allow(no-panic) — debug-build auditor fails fast by design
+            panic!("lock-order violation: {v}")
         }
     }
 }
@@ -174,7 +203,7 @@ pub fn acquire(class: LockClass) -> LockToken {
 pub fn held() -> Vec<LockClass> {
     #[cfg(debug_assertions)]
     {
-        HELD.with(|h| h.borrow().clone())
+        HELD.with(|h| h.borrow().stack.clone())
     }
     #[cfg(not(debug_assertions))]
     {
@@ -190,8 +219,9 @@ pub fn assert_quiescent() {
     #[cfg(debug_assertions)]
     {
         let leaked = held();
+        #[expect(clippy::panic, reason = "the debug-build auditor fails fast by design")]
         if !leaked.is_empty() {
-            panic!("lock guard(s) leaked across a quiescent point: {leaked:?}") // xtask: allow(no-panic) — debug-build auditor fails fast by design
+            panic!("lock guard(s) leaked across a quiescent point: {leaked:?}")
         }
     }
 }
@@ -221,9 +251,7 @@ mod tests {
 
     #[test]
     fn inversion_yields_a_typed_violation() {
-        // The seeded bug of the ISSUE-6 regression pair: a stripe guard
-        // held, then `structural` — the same shape as the
-        // `bad_lock_inversion.rs` fixture the static pass must flag.
+        // The seeded inversion: a stripe guard held, then `structural`.
         let stripe = try_acquire(LockClass::Stripe(1)).expect("stripe alone is fine");
         let err = try_acquire(LockClass::Structural).expect_err("inversion must be caught");
         assert_eq!(err.acquiring, LockClass::Structural);
@@ -244,6 +272,22 @@ mod tests {
         assert!(try_acquire(LockClass::Stripe(5)).is_err(), "recursive");
         assert!(try_acquire(LockClass::Stripe(6)).is_ok(), "ascending");
         drop(hi);
+    }
+
+    #[test]
+    fn stripes_stay_ascending_across_one_structural_hold() {
+        let s = try_acquire(LockClass::Structural).expect("structural");
+        drop(try_acquire(LockClass::Stripe(3)).expect("stripe 3"));
+        let err = try_acquire(LockClass::Stripe(1)).expect_err("descending walk");
+        assert_eq!(err.after, Some(LockClass::Stripe(3)));
+        assert!(err.to_string().contains("after stripe[3]"), "{err}");
+        drop(try_acquire(LockClass::Stripe(4)).expect("ascending walk"));
+        drop(s);
+        // A fresh structural hold starts a fresh walk.
+        let s = try_acquire(LockClass::Structural).expect("structural again");
+        drop(try_acquire(LockClass::Stripe(0)).expect("stripe 0"));
+        drop(s);
+        assert_quiescent();
     }
 
     #[test]

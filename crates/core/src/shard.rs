@@ -39,13 +39,14 @@
 //! `structural.read` + exactly one stripe lock; structural ops hold
 //! `structural.write` + stripes in ascending order, one at a time.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecc_bptree::BPlusTree;
 use ecc_obs::ObsRegistry;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::lockorder::{self, LockClass};
+use crate::lockorder::{self, LockClass, LockToken};
 use crate::metrics::NodeCounters;
 use crate::record::Record;
 use crate::slab::{self, ClassStats, SlabArena};
@@ -116,6 +117,28 @@ impl std::fmt::Display for ShardAuditError {
 }
 
 impl std::error::Error for ShardAuditError {}
+
+/// A lock guard paired with its [`lockorder`] token: `read_lock` and
+/// `write_lock` take the token before the lock call, and the guard drops
+/// before the token, so no acquisition of a `ShardedNode` lock skips the
+/// debug-build auditor.
+struct Ordered<G> {
+    guard: G,
+    _order: LockToken,
+}
+
+impl<G: Deref> Deref for Ordered<G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
+        &self.guard
+    }
+}
+
+impl<G: DerefMut> DerefMut for Ordered<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.guard
+    }
+}
 
 /// A cache-server index that scales with cores: hash-striped B+-trees,
 /// atomic accounting, a slab payload arena, and a structural lock for
@@ -241,40 +264,61 @@ impl ShardedNode {
         }
     }
 
-    /// Acquire `lock` shared. Only an acquisition that has to wait is
-    /// timed: the uncontended one is a `try_read` with no clock read and
-    /// no registry access, so `lock_wait_us:*` hold the waits of the
-    /// acquisitions that waited, not a zero per request.
+    /// Acquire `lock`, whose place in the hierarchy is `class`, shared.
+    /// The lock-order auditor sees the acquisition first. Only an
+    /// acquisition that has to wait is timed: the uncontended one is a
+    /// `try_read` with no clock read and no registry access, so
+    /// `lock_wait_us:*` hold the waits of the acquisitions that waited,
+    /// not a zero per request.
     #[inline]
-    fn read_lock<'a, T>(&self, lock: &'a RwLock<T>, name: &'static str) -> RwLockReadGuard<'a, T> {
-        match lock.try_read() {
+    fn read_lock<'a, T>(
+        &self,
+        lock: &'a RwLock<T>,
+        class: LockClass,
+    ) -> Ordered<RwLockReadGuard<'a, T>> {
+        let order = lockorder::acquire(class);
+        let guard = match lock.try_read() {
             Some(guard) => guard,
-            None => self.timed_wait(name, || lock.read()),
+            None => self.timed_wait(class, || lock.read()),
+        };
+        Ordered {
+            guard,
+            _order: order,
         }
     }
 
-    /// Acquire `lock` exclusively, timing it like [`Self::read_lock`].
+    /// Acquire `lock` exclusively, audited and timed like
+    /// [`Self::read_lock`].
     #[inline]
     fn write_lock<'a, T>(
         &self,
         lock: &'a RwLock<T>,
-        name: &'static str,
-    ) -> RwLockWriteGuard<'a, T> {
-        match lock.try_write() {
+        class: LockClass,
+    ) -> Ordered<RwLockWriteGuard<'a, T>> {
+        let order = lockorder::acquire(class);
+        let guard = match lock.try_write() {
             Some(guard) => guard,
-            None => self.timed_wait(name, || lock.write()),
+            None => self.timed_wait(class, || lock.write()),
+        };
+        Ordered {
+            guard,
+            _order: order,
         }
     }
 
-    /// Block in `acquire` and record how long it took under `name` (not
-    /// timed when unobserved).
+    /// Block in `acquire` and record how long it took under
+    /// `lock_wait_us:{structural,stripe}` (not timed when unobserved).
     #[cold]
-    fn timed_wait<G>(&self, name: &'static str, acquire: impl FnOnce() -> G) -> G {
+    fn timed_wait<G>(&self, class: LockClass, acquire: impl FnOnce() -> G) -> G {
         let Some(obs) = &self.obs else {
             return acquire();
         };
         let t0 = obs.now_us();
         let guard = acquire();
+        let name = match class {
+            LockClass::Structural => "lock_wait_us:structural",
+            _ => "lock_wait_us:stripe",
+        };
         obs.record(name, obs.now_us().saturating_sub(t0));
         guard
     }
@@ -297,11 +341,9 @@ impl ShardedNode {
     /// exclude each other.
     pub fn get_with<T>(&self, key: u64, f: impl FnOnce(Option<&Record>) -> T) -> T {
         let wait = self.wait_span();
-        let _order_s = lockorder::acquire(LockClass::Structural);
-        let _structural = self.read_lock(&self.structural, "lock_wait_us:structural");
+        let _structural = self.read_lock(&self.structural, LockClass::Structural);
         let idx = stripe_of(key, self.mask);
-        let _order_t = lockorder::acquire(LockClass::Stripe(idx));
-        let stripe = self.read_lock(&self.stripes[idx], "lock_wait_us:stripe");
+        let stripe = self.read_lock(&self.stripes[idx], LockClass::Stripe(idx));
         drop(wait);
         let found = stripe.get(&key);
         self.counters.note_get(found.is_some());
@@ -340,11 +382,9 @@ impl ShardedNode {
     /// PUTs on different stripes cannot jointly overshoot the capacity.
     fn put_inner(&self, key: u64, new_len: usize, make: impl FnOnce() -> Record) -> PutOutcome {
         let wait = self.wait_span();
-        let _order_s = lockorder::acquire(LockClass::Structural);
-        let _structural = self.read_lock(&self.structural, "lock_wait_us:structural");
+        let _structural = self.read_lock(&self.structural, LockClass::Structural);
         let idx = stripe_of(key, self.mask);
-        let _order_t = lockorder::acquire(LockClass::Stripe(idx));
-        let mut stripe = self.write_lock(&self.stripes[idx], "lock_wait_us:stripe");
+        let mut stripe = self.write_lock(&self.stripes[idx], LockClass::Stripe(idx));
         drop(wait);
 
         let new_fp = slab::footprint(new_len);
@@ -381,11 +421,9 @@ impl ShardedNode {
     /// outlives residency until the caller drops the handle).
     pub fn remove(&self, key: u64) -> Option<Record> {
         let wait = self.wait_span();
-        let _order_s = lockorder::acquire(LockClass::Structural);
-        let _structural = self.read_lock(&self.structural, "lock_wait_us:structural");
+        let _structural = self.read_lock(&self.structural, LockClass::Structural);
         let idx = stripe_of(key, self.mask);
-        let _order_t = lockorder::acquire(LockClass::Stripe(idx));
-        let mut stripe = self.write_lock(&self.stripes[idx], "lock_wait_us:stripe");
+        let mut stripe = self.write_lock(&self.stripes[idx], LockClass::Stripe(idx));
         drop(wait);
         let removed = stripe.remove(&key);
         if let Some(rec) = &removed {
@@ -400,8 +438,7 @@ impl ShardedNode {
     /// Run `f` under the structural write lock — point ops are quiesced
     /// (they hold `structural.read`) for the duration.
     fn with_structural<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _order_s = lockorder::acquire(LockClass::Structural);
-        let _structural = self.write_lock(&self.structural, "lock_wait_us:structural");
+        let _structural = self.write_lock(&self.structural, LockClass::Structural);
         f()
     }
 
@@ -413,8 +450,10 @@ impl ShardedNode {
         self.with_structural(|| {
             let mut out: Vec<(u64, Record)> = Vec::new();
             for (i, stripe) in self.stripes.iter().enumerate() {
-                let _order_t = lockorder::acquire(LockClass::Stripe(i));
-                out.extend(stripe.write().drain_range(&lo, &hi));
+                out.extend(
+                    self.write_lock(stripe, LockClass::Stripe(i))
+                        .drain_range(&lo, &hi),
+                );
             }
             let (bytes, records) = out.iter().fold((0u64, 0u64), |(b, n), (_, r)| {
                 (b + slab::footprint(r.len()), n + 1)
@@ -432,8 +471,10 @@ impl ShardedNode {
         self.with_structural(|| {
             let mut keys: Vec<u64> = Vec::new();
             for (i, stripe) in self.stripes.iter().enumerate() {
-                let _order_t = lockorder::acquire(LockClass::Stripe(i));
-                keys.extend(stripe.read().keys_in_range(lo..=hi));
+                keys.extend(
+                    self.read_lock(stripe, LockClass::Stripe(i))
+                        .keys_in_range(lo..=hi),
+                );
             }
             keys.sort_unstable();
             keys
@@ -448,8 +489,7 @@ impl ShardedNode {
             let mut bytes = 0u64;
             let mut records = 0u64;
             for (i, stripe) in self.stripes.iter().enumerate() {
-                let _order_t = lockorder::acquire(LockClass::Stripe(i));
-                let tree = stripe.read();
+                let tree = self.read_lock(stripe, LockClass::Stripe(i));
                 for (_, r) in tree.range(lo..=hi) {
                     bytes += slab::footprint(r.len());
                     records += 1;
@@ -468,8 +508,7 @@ impl ShardedNode {
             let mut bytes = 0u64;
             let mut records = 0u64;
             for (i, stripe) in self.stripes.iter().enumerate() {
-                let _order_t = lockorder::acquire(LockClass::Stripe(i));
-                let tree = stripe.read();
+                let tree = self.read_lock(stripe, LockClass::Stripe(i));
                 for (_, r) in tree.range(..) {
                     bytes += slab::footprint(r.len());
                     records += 1;
@@ -501,15 +540,15 @@ impl ShardedNode {
 
     /// Validate stripe B+-tree structure and accounting (tests; panics on
     /// violation like `CacheNode::validate`).
+    #[expect(clippy::panic, reason = "validate() is the panicking audit wrapper")]
     pub fn validate(&self) {
         self.with_structural(|| {
             for (i, stripe) in self.stripes.iter().enumerate() {
-                let _order_t = lockorder::acquire(LockClass::Stripe(i));
-                stripe.read().validate();
+                self.read_lock(stripe, LockClass::Stripe(i)).validate();
             }
         });
         if let Err(e) = self.check_invariants() {
-            panic!("sharded node audit failed: {e}"); // xtask: allow(no-panic) — validate() is the panicking audit wrapper
+            panic!("sharded node audit failed: {e}");
         }
     }
 }

@@ -10,6 +10,11 @@
 //! this measures the *data path* under concurrency. Structural changes
 //! (splits/merges) remain the single coordinator's job, as in the paper.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the load generator measures real elapsed time"
+)]
+
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};

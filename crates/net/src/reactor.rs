@@ -122,7 +122,7 @@ impl Conn {
         Conn {
             stream,
             asm: FrameAssembler::new(),
-            wbuf: Vec::new(), // xtask: allow(no-global-alloc-in-hot-path) — once per accept
+            wbuf: Vec::new(),
             wpos: 0,
             got_eof: false,
             close_after_flush: false,
@@ -358,8 +358,8 @@ fn reactor_loop(
     mut waker: UnixStream,
     shared: ReactorShared,
 ) {
-    let mut conns: Vec<Conn> = Vec::new(); // xtask: allow(no-global-alloc-in-hot-path) — startup
-    let mut pollfds: Vec<PollFd> = Vec::new(); // xtask: allow(no-global-alloc-in-hot-path) — startup
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut pollfds: Vec<PollFd> = Vec::new();
     let mut obs = SweepObs::new();
     let mut idle_sweeps: u32 = 0;
     // When the blocking wait returned, until the sweep that follows it

@@ -145,6 +145,10 @@ fn batch_partial_failure_reports_per_item_status_and_connection_survives() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test bounds a real-time wait"
+)]
 fn never_answering_node_times_out_instead_of_hanging() {
     // A "node" that accepts connections and then goes silent — the
     // black-hole failure mode a coordinator must bound with timeouts.

@@ -5,6 +5,11 @@
 //! threads, so the tests in this file take one lock and run one at a time.
 
 #![cfg(target_os = "linux")]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "real-time polling of OS threads, serialized by a static std mutex"
+)]
 
 use std::net::TcpStream;
 use std::sync::Mutex;

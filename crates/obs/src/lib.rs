@@ -22,13 +22,23 @@
 //!
 //! Timestamps flow through [`TimeSource`]: the simulated cache injects its
 //! `SimClock`, the live TCP path uses a process-relative monotonic reading.
-//! This crate is a measurement harness (like `ecc-bench`) and is therefore
-//! exempt from the `no-wallclock` lint; library crates never read the wall
-//! clock directly — they go through a [`TimeSource`] handed to them.
+//! `TimeSource::real` reads the wall clock under an explicit exemption
+//! from `crates/clippy.toml`'s `disallowed-methods`; instrumented crates
+//! never read it themselves — they go through a [`TimeSource`] handed to
+//! them.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::dbg_macro,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod event;
 pub mod hist;

@@ -38,6 +38,10 @@ pub enum TimeSource {
 
 impl TimeSource {
     /// A real-time source anchored at "now".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "obs owns the real-time epoch, so instrumented crates never read the wall clock"
+    )]
     pub fn real() -> Self {
         TimeSource::Real(Instant::now())
     }
@@ -111,6 +115,7 @@ impl ObsRegistry {
 
     /// Open a span under `parent` (0 = root) stamped "now"; the returned
     /// guard records the matching `SpanEnd` on drop.
+    #[must_use = "the span ends when its guard drops: bind it across the work it measures"]
     pub fn span_start(&self, kind: &'static str, trace_id: u64, parent: u64) -> SpanGuard {
         let at_us = self.now_us();
         self.span_start_at(kind, trace_id, parent, at_us)
@@ -119,6 +124,7 @@ impl ObsRegistry {
     /// Open a span whose start is back-dated to `at_us` — for phases whose
     /// beginning was observed before the trace context was decoded (a
     /// frame that arrived at the top of a reactor sweep).
+    #[must_use = "the span ends when its guard drops: bind it across the work it measures"]
     pub fn span_start_at(
         &self,
         kind: &'static str,
@@ -142,6 +148,7 @@ impl ObsRegistry {
     /// unique id doubles as the trace id, so starting a trace needs no
     /// separate id allocator (and no wall clock or randomness, which the
     /// workspace bans).
+    #[must_use = "the span ends when its guard drops: bind it across the work it measures"]
     pub fn span_root(&self, kind: &'static str) -> SpanGuard {
         let span = self.next_span_id();
         self.emit(ObsEvent::SpanStart {
@@ -158,6 +165,7 @@ impl ObsRegistry {
     /// Open a child of the innermost live span on this thread, or `None`
     /// when no span is active (the request was not sampled) — which makes
     /// deep instrumentation free on the unsampled path.
+    #[must_use = "the span ends when its guard drops: bind it across the work it measures"]
     pub fn span_follow(&self, kind: &'static str) -> Option<SpanGuard> {
         let (trace, parent) = current_span()?;
         Some(self.span_start(kind, trace, parent))

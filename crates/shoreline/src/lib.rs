@@ -35,9 +35,9 @@
 //! assert_eq!(out.shoreline, svc.execute(45.5, -122.7, 3600).shoreline);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ctm;
 pub mod extract;

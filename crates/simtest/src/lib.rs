@@ -19,9 +19,10 @@
 //! battery with `cargo xtask simtest --seeds N`; replay one case with
 //! `cargo xtask simtest --replay '<SIMSEED>'`. See DESIGN.md §9.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod elastic_sim;
 pub mod event;

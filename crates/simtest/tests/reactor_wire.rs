@@ -6,8 +6,6 @@
 //! [`ModelServer`]. They also pin the refusal contract: a connection past
 //! the bound reads exactly one `Busy` frame (`[1, 0, 0, 0, 4]`) then EOF.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;

@@ -6,8 +6,6 @@
 //! forever; if one regresses, replay it directly with
 //! `cargo xtask simtest --replay '<SIMSEED>'`.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use ecc_simtest::{generate, run_schedule, Family, QuietPanics, Schedule};
 
 fn assert_passes(simseed: &str) {

@@ -13,8 +13,6 @@
 //! migration thread sweeps a range nobody writes, re-inserting exactly
 //! what it drained. Interleavings differ; the final flat map cannot.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::BTreeMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};

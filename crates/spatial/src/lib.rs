@@ -35,9 +35,9 @@
 //! assert!((lon + 122.67).abs() < 360.0 / 256.0);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod hilbert;
 pub mod linear;

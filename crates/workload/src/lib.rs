@@ -44,9 +44,9 @@
 //! assert_eq!(queries.len(), 100 * 50); // first phase: R = 50
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod driver;
 pub mod keys;

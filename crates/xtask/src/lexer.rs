@@ -1,10 +1,10 @@
-//! A token-level Rust lexer for the static-analysis passes.
+//! A token-level Rust lexer for the `cargo xtask analyze` passes.
 //!
-//! Substring lint rules only need comments and literals blanked out, but
-//! the concurrency passes (lock-order, atomic-ordering, guard-across-I/O)
-//! need to know *what* a piece of text is — identifier, raw string, nested
-//! comment — and *where* it is (line and column). This module lexes Rust
-//! source into a flat token stream with:
+//! The line-based passes only need comments and literals blanked out
+//! ([`strip_via_lexer`]), but the atomic-ordering audit needs to know
+//! *what* a piece of text is — identifier, raw string, nested comment —
+//! and *where* it is (line and column). This module lexes Rust source
+//! into a flat token stream with:
 //!
 //! * full raw-string support (`r"…"`, `r#"…"#`, `br##"…"##`, any hash
 //!   depth), byte strings (`b"…"`) and byte chars (`b'x'`);

@@ -1,43 +1,33 @@
-//! Source-level lint engine behind `cargo xtask lint`.
+//! Source passes behind `cargo xtask analyze`: the repo rules that no
+//! compiler lint, clippy configuration or run-time test can express.
 //!
-//! The pass walks `crates/*/src`, strips comments and string literals with
-//! the token-level [`lexer`], skips `#[cfg(test)]` modules, and enforces the
-//! repo's correctness rules (see DESIGN.md, "Invariants & static analysis"):
+//! The engine walks `crates/*/src`, strips comments and string literals
+//! with the token-level [`lexer`], skips `#[cfg(test)]` modules where a
+//! rule says so, and checks:
 //!
-//! * **no-panic** — library code of `ecc-core`, `ecc-net`, `ecc-chash` and
-//!   `ecc-cloudsim` must not call `.unwrap()` / `.expect(..)` or invoke
-//!   `panic!` / `todo!` / `unimplemented!` / `dbg!`; fallible paths return
-//!   `CacheError` / protocol errors instead. (`assert!` family stays legal:
-//!   invariant auditors are supposed to assert.)
-//! * **no-wallclock** — `Instant::now` / `SystemTime::now` are forbidden
-//!   outside `crates/obs`, `crates/xtask`, the load generator and `src/bin`
-//!   entry points; simulated time must flow through `ecc_cloudsim::clock`.
-//! * **deny-unsafe** — every crate root must carry `#![deny(unsafe_code)]`
-//!   (or `forbid`), and only the files in [`UNSAFE_ALLOWLIST`] may lift it:
-//!   anywhere else an `allow(unsafe_code)` or an `unsafe` token is a
-//!   finding, test modules included, with no per-line waiver.
-//! * **must-use** — public result-bearing types (names ending in `Receipt`,
-//!   `Report`, `Metrics`, `Stats`, `Billing`) must be `#[must_use]` so
-//!   simulation outcomes cannot be silently dropped.
-//! * **no-print** — `println!` / `eprintln!` are forbidden in library code
-//!   (`crates/*/src`, binaries exempt); libraries return data and leave
-//!   console output to the `src/bin` / `src/main.rs` entry points.
-//! * **no-std-mutex** — `std::sync::Mutex` / `std::sync::RwLock` are
-//!   forbidden in `ecc-core` and `ecc-net`: the data path standardizes on
-//!   `parking_lot` (no poisoning, so lock acquisition can't force panic
-//!   paths into panic-free crates) and on atomics for counters.
-//! * **no-payload-copy** — `.to_vec()` / `Bytes::copy_from_slice` are
-//!   forbidden in the data-path hot files (server, shard, node, record,
-//!   lru): record payloads are refcounted `Bytes`; cloning there must be
-//!   a refcount bump, never a memcpy. Client/protocol decode paths that
-//!   legitimately materialize owned data are not in the hot set.
+//! * **deny-unsafe** — only the files in [`UNSAFE_ALLOWLIST`] may contain
+//!   `unsafe` or lift `unsafe_code`: anywhere else an `allow(unsafe_code)`
+//!   or an `unsafe` token is a finding, test modules included, with no
+//!   per-line waiver. (rustc cannot forbid a new `#[allow]` inside the
+//!   four crates that deny rather than forbid `unsafe_code`.)
+//! * **must-use** — public result-bearing types (names ending in
+//!   `Receipt`, `Report`, `Metrics`, `Stats`, `Billing`) must be
+//!   `#[must_use]` so simulation outcomes cannot be silently dropped.
+//! * the atomic-ordering, guard-across-I/O, reactor-blocking and
+//!   span-discard passes of [`concurrency`].
+//!
+//! Every other repo rule has an owner outside this crate (DESIGN.md §8):
+//! clippy lints denied in the crate roots, `crates/clippy.toml`, rustc's
+//! `unused_must_use`, `ecc_core::lockorder`'s debug-build auditor, and
+//! `crates/bench/tests/zero_alloc.rs`.
 //!
 //! A finding can be waived for one line with a trailing
 //! `// xtask: allow(<rule>)` comment stating the reason.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod concurrency;
 pub mod lexer;
@@ -46,33 +36,31 @@ pub mod trace;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Crates whose library code must be panic-free.
-const PANIC_FREE_CRATES: &[&str] = &["core", "net", "chash", "cloudsim", "obs"];
-
-/// Crates exempt from the wall-clock rule wholesale (the workspace tooling;
-/// `obs` owns the `TimeSource::Real` epoch so instrumented crates never
-/// read the wall clock themselves).
-const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["xtask", "obs"];
-
-/// Files exempt from the wall-clock rule: they intentionally measure real
-/// elapsed time (the live-cluster load generator).
-const WALLCLOCK_EXEMPT_FILES: &[&str] = &["crates/net/src/loadgen.rs"];
+/// Crates whose public result-bearing types must be `#[must_use]`.
+const MUST_USE_CRATES: &[&str] = &["core", "net", "chash", "cloudsim", "obs"];
 
 /// Name suffixes of result-bearing types that must be `#[must_use]`.
 const MUST_USE_SUFFIXES: &[&str] = &["Receipt", "Report", "Metrics", "Stats", "Billing"];
 
-/// Crates whose library code must not use `std::sync` locks.
-const STD_MUTEX_FREE_CRATES: &[&str] = &["core", "net"];
+/// Crates audited for atomic-ordering discipline (the data path plus the
+/// observability layer and the virtual clock).
+const ATOMIC_CRATES: &[&str] = &["core", "net", "obs", "cloudsim"];
 
-/// Data-path hot files where payload memcpys are forbidden: every payload
-/// hand-off here must be a refcounted `Bytes` clone.
-const HOT_PATH_FILES: &[&str] = &[
+/// Files where a guard across blocking I/O is a hot-path bug.
+const GUARD_IO_FILES: &[&str] = &[
     "crates/net/src/server.rs",
+    "crates/net/src/reactor.rs",
+    "crates/net/src/coordinator.rs",
+    "crates/net/src/client.rs",
     "crates/core/src/shard.rs",
-    "crates/core/src/node.rs",
-    "crates/core/src/record.rs",
-    "crates/core/src/lru.rs",
 ];
+
+/// Reactor event-loop files: blocking primitives are forbidden outright,
+/// not merely under a guard.
+const REACTOR_FILES: &[&str] = &["crates/net/src/reactor.rs"];
+
+/// Crates that open trace spans and must keep the RAII guards live.
+const SPAN_CRATES: &[&str] = &["core", "net", "obs", "simtest"];
 
 /// The only files under `crates/*/src` that may contain `unsafe`. Each
 /// opens with `#![allow(unsafe_code)]` against its crate's
@@ -85,34 +73,13 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/net/src/sys.rs",
 ];
 
-/// One lint rule; `Display` gives its diagnostic slug.
+/// One rule; `Display` gives its diagnostic slug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// Panicking call in library code that must return typed errors.
-    NoPanic,
-    /// Wall-clock read outside the measurement harness.
-    NoWallClock,
-    /// Crate root missing `#![deny(unsafe_code)]`, or `unsafe` /
-    /// `allow(unsafe_code)` in a file off [`UNSAFE_ALLOWLIST`].
+    /// `unsafe` / `allow(unsafe_code)` in a file off [`UNSAFE_ALLOWLIST`].
     DenyUnsafe,
     /// Result-bearing public type missing `#[must_use]`.
     MustUse,
-    /// `println!` / `eprintln!` in library code (diagnostics belong to
-    /// binaries or structured reports, not stdout side effects).
-    NoPrint,
-    /// `std::sync::Mutex` / `std::sync::RwLock` in the data-path crates
-    /// (poisoning forces panic paths; the repo standardizes on
-    /// `parking_lot`).
-    NoStdMutex,
-    /// Payload memcpy (`.to_vec()` / `Bytes::copy_from_slice`) in a
-    /// data-path hot file where clones must be refcount bumps.
-    NoPayloadCopy,
-    /// Lock-hierarchy inversion: `structural` acquired while a stripe (or
-    /// another structural) guard is live. See DESIGN.md §13.
-    LockOrder,
-    /// Stripe locks acquired out of ascending-index order (or inside a
-    /// descending iteration over the stripe array).
-    StripeOrder,
     /// `Ordering::SeqCst` without a `// seqcst:` justification comment —
     /// downgrade to `Acquire`/`Release`/`AcqRel` or justify the fence.
     SeqCstJustify,
@@ -126,35 +93,22 @@ pub enum Rule {
     /// helpers, channel `recv`, mutex `lock`) inside a reactor file —
     /// one blocked call stalls every connection that reactor owns.
     BlockingIoInReactor,
-    /// A span-guard constructor (`span_start` / `span_follow` /
-    /// `span_root` …) whose RAII guard is dropped on the spot — the span
-    /// ends the instant it starts, silently recording zero duration.
+    /// A span-guard constructor bound with `let _ =`: the guard drops on
+    /// the spot, so the span records zero duration.
     SpanDiscipline,
-    /// Global-allocator call (`Vec::new` / `vec!` / `Box::new` /
-    /// `.to_vec`) in a slab-era hot-path file — steady-state GET/PUT must
-    /// run on inline node arrays and slab slots, never malloc.
-    NoGlobalAllocHotPath,
 }
 
 impl Rule {
     /// The slug accepted by `// xtask: allow(<slug>)`.
     pub fn slug(self) -> &'static str {
         match self {
-            Rule::NoPanic => "no-panic",
-            Rule::NoWallClock => "no-wallclock",
             Rule::DenyUnsafe => "deny-unsafe",
             Rule::MustUse => "must-use",
-            Rule::NoPrint => "no-print",
-            Rule::NoStdMutex => "no-std-mutex",
-            Rule::NoPayloadCopy => "no-payload-copy",
-            Rule::LockOrder => "lock-order",
-            Rule::StripeOrder => "stripe-order",
             Rule::SeqCstJustify => "seqcst-justify",
             Rule::MixedOrdering => "mixed-ordering",
             Rule::GuardAcrossIo => "guard-across-io",
             Rule::BlockingIoInReactor => "no-blocking-io-in-reactor",
             Rule::SpanDiscipline => "span-discipline",
-            Rule::NoGlobalAllocHotPath => "no-global-alloc-in-hot-path",
         }
     }
 }
@@ -188,30 +142,27 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Which rules apply to one source file.
+/// Which passes apply to one source file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Policy {
-    /// Enforce the no-panic rule.
-    pub panics: bool,
-    /// Enforce the no-wallclock rule.
-    pub wallclock: bool,
-    /// Enforce `#[must_use]` coverage.
-    pub must_use: bool,
-    /// Require `#![deny(unsafe_code)]` (crate roots only).
-    pub deny_unsafe: bool,
     /// Forbid `unsafe` and `allow(unsafe_code)` (every file off
     /// [`UNSAFE_ALLOWLIST`]).
     pub unsafe_free: bool,
-    /// Forbid `println!` / `eprintln!` (library code; binaries exempt).
-    pub prints: bool,
-    /// Forbid `std::sync::Mutex` / `std::sync::RwLock` (data-path crates).
-    pub std_mutex: bool,
-    /// Forbid payload memcpys (data-path hot files).
-    pub payload_copy: bool,
+    /// Enforce `#[must_use]` coverage.
+    pub must_use: bool,
+    /// Enforce the SeqCst-justification and mixed-ordering rules.
+    pub atomics: bool,
+    /// Forbid guards held across frame/socket I/O.
+    pub guard_io: bool,
+    /// Forbid blocking I/O primitives outright (reactor event loops).
+    pub reactor_io: bool,
+    /// Forbid `let _ =` on span-guard constructors.
+    pub span_discard: bool,
 }
 
 /// Decide the policy for a workspace-relative path such as
-/// `crates/core/src/elastic.rs`. Returns `None` for files the pass ignores.
+/// `crates/core/src/elastic.rs`. Returns `None` for files the passes
+/// ignore. Binaries get only the file-wide rules.
 pub fn policy_for(rel_path: &str) -> Option<Policy> {
     let rel = rel_path.replace('\\', "/");
     let mut parts = rel.split('/');
@@ -219,41 +170,100 @@ pub fn policy_for(rel_path: &str) -> Option<Policy> {
         return None;
     }
     let krate = parts.next()?;
-    if parts.next() != Some("src") {
+    if parts.next() != Some("src") || !rel.ends_with(".rs") {
         return None;
     }
-    if !rel.ends_with(".rs") {
-        return None;
-    }
-    let is_bin = rel.contains("/src/bin/") || rel.ends_with("/src/main.rs");
-    let is_lib_root = rel.ends_with("/src/lib.rs");
-    let wallclock_exempt = WALLCLOCK_EXEMPT_CRATES.contains(&krate)
-        || WALLCLOCK_EXEMPT_FILES.contains(&rel.as_str())
-        || is_bin;
-    let panic_free = PANIC_FREE_CRATES.contains(&krate) && !is_bin;
+    let lib = !(rel.contains("/src/bin/") || rel.ends_with("/src/main.rs"));
     Some(Policy {
-        panics: panic_free,
-        wallclock: !wallclock_exempt,
-        must_use: PANIC_FREE_CRATES.contains(&krate),
-        deny_unsafe: is_lib_root,
         unsafe_free: !UNSAFE_ALLOWLIST.contains(&rel.as_str()),
-        prints: !is_bin,
-        std_mutex: STD_MUTEX_FREE_CRATES.contains(&krate) && !is_bin,
-        payload_copy: HOT_PATH_FILES.contains(&rel.as_str()),
+        must_use: MUST_USE_CRATES.contains(&krate),
+        atomics: lib && ATOMIC_CRATES.contains(&krate),
+        guard_io: lib && GUARD_IO_FILES.contains(&rel.as_str()),
+        reactor_io: lib && REACTOR_FILES.contains(&rel.as_str()),
+        span_discard: lib && SPAN_CRATES.contains(&krate),
     })
 }
 
-/// True when `hay[pos..]` starts a macro invocation of `name` (i.e. is
-/// `name!` not preceded by an identifier character).
-fn is_macro_call(hay: &str, pos: usize, name: &str) -> bool {
-    if pos > 0 {
-        if let Some(prev) = hay[..pos].chars().next_back() {
-            if prev.is_alphanumeric() || prev == '_' {
-                return false;
+/// One source file as the passes see it: raw and comment/string-stripped
+/// lines, whether each line falls inside a `#[cfg(test)] mod`, and the
+/// brace depth at the start of each line.
+pub(crate) struct SourceFile<'a> {
+    pub(crate) rel: &'a str,
+    pub(crate) src: &'a str,
+    pub(crate) raw: Vec<&'a str>,
+    pub(crate) stripped: Vec<&'a str>,
+    pub(crate) in_test: Vec<bool>,
+    pub(crate) depth: Vec<i64>,
+}
+
+impl<'a> SourceFile<'a> {
+    fn new(rel: &'a str, src: &'a str, stripped: &'a str) -> Self {
+        let stripped: Vec<&str> = stripped.lines().collect();
+        let mut in_test = Vec::with_capacity(stripped.len());
+        let mut depths = Vec::with_capacity(stripped.len());
+        let mut depth: i64 = 0;
+        let mut cfg_test_pending = false;
+        let mut skip_above_depth: Option<i64> = None;
+        for line in &stripped {
+            depths.push(depth);
+            if skip_above_depth.is_none() {
+                // `#[cfg(test)]` and compound forms like
+                // `#[cfg(all(test, debug_assertions))]` both gate
+                // test-only modules.
+                if line.contains("#[cfg(test)]") || line.contains("#[cfg(all(test") {
+                    cfg_test_pending = true;
+                } else if cfg_test_pending {
+                    let t = line.trim_start();
+                    if t.starts_with("mod ") || t.starts_with("pub mod ") {
+                        skip_above_depth = Some(depth);
+                        cfg_test_pending = false;
+                    } else if !t.is_empty() && !t.starts_with("#[") {
+                        // The cfg(test) applied to a non-module item (fn,
+                        // use…); stay conservative and keep checking.
+                        cfg_test_pending = false;
+                    }
+                }
+            }
+            in_test.push(skip_above_depth.is_some());
+            for c in line.chars() {
+                match c {
+                    '{' => depth += 1,
+                    '}' => {
+                        depth -= 1;
+                        if skip_above_depth.is_some_and(|d| depth <= d) {
+                            skip_above_depth = None;
+                        }
+                    }
+                    _ => {}
+                }
             }
         }
+        SourceFile {
+            rel,
+            src,
+            raw: src.lines().collect(),
+            stripped,
+            in_test,
+            depth: depths,
+        }
     }
-    hay[pos + name.len()..].starts_with('!')
+
+    /// True when line `idx` (0-based) carries `// xtask: allow(<rule>)`.
+    pub(crate) fn waived(&self, idx: usize, rule: Rule) -> bool {
+        self.raw
+            .get(idx)
+            .is_some_and(|l| l.contains(&format!("xtask: allow({})", rule.slug())))
+    }
+
+    /// A finding at line `idx` (0-based).
+    pub(crate) fn finding(&self, idx: usize, rule: Rule, message: String) -> Finding {
+        Finding {
+            file: self.rel.to_string(),
+            line: idx + 1,
+            rule,
+            message,
+        }
+    }
 }
 
 /// True when `word` occurs in `line` with no identifier character on
@@ -269,247 +279,46 @@ fn has_word(line: &str, word: &str) -> bool {
     })
 }
 
-fn find_macro(line: &str, name: &str) -> bool {
-    let mut start = 0;
-    while let Some(off) = line[start..].find(name) {
-        let pos = start + off;
-        if is_macro_call(line, pos, name) {
-            return true;
-        }
-        start = pos + name.len();
-    }
-    false
-}
-
-/// Per-line view of one source file: the line's comment/string-stripped
-/// text (via the token-level lexer), whether it falls inside a
-/// `#[cfg(test)] mod`, and the brace depth at the start of the line.
-/// Shared by the substring rules and the concurrency passes.
-#[derive(Debug)]
-pub struct LineInfo {
-    /// 0-based index into the stripped line list.
-    pub idx: usize,
-    /// True when this line is inside a `#[cfg(test)]` module.
-    pub in_test: bool,
-    /// Brace depth at the *start* of the line.
-    pub depth: i64,
-}
-
-/// Compute [`LineInfo`] for every stripped line: `#[cfg(test)] mod`
-/// regions tracked via brace depth, exactly as the lint rules skip them.
-pub fn line_infos(stripped_lines: &[&str]) -> Vec<LineInfo> {
-    let mut infos = Vec::with_capacity(stripped_lines.len());
-    let mut depth: i64 = 0;
-    let mut cfg_test_pending = false;
-    let mut skip_above_depth: Option<i64> = None;
-
-    for (idx, stripped_line) in stripped_lines.iter().enumerate() {
-        let depth_at_start = depth;
-        if skip_above_depth.is_none() {
-            // `#[cfg(test)]` and compound forms like
-            // `#[cfg(all(test, debug_assertions))]` both gate test-only
-            // modules.
-            if stripped_line.contains("#[cfg(test)]") || stripped_line.contains("#[cfg(all(test") {
-                cfg_test_pending = true;
-            } else if cfg_test_pending {
-                let t = stripped_line.trim_start();
-                if t.starts_with("mod ") || t.starts_with("pub mod ") {
-                    skip_above_depth = Some(depth);
-                    cfg_test_pending = false;
-                } else if !t.is_empty() && !t.starts_with("#[") {
-                    // The cfg(test) applied to a non-module item (fn, use…);
-                    // stay conservative and keep linting.
-                    cfg_test_pending = false;
-                }
-            }
-        }
-        let in_test = skip_above_depth.is_some();
-
-        for c in stripped_line.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if let Some(d) = skip_above_depth {
-                        if depth <= d {
-                            skip_above_depth = None;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        infos.push(LineInfo {
-            idx,
-            in_test,
-            depth: depth_at_start,
-        });
-    }
-    infos
-}
-
-/// Scan one file's source text under `policy`; `rel_path` is used for
-/// diagnostics and must be workspace-relative.
-pub fn scan_source(rel_path: &str, src: &str, policy: Policy) -> Vec<Finding> {
-    let mut findings = Vec::new();
+/// Run every pass `policy` enables over one file's source text;
+/// `rel_path` is used for diagnostics and must be workspace-relative.
+pub fn analyze_source(rel_path: &str, src: &str, policy: Policy) -> Vec<Finding> {
     let stripped = lexer::strip_via_lexer(src);
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let stripped_lines: Vec<&str> = stripped.lines().collect();
-
-    if policy.deny_unsafe
-        && !src.contains("#![deny(unsafe_code)]")
-        && !src.contains("#![forbid(unsafe_code)]")
-    {
-        findings.push(Finding {
-            file: rel_path.to_string(),
-            line: 1,
-            rule: Rule::DenyUnsafe,
-            message: "crate root must carry `#![deny(unsafe_code)]`".into(),
-        });
-    }
-
-    for info in line_infos(&stripped_lines) {
-        let idx = info.idx;
-        let stripped_line = stripped_lines[idx];
-        let raw_line = raw_lines.get(idx).copied().unwrap_or("");
-        let line_no = idx + 1;
-
-        if policy.unsafe_free {
-            let lifts_lint =
-                has_word(stripped_line, "allow") && has_word(stripped_line, "unsafe_code");
-            if lifts_lint || has_word(stripped_line, "unsafe") {
-                findings.push(Finding {
-                    file: rel_path.to_string(),
-                    line: line_no,
-                    rule: Rule::DenyUnsafe,
-                    message: "`unsafe` outside the allowlist — keep it in one of the files \
-                              `xtask::UNSAFE_ALLOWLIST` names, behind a safe interface"
+    let file = SourceFile::new(rel_path, src, &stripped);
+    let mut findings = Vec::new();
+    for (idx, line) in file.stripped.iter().enumerate() {
+        if policy.unsafe_free
+            && ((has_word(line, "allow") && has_word(line, "unsafe_code"))
+                || has_word(line, "unsafe"))
+        {
+            findings.push(
+                file.finding(
+                    idx,
+                    Rule::DenyUnsafe,
+                    "`unsafe` outside the allowlist — keep it in one of the files \
+                 `xtask::UNSAFE_ALLOWLIST` names, behind a safe interface"
                         .into(),
-                });
-            }
+                ),
+            );
         }
-
-        if info.in_test {
-            continue;
-        }
-
-        let allowed = |rule: Rule| raw_line.contains(&format!("xtask: allow({})", rule.slug()));
-
-        if policy.panics && !allowed(Rule::NoPanic) {
-            if stripped_line.contains(".unwrap()") {
-                findings.push(Finding {
-                    file: rel_path.to_string(),
-                    line: line_no,
-                    rule: Rule::NoPanic,
-                    message: "`.unwrap()` in library code — return a typed error (`CacheError`, \
-                              `RingError`, protocol status) instead"
-                        .into(),
-                });
-            }
-            if stripped_line.contains(".expect(") {
-                findings.push(Finding {
-                    file: rel_path.to_string(),
-                    line: line_no,
-                    rule: Rule::NoPanic,
-                    message: "`.expect(..)` in library code — return a typed error instead".into(),
-                });
-            }
-            for mac in ["panic", "todo", "unimplemented", "dbg"] {
-                if find_macro(stripped_line, mac) {
-                    findings.push(Finding {
-                        file: rel_path.to_string(),
-                        line: line_no,
-                        rule: Rule::NoPanic,
-                        message: format!("`{mac}!` in library code — return a typed error instead"),
-                    });
-                }
-            }
-        }
-
-        if policy.wallclock && !allowed(Rule::NoWallClock) {
-            for pat in ["Instant::now", "SystemTime::now"] {
-                if stripped_line.contains(pat) {
-                    findings.push(Finding {
-                        file: rel_path.to_string(),
-                        line: line_no,
-                        rule: Rule::NoWallClock,
-                        message: format!(
-                            "`{pat}` outside the measurement harness — simulated time must \
-                             go through `ecc_cloudsim::clock::SimClock`"
-                        ),
-                    });
-                }
-            }
-        }
-
-        if policy.prints && !allowed(Rule::NoPrint) {
-            for mac in ["println", "eprintln"] {
-                if find_macro(stripped_line, mac) {
-                    findings.push(Finding {
-                        file: rel_path.to_string(),
-                        line: line_no,
-                        rule: Rule::NoPrint,
-                        message: format!(
-                            "`{mac}!` in library code — return data to the caller or route \
-                             diagnostics through a binary entry point"
-                        ),
-                    });
-                }
-            }
-        }
-
-        if policy.std_mutex && !allowed(Rule::NoStdMutex) {
-            for pat in ["std::sync::Mutex", "std::sync::RwLock"] {
-                if stripped_line.contains(pat) {
-                    findings.push(Finding {
-                        file: rel_path.to_string(),
-                        line: line_no,
-                        rule: Rule::NoStdMutex,
-                        message: format!(
-                            "`{pat}` in a data-path crate — use `parking_lot` (no lock \
-                             poisoning, so acquisition can't force a panic path) or atomics"
-                        ),
-                    });
-                }
-            }
-        }
-
-        if policy.payload_copy && !allowed(Rule::NoPayloadCopy) {
-            for pat in [".to_vec()", "Bytes::copy_from_slice"] {
-                if stripped_line.contains(pat) {
-                    findings.push(Finding {
-                        file: rel_path.to_string(),
-                        line: line_no,
-                        rule: Rule::NoPayloadCopy,
-                        message: format!(
-                            "`{pat}` in a data-path hot file — payloads are refcounted \
-                             `Bytes`; clone the handle (`Record::bytes()`) instead of \
-                             copying the bytes"
-                        ),
-                    });
-                }
-            }
-        }
-
-        if policy.must_use && !allowed(Rule::MustUse) {
-            if let Some(name) = pub_type_name(stripped_line) {
+        if policy.must_use && !file.in_test[idx] && !file.waived(idx, Rule::MustUse) {
+            if let Some(name) = pub_type_name(line) {
                 if MUST_USE_SUFFIXES.iter().any(|s| name.ends_with(s))
-                    && !attr_block_has_must_use(&raw_lines, idx)
+                    && !attr_block_has_must_use(&file.raw, idx)
                 {
-                    findings.push(Finding {
-                        file: rel_path.to_string(),
-                        line: line_no,
-                        rule: Rule::MustUse,
-                        message: format!(
-                            "result-bearing type `{name}` must be `#[must_use]` so simulation \
-                             outcomes cannot be silently dropped"
+                    findings.push(file.finding(
+                        idx,
+                        Rule::MustUse,
+                        format!(
+                            "result-bearing type `{name}` must be `#[must_use]` so \
+                             simulation outcomes cannot be silently dropped"
                         ),
-                    });
+                    ));
                 }
             }
         }
     }
+    concurrency::analyze(&file, policy, &mut findings);
+    findings.sort_by_key(|f| f.line);
     findings
 }
 
@@ -522,29 +331,18 @@ fn pub_type_name(stripped_line: &str) -> Option<&str> {
     let end = rest
         .find(|c: char| !c.is_alphanumeric() && c != '_')
         .unwrap_or(rest.len());
-    if end == 0 {
-        None
-    } else {
-        Some(&rest[..end])
-    }
+    (end > 0).then(|| &rest[..end])
 }
 
 /// Walk the contiguous attribute/doc block above `decl_idx` looking for
 /// `#[must_use`.
 fn attr_block_has_must_use(raw_lines: &[&str], decl_idx: usize) -> bool {
-    let mut i = decl_idx;
-    while i > 0 {
-        i -= 1;
-        let t = raw_lines[i].trim_start();
-        if t.starts_with("#[") || t.starts_with("///") || t.ends_with("]") && t.starts_with("#") {
-            if t.contains("#[must_use") {
-                return true;
-            }
-        } else {
-            break;
-        }
-    }
-    false
+    raw_lines[..decl_idx]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|t| t.starts_with('#') || t.starts_with("///"))
+        .any(|t| t.contains("#[must_use"))
 }
 
 /// Recursively collect `.rs` files under `dir`, sorted for stable output.
@@ -563,23 +361,12 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Run the full lint pass over a workspace root. Returns all findings;
-/// `files_scanned` reports coverage for the summary line.
-pub fn run_lint(workspace_root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
-    let crates_dir = workspace_root.join("crates");
+/// `cargo xtask analyze`: run every pass over `crates/*/src` of a
+/// workspace root. Returns the findings sorted by (file, line) and the
+/// number of files scanned.
+pub fn run_analyze(workspace_root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
     let mut files = Vec::new();
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let src = crate_dir.join("src");
-        if src.is_dir() {
-            rs_files(&src, &mut files)?;
-        }
-    }
-
+    rs_files(&workspace_root.join("crates"), &mut files)?;
     let mut findings = Vec::new();
     let mut scanned = 0usize;
     for path in &files {
@@ -593,65 +380,10 @@ pub fn run_lint(workspace_root: &Path) -> std::io::Result<(Vec<Finding>, usize)>
         };
         let src = std::fs::read_to_string(path)?;
         scanned += 1;
-        findings.extend(scan_source(&rel, &src, policy));
+        findings.extend(analyze_source(&rel, &src, policy));
     }
-    Ok((findings, scanned))
-}
-
-/// Run the concurrency-soundness passes (lock-order, stripe-order,
-/// seqcst-justify, mixed-ordering, guard-across-io,
-/// no-blocking-io-in-reactor, no-global-alloc-in-hot-path) over a
-/// workspace root.
-pub fn run_concurrency(workspace_root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
-    let crates_dir = workspace_root.join("crates");
-    let mut files = Vec::new();
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let src = crate_dir.join("src");
-        if src.is_dir() {
-            rs_files(&src, &mut files)?;
-        }
-    }
-
-    let mut findings = Vec::new();
-    let mut scanned = 0usize;
-    for path in &files {
-        let rel = path
-            .strip_prefix(workspace_root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let Some(policy) = concurrency::conc_policy_for(&rel) else {
-            continue;
-        };
-        if !(policy.lock_order
-            || policy.atomics
-            || policy.guard_io
-            || policy.reactor_io
-            || policy.hot_alloc)
-        {
-            continue;
-        }
-        let src = std::fs::read_to_string(path)?;
-        scanned += 1;
-        findings.extend(concurrency::analyze_source(&rel, &src, policy));
-    }
-    Ok((findings, scanned))
-}
-
-/// `cargo xtask analyze`: the style lint plus the concurrency passes in
-/// one sweep. Returns combined findings sorted by (file, line) and the
-/// number of files scanned by the wider of the two passes.
-pub fn run_analyze(workspace_root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
-    let (mut findings, lint_scanned) = run_lint(workspace_root)?;
-    let (conc, _conc_scanned) = run_concurrency(workspace_root)?;
-    findings.extend(conc);
     findings.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    Ok((findings, lint_scanned))
+    Ok((findings, scanned))
 }
 
 /// Serialize findings as a stable JSON array (no serde in this crate):
@@ -690,106 +422,18 @@ pub fn findings_to_json(findings: &[Finding]) -> String {
 mod tests {
     use super::*;
 
-    const LIB_POLICY: Policy = Policy {
-        panics: true,
-        wallclock: true,
-        must_use: true,
-        deny_unsafe: false,
+    /// The file-wide rules alone.
+    const FILE_RULES: Policy = Policy {
         unsafe_free: true,
-        prints: true,
-        std_mutex: false,
-        payload_copy: false,
+        must_use: true,
+        atomics: false,
+        guard_io: false,
+        reactor_io: false,
+        span_discard: false,
     };
 
-    #[test]
-    fn flags_unwrap_with_file_and_line() {
-        let src = "#![deny(unsafe_code)]\nfn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-        let f = scan_source("crates/core/src/x.rs", src, LIB_POLICY);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 3);
-        assert_eq!(f[0].rule, Rule::NoPanic);
-        assert_eq!(f[0].file, "crates/core/src/x.rs");
-    }
-
-    #[test]
-    fn flags_expect_panic_todo_dbg() {
-        let src = "fn f() {\n    let _ = o.expect(\"boom\");\n    panic!(\"x\");\n    todo!();\n    dbg!(1);\n}\n";
-        let f = scan_source("f.rs", src, LIB_POLICY);
-        let rules: Vec<usize> = f.iter().map(|x| x.line).collect();
-        assert_eq!(rules, vec![2, 3, 4, 5]);
-        assert!(f.iter().all(|x| x.rule == Rule::NoPanic));
-    }
-
-    #[test]
-    fn asserts_are_not_panics() {
-        let src =
-            "fn f() {\n    assert!(true);\n    assert_eq!(1, 1);\n    debug_assert!(cond());\n}\n";
-        assert!(scan_source("f.rs", src, LIB_POLICY).is_empty());
-    }
-
-    #[test]
-    fn comments_strings_and_doctests_are_exempt() {
-        let src = "//! docs: call `.unwrap()` and panic!\n\
-                   /// ```\n/// x.unwrap();\n/// ```\n\
-                   fn f() {\n    let s = \".unwrap() panic! Instant::now\";\n\
-                   /* block .unwrap() */\n    let _ = s;\n}\n";
-        assert!(scan_source("f.rs", src, LIB_POLICY).is_empty());
-    }
-
-    #[test]
-    fn raw_strings_are_exempt() {
-        let src = "fn f() -> &'static str {\n    r#\"contains .unwrap() and panic!\"#\n}\n";
-        assert!(scan_source("f.rs", src, LIB_POLICY).is_empty());
-    }
-
-    #[test]
-    fn cfg_test_modules_are_exempt() {
-        let src = "fn lib_fn() -> u32 { 1 }\n\
-                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        Some(1).unwrap();\n        panic!(\"in tests it's fine\");\n    }\n}\n";
-        assert!(scan_source("f.rs", src, LIB_POLICY).is_empty());
-    }
-
-    #[test]
-    fn code_after_test_module_is_linted_again() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { Some(1).unwrap(); }\n}\n\
-                   fn g(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let f = scan_source("f.rs", src, LIB_POLICY);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 5);
-    }
-
-    #[test]
-    fn prints_are_flagged_in_lib_code_only() {
-        let src = "fn f() {\n    println!(\"x\");\n    eprintln!(\"y\");\n    print!(\"ok\");\n}\n";
-        let f = scan_source("crates/bench/src/lib.rs", src, LIB_POLICY);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == Rule::NoPrint));
-        assert_eq!(f[0].line, 2);
-        assert_eq!(f[1].line, 3);
-        // A comment mentioning println! is not a finding; a waiver works.
-        let waived =
-            "fn f() {\n    // println! is documented here\n    println!(\"x\"); // xtask: allow(no-print) — CLI shim\n}\n";
-        assert!(scan_source("f.rs", waived, LIB_POLICY).is_empty());
-        // Binaries keep their stdout.
-        let bin = policy_for("crates/net/src/bin/cache_server.rs").unwrap();
-        assert!(!bin.prints);
-        assert!(scan_source("crates/net/src/bin/cache_server.rs", src, bin).is_empty());
-    }
-
-    #[test]
-    fn wallclock_is_flagged() {
-        let src = "fn f() {\n    let t = std::time::Instant::now();\n    let s = std::time::SystemTime::now();\n}\n";
-        let f = scan_source("f.rs", src, LIB_POLICY);
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().all(|x| x.rule == Rule::NoWallClock));
-    }
-
-    #[test]
-    fn allow_comment_waives_one_line() {
-        let src = "fn f() {\n    x.unwrap(); // xtask: allow(no-panic) — infallible by construction\n    y.unwrap()\n}\n";
-        let f = scan_source("f.rs", src, LIB_POLICY);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 3);
+    fn lines(findings: &[Finding]) -> Vec<usize> {
+        findings.iter().map(|f| f.line).collect()
     }
 
     #[test]
@@ -797,159 +441,93 @@ mod tests {
         let bad = "pub struct LoadReport {\n    pub n: u64,\n}\n";
         let good = "#[must_use]\npub struct LoadReport {\n    pub n: u64,\n}\n";
         let doc_between = "#[must_use = \"reports must be consumed\"]\n/// Docs.\n#[derive(Debug)]\npub struct BillingStats;\n";
-        assert_eq!(scan_source("f.rs", bad, LIB_POLICY).len(), 1);
-        assert!(scan_source("f.rs", good, LIB_POLICY).is_empty());
-        assert!(scan_source("f.rs", doc_between, LIB_POLICY).is_empty());
+        let f = analyze_source("f.rs", bad, FILE_RULES);
+        assert_eq!(lines(&f), vec![1]);
+        assert_eq!(f[0].rule, Rule::MustUse);
+        assert!(analyze_source("f.rs", good, FILE_RULES).is_empty());
+        assert!(analyze_source("f.rs", doc_between, FILE_RULES).is_empty());
     }
 
     #[test]
-    fn lib_roots_require_deny_unsafe() {
-        let policy = Policy {
-            deny_unsafe: true,
-            ..LIB_POLICY
-        };
-        let f = scan_source("crates/core/src/lib.rs", "//! lib\n", policy);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::DenyUnsafe);
-        let ok = scan_source("crates/core/src/lib.rs", "#![deny(unsafe_code)]\n", policy);
-        assert!(ok.is_empty());
+    fn comments_strings_and_test_modules_are_exempt() {
+        let src = "// pub struct FakeReport;\nfn f() -> &'static str {\n    \
+                   r#\"pub struct RawReport;\"#\n}\n\
+                   #[cfg(test)]\nmod tests {\n    pub struct TestReport;\n}\n\
+                   pub struct LateReport;\n";
+        assert_eq!(lines(&analyze_source("f.rs", src, FILE_RULES)), vec![9]);
+    }
+
+    #[test]
+    fn allow_comment_waives_one_line() {
+        let src = "pub struct AReport; // xtask: allow(must-use) — a builder, not an outcome\n\
+                   pub struct BReport;\n";
+        assert_eq!(lines(&analyze_source("f.rs", src, FILE_RULES)), vec![2]);
     }
 
     #[test]
     fn unsafe_is_confined_to_the_allowlist() {
         let src = "#![allow(unsafe_code)]\nfn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n\
                    #[cfg(test)]\nmod tests {\n    unsafe fn g() {}\n}\n";
-        let f = scan_source("crates/net/src/reactor.rs", src, LIB_POLICY);
-        let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
-        assert_eq!(lines, vec![1, 3, 7], "{f:?}");
+        let f = analyze_source("crates/net/src/reactor.rs", src, FILE_RULES);
+        assert_eq!(lines(&f), vec![1, 3, 7], "{f:?}");
         assert!(f.iter().all(|x| x.rule == Rule::DenyUnsafe));
         // No per-line waiver: the allowlist is the one place to look.
         let waived = "fn f() {\n    unsafe { g() } // xtask: allow(deny-unsafe)\n}\n";
-        assert_eq!(scan_source("f.rs", waived, LIB_POLICY).len(), 1);
+        assert_eq!(analyze_source("f.rs", waived, FILE_RULES).len(), 1);
         // The word in prose, in a string, or inside a longer identifier
         // is not the keyword.
         let ok = "#![deny(unsafe_code)]\n// unsafe in a comment\nfn f() -> &'static str {\n    \
                   let not_unsafe = \"unsafe\";\n    not_unsafe\n}\n";
-        assert!(scan_source("f.rs", ok, LIB_POLICY).is_empty());
+        assert!(analyze_source("f.rs", ok, FILE_RULES).is_empty());
         // Exactly the allowlisted files are exempt, and each one exists.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         for file in UNSAFE_ALLOWLIST {
             assert!(root.join(file).is_file(), "stale allowlist entry {file}");
-            let p = policy_for(file).unwrap();
+            let p = policy_for(file).expect("policy");
             assert!(!p.unsafe_free, "{file}");
-            assert!(scan_source(file, src, p)
-                .iter()
-                .all(|x| x.rule != Rule::DenyUnsafe));
+            assert!(analyze_source(file, src, p).is_empty());
         }
-        assert!(policy_for("crates/net/src/reactor.rs").unwrap().unsafe_free);
-        assert!(policy_for("crates/bptree/src/tree.rs").unwrap().unsafe_free);
-    }
-
-    #[test]
-    fn std_sync_locks_are_flagged_in_data_path_crates() {
-        let policy = Policy {
-            std_mutex: true,
-            ..LIB_POLICY
-        };
-        let src = "use std::sync::Mutex;\nfn f() {\n    let _l: std::sync::RwLock<()> = Default::default();\n}\n";
-        let f = scan_source("crates/net/src/x.rs", src, policy);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == Rule::NoStdMutex));
-        // Atomics and parking_lot stay legal.
-        let ok = "use std::sync::atomic::AtomicU64;\nuse parking_lot::RwLock;\n";
-        assert!(scan_source("crates/net/src/x.rs", ok, policy).is_empty());
-        // A waiver works.
-        let waived = "use std::sync::Mutex; // xtask: allow(no-std-mutex) — FFI boundary\n";
-        assert!(scan_source("crates/net/src/x.rs", waived, policy).is_empty());
-    }
-
-    #[test]
-    fn payload_copies_are_flagged_in_hot_files() {
-        let policy = Policy {
-            payload_copy: true,
-            ..LIB_POLICY
-        };
-        let src = "fn f(r: &Record) -> Vec<u8> {\n    let b = Bytes::copy_from_slice(r.as_slice());\n    r.as_slice().to_vec()\n}\n";
-        let f = scan_source("crates/net/src/server.rs", src, policy);
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.rule == Rule::NoPayloadCopy));
-        // The refcount-bump path is legal; test modules are exempt.
-        let ok = "fn f(r: &Record) -> Bytes { r.bytes() }\n\
-                  #[cfg(test)]\nmod tests {\n    fn t() { let _ = b\"x\".to_vec(); }\n}\n";
-        assert!(scan_source("crates/net/src/server.rs", ok, policy).is_empty());
     }
 
     #[test]
     fn policies_match_the_repo_layout() {
-        // Library code of the four protected crates: full checks.
-        let p = policy_for("crates/core/src/elastic.rs").unwrap();
-        assert!(p.panics && p.wallclock && p.must_use && !p.deny_unsafe);
-        assert!(policy_for("crates/chash/src/ring.rs").unwrap().panics);
-        assert!(policy_for("crates/net/src/server.rs").unwrap().panics);
-        // Crate roots additionally require deny(unsafe_code).
-        assert!(policy_for("crates/core/src/lib.rs").unwrap().deny_unsafe);
-        // bptree etc.: no panic rule, but wall-clock still applies.
-        let p = policy_for("crates/bptree/src/tree.rs").unwrap();
-        assert!(!p.panics && p.wallclock);
-        // The load generator measures real time on purpose.
-        assert!(!policy_for("crates/net/src/loadgen.rs").unwrap().wallclock);
-        assert!(policy_for("crates/net/src/loadgen.rs").unwrap().panics);
-        // obs is the observability harness: panic-free, owns the wall clock.
-        let p = policy_for("crates/obs/src/registry.rs").unwrap();
-        assert!(p.panics && !p.wallclock && p.prints);
-        // Library code everywhere is print-free; binaries are exempt.
-        assert!(policy_for("crates/bench/src/lib.rs").unwrap().prints);
-        assert!(!policy_for("crates/bench/src/bin/fig_a1.rs").unwrap().prints);
-        // Binaries may touch real time and unwrap CLI setup.
-        let p = policy_for("crates/net/src/bin/cache_server.rs").unwrap();
-        assert!(!p.panics && !p.wallclock);
-        // Figure binaries may too; the bench library may not.
-        assert!(
-            !policy_for("crates/bench/src/bin/fig_a1.rs")
-                .unwrap()
-                .wallclock
-        );
-        assert!(policy_for("crates/bench/src/lib.rs").unwrap().wallclock);
-        // Data-path crates ban std::sync locks; measurement crates don't.
-        assert!(policy_for("crates/core/src/shard.rs").unwrap().std_mutex);
-        assert!(policy_for("crates/net/src/server.rs").unwrap().std_mutex);
-        assert!(!policy_for("crates/bench/src/lib.rs").unwrap().std_mutex);
-        assert!(
-            !policy_for("crates/net/src/bin/cache_server.rs")
-                .unwrap()
-                .std_mutex
-        );
-        // Payload copies are banned exactly in the hot files.
-        assert!(policy_for("crates/net/src/server.rs").unwrap().payload_copy);
-        assert!(policy_for("crates/core/src/shard.rs").unwrap().payload_copy);
-        assert!(policy_for("crates/core/src/lru.rs").unwrap().payload_copy);
-        assert!(
-            !policy_for("crates/net/src/protocol.rs")
-                .unwrap()
-                .payload_copy,
-            "client-side decode legitimately materializes owned data"
-        );
-        assert!(!policy_for("crates/net/src/client.rs").unwrap().payload_copy);
-        // Non-source files are ignored.
+        let p = |rel: &str| policy_for(rel).expect("a crates/*/src file");
+        let shard = p("crates/core/src/shard.rs");
+        assert!(shard.unsafe_free && shard.must_use && shard.atomics && shard.guard_io);
+        assert!(!shard.reactor_io && shard.span_discard);
+        let server = p("crates/net/src/server.rs");
+        assert!(server.atomics && server.guard_io && !server.reactor_io);
+        let reactor = p("crates/net/src/reactor.rs");
+        assert!(reactor.atomics && reactor.guard_io && reactor.reactor_io);
+        let protocol = p("crates/net/src/protocol.rs");
+        assert!(protocol.atomics && !protocol.guard_io);
+        let registry = p("crates/obs/src/registry.rs");
+        assert!(registry.must_use && registry.atomics && registry.span_discard);
+        assert!(!registry.guard_io);
+        assert!(p("crates/simtest/src/proto_sim.rs").span_discard);
+        let tree = p("crates/bptree/src/tree.rs");
+        assert!(tree.unsafe_free && !tree.must_use && !tree.atomics && !tree.span_discard);
+        assert!(!p("crates/core/src/slab.rs").unsafe_free);
+        // Binaries keep the file-wide rules only.
+        let bin = p("crates/net/src/bin/cache_server.rs");
+        assert!(bin.unsafe_free && bin.must_use);
+        assert!(!bin.atomics && !bin.guard_io && !bin.span_discard);
         assert!(policy_for("crates/core/Cargo.toml").is_none());
         assert!(policy_for("README.md").is_none());
     }
 
     #[test]
-    fn end_to_end_on_a_temp_tree_exits_dirty() {
-        let root = std::env::temp_dir().join(format!("xtask-lint-test-{}", std::process::id()));
+    fn end_to_end_on_a_temp_tree() {
+        let root = std::env::temp_dir().join(format!("xtask-analyze-test-{}", std::process::id()));
         let src_dir = root.join("crates/core/src");
-        std::fs::create_dir_all(&src_dir).unwrap();
-        std::fs::write(
-            src_dir.join("lib.rs"),
-            "#![deny(unsafe_code)]\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        )
-        .unwrap();
-        let (findings, scanned) = run_lint(&root).unwrap();
-        std::fs::remove_dir_all(&root).unwrap();
+        std::fs::create_dir_all(&src_dir).expect("mkdir");
+        std::fs::write(src_dir.join("lib.rs"), "//! lib\npub struct RunReport;\n").expect("write");
+        let (findings, scanned) = run_analyze(&root).expect("analyze");
+        std::fs::remove_dir_all(&root).expect("rm");
         assert_eq!(scanned, 1);
-        assert_eq!(findings.len(), 1);
+        assert_eq!(lines(&findings), vec![2]);
         assert_eq!(findings[0].file, "crates/core/src/lib.rs");
-        assert_eq!(findings[0].line, 2);
+        let json = findings_to_json(&findings);
+        assert!(json.contains("\"rule\":\"must-use\""), "{json}");
     }
 }

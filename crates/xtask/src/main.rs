@@ -1,13 +1,12 @@
 //! `cargo xtask` — workspace automation.
 //!
 //! Subcommands:
-//! * `lint` — run the repo's static-analysis pass over `crates/*/src`
-//!   (see [`xtask::run_lint`]); prints `file:line: [rule] message`
-//!   diagnostics and exits nonzero when violations exist.
-//! * `analyze` — the lint pass plus the concurrency-soundness passes
-//!   (lock-order, stripe-order, seqcst-justify, mixed-ordering,
-//!   guard-across-io; see [`xtask::run_concurrency`]); findings are also
-//!   written as JSON to `target/analyze/findings.json`.
+//! * `analyze` — the source passes no compiler or clippy lint can make
+//!   (the `unsafe` allowlist, must-use, seqcst-justify, mixed-ordering,
+//!   guard-across-io, no-blocking-io-in-reactor, span-discipline; see
+//!   [`xtask::run_analyze`]) over `crates/*/src`; prints
+//!   `file:line: [rule] message` diagnostics, writes them as JSON to
+//!   `target/analyze/findings.json`, and exits nonzero on any finding.
 //! * `interleave [--smoke]` — the bounded interleaving explorer over the
 //!   `ShardedNode` admission/ops models (`ecc_simtest::interleave`);
 //!   unexpected failing schedules are shrunk and written under
@@ -38,14 +37,15 @@
 //!   `target/obs/trace_breakdown.csv`, and fail unless ≥99% of sampled
 //!   requests reconstruct into complete span trees.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use ecc_simtest::{check_seed, run_schedule, QuietPanics, Schedule, SeedOutcome};
 
-const USAGE: &str = "usage: cargo xtask <lint | analyze | interleave [--smoke] | simtest \
+const USAGE: &str = "usage: cargo xtask <analyze | interleave [--smoke] | simtest \
      [--seeds N] [--live-every K] [--replay SIMSEED] | \
      scenario <--list | --name NAME | --all> [--steps N] [--seed N] | \
      obs <TRACE.jsonl | --smoke> | trace <TRACE.jsonl... [--csv PATH] | --smoke>>";
@@ -53,7 +53,6 @@ const USAGE: &str = "usage: cargo xtask <lint | analyze | interleave [--smoke] |
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint(),
         Some("analyze") => analyze(),
         Some("interleave") => interleave(&args[1..]),
         Some("simtest") => simtest(&args[1..]),
@@ -80,32 +79,8 @@ fn workspace_root() -> &'static Path {
         .unwrap_or_else(|| Path::new("."))
 }
 
-fn lint() -> ExitCode {
-    match xtask::run_lint(workspace_root()) {
-        Ok((findings, scanned)) => {
-            for f in &findings {
-                println!("{f}");
-            }
-            if findings.is_empty() {
-                println!("xtask lint: {scanned} files scanned, clean");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "xtask lint: {} violation(s) across {scanned} scanned files",
-                    findings.len()
-                );
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("xtask lint: i/o error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `cargo xtask analyze` — the lint rules plus the concurrency passes,
-/// with findings mirrored to `target/analyze/findings.json` for CI.
+/// `cargo xtask analyze` — the source passes, with findings mirrored to
+/// `target/analyze/findings.json` for CI.
 fn analyze() -> ExitCode {
     let root = workspace_root();
     match xtask::run_analyze(root) {
@@ -122,7 +97,7 @@ fn analyze() -> ExitCode {
                 eprintln!("xtask analyze: warning: could not write findings.json");
             }
             if findings.is_empty() {
-                println!("xtask analyze: {scanned} files scanned, clean (lint + concurrency)");
+                println!("xtask analyze: {scanned} files scanned, clean");
                 ExitCode::SUCCESS
             } else {
                 eprintln!(

@@ -1,4 +1,4 @@
-//! Golden corpus for the concurrency passes and the `unsafe` allowlist.
+//! Golden corpus for the `cargo xtask analyze` passes.
 //!
 //! Every `bad_*.rs` fixture under `tests/fixtures/` seeds a specific
 //! bug and must be flagged (zero false negatives); every
@@ -6,61 +6,29 @@
 //! clean. The full finding set is pinned against `expected.json` so a
 //! pass that silently loosens shows up as a golden diff.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use xtask::concurrency::{analyze_source, ConcPolicy};
-use xtask::{scan_source, Finding, Policy, Rule};
+use xtask::{analyze_source, Finding, Policy};
 
-/// Fixtures are analyzed with every file-wide pass enabled — they stand
-/// in for the strictest real file (a hot-path file in
-/// `crates/core`/`crates/net`). The reactor pass is file-targeted in the
+/// Fixtures are analyzed with every pass enabled but two — they stand in
+/// for the strictest real file. The reactor pass is file-targeted in the
 /// real tree (only `crates/net/src/reactor.rs`), so here it applies only
-/// to fixtures named for it — see [`policy_for_fixture`].
-const ALL_PASSES: ConcPolicy = ConcPolicy {
-    lock_order: true,
-    atomics: true,
-    guard_io: true,
-    reactor_io: false,
-    span_discipline: true,
-    hot_alloc: false,
-};
-
-/// Reactor-named fixtures additionally ban blocking primitives outright,
-/// and hot-alloc-named fixtures ban global-allocator calls, mirroring how
-/// `conc_policy_for` singles out the file-targeted passes.
-fn policy_for_fixture(name: &str) -> ConcPolicy {
-    ConcPolicy {
+/// to fixtures named for it; the `must-use` suffix rule has its unit
+/// tests.
+fn policy_for_fixture(name: &str) -> Policy {
+    Policy {
+        unsafe_free: true,
+        must_use: false,
+        atomics: true,
+        guard_io: true,
         reactor_io: name.contains("reactor"),
-        hot_alloc: name.contains("hot_alloc"),
-        ..ALL_PASSES
+        span_discard: true,
     }
 }
 
-/// The lint pass's allowlist half of `deny-unsafe`, alone: what any file
-/// off `xtask::UNSAFE_ALLOWLIST` is held to.
-const UNSAFE_FREE_ONLY: Policy = Policy {
-    panics: false,
-    wallclock: false,
-    must_use: false,
-    deny_unsafe: false,
-    unsafe_free: true,
-    prints: false,
-    std_mutex: false,
-    payload_copy: false,
-};
-
-/// Everything the passes say about one fixture: the concurrency passes
-/// always, the `unsafe` allowlist rule for fixtures named for it.
 fn fixture_findings(name: &str, src: &str) -> Vec<Finding> {
-    let rel = format!("fixtures/{name}");
-    let mut findings = analyze_source(&rel, src, policy_for_fixture(name));
-    if name.contains("unsafe") {
-        findings.extend(scan_source(&rel, src, UNSAFE_FREE_ONLY));
-    }
-    findings
+    analyze_source(&format!("fixtures/{name}"), src, policy_for_fixture(name))
 }
 
 fn fixtures_dir() -> PathBuf {
@@ -126,20 +94,4 @@ fn every_bad_fixture_is_flagged_and_every_good_fixture_is_clean() {
             );
         }
     }
-}
-
-/// The static half of the seeded lock-order regression pair. The runtime
-/// half — the same Stripe(1)-then-Structural shape hitting the debug-build
-/// auditor — is pinned in `ecc_core::lockorder`'s tests.
-#[test]
-fn seeded_lock_inversion_is_pinned() {
-    let src = fs::read_to_string(fixtures_dir().join("bad_lock_inversion.rs")).expect("fixture");
-    let findings = analyze_source("fixtures/bad_lock_inversion.rs", &src, ALL_PASSES);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == Rule::LockOrder && f.line == 7),
-        "structural-under-stripe inversion must be caught at the \
-         acquisition site; got {findings:?}"
-    );
 }

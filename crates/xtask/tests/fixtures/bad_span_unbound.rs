@@ -1,17 +1,9 @@
-//! Seeded span-discipline bugs: span guards that die on the line that
-//! made them, so the trace records zero-duration spans for real work.
+//! Seeded span-discipline bug: `let _ =` drops a span guard on the line
+//! that made it, so the trace records a zero-duration span for real work.
+//! (A guard dropped in statement position is rustc's `unused_must_use`.)
 //! (Fixture — analyzed textually by the corpus test, never compiled.)
 
-fn migrate(&mut self) -> Result<(), NetError> {
-    // Statement position: the RAII guard drops at the semicolon, before
-    // the chunk it claims to cover is even swept.
-    self.obs.span_follow("migrate_chunk");
-    let records = self.client(src)?.sweep(lo, hi)?;
-    self.put_all(dst, records)
-}
-
 fn split(&mut self) -> Result<(), NetError> {
-    // `let _ =` is the same bug spelled explicitly.
     let _ = self.obs.span_root("elastic_split");
     self.do_split()
 }

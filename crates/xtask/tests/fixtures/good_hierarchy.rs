@@ -1,20 +1,5 @@
-// Fixture: the blessed idioms — structural before stripe, ascending
-// stripe iteration, guard dropped before I/O, justified SeqCst, and
-// per-field consistent orderings. Must produce zero findings.
-pub fn get(&self, key: u64) -> Option<Record> {
-    let _structural = self.structural.read();
-    let stripe = self.stripes[stripe_of(key)].read();
-    stripe.get(&key).cloned()
-}
-
-pub fn sweep(&self) {
-    let _structural = self.structural.write();
-    for (i, stripe) in self.stripes.iter().enumerate() {
-        let tree = stripe.read();
-        tree.validate();
-    }
-}
-
+// Fixture: the blessed idioms — guard dropped before I/O, justified
+// SeqCst, and per-field consistent orderings. Must produce zero findings.
 pub fn respond(&self, stream: &mut TcpStream) {
     let state = self.inner.lock();
     let body = state.render();

@@ -5,8 +5,6 @@
 //! raw strings at any hash depth, nested block comments, byte literals,
 //! string continuations, raw identifiers, and unterminated tokens at EOF.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::fs;
 use std::path::{Path, PathBuf};
 
