@@ -6,14 +6,16 @@
 //! neighbouring test allocates inside a counted window.
 //!
 //! The windows are the one owner of the hot path's no-allocation rule,
-//! on the paths they drive: wire GET, Remove and Ping (`server.rs`,
-//! `reactor.rs`, `record.rs`), shard PUT-replace and GET (`shard.rs`,
-//! `slab.rs`, the B+-tree), fresh-insert/remove churn that splits and
-//! merges B+-tree nodes through `tree.rs`'s free list, and hits plus
-//! replacing inserts on the simulator's `CacheNode` (`node.rs`) and the
-//! static baseline's `Lru` (`lru.rs`). Paths that allocate by design —
-//! the batch and range requests, wire PUT's decoded payload — are not
-//! windows.
+//! on the paths they drive: wire GET, PUT-replace, Remove and Ping and the
+//! `PutMany`/`GetMany` batches (`protocol.rs`, `server.rs`, `reactor.rs`,
+//! `record.rs`), shard PUT-replace and GET (`shard.rs`, `slab.rs`, the
+//! B+-tree), fresh-insert/remove churn that splits and merges B+-tree
+//! nodes through `tree.rs`'s free list, and hits plus replacing inserts on
+//! the simulator's `CacheNode` (`node.rs`) and the static baseline's `Lru`
+//! (`lru.rs`). A batch frame may allocate once: the decoded item list of a
+//! `PutMany`, whose values still point into the read buffer, or the
+//! decoded key list of a `GetMany`. The range requests (`Keys`,
+//! `RangeStats`), `EvictMany` and `ObsDump` are not windows.
 
 use std::sync::Barrier;
 use std::time::Duration;
@@ -28,6 +30,8 @@ use ecc_net::server::CacheServer;
 const WINDOW: u64 = 16;
 const WINDOWS: u64 = 2_000;
 const RESIDENT: u64 = 1_024;
+/// Batch frames per batch window (`PutMany`, `GetMany`).
+const FRAMES: u64 = 512;
 
 /// First key of the records the wire Remove windows delete, clear of
 /// every GET key.
@@ -35,12 +39,16 @@ const DOOMED: u64 = 1 << 20;
 /// How many of them: 256 windows' worth.
 const DOOMED_COUNT: u64 = 256 * WINDOW;
 
+/// The value every wire PUT stores: the length of the loaded records, so
+/// a replacement reuses a slot of the same class.
+static VALUE: [u8; 64] = [0x5A; 64];
+
 /// One pipelined window of `op(key)` for `keys`, every reply checked
 /// against `expect` (status, body length).
 fn window(
     conn: &mut PipelinedConn,
     keys: std::ops::Range<u64>,
-    op: fn(u64) -> Request,
+    op: fn(u64) -> Request<'static>,
     expect: (Status, usize),
 ) {
     for key in keys {
@@ -52,21 +60,65 @@ fn window(
     }
 }
 
-fn get(key: u64) -> Request {
+fn get(key: u64) -> Request<'static> {
     Request::Get { key }
 }
 
-fn remove(key: u64) -> Request {
+fn put(key: u64) -> Request<'static> {
+    Request::Put { key, value: &VALUE }
+}
+
+fn remove(key: u64) -> Request<'static> {
     Request::Remove { key }
 }
 
-fn ping(_: u64) -> Request {
+fn ping(_: u64) -> Request<'static> {
     Request::Ping
 }
 
 const HIT: (Status, usize) = (Status::Ok, 64);
 const MISS: (Status, usize) = (Status::NotFound, 0);
 const OK: (Status, usize) = (Status::Ok, 0);
+
+/// One `PutMany` frame storing `VALUE` under `keys`. The item list is the
+/// caller's, lent to the request and taken back, so the client side
+/// allocates nothing.
+fn put_many_frame(
+    conn: &mut PipelinedConn,
+    keys: std::ops::Range<u64>,
+    items: &mut Vec<(u64, &'static [u8])>,
+) {
+    items.clear();
+    items.extend(keys.map(|k| (k, &VALUE[..])));
+    let n = items.len();
+    let req = Request::PutMany {
+        items: std::mem::take(items),
+    };
+    conn.enqueue(&req).unwrap();
+    let (status, body) = conn.recv().unwrap();
+    assert_eq!((status, body.len()), (Status::Ok, 4 + n));
+    assert!(body[4..].iter().all(|&s| s == Status::Ok as u8));
+    if let Request::PutMany { items: lent } = req {
+        *items = lent;
+    }
+}
+
+/// One `GetMany` frame reading `keys` back, its key list lent like
+/// [`put_many_frame`]'s.
+fn get_many_frame(conn: &mut PipelinedConn, keys: std::ops::Range<u64>, list: &mut Vec<u64>) {
+    list.clear();
+    list.extend(keys);
+    let n = list.len();
+    let req = Request::GetMany {
+        keys: std::mem::take(list),
+    };
+    conn.enqueue(&req).unwrap();
+    let (status, body) = conn.recv().unwrap();
+    assert_eq!((status, body.len()), (Status::Ok, 4 + n * (1 + 4 + 64)));
+    if let Request::GetMany { keys: lent } = req {
+        *list = lent;
+    }
+}
 
 /// PUT `keys` over a fresh blocking connection (outside any window).
 fn load(server: &CacheServer, keys: std::ops::Range<u64>) {
@@ -76,17 +128,30 @@ fn load(server: &CacheServer, keys: std::ops::Range<u64>) {
     }
 }
 
-/// The wire point-op paths through `server.rs`, `reactor.rs` and
+/// Allocator calls of each wire window.
+struct WireCounts {
+    gets: u64,
+    puts: u64,
+    put_manys: u64,
+    get_manys: u64,
+    removes_and_pings: u64,
+}
+
+/// The wire paths through `protocol.rs`, `server.rs`, `reactor.rs` and
 /// `record.rs`. GET hits and misses: frame in, stripe lookup, payload
 /// copied into the write queue, the reactor's obs batch folded, frame
-/// out. Then Remove of resident keys (the record dropped, its slab slot
-/// and B+-tree nodes back on their free lists) and Ping. Returns the
-/// allocator calls of the GET windows and of the Remove + Ping windows.
-fn wire_point_ops() -> (u64, u64) {
+/// out. PUT-replace: the value decoded as a slice of the read buffer and
+/// copied into a recycled slab slot, the old one freed. `PutMany` +
+/// `GetMany` frames over resident keys. Then Remove of resident keys (the
+/// record dropped, its slab slot and B+-tree nodes back on their free
+/// lists) and Ping.
+fn wire_windows() -> WireCounts {
     let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 1 << 20, 64, 256, Some(1)).unwrap();
     load(&server, 0..RESIDENT);
     load(&server, DOOMED..DOOMED + DOOMED_COUNT);
     let mut conn = PipelinedConn::connect(server.addr(), Duration::from_secs(10)).unwrap();
+    let mut items = Vec::with_capacity(WINDOW as usize);
+    let mut key_list = Vec::with_capacity(WINDOW as usize);
     // Warm-up: both sides' buffers grown, every histogram the windows
     // touch created — `reactor_wake_us` too, which needs the reactor to
     // have gone cold once.
@@ -94,6 +159,9 @@ fn wire_point_ops() -> (u64, u64) {
         std::thread::sleep(Duration::from_millis(100));
         window(&mut conn, 0..WINDOW, get, HIT);
         window(&mut conn, RESIDENT..RESIDENT + WINDOW, get, MISS);
+        window(&mut conn, 0..WINDOW, put, OK);
+        put_many_frame(&mut conn, 0..WINDOW, &mut items);
+        get_many_frame(&mut conn, 0..WINDOW, &mut key_list);
         window(&mut conn, 0..WINDOW, ping, OK);
     }
     // One full delete and reload of the doomed keys sizes the slab's and
@@ -114,6 +182,24 @@ fn wire_point_ops() -> (u64, u64) {
     }
     let gets = allocation_count() - before;
     let before = allocation_count();
+    for w in 0..WINDOWS {
+        let first = (w * WINDOW) % RESIDENT;
+        window(&mut conn, first..first + WINDOW, put, OK);
+    }
+    let puts = allocation_count() - before;
+    let before = allocation_count();
+    for f in 0..FRAMES {
+        let first = (f * WINDOW) % RESIDENT;
+        put_many_frame(&mut conn, first..first + WINDOW, &mut items);
+    }
+    let put_manys = allocation_count() - before;
+    let before = allocation_count();
+    for f in 0..FRAMES {
+        let first = (f * WINDOW) % RESIDENT;
+        get_many_frame(&mut conn, first..first + WINDOW, &mut key_list);
+    }
+    let get_manys = allocation_count() - before;
+    let before = allocation_count();
     for first in (DOOMED..DOOMED + DOOMED_COUNT).step_by(WINDOW as usize) {
         window(&mut conn, first..first + WINDOW, remove, OK);
         window(&mut conn, first..first + WINDOW, ping, OK);
@@ -121,7 +207,13 @@ fn wire_point_ops() -> (u64, u64) {
     let removes_and_pings = allocation_count() - before;
     drop(conn);
     server.stop();
-    (gets, removes_and_pings)
+    WireCounts {
+        gets,
+        puts,
+        put_manys,
+        get_manys,
+        removes_and_pings,
+    }
 }
 
 /// The storage engine under 4-worker PUT/GET churn of resident 1 KiB
@@ -235,10 +327,24 @@ fn steady_state_serving_never_enters_the_allocator() {
     }
     assert_eq!(allocation_count() - before, 0, "empty Bytes allocated");
 
-    let (gets, removes_and_pings) = wire_point_ops();
-    assert_eq!(gets, 0, "allocator calls over 64 000 wire GETs");
+    let wire = wire_windows();
+    assert_eq!(wire.gets, 0, "allocator calls over 64 000 wire GETs");
     assert_eq!(
-        removes_and_pings, 0,
+        wire.puts, 0,
+        "allocator calls over 32 000 wire PUT-replaces"
+    );
+    assert!(
+        wire.put_manys <= FRAMES,
+        "{} allocator calls over {FRAMES} PutMany-replace frames of {WINDOW}",
+        wire.put_manys
+    );
+    assert!(
+        wire.get_manys <= FRAMES,
+        "{} allocator calls over {FRAMES} GetMany frames of {WINDOW}",
+        wire.get_manys
+    );
+    assert_eq!(
+        wire.removes_and_pings, 0,
         "allocator calls over 4 096 wire Removes and 4 096 Pings"
     );
     assert_eq!(

@@ -19,9 +19,14 @@
 //! *inline* in each node ([`InlineVec`], capacity fixed by the `CAP`
 //! const parameter), so the slab is one contiguous arena: splits, merges,
 //! and rebalances move bytes within it and never call the global
-//! allocator, and leaf sweeps walk dense memory. The only `unsafe` in the
-//! crate is the `MaybeUninit` storage inside [`InlineVec`], behind a safe
-//! wrapper (safety argument in `inline.rs` and DESIGN.md §17).
+//! allocator, and leaf sweeps walk dense memory. [`BPlusTree::upsert`]
+//! inserts or replaces in one descent and lets the caller decide at the
+//! leaf, having seen the old value, whether to store anything at all. A
+//! leaf that overflows by an append at its right end first fills its left
+//! sibling, so records loaded in key order leave full leaves behind them.
+//! The only `unsafe` in the crate is the `MaybeUninit` storage inside
+//! [`InlineVec`], behind a safe wrapper (safety argument in `inline.rs`
+//! and DESIGN.md §17).
 //!
 //! # Example
 //!
@@ -52,4 +57,4 @@ mod tree;
 
 pub use bytesize::ByteSize;
 pub use inline::InlineVec;
-pub use tree::{BPlusTree, RangeIter, DEFAULT_NODE_CAP};
+pub use tree::{BPlusTree, RangeIter, Upsert, DEFAULT_NODE_CAP};

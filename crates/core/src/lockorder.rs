@@ -10,12 +10,13 @@
 //!    one `Structural` hold this spans the whole walk: a range op that
 //!    releases stripe 3 may not take stripe 1 next.
 //!
-//! This auditor is the one owner of that rule. `ShardedNode` takes every
-//! lock through helpers that call [`acquire`] first, and every debug-build
-//! `cargo test` runs it. Each thread keeps a thread-local stack of held
-//! lock classes; acquiring a class whose rank is not strictly above every
-//! held class yields a typed [`LockOrderViolation`] — and [`acquire`]
-//! panics on it under `cfg(debug_assertions)`.
+//! This auditor is the one owner of that rule. `ShardedNode` and the slab
+//! arena take every lock through `Ordered::acquire`, which calls
+//! [`acquire`] first, and every debug-build `cargo test` runs it. Each
+//! thread keeps a thread-local stack of held lock classes; acquiring a
+//! class whose rank is not strictly above every held class yields a typed
+//! [`LockOrderViolation`] — and [`acquire`] panics on it under
+//! `cfg(debug_assertions)`.
 //!
 //! **Release builds compile the auditor out completely**: the thread-local
 //! is absent, [`LockToken`] is a zero-sized type with an empty `Drop`, and
@@ -196,6 +197,41 @@ pub fn acquire(class: LockClass) -> LockToken {
             // infallible there.
             panic!("lock-order violation: {v}")
         }
+    }
+}
+
+/// A lock guard paired with its audit token: [`Ordered::acquire`] takes
+/// the token before the lock call, and the guard drops before the token,
+/// so no lock taken through it skips the auditor. `ShardedNode`'s stripe
+/// and structural locks and the slab arena's page and freelist mutexes are
+/// all taken this way.
+pub(crate) struct Ordered<G> {
+    guard: G,
+    _order: LockToken,
+}
+
+impl<G> Ordered<G> {
+    /// Record the acquisition of `class`, then run `lock` to take it.
+    #[inline]
+    pub(crate) fn acquire(class: LockClass, lock: impl FnOnce() -> G) -> Self {
+        let order = acquire(class);
+        Ordered {
+            guard: lock(),
+            _order: order,
+        }
+    }
+}
+
+impl<G: std::ops::Deref> std::ops::Deref for Ordered<G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
+        &self.guard
+    }
+}
+
+impl<G: std::ops::DerefMut> std::ops::DerefMut for Ordered<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.guard
     }
 }
 

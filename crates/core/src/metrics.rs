@@ -158,22 +158,17 @@ impl NodeCounters {
         }
     }
 
-    /// Count one successful PUT.
+    /// Count a batch of PUTs: `stored` successful, `refused` overflows.
     #[inline]
-    pub fn note_put(&self) {
-        self.puts.fetch_add(1, Ordering::Relaxed);
+    pub fn note_puts(&self, stored: u64, refused: u64) {
+        self.puts.fetch_add(stored, Ordering::Relaxed);
+        self.overflows.fetch_add(refused, Ordering::Relaxed);
     }
 
     /// Count one successful remove.
     #[inline]
     pub fn note_remove(&self) {
         self.removes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one capacity refusal.
-    #[inline]
-    pub fn note_overflow(&self) {
-        self.overflows.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one range drain.

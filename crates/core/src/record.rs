@@ -55,7 +55,7 @@ impl Record {
     }
 
     /// Copy `payload` into a slot of `arena`'s fitting size class — the
-    /// slab ingest path ([`crate::ShardedNode::put_slice`]). Oversize
+    /// slab ingest path ([`crate::ShardedNode::put_many`]). Oversize
     /// payloads fall back to a plain heap allocation, so this always
     /// succeeds; `is_slab` reports which way it went.
     pub fn alloc_in(arena: &SlabArena, payload: &[u8]) -> Self {

@@ -18,13 +18,13 @@
 //!   point ops (they hold it in read mode) and lets the sweep walk the
 //!   stripes in index order against a stable snapshot;
 //! * payload bytes live in a per-node [`SlabArena`] (DESIGN.md §17):
-//!   [`ShardedNode::put_slice`] copies the wire payload into a recycled
-//!   size-class slot, so steady-state churn makes zero global-allocator
-//!   calls, and `||n||` charges each record its **true footprint** —
-//!   [`slab::footprint`]`(len)`, the slot size it really occupies — not
-//!   its payload length. Oversize and pre-built heap records are charged
-//!   the same pure function, so admission, the audit, and the simtest
-//!   model all agree bit-exactly.
+//!   [`ShardedNode::put_many`] copies each wire payload of a batch into a
+//!   recycled size-class slot, so steady-state churn makes zero
+//!   global-allocator calls, and `||n||` charges each record its **true
+//!   footprint** — [`slab::footprint`]`(len)`, the slot size it really
+//!   occupies — not its payload length. Oversize and pre-built heap
+//!   records are charged the same pure function, so admission, the audit,
+//!   and the simtest model all agree bit-exactly.
 //!
 //! `used_bytes` thus counts *logical residency*: records drained for
 //! migration stop being charged when they leave the stripes, even though
@@ -39,14 +39,13 @@
 //! `structural.read` + exactly one stripe lock; structural ops hold
 //! `structural.write` + stripes in ascending order, one at a time.
 
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ecc_bptree::BPlusTree;
+use ecc_bptree::{BPlusTree, Upsert};
 use ecc_obs::ObsRegistry;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::lockorder::{self, LockClass, LockToken};
+use crate::lockorder::{LockClass, Ordered};
 use crate::metrics::NodeCounters;
 use crate::record::Record;
 use crate::slab::{self, ClassStats, SlabArena};
@@ -117,28 +116,6 @@ impl std::fmt::Display for ShardAuditError {
 }
 
 impl std::error::Error for ShardAuditError {}
-
-/// A lock guard paired with its [`lockorder`] token: `read_lock` and
-/// `write_lock` take the token before the lock call, and the guard drops
-/// before the token, so no acquisition of a `ShardedNode` lock skips the
-/// debug-build auditor.
-struct Ordered<G> {
-    guard: G,
-    _order: LockToken,
-}
-
-impl<G: Deref> Deref for Ordered<G> {
-    type Target = G::Target;
-    fn deref(&self) -> &G::Target {
-        &self.guard
-    }
-}
-
-impl<G: DerefMut> DerefMut for Ordered<G> {
-    fn deref_mut(&mut self) -> &mut G::Target {
-        &mut self.guard
-    }
-}
 
 /// A cache-server index that scales with cores: hash-striped B+-trees,
 /// atomic accounting, a slab payload arena, and a structural lock for
@@ -240,7 +217,7 @@ impl ShardedNode {
         &self.arena
     }
 
-    /// Per-class slab occupancy (lock-free reads of relaxed counters).
+    /// Per-class slab occupancy, read under each class's freelist lock.
     pub fn slab_stats(&self) -> Vec<ClassStats> {
         self.arena.class_stats()
     }
@@ -276,15 +253,10 @@ impl ShardedNode {
         lock: &'a RwLock<T>,
         class: LockClass,
     ) -> Ordered<RwLockReadGuard<'a, T>> {
-        let order = lockorder::acquire(class);
-        let guard = match lock.try_read() {
+        Ordered::acquire(class, || match lock.try_read() {
             Some(guard) => guard,
             None => self.timed_wait(class, || lock.read()),
-        };
-        Ordered {
-            guard,
-            _order: order,
-        }
+        })
     }
 
     /// Acquire `lock` exclusively, audited and timed like
@@ -295,15 +267,10 @@ impl ShardedNode {
         lock: &'a RwLock<T>,
         class: LockClass,
     ) -> Ordered<RwLockWriteGuard<'a, T>> {
-        let order = lockorder::acquire(class);
-        let guard = match lock.try_write() {
+        Ordered::acquire(class, || match lock.try_write() {
             Some(guard) => guard,
             None => self.timed_wait(class, || lock.write()),
-        };
-        Ordered {
-            guard,
-            _order: order,
-        }
+        })
     }
 
     /// Block in `acquire` and record how long it took under
@@ -356,31 +323,56 @@ impl ShardedNode {
         self.get_with(key, |r| r.cloned())
     }
 
-    /// Store a pre-built record (in-process callers, migration ingest).
-    /// Charged its canonical footprint like every other record; payloads
-    /// arriving as raw wire bytes should use [`ShardedNode::put_slice`],
-    /// which lands them in the slab arena.
+    /// Store a pre-built record (in-process callers). Charged its
+    /// canonical footprint like every other record; payloads arriving as
+    /// raw wire bytes go through [`ShardedNode::put_many`], which lands
+    /// them in the slab arena.
     pub fn put(&self, key: u64, record: Record) -> PutOutcome {
-        self.put_inner(key, record.len(), move || record)
+        let out = self.store(key, record.len(), move || record);
+        let stored = out == PutOutcome::Stored;
+        self.counters
+            .note_puts(u64::from(stored), u64::from(!stored));
+        out
     }
 
-    /// Copy `payload` into a slot of the node's arena and store it — the
-    /// wire-ingest path. The slot is allocated only *after* the CAS
-    /// admission reserves its footprint, so a refused PUT touches neither
-    /// the arena nor the allocator.
+    /// Copy `payload` into a slot of the node's arena and store it — a
+    /// batch of one for [`ShardedNode::put_many`].
     pub fn put_slice(&self, key: u64, payload: &[u8]) -> PutOutcome {
-        self.put_inner(key, payload.len(), || {
-            Record::alloc_in(&self.arena, payload)
-        })
+        let mut out = PutOutcome::Overflow;
+        self.put_many(&[(key, payload)], |verdict| out = verdict);
+        out
     }
 
-    /// Store a record under the replacement-growth capacity rule: only the
+    /// Store a batch of raw payloads in order — the wire-ingest path of
+    /// `Put` and `PutMany`, which borrow the values from the connection's
+    /// read buffer. Each item is stored as by one `put`, and its verdict
+    /// goes to `verdict` in arrival order: a refused item never stops the
+    /// rest. An item takes the structural lock and then its own stripe, and
+    /// makes one B+-tree descent; the leaf shows it the old record, the
+    /// admission CAS runs, and only an admitted item takes a slab slot, so
+    /// a refused one touches neither the arena nor the allocator. The
+    /// node's per-op counters move once per batch; `used_bytes`,
+    /// `record_count` and the slab's counters stay exact per item.
+    pub fn put_many(&self, items: &[(u64, &[u8])], mut verdict: impl FnMut(PutOutcome)) {
+        let mut stored = 0;
+        for &(key, payload) in items {
+            let out = self.store(key, payload.len(), || {
+                Record::alloc_in(&self.arena, payload)
+            });
+            stored += u64::from(out == PutOutcome::Stored);
+            verdict(out);
+        }
+        self.counters.note_puts(stored, items.len() as u64 - stored);
+    }
+
+    /// The one store path, under `structural.read` + the key's stripe
+    /// write lock. The replacement-growth capacity rule: only the
     /// *footprint* growth over any existing record counts against
     /// capacity, and a growing replacement that no longer fits is refused
-    /// with the old record left intact (and `make` never called).
-    /// Admission is a CAS reservation on the byte atomic — concurrent
-    /// PUTs on different stripes cannot jointly overshoot the capacity.
-    fn put_inner(&self, key: u64, new_len: usize, make: impl FnOnce() -> Record) -> PutOutcome {
+    /// with the old record left intact and `make` never called. Admission
+    /// is a CAS reservation on the byte atomic — concurrent PUTs on
+    /// different stripes cannot jointly overshoot the capacity.
+    fn store(&self, key: u64, new_len: usize, make: impl FnOnce() -> Record) -> PutOutcome {
         let wait = self.wait_span();
         let _structural = self.read_lock(&self.structural, LockClass::Structural);
         let idx = stripe_of(key, self.mask);
@@ -388,33 +380,31 @@ impl ShardedNode {
         drop(wait);
 
         let new_fp = slab::footprint(new_len);
-        // Stable while this stripe's write lock is held: all mutations of
-        // `key` go through this stripe.
-        let old_fp = stripe.get(&key).map(|r| slab::footprint(r.len()));
-        let growth = new_fp.saturating_sub(old_fp.unwrap_or(0));
-        if growth > 0 {
-            let reserve = self
-                .used
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |u| {
-                    let grown = u.checked_add(growth)?;
-                    (grown <= self.capacity_bytes).then_some(grown)
-                });
-            if reserve.is_err() {
-                self.counters.note_overflow();
-                return PutOutcome::Overflow;
+        let upserted = stripe.upsert(key, |old| {
+            let old_fp = old.map_or(0, |r| slab::footprint(r.len()));
+            if new_fp > old_fp {
+                let growth = new_fp - old_fp;
+                self.used
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |u| {
+                        let grown = u.checked_add(growth)?;
+                        (grown <= self.capacity_bytes).then_some(grown)
+                    })
+                    .ok()?;
+            } else if old_fp > new_fp {
+                self.used.fetch_sub(old_fp - new_fp, Ordering::AcqRel);
             }
+            Some(make())
+        });
+        match upserted {
+            Upsert::Refused => PutOutcome::Overflow,
+            Upsert::Inserted => {
+                self.count.fetch_add(1, Ordering::AcqRel);
+                PutOutcome::Stored
+            }
+            // The old record drops here, under the stripe guard, and its
+            // slot goes back on its class freelist.
+            Upsert::Replaced(_) => PutOutcome::Stored,
         }
-        let shrink = old_fp.unwrap_or(0).saturating_sub(new_fp);
-        if shrink > 0 {
-            self.used.fetch_sub(shrink, Ordering::AcqRel);
-        }
-        // Replacement drops the old record here, returning its slot to
-        // the class freelist — often the very slot `make` just took.
-        if stripe.insert(key, make()).is_none() {
-            self.count.fetch_add(1, Ordering::AcqRel);
-        }
-        self.counters.note_put();
-        PutOutcome::Stored
     }
 
     /// Remove a record; returns it (payload shared, not copied — the slot
@@ -756,6 +746,31 @@ mod tests {
         let allocs: u64 = n.slab_stats().iter().map(|s| s.allocs).sum();
         assert_eq!(allocs, 1, "the refused PUT must not allocate a slot");
         assert_eq!(n.used_bytes(), 80);
+        n.validate();
+
+        // In the middle of a batch. Footprints: 60 B → 80, 100 B → 136,
+        // 10 B → 64. The 100-byte item would take used to 216 > 208.
+        let n = ShardedNode::new(208, 8, 2);
+        let items: [(u64, &[u8]); 4] =
+            [(1, &[1; 60]), (2, &[2; 100]), (3, &[3; 10]), (1, &[4; 10])];
+        let mut verdicts = Vec::new();
+        n.put_many(&items, |v| verdicts.push(v));
+        use PutOutcome::{Overflow, Stored};
+        assert_eq!(verdicts, [Stored, Overflow, Stored, Stored]);
+        let stats = n.slab_stats();
+        let class = |size| stats.iter().find(|s| s.slot_size == size).expect("class");
+        assert_eq!(
+            (class(136).allocs, class(136).total_slots),
+            (0, 0),
+            "the refused item must not take a slot, nor grow its class"
+        );
+        assert_eq!((class(80).allocs, class(64).allocs), (1, 2));
+        // Key 1 shrank into a 64-byte slot; its 80-byte one is free again.
+        assert_eq!((class(80).live_slots, class(64).live_slots), (0, 2));
+        assert_eq!((n.used_bytes(), n.record_count()), (128, 2));
+        assert_eq!(n.get(2), None);
+        let c = n.counters().snapshot();
+        assert_eq!((c.puts, c.overflows), (3, 1));
         n.validate();
     }
 

@@ -48,12 +48,12 @@
 
 #![allow(unsafe_code)]
 
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::lockorder::{self, LockClass};
+use crate::lockorder::{LockClass, Ordered};
 
 /// Bytes of slot header preceding the payload: `[AtomicU32 refcount][u32 len]`.
 pub const SLOT_HEADER: usize = 8;
@@ -204,23 +204,31 @@ impl Drop for Page {
     }
 }
 
-/// Per-class state: the freelist of slot pointers, the pages backing
-/// them, and relaxed statistics counters (occupancy gauges).
+/// Per-class state: the freelist of slot pointers with its occupancy
+/// counters, and the pages backing them.
 struct ClassState {
     slot_size: usize,
     slots_per_page: usize,
-    /// Free slot base pointers (each points at a slot header).
-    free: Mutex<Vec<*mut u8>>,
+    free: Mutex<FreeList>,
     /// Backing pages; only ever pushed to, popped at arena drop.
     pages: Mutex<Vec<Page>>,
+}
+
+/// A class's free slots and the counters that move with them, under one
+/// mutex: a slot is counted in the same critical section that takes it
+/// off the list or puts it back, so an allocation or a free costs one
+/// lock and no further atomic, and a read-out is one consistent cut.
+struct FreeList {
+    /// Free slot base pointers (each points at a slot header).
+    slots: Vec<*mut u8>,
     /// Slots carved out of all pages so far.
-    total_slots: AtomicU64,
+    total_slots: u64,
     /// Slots currently live (allocated, not yet back on the freelist).
-    live_slots: AtomicU64,
+    live_slots: u64,
     /// Sum of payload lengths over live slots (fragmentation gauge).
-    live_payload: AtomicU64,
+    live_payload: u64,
     /// Cumulative allocations served (the per-class allocation histogram).
-    allocs: AtomicU64,
+    allocs: u64,
 }
 
 // SAFETY: the raw pointers in `free`/`pages` refer to page memory owned by
@@ -229,6 +237,18 @@ struct ClassState {
 // mutexes. Sharing the struct across threads is exactly the intended use.
 unsafe impl Send for ClassState {}
 unsafe impl Sync for ClassState {}
+
+impl ClassState {
+    /// This class's freelist, locked through the lock-order auditor.
+    fn free(&self, idx: usize) -> Ordered<MutexGuard<'_, FreeList>> {
+        Ordered::acquire(LockClass::SlabFree(idx), || self.free.lock())
+    }
+
+    /// This class's page list, locked through the lock-order auditor.
+    fn pages(&self, idx: usize) -> Ordered<MutexGuard<'_, Vec<Page>>> {
+        Ordered::acquire(LockClass::SlabPage(idx), || self.pages.lock())
+    }
+}
 
 /// One [`ClassState`] per entry of the canonical class table.
 struct ArenaInner {
@@ -281,12 +301,14 @@ impl SlabArena {
             .map(|&slot_size| ClassState {
                 slot_size,
                 slots_per_page: (PAGE_BYTES / slot_size).max(1),
-                free: Mutex::new(Vec::with_capacity(0)),
+                free: Mutex::new(FreeList {
+                    slots: Vec::with_capacity(0),
+                    total_slots: 0,
+                    live_slots: 0,
+                    live_payload: 0,
+                    allocs: 0,
+                }),
                 pages: Mutex::new(Vec::with_capacity(0)),
-                total_slots: AtomicU64::new(0),
-                live_slots: AtomicU64::new(0),
-                live_payload: AtomicU64::new(0),
-                allocs: AtomicU64::new(0),
             })
             .collect();
         Self {
@@ -309,9 +331,11 @@ impl SlabArena {
         let class = &self.inner.classes[idx];
         let ptr = loop {
             {
-                let _order = lockorder::acquire(LockClass::SlabFree(idx));
-                let mut free = class.free.lock();
-                if let Some(p) = free.pop() {
+                let mut free = class.free(idx);
+                if let Some(p) = free.slots.pop() {
+                    free.live_slots += 1;
+                    free.live_payload += payload.len() as u64;
+                    free.allocs += 1;
                     break p;
                 }
             }
@@ -325,11 +349,6 @@ impl SlabArena {
             std::ptr::copy_nonoverlapping(payload.as_ptr(), ptr.add(SLOT_HEADER), payload.len());
             (*ptr.cast::<AtomicU32>()).store(1, Ordering::Release);
         }
-        class.live_slots.fetch_add(1, Ordering::Relaxed);
-        class
-            .live_payload
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        class.allocs.fetch_add(1, Ordering::Relaxed);
         Some(SlabRef {
             inner: Arc::clone(&self.inner),
             ptr,
@@ -343,48 +362,42 @@ impl SlabArena {
     /// runs only when occupancy grows past every page allocated so far.
     fn grow(&self, idx: usize) {
         let class = &self.inner.classes[idx];
-        let _order_p = lockorder::acquire(LockClass::SlabPage(idx));
-        let mut pages = class.pages.lock();
-        {
-            // Another thread may have grown while we waited for the page
-            // lock; re-check under it so pages are not over-allocated.
-            let _order_f = lockorder::acquire(LockClass::SlabFree(idx));
-            if !class.free.lock().is_empty() {
-                return;
-            }
+        let mut pages = class.pages(idx);
+        // Another thread may have grown while we waited for the page lock;
+        // re-check under it so pages are not over-allocated.
+        if !class.free(idx).slots.is_empty() {
+            return;
         }
         let page = Page::new(class.slots_per_page * class.slot_size);
-        let _order_f = lockorder::acquire(LockClass::SlabFree(idx));
-        let mut free = class.free.lock();
+        let mut free = class.free(idx);
         // Reserve room for every slot ever carved (prior pages + this
         // one): the freelist can hold at most that many pointers, so a
         // steady-state `free_slot` push never reallocates — the freelist
         // itself must not put mallocs back on the path it exists to clear.
-        let all_slots = class.total_slots.load(Ordering::Relaxed) as usize + class.slots_per_page;
-        let additional = all_slots.saturating_sub(free.len());
-        free.reserve(additional);
+        let all_slots = free.total_slots as usize + class.slots_per_page;
+        let additional = all_slots.saturating_sub(free.slots.len());
+        free.slots.reserve(additional);
         for i in 0..class.slots_per_page {
             // SAFETY: i * slot_size < page size by construction.
-            free.push(unsafe { page.base.add(i * class.slot_size) });
+            free.slots
+                .push(unsafe { page.base.add(i * class.slot_size) });
         }
+        free.total_slots += class.slots_per_page as u64;
         pages.push(page);
-        class
-            .total_slots
-            .fetch_add(class.slots_per_page as u64, Ordering::Relaxed);
     }
 
     /// Per-class occupancy/fragmentation read-out, ascending slot size.
     pub fn class_stats(&self) -> Vec<ClassStats> {
         let mut out = Vec::with_capacity(self.inner.classes.len());
-        for class in self.inner.classes.iter() {
-            let total = class.total_slots.load(Ordering::Relaxed);
+        for (idx, class) in self.inner.classes.iter().enumerate() {
+            let free = class.free(idx);
             out.push(ClassStats {
                 slot_size: class.slot_size,
-                pages: total / class.slots_per_page as u64,
-                total_slots: total,
-                live_slots: class.live_slots.load(Ordering::Relaxed),
-                live_payload_bytes: class.live_payload.load(Ordering::Relaxed),
-                allocs: class.allocs.load(Ordering::Relaxed),
+                pages: free.total_slots / class.slots_per_page as u64,
+                total_slots: free.total_slots,
+                live_slots: free.live_slots,
+                live_payload_bytes: free.live_payload,
+                allocs: free.allocs,
             });
         }
         out
@@ -393,11 +406,10 @@ impl SlabArena {
 
 /// Return a slot to its class freelist once its last handle dropped.
 fn free_slot(inner: &ArenaInner, class_idx: usize, ptr: *mut u8, len: u32) {
-    let class = &inner.classes[class_idx];
-    class.live_slots.fetch_sub(1, Ordering::Relaxed);
-    class.live_payload.fetch_sub(len as u64, Ordering::Relaxed);
-    let _order = lockorder::acquire(LockClass::SlabFree(class_idx));
-    class.free.lock().push(ptr);
+    let mut free = inner.classes[class_idx].free(class_idx);
+    free.live_slots -= 1;
+    free.live_payload -= u64::from(len);
+    free.slots.push(ptr);
 }
 
 /// A refcounted handle on one live arena slot. Cloning bumps the slot's

@@ -184,10 +184,7 @@ impl RemoteNode {
 
     /// Store a record; returns the server's verdict (`Ok` or `Overflow`).
     pub fn put(&mut self, key: u64, value: Vec<u8>) -> io::Result<Status> {
-        let (status, _) = self.call(&Request::Put {
-            key,
-            value: value.into(),
-        })?;
+        let (status, _) = self.call(&Request::Put { key, value: &value })?;
         Ok(status)
     }
 
@@ -201,6 +198,7 @@ impl RemoteNode {
     /// item never fails the batch or the connection.
     pub fn put_many(&mut self, items: Vec<(u64, Bytes)>) -> io::Result<Vec<Status>> {
         let expected = items.len();
+        let items = items.iter().map(|(k, v)| (*k, &v[..])).collect();
         let (status, body) = self.call(&Request::PutMany { items })?;
         if status != Status::Ok {
             return Err(bad_frame("put-many rejected"));

@@ -146,14 +146,13 @@ impl LiveCoordinator {
     }
 
     /// Cluster-wide observability snapshot: fan out `ObsDump` to every
-    /// node, then merge the per-node snapshots with the coordinator's own
-    /// (histograms add bucket-wise, events interleave by timestamp).
+    /// node, then fold the per-node snapshots into the coordinator's own
+    /// by move, in node order (histograms add bucket-wise, events
+    /// interleave by timestamp, one sort at the end).
     pub fn cluster_obs(&mut self) -> io::Result<ObsSnapshot> {
-        let mut merged = self.obs.snapshot();
-        for (_, snap) in self.fan_out(|_| Some(Request::ObsDump), |_, s, b| obs_dump_reply(s, b))? {
-            merged.merge(&snap);
-        }
-        Ok(merged)
+        let own = self.obs.snapshot();
+        let nodes = self.fan_out(|_| Some(Request::ObsDump), |_, s, b| obs_dump_reply(s, b))?;
+        Ok(own.merged(nodes.into_iter().map(|(_, snap)| snap)))
     }
 
     /// Address of node `id`'s cache server, if it is active.
@@ -192,7 +191,7 @@ impl LiveCoordinator {
     /// without end).
     fn fan_out<T>(
         &mut self,
-        request: impl Fn(usize) -> Option<Request>,
+        request: impl Fn(usize) -> Option<Request<'static>>,
         reply: impl Fn(usize, Status, &[u8]) -> io::Result<T>,
     ) -> io::Result<Vec<(usize, T)>> {
         let fanout = self.obs.span_follow("coord_fanout");

@@ -307,7 +307,7 @@ fn drain_one(
                     let value = vec![(p.key % 251) as u8; value_len];
                     match conn.enqueue(&Request::Put {
                         key: p.key,
-                        value: value.into(),
+                        value: &value,
                     }) {
                         Ok(()) => pending.push_back(Pending {
                             key: p.key,

@@ -119,9 +119,12 @@ impl Status {
     }
 }
 
-/// A parsed request.
+/// A parsed request. A decoded request borrows from the bytes it was
+/// decoded from — on the server, the connection's read buffer: `Put` and
+/// `PutMany` values are slices of it, so the one copy of a stored payload
+/// is the one into its slab slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<'a> {
     /// Look up `key`.
     Get {
         /// Key to look up.
@@ -132,7 +135,7 @@ pub enum Request {
         /// Key to store under.
         key: u64,
         /// Payload bytes.
-        value: Bytes,
+        value: &'a [u8],
     },
     /// Remove `key`.
     Remove {
@@ -163,7 +166,7 @@ pub enum Request {
     /// per item (`Ok` / `Overflow`): a refused item never fails the batch.
     PutMany {
         /// `(key, value)` pairs, applied in order.
-        items: Vec<(u64, Bytes)>,
+        items: Vec<(u64, &'a [u8])>,
     },
     /// Look up a batch of keys. The response is `Ok` with one
     /// present/absent entry per key, in request order.
@@ -183,7 +186,7 @@ pub enum Request {
     ObsDump,
 }
 
-impl Request {
+impl<'a> Request<'a> {
     /// The opcode this request encodes as.
     pub fn op(&self) -> Op {
         match self {
@@ -266,10 +269,10 @@ impl Request {
         }
     }
 
-    /// Parse a frame payload. Generic over [`Buf`] so the server can
-    /// decode straight out of its reused per-connection read buffer
-    /// (`&frame[..]`) as well as from an owned [`Bytes`].
-    pub fn decode<B: Buf>(mut payload: B) -> Option<Request> {
+    /// Parse a frame payload. `Put` and `PutMany` values are slices of
+    /// `payload`, not copies: the server decodes straight out of its reused
+    /// per-connection read buffer.
+    pub fn decode(mut payload: &'a [u8]) -> Option<Request<'a>> {
         if !payload.has_remaining() {
             return None;
         }
@@ -287,11 +290,9 @@ impl Request {
                 if payload.remaining() < 8 {
                     return None;
                 }
-                let key = payload.get_u64_le();
-                let len = payload.remaining();
                 Request::Put {
-                    key,
-                    value: payload.copy_to_bytes(len),
+                    key: payload.get_u64_le(),
+                    value: payload,
                 }
             }
             Op::Remove => {
@@ -347,10 +348,9 @@ impl Request {
                     }
                     let key = payload.get_u64_le();
                     let len = payload.get_u32_le() as usize;
-                    if payload.remaining() < len {
-                        return None;
-                    }
-                    items.push((key, payload.copy_to_bytes(len)));
+                    let (value, rest) = payload.split_at_checked(len)?;
+                    items.push((key, value));
+                    payload = rest;
                 }
                 if payload.has_remaining() {
                     return None;
@@ -416,7 +416,7 @@ pub fn encode_traced(ctx: &TraceContext, req: &Request) -> Bytes {
 ///   request is served — forward compatibility).
 /// * Malformed extensions (truncated header, wrong v1 length, version 0)
 ///   are `None`, like any other malformed payload.
-pub fn decode_with_trace<B: Buf>(mut payload: B) -> Option<(Option<TraceContext>, Request)> {
+pub fn decode_with_trace(mut payload: &[u8]) -> Option<(Option<TraceContext>, Request<'_>)> {
     if !payload.has_remaining() || payload.chunk()[0] != TRACE_EXT_OPCODE {
         return Request::decode(payload).map(|req| (None, req));
     }
@@ -852,7 +852,7 @@ mod tests {
             Request::Get { key: 7 },
             Request::Put {
                 key: 9,
-                value: Bytes::from_static(b"hello"),
+                value: b"hello",
             },
             Request::Remove { key: u64::MAX },
             Request::Keys { lo: 0, hi: 0 },
@@ -864,7 +864,7 @@ mod tests {
         ];
         for req in cases {
             let enc = req.encode();
-            assert_eq!(Request::decode(enc), Some(req));
+            assert_eq!(Request::decode(&enc), Some(req));
         }
     }
 
@@ -883,14 +883,14 @@ mod tests {
             Request::Get { key: 7 },
             Request::Put {
                 key: 9,
-                value: Bytes::from_static(b"hello"),
+                value: b"hello",
             },
             Request::GetMany { keys: vec![1, 2] },
             Request::Ping,
         ];
         for req in reqs {
             let enc = encode_traced(&sample_ctx(), &req);
-            let (ctx, back) = decode_with_trace(enc).unwrap();
+            let (ctx, back) = decode_with_trace(&enc).unwrap();
             assert_eq!(ctx, Some(sample_ctx()));
             assert_eq!(back, req);
         }
@@ -903,14 +903,15 @@ mod tests {
             ..sample_ctx()
         };
         let enc = encode_traced(&ctx, &Request::Ping);
-        let (back, _) = decode_with_trace(enc).unwrap();
+        let (back, _) = decode_with_trace(&enc).unwrap();
         assert!(!back.unwrap().sampled);
     }
 
     #[test]
     fn plain_frames_decode_without_context() {
         let req = Request::Keys { lo: 3, hi: 99 };
-        let (ctx, back) = decode_with_trace(req.encode()).unwrap();
+        let enc = req.encode();
+        let (ctx, back) = decode_with_trace(&enc).unwrap();
         assert_eq!(ctx, None);
         assert_eq!(back, req);
     }
@@ -925,7 +926,7 @@ mod tests {
         b.put_u8(30);
         b.extend_from_slice(&[0xAB; 30]);
         Request::Get { key: 42 }.encode_into(&mut b);
-        let (ctx, req) = decode_with_trace(Bytes::from(b)).unwrap();
+        let (ctx, req) = decode_with_trace(&b).unwrap();
         assert_eq!(ctx, None);
         assert_eq!(req, Request::Get { key: 42 });
     }
@@ -933,22 +934,22 @@ mod tests {
     #[test]
     fn malformed_trace_extensions_are_rejected() {
         // Truncated header.
-        assert!(decode_with_trace(Bytes::from_static(&[0x0E])).is_none());
-        assert!(decode_with_trace(Bytes::from_static(&[0x0E, 1])).is_none());
+        assert!(decode_with_trace(&[0x0E]).is_none());
+        assert!(decode_with_trace(&[0x0E, 1]).is_none());
         // Version 0 is invalid.
-        assert!(decode_with_trace(Bytes::from_static(&[0x0E, 0, 0, 0x07])).is_none());
+        assert!(decode_with_trace(&[0x0E, 0, 0, 0x07]).is_none());
         // v1 with the wrong ext_len.
         let mut b = vec![0x0E, 1, 3, 0, 0, 0];
         b.push(Op::Ping as u8);
-        assert!(decode_with_trace(Bytes::from(b)).is_none());
+        assert!(decode_with_trace(&b).is_none());
         // ext_len longer than the remaining payload.
-        assert!(decode_with_trace(Bytes::from_static(&[0x0E, 1, 200, 1, 2])).is_none());
+        assert!(decode_with_trace(&[0x0E, 1, 200, 1, 2]).is_none());
         // Well-formed extension but malformed inner request (GET with a
         // truncated key).
         let mut b = Vec::new();
         encode_traced_into(&sample_ctx(), &Request::Get { key: 7 }, &mut b);
         b.pop();
-        assert!(decode_with_trace(Bytes::from(b)).is_none());
+        assert!(decode_with_trace(&b).is_none());
     }
 
     #[test]
@@ -970,15 +971,15 @@ mod tests {
 
     #[test]
     fn malformed_frames_rejected() {
-        assert_eq!(Request::decode(Bytes::new()), None);
-        assert_eq!(Request::decode(Bytes::from_static(&[0xFF])), None);
+        assert_eq!(Request::decode(&[]), None);
+        assert_eq!(Request::decode(&[0xFF]), None);
         // The retired Sweep opcode, with its old 16-byte range body.
         let mut sweep = vec![0x04];
         sweep.extend_from_slice(&[0; 16]);
         assert_eq!(Op::from_u8(0x04), None);
-        assert_eq!(Request::decode(Bytes::from(sweep)), None);
+        assert_eq!(Request::decode(&sweep), None);
         // GET with a short key.
-        assert_eq!(Request::decode(Bytes::from_static(&[0x01, 1, 2])), None);
+        assert_eq!(Request::decode(&[0x01, 1, 2]), None);
         assert_eq!(Response::decode(Bytes::new()), None);
         assert_eq!(Response::decode(Bytes::from_static(&[9])), None);
     }
@@ -1001,11 +1002,7 @@ mod tests {
     fn batch_requests_roundtrip() {
         let cases = vec![
             Request::PutMany {
-                items: vec![
-                    (1, Bytes::from_static(b"a")),
-                    (2, Bytes::new()),
-                    (u64::MAX, Bytes::from_static(b"abcdef")),
-                ],
+                items: vec![(1, &b"a"[..]), (2, &[][..]), (u64::MAX, &b"abcdef"[..])],
             },
             Request::PutMany { items: vec![] },
             Request::GetMany {
@@ -1018,7 +1015,7 @@ mod tests {
         ];
         for req in cases {
             let enc = req.encode();
-            assert_eq!(Request::decode(enc), Some(req));
+            assert_eq!(Request::decode(&enc), Some(req));
         }
     }
 
@@ -1026,27 +1023,27 @@ mod tests {
     fn malformed_batches_rejected() {
         // Truncated PutMany: count says 2 but only one item follows.
         let one = Request::PutMany {
-            items: vec![(7, Bytes::from_static(b"xy"))],
+            items: vec![(7, &b"xy"[..])],
         }
         .encode();
         let mut forged = one.to_vec();
         forged[1..5].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(Request::decode(Bytes::from(forged)), None);
+        assert_eq!(Request::decode(&forged), None);
 
         // Hostile count prefix far larger than the payload could hold:
         // must reject before allocating.
         let mut huge = vec![Op::PutMany as u8];
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(Request::decode(Bytes::from(huge.clone())), None);
+        assert_eq!(Request::decode(&huge), None);
         huge[0] = Op::GetMany as u8;
-        assert_eq!(Request::decode(Bytes::from(huge.clone())), None);
+        assert_eq!(Request::decode(&huge), None);
         huge[0] = Op::EvictMany as u8;
-        assert_eq!(Request::decode(Bytes::from(huge)), None);
+        assert_eq!(Request::decode(&huge), None);
 
         // Trailing garbage after a well-formed batch.
         let mut trailing = Request::EvictMany { keys: vec![1] }.encode().to_vec();
         trailing.push(0);
-        assert_eq!(Request::decode(Bytes::from(trailing)), None);
+        assert_eq!(Request::decode(&trailing), None);
 
         // Item length prefix overruns the payload.
         let mut overrun = vec![Op::PutMany as u8];
@@ -1054,7 +1051,7 @@ mod tests {
         overrun.extend_from_slice(&5u64.to_le_bytes());
         overrun.extend_from_slice(&100u32.to_le_bytes());
         overrun.extend_from_slice(b"short");
-        assert_eq!(Request::decode(Bytes::from(overrun)), None);
+        assert_eq!(Request::decode(&overrun), None);
     }
 
     #[test]

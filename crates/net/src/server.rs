@@ -22,11 +22,11 @@ use std::thread::JoinHandle;
 
 use bytes::BufMut;
 use ecc_core::{PutOutcome, Record, ShardedNode, DEFAULT_STRIPES};
-use ecc_obs::{encode_dump, ObsRegistry, TimeSource};
+use ecc_obs::{ObsRegistry, TimeSource};
 
 use crate::protocol::{
-    encode_get_many_entry, encode_keys, encode_range_stats, encode_stats, encode_statuses,
-    write_frame_buffered, Op, Request, Response, Status,
+    encode_get_many_entry, encode_keys, encode_range_stats, encode_stats, write_frame_buffered, Op,
+    Request, Response, Status,
 };
 use crate::reactor::{spawn_reactors, ReactorPool};
 
@@ -269,19 +269,18 @@ pub(crate) fn handle(
             Some(rec) => reply(out, Status::Ok, rec.as_slice()),
             None => reply(out, Status::NotFound, &[]),
         }),
-        Request::Put { key, value } => reply(out, put_record(node, key, value), &[]),
+        Request::Put { key, value } => reply(out, put_status(node.put_slice(key, value)), &[]),
         Request::Remove { key } => match node.remove(key) {
             Some(_) => reply(out, Status::Ok, &[]),
             None => reply(out, Status::NotFound, &[]),
         },
+        // One batch, its values still in the read buffer; each verdict is
+        // appended to the reply as it is decided. A refused item never
+        // aborts the rest of the batch.
         Request::PutMany { items } => {
-            // Per-item verdicts: a refused item never aborts the rest of
-            // the batch.
-            let statuses: Vec<Status> = items
-                .into_iter()
-                .map(|(key, value)| put_record(node, key, value))
-                .collect();
-            reply(out, Status::Ok, &encode_statuses(&statuses));
+            out.push(Status::Ok as u8);
+            out.put_u32_le(items.len() as u32);
+            node.put_many(&items, |verdict| out.push(put_status(verdict) as u8));
         }
         // Like `Get`, entry by entry: each value is copied from its record
         // into the write queue under that key's stripe guard.
@@ -295,17 +294,15 @@ pub(crate) fn handle(
             }
         }
         Request::EvictMany { keys } => {
-            let statuses: Vec<Status> = keys
-                .iter()
-                .map(|&k| {
-                    if node.remove(k).is_some() {
-                        Status::Ok
-                    } else {
-                        Status::NotFound
-                    }
-                })
-                .collect();
-            reply(out, Status::Ok, &encode_statuses(&statuses));
+            out.push(Status::Ok as u8);
+            out.put_u32_le(keys.len() as u32);
+            for key in keys {
+                let status = match node.remove(key) {
+                    Some(_) => Status::Ok,
+                    None => Status::NotFound,
+                };
+                out.push(status as u8);
+            }
         }
         Request::Keys { lo, hi } => {
             reply(out, Status::Ok, &encode_keys(&node.keys_in_range(lo, hi)));
@@ -324,7 +321,13 @@ pub(crate) fn handle(
             ),
         ),
         Request::Ping => reply(out, Status::Ok, &[]),
-        Request::ObsDump => reply(out, Status::Ok, &encode_dump(&obs.snapshot())),
+        // Encoded from the registry part by part, each under its own
+        // lock, straight into the write queue: no snapshot, no
+        // intermediate buffer.
+        Request::ObsDump => {
+            out.push(Status::Ok as u8);
+            obs.encode_dump_into(out);
+        }
         Request::Shutdown => {
             // Release pairs with the accept loop's Acquire load; no
             // total order with unrelated atomics is needed.
@@ -361,15 +364,9 @@ pub(crate) fn op_hist_name(op: Option<Op>) -> &'static str {
     }
 }
 
-/// Store one record under the capacity rule shared by `Put` and
-/// `PutMany`: a replacement frees the old record's footprint, so only
-/// the footprint *growth* counts against capacity; a growing replacement
-/// that no longer fits is refused like any other overflow. The decoded
-/// value lands in the node's slab arena — the one ingest copy moves the
-/// bytes off the connection buffer into a recycled size-class slot, so
-/// steady-state churn never touches the global allocator.
-fn put_record(node: &ShardedNode, key: u64, value: bytes::Bytes) -> Status {
-    match node.put_slice(key, &value) {
+/// The wire status of a put verdict.
+fn put_status(outcome: PutOutcome) -> Status {
+    match outcome {
         PutOutcome::Stored => Status::Ok,
         PutOutcome::Overflow => Status::Overflow,
     }
@@ -674,7 +671,7 @@ mod tests {
             crate::protocol::append_frame(&mut burst, |b| {
                 Request::Put {
                     key: k,
-                    value: bytes::Bytes::from(k.to_le_bytes().to_vec()),
+                    value: &k.to_le_bytes(),
                 }
                 .encode_into(b)
             })

@@ -10,13 +10,19 @@ use ecc_net::protocol::{
 };
 use proptest::prelude::*;
 
-fn arb_request() -> impl Strategy<Value = Request> {
+/// A request value outlives the strategy that generated it, so generated
+/// payloads are leaked (a few KiB per test run).
+fn leak(v: Vec<u8>) -> &'static [u8] {
+    Box::leak(v.into_boxed_slice())
+}
+
+fn arb_request() -> impl Strategy<Value = Request<'static>> {
     prop_oneof![
         any::<u64>().prop_map(|key| Request::Get { key }),
         (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..200)).prop_map(|(key, v)| {
             Request::Put {
                 key,
-                value: Bytes::from(v),
+                value: leak(v),
             }
         }),
         any::<u64>().prop_map(|key| Request::Remove { key }),
@@ -31,10 +37,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
             0..20,
         )
         .prop_map(|items| Request::PutMany {
-            items: items
-                .into_iter()
-                .map(|(k, v)| (k, Bytes::from(v)))
-                .collect(),
+            items: items.into_iter().map(|(k, v)| (k, leak(v))).collect(),
         }),
         proptest::collection::vec(any::<u64>(), 0..50).prop_map(|keys| Request::GetMany { keys }),
         proptest::collection::vec(any::<u64>(), 0..50).prop_map(|keys| Request::EvictMany { keys }),
@@ -44,7 +47,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
 proptest! {
     #[test]
     fn request_roundtrip(req in arb_request()) {
-        prop_assert_eq!(Request::decode(req.encode()), Some(req));
+        prop_assert_eq!(Request::decode(&req.encode()), Some(req));
     }
 
     #[test]
@@ -65,7 +68,7 @@ proptest! {
     /// never panic, never loop (a malicious peer cannot crash a server).
     #[test]
     fn request_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = Request::decode(Bytes::from(bytes));
+        let _ = Request::decode(&bytes);
     }
 
     #[test]
@@ -165,18 +168,19 @@ proptest! {
         sampled: bool,
     ) {
         let ctx = TraceContext { trace_id, span_id, parent_span_id: parent, sampled };
-        let (got_ctx, got_req) = decode_with_trace(encode_traced(&ctx, &req)).unwrap();
+        let traced = encode_traced(&ctx, &req);
+        let (got_ctx, got_req) = decode_with_trace(&traced).unwrap();
         prop_assert_eq!(got_ctx, Some(ctx));
         prop_assert_eq!(&got_req, &req);
 
-        let plain = decode_with_trace(req.encode());
-        prop_assert_eq!(plain, Request::decode(req.encode()).map(|r| (None, r)));
+        let enc = req.encode();
+        prop_assert_eq!(decode_with_trace(&enc), Request::decode(&enc).map(|r| (None, r)));
     }
 
     /// `decode_with_trace` is total on arbitrary bytes, like `decode`.
     #[test]
     fn decode_with_trace_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let _ = decode_with_trace(Bytes::from(bytes));
+        let _ = decode_with_trace(&bytes);
     }
 
     /// Frames written then read give back the payload; truncated frames
@@ -248,23 +252,17 @@ mod golden_bytes {
     /// decode unchanged, and the new opcode must not shadow them.
     #[test]
     fn legacy_request_frames_still_decode() {
-        assert_eq!(
-            Request::decode(Bytes::from_static(&[0x06])),
-            Some(Request::Stats)
-        );
+        assert_eq!(Request::decode(&[0x06]), Some(Request::Stats));
         let mut range = vec![0x09];
         range.extend_from_slice(&100u64.to_le_bytes());
         range.extend_from_slice(&200u64.to_le_bytes());
         assert_eq!(
-            Request::decode(Bytes::from(range)),
+            Request::decode(&range),
             Some(Request::RangeStats { lo: 100, hi: 200 })
         );
         // The new opcode decodes strictly: exactly one byte, no payload.
-        assert_eq!(
-            Request::decode(Bytes::from_static(&[0x0D])),
-            Some(Request::ObsDump)
-        );
-        assert_eq!(Request::decode(Bytes::from_static(&[0x0D, 0x00])), None);
+        assert_eq!(Request::decode(&[0x0D]), Some(Request::ObsDump));
+        assert_eq!(Request::decode(&[0x0D, 0x00]), None);
     }
 
     /// The v1 traced `GET` frame, byte for byte: `0x0E` marker, version 1,
@@ -295,7 +293,7 @@ mod golden_bytes {
             &frozen[..]
         );
         assert_eq!(
-            decode_with_trace(Bytes::copy_from_slice(&frozen)),
+            decode_with_trace(&frozen),
             Some((Some(ctx), Request::Get { key: 42 }))
         );
     }
@@ -321,10 +319,7 @@ mod golden_bytes {
         let mut server = ecc_net::server::CacheServer::spawn(10_000, 16).unwrap();
         let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
         for (key, value) in [(1u64, &b"abc"[..]), (3, b"")] {
-            let put = Request::Put {
-                key,
-                value: Bytes::copy_from_slice(value),
-            };
+            let put = Request::Put { key, value };
             write_frame(&mut raw, &put.encode()).unwrap();
             assert_eq!(read_frame(&mut raw).unwrap().as_ref(), [Status::Ok as u8]);
         }

@@ -152,13 +152,23 @@ impl ObsEvent {
 
     /// One JSON object on one line, stable field order, no trailing newline.
     pub fn to_json(&self) -> String {
+        let mut line = String::new();
+        let _ = self.write_json(&mut line);
+        line
+    }
+
+    /// Append [`ObsEvent::to_json`]'s line to `out` without building it
+    /// first (the `ObsDump` encoder writes events straight into the
+    /// response).
+    pub fn write_json(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
         match self {
             ObsEvent::BucketSplit {
                 at_us,
                 node,
                 new_node,
                 bucket,
-            } => format!(
+            } => write!(
+                out,
                 "{{\"type\":\"bucket_split\",\"at_us\":{at_us},\"node\":{node},\
                  \"new_node\":{new_node},\"bucket\":{bucket}}}"
             ),
@@ -170,7 +180,8 @@ impl ObsEvent {
                 bytes,
                 duration_us,
                 allocated,
-            } => format!(
+            } => write!(
+                out,
                 "{{\"type\":\"sweep_migrate\",\"at_us\":{at_us},\"src\":{src},\
                  \"dest\":{dest},\"records\":{records},\"bytes\":{bytes},\
                  \"duration_us\":{duration_us},\"allocated\":{allocated}}}"
@@ -180,39 +191,50 @@ impl ObsEvent {
                 src,
                 dest,
                 records,
-            } => format!(
+            } => write!(
+                out,
                 "{{\"type\":\"node_merge\",\"at_us\":{at_us},\"src\":{src},\
                  \"dest\":{dest},\"records\":{records}}}"
             ),
             ObsEvent::NodeAlloc { at_us, node } => {
-                format!("{{\"type\":\"node_alloc\",\"at_us\":{at_us},\"node\":{node}}}")
+                write!(
+                    out,
+                    "{{\"type\":\"node_alloc\",\"at_us\":{at_us},\"node\":{node}}}"
+                )
             }
             ObsEvent::NodeDealloc { at_us, node } => {
-                format!("{{\"type\":\"node_dealloc\",\"at_us\":{at_us},\"node\":{node}}}")
+                write!(
+                    out,
+                    "{{\"type\":\"node_dealloc\",\"at_us\":{at_us},\"node\":{node}}}"
+                )
             }
             ObsEvent::SliceExpire {
                 at_us,
                 expiration,
                 victims,
-            } => format!(
+            } => write!(
+                out,
                 "{{\"type\":\"slice_expire\",\"at_us\":{at_us},\
                  \"expiration\":{expiration},\"victims\":{victims}}}"
             ),
             ObsEvent::EvictBatch { at_us, node, keys } => {
-                let mut list = String::new();
+                write!(
+                    out,
+                    "{{\"type\":\"evict_batch\",\"at_us\":{at_us},\"node\":{node},\"keys\":["
+                )?;
                 for (i, k) in keys.iter().enumerate() {
                     if i > 0 {
-                        list.push(',');
+                        out.write_char(',')?;
                     }
-                    list.push_str(&k.to_string());
+                    write!(out, "{k}")?;
                 }
-                format!(
-                    "{{\"type\":\"evict_batch\",\"at_us\":{at_us},\"node\":{node},\
-                     \"keys\":[{list}]}}"
-                )
+                out.write_str("]}")
             }
             ObsEvent::InsertError { at_us, key } => {
-                format!("{{\"type\":\"insert_error\",\"at_us\":{at_us},\"key\":{key}}}")
+                write!(
+                    out,
+                    "{{\"type\":\"insert_error\",\"at_us\":{at_us},\"key\":{key}}}"
+                )
             }
             ObsEvent::SpanStart {
                 at_us,
@@ -221,12 +243,16 @@ impl ObsEvent {
                 parent,
                 kind,
                 node,
-            } => format!(
+            } => write!(
+                out,
                 "{{\"type\":\"span_start\",\"at_us\":{at_us},\"trace\":{trace},\
                  \"span\":{span},\"parent\":{parent},\"kind\":\"{kind}\",\"node\":{node}}}"
             ),
             ObsEvent::SpanEnd { at_us, span } => {
-                format!("{{\"type\":\"span_end\",\"at_us\":{at_us},\"span\":{span}}}")
+                write!(
+                    out,
+                    "{{\"type\":\"span_end\",\"at_us\":{at_us},\"span\":{span}}}"
+                )
             }
         }
     }

@@ -287,6 +287,22 @@ impl ObsRegistry {
         self.inner.recorder.lock().to_jsonl()
     }
 
+    /// Append the [`crate::encode_dump`] form of the current state to
+    /// `out` with no snapshot taken — what a server answers `ObsDump`
+    /// with. Each part is encoded under its own lock, the recorder's held
+    /// only while the events are written, so a dump stalls the node's
+    /// recording one part at a time; a dump taken while the node records
+    /// is therefore not one atomic cut. On a quiescent registry it is
+    /// byte for byte `encode_dump(&self.snapshot())`.
+    pub fn encode_dump_into(&self, out: &mut Vec<u8>) {
+        let dropped = self.inner.recorder.lock().dropped();
+        crate::wire::put_head(out, [dropped, self.spans_dropped()]);
+        crate::wire::put_hists(out, &self.inner.hists.lock());
+        crate::wire::put_gauges(out, &self.inner.gauges.lock());
+        let recorder = self.inner.recorder.lock();
+        crate::wire::put_events(out, recorder.len(), recorder.iter());
+    }
+
     /// An immutable read-out of the current state.
     pub fn snapshot(&self) -> ObsSnapshot {
         let recorder = self.inner.recorder.lock();
@@ -338,21 +354,44 @@ impl ObsSnapshot {
     /// Fold `other` into `self`: histograms merge bucket-wise by name,
     /// events concatenate and re-sort by timestamp, drop counts add.
     pub fn merge(&mut self, other: &ObsSnapshot) {
+        self.absorb(other.clone());
+        self.sort_events();
+    }
+
+    /// Merge every snapshot of `others` into `self`, taking each by move,
+    /// and sort the events once at the end. The stable sort leaves
+    /// same-timestamp events in fold order — `self`'s, then each of
+    /// `others` in turn — which is the order a [`merge`](Self::merge) per
+    /// snapshot gives.
+    #[must_use]
+    pub fn merged(mut self, others: impl IntoIterator<Item = ObsSnapshot>) -> Self {
+        for other in others {
+            self.absorb(other);
+        }
+        self.sort_events();
+        self
+    }
+
+    /// Fold `other` in by move, events appended unsorted.
+    fn absorb(&mut self, other: ObsSnapshot) {
         self.dropped += other.dropped;
         self.spans_dropped += other.spans_dropped;
-        for (name, h) in &other.hists {
-            match self.hists.get_mut(name) {
-                Some(mine) => mine.merge(h),
+        for (name, h) in other.hists {
+            match self.hists.get_mut(&name) {
+                Some(mine) => mine.merge(&h),
                 None => {
-                    self.hists.insert(name.clone(), h.clone());
+                    self.hists.insert(name, h);
                 }
             }
         }
-        for (name, v) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_insert(0) += v;
+        for (name, v) in other.gauges {
+            *self.gauges.entry(name).or_insert(0) += v;
         }
-        self.events.extend(other.events.iter().cloned());
-        self.events.sort_by_key(|ev| ev.at_us());
+        self.events.extend(other.events);
+    }
+
+    fn sort_events(&mut self) {
+        self.events.sort_by_key(ObsEvent::at_us);
     }
 
     /// Look up a histogram by its full name (`metric` or `metric:label`).
@@ -471,6 +510,103 @@ mod tests {
         assert_eq!(a.hists["x"].count(), 3);
         let times: Vec<u64> = a.events.iter().map(ObsEvent::at_us).collect();
         assert_eq!(times, vec![2, 5]);
+    }
+
+    /// A snapshot as a node might dump it: colliding timestamps across
+    /// snapshots, a shared and a private histogram, gauges, drop counts.
+    fn node_snapshot(node: u32) -> ObsSnapshot {
+        let reg = ObsRegistry::with_capacity(TimeSource::real(), 6);
+        for at_us in [3, 1, 3, 2, 1, 3, 5] {
+            reg.emit(ObsEvent::NodeAlloc { at_us, node });
+        }
+        reg.emit(ObsEvent::EvictBatch {
+            at_us: 3,
+            node,
+            keys: vec![node as u64, 7, 9],
+        });
+        reg.record("server_op_us:get", 10 * node as u64 + 1);
+        reg.record(&format!("only:{node}"), 4);
+        reg.set_gauge("slab_live_slots:64", node as u64);
+        reg.note_span_dropped();
+        reg.snapshot()
+    }
+
+    #[test]
+    fn merged_by_move_equals_a_clone_merge_per_snapshot() {
+        let nodes: Vec<ObsSnapshot> = (1..=4).map(node_snapshot).collect();
+        // The fold the coordinator did before: clone each snapshot in,
+        // re-sorting the events after every one.
+        let mut expected = node_snapshot(0);
+        for other in &nodes {
+            expected.dropped += other.dropped;
+            expected.spans_dropped += other.spans_dropped;
+            for (name, h) in &other.hists {
+                match expected.hists.get_mut(name) {
+                    Some(mine) => mine.merge(h),
+                    None => {
+                        expected.hists.insert(name.clone(), h.clone());
+                    }
+                }
+            }
+            for (name, v) in &other.gauges {
+                *expected.gauges.entry(name.clone()).or_insert(0) += v;
+            }
+            expected.events.extend(other.events.iter().cloned());
+            expected.events.sort_by_key(|ev| ev.at_us());
+        }
+        let merged = node_snapshot(0).merged(nodes);
+        assert_eq!(merged, expected, "same contents, same event order");
+        assert_eq!((merged.dropped, merged.spans_dropped), (10, 5));
+    }
+
+    #[test]
+    fn a_dump_encoded_in_place_equals_the_dump_of_a_snapshot() {
+        let reg = ObsRegistry::with_capacity(TimeSource::real(), 4);
+        for at_us in 0..6 {
+            reg.emit(ObsEvent::EvictBatch {
+                at_us,
+                node: 2,
+                keys: (0..at_us).collect(),
+            });
+        }
+        drop(reg.span_start("req", 9, 0));
+        reg.record("server_op_us:put_many", 140);
+        reg.add_gauge("frame_bytes_rx", 39_000);
+        reg.note_span_dropped();
+        let mut in_place = vec![0xEE];
+        reg.encode_dump_into(&mut in_place);
+        let snap = reg.snapshot();
+        assert_eq!(in_place[1..], crate::encode_dump(&snap)[..]);
+        assert_eq!(crate::decode_dump(&in_place[1..]), Some(snap));
+    }
+
+    #[test]
+    fn a_dump_taken_while_another_thread_records_decodes() {
+        let reg = ObsRegistry::with_capacity(TimeSource::real(), 64);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for at_us in 0..20_000 {
+                    reg.record("server_op_us:get", at_us % 97);
+                    reg.add_gauge("frame_bytes_rx", 1);
+                    reg.emit(ObsEvent::NodeAlloc { at_us, node: 1 });
+                }
+                done.store(true, std::sync::atomic::Ordering::Release);
+            });
+            let mut dumps = 0;
+            while dumps < 50 || !done.load(std::sync::atomic::Ordering::Acquire) {
+                let mut out = Vec::new();
+                reg.encode_dump_into(&mut out);
+                let snap = crate::decode_dump(&out).expect("a concurrent dump decodes");
+                assert!(snap.events.len() <= 64);
+                dumps += 1;
+            }
+        });
+        let mut out = Vec::new();
+        reg.encode_dump_into(&mut out);
+        let snap = crate::decode_dump(&out).expect("decodes");
+        assert_eq!(snap.gauges["frame_bytes_rx"], 20_000);
+        assert_eq!(snap.hists["server_op_us:get"].count(), 20_000);
     }
 
     #[test]

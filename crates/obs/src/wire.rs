@@ -33,30 +33,73 @@ pub const OBS_DUMP_VERSION: u16 = 3;
 /// Serialize a snapshot into the versioned dump form.
 pub fn encode_dump(snap: &ObsSnapshot) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + snap.hists.len() * 600 + snap.events.len() * 96);
+    put_head(&mut out, [snap.dropped, snap.spans_dropped]);
+    put_hists(&mut out, &snap.hists);
+    put_gauges(&mut out, &snap.gauges);
+    put_events(&mut out, snap.events.len(), snap.events.iter());
+    out
+}
+
+// The dump's parts, each appended to `out` in layout order: the encoder
+// behind [`encode_dump`] and `ObsRegistry::encode_dump_into`, which passes
+// its live state part by part, each under its own lock, instead of a
+// snapshot.
+
+/// The version, then `drops` = `[dropped, spans_dropped]`.
+pub(crate) fn put_head(out: &mut Vec<u8>, drops: [u64; 2]) {
     out.extend_from_slice(&OBS_DUMP_VERSION.to_le_bytes());
-    out.extend_from_slice(&snap.dropped.to_le_bytes());
-    out.extend_from_slice(&snap.spans_dropped.to_le_bytes());
-    out.extend_from_slice(&(snap.hists.len() as u32).to_le_bytes());
-    for (name, h) in &snap.hists {
-        let name_bytes = name.as_bytes();
-        out.extend_from_slice(&(name_bytes.len() as u16).to_le_bytes());
-        out.extend_from_slice(name_bytes);
-        h.encode_into(&mut out);
+    for d in drops {
+        out.extend_from_slice(&d.to_le_bytes());
     }
-    out.extend_from_slice(&(snap.gauges.len() as u32).to_le_bytes());
-    for (name, v) in &snap.gauges {
-        let name_bytes = name.as_bytes();
-        out.extend_from_slice(&(name_bytes.len() as u16).to_le_bytes());
-        out.extend_from_slice(name_bytes);
+}
+
+pub(crate) fn put_hists(out: &mut Vec<u8>, hists: &BTreeMap<String, LogHistogram>) {
+    out.extend_from_slice(&(hists.len() as u32).to_le_bytes());
+    for (name, h) in hists {
+        put_name(out, name);
+        h.encode_into(out);
+    }
+}
+
+pub(crate) fn put_gauges(out: &mut Vec<u8>, gauges: &BTreeMap<String, u64>) {
+    out.extend_from_slice(&(gauges.len() as u32).to_le_bytes());
+    for (name, v) in gauges {
+        put_name(out, name);
         out.extend_from_slice(&v.to_le_bytes());
     }
-    out.extend_from_slice(&(snap.events.len() as u32).to_le_bytes());
-    for ev in &snap.events {
-        let json = ev.to_json();
-        out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-        out.extend_from_slice(json.as_bytes());
+}
+
+/// `events` yields exactly `count` events.
+pub(crate) fn put_events<'a>(
+    out: &mut Vec<u8>,
+    count: usize,
+    events: impl Iterator<Item = &'a ObsEvent>,
+) {
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+    for ev in events {
+        // The JSON goes straight into `out`; its length is back-filled.
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        let _ = ev.write_json(&mut JsonSink(out));
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
-    out
+}
+
+/// `u16` length, then the name's UTF-8 bytes.
+fn put_name(out: &mut Vec<u8>, name: &str) {
+    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    out.extend_from_slice(name.as_bytes());
+}
+
+/// Lets [`ObsEvent::write_json`] append to a byte buffer.
+struct JsonSink<'a>(&'a mut Vec<u8>);
+
+impl std::fmt::Write for JsonSink<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Decode a dump. `None` on truncation, any version other than

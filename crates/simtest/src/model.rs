@@ -358,7 +358,7 @@ mod tests {
         assert_eq!(
             s.respond(Some(Request::Put {
                 key: 1,
-                value: Bytes::from(vec![0; 60]),
+                value: &[0; 60],
             }))
             .status,
             Status::Ok
@@ -367,7 +367,7 @@ mod tests {
         assert_eq!(
             s.respond(Some(Request::Put {
                 key: 1,
-                value: Bytes::from(vec![0; 150]),
+                value: &[0; 150],
             }))
             .status,
             Status::Ok
@@ -376,7 +376,7 @@ mod tests {
         assert_eq!(
             s.respond(Some(Request::Put {
                 key: 1,
-                value: Bytes::from(vec![0; 200]),
+                value: &[0; 200],
             }))
             .status,
             Status::Overflow
@@ -390,7 +390,7 @@ mod tests {
         for k in 0..5u64 {
             let _ = s.respond(Some(Request::Put {
                 key: k,
-                value: Bytes::from(vec![k as u8; 4]),
+                value: &[k as u8; 4],
             }));
         }
         let r = s.respond(Some(Request::Keys { lo: 9, hi: 1 }));

@@ -11,7 +11,6 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use bytes::Bytes;
 use ecc_net::protocol::{
     decode_with_trace, encode_traced, read_frame, write_frame, Request, Response, TraceContext,
 };
@@ -22,14 +21,15 @@ use crate::event::{record_bytes, Fault, Schedule, SimEvent, WireOp};
 use crate::model::ModelServer;
 use crate::runner::SimFailure;
 
-/// Build the well-formed request for a wire op at schedule position `step`.
-fn request_for(op: WireOp, step: usize) -> Request {
+/// Build the well-formed request for a wire op at schedule position
+/// `step`; a `Put`'s value is generated into `value`.
+fn request_for(op: WireOp, step: usize, value: &mut Vec<u8>) -> Request<'_> {
     match op {
         WireOp::Get { key } => Request::Get { key },
-        WireOp::Put { key, len } => Request::Put {
-            key,
-            value: Bytes::from(record_bytes(key, len, step)),
-        },
+        WireOp::Put { key, len } => {
+            *value = record_bytes(key, len, step);
+            Request::Put { key, value }
+        }
         WireOp::Remove { key } => Request::Remove { key },
         WireOp::GetMany { lo, hi } => Request::GetMany {
             keys: (lo..=hi).collect(),
@@ -119,7 +119,8 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
                 "event {ev:?} is not part of the proto family"
             )));
         };
-        let req = request_for(op, step);
+        let mut value = Vec::new();
+        let req = request_for(op, step, &mut value);
         let payload = req.encode();
         let Some((mutated, copies)) = apply_fault(fault, &payload) else {
             continue; // dropped frame: neither side sees anything
@@ -153,7 +154,7 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
             };
             // The oracle sees exactly what the server will decode —
             // trace extension included.
-            let decoded = decode_with_trace(Bytes::from(wire_bytes.clone())).map(|(_, r)| r);
+            let decoded = decode_with_trace(&wire_bytes).map(|(_, r)| r);
             let is_shutdown = matches!(decoded, Some(Request::Shutdown));
             // A corrupt opcode can land on ObsDump; its body is a live
             // observability snapshot the model cannot predict, so compare

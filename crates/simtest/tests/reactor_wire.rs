@@ -10,7 +10,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use bytes::Bytes;
 use ecc_net::client::RemoteNode;
 use ecc_net::protocol::{read_frame, write_frame, Request, Response};
 use ecc_net::server::CacheServer;
@@ -65,7 +64,7 @@ fn frames_split_at_every_byte_boundary_reassemble_bit_exact() {
     // request's image defines the boundary set for every iteration.
     let wire_len = 4 + Request::Put {
         key: 0,
-        value: Bytes::from(record_bytes(0, 64, 0)),
+        value: &record_bytes(0, 64, 0),
     }
     .encode()
     .len();
@@ -73,10 +72,8 @@ fn frames_split_at_every_byte_boundary_reassemble_bit_exact() {
 
     for cut in 1..wire_len {
         let key = cut as u64;
-        let put = Request::Put {
-            key,
-            value: Bytes::from(record_bytes(key, 64, cut)),
-        };
+        let value = record_bytes(key, 64, cut);
+        let put = Request::Put { key, value: &value };
         let want = model.respond(Some(put.clone()));
         let got = roundtrip(&mut stream, &put, cut);
         assert_eq!(got, want, "PUT split at byte {cut} diverged");

@@ -237,10 +237,7 @@ fn wire_stress_matches_model_server_bit_exactly() {
     let expect = expected_final();
     let mut model = ModelServer::new(64 << 20);
     for (k, v) in &expect {
-        let r = model.respond(Some(Request::Put {
-            key: *k,
-            value: Bytes::from(v.clone()),
-        }));
+        let r = model.respond(Some(Request::Put { key: *k, value: v }));
         assert_eq!(
             r.status,
             ecc_net::protocol::Status::Ok,
