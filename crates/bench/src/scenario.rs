@@ -1,8 +1,8 @@
 //! Drive zoo scenarios through the elastic cache under virtual time.
 //!
-//! This is the cloudsim leg of the scenario zoo: the same deterministic
-//! `(step, op, key)` stream that `loadgen --scenario` replays over TCP is
-//! fed to an in-process [`ElasticCache`] on a [`SimClock`], so elasticity
+//! This is the cloudsim leg of the scenario zoo: the deterministic
+//! `(step, op, key)` stream that simtest's `workload` family also replays
+//! is fed to an in-process [`ElasticCache`] on a [`SimClock`], so elasticity
 //! policies see millions of simulated queries in milliseconds of wall
 //! time. Reads go through the query path (a miss charges the modelled
 //! service time and populates), writes through the insert path, and step

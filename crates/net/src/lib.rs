@@ -54,7 +54,6 @@ compile_error!("ecc-net needs poll(2) and Unix socket pairs: Unix targets only")
 
 pub mod client;
 pub mod coordinator;
-pub mod loadgen;
 pub mod protocol;
 pub mod reactor;
 pub mod server;

@@ -655,6 +655,70 @@ mod tests {
     }
 
     #[test]
+    fn traced_pipelined_requests_build_complete_span_trees() {
+        use crate::client::PipelinedConn;
+        use std::collections::VecDeque;
+        use std::time::Duration;
+
+        let time = TimeSource::real();
+        let mut server =
+            CacheServer::spawn_clocked(("127.0.0.1", 0), 1 << 22, 32, 256, None, time.clone(), 1)
+                .unwrap();
+        let client_obs = ObsRegistry::new(time);
+        client_obs.set_origin(100);
+        let addr = server.addr();
+
+        // Two connections × 4096 GETs at depth 8, 1 in 32 sampled: more
+        // frames than two flight-recorder rings hold events, but only the
+        // sampled requests' spans reach a ring, so none is lost. Root
+        // spans retire FIFO, in response order.
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let obs = &client_obs;
+                scope.spawn(move || {
+                    let mut conn = PipelinedConn::connect(addr, Duration::from_secs(5)).unwrap();
+                    let mut roots = VecDeque::new();
+                    for i in 0..4096u64 {
+                        if conn.in_flight() == 8 {
+                            conn.recv().unwrap();
+                            drop(roots.pop_front());
+                        }
+                        let root = if i % 32 == 0 {
+                            Some(obs.span_root("req"))
+                        } else {
+                            obs.note_span_dropped();
+                            None
+                        };
+                        let ctx = root.as_ref().map(ecc_obs::SpanGuard::context);
+                        conn.enqueue_traced(&Request::Get { key: i % 256 }, ctx.as_ref())
+                            .unwrap();
+                        roots.push_back(root);
+                    }
+                    while conn.in_flight() > 0 {
+                        conn.recv().unwrap();
+                        drop(roots.pop_front());
+                    }
+                });
+            }
+        });
+        assert_eq!(client_obs.spans_dropped(), 7936);
+
+        let server_snap = RemoteNode::connect(addr).unwrap().obs_dump().unwrap();
+        assert_eq!(server_snap.dropped, 0);
+        let client_snap = client_obs.snapshot();
+        assert_eq!(client_snap.dropped, 0);
+        let mut events = client_snap.events;
+        events.extend(server_snap.events);
+        let stats = ecc_obs::verify_spans(&events).expect("merged trace is well-formed");
+        assert_eq!(stats.roots, 256);
+        assert_eq!(stats.traces, 256);
+        // Every sampled request carries its server subtree: root + srv +
+        // srv_queue + srv_exec + lock_wait = 5 spans per trace.
+        assert_eq!(stats.spans, 1280);
+        server.stop();
+    }
+
+    #[test]
     fn pipelined_burst_on_one_connection_answers_in_order() {
         use crate::protocol::{read_frame, Status};
         use std::io::Write;

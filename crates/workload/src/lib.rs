@@ -25,7 +25,7 @@
 //!   cross-version comparisons, and
 //! * [`scenario`] — the scenario zoo: named bundles of the above
 //!   (shifting hot sets, diurnal waves, flash crowds, multi-tenant mixes)
-//!   shared by cloudsim, `loadgen --scenario` and simtest.
+//!   shared by cloudsim (`cargo xtask scenario`) and simtest.
 //!
 //! # Example
 //!

@@ -2,9 +2,8 @@
 //!
 //! A [`Scenario`] bundles a rate schedule, a key distribution, a read/write
 //! mix and a default horizon under a stable name, so the same workload can
-//! be driven through cloudsim (virtual time), the live `loadgen` binary
-//! (`--scenario <name>`) and the simtest oracle — all byte-identical from
-//! one seed. The registry is the single source of truth: everything that
+//! be driven through cloudsim (virtual time, `cargo xtask scenario`) and
+//! the simtest oracle — both byte-identical from one seed. The registry is the single source of truth: everything that
 //! accepts a scenario name resolves it through [`Scenario::by_name`].
 
 use crate::driver::{Op, QueryStream};

@@ -22,33 +22,34 @@
 //!   stream replays byte-identically through a trace round-trip; `--all`
 //!   writes `results/scenarios.csv`.
 //! * `obs <trace.jsonl>` — pretty-print a flight-recorder trace.
-//! * `obs --smoke` — run a live multi-node cluster through a
-//!   grow/load/shrink cycle and write `target/obs/trace.jsonl` plus
-//!   `target/obs/exposition.txt`, failing unless the trace carries at
-//!   least one split, merge and eviction event.
+//! * `obs --smoke` — the live smoke: grow a multi-node cluster, shrink it
+//!   through window evictions, drive sampled pipelined GETs at the
+//!   surviving nodes, and write `target/obs/trace.jsonl`,
+//!   `target/obs/exposition.txt` and `target/obs/trace_breakdown.csv`;
+//!   fails unless the trace carries split, merge and eviction events, ≥99%
+//!   of sampled requests reconstruct into complete span trees, and the
+//!   exposition carries latency quantiles.
 //! * `trace <TRACE.jsonl>... [--csv PATH]` — reconstruct span trees from
 //!   one or more JSONL dumps (merged stably by timestamp), verify
 //!   well-formedness, print the per-request critical-path breakdown
 //!   (network / queue / lock / execute) with a p99-exemplar flame summary,
 //!   and write `results/trace_breakdown.csv`.
-//! * `trace --smoke` — end-to-end tracing smoke: grow a live cluster,
-//!   drive sampled pipelined load through it, dump the merged trace to
-//!   `target/obs/trace.jsonl`, analyze it into
-//!   `target/obs/trace_breakdown.csv`, and fail unless ≥99% of sampled
-//!   requests reconstruct into complete span trees.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use ecc_net::client::PipelinedConn;
+use ecc_net::protocol::Request;
 use ecc_simtest::{check_seed, run_schedule, QuietPanics, Schedule, SeedOutcome};
 
 const USAGE: &str = "usage: cargo xtask <analyze | interleave [--smoke] | simtest \
      [--seeds N] [--live-every K] [--replay SIMSEED] | \
      scenario <--list | --name NAME | --all> [--steps N] [--seed N] | \
-     obs <TRACE.jsonl | --smoke> | trace <TRACE.jsonl... [--csv PATH] | --smoke>>";
+     obs <TRACE.jsonl | --smoke> | trace <TRACE.jsonl...> [--csv PATH]>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -437,13 +438,11 @@ fn describe(ev: &ecc_obs::ObsEvent) -> String {
 }
 
 /// Live observability smoke: grow a real cluster under coordinator traffic,
-/// hammer it with the load generator (live one-line progress), shrink it
-/// through window evictions, then dump the cluster-wide trace + exposition
-/// and check the acceptance surface.
+/// shrink it through window evictions, drive sampled pipelined GETs at the
+/// surviving nodes, then dump the cluster trace and exposition, analyze the
+/// span trees, and hold both to the acceptance bar.
 fn obs_smoke() -> ExitCode {
     use ecc_net::coordinator::LiveCoordinator;
-    use ecc_net::loadgen::{run_load_with_progress, LoadProgress};
-    use std::time::Duration;
 
     let fail = |what: &str| {
         eprintln!("xtask obs --smoke: {what}");
@@ -451,28 +450,22 @@ fn obs_smoke() -> ExitCode {
     };
 
     // Grow: ~10 records of 100 B per 1000 B node; 32 spread keys force
-    // splits. Every key is noted in the eviction window via the get-miss.
+    // splits, which trace as elastic roots. Every key is noted in the
+    // eviction window via the get-miss.
     let mut coord = match LiveCoordinator::start(1 << 16, 1000) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("xtask obs --smoke: coordinator start failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&format!("coordinator start failed: {e}")),
     };
     coord.enable_window(2, 0.99, 0.99);
     for k in 0..32u64 {
         match coord.get(k * 999) {
             Ok(None) => {
                 if let Err(e) = coord.put(k * 999, vec![1; 100]) {
-                    eprintln!("xtask obs --smoke: put failed: {e}");
-                    return ExitCode::FAILURE;
+                    return fail(&format!("grow put failed: {e}"));
                 }
             }
             Ok(Some(_)) => {}
-            Err(e) => {
-                eprintln!("xtask obs --smoke: get failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(&format!("grow get failed: {e}")),
         }
     }
     println!(
@@ -481,58 +474,12 @@ fn obs_smoke() -> ExitCode {
         coord.splits
     );
 
-    // Load: real client traffic straight at the nodes, with the periodic
-    // one-line live summary from the load generator's progress callback.
-    let ring = coord.ring().clone();
-    let addrs: Vec<Option<std::net::SocketAddr>> = (0..coord.node_count() + 8)
-        .map(|id| coord.node_addr(id))
-        .collect();
-    let progress = |p: LoadProgress| {
-        println!(
-            "obs smoke: load {}/{} ops, {:.1}s elapsed",
-            p.done,
-            p.total,
-            p.elapsed.as_secs_f64()
-        );
-    };
-    let report = match run_load_with_progress(
-        &ring,
-        |id| {
-            addrs
-                .get(*id)
-                .copied()
-                .flatten()
-                .unwrap_or_else(|| std::net::SocketAddr::from(([127, 0, 0, 1], 1)))
-        },
-        4,
-        2000,
-        64,
-        16,
-        Some((Duration::from_millis(200), &progress)),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask obs --smoke: load generation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (p50, _, p99) = report.latency_us;
-    println!(
-        "obs smoke: load done — {} ops, {} hits, {} errors, client RTT p50={p50}µs p99={p99}µs",
-        report.ops, report.hits, report.errors
-    );
-
-    // Note the loadgen keys in the window so the shrink phase evicts them.
-    for k in 0..64u64 {
-        if coord.get(k).is_err() {
-            return fail("post-load get failed");
-        }
-    }
-    // Shrink: expire every slice; victims evict, empty nodes merge.
+    // Shrink: expire every slice; victims evict, empty nodes merge. This
+    // comes before the load because `cluster_obs` dumps live nodes only: a
+    // node merged away takes the server spans it recorded with it.
     for _ in 0..8 {
         if let Err(e) = coord.end_time_step() {
-            eprintln!("xtask obs --smoke: end_time_step failed: {e}");
-            return ExitCode::FAILURE;
+            return fail(&format!("end_time_step failed: {e}"));
         }
     }
     println!(
@@ -541,53 +488,125 @@ fn obs_smoke() -> ExitCode {
         coord.merges
     );
 
-    // Dump: cluster-wide snapshot (coordinator + every node over the
-    // wire), plus the client-side RTT histogram folded in.
-    let mut snap = match coord.cluster_obs() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("xtask obs --smoke: cluster obs dump failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    // Load: sampled pipelined GETs straight at the nodes. Root spans and
+    // `client_rtt_us` go to the coordinator's own registry: same recorder,
+    // same clock epoch as every node it spawned, so the merged cluster dump
+    // carries both halves of every sampled request. Keys span the whole
+    // hash line (the ring range-partitions keys).
+    const OPS: u64 = 700;
+    const CLIENTS: u64 = 2;
+    const SAMPLE: u64 = 4;
+    const DEPTH: usize = 16;
+    const KEY_SPACE: u64 = 1 << 16;
+    let addrs: Vec<Option<std::net::SocketAddr>> = (0..coord.nodes_spawned)
+        .map(|id| coord.node_addr(id))
+        .collect();
+    let ring = coord.ring();
+    let load = Load {
+        route: &|key| ring.node_for_key(key).and_then(|&id| addrs[id]),
+        obs: coord.obs(),
+        depth: DEPTH,
+        sample: SAMPLE,
+        key_space: KEY_SPACE,
     };
-    snap.hists
-        .insert("client_rtt_us".into(), report.hist.clone());
-    if let Err(e) = coord.shutdown() {
-        eprintln!("xtask obs --smoke: shutdown failed: {e}");
-        return ExitCode::FAILURE;
+    if let Err(e) = load.run(CLIENTS, OPS.div_ceil(CLIENTS)) {
+        return fail(&format!("load failed: {e}"));
     }
+    println!("obs smoke: load done — {OPS} GETs from {CLIENTS} clients at pipeline depth {DEPTH}");
 
+    // Dump: one cluster-wide snapshot (coordinator + every live node).
+    let snap = match coord.cluster_obs() {
+        Ok(s) => s,
+        Err(e) => return fail(&format!("cluster obs dump failed: {e}")),
+    };
+    if let Err(e) = coord.shutdown() {
+        return fail(&format!("shutdown failed: {e}"));
+    }
+    if snap.dropped > 0 {
+        return fail(&format!(
+            "{} events fell out of a flight-recorder ring; the span oracle \
+             would be unsound (shrink the run or grow the ring)",
+            snap.dropped
+        ));
+    }
     let out_dir = workspace_root().join("target").join("obs");
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("xtask obs --smoke: mkdir failed: {e}");
-        return ExitCode::FAILURE;
+        return fail(&format!("mkdir failed: {e}"));
     }
     let trace_path = out_dir.join("trace.jsonl");
     let expo_path = out_dir.join("exposition.txt");
     let exposition = snap.render_prometheus();
     if let Err(e) = std::fs::write(&trace_path, snap.to_jsonl()) {
-        eprintln!("xtask obs --smoke: could not write trace: {e}");
-        return ExitCode::FAILURE;
+        return fail(&format!("could not write trace: {e}"));
     }
     if let Err(e) = std::fs::write(&expo_path, &exposition) {
-        eprintln!("xtask obs --smoke: could not write exposition: {e}");
-        return ExitCode::FAILURE;
+        return fail(&format!("could not write exposition: {e}"));
     }
     println!(
-        "obs smoke: wrote {} ({} events) and {} ({} histograms)",
+        "obs smoke: wrote {} ({} events, {} sampled-out spans) and {} ({} histograms)",
         trace_path.display(),
         snap.events.len(),
+        snap.spans_dropped,
         expo_path.display(),
         snap.hists.len()
     );
 
-    // Acceptance surface: the trace must witness elasticity end to end and
-    // the exposition must carry per-op latency quantiles.
+    // Re-read through the JSONL path — the exact pipeline a user runs. The
+    // breakdown stays under `target/obs/`: a debug-build capture must not
+    // replace the committed results file.
+    let text = match std::fs::read_to_string(&trace_path) {
+        Ok(t) => t,
+        Err(e) => return fail(&format!("could not re-read trace: {e}")),
+    };
+    let (events, bad) = xtask::trace::parse_jsonl(&text);
+    if !bad.is_empty() {
+        return fail(&format!("{} unparseable JSONL line(s)", bad.len()));
+    }
+    let Some(analysis) = trace_report(&events, &out_dir.join("trace_breakdown.csv")) else {
+        return ExitCode::FAILURE;
+    };
+
+    // Acceptance: the trace witnesses elasticity end to end, every sampled
+    // request is accounted for, ≥99% reconstruct into complete trees with
+    // all four phases witnessed, and the exposition carries per-op latency
+    // quantiles. Sampling is per client (each counts its own GETs from 0).
     let counts = snap.event_counts();
     for kind in ["bucket_split", "node_merge", "evict_batch"] {
         if counts.get(kind).copied().unwrap_or(0) == 0 {
             return fail(&format!("trace has no `{kind}` event"));
         }
+    }
+    let sampled = CLIENTS * OPS.div_ceil(CLIENTS).div_ceil(SAMPLE);
+    if (analysis.requests.len() as u64) != sampled {
+        return fail(&format!(
+            "{} request roots for {sampled} sampled requests",
+            analysis.requests.len()
+        ));
+    }
+    if snap.spans_dropped != OPS - sampled {
+        return fail(&format!(
+            "spans_dropped says {} but {} requests went unsampled",
+            snap.spans_dropped,
+            OPS - sampled
+        ));
+    }
+    if analysis.complete_fraction() < 0.99 {
+        return fail(&format!(
+            "only {:.1}% of sampled requests reconstructed into complete trees",
+            100.0 * analysis.complete_fraction()
+        ));
+    }
+    if analysis.requests.iter().map(|r| r.queue_us).sum::<u64>() == 0 {
+        return fail("queue phase never observed");
+    }
+    if analysis.requests.iter().map(|r| r.execute_us).sum::<u64>() == 0 {
+        return fail("execute phase never observed");
+    }
+    if !analysis.spans.iter().any(|s| s.kind == "lock_wait") {
+        return fail("no lock_wait spans in the dump");
+    }
+    if analysis.elastic_roots.is_empty() {
+        return fail("no elastic operation roots in the dump");
     }
     for needle in [
         "quantile=\"0.5\"",
@@ -599,18 +618,106 @@ fn obs_smoke() -> ExitCode {
             return fail(&format!("exposition is missing `{needle}`"));
         }
     }
-    println!("obs smoke: trace and exposition pass the acceptance checks");
+    println!("obs smoke: trace, span trees and exposition pass the acceptance checks");
     ExitCode::SUCCESS
+}
+
+/// The smoke's load: closed-loop pipelined GETs from client threads, each
+/// with one [`PipelinedConn`] per node it routes to and up to `depth`
+/// requests in flight on each.
+struct Load<'a> {
+    /// Address of the live node owning a key.
+    route: &'a (dyn Fn(u64) -> Option<std::net::SocketAddr> + Sync),
+    /// Receives the root `req` spans and the `client_rtt_us` histogram.
+    obs: &'a ecc_obs::ObsRegistry,
+    depth: usize,
+    /// Trace 1 in `sample` GETs; the rest count as sampled out.
+    sample: u64,
+    key_space: u64,
+}
+
+/// A GET awaiting its response: enqueue time and, when sampled, the root
+/// span whose drop stamps the span end.
+type Pending = (u64, Option<ecc_obs::SpanGuard>);
+
+impl Load<'_> {
+    /// `clients` threads issue `per_client` GETs each over keys drawn from
+    /// a seeded LCG.
+    fn run(&self, clients: u64, per_client: u64) -> std::io::Result<()> {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..clients)
+                .map(|c| scope.spawn(move || self.client(c, per_client)))
+                .collect();
+            workers.into_iter().try_for_each(|w| {
+                w.join()
+                    .unwrap_or_else(|_| Err(std::io::Error::other("load client panicked")))
+            })
+        })
+    }
+
+    fn client(&self, c: u64, ops: u64) -> std::io::Result<()> {
+        let mut conns: Vec<(std::net::SocketAddr, PipelinedConn, VecDeque<Pending>)> = Vec::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15 ^ c.wrapping_mul(0xA24B_AED4_963E_E407);
+        for i in 0..ops {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let key = (state >> 33) % self.key_space;
+            let addr = (self.route)(key)
+                .ok_or_else(|| std::io::Error::other(format!("key {key} has no live owner")))?;
+            let at = match conns.iter().position(|(a, ..)| *a == addr) {
+                Some(at) => at,
+                None => {
+                    let conn = PipelinedConn::connect(addr, std::time::Duration::from_secs(5))?;
+                    conns.push((addr, conn, VecDeque::new()));
+                    conns.len() - 1
+                }
+            };
+            let (_, conn, pending) = &mut conns[at];
+            while conn.in_flight() >= self.depth {
+                self.retire(conn, pending)?;
+            }
+            let root = if i % self.sample == 0 {
+                Some(self.obs.span_root("req"))
+            } else {
+                self.obs.note_span_dropped();
+                None
+            };
+            let ctx = root.as_ref().map(ecc_obs::SpanGuard::context);
+            conn.enqueue_traced(&Request::Get { key }, ctx.as_ref())?;
+            pending.push_back((self.obs.now_us(), root));
+        }
+        for (_, conn, pending) in &mut conns {
+            while !pending.is_empty() {
+                self.retire(conn, pending)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Receive the oldest response on `conn`, record its RTT, and end its
+    /// root span if it was sampled.
+    fn retire(
+        &self,
+        conn: &mut PipelinedConn,
+        pending: &mut VecDeque<Pending>,
+    ) -> std::io::Result<()> {
+        conn.recv()?;
+        if let Some((t0, root)) = pending.pop_front() {
+            self.obs
+                .record("client_rtt_us", self.obs.now_us().saturating_sub(t0));
+            drop(root);
+        }
+        Ok(())
+    }
 }
 
 fn trace_cmd(args: &[String]) -> ExitCode {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut csv: Option<PathBuf> = None;
-    let mut smoke = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
             "--csv" => match it.next() {
                 Some(p) => csv = Some(PathBuf::from(p)),
                 None => return usage_error("--csv takes a path"),
@@ -621,19 +728,9 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             p => paths.push(PathBuf::from(p)),
         }
     }
-    // The smoke capture is a throwaway debug-build trace: it writes under
-    // `target/obs/` so it never replaces the committed results breakdown.
-    let dir = if smoke {
-        workspace_root().join("target").join("obs")
-    } else {
-        workspace_root().join("results")
-    };
-    let csv = csv.unwrap_or_else(|| dir.join("trace_breakdown.csv"));
-    if smoke {
-        return trace_smoke(&csv);
-    }
+    let csv = csv.unwrap_or_else(|| workspace_root().join("results").join("trace_breakdown.csv"));
     if paths.is_empty() {
-        eprintln!("xtask trace: expected one or more JSONL dump paths, or --smoke");
+        eprintln!("xtask trace: expected one or more JSONL dump paths");
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
@@ -745,164 +842,6 @@ fn indent_block(text: &str, prefix: &str) -> String {
     text.lines()
         .map(|l| format!("{prefix}{l}\n"))
         .collect::<String>()
-}
-
-/// End-to-end tracing smoke: grow a real cluster, drive sampled pipelined
-/// load straight at the nodes, dump the merged cluster trace, and hold the
-/// analyzer to the acceptance bar (≥99% complete trees, all four phases
-/// witnessed, exact sampling accounting).
-fn trace_smoke(csv: &Path) -> ExitCode {
-    use ecc_net::coordinator::LiveCoordinator;
-    use ecc_net::loadgen::{run_load_fanout_traced, TraceOpts};
-
-    let fail = |what: &str| {
-        eprintln!("xtask trace --smoke: {what}");
-        ExitCode::FAILURE
-    };
-
-    // Grow: coordinator puts force splits, which trace as elastic roots.
-    let mut coord = match LiveCoordinator::start(1 << 16, 1000) {
-        Ok(c) => c,
-        Err(e) => return fail(&format!("coordinator start failed: {e}")),
-    };
-    for k in 0..32u64 {
-        if let Err(e) = coord.put(k * 999 + 7, vec![1; 100]) {
-            return fail(&format!("grow put failed: {e}"));
-        }
-    }
-    println!(
-        "trace smoke: grew to {} nodes ({} splits)",
-        coord.node_count(),
-        coord.splits
-    );
-
-    // Sampled pipelined load straight at the nodes. The load generator
-    // allocates its root spans from the coordinator's own registry: same
-    // recorder, same clock epoch as every node it spawned, so the merged
-    // cluster dump carries both halves of every sampled request.
-    // Keys span the whole hash line (the ring range-partitions keys, so a
-    // narrow key space would pile onto one node's arc and overflow its
-    // flight-recorder ring).
-    const OPS: u64 = 700;
-    const CLIENTS: u64 = 2;
-    const SAMPLE: u64 = 4;
-    const KEY_SPACE: u64 = 1 << 16;
-    let trace_opts = TraceOpts {
-        obs: coord.obs().clone(),
-        sample: SAMPLE,
-    };
-    let ring = coord.ring().clone();
-    let addrs: Vec<Option<std::net::SocketAddr>> = (0..coord.node_count() + 8)
-        .map(|id| coord.node_addr(id))
-        .collect();
-    let report = match run_load_fanout_traced(
-        &ring,
-        |id| {
-            addrs
-                .get(*id)
-                .copied()
-                .flatten()
-                .unwrap_or_else(|| std::net::SocketAddr::from(([127, 0, 0, 1], 1)))
-        },
-        CLIENTS as usize,
-        1,
-        OPS,
-        KEY_SPACE,
-        64,
-        16,
-        Some(&trace_opts),
-    ) {
-        Ok(r) => r,
-        Err(e) => return fail(&format!("load generation failed: {e}")),
-    };
-    if report.errors > 0 {
-        return fail(&format!("{} load errors", report.errors));
-    }
-    println!(
-        "trace smoke: load done — {} ops over pipeline depth 16, RTT p99 {}µs",
-        report.ops, report.latency_us.2
-    );
-
-    // Dump the merged cluster snapshot (coordinator + every node).
-    let snap = match coord.cluster_obs() {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("cluster obs dump failed: {e}")),
-    };
-    if let Err(e) = coord.shutdown() {
-        return fail(&format!("shutdown failed: {e}"));
-    }
-    if snap.dropped > 0 {
-        return fail(&format!(
-            "{} events fell out of a flight-recorder ring; the span oracle \
-             would be unsound (shrink the run or grow the ring)",
-            snap.dropped
-        ));
-    }
-    let out_dir = workspace_root().join("target").join("obs");
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        return fail(&format!("mkdir failed: {e}"));
-    }
-    let trace_path = out_dir.join("trace.jsonl");
-    if let Err(e) = std::fs::write(&trace_path, snap.to_jsonl()) {
-        return fail(&format!("could not write trace: {e}"));
-    }
-    println!(
-        "trace smoke: wrote {} ({} events, {} sampled-out spans)",
-        trace_path.display(),
-        snap.events.len(),
-        snap.spans_dropped
-    );
-
-    // Re-read through the JSONL path — the exact pipeline a user runs.
-    let text = match std::fs::read_to_string(&trace_path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("could not re-read trace: {e}")),
-    };
-    let (events, bad) = xtask::trace::parse_jsonl(&text);
-    if !bad.is_empty() {
-        return fail(&format!("{} unparseable JSONL line(s)", bad.len()));
-    }
-    let Some(analysis) = trace_report(&events, csv) else {
-        return ExitCode::FAILURE;
-    };
-
-    // Acceptance: every sampled request accounted for, ≥99% reconstructed
-    // into complete trees, all four phases witnessed, elasticity traced.
-    // Sampling is per worker (each counts its own issue sequence from 0).
-    let sampled = CLIENTS * OPS.div_ceil(CLIENTS).div_ceil(SAMPLE);
-    if (analysis.requests.len() as u64) != sampled {
-        return fail(&format!(
-            "{} request roots for {sampled} sampled requests",
-            analysis.requests.len()
-        ));
-    }
-    if snap.spans_dropped != OPS - sampled {
-        return fail(&format!(
-            "spans_dropped says {} but {} requests went unsampled",
-            snap.spans_dropped,
-            OPS - sampled
-        ));
-    }
-    if analysis.complete_fraction() < 0.99 {
-        return fail(&format!(
-            "only {:.1}% of sampled requests reconstructed into complete trees",
-            100.0 * analysis.complete_fraction()
-        ));
-    }
-    if analysis.requests.iter().map(|r| r.queue_us).sum::<u64>() == 0 {
-        return fail("queue phase never observed");
-    }
-    if analysis.requests.iter().map(|r| r.execute_us).sum::<u64>() == 0 {
-        return fail("execute phase never observed");
-    }
-    if !analysis.spans.iter().any(|s| s.kind == "lock_wait") {
-        return fail("no lock_wait spans in the dump");
-    }
-    if analysis.elastic_roots.is_empty() {
-        return fail("no elastic operation roots in the dump");
-    }
-    println!("trace smoke: acceptance checks pass");
-    ExitCode::SUCCESS
 }
 
 fn simtest(args: &[String]) -> ExitCode {

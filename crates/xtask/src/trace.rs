@@ -2,10 +2,10 @@
 //! behind `cargo xtask trace`.
 //!
 //! Input is the JSONL flight-recorder dump format (one [`ObsEvent`] per
-//! line, as written by `loadgen --trace-out` or `xtask obs --smoke`),
-//! possibly concatenated from several recorders. The analyzer rebuilds the
-//! span forest, verifies well-formedness, and attributes each sampled
-//! request's wall time to four exclusive phases:
+//! line, as written by `xtask obs --smoke`), possibly concatenated from
+//! several recorders. The analyzer rebuilds the span forest, verifies
+//! well-formedness, and attributes each sampled request's wall time to
+//! four exclusive phases:
 //!
 //! * **network** — root duration minus the server subtree (`req`/`wire:*`
 //!   minus `srv`): wire transit, frame assembly, and response flush;

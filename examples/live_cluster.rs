@@ -62,30 +62,6 @@ fn main() -> std::io::Result<()> {
         coord.merges
     );
 
-    // Finally: hammer a small standalone cluster with concurrent clients
-    // to measure the raw data-path throughput.
-    println!("\nconcurrent load test: 4 clients, 8,000 ops against 2 servers...");
-    let s1 = elastic_cloud_cache::net::server::CacheServer::spawn(1 << 22, 64)?;
-    let s2 = elastic_cloud_cache::net::server::CacheServer::spawn(1 << 22, 64)?;
-    let mut ring: elastic_cloud_cache::chash::HashRing<usize> =
-        elastic_cloud_cache::chash::HashRing::new(1 << 14);
-    ring.insert_bucket((1 << 13) - 1, 0).unwrap();
-    ring.insert_bucket((1 << 14) - 1, 1).unwrap();
-    let addrs = [s1.addr(), s2.addr()];
-    let report =
-        elastic_cloud_cache::net::loadgen::run_load(&ring, |n| addrs[*n], 4, 8_000, 1 << 12, 512)?;
-    let (p50, p95, p99) = report.latency_us;
-    println!(
-        "{} ops in {:.2} s  ->  {:.0} ops/s, hit rate {:.1} %, latency p50/p95/p99 = {}/{}/{} µs",
-        report.ops,
-        report.elapsed.as_secs_f64(),
-        report.throughput(),
-        100.0 * report.hits as f64 / report.ops as f64,
-        p50,
-        p95,
-        p99
-    );
-
     coord.shutdown()?;
     println!("all servers stopped cleanly");
     Ok(())
