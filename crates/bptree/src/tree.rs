@@ -785,18 +785,6 @@ impl<K: Ord + Clone, V: ByteSize, const CAP: usize> BPlusTree<K, V, CAP> {
         self.range(range).map(|(k, _)| k.clone()).collect()
     }
 
-    /// The median key of the records in `range` (the paper's `k^µ`,
-    /// Algorithm 1 line 11): the key at rank `⌊m/2⌋` of the `m` matching
-    /// records. `None` if the range is empty.
-    pub fn median_key_in_range<R: RangeBounds<K>>(&self, range: R) -> Option<K> {
-        let keys = self.keys_in_range(range);
-        if keys.is_empty() {
-            None
-        } else {
-            Some(keys[keys.len() / 2].clone())
-        }
-    }
-
     /// Remove and return every record with key in `[start, end]`, in key
     /// order. This is the destructive half of Sweep-and-Migrate: the caller
     /// ships the returned records to the destination node.
@@ -1172,16 +1160,6 @@ mod tests {
         let t = tree_with(4, 321);
         assert_eq!(t.first_key(), Some(&0));
         assert_eq!(t.last_key(), Some(&320));
-    }
-
-    #[test]
-    fn median_key_in_range_matches_definition() {
-        let t = tree_with(4, 100);
-        // Range [0, 99]: 100 keys, median at rank 50.
-        assert_eq!(t.median_key_in_range(0..=99), Some(50));
-        // Range [10, 20]: 11 keys, rank 5 -> 15.
-        assert_eq!(t.median_key_in_range(10..=20), Some(15));
-        assert_eq!(t.median_key_in_range(200..=300), None);
     }
 
     #[test]

@@ -92,19 +92,6 @@ proptest! {
     }
 
     #[test]
-    fn median_key_is_middle_rank(
-        keys in proptest::collection::btree_set(any::<u16>(), 1..200),
-    ) {
-        let mut tree: BPlusTree<u16, u32> = BPlusTree::new(8);
-        for &k in &keys {
-            tree.insert(k, 0);
-        }
-        let sorted: Vec<u16> = keys.iter().copied().collect();
-        let median = tree.median_key_in_range(..).unwrap();
-        prop_assert_eq!(median, sorted[sorted.len() / 2]);
-    }
-
-    #[test]
     fn validate_holds_after_heavy_churn(
         order in 4usize..=8,
         seeds in proptest::collection::vec(any::<u32>(), 100..1500),

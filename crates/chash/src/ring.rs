@@ -397,6 +397,38 @@ impl<N: Clone + Eq> HashRing<N> {
         }
     }
 
+    /// The arc of the bucket at `position` as inclusive spans in *sweep
+    /// order*: from `min(b)` just after the predecessor, wrapping at the top
+    /// of the line, up to `position`. Algorithm 1 lists a bucket's keys in
+    /// this order to pick `k^µ`, and Algorithm 2 sweeps its prefix. A lone
+    /// bucket owns the whole line, starting just after itself.
+    pub fn sweep_spans(&self, position: u64) -> Result<Vec<(u64, u64)>, RingError> {
+        Ok(match self.arc_of_bucket(position)? {
+            Arc::Contiguous { lo, hi } => vec![(lo, hi)],
+            Arc::Wrapping { lo, hi, r } => vec![(lo, r - 1), (0, hi)],
+            Arc::Full { r } if position == r - 1 => vec![(0, r - 1)],
+            Arc::Full { r } => vec![(position + 1, r - 1), (0, position)],
+        })
+    }
+
+    /// Remove every bucket of `node` whose successor also maps to `node`:
+    /// its arc passes to that successor with no data movement. Run after a
+    /// node's buckets are re-pointed at another (a merge, a failure), it
+    /// keeps the line from fragmenting into unsplittable singleton buckets
+    /// across grow/shrink cycles. Never empties the ring.
+    pub fn coalesce(&mut self, node: &N) {
+        for b in self.buckets_of_node(node) {
+            let Ok(succ) = self.successor(b) else {
+                break;
+            };
+            if succ != b && self.buckets.get(&succ) == Some(node) {
+                self.buckets.remove(&b);
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.validate();
+    }
+
     /// The keys (as an arc of the line) that would move to a new bucket at
     /// `position`, i.e. `(b_prev, position]`. Fails if the position is
     /// occupied or out of range; on an empty ring the new bucket would own
@@ -697,6 +729,60 @@ mod tests {
             }
         }
         assert_eq!(count, arc.len());
+    }
+
+    #[test]
+    fn sweep_spans_cases() {
+        type Spans = &'static [(u64, u64)];
+        // (buckets, bucket, spans in sweep order) on a line of 100.
+        let cases: [(&[u64], u64, Spans); 5] = [
+            // Contiguous.
+            (&[10, 20], 20, &[(11, 20)]),
+            // Wrapping: the upper span first.
+            (&[5, 90], 5, &[(91, 99), (0, 5)]),
+            // Wrap with an empty upper part.
+            (&[5, 99], 5, &[(0, 5)]),
+            // Lone bucket at r - 1.
+            (&[99], 99, &[(0, 99)]),
+            // Lone bucket mid-line: the whole line, starting after it.
+            (&[40], 40, &[(41, 99), (0, 40)]),
+        ];
+        for (buckets, b, want) in cases {
+            let mut ring = HashRing::new(100);
+            for &p in buckets {
+                ring.insert_bucket(p, 0u32).unwrap();
+            }
+            assert_eq!(ring.sweep_spans(b).unwrap(), want, "{buckets:?} @ {b}");
+        }
+        assert_eq!(
+            two_node_ring().sweep_spans(11),
+            Err(RingError::NoSuchBucket { position: 11 })
+        );
+    }
+
+    #[test]
+    fn coalesce_drops_buckets_whose_successor_shares_the_node() {
+        // (owners of buckets 10, 30, 50, 70, 90; node; buckets left).
+        let cases: [([u32; 5], u32, &[u64]); 4] = [
+            // Node 1's run 70–90–10–30 wraps the top of the line and
+            // shrinks to its last bucket, 30.
+            ([1, 1, 2, 1, 1], 1, &[30, 50]),
+            // Wrap-around: 90's successor is 10, also node 1.
+            ([1, 2, 2, 2, 1], 1, &[10, 30, 50, 70]),
+            // Another node's runs are left alone.
+            ([1, 1, 2, 2, 3], 3, &[10, 30, 50, 70, 90]),
+            // One node everywhere: a single bucket is left, never none.
+            ([1, 1, 1, 1, 1], 1, &[90]),
+        ];
+        for (owners, node, want) in cases {
+            let mut ring = HashRing::new(100);
+            for (p, o) in [10, 30, 50, 70, 90].into_iter().zip(owners) {
+                ring.insert_bucket(p, o).unwrap();
+            }
+            ring.coalesce(&node);
+            let left: Vec<u64> = ring.buckets().map(|(b, _)| b).collect();
+            assert_eq!(left, want, "{owners:?} coalescing {node}");
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ use ecc_obs::{LogHistogram, ObsEvent, ObsRegistry, TimeSource};
 use crate::adaptive::WindowController;
 use crate::config::CacheConfig;
 use crate::error::CacheError;
+use crate::gba;
 use crate::metrics::Metrics;
 use crate::node::CacheNode;
 use crate::record::Record;
@@ -616,100 +617,46 @@ impl ElasticCache {
         }
     }
 
-    /// Algorithm 1 lines 8–15: find `b_max`, compute `k^µ`, sweep-migrate
-    /// the lower half and thread the new bucket.
+    /// Algorithm 1 lines 8–15: find `b_max`, plan its split at `k^µ` (or
+    /// its relocation), sweep-migrate what moves and flip the ring. The
+    /// decisions are [`gba`]'s; the destructive sweep is this cache's own.
     fn split_node(&mut self, nid: NodeId) -> Result<(), CacheError> {
-        // Fullest bucket referencing nid, by resident bytes in its arc.
+        const VANISHED: CacheError = CacheError::Internal {
+            what: "bucket vanished while computing its arc",
+        };
         let buckets = self.ring.buckets_of_node(&nid);
-        if buckets.is_empty() {
-            return Err(CacheError::Internal {
-                what: "active node owns no bucket",
-            });
-        }
-        let mut b_max = buckets[0];
-        let mut best_bytes = 0u64;
-        for &b in &buckets {
-            let spans = self.spans_of_bucket(b)?;
-            let node = self.try_node(nid)?;
-            let bytes: u64 = spans
+        let node = self.try_node(nid)?;
+        let ring = &self.ring;
+        let b_max = gba::fullest_bucket(&buckets, |b| {
+            let spans = ring.sweep_spans(b).map_err(|_| VANISHED)?;
+            Ok(spans
                 .iter()
                 .map(|&(lo, hi)| node.bytes_in_range(lo, hi))
-                .sum();
-            if bytes >= best_bytes {
-                best_bytes = bytes;
-                b_max = b;
-            }
-        }
-
-        // Keys of b_max's arc in circular order (from min(b_max)).
-        let spans = self.spans_of_bucket(b_max)?;
-        let mut keys: Vec<u64> = Vec::new();
-        {
-            let node = self.try_node(nid)?;
-            for &(lo, hi) in &spans {
-                keys.extend(node.keys_in_range(lo, hi));
-            }
-        }
-        if keys.len() < 2 {
-            // The fullest bucket cannot be median-split (at most one key in
-            // its arc — possible after merges fragment the line into many
-            // small buckets). Relocate the whole bucket to another node
-            // instead: same sweep, but the existing bucket is re-pointed
-            // rather than a new one created.
-            if buckets.len() < 2 {
-                // A lone bucket with <= 1 key that still overflows the node
-                // means a single record nearly fills capacity — hopeless.
-                return Err(CacheError::CannotSplit { bucket: b_max });
-            }
-            let n_dest = self.sweep_migrate(nid, &spans)?;
-            self.ring
-                .remap_bucket(b_max, n_dest)
-                .map_err(|_| CacheError::Internal {
-                    what: "bucket vanished while relocating it",
-                })?;
-            self.metrics.splits += 1;
-            self.obs.emit(ObsEvent::BucketSplit {
-                at_us: self.clock.now_us(),
-                node: nid.0,
-                new_node: n_dest.0,
-                bucket: b_max,
-            });
-            #[cfg(debug_assertions)]
-            self.validate();
-            return Ok(());
-        }
-
-        // k^µ: the median key; back off if its line position collides with
-        // an existing bucket (the arc's own endpoint).
-        let mut mu_idx = keys.len() / 2;
-        while mu_idx > 0 && self.ring.node_of_bucket(keys[mu_idx]).is_some() {
-            mu_idx -= 1;
-        }
-        let k_mu = keys[mu_idx];
-        if self.ring.node_of_bucket(k_mu).is_some() {
-            return Err(CacheError::CannotSplit { bucket: b_max });
-        }
-
-        // Migration ranges: circular spans from min(b_max) through k^µ.
-        let move_spans = truncate_spans_at(&spans, k_mu).ok_or(CacheError::Internal {
-            what: "median key not inside its own bucket's spans",
+                .sum())
+        })?
+        .ok_or(CacheError::Internal {
+            what: "active node owns no bucket",
         })?;
-        let n_dest = self.sweep_migrate(nid, &move_spans)?;
-
-        // Update B and NodeMap: new bucket at h'(k^µ) references n_dest.
-        // Collision with an existing bucket was ruled out when k^µ was
-        // chosen above.
-        self.ring
-            .insert_bucket(k_mu, n_dest)
+        // Keys of b_max's arc in sweep order (from min(b_max)).
+        let spans = ring.sweep_spans(b_max).map_err(|_| VANISHED)?;
+        let keys: Vec<u64> = spans
+            .iter()
+            .flat_map(|&(lo, hi)| node.keys_in_range(lo, hi))
+            .collect();
+        let plan = gba::split_plan(ring, b_max, spans, &keys)
+            .ok_or(CacheError::CannotSplit { bucket: b_max })?;
+        let n_dest = self.sweep_migrate(nid, &plan.spans)?;
+        let bucket = plan
+            .flip(&mut self.ring, n_dest)
             .map_err(|_| CacheError::Internal {
-                what: "split bucket position already occupied",
+                what: "split bucket occupied or vanished before the flip",
             })?;
         self.metrics.splits += 1;
         self.obs.emit(ObsEvent::BucketSplit {
             at_us: self.clock.now_us(),
             node: nid.0,
             new_node: n_dest.0,
-            bucket: k_mu,
+            bucket,
         });
         #[cfg(debug_assertions)]
         self.validate();
@@ -728,12 +675,8 @@ impl ElasticCache {
                 .sum()
         };
 
-        // Least-loaded node other than the source, if the sweep fits there.
-        let reuse = self
-            .nodes()
-            .filter(|(id, _)| *id != src)
-            .min_by_key(|(_, n)| n.used_bytes())
-            .and_then(|(id, n)| (n.used_bytes() + total_bytes <= n.capacity_bytes()).then_some(id));
+        let loads = self.nodes().map(|(id, n)| (id, n.used_bytes()));
+        let reuse = gba::destination(loads, src, total_bytes, self.cfg.node_capacity_bytes);
         let (dest, allocated) = match reuse {
             Some(d) => (d, false),
             None => (self.alloc_node(), true),
@@ -824,15 +767,6 @@ impl ElasticCache {
             node: id.0,
         });
         id
-    }
-
-    /// Circular spans of the arc owned by bucket `b`, starting at
-    /// `min(b)` — i.e. in sweep order.
-    fn spans_of_bucket(&self, b: u64) -> Result<Vec<(u64, u64)>, CacheError> {
-        let pred = self.ring.predecessor(b).map_err(|_| CacheError::Internal {
-            what: "bucket vanished while computing its arc",
-        })?;
-        Ok(circular_spans(pred, b, self.ring.range()))
     }
 
     // ------------------------------------------------- eviction/contraction
@@ -983,23 +917,19 @@ impl ElasticCache {
         self.validate();
     }
 
-    /// Merge the two least-loaded nodes if the coalesced data fits within
-    /// `merge_fill_threshold` of one node's capacity; release the drained
-    /// instance.
+    /// Merge [`gba::merge_pair`]'s two nodes, if it names any: drain the
+    /// lighter into the other, re-point and coalesce its buckets, and
+    /// release the drained instance.
     fn try_contract(&mut self) {
-        if self.node_count() <= self.cfg.min_nodes {
+        let loads = self.nodes().map(|(id, n)| (id, n.used_bytes()));
+        let Some((a, b)) = gba::merge_pair(
+            loads,
+            self.cfg.min_nodes,
+            self.cfg.merge_fill_threshold,
+            self.cfg.node_capacity_bytes,
+        ) else {
             return;
-        }
-        // Two least-loaded nodes: `a` (least) is drained into `b`.
-        let mut active: Vec<(NodeId, u64)> =
-            self.nodes().map(|(id, n)| (id, n.used_bytes())).collect();
-        active.sort_by_key(|&(_, used)| used);
-        let (a, a_used) = active[0];
-        let (b, b_used) = active[1];
-        let limit = (self.cfg.merge_fill_threshold * self.cfg.node_capacity_bytes as f64) as u64;
-        if a_used + b_used > limit {
-            return;
-        }
+        };
 
         let start_us = self.clock.now_us();
         let records = match self.node_at_mut(a) {
@@ -1018,11 +948,7 @@ impl ElasticCache {
             let remapped = self.ring.remap_bucket(bucket, b);
             debug_assert!(remapped.is_ok(), "bucket listed by buckets_of_node exists");
         }
-        // Coalesce: a bucket whose successor belongs to the same node is
-        // redundant — removing it hands its arc to that successor with no
-        // data movement. This keeps the line from fragmenting into
-        // unsplittable singleton buckets across grow/shrink cycles.
-        self.coalesce_buckets(b);
+        self.ring.coalesce(&b);
         let duration_us = self.clock.now_us() - start_us;
         self.cloud.record(Event::Merge {
             at_us: start_us,
@@ -1094,7 +1020,7 @@ impl ElasticCache {
             .ring
             .buckets_of_node(&id)
             .into_iter()
-            .flat_map(|b| self.spans_of_bucket(b).unwrap_or_default())
+            .flat_map(|b| self.ring.sweep_spans(b).unwrap_or_default())
             .collect();
         self.cloud.deallocate(instance);
         self.nodes[id.0 as usize] = None;
@@ -1115,7 +1041,7 @@ impl ElasticCache {
             let remapped = self.ring.remap_bucket(bucket, survivor);
             debug_assert!(remapped.is_ok(), "bucket listed by buckets_of_node exists");
         }
-        self.coalesce_buckets(survivor);
+        self.ring.coalesce(&survivor);
 
         // Replica recovery (§VI "data replication"): survivors may hold
         // best-effort copies of the dead arcs; promote them to primaries on
@@ -1150,23 +1076,6 @@ impl ElasticCache {
         FailureReport {
             records_lost: resident.saturating_sub(recovered),
             records_recovered: recovered,
-        }
-    }
-
-    /// Remove buckets of `nid` whose ring successor also maps to `nid`
-    /// (their arcs merge with no data movement).
-    fn coalesce_buckets(&mut self, nid: NodeId) {
-        for b in self.ring.buckets_of_node(&nid) {
-            if self.ring.len() <= 1 {
-                break;
-            }
-            let Ok(succ) = self.ring.successor(b) else {
-                break;
-            };
-            if succ != b && self.ring.node_of_bucket(succ) == Some(&nid) {
-                let removed = self.ring.remove_bucket(b);
-                debug_assert!(removed.is_ok(), "bucket listed by buckets_of_node exists");
-            }
         }
     }
 
@@ -1253,41 +1162,6 @@ impl ElasticCache {
     pub fn elapsed_secs(&self) -> f64 {
         self.clock.now_us() as f64 / US_PER_SEC as f64
     }
-}
-
-/// The positions `(pred, pos]` on a circular line of range `r`, as inclusive
-/// spans in *circular order* starting just after `pred`. `pred == pos`
-/// denotes a single-bucket ring owning the full line.
-fn circular_spans(pred: u64, pos: u64, r: u64) -> Vec<(u64, u64)> {
-    if pred == pos {
-        // Full circle starting after pos.
-        if pos == r - 1 {
-            vec![(0, r - 1)]
-        } else {
-            vec![(pos + 1, r - 1), (0, pos)]
-        }
-    } else if pred < pos {
-        vec![(pred + 1, pos)]
-    } else if pred == r - 1 {
-        vec![(0, pos)]
-    } else {
-        vec![(pred + 1, r - 1), (0, pos)]
-    }
-}
-
-/// Truncate circular spans at `k_mu` (inclusive): the migration range
-/// `[min(b_max), k^µ]` of Algorithm 1. `None` when `k_mu` lies outside the
-/// spans — a coordinator bug the caller reports as [`CacheError::Internal`].
-fn truncate_spans_at(spans: &[(u64, u64)], k_mu: u64) -> Option<Vec<(u64, u64)>> {
-    let mut out = Vec::with_capacity(spans.len());
-    for &(lo, hi) in spans {
-        if (lo..=hi).contains(&k_mu) {
-            out.push((lo, k_mu));
-            return Some(out);
-        }
-        out.push((lo, hi));
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1544,38 +1418,6 @@ mod tests {
         let billing = cache.cloud().billing();
         assert_eq!(billing.launched, cache.node_count());
         assert!(billing.microdollars > 0);
-    }
-
-    #[test]
-    fn circular_spans_cases() {
-        // Contiguous.
-        assert_eq!(circular_spans(10, 20, 100), vec![(11, 20)]);
-        // Wrapping.
-        assert_eq!(circular_spans(90, 5, 100), vec![(91, 99), (0, 5)]);
-        // Wrap with empty upper part.
-        assert_eq!(circular_spans(99, 5, 100), vec![(0, 5)]);
-        // Single bucket at r-1.
-        assert_eq!(circular_spans(99, 99, 100), vec![(0, 99)]);
-        // Single bucket mid-line.
-        assert_eq!(circular_spans(40, 40, 100), vec![(41, 99), (0, 40)]);
-    }
-
-    #[test]
-    fn truncate_spans_at_median() {
-        assert_eq!(truncate_spans_at(&[(11, 20)], 15), Some(vec![(11, 15)]));
-        assert_eq!(
-            truncate_spans_at(&[(91, 99), (0, 5)], 3),
-            Some(vec![(91, 99), (0, 3)])
-        );
-        assert_eq!(
-            truncate_spans_at(&[(91, 99), (0, 5)], 95),
-            Some(vec![(91, 95)])
-        );
-    }
-
-    #[test]
-    fn truncate_requires_containment() {
-        assert_eq!(truncate_spans_at(&[(0, 5)], 10), None);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   resort), **Sweep-and-Migrate** (Algorithm 2: linked-leaf range sweep),
 //!   sliding-window **eviction** (decay-scored, §III-B) and conservative
 //!   node **contraction**.
+//! * [`gba`] — the paper's decisions (fullest bucket, split plan,
+//!   destination, merge pair) as pure functions, which the live TCP
+//!   coordinator in `ecc-net` calls too.
 //! * [`StaticCache`] — the paper's baseline: a fixed fleet (static-2/4/8)
 //!   with per-node LRU replacement, as in cluster/grid deployments and
 //!   memcached.
@@ -57,6 +60,7 @@ mod adaptive;
 mod config;
 mod elastic;
 mod error;
+pub mod gba;
 pub mod lockorder;
 mod lru;
 mod metrics;

@@ -1,20 +1,21 @@
 //! The live coordinator: GBA over real sockets.
 //!
-//! Mirrors [`ecc_core::ElasticCache`]'s control logic, but every node is a
-//! TCP cache server and every migration travels the wire. Spawning a server
-//! thread stands in for booting an EC2 instance.
+//! Makes [`ecc_core::ElasticCache`]'s decisions by the same code
+//! ([`ecc_core::gba`] and the ring's own geometry), but every node is a TCP
+//! cache server and every migration travels the wire as copy → ack → ring
+//! flip → delete. Spawning a server thread stands in for booting an EC2
+//! instance.
 //!
 //! Single-writer assumption: one coordinator owns the ring and is the only
 //! writer, as in the paper (queries are "first sent to a coordinating
 //! compute node").
 
-use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 
 use bytes::Bytes;
-use ecc_chash::HashRing;
-use ecc_core::SlidingWindow;
+use ecc_chash::{HashRing, RingError};
+use ecc_core::{gba, SlidingWindow};
 use ecc_obs::{ObsEvent, ObsRegistry, ObsSnapshot, TimeSource};
 
 use crate::client::{evict_many_reply, obs_dump_reply, stats_reply, RemoteNode};
@@ -48,6 +49,12 @@ struct ManagedNode {
 /// serving; nothing panics).
 fn internal(what: &str) -> io::Error {
     io::Error::other(format!("coordinator invariant violated: {what}"))
+}
+
+/// A ring operation that named a bucket the coordinator's own bookkeeping
+/// says exists (or is free): an invariant violation.
+fn ring_err(e: RingError) -> io::Error {
+    internal(&format!("ring: {e}"))
 }
 
 /// Send one `PutMany` frame; all-`Ok` statuses are the ack, and any
@@ -335,57 +342,25 @@ impl LiveCoordinator {
         let _split = self.obs.span_root("elastic_split");
         self.purge_stale(nid)?;
         let buckets = self.ring.buckets_of_node(&nid);
-        // Fullest bucket by resident bytes.
-        let Some(&first) = buckets.first() else {
-            return Err(internal("active node owns no bucket"));
-        };
-        let mut b_max = first;
-        let mut best = 0u64;
-        for &b in &buckets {
+        // Fullest bucket by resident bytes, one range probe per span.
+        let b_max = gba::fullest_bucket(&buckets, |b| {
             let mut bytes = 0;
-            for (lo, hi) in self.spans_of_bucket(b)? {
+            for (lo, hi) in self.ring.sweep_spans(b).map_err(ring_err)? {
                 bytes += self.client(nid)?.range_stats(lo, hi)?.0;
             }
-            if bytes >= best {
-                best = bytes;
-                b_max = b;
-            }
-        }
-        let spans = self.spans_of_bucket(b_max)?;
+            Ok::<_, io::Error>(bytes)
+        })?
+        .ok_or_else(|| internal("active node owns no bucket"))?;
+        let spans = self.ring.sweep_spans(b_max).map_err(ring_err)?;
         let mut keys = Vec::new();
         for &(lo, hi) in &spans {
             keys.extend(self.client(nid)?.keys(lo, hi)?);
         }
-        // What moves, and where the ring puts the moved arc: the whole
-        // bucket (relocation fallback, see the simulated cache) or the
-        // median split's lower part, under a new bucket at k^µ.
-        let (move_spans, moved, new_bucket) = if keys.len() < 2 {
-            if buckets.len() < 2 {
-                return Err(io::Error::other("single unsplittable bucket"));
-            }
-            (spans, &keys[..], None)
-        } else {
-            let mut mu_idx = keys.len() / 2;
-            while mu_idx > 0 && self.ring.node_of_bucket(keys[mu_idx]).is_some() {
-                mu_idx -= 1;
-            }
-            let k_mu = keys[mu_idx];
-            if self.ring.node_of_bucket(k_mu).is_some() {
-                return Err(io::Error::other("no split position"));
-            }
-            let mut move_spans = Vec::new();
-            for &(lo, hi) in &spans {
-                if (lo..=hi).contains(&k_mu) {
-                    move_spans.push((lo, k_mu));
-                    break;
-                }
-                move_spans.push((lo, hi));
-            }
-            // `keys` lists the spans in order, so the keys at or before
-            // k^µ are exactly those of `move_spans`.
-            (move_spans, &keys[..=mu_idx], Some(k_mu))
-        };
-        let (dest, allocated) = self.choose_dest(nid, &move_spans)?;
+        let plan = gba::split_plan(&self.ring, b_max, spans, &keys)
+            .ok_or_else(|| io::Error::other(format!("bucket {b_max} cannot be split")))?;
+        // `keys` lists the spans in order, so the moved keys are a prefix.
+        let moved = &keys[..plan.moved];
+        let (dest, allocated) = self.choose_dest(nid, &plan.spans)?;
         self.purge_stale(dest)?;
         let t0 = self.obs.now_us();
         let copied = self.copy(nid, dest, moved);
@@ -394,20 +369,8 @@ impl LiveCoordinator {
             self.dealloc(dest);
         }
         let (records, bytes) = copied?;
-        // Flip: the arc is dest's from here on. Collision with an existing
-        // bucket was ruled out when k^µ was chosen above.
-        let bucket = match new_bucket {
-            Some(k_mu) => self
-                .ring
-                .insert_bucket(k_mu, dest)
-                .map(|()| k_mu)
-                .map_err(|_| internal("split bucket position already occupied"))?,
-            None => self
-                .ring
-                .remap_bucket(b_max, dest)
-                .map(|_| b_max)
-                .map_err(|_| internal("bucket vanished while relocating it"))?,
-        };
+        // Flip: the arc is dest's from here on.
+        let bucket = plan.flip(&mut self.ring, dest).map_err(ring_err)?;
         self.splits += 1;
         self.obs.emit(ObsEvent::BucketSplit {
             at_us: self.obs.now_us(),
@@ -433,26 +396,18 @@ impl LiveCoordinator {
         Ok(())
     }
 
-    /// Algorithm 2's destination for `spans` of `src`: the least-loaded
-    /// other node if the spans fit on it, else a freshly spawned one
-    /// (`true` = spawned).
+    /// Algorithm 2's destination for `spans` of `src` ([`gba::destination`]),
+    /// or a freshly spawned node (`true` = spawned).
     fn choose_dest(&mut self, src: usize, spans: &[(u64, u64)]) -> io::Result<(usize, bool)> {
         let mut total = 0u64;
         for &(lo, hi) in spans {
             total += self.client(src)?.range_stats(lo, hi)?.0;
         }
-        let mut dest: Option<(usize, u64)> = None;
-        for (id, (used, _, _)) in self.stats()? {
-            if id == src {
-                continue;
-            }
-            if dest.is_none_or(|(_, best)| used < best) {
-                dest = Some((id, used));
-            }
-        }
-        Ok(match dest {
-            Some((id, used)) if used + total <= self.capacity_bytes => (id, false),
-            _ => (self.spawn_node()?, true),
+        let loads = self.stats()?.into_iter().map(|(id, (used, ..))| (id, used));
+        let reuse = gba::destination(loads, src, total, self.capacity_bytes);
+        Ok(match reuse {
+            Some(id) => (id, false),
+            None => (self.spawn_node()?, true),
         })
     }
 
@@ -575,33 +530,37 @@ impl LiveCoordinator {
             expiration: self.expirations,
             victims: victims.len() as u64,
         });
-        // Group victims by owning node: O(nodes) batched `EvictMany`
-        // frames fanned out concurrently, instead of one blocking
-        // round-trip per victim.
-        let mut batches: HashMap<usize, Vec<u64>> = HashMap::new();
+        // Group victims by owning node, in node order: O(nodes) batched
+        // `EvictMany` frames fanned out concurrently, instead of one
+        // blocking round-trip per victim, and `EvictBatch` events in the
+        // simulated cache's order.
+        let mut batches: Vec<Vec<u64>> = vec![Vec::new(); self.nodes.len()];
         for key in victims {
-            if let Some(&nid) = self.ring.node_for_key(key) {
-                batches.entry(nid).or_default().push(key);
+            let owner = self.ring.node_for_key(key);
+            if let Some(keys) = owner.and_then(|&nid| batches.get_mut(nid)) {
+                keys.push(key);
             }
         }
-        if !batches.is_empty() {
+        if batches.iter().any(|keys| !keys.is_empty()) {
             {
                 let batches = &batches;
                 self.fan_out(
                     |id| {
-                        let keys = batches.get(&id)?.clone();
+                        let keys = batches.get(id).filter(|k| !k.is_empty())?.clone();
                         Some(Request::EvictMany { keys })
                     },
-                    |id, s, b| evict_many_reply(batches.get(&id).map_or(0, Vec::len), s, b),
+                    |id, s, b| evict_many_reply(batches.get(id).map_or(0, Vec::len), s, b),
                 )?;
             }
             let at_us = self.obs.now_us();
-            for (nid, keys) in batches {
-                self.obs.emit(ObsEvent::EvictBatch {
-                    at_us,
-                    node: nid as u32,
-                    keys,
-                });
+            for (nid, keys) in batches.into_iter().enumerate() {
+                if !keys.is_empty() {
+                    self.obs.emit(ObsEvent::EvictBatch {
+                        at_us,
+                        node: nid as u32,
+                        keys,
+                    });
+                }
             }
         }
         if self.expirations.is_multiple_of(self.contraction_epsilon) {
@@ -610,23 +569,13 @@ impl LiveCoordinator {
         Ok(())
     }
 
-    /// Merge the two least-loaded nodes when their data fits the threshold.
+    /// Merge [`gba::merge_pair`]'s two nodes, if it names any.
     pub fn try_contract(&mut self) -> io::Result<()> {
-        let mut loads: Vec<(u64, usize)> = self
-            .stats()?
-            .into_iter()
-            .map(|(id, (used, _, _))| (used, id))
-            .collect();
-        if loads.len() < 2 {
+        let loads = self.stats()?.into_iter().map(|(id, (used, ..))| (id, used));
+        let pair = gba::merge_pair(loads, 1, self.merge_fill_threshold, self.capacity_bytes);
+        let Some((a, b)) = pair else {
             return Ok(());
-        }
-        loads.sort();
-        let (a_used, a) = loads[0];
-        let (b_used, b) = loads[1];
-        let limit = (self.merge_fill_threshold * self.capacity_bytes as f64) as u64;
-        if a_used + b_used > limit {
-            return Ok(());
-        }
+        };
         // First-class root span for the merge proper (the stats probe
         // above runs on every contraction check and stays outside it).
         let _merge = self.obs.span_root("elastic_merge");
@@ -640,24 +589,9 @@ impl LiveCoordinator {
         let (moved, _) = self.copy(a, b, &keys)?;
         self.obs.record("coord_migrate_us", self.obs.now_us() - t0);
         for bucket in self.ring.buckets_of_node(&a) {
-            self.ring
-                .remap_bucket(bucket, b)
-                .map_err(|_| internal("bucket vanished during merge"))?;
+            self.ring.remap_bucket(bucket, b).map_err(ring_err)?;
         }
-        // Coalesce redundant buckets (see the simulated coordinator).
-        for bucket in self.ring.buckets_of_node(&b) {
-            if self.ring.len() <= 1 {
-                break;
-            }
-            let Ok(succ) = self.ring.successor(bucket) else {
-                break;
-            };
-            if succ != bucket && self.ring.node_of_bucket(succ) == Some(&b) {
-                self.ring
-                    .remove_bucket(bucket)
-                    .map_err(|_| internal("bucket vanished while coalescing"))?;
-            }
-        }
+        self.ring.coalesce(&b);
         self.obs.emit(ObsEvent::NodeMerge {
             at_us: t0,
             src: a as u32,
@@ -711,28 +645,6 @@ impl LiveCoordinator {
             }
         }
         Ok(())
-    }
-
-    /// Circular spans of the arc owned by bucket `b`.
-    fn spans_of_bucket(&self, b: u64) -> io::Result<Vec<(u64, u64)>> {
-        let pred = self
-            .ring
-            .predecessor(b)
-            .map_err(|_| internal("bucket vanished while computing its arc"))?;
-        let r = self.ring_range;
-        Ok(if pred == b {
-            if b == r - 1 {
-                vec![(0, r - 1)]
-            } else {
-                vec![(b + 1, r - 1), (0, b)]
-            }
-        } else if pred < b {
-            vec![(pred + 1, b)]
-        } else if pred == r - 1 {
-            vec![(0, b)]
-        } else {
-            vec![(pred + 1, r - 1), (0, b)]
-        })
     }
 }
 
@@ -804,6 +716,25 @@ mod tests {
         assert_eq!(records, 0, "eviction should have emptied the cache");
         assert!(c.node_count() < grown, "no contraction");
         assert!(c.merges >= 1);
+        // Each slice close emits its `EvictBatch` events in node order, as
+        // the simulated cache does.
+        let mut nodes_per_close: Vec<Vec<u32>> = Vec::new();
+        for (_, event) in c.obs().events_since(0) {
+            match event {
+                ObsEvent::SliceExpire { .. } => nodes_per_close.push(Vec::new()),
+                ObsEvent::EvictBatch { node, .. } => {
+                    nodes_per_close.last_mut().unwrap().push(node);
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            nodes_per_close.iter().any(|nodes| nodes.len() >= 2),
+            "no slice close evicted from two nodes: {nodes_per_close:?}"
+        );
+        for nodes in &nodes_per_close {
+            assert!(nodes.windows(2).all(|w| w[0] < w[1]), "{nodes_per_close:?}");
+        }
         c.shutdown().unwrap();
     }
 
