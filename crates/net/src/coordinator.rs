@@ -8,8 +8,21 @@
 //!
 //! Single-writer assumption: one coordinator owns the ring and is the only
 //! writer, as in the paper (queries are "first sent to a coordinating
-//! compute node").
+//! compute node"). The miss path relies on it twice:
+//!
+//! - **Residency set.** The coordinator keeps a set of keys that is always
+//!   a superset of the keys each node holds inside its own arcs: a put adds
+//!   its key, a successful eviction or a wire `Get` that comes back absent
+//!   removes it. A `get` of a key outside the set is a definite miss and is
+//!   answered without a frame.
+//! - **Posted fill.** [`LiveCoordinator::put`] sends its `Put` and returns;
+//!   `Ok` means the fill was sent, not acked. Every public entry point that
+//!   talks to the nodes first *settles* the fill: it reads the ack and, on
+//!   `Overflow`, splits and resends (GBA-Insert's loop). An error from the
+//!   fill is returned by the call that settles it. The nodes see requests
+//!   in the order a synchronous put would have sent them.
 
+use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
 
@@ -71,10 +84,22 @@ fn put_acked(client: &mut RemoteNode, batch: Vec<(u64, Bytes)>) -> io::Result<()
     Ok(())
 }
 
+/// A fill [`LiveCoordinator::put`] posted to `node` whose ack is unread.
+struct Fill {
+    key: u64,
+    value: Vec<u8>,
+    node: usize,
+}
+
 /// The live elastic-cache coordinator.
 pub struct LiveCoordinator {
     ring: HashRing<usize>,
     nodes: Vec<Option<ManagedNode>>,
+    /// A superset of the keys every node holds inside its own arcs (see the
+    /// module docs).
+    resident: HashSet<u64>,
+    /// The posted fill, settled by the next call.
+    fill: Option<Fill>,
     ring_range: u64,
     capacity_bytes: u64,
     btree_order: usize,
@@ -110,6 +135,8 @@ impl LiveCoordinator {
         let mut coord = LiveCoordinator {
             ring: HashRing::new(ring_range),
             nodes: Vec::new(),
+            resident: HashSet::new(),
+            fill: None,
             ring_range,
             capacity_bytes,
             btree_order: 64,
@@ -157,6 +184,7 @@ impl LiveCoordinator {
     /// by move, in node order (histograms add bucket-wise, events
     /// interleave by timestamp, one sort at the end).
     pub fn cluster_obs(&mut self) -> io::Result<ObsSnapshot> {
+        self.settle()?;
         let own = self.obs.snapshot();
         let nodes = self.fan_out(|_| Some(Request::ObsDump), |_, s, b| obs_dump_reply(s, b))?;
         Ok(own.merged(nodes.into_iter().map(|(_, snap)| snap)))
@@ -173,6 +201,7 @@ impl LiveCoordinator {
     /// Total `(bytes, records)` across nodes, collected with one
     /// concurrent stats fan-out instead of sequential round-trips.
     pub fn totals(&mut self) -> io::Result<(u64, u64)> {
+        self.settle()?;
         let stats = self.stats()?;
         let mut bytes = 0;
         let mut records = 0;
@@ -284,21 +313,36 @@ impl LiveCoordinator {
         Ok(id)
     }
 
-    /// Look up `key` on the owning node.
+    fn owner(&self, key: u64) -> io::Result<usize> {
+        self.ring
+            .node_for_key(key)
+            .copied()
+            .ok_or_else(|| internal("ring has no buckets"))
+    }
+
+    /// Look up `key` on the owning node. A key outside the residency set is
+    /// a definite miss, answered without a frame.
     pub fn get(&mut self, key: u64) -> io::Result<Option<Vec<u8>>> {
+        self.settle()?;
         if let Some(w) = &mut self.window {
             w.note_query(key);
         }
-        let nid = *self
-            .ring
-            .node_for_key(key)
-            .ok_or_else(|| internal("ring has no buckets"))?;
-        self.client(nid)?.get(key)
+        if !self.resident.contains(&key) {
+            return Ok(None);
+        }
+        let got = self.client(self.owner(key)?)?.get(key)?;
+        if got.is_none() {
+            self.resident.remove(&key);
+        }
+        Ok(got)
     }
 
-    /// Store `value` under `key`, splitting buckets / spawning servers as
-    /// needed (GBA).
+    /// Store `value` under `key` on its owning node. The fill is posted:
+    /// `Ok` means it was sent, not acked. The next call settles it,
+    /// splitting buckets / spawning servers as needed (GBA), and returns
+    /// its error if it failed.
     pub fn put(&mut self, key: u64, value: Vec<u8>) -> io::Result<()> {
+        self.settle()?;
         if key >= self.ring_range {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -311,14 +355,39 @@ impl LiveCoordinator {
                 "record exceeds node capacity",
             ));
         }
-        for _ in 0..64 {
-            let nid = *self
-                .ring
-                .node_for_key(key)
-                .ok_or_else(|| internal("ring has no buckets"))?;
-            match self.client(nid)?.put(key, value.clone())? {
+        let node = self.owner(key)?;
+        self.resident.insert(key);
+        self.client(node)?
+            .post(&Request::Put { key, value: &value })?;
+        self.fill = Some(Fill { key, value, node });
+        Ok(())
+    }
+
+    /// Collect the posted fill's ack: GBA-Insert's loop. On `Overflow` the
+    /// owner splits and the fill is sent again to the key's new owner, at
+    /// most 64 times in all.
+    fn settle(&mut self) -> io::Result<()> {
+        let Some(Fill {
+            key,
+            value,
+            mut node,
+        }) = self.fill.take()
+        else {
+            return Ok(());
+        };
+        for attempt in 0..64 {
+            if attempt > 0 {
+                node = self.owner(key)?;
+                self.client(node)?
+                    .post(&Request::Put { key, value: &value })?;
+            }
+            let status = self
+                .client(node)?
+                .posted_reply()
+                .ok_or_else(|| internal("a posted fill has no reply"))??;
+            match status {
                 Status::Ok => return Ok(()),
-                Status::Overflow => self.split_node(nid)?,
+                Status::Overflow => self.split_node(node)?,
                 s => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -504,6 +573,7 @@ impl LiveCoordinator {
     /// Close a time slice: evict expired keys, contract every `ε`
     /// expirations.
     pub fn end_time_step(&mut self) -> io::Result<()> {
+        self.settle()?;
         let Some(w) = &mut self.window else {
             return Ok(());
         };
@@ -530,12 +600,16 @@ impl LiveCoordinator {
             expiration: self.expirations,
             victims: victims.len() as u64,
         });
-        // Group victims by owning node, in node order: O(nodes) batched
-        // `EvictMany` frames fanned out concurrently, instead of one
-        // blocking round-trip per victim, and `EvictBatch` events in the
-        // simulated cache's order.
+        // Group resident victims by owning node, in node order: O(nodes)
+        // batched `EvictMany` frames fanned out concurrently, instead of
+        // one blocking round-trip per victim, and `EvictBatch` events that
+        // name exactly the evicted keys, in the simulated cache's order. A
+        // victim outside the residency set is held by no node.
         let mut batches: Vec<Vec<u64>> = vec![Vec::new(); self.nodes.len()];
         for key in victims {
+            if !self.resident.contains(&key) {
+                continue;
+            }
             let owner = self.ring.node_for_key(key);
             if let Some(keys) = owner.and_then(|&nid| batches.get_mut(nid)) {
                 keys.push(key);
@@ -554,6 +628,9 @@ impl LiveCoordinator {
             }
             let at_us = self.obs.now_us();
             for (nid, keys) in batches.into_iter().enumerate() {
+                for key in &keys {
+                    self.resident.remove(key);
+                }
                 if !keys.is_empty() {
                     self.obs.emit(ObsEvent::EvictBatch {
                         at_us,
@@ -571,6 +648,7 @@ impl LiveCoordinator {
 
     /// Merge [`gba::merge_pair`]'s two nodes, if it names any.
     pub fn try_contract(&mut self) -> io::Result<()> {
+        self.settle()?;
         let loads = self.stats()?.into_iter().map(|(id, (used, ..))| (id, used));
         let pair = gba::merge_pair(loads, 1, self.merge_fill_threshold, self.capacity_bytes);
         let Some((a, b)) = pair else {
@@ -605,11 +683,13 @@ impl LiveCoordinator {
 
     /// Audit coordinator-wide invariants: the ring partitions the hash
     /// line, every bucket maps to a live server, every live server owns at
-    /// least one bucket, and no server reports more resident bytes than its
-    /// capacity. Returns a typed [`io::Error`] on the first violation (the
+    /// least one bucket, no server reports more resident bytes than its
+    /// capacity, and every key a server holds inside its own arcs is in the
+    /// residency set. Returns a typed [`io::Error`] on the first violation (the
     /// simulation harness promotes this to a hard failure after every
     /// event).
     pub fn check_invariants(&mut self) -> io::Result<()> {
+        self.settle()?;
         self.ring
             .check_invariants()
             .map_err(|e| internal(&format!("ring audit: {e}")))?;
@@ -633,18 +713,30 @@ impl LiveCoordinator {
                 )));
             }
         }
+        let hi = self.ring_range - 1;
+        for id in self.active_ids() {
+            for key in self.client(id)?.keys(0, hi)? {
+                if self.ring.node_for_key(key) == Some(&id) && !self.resident.contains(&key) {
+                    return Err(internal(&format!(
+                        "node {id} holds key {key}, which the residency set lacks"
+                    )));
+                }
+            }
+        }
         Ok(())
     }
 
-    /// Stop every cache server.
+    /// Settle the posted fill, then stop every cache server. Returns the
+    /// fill's error, if any.
     pub fn shutdown(&mut self) -> io::Result<()> {
+        let settled = self.settle();
         for slot in &mut self.nodes {
             if let Some(mut node) = slot.take() {
                 let _ = node.client.shutdown();
                 node.server.stop();
             }
         }
-        Ok(())
+        settled
     }
 }
 
@@ -869,7 +961,10 @@ mod tests {
     /// coordinator's connection now reaches a stand-in that answers `Stats`
     /// probes with the node's last figures — so the node is still chosen as
     /// the destination — and hangs up on the first other request, the copy.
+    /// The posted fill is settled first: its ack must not be left on the
+    /// replaced connection.
     fn dies_after_the_stats_probe(c: &mut LiveCoordinator, id: usize) {
+        c.settle().unwrap();
         let (used, records, cap) = c.client(id).unwrap().stats().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -924,7 +1019,11 @@ mod tests {
         }
         let ring = ring_of(&c);
         dies_after_the_stats_probe(&mut c, 1);
-        assert!(c.put(17_000, vec![1; 100]).is_err());
+        // The fill is posted; its split fails when it is settled.
+        assert!(c
+            .put(17_000, vec![1; 100])
+            .and_then(|()| c.settle())
+            .is_err());
         assert_eq!(ring_of(&c), ring, "the ring flipped to a dead node");
         assert_eq!(c.splits, 0);
         for &k in &keys {
@@ -957,8 +1056,10 @@ mod tests {
 
     /// Node `id`'s connection now runs through a relay to its server that
     /// refuses the first `EvictMany` (`BadRequest`, connection kept) and
-    /// forwards every other frame.
+    /// forwards every other frame. The posted fill is settled first, as in
+    /// [`dies_after_the_stats_probe`].
     fn refuses_one_evict(c: &mut LiveCoordinator, id: usize) {
+        c.settle().unwrap();
         let upstream = c.node_addr(id).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1026,6 +1127,118 @@ mod tests {
             assert_eq!(c.get(k).unwrap(), Some(vec![k as u8; 100]), "key {k}");
         }
         assert_records_in_arcs(&mut c, &[0]);
+    }
+
+    /// Samples of `hist` across the coordinator and every live node.
+    fn samples(c: &mut LiveCoordinator, hist: &str) -> u64 {
+        let snap = c.cluster_obs().unwrap();
+        snap.hist(hist).map_or(0, |h| h.count())
+    }
+
+    #[test]
+    fn a_get_of_a_never_stored_key_sends_no_frame() {
+        let mut c = two_node_fleet();
+        c.put(100, b"stored".to_vec()).unwrap();
+        for key in [5, 101, 20_000, 60_000] {
+            assert_eq!(c.get(key).unwrap(), None);
+        }
+        assert_eq!(samples(&mut c, "server_op_us:get"), 0);
+        assert_eq!(c.get(100).unwrap(), Some(b"stored".to_vec()));
+        assert_eq!(samples(&mut c, "server_op_us:get"), 1);
+    }
+
+    #[test]
+    fn a_posted_fill_is_read_back_on_the_same_node_and_across_nodes() {
+        let mut c = two_node_fleet();
+        // Same node: the get follows the fill on node 1's connection.
+        c.put(100, b"a".to_vec()).unwrap();
+        assert_eq!(c.get(100).unwrap(), Some(b"a".to_vec()));
+        // Across nodes: the fill to node 0 is settled before the get to
+        // node 1 goes out, and is served by the next get to node 0.
+        c.put(200, b"b".to_vec()).unwrap();
+        c.put(20_000, b"c".to_vec()).unwrap();
+        assert_eq!(c.get(200).unwrap(), Some(b"b".to_vec()));
+        assert_eq!(c.get(20_000).unwrap(), Some(b"c".to_vec()));
+        // A replaced value, too.
+        c.put(100, b"d".to_vec()).unwrap();
+        assert_eq!(c.get(100).unwrap(), Some(b"d".to_vec()));
+        c.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_posted_fill_that_overflows_splits_at_the_next_call() {
+        let mut c = two_node_fleet();
+        // Seven 100 B records (136 B slots) fill node 0's 1000 B.
+        for k in 0..7 {
+            c.put(10_000 + k * 1_000, vec![k as u8; 100]).unwrap();
+        }
+        c.put(17_000, vec![7; 100]).unwrap();
+        assert_eq!(c.splits, 0, "the put waited for its ack");
+        assert_eq!(c.get(17_000).unwrap(), Some(vec![7; 100]));
+        assert_eq!(c.splits, 1);
+        for k in 0..7 {
+            let key = 10_000 + k * 1_000;
+            assert_eq!(c.get(key).unwrap(), Some(vec![k as u8; 100]));
+        }
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_fill_whose_node_dies_before_the_settle_fails_the_next_call() {
+        let mut c = two_node_fleet();
+        c.put(20_000, b"on node 0".to_vec()).unwrap();
+        // Node 1's stand-in hangs up on the fill without an ack.
+        dies_after_the_stats_probe(&mut c, 1);
+        c.put(100, b"lost".to_vec()).unwrap();
+        // The next call returns the fill's error, even one that sends no
+        // frame; the call after it is served.
+        assert!(c.get(5).is_err());
+        assert_eq!(c.get(20_000).unwrap(), Some(b"on node 0".to_vec()));
+    }
+
+    #[test]
+    fn a_key_read_but_never_stored_is_evicted_in_no_frame_and_no_event() {
+        let mut c = LiveCoordinator::start(1 << 16, 100_000).unwrap();
+        c.enable_window(2, 0.99, 0.99f64.powi(1));
+        let evict_batches = |c: &LiveCoordinator| -> Vec<Vec<u64>> {
+            let events = c.obs().events_since(0);
+            let keys = events.into_iter().filter_map(|(_, event)| match event {
+                ObsEvent::EvictBatch { keys, .. } => Some(keys),
+                _ => None,
+            });
+            keys.collect()
+        };
+        // Its slice expires with only the never-stored key as a victim.
+        assert_eq!(c.get(7).unwrap(), None);
+        for _ in 0..4 {
+            c.end_time_step().unwrap();
+        }
+        assert!(evict_batches(&c).is_empty());
+        assert_eq!(samples(&mut c, "server_op_us:evict_many"), 0);
+        // Beside a stored key, it is still named in no frame and no event.
+        assert_eq!(c.get(8).unwrap(), None);
+        c.put(8, b"eight".to_vec()).unwrap();
+        assert_eq!(c.get(9).unwrap(), None);
+        for _ in 0..4 {
+            c.end_time_step().unwrap();
+        }
+        assert_eq!(evict_batches(&c), vec![vec![8]]);
+        assert_eq!(samples(&mut c, "server_op_us:evict_many"), 1);
+        assert_eq!(c.totals().unwrap(), (0, 0));
+    }
+
+    #[test]
+    fn a_key_stored_behind_the_coordinators_back_fails_the_audit() {
+        let mut c = two_node_fleet();
+        c.put(100, b"seen".to_vec()).unwrap();
+        c.check_invariants().unwrap();
+        // Outside node 0's arcs the copy is harmless; inside them it
+        // breaks the superset rule.
+        c.client(0).unwrap().put(200, b"x".to_vec()).unwrap();
+        c.check_invariants().unwrap();
+        c.client(0).unwrap().put(20_000, b"x".to_vec()).unwrap();
+        let err = c.check_invariants().unwrap_err();
+        assert!(err.to_string().contains("residency set"), "{err}");
     }
 
     #[test]
