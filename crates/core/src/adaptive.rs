@@ -80,12 +80,6 @@ impl WindowController {
         Self { cfg, ema: None }
     }
 
-    /// The current rate trend (queries/slice), if any slices have been
-    /// observed.
-    pub fn trend(&self) -> Option<f64> {
-        self.ema
-    }
-
     /// Observe a completed slice's query count and return the window size
     /// to use from now on (clamped to the configured bounds).
     pub fn observe(&mut self, slice_queries: u64, current_m: usize) -> usize {
@@ -140,7 +134,7 @@ mod tests {
             m = c.observe(100, m);
         }
         assert_eq!(m, 20);
-        assert!((c.trend().unwrap() - 100.0).abs() < 1e-6);
+        assert!((c.ema.unwrap() - 100.0).abs() < 1e-6);
     }
 
     #[test]
@@ -189,7 +183,7 @@ mod tests {
     fn first_observation_only_seeds_the_trend() {
         let mut c = controller();
         assert_eq!(c.observe(1_000_000, 20), 20);
-        assert_eq!(c.trend(), Some(1_000_000.0));
+        assert_eq!(c.ema, Some(1_000_000.0));
     }
 
     #[test]

@@ -108,11 +108,6 @@ pub struct CacheConfig {
     /// Dynamic window sizing (§VI future work); `None` keeps `m` fixed.
     /// Requires `window` to be set.
     pub adaptive_window: Option<AdaptiveWindowConfig>,
-    /// Best-effort replication (§VI "data replication"): every primary
-    /// insertion also places a replica in the spare capacity of the next
-    /// distinct node on the ring, making node failure mostly lossless.
-    /// `false` is the paper's evaluated configuration.
-    pub replicate: bool,
     /// Persistent overflow tier (§IV-D, S3/EBS): evicted records are
     /// written to cloud storage, and a memory miss checks the tier before
     /// re-running the 23 s service. `None` is the paper's evaluated
@@ -144,7 +139,6 @@ impl CacheConfig {
             warm_pool: 0,
             proactive_split_fill: None,
             adaptive_window: None,
-            replicate: false,
             overflow_tier: None,
         }
     }
@@ -168,7 +162,6 @@ impl CacheConfig {
             warm_pool: 0,
             proactive_split_fill: None,
             adaptive_window: None,
-            replicate: false,
             overflow_tier: None,
         }
     }

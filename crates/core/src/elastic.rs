@@ -24,7 +24,7 @@
 
 use ecc_bptree::ByteSize;
 use ecc_chash::HashRing;
-use ecc_cloudsim::{Event, NetModel, PersistentStore, SimClock, SimCloud, US_PER_SEC};
+use ecc_cloudsim::{Event, InstanceId, NetModel, PersistentStore, SimClock, SimCloud, US_PER_SEC};
 use ecc_obs::{LogHistogram, ObsEvent, ObsRegistry, TimeSource};
 
 use crate::adaptive::WindowController;
@@ -45,16 +45,6 @@ impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "n{}", self.0)
     }
-}
-
-/// Outcome of an injected node failure ([`ElasticCache::fail_node`]).
-#[must_use]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailureReport {
-    /// Primaries on the failed node with no surviving copy.
-    pub records_lost: usize,
-    /// Primaries restored from best-effort replicas on survivors.
-    pub records_recovered: usize,
 }
 
 /// A violated cross-structure invariant, found by
@@ -216,7 +206,6 @@ impl ElasticCache {
             .map(|w| SlidingWindow::new(w.slices, w.alpha, w.effective_threshold()));
         // Initial node: bucket at the top of the line owns everything.
         let receipt = cloud.allocate(cfg.instance_type.clone());
-        let node = CacheNode::new(receipt.id, cfg.node_capacity_bytes, cfg.btree_order);
         let mut ring = HashRing::new(cfg.ring_range);
         let seeded = ring.insert_bucket(cfg.ring_range - 1, NodeId(0));
         debug_assert!(seeded.is_ok(), "a fresh ring has no bucket to collide with");
@@ -226,19 +215,15 @@ impl ElasticCache {
         let controller = cfg.adaptive_window.map(WindowController::new);
         let tier = cfg.overflow_tier.clone().map(PersistentStore::new);
         let obs = ObsRegistry::new(TimeSource::Sim(clock.clone()));
-        obs.emit(ObsEvent::NodeAlloc {
-            at_us: clock.now_us(),
-            node: 0,
-        });
         let lookup_req_us = cfg.lookup_overhead_us + net.transfer_us(LOOKUP_REQ_BYTES);
         let lookup_miss_us = lookup_req_us + net.transfer_us(MISS_RESP_BYTES);
-        Self {
+        let mut cache = Self {
             cfg,
             clock,
             cloud,
             net,
             ring,
-            nodes: vec![Some(node)],
+            nodes: Vec::new(),
             window,
             metrics: Metrics::new(),
             expirations: 0,
@@ -255,7 +240,9 @@ impl ElasticCache {
             ],
             lookup_req_us,
             lookup_miss_us,
-        }
+        };
+        cache.add_node(receipt.id);
+        cache
     }
 
     // ------------------------------------------------------------ accessors
@@ -335,7 +322,7 @@ impl ElasticCache {
         self.expirations
     }
 
-    /// The node `id`, or `None` if it is inactive (failed or merged away)
+    /// The node `id`, or `None` if it is inactive (merged away)
     /// or out of table bounds.
     fn node_at(&self, id: NodeId) -> Option<&CacheNode> {
         self.nodes.get(id.0 as usize).and_then(Option::as_ref)
@@ -561,11 +548,7 @@ impl ElasticCache {
             // queue up behind it.
             self.clock.advance_us(std::mem::take(pending_us));
             if fits {
-                let replica = self.cfg.replicate.then(|| record.clone());
                 self.try_node_mut(nid)?.insert(key, record);
-                if let Some(replica) = replica {
-                    self.place_replica(key, replica);
-                }
                 #[cfg(debug_assertions)]
                 self.validate();
                 return Ok(());
@@ -574,47 +557,6 @@ impl ElasticCache {
             self.split_node(nid)?;
         }
         Err(CacheError::SplitLoopExceeded)
-    }
-
-    /// The node holding best-effort replicas for `key`: the next *distinct*
-    /// node along the bucket line after the primary's bucket. `None` when
-    /// the fleet has a single node.
-    fn replica_target(&self, key: u64) -> Option<NodeId> {
-        let primary_bucket = self.ring.bucket_for_key(key)?;
-        let primary = *self.ring.node_of_bucket(primary_bucket)?;
-        let mut bucket = primary_bucket;
-        for _ in 0..self.ring.len() {
-            bucket = self.ring.successor(bucket).ok()?;
-            let node = *self.ring.node_of_bucket(bucket)?;
-            if node != primary {
-                return Some(node);
-            }
-        }
-        None
-    }
-
-    /// Best-effort replica placement after a primary insertion (no-op when
-    /// no distinct peer exists). Called only with replication enabled.
-    fn place_replica(&mut self, key: u64, record: Record) {
-        let Some(target) = self.replica_target(key) else {
-            return;
-        };
-        // The target drifts as the ring splits and merges; copies placed at
-        // earlier targets would otherwise linger and could be promoted over
-        // a fresher primary on failure recovery. Sweep every node first —
-        // including the target, so a replica that then fails to fit leaves
-        // no copy rather than a stale one. The fleet is small.
-        let active: Vec<NodeId> = self.nodes().map(|(id, _)| id).collect();
-        for other in active {
-            if let Some(n) = self.node_at_mut(other) {
-                n.remove_replica(key);
-            }
-        }
-        let wire = record.len() as u64 + RECORD_WIRE_OVERHEAD;
-        self.clock.advance_us(self.net.t_net_us(wire));
-        if let Some(node) = self.node_at_mut(target) {
-            node.insert_replica(key, record);
-        }
     }
 
     /// Algorithm 1 lines 8–15: find `b_max`, plan its split at `k^µ` (or
@@ -739,27 +681,14 @@ impl ElasticCache {
                 receipt.id
             }
         };
-        let node = CacheNode::new(instance, self.cfg.node_capacity_bytes, self.cfg.btree_order);
-        self.nodes.push(Some(node));
-        let id = NodeId((self.nodes.len() - 1) as u32);
-        self.obs.emit(ObsEvent::NodeAlloc {
-            at_us: self.clock.now_us(),
-            node: id.0,
-        });
-        id
+        self.add_node(instance)
     }
 
-    /// Allocate a node whose boot proceeds in the (virtual) background —
-    /// used by proactive splitting, where the allocation is by construction
-    /// ahead of need. Neither the clock nor `alloc_us` (boot time blocked
-    /// on the query path) advances.
-    fn alloc_node_async(&mut self) -> NodeId {
-        let receipt = self.cloud.allocate(self.cfg.instance_type.clone());
-        let node = CacheNode::new(
-            receipt.id,
-            self.cfg.node_capacity_bytes,
-            self.cfg.btree_order,
-        );
+    /// Put a cache node on `instance` and announce it. Every node joins
+    /// here: the initial one, GBA's last resort, and proactive splitting's
+    /// background boot.
+    fn add_node(&mut self, instance: InstanceId) -> NodeId {
+        let node = CacheNode::new(instance, self.cfg.node_capacity_bytes, self.cfg.btree_order);
         self.nodes.push(Some(node));
         let id = NodeId((self.nodes.len() - 1) as u32);
         self.obs.emit(ObsEvent::NodeAlloc {
@@ -805,14 +734,16 @@ impl ElasticCache {
                     // records around would only push the problem to the next
                     // step (migration ping-pong). Pre-allocate a fresh node
                     // instead — this *is* the prefetch: the boot proceeds in
-                    // the background, and the split lands on the empty node.
+                    // the background (neither the clock nor `alloc_us`
+                    // advances), and the split lands on the empty node.
                     let peer_headroom = self
                         .nodes()
                         .filter(|(id, _)| *id != nid)
                         .map(|(_, n)| n.fill())
                         .fold(f64::INFINITY, f64::min);
                     if peer_headroom >= relieve_to {
-                        self.alloc_node_async();
+                        let receipt = self.cloud.allocate(self.cfg.instance_type.clone());
+                        self.add_node(receipt.id);
                     }
                     // Best effort — an unsplittable node waits for GBA.
                     if self.split_node(nid).is_err() {
@@ -884,16 +815,6 @@ impl ElasticCache {
                     let dur = tier.put(self.clock.now_us(), key, rec.bytes());
                     self.clock.advance_us(dur);
                     self.metrics.tier_writes += 1;
-                }
-            }
-            if self.cfg.replicate {
-                // Replicas may have drifted across splits; sweep all
-                // nodes (the fleet is small).
-                let active: Vec<NodeId> = self.nodes().map(|(id, _)| id).collect();
-                for other in active {
-                    if let Some(n) = self.node_at_mut(other) {
-                        n.remove_replica(key);
-                    }
                 }
             }
         }
@@ -994,91 +915,6 @@ impl ElasticCache {
             .unwrap_or(0)
     }
 
-    /// Simulate the abrupt failure of a cache node (instance crash or
-    /// unplanned termination). The node's buckets are re-pointed at the
-    /// least-loaded survivor — its records are *lost*, as in any
-    /// non-replicated cache, and will be re-derived on future misses.
-    /// Returns the number of records lost.
-    ///
-    /// If the failed node was the last one, a replacement is allocated
-    /// (blocking on its boot) so the cache stays operational.
-    pub fn fail_node(&mut self, id: NodeId) -> FailureReport {
-        debug_assert!(self.node_at(id).is_some(), "cannot fail inactive node {id}");
-        let (resident, instance) = match self.node_at(id) {
-            Some(n) => (n.record_count(), n.instance),
-            // Failing an already-dead node is a no-op (debug builds flag
-            // the caller bug via the assertion above).
-            None => {
-                return FailureReport {
-                    records_lost: 0,
-                    records_recovered: 0,
-                }
-            }
-        };
-        // The failed node's arcs, captured before the ring changes.
-        let failed_spans: Vec<(u64, u64)> = self
-            .ring
-            .buckets_of_node(&id)
-            .into_iter()
-            .flat_map(|b| self.ring.sweep_spans(b).unwrap_or_default())
-            .collect();
-        self.cloud.deallocate(instance);
-        self.nodes[id.0 as usize] = None;
-        self.obs.emit(ObsEvent::NodeDealloc {
-            at_us: self.clock.now_us(),
-            node: id.0,
-        });
-
-        let survivor = match self
-            .nodes()
-            .min_by_key(|(_, n)| n.used_bytes())
-            .map(|(nid, _)| nid)
-        {
-            Some(nid) => nid,
-            None => self.alloc_node(),
-        };
-        for bucket in self.ring.buckets_of_node(&id) {
-            let remapped = self.ring.remap_bucket(bucket, survivor);
-            debug_assert!(remapped.is_ok(), "bucket listed by buckets_of_node exists");
-        }
-        self.ring.coalesce(&survivor);
-
-        // Replica recovery (§VI "data replication"): survivors may hold
-        // best-effort copies of the dead arcs; promote them to primaries on
-        // the new owner.
-        let mut recovered = 0usize;
-        if self.cfg.replicate {
-            let holders: Vec<NodeId> = self.nodes().map(|(nid, _)| nid).collect();
-            for holder in holders {
-                for &(lo, hi) in &failed_spans {
-                    let copies = match self.node_at_mut(holder) {
-                        Some(n) => n.take_replicas_in_range(lo, hi),
-                        None => continue,
-                    };
-                    for (k, rec) in copies {
-                        let admits = self
-                            .node_at(survivor)
-                            .is_some_and(|n| n.get(k).is_none() && n.fits(rec.byte_size() as u64));
-                        if admits {
-                            let wire = rec.len() as u64 + RECORD_WIRE_OVERHEAD;
-                            self.clock.advance_us(self.net.t_net_us(wire));
-                            if let Some(n) = self.node_at_mut(survivor) {
-                                n.insert(k, rec);
-                                recovered += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.validate();
-        FailureReport {
-            records_lost: resident.saturating_sub(recovered),
-            records_recovered: recovered,
-        }
-    }
-
     // ----------------------------------------------------------- validation
 
     /// Exhaustively check cross-structure invariants, returning the first
@@ -1146,7 +982,7 @@ impl ElasticCache {
 
     /// Panicking wrapper over [`ElasticCache::check_invariants`], used by
     /// the test suites and by the debug-build hooks that run after every
-    /// mutating operation (insert, split, eviction, merge, failure).
+    /// mutating operation (insert, split, eviction, merge).
     /// Additionally validates each node's B+-tree index.
     #[expect(clippy::panic, reason = "validate() is the panicking audit wrapper")]
     pub fn validate(&self) {
@@ -1592,121 +1428,6 @@ mod tests {
     }
 
     #[test]
-    fn node_failure_loses_data_but_cache_recovers() {
-        let mut cache = ElasticCache::new(cfg_records(8));
-        for k in 0..20u64 {
-            cache.query(k * 50, 1000, rec);
-        }
-        let nodes_before = cache.node_count();
-        assert!(nodes_before >= 3);
-        let victim = cache.nodes().next().map(|(id, _)| id).unwrap();
-        let resident = cache.nodes().next().map(|(_, n)| n.record_count()).unwrap();
-        let report = cache.fail_node(victim);
-        assert_eq!(report.records_lost, resident);
-        assert_eq!(report.records_recovered, 0, "no replication configured");
-        assert_eq!(cache.node_count(), nodes_before - 1);
-        cache.validate();
-        // Every key is still servable: survivors hit, lost keys re-derive.
-        let mut rederived = 0;
-        for k in 0..20u64 {
-            let before = cache.metrics().misses;
-            cache.query(k * 50, 1000, rec);
-            rederived += (cache.metrics().misses - before) as usize;
-        }
-        assert_eq!(
-            rederived, report.records_lost,
-            "exactly the lost records re-derive"
-        );
-        cache.validate();
-    }
-
-    #[test]
-    fn replication_places_copies_on_a_distinct_peer() {
-        let mut c = cfg_records(8);
-        c.replicate = true;
-        let mut cache = ElasticCache::new(c);
-        // Single node: nowhere to replicate.
-        cache.insert(5, rec()).unwrap();
-        let replicas: usize = cache.nodes().map(|(_, n)| n.replica_count()).sum();
-        assert_eq!(replicas, 0);
-        // Grow to 2+ nodes; subsequent inserts replicate.
-        for k in 0..12u64 {
-            cache.insert(k * 80, rec()).unwrap();
-        }
-        assert!(cache.node_count() >= 2);
-        let replicas: usize = cache.nodes().map(|(_, n)| n.replica_count()).sum();
-        assert!(replicas > 0, "no replicas placed after growth");
-        // A replica never sits on the node that owns the key.
-        for (id, node) in cache.nodes() {
-            for k in 0..=1024u64 {
-                if node.get_replica(k).is_some() {
-                    let owner = *cache.ring().node_for_key(k).unwrap();
-                    assert_ne!(owner, id, "replica of {k} on its own primary");
-                }
-            }
-        }
-        cache.validate();
-    }
-
-    #[test]
-    fn replication_recovers_most_records_after_failure() {
-        let mut with = cfg_records(32);
-        with.replicate = true;
-        let mut cache = ElasticCache::new(with);
-        for k in 0..40u64 {
-            cache.query(k * 25, 1000, rec);
-        }
-        assert!(cache.node_count() >= 2);
-        // Records inserted before the fleet grew had no peer to replicate
-        // to; refresh them now that one exists (replacement inserts place
-        // replicas too).
-        for k in 0..40u64 {
-            cache.insert(k * 25, rec()).unwrap();
-        }
-        let victim = cache.nodes().next().map(|(id, _)| id).unwrap();
-        let resident = cache.nodes().next().map(|(_, n)| n.record_count()).unwrap();
-        let report = cache.fail_node(victim);
-        assert_eq!(report.records_lost + report.records_recovered, resident);
-        assert!(
-            report.records_recovered > 0,
-            "replication recovered nothing: {report:?}"
-        );
-        cache.validate();
-        // Recovered records hit without re-deriving.
-        let mut missing = 0;
-        for k in 0..40u64 {
-            if cache.lookup(k * 25).is_none() {
-                missing += 1;
-            }
-        }
-        assert_eq!(missing, report.records_lost);
-    }
-
-    #[test]
-    fn eviction_cleans_replicas_too() {
-        let mut c = cfg_records(16);
-        c.replicate = true;
-        c.window = Some(WindowConfig {
-            slices: 2,
-            alpha: 0.99,
-            threshold: None,
-        });
-        let mut cache = ElasticCache::new(c);
-        for k in 0..24u64 {
-            cache.query(k * 40, 1000, rec);
-        }
-        let replicas_before: usize = cache.nodes().map(|(_, n)| n.replica_count()).sum();
-        assert!(replicas_before > 0);
-        for _ in 0..4 {
-            cache.end_time_step();
-        }
-        assert_eq!(cache.total_records(), 0);
-        let replicas_after: usize = cache.nodes().map(|(_, n)| n.replica_count()).sum();
-        assert_eq!(replicas_after, 0, "evicted keys left stale replicas");
-        cache.validate();
-    }
-
-    #[test]
     fn overflow_tier_serves_evicted_records() {
         let mut c = cfg_records(64);
         c.window = Some(WindowConfig {
@@ -1834,25 +1555,27 @@ mod tests {
         rec
     }
 
+    /// The twin oracle over three configurations: plain, pool, tier. The
+    /// pool run hands a ready standby to GBA, and whether one is ready
+    /// depends on the clock at split time, so it pins `query`'s rule of
+    /// settling its charges before a split reads the clock.
     #[test]
     fn query_equals_lookup_then_charge_then_insert() {
+        const BOOT_US: u64 = 2_000_000;
         // Every charge non-zero, so a misplaced one moves a timestamp.
         let base = || {
             let mut c = windowed_cfg(8, 2);
             c.net = NetModel::lan();
             c.lookup_overhead_us = 200;
-            c.boot_latency = ecc_cloudsim::BootLatency::fixed(2_000_000);
+            c.boot_latency = ecc_cloudsim::BootLatency::fixed(BOOT_US);
             c
         };
-        let mut replicated = base();
-        replicated.replicate = true;
+        let mut pooled = base();
+        pooled.warm_pool = 1;
+        pooled.proactive_split_fill = Some(0.9);
         let mut tiered = base();
         tiered.overflow_tier = Some(ecc_cloudsim::StorageTier::s3_2010());
-        for (name, cfg) in [
-            ("plain", base()),
-            ("replicate", replicated),
-            ("tier", tiered),
-        ] {
+        for (name, cfg) in [("plain", base()), ("pool", pooled), ("tier", tiered)] {
             let mut fused = ElasticCache::new(cfg.clone());
             let mut twin = ElasticCache::new(cfg);
             for step in 0..16u64 {
@@ -1893,7 +1616,9 @@ mod tests {
             );
             assert!(m.hits > 0 && m.evictions > 0, "{name}: {m:?}");
             match name {
-                "replicate" => assert!(fused.nodes().any(|(_, n)| n.replica_count() > 0)),
+                // Fewer boots blocked than allocations made: a ready
+                // standby served at least one, with no boot charged.
+                "pool" => assert!(m.alloc_us < m.splits_with_allocation * BOOT_US, "{m:?}"),
                 "tier" => assert!(m.tier_hits > 0, "{m:?}"),
                 _ => {}
             }
@@ -1928,53 +1653,5 @@ mod tests {
         assert!(cache.node_count() >= 2, "growth must split, not overflow");
         assert_eq!(cache.lookup(0).map(|r| r.len()), Some(300));
         cache.validate();
-    }
-
-    #[test]
-    fn failure_recovery_never_promotes_a_stale_replica() {
-        // Regression (simtest elastic/153): the replica target drifts as
-        // the ring splits, so a replaced record's original copy survived on
-        // a former target and failure recovery promoted the outdated
-        // payload. After a replacement there must be at most one replica
-        // copy fleet-wide, holding the fresh bytes.
-        let mut c = cfg_records(8);
-        c.replicate = true;
-        let mut cache = ElasticCache::new(c);
-        for k in 0..12u64 {
-            cache.insert(k * 80, rec()).unwrap();
-        }
-        assert!(cache.node_count() >= 2);
-        cache.insert(5, Record::filler(60)).unwrap();
-        // More growth reshapes the ring and drifts key 5's replica target.
-        for k in 0..12u64 {
-            cache.insert(k * 80 + 40, rec()).unwrap();
-        }
-        cache.insert(5, Record::filler(90)).unwrap();
-        let copies: Vec<usize> = cache
-            .nodes()
-            .filter_map(|(_, n)| n.get_replica(5).map(Record::len))
-            .collect();
-        assert!(copies.len() <= 1, "key 5 replicated {} times", copies.len());
-        assert!(copies.iter().all(|&l| l == 90), "stale copy: {copies:?}");
-        // Failing the primary serves the fresh bytes or nothing at all.
-        let owner = *cache.ring().node_for_key(5).unwrap();
-        let _ = cache.fail_node(owner);
-        if let Some(r) = cache.lookup(5) {
-            assert_eq!(r.len(), 90, "recovery promoted a stale replica");
-        }
-        cache.validate();
-    }
-
-    #[test]
-    fn failing_the_last_node_allocates_a_replacement() {
-        let mut cache = ElasticCache::new(cfg_records(64));
-        cache.query(5, 100, rec);
-        let only = cache.nodes().next().map(|(id, _)| id).unwrap();
-        let _ = cache.fail_node(only);
-        assert_eq!(cache.node_count(), 1);
-        cache.validate();
-        assert!(cache.lookup(5).is_none());
-        cache.query(5, 100, rec);
-        assert_eq!(cache.total_records(), 1);
     }
 }

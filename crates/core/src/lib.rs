@@ -52,7 +52,8 @@
     clippy::unimplemented,
     clippy::dbg_macro,
     clippy::print_stdout,
-    clippy::print_stderr
+    clippy::print_stderr,
+    clippy::let_underscore_must_use
 )]
 #![warn(missing_docs)]
 
@@ -74,7 +75,7 @@ mod window;
 
 pub use adaptive::{AdaptiveWindowConfig, WindowController};
 pub use config::{CacheConfig, WindowConfig};
-pub use elastic::{CacheAuditError, ElasticCache, FailureReport, NodeId};
+pub use elastic::{CacheAuditError, ElasticCache, NodeId};
 pub use error::CacheError;
 pub use lockorder::{LockClass, LockOrderViolation, LockToken};
 pub use lru::Lru;

@@ -19,9 +19,8 @@ enum Payload {
 
 /// A cached derived result: an immutable byte payload behind a refcounted
 /// handle — either a [`Bytes`] heap allocation or a slab-arena slot — so
-/// every clone (a hit returned to a caller, a replica placement, a
-/// migration sweep, a batch response body) is a refcount bump, never a
-/// memcpy of the payload.
+/// every clone (a hit returned to a caller, a migration sweep, a batch
+/// response body) is a refcount bump, never a memcpy of the payload.
 #[derive(Debug, Clone)]
 pub struct Record {
     data: Payload,

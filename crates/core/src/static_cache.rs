@@ -51,8 +51,11 @@ impl StaticCache {
         let mut ring = HashRing::new(cfg.ring_range);
         let mut nodes = Vec::with_capacity(n_nodes);
         for i in 0..n_nodes {
-            // Boot latency is deliberately not charged: a reserved cluster
-            // exists before the experiment starts.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "boot latency is deliberately not charged: a reserved \
+                          cluster exists before the experiment starts"
+            )]
             let _ = cloud.allocate(cfg.instance_type.clone());
             // Evenly spaced buckets; the last sits at r-1 so arcs tile the
             // line exactly.

@@ -1,8 +1,8 @@
 //! Asynchronous node preloading — the paper's §VI remedy for allocation
 //! overhead, implemented.
 //!
-//! "Strategies, such as preloading and data replication can certainly be
-//! used to implement an asynchronous node allocation."
+//! "Strategies, such as preloading [...] can certainly be used to
+//! implement an asynchronous node allocation."
 //!
 //! A warm pool keeps up to `target` standby instances booting (or booted)
 //! in the background. When GBA needs a node as a last resort, a *ready*
@@ -29,11 +29,6 @@ impl WarmPool {
         }
     }
 
-    /// Configured pool size.
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
     /// Standbys currently held (ready or still booting).
     pub fn len(&self) -> usize {
         self.standby.len()
@@ -42,14 +37,6 @@ impl WarmPool {
     /// Whether the pool holds no standbys.
     pub fn is_empty(&self) -> bool {
         self.standby.is_empty()
-    }
-
-    /// Standbys whose boot has completed by `now_us`.
-    pub fn ready_count(&self, now_us: u64) -> usize {
-        self.standby
-            .iter()
-            .filter(|(_, ready)| *ready <= now_us)
-            .count()
     }
 
     /// Hand over a booted standby, if one exists. Prefers the one that has
@@ -73,13 +60,6 @@ impl WarmPool {
             self.standby.push((receipt.id, receipt.ready_at_us));
         }
     }
-
-    /// Terminate every standby (shutdown / reconfiguration).
-    pub fn drain(&mut self, cloud: &mut SimCloud) {
-        for (id, _) in self.standby.drain(..) {
-            cloud.deallocate(id);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -100,10 +80,12 @@ mod tests {
         assert_eq!(pool.len(), 3);
         assert_eq!(clock.now_us(), 0, "replenish must not advance the clock");
         // Nothing is ready until boots complete.
-        assert_eq!(pool.ready_count(0), 0);
         assert!(pool.take_ready(0).is_none());
         clock.advance_us(5_000_000);
-        assert_eq!(pool.ready_count(clock.now_us()), 3);
+        for _ in 0..3 {
+            assert!(pool.take_ready(clock.now_us()).is_some());
+        }
+        assert!(pool.is_empty());
     }
 
     #[test]
@@ -127,15 +109,6 @@ mod tests {
         let bill = cloud.billing();
         assert_eq!(bill.launched, 2);
         assert!(bill.microdollars >= 2 * 85_000, "standbys are not free");
-    }
-
-    #[test]
-    fn drain_terminates_everything() {
-        let (_clock, mut cloud, mut pool) = setup(4);
-        pool.replenish(&mut cloud, &InstanceType::ec2_small());
-        pool.drain(&mut cloud);
-        assert!(pool.is_empty());
-        assert_eq!(cloud.active_count(), 0);
     }
 
     #[test]

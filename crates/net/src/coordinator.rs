@@ -561,7 +561,7 @@ impl LiveCoordinator {
     /// Stop node `id`'s server and drop it from the fleet.
     fn dealloc(&mut self, id: usize) {
         if let Some(mut dead) = self.nodes.get_mut(id).and_then(Option::take) {
-            let _ = dead.client.shutdown();
+            drop(dead.client.shutdown());
             dead.server.stop();
         }
         self.obs.emit(ObsEvent::NodeDealloc {
@@ -732,7 +732,7 @@ impl LiveCoordinator {
         let settled = self.settle();
         for slot in &mut self.nodes {
             if let Some(mut node) = slot.take() {
-                let _ = node.client.shutdown();
+                drop(node.client.shutdown());
                 node.server.stop();
             }
         }
@@ -742,7 +742,7 @@ impl LiveCoordinator {
 
 impl Drop for LiveCoordinator {
     fn drop(&mut self) {
-        let _ = self.shutdown();
+        drop(self.shutdown());
     }
 }
 

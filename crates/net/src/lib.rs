@@ -45,7 +45,8 @@
     clippy::unimplemented,
     clippy::dbg_macro,
     clippy::print_stdout,
-    clippy::print_stderr
+    clippy::print_stderr,
+    clippy::let_underscore_must_use
 )]
 #![warn(missing_docs)]
 

@@ -188,7 +188,7 @@ impl Wakers {
     fn wake(&self, i: usize) {
         // Nonblocking: `WouldBlock` means unread wake bytes already fill
         // the socket buffer, so the reactor is as good as woken.
-        let _ = (&self.0[i]).write(&[1]);
+        drop((&self.0[i]).write(&[1]));
     }
 
     fn wake_all(&self) {
@@ -292,7 +292,7 @@ impl ReactorPool {
     pub fn join(&mut self) {
         self.wakers.wake_all();
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            drop(h.join());
         }
     }
 }
@@ -394,7 +394,7 @@ fn reactor_loop(
         // Acquire pairs with the Release stores of the flags' writers.
         if shared.halt.load(Ordering::Acquire) {
             for conn in &mut conns {
-                let _ = conn.flush();
+                drop(conn.flush());
             }
             obs.fold_into(&shared.obs);
             return;

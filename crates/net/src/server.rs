@@ -163,7 +163,7 @@ impl CacheServer {
                     let Ok(mut stream) = conn else { continue };
                     // Request/response framing interacts badly with Nagle +
                     // delayed ACK (~40 ms per exchange); flush eagerly.
-                    let _ = stream.set_nodelay(true);
+                    drop(stream.set_nodelay(true));
                     // Reserve a connection slot before handing off; on
                     // refusal send one Busy frame so the client sees a
                     // protocol answer, not a silent hangup.
@@ -171,9 +171,9 @@ impl CacheServer {
                         let _slot = ConnSlot(Arc::clone(&live));
                         refused_count.fetch_add(1, Ordering::Relaxed);
                         let mut buf = Vec::new();
-                        let _ = write_frame_buffered(&mut stream, &mut buf, |b| {
+                        drop(write_frame_buffered(&mut stream, &mut buf, |b| {
                             Response::status(Status::Busy).encode_into(b)
-                        });
+                        }));
                         continue;
                     }
                     let slot = ConnSlot(Arc::clone(&live));
@@ -232,8 +232,8 @@ impl CacheServer {
         if let Some(t) = self.accept_thread.take() {
             // Unblock the accept loop. Refused means it already exited (a
             // connect after the wire `Shutdown` got there first).
-            let _ = TcpStream::connect(self.addr);
-            let _ = t.join();
+            drop(TcpStream::connect(self.addr));
+            drop(t.join());
         }
         if let Some(mut pool) = self.reactors.take() {
             pool.join();

@@ -56,7 +56,8 @@ pub enum ObsEvent {
         /// The new node.
         node: u32,
     },
-    /// A cache node was released (merged away, failed, or shut down).
+    /// A cache node was released: merged away, or (live only) a node
+    /// allocated for a split whose copy failed.
     NodeDealloc {
         /// Event time, µs.
         at_us: u64,
@@ -153,6 +154,10 @@ impl ObsEvent {
     /// One JSON object on one line, stable field order, no trailing newline.
     pub fn to_json(&self) -> String {
         let mut line = String::new();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "writing to a String cannot fail"
+        )]
         let _ = self.write_json(&mut line);
         line
     }

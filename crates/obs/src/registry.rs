@@ -428,6 +428,15 @@ impl ObsSnapshot {
     /// per-kind event totals and the drop counter.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "writing to a String cannot fail"
+        )]
+        let _ = self.write_prometheus(&mut out);
+        out
+    }
+
+    fn write_prometheus(&self, out: &mut String) -> std::fmt::Result {
         for (name, h) in &self.hists {
             let (metric, label) = match name.split_once(':') {
                 Some((m, l)) => (m, format!("{{op=\"{l}\"}}")),
@@ -439,28 +448,27 @@ impl ObsSnapshot {
                     None => format!("{{quantile=\"{q}\"}}"),
                 }
             };
-            let _ = writeln!(out, "ecc_{metric}_count{label} {}", h.count());
-            let _ = writeln!(out, "ecc_{metric}_sum{label} {}", h.sum());
-            let _ = writeln!(out, "ecc_{metric}_min{label} {}", h.min().unwrap_or(0));
-            let _ = writeln!(out, "ecc_{metric}_max{label} {}", h.max().unwrap_or(0));
-            let _ = writeln!(out, "ecc_{metric}{} {}", q_label("0.5"), h.p50());
-            let _ = writeln!(out, "ecc_{metric}{} {}", q_label("0.9"), h.p90());
-            let _ = writeln!(out, "ecc_{metric}{} {}", q_label("0.99"), h.p99());
-            let _ = writeln!(out, "ecc_{metric}{} {}", q_label("0.999"), h.p999());
+            writeln!(out, "ecc_{metric}_count{label} {}", h.count())?;
+            writeln!(out, "ecc_{metric}_sum{label} {}", h.sum())?;
+            writeln!(out, "ecc_{metric}_min{label} {}", h.min().unwrap_or(0))?;
+            writeln!(out, "ecc_{metric}_max{label} {}", h.max().unwrap_or(0))?;
+            writeln!(out, "ecc_{metric}{} {}", q_label("0.5"), h.p50())?;
+            writeln!(out, "ecc_{metric}{} {}", q_label("0.9"), h.p90())?;
+            writeln!(out, "ecc_{metric}{} {}", q_label("0.99"), h.p99())?;
+            writeln!(out, "ecc_{metric}{} {}", q_label("0.999"), h.p999())?;
         }
         for (name, v) in &self.gauges {
             let (metric, label) = match name.split_once(':') {
                 Some((m, l)) => (m, format!("{{op=\"{l}\"}}")),
                 None => (name.as_str(), String::new()),
             };
-            let _ = writeln!(out, "ecc_{metric}{label} {v}");
+            writeln!(out, "ecc_{metric}{label} {v}")?;
         }
         for (kind, n) in self.event_counts() {
-            let _ = writeln!(out, "ecc_events_total{{type=\"{kind}\"}} {n}");
+            writeln!(out, "ecc_events_total{{type=\"{kind}\"}} {n}")?;
         }
-        let _ = writeln!(out, "ecc_events_dropped_total {}", self.dropped);
-        let _ = writeln!(out, "ecc_spans_dropped_total {}", self.spans_dropped);
-        out
+        writeln!(out, "ecc_events_dropped_total {}", self.dropped)?;
+        writeln!(out, "ecc_spans_dropped_total {}", self.spans_dropped)
     }
 }
 

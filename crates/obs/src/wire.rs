@@ -80,6 +80,10 @@ pub(crate) fn put_events<'a>(
         // The JSON goes straight into `out`; its length is back-filled.
         let at = out.len();
         out.extend_from_slice(&[0; 4]);
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a JsonSink write cannot fail"
+        )]
         let _ = ev.write_json(&mut JsonSink(out));
         let len = (out.len() - at - 4) as u32;
         out[at..at + 4].copy_from_slice(&len.to_le_bytes());

@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ecc_cloudsim::{BootLatency, InstanceType, NetModel, SimClock};
-use ecc_core::{CacheConfig, ElasticCache, NodeId, Record, WindowConfig};
+use ecc_core::{CacheConfig, ElasticCache, Record, WindowConfig};
 use ecc_obs::ObsEvent;
 
 use crate::event::{record_bytes, Schedule, SimConfig, SimEvent};
@@ -42,7 +42,6 @@ pub fn cache_config(cfg: &SimConfig) -> CacheConfig {
         warm_pool: cfg.warm,
         proactive_split_fill: (cfg.pf_pct > 0).then(|| cfg.pf_pct as f64 / 100.0),
         adaptive_window: None,
-        replicate: cfg.replicate,
         overflow_tier: None,
     }
 }
@@ -192,33 +191,6 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
                         )));
                     }
                 }
-            }
-            SimEvent::FailNode { nth } => {
-                let active: Vec<NodeId> = cache.nodes().map(|(id, _)| id).collect();
-                if active.is_empty() {
-                    return Err(fail("no active node to fail".into()));
-                }
-                let target = active[nth as usize % active.len()];
-                let pre_keys: Vec<u64> = cache
-                    .nodes()
-                    .find(|(id, _)| *id == target)
-                    .map(|(_, n)| n.iter().map(|(&k, _)| k).collect())
-                    .unwrap_or_default();
-                let outcome = cache.fail_node(target);
-                let survivors: BTreeSet<u64> = resident(&cache).into_keys().collect();
-                let recovered = pre_keys.iter().filter(|k| survivors.contains(k)).count();
-                if outcome.records_recovered != recovered
-                    || outcome.records_lost != pre_keys.len() - recovered
-                {
-                    return Err(fail(format!(
-                        "fail_node({target}) reported lost={} recovered={} but the fleet \
-                         actually retained {recovered} of {} resident records",
-                        outcome.records_lost,
-                        outcome.records_recovered,
-                        pre_keys.len()
-                    )));
-                }
-                model.retain(|k, _| survivors.contains(k));
             }
             SimEvent::AdvanceClock { us } => {
                 clock.advance_us(us);

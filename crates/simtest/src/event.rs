@@ -98,8 +98,6 @@ pub struct SimConfig {
     pub pf_pct: u32,
     /// Fixed node boot latency, µs.
     pub boot_us: u64,
-    /// Best-effort replication on/off.
-    pub replicate: bool,
     /// Fixed fleet size (static family only).
     pub nodes: usize,
 }
@@ -128,14 +126,13 @@ impl SimConfig {
             warm: 0,
             pf_pct: 0,
             boot_us: 0,
-            replicate: false,
             nodes: 2,
         }
     }
 
     fn encode(&self) -> String {
         format!(
-            "ring={},cap={},ord={},m={},a={},eps={},min={},wp={},pf={},boot={},rep={},n={}",
+            "ring={},cap={},ord={},m={},a={},eps={},min={},wp={},pf={},boot={},n={}",
             self.ring,
             self.cap,
             self.ord,
@@ -146,7 +143,6 @@ impl SimConfig {
             self.warm,
             self.pf_pct,
             self.boot_us,
-            u8::from(self.replicate),
             self.nodes,
         )
     }
@@ -171,7 +167,6 @@ impl SimConfig {
                 "wp" => cfg.warm = n as usize,
                 "pf" => cfg.pf_pct = n as u32,
                 "boot" => cfg.boot_us = n,
-                "rep" => cfg.replicate = n != 0,
                 "n" => cfg.nodes = n as usize,
                 _ => return Err(format!("unknown config key `{k}`")),
             }
@@ -288,11 +283,6 @@ pub enum SimEvent {
     },
     /// Close the current time slice (eviction + contraction may run).
     EndStep,
-    /// Crash the `nth % node_count`-th active node (elastic family).
-    FailNode {
-        /// Which active node, by rank.
-        nth: u32,
-    },
     /// Advance the shared virtual clock (boot-delay interleaving).
     AdvanceClock {
         /// Microseconds to advance.
@@ -320,31 +310,23 @@ pub enum SimEvent {
 }
 
 impl SimEvent {
-    fn encode(&self, out: &mut String) {
-        use fmt::Write as _;
-        let _ = match self {
+    fn encode(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
             SimEvent::Query { key, len } => write!(out, "q{key}.{len}"),
             SimEvent::Insert { key, len } => write!(out, "i{key}.{len}"),
             SimEvent::Lookup { key } => write!(out, "l{key}"),
             SimEvent::EndStep => write!(out, "t"),
-            SimEvent::FailNode { nth } => write!(out, "f{nth}"),
             SimEvent::AdvanceClock { us } => write!(out, "c{us}"),
             SimEvent::Put { key, len } => write!(out, "p{key}.{len}"),
             SimEvent::Get { key } => write!(out, "g{key}"),
             SimEvent::Frame { fault, op } => {
                 match fault {
                     Fault::None => {}
-                    Fault::Corrupt { pos, xor } => {
-                        let _ = write!(out, "x{pos}.{xor}!");
-                    }
-                    Fault::Truncate { len } => {
-                        let _ = write!(out, "u{len}!");
-                    }
-                    Fault::Duplicate => out.push_str("2!"),
-                    Fault::Drop => out.push_str("d!"),
-                    Fault::Fragment { pos } => {
-                        let _ = write!(out, "s{pos}!");
-                    }
+                    Fault::Corrupt { pos, xor } => write!(out, "x{pos}.{xor}!")?,
+                    Fault::Truncate { len } => write!(out, "u{len}!")?,
+                    Fault::Duplicate => out.write_str("2!")?,
+                    Fault::Drop => out.write_str("d!")?,
+                    Fault::Fragment { pos } => write!(out, "s{pos}!")?,
                 }
                 match op {
                     WireOp::Get { key } => write!(out, "G{key}"),
@@ -357,7 +339,7 @@ impl SimEvent {
                     WireOp::Ping => write!(out, "I"),
                 }
             }
-        };
+        }
     }
 
     fn decode(s: &str) -> Result<SimEvent, String> {
@@ -412,9 +394,6 @@ impl SimEvent {
                 key: args.parse().map_err(|_| bad())?,
             },
             't' if args.is_empty() => SimEvent::EndStep,
-            'f' => SimEvent::FailNode {
-                nth: args.parse().map_err(|_| bad())?,
-            },
             'c' => SimEvent::AdvanceClock {
                 us: args.parse().map_err(|_| bad())?,
             },
@@ -495,18 +474,7 @@ pub struct Schedule {
 impl Schedule {
     /// Serialize to a replayable `SIMSEED` string.
     pub fn encode(&self) -> String {
-        let mut ev = String::new();
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                ev.push(',');
-            }
-            e.encode(&mut ev);
-        }
-        format!(
-            "SIMSEED/{SIMSEED_VERSION}/{}/{}/{ev}",
-            self.family.name(),
-            self.cfg.encode()
-        )
+        self.to_string()
     }
 
     /// Parse a `SIMSEED` string.
@@ -558,7 +526,19 @@ impl Schedule {
 
 impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.encode())
+        write!(
+            f,
+            "SIMSEED/{SIMSEED_VERSION}/{}/{}/",
+            self.family.name(),
+            self.cfg.encode()
+        )?;
+        for (i, e) in self.events.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            e.encode(f)?;
+        }
+        Ok(())
     }
 }
 
@@ -600,7 +580,6 @@ mod tests {
                 warm: 2,
                 pf_pct: 70,
                 boot_us: 1000,
-                replicate: true,
                 nodes: 3,
             },
             events: vec![
@@ -608,7 +587,6 @@ mod tests {
                 SimEvent::Insert { key: 7, len: 60 },
                 SimEvent::Lookup { key: 9 },
                 SimEvent::EndStep,
-                SimEvent::FailNode { nth: 2 },
                 SimEvent::AdvanceClock { us: 500_000 },
                 SimEvent::Put { key: 11, len: 40 },
                 SimEvent::Get { key: 12 },

@@ -69,7 +69,6 @@ fn gen_elastic(rng: &mut SmallRng) -> Schedule {
     } else {
         rng.gen_range(1_000u64..=200_000)
     };
-    cfg.replicate = rng.gen_bool(0.25);
 
     let dist = key_dist(rng, 256);
     let n = rng.gen_range(40usize..=160);
@@ -93,10 +92,6 @@ fn gen_elastic(rng: &mut SmallRng) -> Schedule {
             }
         } else if roll < 90 {
             SimEvent::EndStep
-        } else if roll < 95 {
-            SimEvent::FailNode {
-                nth: rng.gen_range(0u32..8),
-            }
         } else {
             SimEvent::AdvanceClock {
                 us: rng.gen_range(10_000u64..=500_000),

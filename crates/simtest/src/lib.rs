@@ -20,7 +20,11 @@
 //! `cargo xtask simtest --replay '<SIMSEED>'`. See DESIGN.md §9.
 
 #![forbid(unsafe_code)]
-#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::let_underscore_must_use
+)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 

@@ -7,7 +7,7 @@
 //! share code with the production structures — divergence between model and
 //! cache is the bug signal.
 //!
-//! Float caution: [`ModelWindow`] replicates the *exact* floating-point
+//! Float caution: [`ModelWindow`] mirrors the *exact* floating-point
 //! operation order of [`ecc_core::SlidingWindow`] (iteratively accumulated
 //! decay powers, newest-to-oldest summation) so that eviction decisions
 //! compare bit-for-bit rather than within an epsilon.

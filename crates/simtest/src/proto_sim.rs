@@ -107,7 +107,7 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
     client_obs.set_origin(2);
     let mut stream = TcpStream::connect(server.addr())
         .map_err(|e| SimFailure::infra(format!("connect failed: {e}")))?;
-    let _ = stream.set_nodelay(true);
+    drop(stream.set_nodelay(true));
     let mut model = ModelServer::new(cfg.cap);
     let mut shut_down = false;
     let mut traced_sent = 0u64;

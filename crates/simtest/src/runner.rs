@@ -178,7 +178,7 @@ impl Drop for QuietPanics {
         // it may stay.
         if !std::thread::panicking() {
             // Taking the hook reinstates the default one.
-            let _ = std::panic::take_hook();
+            drop(std::panic::take_hook());
         }
     }
 }

@@ -24,12 +24,6 @@
 //!   `WouldBlock`, `try_recv`, and lock-free handoff instead, and block
 //!   in exactly one place — the `sys::wait` readiness wait, which is
 //!   banned too so that the single call has to carry the waiver.
-//! * **span-discipline** — `let _ = obs.span_root(..)` drops the span's
-//!   RAII guard on the spot: the span ends the instant it starts and the
-//!   trace records zero duration. (A span guard dropped in statement
-//!   position is rustc's `unused_must_use`: the constructors are
-//!   `#[must_use]`.) Guards must be let-bound — `let _g = …` owns the
-//!   value — so the span covers the work it claims to measure.
 //!
 //! The guard pass is heuristic but sound for the repo's idiom: guards are
 //! bound with single-line `let g = <lock>.read()/.write()/.lock();`
@@ -37,15 +31,6 @@
 
 use crate::lexer::{self, Token, TokenKind};
 use crate::{Finding, Policy, Rule, SourceFile};
-
-/// Span-guard constructors (method-call position, so definitions and
-/// free functions don't match).
-const SPAN_METHODS: &[&str] = &[
-    ".span_start(",
-    ".span_start_at(",
-    ".span_follow(",
-    ".span_root(",
-];
 
 /// Blocking primitives forbidden in reactor files, with the reason each
 /// one stalls the event loop. `.recv()` (empty argument list) matches the
@@ -138,21 +123,6 @@ pub(crate) fn analyze(file: &SourceFile<'_>, policy: Policy, findings: &mut Vec<
                              connection this reactor owns; use nonblocking I/O that \
                              surfaces `WouldBlock` (FrameAssembler::fill_from, buffered \
                              writes, try_recv)"
-                        ),
-                    ));
-                }
-            }
-        }
-        if policy.span_discard && !file.waived(idx, Rule::SpanDiscipline) {
-            if let Some(pat) = SPAN_METHODS.iter().find(|p| line.contains(*p)) {
-                if binding_name(line).as_deref() == Some("_") {
-                    findings.push(file.finding(
-                        idx,
-                        Rule::SpanDiscipline,
-                        format!(
-                            "`let _ =` discards the guard from `{pat}…)` immediately — the \
-                             span records zero duration; bind it to an underscore-prefixed \
-                             name (`let _span = …`) so it lives until end of scope"
                         ),
                     ));
                 }
@@ -372,7 +342,6 @@ mod tests {
         atomics: true,
         guard_io: true,
         reactor_io: true,
-        span_discard: true,
     };
 
     /// The policy of a guard-audited non-reactor file (e.g. server.rs):
@@ -503,12 +472,11 @@ mod tests {
         let g = self.state.lock();
         write_frame(stream, &g.buf);
         stream.read_exact(&mut [0u8; 4]).unwrap();
-        let _ = self.obs.span_root(\"probe\");
     }
 }
 ";
         // Every pass at once, on the reactor file: the test module is
-        // exempt from the guard, blocking-I/O, atomic and span passes.
+        // exempt from the guard, blocking-I/O and atomic passes.
         assert!(analyze_source("crates/net/src/reactor.rs", src, ALL).is_empty());
     }
 
@@ -546,21 +514,5 @@ fn sweep(&mut self, conn: &mut Conn) -> io::Result<()> {
 }
 ";
         assert!(analyze_source("crates/net/src/reactor.rs", src, ALL).is_empty());
-    }
-
-    #[test]
-    fn discarded_span_guards_are_flagged() {
-        let src = "\
-fn migrate(&mut self) -> SpanGuard {
-    let _ = self.obs.span_root(\"elastic_split\");
-    let _span = self.obs.span_start(\"srv\", trace, parent);
-    let guard = self.obs.span_start_at(\"srv_queue\", trace, parent, at);
-    drop(guard);
-    let _ = self.obs.span_follow(\"probe\"); // xtask: allow(span-discipline) — marker span
-    self.obs.span_root(\"elastic_merge\")
-}
-";
-        let f = analyze_source("crates/net/src/coordinator.rs", src, ALL);
-        assert_eq!(rules(&f), vec![(2, Rule::SpanDiscipline)]);
     }
 }

@@ -59,9 +59,6 @@ const GUARD_IO_FILES: &[&str] = &[
 /// not merely under a guard.
 const REACTOR_FILES: &[&str] = &["crates/net/src/reactor.rs"];
 
-/// Crates that open trace spans and must keep the RAII guards live.
-const SPAN_CRATES: &[&str] = &["core", "net", "obs", "simtest"];
-
 /// The only files under `crates/*/src` that may contain `unsafe`. Each
 /// opens with `#![allow(unsafe_code)]` against its crate's
 /// `#![deny(unsafe_code)]` and keeps the `unsafe` it needs — raw storage
@@ -93,9 +90,6 @@ pub enum Rule {
     /// helpers, channel `recv`, mutex `lock`) inside a reactor file —
     /// one blocked call stalls every connection that reactor owns.
     BlockingIoInReactor,
-    /// A span-guard constructor bound with `let _ =`: the guard drops on
-    /// the spot, so the span records zero duration.
-    SpanDiscipline,
 }
 
 impl Rule {
@@ -108,7 +102,6 @@ impl Rule {
             Rule::MixedOrdering => "mixed-ordering",
             Rule::GuardAcrossIo => "guard-across-io",
             Rule::BlockingIoInReactor => "no-blocking-io-in-reactor",
-            Rule::SpanDiscipline => "span-discipline",
         }
     }
 }
@@ -156,8 +149,6 @@ pub struct Policy {
     pub guard_io: bool,
     /// Forbid blocking I/O primitives outright (reactor event loops).
     pub reactor_io: bool,
-    /// Forbid `let _ =` on span-guard constructors.
-    pub span_discard: bool,
 }
 
 /// Decide the policy for a workspace-relative path such as
@@ -180,7 +171,6 @@ pub fn policy_for(rel_path: &str) -> Option<Policy> {
         atomics: lib && ATOMIC_CRATES.contains(&krate),
         guard_io: lib && GUARD_IO_FILES.contains(&rel.as_str()),
         reactor_io: lib && REACTOR_FILES.contains(&rel.as_str()),
-        span_discard: lib && SPAN_CRATES.contains(&krate),
     })
 }
 
@@ -429,7 +419,6 @@ mod tests {
         atomics: false,
         guard_io: false,
         reactor_io: false,
-        span_discard: false,
     };
 
     fn lines(findings: &[Finding]) -> Vec<usize> {
@@ -494,7 +483,7 @@ mod tests {
         let p = |rel: &str| policy_for(rel).expect("a crates/*/src file");
         let shard = p("crates/core/src/shard.rs");
         assert!(shard.unsafe_free && shard.must_use && shard.atomics && shard.guard_io);
-        assert!(!shard.reactor_io && shard.span_discard);
+        assert!(!shard.reactor_io);
         let server = p("crates/net/src/server.rs");
         assert!(server.atomics && server.guard_io && !server.reactor_io);
         let reactor = p("crates/net/src/reactor.rs");
@@ -502,16 +491,14 @@ mod tests {
         let protocol = p("crates/net/src/protocol.rs");
         assert!(protocol.atomics && !protocol.guard_io);
         let registry = p("crates/obs/src/registry.rs");
-        assert!(registry.must_use && registry.atomics && registry.span_discard);
-        assert!(!registry.guard_io);
-        assert!(p("crates/simtest/src/proto_sim.rs").span_discard);
+        assert!(registry.must_use && registry.atomics && !registry.guard_io);
         let tree = p("crates/bptree/src/tree.rs");
-        assert!(tree.unsafe_free && !tree.must_use && !tree.atomics && !tree.span_discard);
+        assert!(tree.unsafe_free && !tree.must_use && !tree.atomics);
         assert!(!p("crates/core/src/slab.rs").unsafe_free);
         // Binaries keep the file-wide rules only.
         let bin = p("crates/net/src/bin/cache_server.rs");
         assert!(bin.unsafe_free && bin.must_use);
-        assert!(!bin.atomics && !bin.guard_io && !bin.span_discard);
+        assert!(!bin.atomics && !bin.guard_io);
         assert!(policy_for("crates/core/Cargo.toml").is_none());
         assert!(policy_for("README.md").is_none());
     }

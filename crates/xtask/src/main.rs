@@ -3,7 +3,7 @@
 //! Subcommands:
 //! * `analyze` — the source passes no compiler or clippy lint can make
 //!   (the `unsafe` allowlist, must-use, seqcst-justify, mixed-ordering,
-//!   guard-across-io, no-blocking-io-in-reactor, span-discipline; see
+//!   guard-across-io, no-blocking-io-in-reactor; see
 //!   [`xtask::run_analyze`]) over `crates/*/src`; prints
 //!   `file:line: [rule] message` diagnostics, writes them as JSON to
 //!   `target/analyze/findings.json`, and exits nonzero on any finding.

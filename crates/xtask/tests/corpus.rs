@@ -23,7 +23,6 @@ fn policy_for_fixture(name: &str) -> Policy {
         atomics: true,
         guard_io: true,
         reactor_io: name.contains("reactor"),
-        span_discard: true,
     }
 }
 

@@ -56,46 +56,6 @@ fn overflow_tier_avoids_rederiving_evicted_shorelines() {
 }
 
 #[test]
-fn replicated_cache_survives_failure_with_shoreline_payloads() {
-    let service = ShorelineService::paper_default(77);
-    let mut cfg = base_cfg();
-    cfg.node_capacity_bytes = 32 * 1024;
-    cfg.replicate = true;
-    let mut cache = ElasticCache::new(cfg);
-
-    let keys: Vec<u64> = (0..60u64).map(|i| i * 997 % (1 << 16)).collect();
-    for &k in &keys {
-        cache.query(k, service.exec_time_for(k), || {
-            Record::from_vec(service.execute_key(k).shoreline.to_bytes())
-        });
-    }
-    // Refresh so every record has had a chance to replicate post-growth.
-    for &k in &keys {
-        let rec = Record::from_vec(service.execute_key(k).shoreline.to_bytes());
-        cache.insert(k, rec).unwrap();
-    }
-    assert!(cache.node_count() >= 2);
-
-    let victim = cache.nodes().next().map(|(id, _)| id).unwrap();
-    let report = cache.fail_node(victim);
-    assert!(
-        report.records_recovered > report.records_lost,
-        "replication should recover the majority: {report:?}"
-    );
-    cache.validate();
-    // Every key still resolves to a correct shoreline (recovered or
-    // re-derived), matching the deterministic service output.
-    for &k in &keys {
-        let r = cache.query(k, service.exec_time_for(k), || {
-            Record::from_vec(service.execute_key(k).shoreline.to_bytes())
-        });
-        let expect = service.execute_key(k).shoreline.to_bytes();
-        assert_eq!(r.as_slice(), &expect[..], "wrong payload for key {k}");
-    }
-    cache.validate();
-}
-
-#[test]
 fn warm_pool_and_adaptive_window_compose() {
     let service = ShorelineService::paper_default(13);
     let mut cfg = base_cfg();
