@@ -42,10 +42,6 @@ pub(crate) fn wire_span_kind(op: Op) -> &'static str {
 /// calling thread has a live span opens a `wire:<op>` span under it and
 /// ships the request as a traced (`0x0E`) frame, so the server's `srv`
 /// span becomes its child in the merged trace.
-///
-/// One request may be posted ([`RemoteNode::post`]) and its reply claimed
-/// later. Requests and replies never get out of step: a call started while
-/// the posted reply is unread reads that reply first and keeps its status.
 #[derive(Debug)]
 pub struct RemoteNode {
     addr: SocketAddr,
@@ -53,19 +49,6 @@ pub struct RemoteNode {
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     obs: Option<ObsRegistry>,
-    posted: Posted,
-}
-
-/// Where the reply to a posted request is.
-#[derive(Debug, Default)]
-enum Posted {
-    /// Nothing posted.
-    #[default]
-    None,
-    /// Still on the socket; the wire span ends when it is read.
-    Unread(Option<SpanGuard>),
-    /// Read by a later call; the status waits to be claimed.
-    Read(io::Result<Status>),
 }
 
 fn bad_frame(what: &str) -> io::Error {
@@ -83,7 +66,6 @@ impl RemoteNode {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             obs: None,
-            posted: Posted::None,
         })
     }
 
@@ -101,7 +83,6 @@ impl RemoteNode {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             obs: None,
-            posted: Posted::None,
         })
     }
 
@@ -149,10 +130,6 @@ impl RemoteNode {
         req: &Request,
         scope: Option<(u64, u64)>,
     ) -> io::Result<Option<SpanGuard>> {
-        self.read_posted();
-        if let Posted::Read(Err(e)) = &self.posted {
-            return Err(io::Error::new(e.kind(), format!("posted reply lost: {e}")));
-        }
         let span = match (&self.obs, scope) {
             (Some(obs), Some((trace_id, parent))) => {
                 let span = obs.span_start(wire_span_kind(req.op()), trace_id, parent);
@@ -173,39 +150,6 @@ impl RemoteNode {
             }
         };
         Ok(span)
-    }
-
-    /// Send `req` without waiting for its reply, which
-    /// [`RemoteNode::posted_reply`] claims later. At most one request is
-    /// posted at a time.
-    pub(crate) fn post(&mut self, req: &Request) -> io::Result<()> {
-        if !matches!(self.posted, Posted::None) {
-            return Err(io::Error::other("a posted reply is still unclaimed"));
-        }
-        let span = self.send(req, ecc_obs::current_span())?;
-        self.posted = Posted::Unread(span);
-        Ok(())
-    }
-
-    /// Claim the posted request's reply status, reading the reply if it is
-    /// still on the socket; `None` if nothing is posted.
-    pub(crate) fn posted_reply(&mut self) -> Option<io::Result<Status>> {
-        self.read_posted();
-        match std::mem::take(&mut self.posted) {
-            Posted::Read(status) => Some(status),
-            _ => None,
-        }
-    }
-
-    /// Read the posted reply if it is still on the socket, and keep its
-    /// status.
-    fn read_posted(&mut self) {
-        if let Posted::Unread(span) = &mut self.posted {
-            let span = span.take();
-            let status = self.recv().map(|(status, _)| status);
-            drop(span);
-            self.posted = Posted::Read(status);
-        }
     }
 
     /// The receive half of a call: read the next reply, its body borrowing
@@ -256,14 +200,7 @@ impl RemoteNode {
         let expected = items.len();
         let items = items.iter().map(|(k, v)| (*k, &v[..])).collect();
         let (status, body) = self.call(&Request::PutMany { items })?;
-        if status != Status::Ok {
-            return Err(bad_frame("put-many rejected"));
-        }
-        let statuses = decode_statuses(body).ok_or_else(|| bad_frame("bad put-many body"))?;
-        if statuses.len() != expected {
-            return Err(bad_frame("put-many status count mismatch"));
-        }
-        Ok(statuses)
+        put_many_reply(expected, status, body)
     }
 
     /// Look up a batch of keys in one frame; entries are in request order.
@@ -331,6 +268,19 @@ impl RemoteNode {
         let _ = self.call(&Request::Shutdown)?;
         Ok(())
     }
+}
+
+/// Decode a `PutMany` reply to `count` items: per-item verdicts in
+/// request order.
+pub(crate) fn put_many_reply(count: usize, status: Status, body: &[u8]) -> io::Result<Vec<Status>> {
+    if status != Status::Ok {
+        return Err(bad_frame("put-many rejected"));
+    }
+    let statuses = decode_statuses(body).ok_or_else(|| bad_frame("bad put-many body"))?;
+    if statuses.len() != count {
+        return Err(bad_frame("put-many status count mismatch"));
+    }
+    Ok(statuses)
 }
 
 /// Decode an `EvictMany` reply to `count` keys: per-key verdicts in
@@ -498,43 +448,5 @@ impl PipelinedConn {
         self.in_flight = self.in_flight.saturating_sub(1);
         self.io.frames_rx += 1;
         Ok((status, body))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::server::CacheServer;
-
-    #[test]
-    fn a_call_issued_while_a_posted_reply_is_unread_reads_its_own_reply() {
-        // Room for one 64 B slot: a second record overflows.
-        let mut server = CacheServer::spawn(64, 16).unwrap();
-        let mut client = RemoteNode::connect(server.addr()).unwrap();
-        assert!(client.posted_reply().is_none(), "nothing posted yet");
-
-        client
-            .post(&Request::Put {
-                key: 1,
-                value: b"a",
-            })
-            .unwrap();
-        assert_eq!(client.get(1).unwrap(), Some(b"a".to_vec()));
-        assert_eq!(client.stats().unwrap(), (64, 1, 64));
-        assert_eq!(client.posted_reply().unwrap().unwrap(), Status::Ok);
-        assert!(client.posted_reply().is_none(), "a reply is claimed once");
-
-        client
-            .post(&Request::Put {
-                key: 2,
-                value: b"b",
-            })
-            .unwrap();
-        let err = client.post(&Request::Ping).unwrap_err();
-        assert!(err.to_string().contains("unclaimed"), "{err}");
-        assert_eq!(client.get(2).unwrap(), None);
-        assert_eq!(client.posted_reply().unwrap().unwrap(), Status::Overflow);
-        assert!(client.ping().unwrap());
-        server.stop();
     }
 }

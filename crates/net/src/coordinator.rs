@@ -15,12 +15,22 @@
 //!   its key, a successful eviction or a wire `Get` that comes back absent
 //!   removes it. A `get` of a key outside the set is a definite miss and is
 //!   answered without a frame.
-//! - **Posted fill.** [`LiveCoordinator::put`] sends its `Put` and returns;
-//!   `Ok` means the fill was sent, not acked. Every public entry point that
-//!   talks to the nodes first *settles* the fill: it reads the ack and, on
-//!   `Overflow`, splits and resends (GBA-Insert's loop). An error from the
-//!   fill is returned by the call that settles it. The nodes see requests
-//!   in the order a synchronous put would have sent them.
+//! - **Buffered fills.** [`LiveCoordinator::put`] checks its inputs, adds
+//!   the key to the set and appends the fill to a buffer: no frame, no
+//!   syscall. A `get` of a buffered key answers from the buffer; a `get` of
+//!   any other resident key goes to the wire and leaves the buffer alone.
+//!   Every other call that reads or changes node state (`end_time_step`,
+//!   `try_contract`, `totals`, `check_invariants`, `cluster_obs`,
+//!   `shutdown`) first *places* the buffer, in put order, and so does a
+//!   `put` that would take the buffer's slab footprint past one node's
+//!   capacity. Placement is one `Stats` fan-out, then the longest prefix
+//!   whose every fill fits its owner's free bytes as one `PutMany` per
+//!   node, then the rest one fill at a time through GBA-Insert's loop.
+//!   A read is the only request that can overtake a buffered fill, and it
+//!   reads a key no buffered fill writes, so the nodes see the mutations a
+//!   synchronous put would make, in the same order. A placement error is
+//!   returned by the placing call; the fills it did not place are dropped,
+//!   and their keys stay in the residency set.
 
 use std::collections::HashSet;
 use std::io;
@@ -28,10 +38,10 @@ use std::net::SocketAddr;
 
 use bytes::Bytes;
 use ecc_chash::{HashRing, RingError};
-use ecc_core::{gba, SlidingWindow};
+use ecc_core::{gba, slab, SlidingWindow};
 use ecc_obs::{ObsEvent, ObsRegistry, ObsSnapshot, TimeSource};
 
-use crate::client::{evict_many_reply, obs_dump_reply, stats_reply, RemoteNode};
+use crate::client::{evict_many_reply, obs_dump_reply, put_many_reply, stats_reply, RemoteNode};
 use crate::protocol::{Request, Status};
 use crate::server::{CacheServer, DEFAULT_MAX_CONNECTIONS};
 
@@ -70,25 +80,14 @@ fn ring_err(e: RingError) -> io::Error {
     internal(&format!("ring: {e}"))
 }
 
-/// Send one `PutMany` frame; all-`Ok` statuses are the ack, and any
-/// per-item refusal fails the copy (the destination was sized to hold
-/// what moves, so a refusal is a bug).
-fn put_acked(client: &mut RemoteNode, batch: Vec<(u64, Bytes)>) -> io::Result<()> {
-    for status in client.put_many(batch)? {
-        if status != Status::Ok {
-            return Err(io::Error::other(format!(
-                "migration put refused: {status:?}"
-            )));
-        }
+/// The ack of a `PutMany` frame: all-`Ok` statuses. Any per-item refusal
+/// fails the batch (the coordinator sized the destination to hold it, so a
+/// refusal is a bug).
+fn put_acked(statuses: Vec<Status>) -> io::Result<()> {
+    match statuses.into_iter().find(|&s| s != Status::Ok) {
+        Some(status) => Err(io::Error::other(format!("batched put refused: {status:?}"))),
+        None => Ok(()),
     }
-    Ok(())
-}
-
-/// A fill [`LiveCoordinator::put`] posted to `node` whose ack is unread.
-struct Fill {
-    key: u64,
-    value: Vec<u8>,
-    node: usize,
 }
 
 /// The live elastic-cache coordinator.
@@ -98,8 +97,10 @@ pub struct LiveCoordinator {
     /// A superset of the keys every node holds inside its own arcs (see the
     /// module docs).
     resident: HashSet<u64>,
-    /// The posted fill, settled by the next call.
-    fill: Option<Fill>,
+    /// Fills not yet on any node, in put order (see the module docs).
+    fills: Vec<(u64, Vec<u8>)>,
+    /// Their summed slab footprint.
+    fill_bytes: u64,
     ring_range: u64,
     capacity_bytes: u64,
     btree_order: usize,
@@ -136,7 +137,8 @@ impl LiveCoordinator {
             ring: HashRing::new(ring_range),
             nodes: Vec::new(),
             resident: HashSet::new(),
-            fill: None,
+            fills: Vec::new(),
+            fill_bytes: 0,
             ring_range,
             capacity_bytes,
             btree_order: 64,
@@ -184,7 +186,7 @@ impl LiveCoordinator {
     /// by move, in node order (histograms add bucket-wise, events
     /// interleave by timestamp, one sort at the end).
     pub fn cluster_obs(&mut self) -> io::Result<ObsSnapshot> {
-        self.settle()?;
+        self.place()?;
         let own = self.obs.snapshot();
         let nodes = self.fan_out(|_| Some(Request::ObsDump), |_, s, b| obs_dump_reply(s, b))?;
         Ok(own.merged(nodes.into_iter().map(|(_, snap)| snap)))
@@ -201,7 +203,7 @@ impl LiveCoordinator {
     /// Total `(bytes, records)` across nodes, collected with one
     /// concurrent stats fan-out instead of sequential round-trips.
     pub fn totals(&mut self) -> io::Result<(u64, u64)> {
-        self.settle()?;
+        self.place()?;
         let stats = self.stats()?;
         let mut bytes = 0;
         let mut records = 0;
@@ -225,9 +227,9 @@ impl LiveCoordinator {
     /// is untraced (`cluster_obs` in particular must stay untraced: a
     /// traced `ObsDump` would dump its own server span mid-flight, start
     /// without end).
-    fn fan_out<T>(
+    fn fan_out<'r, T>(
         &mut self,
-        request: impl Fn(usize) -> Option<Request<'static>>,
+        request: impl Fn(usize) -> Option<Request<'r>>,
         reply: impl Fn(usize, Status, &[u8]) -> io::Result<T>,
     ) -> io::Result<Vec<(usize, T)>> {
         let fanout = self.obs.span_follow("coord_fanout");
@@ -320,15 +322,18 @@ impl LiveCoordinator {
             .ok_or_else(|| internal("ring has no buckets"))
     }
 
-    /// Look up `key` on the owning node. A key outside the residency set is
-    /// a definite miss, answered without a frame.
+    /// Look up `key`. A key outside the residency set is a definite miss,
+    /// answered without a frame; a buffered key answers with its newest
+    /// buffered value, also without a frame. Neither places the buffer.
     pub fn get(&mut self, key: u64) -> io::Result<Option<Vec<u8>>> {
-        self.settle()?;
         if let Some(w) = &mut self.window {
             w.note_query(key);
         }
         if !self.resident.contains(&key) {
             return Ok(None);
+        }
+        if let Some((_, value)) = self.fills.iter().rev().find(|(k, _)| *k == key) {
+            return Ok(Some(value.clone()));
         }
         let got = self.client(self.owner(key)?)?.get(key)?;
         if got.is_none() {
@@ -337,12 +342,12 @@ impl LiveCoordinator {
         Ok(got)
     }
 
-    /// Store `value` under `key` on its owning node. The fill is posted:
-    /// `Ok` means it was sent, not acked. The next call settles it,
-    /// splitting buckets / spawning servers as needed (GBA), and returns
-    /// its error if it failed.
+    /// Store `value` under `key`. The fill is buffered, not sent: the next
+    /// call that reads or changes node state places it, splitting buckets /
+    /// spawning servers as needed (GBA), and returns its error if it
+    /// failed. A fill that would take the buffer past one node's capacity
+    /// places the buffer first.
     pub fn put(&mut self, key: u64, value: Vec<u8>) -> io::Result<()> {
-        self.settle()?;
         if key >= self.ring_range {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -355,37 +360,74 @@ impl LiveCoordinator {
                 "record exceeds node capacity",
             ));
         }
-        let node = self.owner(key)?;
+        let footprint = slab::footprint(value.len());
+        if self.fill_bytes + footprint > self.capacity_bytes {
+            self.place()?;
+        }
         self.resident.insert(key);
-        self.client(node)?
-            .post(&Request::Put { key, value: &value })?;
-        self.fill = Some(Fill { key, value, node });
+        self.fills.push((key, value));
+        self.fill_bytes += footprint;
         Ok(())
     }
 
-    /// Collect the posted fill's ack: GBA-Insert's loop. On `Overflow` the
-    /// owner splits and the fill is sent again to the key's new owner, at
-    /// most 64 times in all.
-    fn settle(&mut self) -> io::Result<()> {
-        let Some(Fill {
-            key,
-            value,
-            mut node,
-        }) = self.fill.take()
-        else {
+    /// Place the buffered fills on their owners, in put order. The longest
+    /// prefix whose every fill fits its owner's free bytes (one `Stats`
+    /// fan-out, counted down fill by fill) goes as one `PutMany` per node;
+    /// each of those fills would have been acked `Ok` on its own. The
+    /// prefix stops at the first fill that may not fit: that fill may
+    /// split its owner and so move the owners, and the free bytes, of every
+    /// fill after it. From there on, each fill goes through [`Self::insert`].
+    fn place(&mut self) -> io::Result<()> {
+        if self.fills.is_empty() {
             return Ok(());
-        };
-        for attempt in 0..64 {
-            if attempt > 0 {
-                node = self.owner(key)?;
-                self.client(node)?
-                    .post(&Request::Put { key, value: &value })?;
+        }
+        let fills = std::mem::take(&mut self.fills);
+        self.fill_bytes = 0;
+        let mut free = vec![0; self.nodes.len()];
+        for (id, (used, _, cap)) in self.stats()? {
+            if let Some(room) = free.get_mut(id) {
+                *room = cap.saturating_sub(used);
             }
-            let status = self
-                .client(node)?
-                .posted_reply()
-                .ok_or_else(|| internal("a posted fill has no reply"))??;
-            match status {
+        }
+        let mut batches: Vec<Vec<(u64, &[u8])>> = vec![Vec::new(); self.nodes.len()];
+        let mut placed = 0;
+        for (key, value) in &fills {
+            let footprint = slab::footprint(value.len());
+            let owner = self.owner(*key)?;
+            let (Some(room), Some(batch)) = (free.get_mut(owner), batches.get_mut(owner)) else {
+                break;
+            };
+            if *room < footprint {
+                break;
+            }
+            *room -= footprint;
+            batch.push((*key, &value[..]));
+            placed += 1;
+        }
+        if placed > 0 {
+            let batches = &batches;
+            self.fan_out(
+                |id| {
+                    let items = batches.get(id).filter(|b| !b.is_empty())?.clone();
+                    Some(Request::PutMany { items })
+                },
+                |id, s, b| {
+                    put_many_reply(batches.get(id).map_or(0, Vec::len), s, b).and_then(put_acked)
+                },
+            )?;
+        }
+        for (key, value) in fills.into_iter().skip(placed) {
+            self.insert(key, &value)?;
+        }
+        Ok(())
+    }
+
+    /// GBA-Insert's loop for one fill: send it to the key's owner; on
+    /// `Overflow` split the owner and try again, at most 64 sends in all.
+    fn insert(&mut self, key: u64, value: &[u8]) -> io::Result<()> {
+        for _ in 0..64 {
+            let node = self.owner(key)?;
+            match self.client(node)?.put(key, value.to_vec())? {
                 Status::Ok => return Ok(()),
                 Status::Overflow => self.split_node(node)?,
                 s => {
@@ -519,12 +561,12 @@ impl LiveCoordinator {
             copied.1 += value.len() as u64;
             batch.push((key, Bytes::from(value)));
             if batch_bytes >= CHUNK_BYTES {
-                put_acked(client, std::mem::take(&mut batch))?;
+                put_acked(client.put_many(std::mem::take(&mut batch))?)?;
                 batch_bytes = 0;
             }
         }
         if !batch.is_empty() {
-            put_acked(client, batch)?;
+            put_acked(client.put_many(batch)?)?;
         }
         Ok(())
     }
@@ -573,7 +615,7 @@ impl LiveCoordinator {
     /// Close a time slice: evict expired keys, contract every `ε`
     /// expirations.
     pub fn end_time_step(&mut self) -> io::Result<()> {
-        self.settle()?;
+        self.place()?;
         let Some(w) = &mut self.window else {
             return Ok(());
         };
@@ -648,7 +690,7 @@ impl LiveCoordinator {
 
     /// Merge [`gba::merge_pair`]'s two nodes, if it names any.
     pub fn try_contract(&mut self) -> io::Result<()> {
-        self.settle()?;
+        self.place()?;
         let loads = self.stats()?.into_iter().map(|(id, (used, ..))| (id, used));
         let pair = gba::merge_pair(loads, 1, self.merge_fill_threshold, self.capacity_bytes);
         let Some((a, b)) = pair else {
@@ -689,7 +731,7 @@ impl LiveCoordinator {
     /// simulation harness promotes this to a hard failure after every
     /// event).
     pub fn check_invariants(&mut self) -> io::Result<()> {
-        self.settle()?;
+        self.place()?;
         self.ring
             .check_invariants()
             .map_err(|e| internal(&format!("ring audit: {e}")))?;
@@ -726,17 +768,17 @@ impl LiveCoordinator {
         Ok(())
     }
 
-    /// Settle the posted fill, then stop every cache server. Returns the
-    /// fill's error, if any.
+    /// Place the buffered fills, then stop every cache server. Returns the
+    /// placement's error, if any.
     pub fn shutdown(&mut self) -> io::Result<()> {
-        let settled = self.settle();
+        let placed = self.place();
         for slot in &mut self.nodes {
             if let Some(mut node) = slot.take() {
                 drop(node.client.shutdown());
                 node.server.stop();
             }
         }
-        settled
+        placed
     }
 }
 
@@ -961,10 +1003,9 @@ mod tests {
     /// coordinator's connection now reaches a stand-in that answers `Stats`
     /// probes with the node's last figures — so the node is still chosen as
     /// the destination — and hangs up on the first other request, the copy.
-    /// The posted fill is settled first: its ack must not be left on the
-    /// replaced connection.
+    /// The buffered fills are placed first, so the figures count them.
     fn dies_after_the_stats_probe(c: &mut LiveCoordinator, id: usize) {
-        c.settle().unwrap();
+        c.place().unwrap();
         let (used, records, cap) = c.client(id).unwrap().stats().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1019,10 +1060,10 @@ mod tests {
         }
         let ring = ring_of(&c);
         dies_after_the_stats_probe(&mut c, 1);
-        // The fill is posted; its split fails when it is settled.
+        // The fill is buffered; its split fails when it is placed.
         assert!(c
             .put(17_000, vec![1; 100])
-            .and_then(|()| c.settle())
+            .and_then(|()| c.place())
             .is_err());
         assert_eq!(ring_of(&c), ring, "the ring flipped to a dead node");
         assert_eq!(c.splits, 0);
@@ -1056,10 +1097,10 @@ mod tests {
 
     /// Node `id`'s connection now runs through a relay to its server that
     /// refuses the first `EvictMany` (`BadRequest`, connection kept) and
-    /// forwards every other frame. The posted fill is settled first, as in
-    /// [`dies_after_the_stats_probe`].
+    /// forwards every other frame. The buffered fills are placed first, as
+    /// in [`dies_after_the_stats_probe`].
     fn refuses_one_evict(c: &mut LiveCoordinator, id: usize) {
-        c.settle().unwrap();
+        c.place().unwrap();
         let upstream = c.node_addr(id).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1148,35 +1189,80 @@ mod tests {
     }
 
     #[test]
-    fn a_posted_fill_is_read_back_on_the_same_node_and_across_nodes() {
+    fn a_buffered_fill_is_read_back_before_and_after_placement() {
         let mut c = two_node_fleet();
-        // Same node: the get follows the fill on node 1's connection.
+        // Buffered: node 1's key, then node 0's, read back from the buffer.
         c.put(100, b"a".to_vec()).unwrap();
-        assert_eq!(c.get(100).unwrap(), Some(b"a".to_vec()));
-        // Across nodes: the fill to node 0 is settled before the get to
-        // node 1 goes out, and is served by the next get to node 0.
-        c.put(200, b"b".to_vec()).unwrap();
         c.put(20_000, b"c".to_vec()).unwrap();
-        assert_eq!(c.get(200).unwrap(), Some(b"b".to_vec()));
+        assert_eq!(c.get(100).unwrap(), Some(b"a".to_vec()));
         assert_eq!(c.get(20_000).unwrap(), Some(b"c".to_vec()));
-        // A replaced value, too.
+        // Placed: read back from the owners.
+        c.totals().unwrap();
+        assert_eq!(c.get(100).unwrap(), Some(b"a".to_vec()));
+        assert_eq!(c.get(20_000).unwrap(), Some(b"c".to_vec()));
+        // A buffered replacement shadows the placed value, and the newest
+        // of two buffered values wins.
         c.put(100, b"d".to_vec()).unwrap();
         assert_eq!(c.get(100).unwrap(), Some(b"d".to_vec()));
+        c.put(100, b"e".to_vec()).unwrap();
+        assert_eq!(c.get(100).unwrap(), Some(b"e".to_vec()));
+        c.totals().unwrap();
+        assert_eq!(c.get(100).unwrap(), Some(b"e".to_vec()));
         c.shutdown().unwrap();
     }
 
     #[test]
-    fn a_posted_fill_that_overflows_splits_at_the_next_call() {
+    fn a_get_of_a_buffered_key_sends_no_frame() {
         let mut c = two_node_fleet();
-        // Seven 100 B records (136 B slots) fill node 0's 1000 B.
+        c.put(100, b"one".to_vec()).unwrap();
+        c.put(20_000, b"two".to_vec()).unwrap();
+        assert_eq!(c.get(100).unwrap(), Some(b"one".to_vec()));
+        assert_eq!(c.get(20_000).unwrap(), Some(b"two".to_vec()));
+        // The dump places both fills, after the gets were answered.
+        assert_eq!(samples(&mut c, "server_op_us:get"), 0);
+        assert_eq!(samples(&mut c, "server_op_us:put_many"), 2);
+        assert_eq!(c.get(100).unwrap(), Some(b"one".to_vec()));
+        assert_eq!(samples(&mut c, "server_op_us:get"), 1);
+    }
+
+    #[test]
+    fn puts_past_one_nodes_capacity_are_placed_without_a_placing_call() {
+        // Twenty 100 B records (136 B slots) into nodes of 1000 B: the
+        // buffer is placed whenever it would pass 1000 B.
+        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        let keys: Vec<u64> = (0..20).map(|k| k * 3_000 + 7).collect();
+        for &k in &keys {
+            c.put(k, vec![k as u8; 100]).unwrap();
+            assert!(c.fill_bytes <= 1000, "{} B buffered", c.fill_bytes);
+        }
+        assert!(c.splits >= 1, "no placement split a node");
+        for &k in &keys {
+            assert_eq!(c.get(k).unwrap(), Some(vec![k as u8; 100]), "key {k}");
+        }
+        assert_eq!(c.totals().unwrap(), (20 * 136, 20));
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_buffered_fill_that_overflows_splits_at_the_placing_call() {
+        let mut c = two_node_fleet();
+        // Seven 100 B records (136 B slots) fill node 0's 1000 B. The
+        // eighth would take the buffer past 1000 B, so its put places the
+        // seven (they fit) and buffers the eighth.
         for k in 0..7 {
             c.put(10_000 + k * 1_000, vec![k as u8; 100]).unwrap();
         }
         c.put(17_000, vec![7; 100]).unwrap();
-        assert_eq!(c.splits, 0, "the put waited for its ack");
+        assert_eq!(c.splits, 0, "the put placed its own fill");
         assert_eq!(c.get(17_000).unwrap(), Some(vec![7; 100]));
-        assert_eq!(c.splits, 1);
         for k in 0..7 {
+            let key = 10_000 + k * 1_000;
+            assert_eq!(c.get(key).unwrap(), Some(vec![k as u8; 100]));
+        }
+        assert_eq!(c.splits, 0, "a get placed the buffer");
+        assert_eq!(c.totals().unwrap(), (8 * 136, 8));
+        assert_eq!(c.splits, 1);
+        for k in 0..8 {
             let key = 10_000 + k * 1_000;
             assert_eq!(c.get(key).unwrap(), Some(vec![k as u8; 100]));
         }
@@ -1184,16 +1270,151 @@ mod tests {
     }
 
     #[test]
-    fn a_fill_whose_node_dies_before_the_settle_fails_the_next_call() {
+    fn a_fill_whose_node_dies_before_placement_fails_the_placing_call() {
         let mut c = two_node_fleet();
         c.put(20_000, b"on node 0".to_vec()).unwrap();
-        // Node 1's stand-in hangs up on the fill without an ack.
+        // Node 1's stand-in answers the placement's `Stats` probe, then
+        // hangs up on the fill's `PutMany` without an ack.
         dies_after_the_stats_probe(&mut c, 1);
         c.put(100, b"lost".to_vec()).unwrap();
-        // The next call returns the fill's error, even one that sends no
-        // frame; the call after it is served.
-        assert!(c.get(5).is_err());
+        // A get sends no frame and does not place; the placing call
+        // returns the fill's error; the call after it is served.
+        assert_eq!(c.get(5).unwrap(), None);
+        assert!(c.end_time_step().is_err());
         assert_eq!(c.get(20_000).unwrap(), Some(b"on node 0".to_vec()));
+    }
+
+    /// The differential script's steps: `(key, value length)` fills, each
+    /// after a `get` that misses. Node capacity is 1000 B.
+    /// - Step 1 leaves 184 B free on the one node.
+    /// - Step 2's close places a 64 B fill (one `PutMany`), stops the prefix
+    ///   at the 136 B fill that overflows (the split spawns a node), and
+    ///   then places a 64 B fill that would have fit before the split.
+    /// - Step 3's eight 136 B fills pass 1000 B, so a put places the buffer
+    ///   and the fleet splits again. Empty steps then evict every key, and
+    ///   contraction merges the fleet.
+    fn differential_script() -> Vec<Vec<(u64, usize)>> {
+        let mut steps = vec![
+            (0..6).map(|k| (10_000 + k * 1_000, 100)).collect(),
+            vec![(16_000, 10), (17_000, 100), (10_500, 10)],
+            (0..8).map(|k| (30_000 + k * 3_000, 100)).collect(),
+        ];
+        steps.resize(12, Vec::new());
+        steps
+    }
+
+    /// A structural event with its times dropped; `None` for any other
+    /// event.
+    fn untimed(event: ObsEvent) -> Option<ObsEvent> {
+        use ObsEvent::*;
+        Some(match event {
+            NodeAlloc { node, .. } => NodeAlloc { at_us: 0, node },
+            NodeDealloc { node, .. } => NodeDealloc { at_us: 0, node },
+            BucketSplit {
+                node,
+                new_node,
+                bucket,
+                ..
+            } => BucketSplit {
+                at_us: 0,
+                node,
+                new_node,
+                bucket,
+            },
+            SweepMigrate {
+                src,
+                dest,
+                records,
+                bytes,
+                allocated,
+                ..
+            } => SweepMigrate {
+                at_us: 0,
+                src,
+                dest,
+                records,
+                bytes,
+                duration_us: 0,
+                allocated,
+            },
+            SliceExpire {
+                expiration,
+                victims,
+                ..
+            } => SliceExpire {
+                at_us: 0,
+                expiration,
+                victims,
+            },
+            EvictBatch { node, keys, .. } => EvictBatch {
+                at_us: 0,
+                node,
+                keys,
+            },
+            NodeMerge {
+                src, dest, records, ..
+            } => NodeMerge {
+                at_us: 0,
+                src,
+                dest,
+                records,
+            },
+            _ => return None,
+        })
+    }
+
+    /// `(node, its keys)` for every active node.
+    type KeySets = Vec<(usize, Vec<u64>)>;
+
+    /// Run [`differential_script`]. With `eager`, `totals()` places every
+    /// fill as soon as it is put, as a synchronous put would; without it
+    /// the fills wait for `end_time_step` (or for the buffer bound).
+    /// Returns the structural events, times dropped, and every node's keys
+    /// after each step close.
+    fn run_differential(eager: bool) -> (Vec<ObsEvent>, Vec<KeySets>) {
+        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        c.enable_window(4, 0.99, 0.99f64.powi(3));
+        let mut key_sets = Vec::new();
+        for step in differential_script() {
+            for (key, len) in step {
+                assert_eq!(c.get(key).unwrap(), None);
+                c.put(key, vec![key as u8; len]).unwrap();
+                if eager {
+                    c.totals().unwrap();
+                }
+            }
+            c.end_time_step().unwrap();
+            let hi = c.ring_range - 1;
+            let nodes = c.active_ids().into_iter();
+            key_sets.push(
+                nodes
+                    .map(|id| (id, c.client(id).unwrap().keys(0, hi).unwrap()))
+                    .collect(),
+            );
+        }
+        let events = c.obs().events_since(0).into_iter();
+        let structural = events.filter_map(|(_, event)| untimed(event));
+        (structural.collect(), key_sets)
+    }
+
+    #[test]
+    fn buffered_fills_make_the_decisions_of_fills_placed_one_by_one() {
+        let (eager, eager_keys) = run_differential(true);
+        let (buffered, buffered_keys) = run_differential(false);
+        let count = |f: fn(&ObsEvent) -> bool| eager.iter().filter(|e| f(e)).count();
+        assert!(count(|e| matches!(e, ObsEvent::BucketSplit { .. })) >= 2);
+        assert!(
+            count(|e| matches!(
+                e,
+                ObsEvent::SweepMigrate {
+                    allocated: true,
+                    ..
+                }
+            )) >= 1
+        );
+        assert!(count(|e| matches!(e, ObsEvent::NodeMerge { .. })) >= 1);
+        assert_eq!(buffered, eager);
+        assert_eq!(buffered_keys, eager_keys);
     }
 
     #[test]
