@@ -222,25 +222,6 @@ impl ShardedNode {
         self.arena.class_stats()
     }
 
-    /// Publish per-class slab occupancy as gauges on the attached
-    /// registry (`slab_*:{slot_size}`); no-op when unobserved or when a
-    /// class has never been used.
-    pub fn export_slab_gauges(&self) {
-        let Some(obs) = &self.obs else { return };
-        for s in self.slab_stats() {
-            if s.total_slots == 0 {
-                continue;
-            }
-            obs.set_gauge(&format!("slab_total_slots:{}", s.slot_size), s.total_slots);
-            obs.set_gauge(&format!("slab_live_slots:{}", s.slot_size), s.live_slots);
-            obs.set_gauge(
-                &format!("slab_live_payload_bytes:{}", s.slot_size),
-                s.live_payload_bytes,
-            );
-            obs.set_gauge(&format!("slab_allocs:{}", s.slot_size), s.allocs);
-        }
-    }
-
     /// Acquire `lock`, whose place in the hierarchy is `class`, shared.
     /// The lock-order auditor sees the acquisition first. Only an
     /// acquisition that has to wait is timed: the uncontended one is a

@@ -7,8 +7,9 @@
 //!     [--port 4117] [--capacity-mb 64] [--btree-order 64]
 //! ```
 //!
-//! Serves the elastic-cache wire protocol (GET/PUT/REMOVE/SWEEP/KEYS/
-//! RANGE_STATS/STATS/PING/SHUTDOWN) until a SHUTDOWN request arrives.
+//! Serves the elastic-cache wire protocol (GET/PUT/GET_MANY/PUT_MANY/
+//! EVICT_MANY/KEYS/RANGE_STATS/STATS/OBS_DUMP/PING/SHUTDOWN) until a
+//! SHUTDOWN request arrives.
 
 use std::process::ExitCode;
 use std::time::Duration;

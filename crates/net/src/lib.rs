@@ -9,9 +9,10 @@
 //! against real sockets instead of the virtual clock.
 //!
 //! The wire format ([`protocol`]) is a length-prefixed binary protocol
-//! (`bytes`-based): `GET`/`PUT`/`REMOVE` for the data path, `SWEEP`
-//! (destructive range read) for migration, `KEYS`/`STATS` for the
-//! coordinator's split planning, and `PING`/`SHUTDOWN` for lifecycle.
+//! (`bytes`-based): `GET`/`PUT` for the data path, `GET_MANY`/`PUT_MANY`/
+//! `EVICT_MANY` for migration and eviction, `KEYS`/`RANGE_STATS`/`STATS`
+//! for the coordinator's split planning, `OBS_DUMP` for observability,
+//! and `PING`/`SHUTDOWN` for lifecycle.
 //!
 //! Threading model: each server is an event-driven multi-reactor
 //! ([`reactor`]) — an acceptor enforcing the connection bound hands

@@ -270,10 +270,6 @@ pub(crate) fn handle(
             None => reply(out, Status::NotFound, &[]),
         }),
         Request::Put { key, value } => reply(out, put_status(node.put_slice(key, value)), &[]),
-        Request::Remove { key } => match node.remove(key) {
-            Some(_) => reply(out, Status::Ok, &[]),
-            None => reply(out, Status::NotFound, &[]),
-        },
         // One batch, its values still in the read buffer; each verdict is
         // appended to the reply as it is decided. A refused item never
         // aborts the rest of the batch.
@@ -323,8 +319,10 @@ pub(crate) fn handle(
         Request::Ping => reply(out, Status::Ok, &[]),
         // Encoded from the registry part by part, each under its own
         // lock, straight into the write queue: no snapshot, no
-        // intermediate buffer.
+        // intermediate buffer. The dump carries the slab's mapping as of
+        // now.
         Request::ObsDump => {
+            obs.set_gauge("mem_bytes:slab", node.arena().mapped_bytes());
             out.push(Status::Ok as u8);
             obs.encode_dump_into(out);
         }
@@ -350,7 +348,6 @@ pub(crate) fn op_hist_name(op: Option<Op>) -> &'static str {
     match op {
         Some(Op::Get) => "server_op_us:get",
         Some(Op::Put) => "server_op_us:put",
-        Some(Op::Remove) => "server_op_us:remove",
         Some(Op::Keys) => "server_op_us:keys",
         Some(Op::Stats) => "server_op_us:stats",
         Some(Op::Ping) => "server_op_us:ping",
@@ -389,8 +386,10 @@ mod tests {
         // a 3-byte payload), not its payload length.
         let (used, count, cap) = client.stats().unwrap();
         assert_eq!((used, count, cap), (64, 1, 10_000));
-        assert!(client.remove(5).unwrap());
-        assert!(!client.remove(5).unwrap());
+        assert_eq!(
+            client.evict_many(&[5, 5]).unwrap(),
+            [Status::Ok, Status::NotFound]
+        );
         server.stop();
     }
 

@@ -25,7 +25,6 @@ fn arb_request() -> impl Strategy<Value = Request<'static>> {
                 value: leak(v),
             }
         }),
-        any::<u64>().prop_map(|key| Request::Remove { key }),
         (any::<u64>(), any::<u64>()).prop_map(|(lo, hi)| Request::Keys { lo, hi }),
         (any::<u64>(), any::<u64>()).prop_map(|(lo, hi)| Request::RangeStats { lo, hi }),
         Just(Request::Stats),
@@ -132,16 +131,15 @@ proptest! {
         prop_assert_eq!(decode_stats(encode_stats(used, count, cap)), Some((used, count, cap)));
     }
 
-    /// Adding `ObsDump` (0x0D) and retiring `Sweep` (0x04) must not disturb
-    /// how any other opcode encodes: the first payload byte is pinned per
-    /// variant.
+    /// Adding `ObsDump` (0x0D) and retiring `Remove` (0x03) and `Sweep`
+    /// (0x04) must not disturb how any other opcode encodes: the first
+    /// payload byte is pinned per variant.
     #[test]
     fn opcode_bytes_are_stable_across_protocol_growth(req in arb_request()) {
         let enc = req.encode();
         let expected = match &req {
             Request::Get { .. } => 0x01u8,
             Request::Put { .. } => 0x02,
-            Request::Remove { .. } => 0x03,
             Request::Keys { .. } => 0x05,
             Request::Stats => 0x06,
             Request::Ping => 0x07,

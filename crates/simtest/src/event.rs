@@ -191,11 +191,6 @@ pub enum WireOp {
         /// Payload length.
         len: u32,
     },
-    /// `REMOVE key`.
-    Remove {
-        /// Key to remove.
-        key: u64,
-    },
     /// `GET_MANY` of every key in `[lo, hi]` (none when inverted): the
     /// migration's copy read.
     GetMany {
@@ -331,7 +326,6 @@ impl SimEvent {
                 match op {
                     WireOp::Get { key } => write!(out, "G{key}"),
                     WireOp::Put { key, len } => write!(out, "P{key}.{len}"),
-                    WireOp::Remove { key } => write!(out, "R{key}"),
                     WireOp::GetMany { lo, hi } => write!(out, "M{lo}.{hi}"),
                     WireOp::EvictMany { lo, hi } => write!(out, "E{lo}.{hi}"),
                     WireOp::Keys { lo, hi } => write!(out, "K{lo}.{hi}"),
@@ -407,7 +401,7 @@ impl SimEvent {
             'g' => SimEvent::Get {
                 key: args.parse().map_err(|_| bad())?,
             },
-            'G' | 'P' | 'R' | 'M' | 'E' | 'K' | 'T' | 'I' => {
+            'G' | 'P' | 'M' | 'E' | 'K' | 'T' | 'I' => {
                 let op = match tag {
                     'G' => WireOp::Get {
                         key: args.parse().map_err(|_| bad())?,
@@ -419,9 +413,6 @@ impl SimEvent {
                             len: len as u32,
                         }
                     }
-                    'R' => WireOp::Remove {
-                        key: args.parse().map_err(|_| bad())?,
-                    },
                     'M' => {
                         let (lo, hi) = parse_pair(args).ok_or_else(bad)?;
                         WireOp::GetMany { lo, hi }
@@ -612,7 +603,7 @@ mod tests {
                 },
                 SimEvent::Frame {
                     fault: Fault::Drop,
-                    op: WireOp::Remove { key: 3 },
+                    op: WireOp::EvictMany { lo: 3, hi: 3 },
                 },
                 SimEvent::Frame {
                     fault: Fault::Fragment { pos: 6 },

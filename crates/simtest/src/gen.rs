@@ -234,7 +234,8 @@ fn gen_proto(rng: &mut SmallRng) -> Schedule {
                 len: rng.gen_range(10u32..=120),
             }
         } else if roll < 80 {
-            WireOp::Remove { key }
+            // A single-key delete.
+            WireOp::EvictMany { lo: key, hi: key }
         } else if roll < 84 {
             // Bounds drawn independently: inverted ranges are fair game.
             WireOp::GetMany {

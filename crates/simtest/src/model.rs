@@ -219,13 +219,6 @@ impl ModelServer {
                 self.map.insert(key, value.to_vec());
                 Response::status(Status::Ok)
             }
-            Request::Remove { key } => match self.map.remove(&key) {
-                Some(v) => {
-                    self.used -= ecc_core::slab::footprint(v.len());
-                    Response::status(Status::Ok)
-                }
-                None => Response::status(Status::NotFound),
-            },
             Request::Keys { lo, hi } => {
                 let keys: Vec<u64> = if lo > hi {
                     Vec::new()

@@ -30,7 +30,6 @@ fn request_for(op: WireOp, step: usize, value: &mut Vec<u8>) -> Request<'_> {
             *value = record_bytes(key, len, step);
             Request::Put { key, value }
         }
-        WireOp::Remove { key } => Request::Remove { key },
         WireOp::GetMany { lo, hi } => Request::GetMany {
             keys: (lo..=hi).collect(),
         },

@@ -550,6 +550,13 @@ fn obs_smoke() -> ExitCode {
         expo_path.display(),
         snap.hists.len()
     );
+    // Where the surviving nodes' memory went, summed over nodes.
+    for gauge in ["mem_bytes:slab", "mem_bytes:conn_buf"] {
+        match snap.gauge(gauge) {
+            Some(bytes) => println!("obs smoke: {gauge} = {bytes}"),
+            None => return fail(&format!("cluster snapshot has no `{gauge}` gauge")),
+        }
+    }
 
     // Re-read through the JSONL path — the exact pipeline a user runs. The
     // breakdown stays under `target/obs/`: a debug-build capture must not
