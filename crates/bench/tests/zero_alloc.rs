@@ -14,8 +14,8 @@
 //! replacing inserts on the simulator's `CacheNode` (`node.rs`) and the
 //! static baseline's `Lru` (`lru.rs`). A batch frame may allocate once: the decoded item list of a
 //! `PutMany`, whose values still point into the read buffer, or the
-//! decoded key list of a `GetMany` or an `EvictMany`. The range requests
-//! (`Keys`, `RangeStats`) and `ObsDump` are not windows.
+//! decoded key list of a `GetMany` or an `EvictMany`. `Keys` and `ObsDump`
+//! are not windows.
 
 use std::ops::Range;
 use std::sync::Barrier;

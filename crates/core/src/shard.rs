@@ -437,7 +437,8 @@ impl ShardedNode {
         })
     }
 
-    /// Keys in the inclusive range, in order (split planning).
+    /// Keys in the inclusive range, in order (the coordinator's audit and
+    /// re-sync).
     pub fn keys_in_range(&self, lo: u64, hi: u64) -> Vec<u64> {
         self.with_structural(|| {
             let mut keys: Vec<u64> = Vec::new();
@@ -449,24 +450,6 @@ impl ShardedNode {
             }
             keys.sort_unstable();
             keys
-        })
-    }
-
-    /// `(bytes, records)` resident in the inclusive range, bytes in true
-    /// footprint (bucket fullness `||b||` for the coordinator's split
-    /// planning — the same unit as `used_bytes`).
-    pub fn range_stats(&self, lo: u64, hi: u64) -> (u64, u64) {
-        self.with_structural(|| {
-            let mut bytes = 0u64;
-            let mut records = 0u64;
-            for (i, stripe) in self.stripes.iter().enumerate() {
-                let tree = self.read_lock(stripe, LockClass::Stripe(i));
-                for (_, r) in tree.range(lo..=hi) {
-                    bytes += slab::footprint(r.len());
-                    records += 1;
-                }
-            }
-            (bytes, records)
         })
     }
 
@@ -588,7 +571,6 @@ mod tests {
             assert_eq!(n.put(k, Record::filler(10)), PutOutcome::Stored);
         }
         assert_eq!(n.keys_in_range(95, 200), vec![95, 96, 97, 98, 99]);
-        assert_eq!(n.range_stats(0, 49), (50 * 64, 50));
         let drained = n.drain_range(10, 19);
         assert_eq!(drained.len(), 10);
         assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
@@ -633,7 +615,7 @@ mod tests {
         n.put_slice(7, &[1u8; 10]);
         assert!(n.get(7).is_some());
         assert!(n.remove(7).is_some());
-        assert_eq!(n.range_stats(0, 100), (0, 0));
+        assert!(n.keys_in_range(0, 100).is_empty());
         let snap = obs.snapshot();
         assert_eq!(snap.hist("lock_wait_us:stripe"), None);
         assert_eq!(snap.hist("lock_wait_us:structural"), None);

@@ -8,9 +8,8 @@ use bytes::Bytes;
 use ecc_obs::{ObsRegistry, SpanGuard};
 
 use crate::protocol::{
-    append_frame, decode_get_many, decode_keys, decode_range_stats, decode_stats, decode_statuses,
-    encode_traced_into, read_frame_into, write_frame_buffered, FrameAssembler, Op, Request, Status,
-    TraceContext,
+    append_frame, decode_get_many, decode_keys, decode_stats, decode_statuses, encode_traced_into,
+    read_frame_into, write_frame_buffered, FrameAssembler, Op, Request, Status, TraceContext,
 };
 
 /// Static span kind for a client-side wire exchange (`wire:<op>`), so the
@@ -23,7 +22,6 @@ pub(crate) fn wire_span_kind(op: Op) -> &'static str {
         Op::Stats => "wire:stats",
         Op::Ping => "wire:ping",
         Op::Shutdown => "wire:shutdown",
-        Op::RangeStats => "wire:range_stats",
         Op::PutMany => "wire:put_many",
         Op::GetMany => "wire:get_many",
         Op::EvictMany => "wire:evict_many",
@@ -228,15 +226,6 @@ impl RemoteNode {
             return Err(bad_frame("keys rejected"));
         }
         decode_keys(body).ok_or_else(|| bad_frame("bad keys body"))
-    }
-
-    /// `(bytes, records)` resident in `[lo, hi]`.
-    pub fn range_stats(&mut self, lo: u64, hi: u64) -> io::Result<(u64, u64)> {
-        let (status, body) = self.call(&Request::RangeStats { lo, hi })?;
-        if status != Status::Ok {
-            return Err(bad_frame("range-stats rejected"));
-        }
-        decode_range_stats(body).ok_or_else(|| bad_frame("bad range-stats body"))
     }
 
     /// `(used_bytes, record_count, capacity_bytes)`.

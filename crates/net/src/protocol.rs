@@ -20,10 +20,12 @@ pub enum Op {
     Get = 0x01,
     /// Store one record.
     Put = 0x02,
-    // 0x03 (a single-key remove; `EvictMany` covers deletion) and 0x04 (a
-    // destructive range read) are retired. Never reuse them: a peer that
-    // still sends one must get `BadRequest`.
-    /// List keys in an inclusive range (split planning).
+    // 0x03 (a single-key remove; `EvictMany` covers deletion), 0x04 (a
+    // destructive range read) and 0x09 (`RangeStats`, a range's bytes and
+    // records; the coordinator's ledger knows them) are retired. Never reuse them: a
+    // peer that still sends one must get `BadRequest`.
+    /// List keys in an inclusive range (the coordinator's audit and
+    /// re-sync).
     Keys = 0x05,
     /// Report `used_bytes`, `record_count`, `capacity_bytes`.
     Stats = 0x06,
@@ -31,9 +33,6 @@ pub enum Op {
     Ping = 0x07,
     /// Stop the server.
     Shutdown = 0x08,
-    /// Report `(bytes, records)` resident in an inclusive key range — the
-    /// coordinator's split planning (bucket fullness `||b||`).
-    RangeStats = 0x09,
     /// Store a batch of records in one frame; per-item status response.
     PutMany = 0x0A,
     /// Look up a batch of keys in one frame; per-item value response.
@@ -56,7 +55,6 @@ impl Op {
             Op::Stats => "stats",
             Op::Ping => "ping",
             Op::Shutdown => "shutdown",
-            Op::RangeStats => "range_stats",
             Op::PutMany => "put_many",
             Op::GetMany => "get_many",
             Op::EvictMany => "evict_many",
@@ -73,7 +71,6 @@ impl Op {
             0x06 => Op::Stats,
             0x07 => Op::Ping,
             0x08 => Op::Shutdown,
-            0x09 => Op::RangeStats,
             0x0A => Op::PutMany,
             0x0B => Op::GetMany,
             0x0C => Op::EvictMany,
@@ -147,13 +144,6 @@ pub enum Request<'a> {
     Ping,
     /// Stop the server.
     Shutdown,
-    /// Bytes/records resident in `[lo, hi]`.
-    RangeStats {
-        /// Inclusive lower bound.
-        lo: u64,
-        /// Inclusive upper bound.
-        hi: u64,
-    },
     /// Store a batch of records. The response is `Ok` with one status byte
     /// per item (`Ok` / `Overflow`): a refused item never fails the batch.
     PutMany {
@@ -188,7 +178,6 @@ impl<'a> Request<'a> {
             Request::Stats => Op::Stats,
             Request::Ping => Op::Ping,
             Request::Shutdown => Op::Shutdown,
-            Request::RangeStats { .. } => Op::RangeStats,
             Request::PutMany { .. } => Op::PutMany,
             Request::GetMany { .. } => Op::GetMany,
             Request::EvictMany { .. } => Op::EvictMany,
@@ -218,11 +207,6 @@ impl<'a> Request<'a> {
             }
             Request::Keys { lo, hi } => {
                 b.put_u8(Op::Keys as u8);
-                b.put_u64_le(*lo);
-                b.put_u64_le(*hi);
-            }
-            Request::RangeStats { lo, hi } => {
-                b.put_u8(Op::RangeStats as u8);
                 b.put_u64_le(*lo);
                 b.put_u64_le(*hi);
             }
@@ -287,15 +271,6 @@ impl<'a> Request<'a> {
                     return None;
                 }
                 Request::Keys {
-                    lo: payload.get_u64_le(),
-                    hi: payload.get_u64_le(),
-                }
-            }
-            Op::RangeStats => {
-                if payload.remaining() != 16 {
-                    return None;
-                }
-                Request::RangeStats {
                     lo: payload.get_u64_le(),
                     hi: payload.get_u64_le(),
                 }
@@ -505,22 +480,6 @@ pub fn encode_keys(keys: &[u64]) -> Bytes {
 /// Decode a key list.
 pub fn decode_keys<B: Buf>(mut body: B) -> Option<Vec<u64>> {
     decode_key_batch(&mut body)
-}
-
-/// Encode range statistics.
-pub fn encode_range_stats(bytes: u64, records: u64) -> Bytes {
-    let mut b = BytesMut::with_capacity(16);
-    b.put_u64_le(bytes);
-    b.put_u64_le(records);
-    b.freeze()
-}
-
-/// Decode range statistics as `(bytes, records)`.
-pub fn decode_range_stats<B: Buf>(mut body: B) -> Option<(u64, u64)> {
-    if body.remaining() != 16 {
-        return None;
-    }
-    Some((body.get_u64_le(), body.get_u64_le()))
 }
 
 /// Encode node statistics.
@@ -864,7 +823,6 @@ mod tests {
                 value: b"hello",
             },
             Request::Keys { lo: 0, hi: 0 },
-            Request::RangeStats { lo: 5, hi: 6 },
             Request::Stats,
             Request::Ping,
             Request::Shutdown,
@@ -989,6 +947,11 @@ mod tests {
         // The retired single-key Remove opcode, with its old key body.
         assert_eq!(Op::from_u8(0x03), None);
         assert_eq!(Request::decode(&[0x03, 0, 0, 0, 0, 0, 0, 0, 0]), None);
+        // The retired RangeStats opcode, with its old 16-byte range body.
+        let mut range = vec![0x09];
+        range.extend_from_slice(&[0; 16]);
+        assert_eq!(Op::from_u8(0x09), None);
+        assert_eq!(Request::decode(&range), None);
         // GET with a short key.
         assert_eq!(Request::decode(&[0x01, 1, 2]), None);
         assert_eq!(Response::decode(Bytes::new()), None);

@@ -25,8 +25,8 @@ use ecc_core::{PutOutcome, Record, ShardedNode, DEFAULT_STRIPES};
 use ecc_obs::{ObsRegistry, TimeSource};
 
 use crate::protocol::{
-    encode_get_many_entry, encode_keys, encode_range_stats, encode_stats, write_frame_buffered, Op,
-    Request, Response, Status,
+    encode_get_many_entry, encode_keys, encode_stats, write_frame_buffered, Op, Request, Response,
+    Status,
 };
 use crate::reactor::{spawn_reactors, ReactorPool};
 
@@ -250,8 +250,8 @@ impl Drop for CacheServer {
 /// Execute one request against the node and append the response payload
 /// (status byte, then body) to `out` — the connection's write queue, inside
 /// the frame the reactor opened. Point ops take only the key's stripe
-/// lock; Stats reads atomics with no lock at all; range ops
-/// (Keys/RangeStats) serialize behind the structural lock. Called
+/// lock; Stats reads atomics with no lock at all; Keys serializes behind
+/// the structural lock. Called
 /// from the reactor threads, one pipelined frame at a time.
 pub(crate) fn handle(
     req: Request,
@@ -303,10 +303,6 @@ pub(crate) fn handle(
         Request::Keys { lo, hi } => {
             reply(out, Status::Ok, &encode_keys(&node.keys_in_range(lo, hi)));
         }
-        Request::RangeStats { lo, hi } => {
-            let (bytes, records) = node.range_stats(lo, hi);
-            reply(out, Status::Ok, &encode_range_stats(bytes, records));
-        }
         Request::Stats => reply(
             out,
             Status::Ok,
@@ -352,7 +348,6 @@ pub(crate) fn op_hist_name(op: Option<Op>) -> &'static str {
         Some(Op::Stats) => "server_op_us:stats",
         Some(Op::Ping) => "server_op_us:ping",
         Some(Op::Shutdown) => "server_op_us:shutdown",
-        Some(Op::RangeStats) => "server_op_us:range_stats",
         Some(Op::PutMany) => "server_op_us:put_many",
         Some(Op::GetMany) => "server_op_us:get_many",
         Some(Op::EvictMany) => "server_op_us:evict_many",

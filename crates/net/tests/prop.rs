@@ -3,10 +3,9 @@
 
 use bytes::Bytes;
 use ecc_net::protocol::{
-    decode_get_many, decode_keys, decode_range_stats, decode_stats, decode_statuses,
-    decode_with_trace, encode_get_many, encode_keys, encode_range_stats, encode_stats,
-    encode_statuses, encode_traced, read_frame, write_frame, Request, Response, Status,
-    TraceContext, TRACE_EXT_OPCODE, TRACE_EXT_VERSION,
+    decode_get_many, decode_keys, decode_stats, decode_statuses, decode_with_trace,
+    encode_get_many, encode_keys, encode_stats, encode_statuses, encode_traced, read_frame,
+    write_frame, Request, Response, Status, TraceContext, TRACE_EXT_OPCODE, TRACE_EXT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -26,7 +25,6 @@ fn arb_request() -> impl Strategy<Value = Request<'static>> {
             }
         }),
         (any::<u64>(), any::<u64>()).prop_map(|(lo, hi)| Request::Keys { lo, hi }),
-        (any::<u64>(), any::<u64>()).prop_map(|(lo, hi)| Request::RangeStats { lo, hi }),
         Just(Request::Stats),
         Just(Request::Ping),
         Just(Request::Shutdown),
@@ -78,8 +76,7 @@ proptest! {
     #[test]
     fn key_list_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
         let _ = decode_keys(Bytes::from(bytes.clone()));
-        let _ = decode_stats(Bytes::from(bytes.clone()));
-        let _ = decode_range_stats(Bytes::from(bytes));
+        let _ = decode_stats(Bytes::from(bytes));
     }
 
     #[test]
@@ -131,9 +128,9 @@ proptest! {
         prop_assert_eq!(decode_stats(encode_stats(used, count, cap)), Some((used, count, cap)));
     }
 
-    /// Adding `ObsDump` (0x0D) and retiring `Remove` (0x03) and `Sweep`
-    /// (0x04) must not disturb how any other opcode encodes: the first
-    /// payload byte is pinned per variant.
+    /// Adding `ObsDump` (0x0D) and retiring `Remove` (0x03), `Sweep`
+    /// (0x04) and the range statistics (0x09) must not disturb how any other opcode
+    /// encodes: the first payload byte is pinned per variant.
     #[test]
     fn opcode_bytes_are_stable_across_protocol_growth(req in arb_request()) {
         let enc = req.encode();
@@ -144,7 +141,6 @@ proptest! {
             Request::Stats => 0x06,
             Request::Ping => 0x07,
             Request::Shutdown => 0x08,
-            Request::RangeStats { .. } => 0x09,
             Request::PutMany { .. } => 0x0A,
             Request::GetMany { .. } => 0x0B,
             Request::EvictMany { .. } => 0x0C,
@@ -231,33 +227,11 @@ mod golden_bytes {
         );
     }
 
-    /// A pre-ObsDump 16-byte `RangeStats` body: bytes=4096, records=7 (LE).
-    #[test]
-    fn legacy_range_stats_body_still_decodes() {
-        let frozen: [u8; 16] = [
-            0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // bytes = 4096
-            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // records = 7
-        ];
-        assert_eq!(
-            decode_range_stats(Bytes::copy_from_slice(&frozen)),
-            Some((4096, 7))
-        );
-        assert_eq!(encode_range_stats(4096, 7).as_ref(), &frozen[..]);
-    }
-
-    /// A pre-ObsDump `Stats` request frame is a single 0x06 byte; a
-    /// pre-ObsDump `RangeStats` request is 0x09 + two LE u64s. Both must
-    /// decode unchanged, and the new opcode must not shadow them.
+    /// A pre-ObsDump `Stats` request frame is a single 0x06 byte. It must
+    /// decode unchanged, and the new opcode must not shadow it.
     #[test]
     fn legacy_request_frames_still_decode() {
         assert_eq!(Request::decode(&[0x06]), Some(Request::Stats));
-        let mut range = vec![0x09];
-        range.extend_from_slice(&100u64.to_le_bytes());
-        range.extend_from_slice(&200u64.to_le_bytes());
-        assert_eq!(
-            Request::decode(&range),
-            Some(Request::RangeStats { lo: 100, hi: 200 })
-        );
         // The new opcode decodes strictly: exactly one byte, no payload.
         assert_eq!(Request::decode(&[0x0D]), Some(Request::ObsDump));
         assert_eq!(Request::decode(&[0x0D, 0x00]), None);

@@ -16,8 +16,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use ecc_net::protocol::{
-    encode_get_many, encode_keys, encode_range_stats, encode_stats, encode_statuses, Request,
-    Response, Status,
+    encode_get_many, encode_keys, encode_stats, encode_statuses, Request, Response, Status,
 };
 
 /// Independent reimplementation of the sliding-window eviction scorer.
@@ -226,16 +225,6 @@ impl ModelServer {
                     self.map.range(lo..=hi).map(|(k, _)| *k).collect()
                 };
                 Response::ok(encode_keys(&keys))
-            }
-            Request::RangeStats { lo, hi } => {
-                let (mut bytes, mut records) = (0u64, 0u64);
-                if lo <= hi {
-                    for (_, v) in self.map.range(lo..=hi) {
-                        bytes += ecc_core::slab::footprint(v.len());
-                        records += 1;
-                    }
-                }
-                Response::ok(encode_range_stats(bytes, records))
             }
             Request::Stats => Response::ok(encode_stats(
                 self.used,

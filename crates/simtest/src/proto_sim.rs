@@ -5,7 +5,7 @@
 //! The trick that makes faults checkable: the oracle decodes the *mutated*
 //! bytes in-process with the production [`Request::decode`], so it knows
 //! precisely what the server will see (a corrupt byte may turn a `Put` into
-//! a `RangeStats`, or into garbage ⇒ `BadRequest`).
+//! a `Keys`, or into garbage ⇒ `BadRequest`).
 
 use std::io::Write;
 use std::net::TcpStream;

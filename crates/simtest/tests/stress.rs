@@ -257,11 +257,7 @@ fn wire_stress_matches_model_server_bit_exactly() {
             hi: u64::MAX,
         },
         Request::Stats,
-        Request::RangeStats {
-            lo: 0,
-            hi: u64::MAX,
-        },
-        Request::RangeStats {
+        Request::Keys {
             lo: MIG_LO,
             hi: MIG_HI,
         },
