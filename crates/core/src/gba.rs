@@ -1,8 +1,8 @@
 //! The paper's elasticity decisions, as pure functions of what a
 //! coordinator knows: the ring, per-node loads and a bucket's keys.
 //!
-//! [`crate::ElasticCache`] and the live TCP coordinator in `ecc-net` both
-//! call these, so each decision has one implementation:
+//! [`crate::engine::Engine`] calls these for the simulated cache and the
+//! live TCP coordinator alike, so each decision has one implementation:
 //!
 //! * GBA-Insert's fullest bucket ([`fullest_bucket`]) and median split
 //!   ([`split_plan`], applied to the ring by [`SplitPlan::flip`]);
@@ -11,29 +11,22 @@
 //!
 //! Ring geometry lives on [`HashRing`]: a bucket's arc in sweep order
 //! ([`HashRing::sweep_spans`]) and the coalescing of a node's redundant
-//! buckets ([`HashRing::coalesce`]). What each substrate does with a
-//! decision stays its own: the simulator drains records destructively and
-//! charges its virtual clock; the live coordinator copies, waits for the
-//! ack, flips the ring, then deletes.
+//! buckets ([`HashRing::coalesce`]).
 
 use ecc_chash::{HashRing, RingError};
 
 /// GBA-Insert's `b_max` (Algorithm 1): the fullest of `buckets` by
-/// `size`, the resident bytes of a bucket's arc (a wire probe on the live
-/// cluster, hence fallible). On a tie the later bucket wins. `None` when
-/// `buckets` is empty.
-pub fn fullest_bucket<E>(
-    buckets: &[u64],
-    mut size: impl FnMut(u64) -> Result<u64, E>,
-) -> Result<Option<u64>, E> {
+/// `size`, the resident bytes of a bucket's arc. On a tie the later bucket
+/// wins. `None` when `buckets` is empty.
+pub fn fullest_bucket(buckets: &[u64], mut size: impl FnMut(u64) -> u64) -> Option<u64> {
     let mut best: Option<(u64, u64)> = None;
     for &b in buckets {
-        let bytes = size(b)?;
+        let bytes = size(b);
         if best.is_none_or(|(_, most)| bytes >= most) {
             best = Some((b, bytes));
         }
     }
-    Ok(best.map(|(b, _)| b))
+    best.map(|(b, _)| b)
 }
 
 /// What a GBA split moves, and where the ring puts it.
@@ -177,7 +170,7 @@ mod tests {
 
     #[test]
     fn fullest_bucket_cases() {
-        let sizes = |bytes: &'static [u64]| move |b: u64| Ok::<_, ()>(bytes[b as usize]);
+        let sizes = |bytes: &'static [u64]| move |b: u64| bytes[b as usize];
         // (bucket sizes by position, fullest).
         let cases: [(&'static [u64], Option<u64>); 5] = [
             (&[], None),
@@ -190,15 +183,8 @@ mod tests {
         ];
         for (bytes, want) in cases {
             let buckets: Vec<u64> = (0..bytes.len() as u64).collect();
-            assert_eq!(
-                fullest_bucket(&buckets, sizes(bytes)),
-                Ok(want),
-                "{bytes:?}"
-            );
+            assert_eq!(fullest_bucket(&buckets, sizes(bytes)), want, "{bytes:?}");
         }
-        // A failed probe fails the choice.
-        let failed = fullest_bucket(&[0, 1], |b| if b == 1 { Err("down") } else { Ok(3) });
-        assert_eq!(failed, Err("down"));
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   resort), **Sweep-and-Migrate** (Algorithm 2: linked-leaf range sweep),
 //!   sliding-window **eviction** (decay-scored, §III-B) and conservative
 //!   node **contraction**.
+//! * [`engine`] — the elastic operations (split, step close, merge),
+//!   written once over a substrate: the simulated cache here, and the live
+//!   TCP coordinator in `ecc-net`.
 //! * [`gba`] — the paper's decisions (fullest bucket, split plan,
-//!   destination, merge pair) as pure functions, which the live TCP
-//!   coordinator in `ecc-net` calls too.
+//!   destination, merge pair) as pure functions, which the engine calls.
 //! * [`StaticCache`] — the paper's baseline: a fixed fleet (static-2/4/8)
 //!   with per-node LRU replacement, as in cluster/grid deployments and
 //!   memcached.
@@ -60,6 +62,7 @@
 mod adaptive;
 mod config;
 mod elastic;
+pub mod engine;
 mod error;
 pub mod gba;
 pub mod lockorder;
@@ -75,8 +78,8 @@ mod window;
 
 pub use adaptive::{AdaptiveWindowConfig, WindowController};
 pub use config::{CacheConfig, WindowConfig};
-pub use elastic::{CacheAuditError, ElasticCache, NodeId};
-pub use error::CacheError;
+pub use elastic::{ElasticCache, NodeId};
+pub use error::{CacheAuditError, CacheError};
 pub use lockorder::{LockClass, LockOrderViolation, LockToken};
 pub use lru::Lru;
 pub use metrics::{Metrics, NodeCounters, NodeOpStats};

@@ -77,22 +77,16 @@ impl CacheNode {
         self.tree.remove(&key)
     }
 
-    /// Sum of charged record footprints in the inclusive key range (the
+    /// `(key, charged footprint)` of every record in the inclusive key
+    /// range, in key order (the non-destructive half of a sweep, and the
     /// aggregation test of Algorithm 2 line 3 — "maintaining an internal
     /// structure on the server which holds the keys' respective object
     /// size"). Footprints, not raw lengths, because the callers compare
-    /// this against capacity headroom on a destination node.
-    pub fn bytes_in_range(&self, lo: u64, hi: u64) -> u64 {
+    /// them against capacity headroom on a destination node.
+    pub fn records(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.tree
             .range(lo..=hi)
-            .map(|(_, r)| r.byte_size() as u64)
-            .sum()
-    }
-
-    /// Keys in the inclusive range, in order (the non-destructive half of a
-    /// sweep).
-    pub fn keys_in_range(&self, lo: u64, hi: u64) -> Vec<u64> {
-        self.tree.keys_in_range(lo..=hi)
+            .map(|(&k, r)| (k, r.byte_size() as u64))
     }
 
     /// Remove and return all records in the inclusive key range, in order —
@@ -100,17 +94,6 @@ impl CacheNode {
     /// the linked leaves, delete as you go).
     pub fn drain_range(&mut self, lo: u64, hi: u64) -> Vec<(u64, Record)> {
         self.tree.drain_range(&lo, &hi)
-    }
-
-    /// Remove and return everything (node merge during contraction).
-    pub fn drain_all(&mut self) -> Vec<(u64, Record)> {
-        match (
-            self.tree.first_key().copied(),
-            self.tree.last_key().copied(),
-        ) {
-            (Some(lo), Some(hi)) => self.tree.drain_range(&lo, &hi),
-            _ => Vec::new(),
-        }
     }
 
     /// Iterate over all `(key, record)` pairs in key order.
@@ -166,9 +149,11 @@ mod tests {
         for k in 0..100u64 {
             n.insert(k, Record::filler(10));
         }
-        assert_eq!(n.bytes_in_range(0, 49), 50 * fp(10));
-        assert_eq!(n.keys_in_range(10, 19).len(), 10);
-        assert_eq!(n.keys_in_range(95, 200), vec![95, 96, 97, 98, 99]);
+        let bytes: u64 = n.records(0, 49).map(|(_, fp)| fp).sum();
+        assert_eq!(bytes, 50 * fp(10));
+        assert_eq!(n.records(10, 19).count(), 10);
+        let keys: Vec<u64> = n.records(95, 200).map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![95, 96, 97, 98, 99]);
     }
 
     #[test]
@@ -183,19 +168,6 @@ mod tests {
         assert_eq!(n.used_bytes(), 50 * fp(10));
         assert!(moved.windows(2).all(|w| w[0].0 < w[1].0));
         n.validate();
-    }
-
-    #[test]
-    fn drain_all_empties_the_node() {
-        let mut n = node(10_000);
-        for k in [5u64, 1, 9, 3] {
-            n.insert(k, Record::filler(7));
-        }
-        let all = n.drain_all();
-        assert_eq!(all.len(), 4);
-        assert!(n.is_empty());
-        assert_eq!(n.used_bytes(), 0);
-        assert!(node(10).drain_all().is_empty());
     }
 
     #[test]

@@ -1,9 +1,21 @@
 //! The live TCP deployment and the simulated cache implement the same
 //! protocol: driven with the same operations, they must agree on cache
-//! contents, placement behaviour and growth.
+//! contents, placement behaviour and growth, and make the same structural
+//! decisions in the same order.
 
 use elastic_cloud_cache::net::coordinator::LiveCoordinator;
 use elastic_cloud_cache::prelude::*;
+
+/// The structural events of `live` and `sim`, times dropped, as sequences:
+/// the split buckets and destinations, moved records, evicted keys per
+/// node and merge pairs, event for event.
+fn assert_same_decisions(live: &LiveCoordinator, sim: &ElasticCache) {
+    let live_events = live.obs().events_since(0).into_iter();
+    let sim_events = sim.obs().events_since(0).into_iter();
+    let live_events: Vec<_> = live_events.filter_map(|(_, e)| e.untimed()).collect();
+    let sim_events: Vec<_> = sim_events.filter_map(|(_, e)| e.untimed()).collect();
+    assert_eq!(live_events, sim_events);
+}
 
 /// Deterministic pseudo-random key sequence.
 fn key_seq(n: usize, seed: u64) -> Vec<u64> {
@@ -41,8 +53,10 @@ fn live_and_simulated_caches_agree_on_contents() {
         }
     }
 
-    // Identical resident sets with identical payloads.
+    // Identical resident sets with identical payloads, placed by the same
+    // decisions.
     let (live_bytes, live_records) = live.totals().unwrap();
+    assert_same_decisions(&live, &sim);
     assert_eq!(live_records as usize, sim.total_records());
     assert_eq!(live_bytes, sim.total_bytes());
     for &key in &keys {
@@ -63,11 +77,28 @@ fn live_cluster_survives_a_grow_evict_contract_cycle() {
     let mut live = LiveCoordinator::start(1 << 16, 8 * 1024).unwrap();
     live.enable_window(2, 0.99, 0.99);
 
+    // The simulator with the same window, ε and the live floor of one node.
+    let mut cfg = CacheConfig::small_test();
+    cfg.ring_range = 1 << 16;
+    cfg.node_capacity_bytes = 8 * 1024;
+    cfg.btree_order = 64;
+    cfg.window = Some(WindowConfig {
+        slices: 2,
+        alpha: 0.99,
+        threshold: Some(0.99),
+    });
+    cfg.contraction_epsilon = live.contraction_epsilon;
+    cfg.min_nodes = 1;
+    let mut sim = ElasticCache::new(cfg);
+
     // Grow.
     let keys = key_seq(64, 3);
     for &key in &keys {
         if live.get(key).unwrap().is_none() {
             live.put(key, vec![7u8; 1024]).unwrap();
+        }
+        if sim.lookup(key).is_none() {
+            sim.insert(key, Record::from_vec(vec![7u8; 1024])).unwrap();
         }
     }
     let peak = live.node_count();
@@ -78,17 +109,25 @@ fn live_cluster_survives_a_grow_evict_contract_cycle() {
     for _ in 0..4 {
         for &k in &warm {
             assert!(live.get(k).unwrap().is_some(), "warm key {k} lost");
+            assert!(sim.lookup(k).is_some(), "warm key {k} lost");
         }
         live.end_time_step().unwrap();
+        sim.end_time_step();
     }
     // Cold keys expired; warm keys survive.
     for &k in &cold {
         assert!(live.get(k).unwrap().is_none(), "cold key {k} survived");
+        assert!(sim.lookup(k).is_none(), "cold key {k} survived");
     }
     for &k in &warm {
         assert!(live.get(k).unwrap().is_some(), "warm key {k} evicted");
+        assert!(sim.lookup(k).is_some(), "warm key {k} evicted");
     }
     let (_, records) = live.totals().unwrap();
     assert_eq!(records as usize, warm.len());
+    assert_eq!(sim.total_records(), warm.len());
+    assert!(sim.metrics().merges > 0, "the cycle contracted nothing");
+    assert_same_decisions(&live, &sim);
+    sim.validate();
     live.shutdown().unwrap();
 }
