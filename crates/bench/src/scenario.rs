@@ -14,7 +14,7 @@ use ecc_core::{ElasticCache, Record, WindowConfig};
 use ecc_workload::driver::Op;
 use ecc_workload::scenario::Scenario;
 
-use crate::{paper_cfg, write_csv, RECORD_BYTES};
+use crate::{paper_cfg, RECORD_BYTES};
 
 /// Modelled uncached service cost per query, µs (the paper's ≈23 s
 /// shoreline derivation). Scenario sims use one flat constant so the
@@ -142,22 +142,6 @@ pub fn scenario_csv_rows(summaries: &[ScenarioSummary]) -> Vec<Vec<String>> {
             ]
         })
         .collect()
-}
-
-/// Run every zoo scenario at `seed` for `steps` (or each scenario's own
-/// default horizon when `steps` is `None`) and write
-/// `results/scenarios.csv`. Returns the summaries in registry order.
-pub fn run_all_scenarios(seed: u64, steps: Option<u64>) -> std::io::Result<Vec<ScenarioSummary>> {
-    let summaries: Vec<ScenarioSummary> = Scenario::all()
-        .iter()
-        .map(|sc| run_scenario_sim(sc, seed, steps.unwrap_or_else(|| sc.default_steps())))
-        .collect();
-    write_csv(
-        "scenarios.csv",
-        SCENARIO_CSV_HEADER,
-        &scenario_csv_rows(&summaries),
-    )?;
-    Ok(summaries)
 }
 
 #[cfg(test)]

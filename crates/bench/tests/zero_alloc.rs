@@ -1,8 +1,7 @@
 //! Steady-state serving makes zero global-allocator calls.
 //!
 //! This binary links `ecc_bench`, whose counting allocator sees every
-//! allocation of the process — the client thread, the acceptor and the
-//! reactor alike. It holds a single `#[test]`, run phase by phase, so no
+//! allocation of the process — the client thread and the reactor alike. It holds a single `#[test]`, run phase by phase, so no
 //! neighbouring test allocates inside a counted window.
 //!
 //! The windows are the one owner of the hot path's no-allocation rule,

@@ -170,11 +170,6 @@ impl SimCloud {
         &self.clock
     }
 
-    /// Replace the boot-latency model (ablation harnesses).
-    pub fn set_boot_latency(&mut self, boot: BootLatency) {
-        self.boot = boot;
-    }
-
     /// Request a new machine. Does **not** advance the clock — see
     /// [`AllocationReceipt::boot_us`].
     pub fn allocate(&mut self, itype: InstanceType) -> AllocationReceipt {

@@ -16,7 +16,7 @@
 
 use ecc_bptree::ByteSize;
 use ecc_chash::HashRing;
-use ecc_cloudsim::{Event, InstanceId, NetModel, PersistentStore, SimClock, SimCloud, US_PER_SEC};
+use ecc_cloudsim::{Event, InstanceId, NetModel, PersistentStore, SimClock, SimCloud};
 use ecc_obs::{LogHistogram, ObsEvent, ObsRegistry, TimeSource};
 
 use crate::adaptive::WindowController;
@@ -640,11 +640,6 @@ impl ElasticCache {
         if let Err(e) = self.check_invariants() {
             panic!("cache invariant violated: {e}");
         }
-    }
-
-    /// Convenience: seconds of virtual time elapsed.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.clock.now_us() as f64 / US_PER_SEC as f64
     }
 }
 

@@ -255,30 +255,25 @@ impl ShardedNode {
     }
 
     /// Block in `acquire` and record how long it took under
-    /// `lock_wait_us:{structural,stripe}` (not timed when unobserved).
+    /// `lock_wait_us:{structural,stripe}` (not timed when unobserved). A
+    /// traced request's wait is also a `lock_wait` span under the caller's
+    /// live span (the server's `srv_exec`); the unsampled path costs one
+    /// thread-local peek, and an acquisition that does not wait opens none.
     #[cold]
     fn timed_wait<G>(&self, class: LockClass, acquire: impl FnOnce() -> G) -> G {
         let Some(obs) = &self.obs else {
             return acquire();
         };
+        let span = obs.span_follow("lock_wait");
         let t0 = obs.now_us();
         let guard = acquire();
+        drop(span);
         let name = match class {
             LockClass::Structural => "lock_wait_us:structural",
             _ => "lock_wait_us:stripe",
         };
         obs.record(name, obs.now_us().saturating_sub(t0));
         guard
-    }
-
-    /// Open a `lock_wait` span under the caller's live span (the server's
-    /// `srv_exec`), or `None` when the request is unsampled / untraced —
-    /// the unsampled path costs one thread-local peek. The guard must be
-    /// dropped as soon as the locks are acquired so the span measures
-    /// waiting, not work done under the lock.
-    #[inline]
-    fn wait_span(&self) -> Option<ecc_obs::SpanGuard> {
-        self.obs.as_ref().and_then(|o| o.span_follow("lock_wait"))
     }
 
     /// Look up a record and hand it to `f` by reference, under
@@ -288,11 +283,9 @@ impl ShardedNode {
     /// stripe wait for at most that one copy, and concurrent GETs never
     /// exclude each other.
     pub fn get_with<T>(&self, key: u64, f: impl FnOnce(Option<&Record>) -> T) -> T {
-        let wait = self.wait_span();
         let _structural = self.read_lock(&self.structural, LockClass::Structural);
         let idx = stripe_of(key, self.mask);
         let stripe = self.read_lock(&self.stripes[idx], LockClass::Stripe(idx));
-        drop(wait);
         let found = stripe.get(&key);
         self.counters.note_get(found.is_some());
         f(found)
@@ -354,11 +347,9 @@ impl ShardedNode {
     /// is a CAS reservation on the byte atomic — concurrent PUTs on
     /// different stripes cannot jointly overshoot the capacity.
     fn store(&self, key: u64, new_len: usize, make: impl FnOnce() -> Record) -> PutOutcome {
-        let wait = self.wait_span();
         let _structural = self.read_lock(&self.structural, LockClass::Structural);
         let idx = stripe_of(key, self.mask);
         let mut stripe = self.write_lock(&self.stripes[idx], LockClass::Stripe(idx));
-        drop(wait);
 
         let new_fp = slab::footprint(new_len);
         let upserted = stripe.upsert(key, |old| {
@@ -391,11 +382,9 @@ impl ShardedNode {
     /// Remove a record; returns it (payload shared, not copied — the slot
     /// outlives residency until the caller drops the handle).
     pub fn remove(&self, key: u64) -> Option<Record> {
-        let wait = self.wait_span();
         let _structural = self.read_lock(&self.structural, LockClass::Structural);
         let idx = stripe_of(key, self.mask);
         let mut stripe = self.write_lock(&self.stripes[idx], LockClass::Stripe(idx));
-        drop(wait);
         let removed = stripe.remove(&key);
         if let Some(rec) = &removed {
             self.used
@@ -645,6 +634,57 @@ mod tests {
         assert_eq!(waited.count(), 1);
         assert!(waited.sum() >= HOLD_US, "waited {} us", waited.sum());
         assert_eq!(snap.hist("lock_wait_us:structural"), None);
+    }
+
+    #[test]
+    fn a_traced_op_opens_a_lock_wait_span_only_when_a_lock_waits() {
+        use ecc_obs::{ObsEvent, TimeSource};
+        use std::sync::atomic::AtomicBool;
+
+        let obs = ObsRegistry::new(TimeSource::real());
+        let n = ShardedNode::new(1 << 20, 8, 4).with_obs(obs.clone());
+        let items: Vec<(u64, &[u8])> = (0..64u64).map(|k| (k, &[1u8; 10][..])).collect();
+        let lock_waits = || {
+            let events = obs.snapshot().events;
+            let waits = events.iter().filter(
+                |e| matches!(e, ObsEvent::SpanStart { kind, .. } if kind.as_str() == "lock_wait"),
+            );
+            waits.count()
+        };
+        let traced_put_many = || {
+            let _req = obs.span_root("req");
+            n.put_many(&items, |verdict| assert_eq!(verdict, PutOutcome::Stored));
+        };
+
+        traced_put_many();
+        assert_eq!(
+            lock_waits(),
+            0,
+            "an uncontended batch opened lock_wait spans"
+        );
+
+        // A writer holds the structural lock across the batch's first
+        // item; the holder lets go once the batch has started.
+        let started = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let held = n.structural.write();
+            let batch = scope.spawn(|| {
+                started.store(true, Ordering::Release);
+                traced_put_many();
+            });
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            drop(held);
+            batch.join().expect("batch");
+        });
+        assert_eq!(lock_waits(), 1, "one wait, one lock_wait span");
+        let waited = obs
+            .snapshot()
+            .hist("lock_wait_us:structural")
+            .map(|h| h.count());
+        assert_eq!(waited, Some(1));
     }
 
     #[test]

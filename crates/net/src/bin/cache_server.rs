@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use ecc_net::client::RemoteNode;
-use ecc_net::server::CacheServer;
+use ecc_net::server::{CacheServer, DEFAULT_MAX_CONNECTIONS};
 
 struct Args {
     port: u16,
@@ -77,10 +77,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let server = match CacheServer::spawn_on(
+    let server = match CacheServer::spawn_with(
         ("0.0.0.0", args.port),
         args.capacity_mb * 1024 * 1024,
         args.btree_order,
+        DEFAULT_MAX_CONNECTIONS,
+        None,
     ) {
         Ok(s) => s,
         Err(e) => {
@@ -95,7 +97,8 @@ fn main() -> ExitCode {
         args.btree_order
     );
 
-    // Serve until a SHUTDOWN request lands (probed via loopback ping).
+    // Serve until a SHUTDOWN request closes the port (probed via loopback
+    // ping).
     let probe_addr = std::net::SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
     loop {
         std::thread::sleep(Duration::from_millis(500));

@@ -3,7 +3,9 @@
 //! Runs the elasticity engine ([`ecc_core::engine`]) that the simulated
 //! [`ecc_core::ElasticCache`] runs, over a cluster of TCP cache servers:
 //! every migration travels the wire as copy → ack → ring flip → delete,
-//! and spawning a server thread stands in for booting an EC2 instance.
+//! and registering a node with the process's reactor pool stands in for
+//! booting an EC2 instance: a split starts no thread and a merge joins
+//! none.
 //!
 //! One coordinator owns the ring and is the only writer, as in the paper
 //! (queries are "first sent to a coordinating compute node"). So it decides
@@ -690,8 +692,8 @@ impl Substrate for Cluster {
             DEFAULT_MAX_CONNECTIONS,
             None,
             self.obs.time(),
-            id as u32 + 1,
         )?;
+        server.obs().set_origin(id as u32 + 1);
         let client = RemoteNode::connect(server.addr())?.with_obs(self.obs.clone());
         self.nodes.push(Some(ManagedNode {
             server,
@@ -972,6 +974,23 @@ mod tests {
         assert!(spans
             .iter()
             .any(|s| s.kind.starts_with("wire:") && fanouts.contains(&s.parent)));
+        c.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_merged_node_is_freed_when_dealloc_returns() {
+        let mut c = two_node_fleet();
+        for k in [100, 200] {
+            c.put(k, vec![7; 60]).unwrap();
+        }
+        c.put(10_000, vec![9; 100]).unwrap();
+        let node = c.cluster.nodes[0].as_ref().unwrap();
+        let merged = Arc::downgrade(&node.server.node);
+        c.try_contract().unwrap();
+        assert_eq!(c.merges, 1);
+        // The coordinator dropped its server; no reactor holds the node
+        // either, so its slab pages are unmapped already.
+        assert!(merged.upgrade().is_none(), "the merged node is still held");
         c.shutdown().unwrap();
     }
 

@@ -14,14 +14,16 @@
 //! for the coordinator's split planning, `OBS_DUMP` for observability,
 //! and `PING`/`SHUTDOWN` for lifecycle.
 //!
-//! Threading model: each server is an event-driven multi-reactor
-//! ([`reactor`]) — an acceptor enforcing the connection bound hands
-//! admitted sockets round-robin to N reactor threads, which sweep their
-//! owned connections with nonblocking reads, execute every pipelined
-//! frame against the hash-striped [`ecc_core::ShardedNode`], and flush all
-//! responses in one gathered write per sweep; a reactor with nothing to
-//! do blocks in `poll(2)` on its sockets, so an idle node costs no CPU and
-//! a request into it costs one kernel wakeup. Clients can pipeline
+//! Threading model: one event-driven reactor pool per process
+//! ([`reactor`]) serves every node in it. A node is a listener registered
+//! with the pool; the reactor that owns the listener accepts, enforces the
+//! connection bound, and hands admitted sockets round-robin to the pool's
+//! reactors, which sweep their owned connections with nonblocking reads,
+//! execute every pipelined frame against the connection's hash-striped
+//! [`ecc_core::ShardedNode`], and flush all responses in one gathered
+//! write per sweep; a reactor with nothing to do blocks in `poll(2)` on
+//! its sockets and listeners, so an idle node costs no CPU and a request
+//! into it costs one kernel wakeup. Clients can pipeline
 //! ([`client::PipelinedConn`]) to amortize syscalls across in-flight
 //! requests. Unix only (`poll`, `UnixStream` wakers).
 //!

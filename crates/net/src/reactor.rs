@@ -1,80 +1,72 @@
-//! Event-driven multi-reactor connection engine.
+//! Event-driven reactor pool: a fixed set of reactor threads serving every
+//! cache node of the process (DESIGN §15).
 //!
-//! N **reactor threads** each own a disjoint slice of the server's
-//! connections, handed off round-robin by the acceptor:
-//!
-//! * **Nonblocking sockets, level sampling.** Each sweep, a reactor visits
-//!   every owned connection with a nonblocking `read` into that
-//!   connection's reused [`FrameAssembler`] buffer.
-//! * **Request pipelining.** Every complete frame that arrived is decoded
-//!   and executed back-to-back against the shared `ShardedNode`; the
-//!   responses accumulate in the connection's write queue and are flushed
-//!   with a *single* gathered `write` per sweep. One wakeup can retire an
-//!   entire burst — syscalls amortize across the pipeline depth instead
-//!   of costing two context switches per request.
+//! * **Joining.** A node is a [`NodeCtx`] plus a nonblocking `TcpListener`
+//!   handed to one reactor, its *home*; no thread is created for it. The
+//!   listener sits in the home's `poll` set, where `POLLIN` means a
+//!   connection waits. The home accepts (also every [`HOT_SWEEPS`] loop
+//!   turns while it never blocks), enforces the node's connection bound
+//!   (one [`Status::Busy`] frame past it) and hands each admitted
+//!   connection round-robin to the pool's reactors, starting with itself.
 //! * **Connection ownership.** A connection lives on exactly one reactor
-//!   for its whole life, so per-connection state (assembler, write queue)
-//!   is plain mutable data — no locks, no cross-reactor work stealing,
-//!   nothing for the lock-order auditor to even see.
-//! * **Backpressure.** A connection whose peer stops draining responses
-//!   accumulates at most [`WRITE_HIGH_WATER`] queued bytes; past that the
-//!   reactor stops reading it until the queue drains.
-//! * **Idle discipline: hot yield window, then an untimed `poll(2)`.** A
-//!   sweep that moved nothing is followed by `yield_now`, up to
-//!   [`HOT_SWEEPS`] times — a closed-loop client's next request lands
-//!   inside that window and costs no wakeup. After it the reactor blocks
-//!   in `sys::wait` with no timeout on its waker plus every owned
-//!   socket, so a cold node costs no CPU and answers one kernel wakeup
-//!   after the bytes arrive. A connection asks for `POLLIN` while the
-//!   reactor would read it (`Conn::wants_read`: not at EOF, not closing,
-//!   under the write high-water mark) and for `POLLOUT` while it has
-//!   unflushed responses, so a stalled flush resumes when the peer drains
-//!   and a backpressured connection is read again once its queue falls.
-//! * **The waker.** Three things a reactor must notice are not bytes on an
-//!   owned socket, so each reactor also polls one end of a nonblocking
-//!   `UnixStream` pair, and whoever causes the event writes a byte to the
-//!   other end: the acceptor after handing off a connection, `stop()`
-//!   after raising `halt`, and the reactor that executes a wire
-//!   `Shutdown` — its siblings have no connection that would tell them.
+//!   for its whole life and carries its node's context, so its state
+//!   (assembler, write queue) is plain mutable data — no locks, no work
+//!   stealing.
+//! * **The sweep.** Each turn a reactor reads every owned connection
+//!   nonblocking into its reused [`FrameAssembler`], executes every
+//!   complete frame back-to-back against the connection's node, and
+//!   flushes the responses with a *single* gathered `write`. A connection
+//!   holding more than [`WRITE_HIGH_WATER`] unflushed bytes is not read
+//!   until its peer drains (backpressure).
+//! * **Idle discipline.** A turn that moved nothing is followed by
+//!   `yield_now`, up to [`HOT_SWEEPS`] times; then the reactor blocks in
+//!   `sys::wait` with no timeout on its waker, its listeners and every
+//!   owned socket (`POLLIN` while `Conn::wants_read`, `POLLOUT` while
+//!   responses are unflushed), so an idle pool costs no CPU.
+//! * **Commands.** What a reactor hears from other threads — a listener, a
+//!   sibling's hand-off, a wire `Shutdown`'s request to close a listener,
+//!   a deregistration, a private pool's halt — arrives as a [`Command`] on
+//!   its channel, followed by one byte on its waker (a nonblocking
+//!   `UnixStream` pair whose read end is in the `poll` set).
+//! * **Leaving.** [`ReactorPool::deregister`] is a handshake in two
+//!   rounds: the home drops the node's listener and connections, then
+//!   every other reactor does, each acknowledging by dropping a channel
+//!   sender. After the first round no connection of the node can be handed
+//!   off; every hand-off already sent is queued ahead of the second. So
+//!   when it returns, no reactor holds a socket of the node or the node.
 //!
 //! Unix only: `poll` and the waker pair are the platform's.
 //!
-//! Observability: nothing shared is touched per frame. Each reactor records
-//! into its own `SweepObs` — `server_op_us:<op>` (end of the previous
-//! frame, or the sweep's first clock read, → this frame's response queued:
-//! one clock read per frame, and a sweep's samples add up to its span),
-//! `reactor_frames_per_wake` (the burst one sweep of one connection
-//! retired), `reactor_dispatch_us` (first clock read → responses fully
-//! flushed: the queueing+execution slice of wire RTT), `reactor_wake_us`
-//! (blocking wait returned → first byte read on that wake: the reactor's
-//! own share of a cold request's latency; the kernel's share is only
-//! visible from the client) and the payload-byte counters
-//! `frame_bytes_rx`/`frame_bytes_tx` — and folds it into the node's
-//! [`ObsRegistry`] under one histogram lock per connection-sweep that
-//! dispatched frames. The fold comes before the gathered write, and before
-//! an `ObsDump` frame executes, so a client that has read a reply never
-//! fetches a dump that lacks it; what a sweep measures after its fold (its
-//! `reactor_dispatch_us`) rides in the next one, or in the fold that
-//! precedes the blocking wait. Per-op frame counts are the
-//! `server_op_us:*` counts. `reactor_idle_wakes` counts returns from the
-//! blocking wait. Before it blocks, a reactor cuts drained buffers back to
-//! `KEPT_BUF_BYTES` and reports its share of `mem_bytes:conn_buf`.
+//! Observability: nothing shared is touched per frame. A reactor keeps one
+//! `SweepObs` per node it serves — `server_op_us:<op>` (one clock read per
+//! frame, when its response is queued), `reactor_frames_per_wake`,
+//! `reactor_dispatch_us` (first clock read → responses flushed),
+//! `reactor_wake_us` (blocking wait returned → first byte read, charged to
+//! the node whose connection read it) and `frame_bytes_rx`/`_tx` — and
+//! folds it into that node's [`ObsRegistry`] once per connection-sweep that
+//! dispatched frames, before the gathered write and before an `ObsDump`
+//! executes, so a client that has read a reply never fetches a dump that
+//! lacks it. Before it blocks, a reactor folds what is left, cuts drained
+//! buffers back to `KEPT_BUF_BYTES` and reports each node's share of
+//! `mem_bytes:conn_buf`. `reactor_idle_wakes` counts returns from the
+//! blocking wait: each one once in every node with a listener or a
+//! connection on that reactor.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use ecc_core::ShardedNode;
-use ecc_obs::{LogHistogram, ObsRegistry};
+use ecc_obs::{LogHistogram, ObsRegistry, TimeSource};
 
 use crate::protocol::{
     append_frame, decode_with_trace, release_buf, FrameAssembler, Op, Request, Status, TraceContext,
 };
-use crate::server::{handle, op_hist_name, reply, ConnSlot};
+use crate::server::{handle, op_hist_name, reply};
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 
 /// Default reactor-thread count: one per core up to 4. Cache serving is
@@ -87,19 +79,37 @@ pub const DEFAULT_REACTOR_THREADS: usize = 4;
 const WRITE_HIGH_WATER: usize = 4 * 1024 * 1024;
 
 /// Unproductive sweeps a reactor tolerates before it blocks in `poll`
-/// (below this it only yields, keeping closed-loop RTT tight).
+/// (below this it only yields, keeping closed-loop RTT tight); also how
+/// many loop turns a reactor that never blocks goes between accepts.
 const HOT_SWEEPS: u32 = 64;
 
-/// Pick the spawn-time reactor count: the configured override, else
-/// [`DEFAULT_REACTOR_THREADS`] capped by available parallelism.
-pub(crate) fn effective_reactors(requested: Option<usize>) -> usize {
-    match requested {
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .clamp(1, DEFAULT_REACTOR_THREADS),
-    }
+/// The process pool's reactor count: [`DEFAULT_REACTOR_THREADS`] capped by
+/// available parallelism.
+pub(crate) fn effective_reactors() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+        .clamp(1, DEFAULT_REACTOR_THREADS)
+}
+
+/// One node the pool serves: what its server handle and every reactor
+/// holding one of its sockets share.
+pub(crate) struct NodeCtx {
+    /// The node every request of its connections executes against.
+    pub(crate) node: ShardedNode,
+    /// The node's histogram/event registry (the `ObsDump` store).
+    pub(crate) obs: ObsRegistry,
+    /// The reactor that owns the listener and accepts.
+    home: usize,
+    /// Bound on admitted connections open at once.
+    max_connections: u64,
+    /// Admitted connections open now. Only the home reactor adds; the
+    /// reactor that drops a connection subtracts.
+    live: AtomicU64,
+    /// Connections admitted so far.
+    pub(crate) accepted: AtomicU64,
+    /// Connections refused with a `Busy` frame.
+    pub(crate) refused: AtomicU64,
 }
 
 /// One connection owned by a reactor thread.
@@ -114,23 +124,18 @@ struct Conn {
     got_eof: bool,
     /// Close once `wbuf` drains (the connection that requested Shutdown).
     close_after_flush: bool,
-    /// Frees this connection's slot under the accept bound on drop.
-    _slot: ConnSlot,
+    /// Its node, whose connection bound it holds a place under until it
+    /// is dropped.
+    node: Arc<NodeCtx>,
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        self.node.live.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 impl Conn {
-    fn new(stream: TcpStream, slot: ConnSlot) -> Conn {
-        Conn {
-            stream,
-            asm: FrameAssembler::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            got_eof: false,
-            close_after_flush: false,
-            _slot: slot,
-        }
-    }
-
     fn pending_write(&self) -> usize {
         self.wbuf.len() - self.wpos
     }
@@ -180,21 +185,130 @@ impl Conn {
     }
 }
 
-/// The write ends of every reactor's waker pair, indexed like the
-/// reactors. One byte makes the read end readable, which ends that
-/// reactor's blocking wait.
-struct Wakers(Vec<UnixStream>);
+/// What a reactor hears from other threads, one byte on its waker after
+/// each.
+enum Command {
+    /// Accept for the node on this listener.
+    Listen(Arc<NodeCtx>, TcpListener),
+    /// Own an admitted connection.
+    Adopt(Conn),
+    /// Close the node's listener: a wire `Shutdown` executed.
+    Unlisten(Arc<NodeCtx>),
+    /// Drop the node's listener and connections. Dropping the sender, once
+    /// they are gone, is the acknowledgement.
+    Forget(Arc<NodeCtx>, mpsc::Sender<()>),
+    /// Flush what is owed and exit (a private pool's stop).
+    Halt,
+}
 
-impl Wakers {
-    fn wake(&self, i: usize) {
-        // Nonblocking: `WouldBlock` means unread wake bytes already fill
-        // the socket buffer, so the reactor is as good as woken.
-        drop((&self.0[i]).write(&[1]));
+/// A fixed set of reactor threads and, per reactor, its command channel
+/// and the write end of its waker pair.
+pub(crate) struct ReactorPool {
+    inboxes: Vec<(mpsc::Sender<Command>, UnixStream)>,
+    /// Round-robin cursor over the reactors for listener homes.
+    next_home: AtomicUsize,
+}
+
+impl ReactorPool {
+    /// Start `n` reactor threads named `{name}-{i}`; returns the pool and
+    /// their join handles.
+    pub(crate) fn start(
+        n: usize,
+        name: &str,
+    ) -> io::Result<(Arc<ReactorPool>, Vec<JoinHandle<()>>)> {
+        let mut inboxes = Vec::with_capacity(n);
+        let mut ends = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            // A list channel: it allocates per message, not a slot array
+            // up front.
+            let (commands, inbox) = mpsc::channel();
+            inboxes.push((commands, tx));
+            ends.push((inbox, rx));
+        }
+        let pool = Arc::new(ReactorPool {
+            inboxes,
+            next_home: AtomicUsize::new(0),
+        });
+        let mut threads = Vec::with_capacity(n);
+        for (index, (inbox, waker)) in ends.into_iter().enumerate() {
+            let reactor = Reactor {
+                index,
+                pool: Arc::clone(&pool),
+                inbox,
+                waker,
+                clock: TimeSource::real(),
+                served: Vec::new(),
+                pollfds: Vec::new(),
+            };
+            let thread = std::thread::Builder::new()
+                .name(format!("{name}-{index}"))
+                .spawn(move || reactor.run())
+                // The reactors already started exit on their own.
+                .inspect_err(|_| pool.halt())?;
+            threads.push(thread);
+        }
+        Ok((pool, threads))
     }
 
-    fn wake_all(&self) {
-        for i in 0..self.0.len() {
-            self.wake(i);
+    /// Queue `command` for reactor `i` and wake it. A send fails only if
+    /// that reactor has exited; the command is dropped then, which drops
+    /// what it carries (a connection closes, an acknowledgement is given).
+    fn send(&self, i: usize, command: Command) {
+        let (commands, waker) = &self.inboxes[i];
+        if commands.send(command).is_ok() {
+            // Nonblocking: `WouldBlock` means unread wake bytes already
+            // fill the socket buffer, so the reactor is as good as woken.
+            drop((&*waker).write(&[1]));
+        }
+    }
+
+    /// Serve `node` on the nonblocking `listener`, accepting on the next
+    /// reactor in rotation.
+    pub(crate) fn register(
+        &self,
+        node: ShardedNode,
+        obs: ObsRegistry,
+        max_connections: u64,
+        listener: TcpListener,
+    ) -> Arc<NodeCtx> {
+        let home = self.next_home.fetch_add(1, Ordering::Relaxed) % self.inboxes.len();
+        let node = Arc::new(NodeCtx {
+            node,
+            obs,
+            home,
+            max_connections: max_connections.max(1),
+            live: AtomicU64::new(0),
+            accepted: AtomicU64::new(0),
+            refused: AtomicU64::new(0),
+        });
+        self.send(home, Command::Listen(Arc::clone(&node), listener));
+        node
+    }
+
+    /// Take the node out of the pool; returns once no reactor holds its
+    /// listener, a connection of it or a reference to it. Never call it
+    /// on a reactor thread.
+    pub(crate) fn deregister(&self, node: &Arc<NodeCtx>) {
+        let round = |reactors: &mut dyn Iterator<Item = usize>| {
+            let (ack, acked) = mpsc::channel();
+            for i in reactors {
+                self.send(i, Command::Forget(Arc::clone(node), ack.clone()));
+            }
+            drop(ack);
+            // Ends once every reactor has dropped its sender.
+            while acked.recv().is_ok() {} // xtask: allow(no-blocking-io-in-reactor) — runs on the stopping thread, never on a reactor
+        };
+        round(&mut std::iter::once(node.home));
+        round(&mut (0..self.inboxes.len()).filter(|&i| i != node.home));
+    }
+
+    /// Tell every reactor to flush what it owes and exit.
+    pub(crate) fn halt(&self) {
+        for i in 0..self.inboxes.len() {
+            self.send(i, Command::Halt);
         }
     }
 }
@@ -209,9 +323,9 @@ const WAKE_US: usize = DISPATCH_US + 1;
 const RX: usize = 0;
 const TX: usize = 1;
 
-/// What one reactor measured since it last folded into the registry:
-/// plain thread-local data, so recording a sample is an array index and a
-/// few adds.
+/// What one reactor measured for one node since it last folded into the
+/// node's registry: plain thread-local data, so recording a sample is an
+/// array index and a few adds.
 struct SweepObs {
     hists: [(&'static str, LogHistogram); WAKE_US + 1],
     /// Payload bytes of the request frames read and of the response frames
@@ -244,225 +358,323 @@ impl SweepObs {
     }
 }
 
-/// What everything on a reactor's request path shares.
-#[derive(Clone)]
-struct ReactorShared {
-    /// The node every request executes against.
-    node: Arc<ShardedNode>,
-    /// Shared histogram/event registry (the `ObsDump` store).
-    obs: ObsRegistry,
-    /// Wire-visible shutdown flag (set by the `Shutdown` op and `stop()`).
-    shutdown: Arc<AtomicBool>,
-    /// `stop()`-only flag: drain pending writes and exit now.
-    halt: Arc<AtomicBool>,
-    /// Every reactor's waker, so the one that executes a wire `Shutdown`
-    /// can tell the others.
-    wakers: Arc<Wakers>,
-}
-
-/// The acceptor's handle to the reactor fleet: round-robin handoff of
-/// admitted connections, waking the target reactor.
-pub(crate) struct Handoff {
-    senders: Vec<mpsc::Sender<(TcpStream, ConnSlot)>>,
-    wakers: Arc<Wakers>,
+/// One node as one reactor sees it: the sockets of the node this reactor
+/// owns, and what it measured for the node.
+struct Served {
+    node: Arc<NodeCtx>,
+    /// Set on the node's home until the node leaves or a wire `Shutdown`
+    /// closes it.
+    listener: Option<TcpListener>,
+    /// The listener was reported readable, or was just handed over.
+    accept_due: bool,
+    /// The reactor the next admitted connection goes to.
     next: usize,
+    conns: Vec<Conn>,
+    obs: SweepObs,
+    /// This reactor's share of the node's `mem_bytes:conn_buf`, as last
+    /// reported.
+    conn_buf_bytes: u64,
 }
 
-impl Handoff {
-    /// Assign one admitted connection to the next reactor in rotation.
-    pub fn dispatch(&mut self, stream: TcpStream, slot: ConnSlot) {
-        let i = self.next;
-        self.next = (self.next + 1) % self.senders.len();
-        // A send can only fail if the reactor already exited (post-
-        // shutdown race); dropping the stream then reads as EOF to the
-        // client, matching the old accept loop's post-shutdown behavior.
-        if self.senders[i].send((stream, slot)).is_ok() {
-            self.wakers.wake(i);
+impl Served {
+    fn new(node: &Arc<NodeCtx>, first_reactor: usize) -> Served {
+        Served {
+            node: Arc::clone(node),
+            listener: None,
+            accept_due: false,
+            next: first_reactor,
+            conns: Vec::new(),
+            obs: SweepObs::new(),
+            conn_buf_bytes: 0,
         }
     }
-}
 
-/// The server's handle: join the fleet on `stop()`.
-pub(crate) struct ReactorPool {
-    wakers: Arc<Wakers>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ReactorPool {
-    /// Wake every reactor (so blocked threads notice `halt`) and join.
-    pub fn join(&mut self) {
-        self.wakers.wake_all();
-        for h in self.handles.drain(..) {
-            drop(h.join());
+    /// Flush what is owed, best effort, and leave the node's registry
+    /// complete: what was measured is folded, and this reactor's share of
+    /// `mem_bytes:conn_buf` goes with the connections.
+    fn close(mut self) {
+        for conn in &mut self.conns {
+            drop(conn.flush());
         }
+        self.obs.fold_into(&self.node.obs);
+        let obs = &self.node.obs;
+        obs.shift_gauge("mem_bytes:conn_buf", self.conn_buf_bytes, 0);
     }
 }
 
-/// Spawn `n` reactor threads serving `node`; returns the acceptor-side
-/// handoff and the join handle set.
-pub(crate) fn spawn_reactors(
-    n: usize,
-    port: u16,
-    node: Arc<ShardedNode>,
-    obs: ObsRegistry,
-    shutdown: Arc<AtomicBool>,
-    halt: Arc<AtomicBool>,
-) -> io::Result<(Handoff, ReactorPool)> {
-    let mut wake_rxs = Vec::with_capacity(n);
-    let mut wake_txs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (rx, tx) = UnixStream::pair()?;
-        rx.set_nonblocking(true)?;
-        tx.set_nonblocking(true)?;
-        wake_rxs.push(rx);
-        wake_txs.push(tx);
-    }
-    let shared = ReactorShared {
-        node,
-        obs,
-        shutdown,
-        halt,
-        wakers: Arc::new(Wakers(wake_txs)),
-    };
-    let mut senders = Vec::with_capacity(n);
-    let mut handles = Vec::with_capacity(n);
-    for (i, wake_rx) in wake_rxs.into_iter().enumerate() {
-        // A list channel: it allocates per message, not a slot array up
-        // front — the hand-off carries a few sockets over a node's life.
-        let (tx, rx) = mpsc::channel::<(TcpStream, ConnSlot)>();
-        let shared = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("ecc-reactor-{port}-{i}"))
-            .spawn(move || reactor_loop(rx, wake_rx, shared))?;
-        senders.push(tx);
-        handles.push(handle);
-    }
-    Ok((
-        Handoff {
-            senders,
-            wakers: Arc::clone(&shared.wakers),
-            next: 0,
-        },
-        ReactorPool {
-            wakers: shared.wakers,
-            handles,
-        },
-    ))
+/// One reactor thread's state.
+struct Reactor {
+    index: usize,
+    pool: Arc<ReactorPool>,
+    inbox: mpsc::Receiver<Command>,
+    /// Read end of the waker pair.
+    waker: UnixStream,
+    /// Times `reactor_wake_us`: a wake is not any one node's.
+    clock: TimeSource,
+    /// The nodes with a listener or a connection here.
+    served: Vec<Served>,
+    pollfds: Vec<PollFd>,
 }
 
-/// One reactor thread: adopt handed-off connections, sweep owned
-/// connections (read → decode/execute every arrived frame → one flush),
-/// yield through the hot window while sweeps move nothing, then block in
-/// `poll` until a socket or the waker is ready.
-fn reactor_loop(
-    rx: mpsc::Receiver<(TcpStream, ConnSlot)>,
-    mut waker: UnixStream,
-    shared: ReactorShared,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut pollfds: Vec<PollFd> = Vec::new();
-    let mut obs = SweepObs::new();
-    let mut idle_sweeps: u32 = 0;
-    // This reactor's share of `mem_bytes:conn_buf`, as last reported.
-    let mut conn_buf_bytes: u64 = 0;
-    // When the blocking wait returned, until the sweep that follows it
-    // reads a byte (the `reactor_wake_us` sample) or ends without one.
-    let mut woke_at: Option<u64> = None;
-    loop {
-        let mut progress = false;
-        while let Ok((stream, slot)) = rx.try_recv() {
-            if stream.set_nonblocking(true).is_ok() {
-                conns.push(Conn::new(stream, slot));
+impl Reactor {
+    /// The reactor loop: take commands, accept, sweep owned connections
+    /// (read → decode/execute every arrived frame → one flush), yield
+    /// through the hot window while sweeps move nothing, then block in
+    /// `poll` until a socket, a listener or the waker is ready.
+    fn run(mut self) {
+        let mut idle_sweeps: u32 = 0;
+        let mut turns_since_accept: u32 = 0;
+        // When the blocking wait returned, until the sweep that follows it
+        // reads a byte (the `reactor_wake_us` sample) or ends without one.
+        let mut woke_at: Option<u64> = None;
+        loop {
+            let Some(mut progress) = self.take_commands() else {
+                return;
+            };
+            turns_since_accept += 1;
+            let accept_all = turns_since_accept >= HOT_SWEEPS;
+            if accept_all {
+                turns_since_accept = 0;
             }
-            progress = true;
-        }
+            for s in 0..self.served.len() {
+                if accept_all || self.served[s].accept_due {
+                    progress |= self.accept(s);
+                }
+                progress |= self.sweep(s, &mut woke_at);
+            }
+            woke_at = None;
 
+            if progress {
+                idle_sweeps = 0;
+                continue;
+            }
+            idle_sweeps = idle_sweeps.saturating_add(1);
+            if idle_sweeps < HOT_SWEEPS {
+                // Hot window: give peers the core (essential on small hosts
+                // where client and reactor share it) but stay runnable.
+                std::thread::yield_now();
+                continue;
+            }
+
+            // Cold: block until an owned socket can move bytes, a listener
+            // has a connection waiting, or a command arrived. All are
+            // level-triggered, so an event between the sweep above and this
+            // call is not lost — the wait returns at once. The sweep that
+            // follows resets `idle_sweeps` only if it moves something; a
+            // wake that finds nothing waits again.
+            self.cool_down();
+            self.pollfds.clear();
+            self.pollfds
+                .push(PollFd::new(self.waker.as_raw_fd(), POLLIN));
+            for s in &self.served {
+                if let Some(listener) = &s.listener {
+                    self.pollfds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+                }
+                let conns = s.conns.iter();
+                self.pollfds
+                    .extend(conns.map(|c| PollFd::new(c.stream.as_raw_fd(), c.interest())));
+            }
+            let waited = sys::wait(&mut self.pollfds, -1); // xtask: allow(no-blocking-io-in-reactor) — the one blocking call
+            if waited.is_err() {
+                // `poll` itself failed (ENOMEM): keep serving by sweeping.
+                std::thread::yield_now();
+                continue;
+            }
+            woke_at = Some(self.clock.now_us());
+            let mut fd = 1;
+            for s in &mut self.served {
+                s.node.obs.add_gauge("reactor_idle_wakes", 1);
+                if s.listener.is_some() {
+                    s.accept_due = self.pollfds[fd].revents() != 0;
+                    fd += 1;
+                }
+                fd += s.conns.len();
+            }
+            if self.pollfds[0].revents() != 0 {
+                drain_waker(&mut self.waker);
+            }
+        }
+    }
+
+    /// The entry for `node`, made if this reactor serves it no socket yet.
+    fn served_mut(&mut self, node: &Arc<NodeCtx>) -> &mut Served {
+        let at = self.find(node).unwrap_or_else(|| {
+            self.served.push(Served::new(node, self.index));
+            self.served.len() - 1
+        });
+        &mut self.served[at]
+    }
+
+    fn find(&self, node: &Arc<NodeCtx>) -> Option<usize> {
+        self.served.iter().position(|s| Arc::ptr_eq(&s.node, node))
+    }
+
+    /// Carry out every queued command. `None` once told to halt, after
+    /// flushing what is owed; otherwise whether there was any.
+    fn take_commands(&mut self) -> Option<bool> {
+        let mut any = false;
+        while let Ok(command) = self.inbox.try_recv() {
+            any = true;
+            match command {
+                Command::Listen(node, listener) => {
+                    let served = self.served_mut(&node);
+                    served.listener = Some(listener);
+                    // A client may have connected before the hand-over.
+                    served.accept_due = true;
+                }
+                Command::Adopt(conn) => {
+                    let node = Arc::clone(&conn.node);
+                    self.served_mut(&node).conns.push(conn);
+                }
+                Command::Unlisten(node) => {
+                    if let Some(at) = self.find(&node) {
+                        self.served[at].listener = None;
+                    }
+                }
+                Command::Forget(node, ack) => {
+                    if let Some(at) = self.find(&node) {
+                        self.served.swap_remove(at).close();
+                    }
+                    drop(node);
+                    drop(ack);
+                }
+                Command::Halt => {
+                    for served in self.served.drain(..) {
+                        served.close();
+                    }
+                    return None;
+                }
+            }
+        }
+        Some(any)
+    }
+
+    /// Accept every connection waiting on `served[s]`'s listener: admit it
+    /// under the node's bound and hand it to the next reactor in rotation,
+    /// or refuse it with one `Busy` frame. Returns whether any waited.
+    fn accept(&mut self, s: usize) -> bool {
+        let reactors = self.pool.inboxes.len();
+        let served = &mut self.served[s];
+        served.accept_due = false;
+        let Some(listener) = &served.listener else {
+            return false;
+        };
+        let mut progress = false;
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // `WouldBlock`: none left. Anything else (out of
+                // descriptors) is retried on the next readiness.
+                Err(_) => return progress,
+            };
+            progress = true;
+            // Request/response framing interacts badly with Nagle + delayed
+            // ACK (~40 ms per exchange); flush eagerly. An accepted socket
+            // does not inherit the listener's nonblocking flag.
+            drop(stream.set_nodelay(true));
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let node = &served.node;
+            // Only this reactor adds to `live`, so the bound holds between
+            // the check and the add.
+            if node.live.load(Ordering::Acquire) >= node.max_connections {
+                node.refused.fetch_add(1, Ordering::Relaxed);
+                refuse(stream);
+                continue;
+            }
+            node.live.fetch_add(1, Ordering::AcqRel);
+            node.accepted.fetch_add(1, Ordering::Relaxed);
+            let conn = Conn {
+                stream,
+                asm: FrameAssembler::new(),
+                wbuf: Vec::new(),
+                wpos: 0,
+                got_eof: false,
+                close_after_flush: false,
+                node: Arc::clone(node),
+            };
+            let to = served.next;
+            served.next = (to + 1) % reactors;
+            if to == self.index {
+                served.conns.push(conn);
+            } else {
+                self.pool.send(to, Command::Adopt(conn));
+            }
+        }
+    }
+
+    /// Sweep every connection of `served[s]` once. Returns whether any
+    /// bytes or frames moved, or a connection closed (the freed place
+    /// readmits a waiting client at the accept bound).
+    fn sweep(&mut self, s: usize, woke_at: &mut Option<u64>) -> bool {
+        let (index, pool, clock) = (self.index, &self.pool, &self.clock);
+        let Served {
+            node,
+            listener,
+            conns,
+            obs,
+            ..
+        } = &mut self.served[s];
+        // A wire `Shutdown` closes the node's port at once: here if this is
+        // its home, else by a command queued before the reply leaves.
+        let mut unlisten = || {
+            if node.home == index {
+                *listener = None;
+            } else {
+                pool.send(node.home, Command::Unlisten(Arc::clone(node)));
+            }
+        };
+        let mut progress = false;
         let mut i = 0;
         while i < conns.len() {
-            match sweep_conn(&mut conns[i], &shared, &mut obs, &mut woke_at) {
+            match sweep_conn(&mut conns[i], node, obs, woke_at, clock, &mut unlisten) {
                 Ok(Sweep::Progress(p)) => {
                     progress |= p;
                     i += 1;
                 }
                 Ok(Sweep::Close) | Err(_) => {
-                    // Closing is progress: the freed slot readmits a
-                    // waiting client at the accept bound.
                     progress = true;
                     drop(conns.swap_remove(i));
                 }
             }
         }
-        woke_at = None;
-
-        // Acquire pairs with the Release stores of the flags' writers.
-        if shared.halt.load(Ordering::Acquire) {
-            for conn in &mut conns {
-                drop(conn.flush());
-            }
-            obs.fold_into(&shared.obs);
-            return;
-        }
-        if shared.shutdown.load(Ordering::Acquire) && conns.is_empty() {
-            // Wire-initiated shutdown: exit once the served connections
-            // drain (the acceptor stops admitting; `stop()` may never be
-            // called, so the reactor must wind down on its own).
-            obs.fold_into(&shared.obs);
-            return;
-        }
-
-        if progress {
-            idle_sweeps = 0;
-            continue;
-        }
-        idle_sweeps = idle_sweeps.saturating_add(1);
-        if idle_sweeps < HOT_SWEEPS {
-            // Hot window: give peers the core (essential on small hosts
-            // where client and reactor share it) but stay runnable.
-            std::thread::yield_now();
-            continue;
-        }
-
-        // Cold: block until an owned socket can move bytes or someone
-        // writes the waker. Both are level-triggered, so an event between
-        // the sweep above and this call is not lost — the wait returns at
-        // once. The sweep that follows resets `idle_sweeps` only if it
-        // moves something; a wake that finds nothing waits again. An idle
-        // node's registry is complete: what the last sweeps measured after
-        // their own fold goes in first. Grown buffers shrink here, cold.
-        obs.fold_into(&shared.obs);
-        let mut held = 0;
-        for conn in &mut conns {
-            conn.asm.release();
-            if conn.wbuf.is_empty() {
-                release_buf(&mut conn.wbuf);
-            }
-            held += (conn.asm.capacity() + conn.wbuf.capacity()) as u64;
-        }
-        if held != conn_buf_bytes {
-            shared
-                .obs
-                .shift_gauge("mem_bytes:conn_buf", conn_buf_bytes, held);
-            conn_buf_bytes = held;
-        }
-        pollfds.clear();
-        pollfds.push(PollFd::new(waker.as_raw_fd(), POLLIN));
-        pollfds.extend(
-            conns
-                .iter()
-                .map(|c| PollFd::new(c.stream.as_raw_fd(), c.interest())),
-        );
-        let waited = sys::wait(&mut pollfds, -1); // xtask: allow(no-blocking-io-in-reactor) — the one blocking call
-        if waited.is_err() {
-            // `poll` itself failed (ENOMEM): keep serving by sweeping.
-            std::thread::yield_now();
-            continue;
-        }
-        shared.obs.add_gauge("reactor_idle_wakes", 1);
-        woke_at = Some(shared.obs.now_us());
-        if pollfds[0].revents() != 0 {
-            drain_waker(&mut waker);
-        }
+        progress
     }
+
+    /// Before the blocking wait: fold what every node's sweeps measured
+    /// after their own fold, shrink grown buffers, report each node's
+    /// `mem_bytes:conn_buf` share, and let go of the nodes this reactor no
+    /// longer holds a socket of. An idle node's registry is complete.
+    fn cool_down(&mut self) {
+        for s in &mut self.served {
+            s.obs.fold_into(&s.node.obs);
+            let mut held = 0;
+            for conn in &mut s.conns {
+                conn.asm.release();
+                if conn.wbuf.is_empty() {
+                    release_buf(&mut conn.wbuf);
+                }
+                held += (conn.asm.capacity() + conn.wbuf.capacity()) as u64;
+            }
+            if held != s.conn_buf_bytes {
+                s.node
+                    .obs
+                    .shift_gauge("mem_bytes:conn_buf", s.conn_buf_bytes, held);
+                s.conn_buf_bytes = held;
+            }
+        }
+        self.served
+            .retain(|s| s.listener.is_some() || !s.conns.is_empty());
+    }
+}
+
+/// Answer a connection past the bound with one `Busy` frame (a length-1
+/// payload) and close it. A fresh socket's send buffer takes the five
+/// bytes whole.
+fn refuse(mut stream: TcpStream) {
+    drop(stream.write(&[1, 0, 0, 0, Status::Busy as u8]));
 }
 
 /// Empty the waker so the next wait blocks again. A byte written after
@@ -485,25 +697,20 @@ fn drain_waker(waker: &mut UnixStream) {
 fn serve_traced(
     ctx: Option<TraceContext>,
     req: Request,
-    shared: &ReactorShared,
+    node: &NodeCtx,
     t_wake: u64,
     out: &mut Vec<u8>,
 ) {
+    let obs = &node.obs;
     let srv = ctx.filter(|c| c.sampled).map(|c| {
-        let srv = shared
-            .obs
-            .span_start_at("srv", c.trace_id, c.span_id, t_wake);
-        drop(
-            shared
-                .obs
-                .span_start_at("srv_queue", c.trace_id, srv.id(), t_wake),
-        );
+        let srv = obs.span_start_at("srv", c.trace_id, c.span_id, t_wake);
+        drop(obs.span_start_at("srv_queue", c.trace_id, srv.id(), t_wake));
         srv
     });
     let _exec = srv
         .as_ref()
-        .map(|s| shared.obs.span_start("srv_exec", s.trace_id(), s.id()));
-    handle(req, &shared.node, &shared.shutdown, &shared.obs, out);
+        .map(|s| obs.span_start("srv_exec", s.trace_id(), s.id()));
+    handle(req, &node.node, obs, out);
 }
 
 /// Per-sweep verdict for one connection.
@@ -516,14 +723,17 @@ enum Sweep {
 
 /// One sweep over one connection: ingest whatever the socket has, retire
 /// every complete frame against the node, flush the response queue.
-/// `obs` is the reactor's own batch. `woke_at` is when the blocking wait
-/// returned, if this sweep follows one and no connection has read a byte
-/// since.
+/// `obs` is the reactor's batch for this node. `woke_at` is when the
+/// blocking wait returned, on `clock`, if this sweep follows one and no
+/// connection has read a byte since. `unlisten` runs when a `Shutdown`
+/// frame executed, before its reply is flushed.
 fn sweep_conn(
     conn: &mut Conn,
-    shared: &ReactorShared,
+    node: &NodeCtx,
     obs: &mut SweepObs,
     woke_at: &mut Option<u64>,
+    clock: &TimeSource,
+    unlisten: &mut dyn FnMut(),
 ) -> io::Result<Sweep> {
     let mut progress = false;
 
@@ -538,7 +748,7 @@ fn sweep_conn(
                 Ok((_, drained)) => {
                     progress = true;
                     if let Some(t) = woke_at.take() {
-                        obs.record(WAKE_US, shared.obs.now_us() - t);
+                        obs.record(WAKE_US, clock.now_us() - t);
                     }
                     // A short read means the socket ran dry: skip the
                     // would-block probe (level polling catches any bytes
@@ -558,7 +768,7 @@ fn sweep_conn(
     // flush-complete is the `reactor_dispatch_us` sample; the clock is not
     // read for a sweep with nothing buffered, which dispatches nothing.
     let t_wake = if conn.asm.buffered() > 0 {
-        shared.obs.now_us()
+        node.obs.now_us()
     } else {
         0
     };
@@ -592,10 +802,10 @@ fn sweep_conn(
                     Request::Shutdown => shutdown_requested = true,
                     // The dump must hold every frame served before it,
                     // the ones of this very sweep included.
-                    Request::ObsDump => obs.fold_into(&shared.obs),
+                    Request::ObsDump => obs.fold_into(&node.obs),
                     _ => {}
                 }
-                serve_traced(ctx, req, shared, t_wake, out);
+                serve_traced(ctx, req, node, t_wake, out);
             }
             None => reply(out, Status::BadRequest, &[]),
         })?;
@@ -605,7 +815,7 @@ fn sweep_conn(
         // Debug-build check, compiled out in release.
         ecc_core::lockorder::assert_quiescent();
         obs.bytes[TX].1 += (wbuf.len() - queued - 4) as u64;
-        let now = shared.obs.now_us();
+        let now = node.obs.now_us();
         obs.record(slot, now - frame_start);
         frame_start = now;
         dispatched += 1;
@@ -615,15 +825,13 @@ fn sweep_conn(
     }
     if shutdown_requested {
         conn.close_after_flush = true;
-        // The flag this frame set is what idle sibling reactors exit on,
-        // and none of them has a socket that will tell them.
-        shared.wakers.wake_all();
+        unlisten();
     }
     if dispatched > 0 {
         progress = true;
         obs.record(FRAMES_PER_WAKE, dispatched);
         // Before the write: whoever reads these replies finds them counted.
-        obs.fold_into(&shared.obs);
+        obs.fold_into(&node.obs);
     }
 
     // One gathered write for every response this sweep produced (plus any
@@ -634,7 +842,7 @@ fn sweep_conn(
     }
 
     if dispatched > 0 && conn.pending_write() == 0 {
-        obs.record(DISPATCH_US, shared.obs.now_us() - t_wake);
+        obs.record(DISPATCH_US, node.obs.now_us() - t_wake);
     }
 
     if conn.pending_write() == 0 && conn.close_after_flush {

@@ -1,97 +1,88 @@
 //! The cache-server binary logic: a TCP listener owning one node's index.
 //!
 //! "The cache server is automatically fetched from a remote location on the
-//! startup of a new Cloud instance" (paper §III-A) — here, spawning a
-//! server thread plays the role of booting that instance.
+//! startup of a new Cloud instance" (paper §III-A) — here, registering a
+//! node with the process's reactor pool plays the role of booting that
+//! instance: it binds a listener and hands it to a running reactor, and
+//! starts no thread.
 //!
 //! The node serves "a litany of simultaneous queries" (§III) through the
-//! event-driven engine in [`crate::reactor`]: an acceptor thread enforces
-//! the connection bound (one [`Status::Busy`] frame past it) and hands
-//! admitted sockets round-robin to N reactor threads, each sweeping its
-//! owned connections with nonblocking reads, pipelined decode/execute
-//! against the shared [`ShardedNode`], and one gathered flush per sweep.
-//! A response is written straight into its connection's write queue: a GET
-//! hit is one copy from the stored record into that queue, with no
-//! allocation on the way.
+//! event-driven engine in [`crate::reactor`]: the reactor that owns the
+//! listener enforces the connection bound (one [`Status::Busy`] frame past
+//! it) and hands admitted sockets round-robin to the pool's reactors, each
+//! sweeping its owned connections with nonblocking reads, pipelined
+//! decode/execute against the shared [`ShardedNode`], and one gathered
+//! flush per sweep. A response is written straight into its connection's
+//! write queue: a GET hit is one copy from the stored record into that
+//! queue, with no allocation on the way.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bytes::BufMut;
 use ecc_core::{PutOutcome, Record, ShardedNode, DEFAULT_STRIPES};
 use ecc_obs::{ObsRegistry, TimeSource};
+use parking_lot::Mutex;
 
-use crate::protocol::{
-    encode_get_many_entry, encode_keys, encode_stats, write_frame_buffered, Op, Request, Response,
-    Status,
-};
-use crate::reactor::{spawn_reactors, ReactorPool};
+use crate::protocol::{encode_get_many_entry, encode_keys, encode_stats, Op, Request, Status};
+use crate::reactor::{effective_reactors, NodeCtx, ReactorPool};
 
-/// Default bound on concurrent client connections. Above it the accept
-/// loop answers with a single [`Status::Busy`] frame and closes, so a
+/// Default bound on concurrent client connections. Above it the accepting
+/// reactor answers with a single [`Status::Busy`] frame and closes, so a
 /// connection flood degrades into clean refusals instead of unbounded
-/// thread spawning.
+/// buffering.
 pub const DEFAULT_MAX_CONNECTIONS: u64 = 256;
+
+/// The process's reactor pool: [`effective_reactors`] threads, started on
+/// first use; `None` until a start succeeds.
+static PROCESS_POOL: Mutex<Option<Arc<ReactorPool>>> = Mutex::new(None);
+
+fn process_pool() -> io::Result<Arc<ReactorPool>> {
+    let mut pool = PROCESS_POOL.lock();
+    let started = match &*pool {
+        Some(started) => Arc::clone(started),
+        // The threads are detached on purpose: the pool serves every node
+        // until the process exits.
+        None => ReactorPool::start(effective_reactors(), "ecc-pool")?.0,
+    };
+    *pool = Some(Arc::clone(&started));
+    Ok(started)
+}
 
 /// A running cache server (one node of the cooperative cache).
 pub struct CacheServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    halt: Arc<AtomicBool>,
-    connections: Arc<AtomicU64>,
-    refused: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
-    reactors: Option<ReactorPool>,
-    obs: ObsRegistry,
-}
-
-/// Decrements the live-connection gauge when its connection is dropped by
-/// the owning reactor, however it closes.
-pub(crate) struct ConnSlot(Arc<AtomicU64>);
-
-impl Drop for ConnSlot {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
+    pub(crate) node: Arc<NodeCtx>,
+    /// The pool the node is registered with, and the threads of a private
+    /// one (none for the process's pool); `None` once stopped.
+    pool: Option<(Arc<ReactorPool>, Vec<JoinHandle<()>>)>,
 }
 
 impl CacheServer {
     /// Bind a listener on `127.0.0.1:0` (an ephemeral loopback port) and
-    /// serve a node with the given capacity and index order.
+    /// serve a node with the given capacity and index order on the
+    /// process's reactor pool.
     pub fn spawn(capacity_bytes: u64, btree_order: usize) -> io::Result<CacheServer> {
-        Self::spawn_on(("127.0.0.1", 0), capacity_bytes, btree_order)
+        Self::spawn_with(
+            ("127.0.0.1", 0),
+            capacity_bytes,
+            btree_order,
+            DEFAULT_MAX_CONNECTIONS,
+            None,
+        )
     }
 
-    /// Bind a listener on an explicit address (deployment entry point; see
-    /// the `cache_server` binary) with the default connection bound.
-    pub fn spawn_on<A: std::net::ToSocketAddrs>(
-        addr: A,
-        capacity_bytes: u64,
-        btree_order: usize,
-    ) -> io::Result<CacheServer> {
-        Self::spawn_bounded(addr, capacity_bytes, btree_order, DEFAULT_MAX_CONNECTIONS)
-    }
-
-    /// Bind a listener with an explicit bound on concurrent connections.
-    /// Connections past the bound receive one [`Status::Busy`] frame and
-    /// are closed without being served (and without counting as accepted).
-    pub fn spawn_bounded<A: std::net::ToSocketAddrs>(
-        addr: A,
-        capacity_bytes: u64,
-        btree_order: usize,
-        max_connections: u64,
-    ) -> io::Result<CacheServer> {
-        Self::spawn_with(addr, capacity_bytes, btree_order, max_connections, None)
-    }
-
-    /// [`CacheServer::spawn_bounded`] with an explicit reactor-thread
-    /// count (`None` = one per core, capped at
-    /// [`crate::reactor::DEFAULT_REACTOR_THREADS`]). Tests use this to
-    /// exercise multi-reactor handoff regardless of host core count.
-    pub fn spawn_with<A: std::net::ToSocketAddrs>(
+    /// Bind a listener on `addr` (the `cache_server` binary binds its
+    /// deployment address). Connections past `max_connections` receive one
+    /// [`Status::Busy`] frame and are closed without being served (and
+    /// without counting as accepted). `reactor_threads: None` registers the
+    /// node with the process's reactor pool; `Some(n)` gives it a private
+    /// pool of `n` reactors that stops with it (tests use this to exercise
+    /// multi-reactor handoff regardless of host core count).
+    pub fn spawn_with<A: ToSocketAddrs>(
         addr: A,
         capacity_bytes: u64,
         btree_order: usize,
@@ -105,99 +96,44 @@ impl CacheServer {
             max_connections,
             reactor_threads,
             TimeSource::real(),
-            0,
         )
     }
 
-    /// [`CacheServer::spawn_with`] with an injected clock epoch and span
-    /// origin. Tracing deployments pass every node the SAME [`TimeSource`]
-    /// (and a distinct `origin`) so span timestamps from different
-    /// recorders are comparable after an `ObsDump` merge — cross-node
-    /// parent/child interval nesting is only meaningful on a shared epoch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_clocked<A: std::net::ToSocketAddrs>(
+    /// [`CacheServer::spawn_with`] on an injected clock. The coordinator
+    /// passes every node the [`TimeSource`] of the coordinator's registry,
+    /// so span timestamps from different recorders are comparable after
+    /// an `ObsDump` merge — cross-node parent/child interval nesting is
+    /// only meaningful on a shared epoch.
+    pub(crate) fn spawn_clocked<A: ToSocketAddrs>(
         addr: A,
         capacity_bytes: u64,
         btree_order: usize,
         max_connections: u64,
         reactor_threads: Option<usize>,
         time: TimeSource,
-        origin: u32,
     ) -> io::Result<CacheServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let halt = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(AtomicU64::new(0));
-        let refused = Arc::new(AtomicU64::new(0));
+        listener.set_nonblocking(true)?;
+        let (pool, threads) = match reactor_threads {
+            None => (process_pool()?, Vec::new()),
+            Some(n) => ReactorPool::start(n.max(1), &format!("ecc-reactor-{}", addr.port()))?,
+        };
         let obs = ObsRegistry::new(time);
-        obs.set_origin(origin);
-        let node = Arc::new(
-            ShardedNode::new(capacity_bytes, btree_order, DEFAULT_STRIPES).with_obs(obs.clone()),
-        );
-
-        let (mut handoff, pool) = spawn_reactors(
-            crate::reactor::effective_reactors(reactor_threads),
-            addr.port(),
-            node,
-            obs.clone(),
-            Arc::clone(&shutdown),
-            Arc::clone(&halt),
-        )?;
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_count = Arc::clone(&connections);
-        let refused_count = Arc::clone(&refused);
-        let live = Arc::new(AtomicU64::new(0));
-        let max_connections = max_connections.max(1);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("ecc-server-{}", addr.port()))
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    // Acquire pairs with the Release/AcqRel writers of the
-                    // shutdown flag; the accept loop only needs to observe
-                    // the flag and everything published before it was set.
-                    if accept_shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(mut stream) = conn else { continue };
-                    // Request/response framing interacts badly with Nagle +
-                    // delayed ACK (~40 ms per exchange); flush eagerly.
-                    drop(stream.set_nodelay(true));
-                    // Reserve a connection slot before handing off; on
-                    // refusal send one Busy frame so the client sees a
-                    // protocol answer, not a silent hangup.
-                    if live.fetch_add(1, Ordering::AcqRel) >= max_connections {
-                        let _slot = ConnSlot(Arc::clone(&live));
-                        refused_count.fetch_add(1, Ordering::Relaxed);
-                        let mut buf = Vec::new();
-                        drop(write_frame_buffered(&mut stream, &mut buf, |b| {
-                            Response::status(Status::Busy).encode_into(b)
-                        }));
-                        continue;
-                    }
-                    let slot = ConnSlot(Arc::clone(&live));
-                    accept_count.fetch_add(1, Ordering::Relaxed);
-                    handoff.dispatch(stream, slot);
-                }
-            })?;
-
+        let node =
+            ShardedNode::new(capacity_bytes, btree_order, DEFAULT_STRIPES).with_obs(obs.clone());
+        let node = pool.register(node, obs, max_connections, listener);
         Ok(CacheServer {
             addr,
-            shutdown,
-            halt,
-            connections,
-            refused,
-            accept_thread: Some(accept_thread),
-            reactors: Some(pool),
-            obs,
+            node,
+            pool: Some((pool, threads)),
         })
     }
 
-    /// This node's observability registry (shared with its connection
-    /// threads; the same store the wire `ObsDump` op snapshots).
+    /// This node's observability registry (shared with the reactors
+    /// serving it; the same store the wire `ObsDump` op snapshots).
     pub fn obs(&self) -> &ObsRegistry {
-        &self.obs
+        &self.node.obs
     }
 
     /// The address clients connect to.
@@ -209,34 +145,31 @@ impl CacheServer {
     /// lets tests verify that clients actually reuse connections instead
     /// of reconnecting per request. Refused connections are not counted.
     pub fn connections_accepted(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
+        self.node.accepted.load(Ordering::Relaxed)
     }
 
     /// How many connections were refused with a `Busy` frame because the
     /// concurrent-connection bound was reached.
     pub fn connections_refused(&self) -> u64 {
-        self.refused.load(Ordering::Relaxed)
+        self.node.refused.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, drain the reactors, and join every server thread —
-    /// also when a wire `Shutdown` already raised the flag: that stops
-    /// admission and lets idle reactors exit, but leaves the acceptor
-    /// blocked in `accept` with the port bound and nobody joined.
-    /// Idempotent: the thread handles are taken on the first call.
+    /// Take the node out of service. Returns once its port is closed and
+    /// every connection to it dropped, also when a wire `Shutdown` already
+    /// closed the port: no reactor holds the node any more, so dropping
+    /// the server frees it. A private pool's reactors are joined.
+    /// Idempotent.
     pub fn stop(&mut self) {
-        // Release pairs with the Acquire loads in the accept loop and the
-        // reactors; everything the caller did is published before they
-        // observe the flags.
-        self.shutdown.store(true, Ordering::Release);
-        self.halt.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            // Unblock the accept loop. Refused means it already exited (a
-            // connect after the wire `Shutdown` got there first).
-            drop(TcpStream::connect(self.addr));
-            drop(t.join());
-        }
-        if let Some(mut pool) = self.reactors.take() {
-            pool.join();
+        let Some((pool, threads)) = self.pool.take() else {
+            return;
+        };
+        if threads.is_empty() {
+            pool.deregister(&self.node);
+        } else {
+            pool.halt();
+            for t in threads {
+                drop(t.join());
+            }
         }
     }
 }
@@ -253,13 +186,7 @@ impl Drop for CacheServer {
 /// lock; Stats reads atomics with no lock at all; Keys serializes behind
 /// the structural lock. Called
 /// from the reactor threads, one pipelined frame at a time.
-pub(crate) fn handle(
-    req: Request,
-    node: &ShardedNode,
-    shutdown: &AtomicBool,
-    obs: &ObsRegistry,
-    out: &mut Vec<u8>,
-) {
+pub(crate) fn handle(req: Request, node: &ShardedNode, obs: &ObsRegistry, out: &mut Vec<u8>) {
     match req {
         // The hit is copied out of the stored record under the stripe read
         // guard — the one payload copy a GET makes in user space (the
@@ -322,12 +249,8 @@ pub(crate) fn handle(
             out.push(Status::Ok as u8);
             obs.encode_dump_into(out);
         }
-        Request::Shutdown => {
-            // Release pairs with the accept loop's Acquire load; no
-            // total order with unrelated atomics is needed.
-            shutdown.store(true, Ordering::Release);
-            reply(out, Status::Ok, &[]);
-        }
+        // The reactor closes the node's port; the reply confirms it.
+        Request::Shutdown => reply(out, Status::Ok, &[]),
     }
 }
 
@@ -368,6 +291,7 @@ fn put_status(outcome: PutOutcome) -> Status {
 mod tests {
     use super::*;
     use crate::client::RemoteNode;
+    use std::net::TcpStream;
 
     #[test]
     fn server_serves_basic_operations() {
@@ -506,7 +430,7 @@ mod tests {
     fn connections_past_the_bound_get_a_busy_frame() {
         use crate::protocol::read_frame;
 
-        let mut server = CacheServer::spawn_bounded(("127.0.0.1", 0), 10_000, 16, 2).unwrap();
+        let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 10_000, 16, 2, None).unwrap();
         let mut a = RemoteNode::connect(server.addr()).unwrap();
         let mut b = RemoteNode::connect(server.addr()).unwrap();
         assert!(a.ping().unwrap());
@@ -540,7 +464,7 @@ mod tests {
 
     #[test]
     fn client_maps_busy_to_connection_refused() {
-        let mut server = CacheServer::spawn_bounded(("127.0.0.1", 0), 10_000, 16, 1).unwrap();
+        let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 10_000, 16, 1, None).unwrap();
         let mut a = RemoteNode::connect(server.addr()).unwrap();
         assert!(a.ping().unwrap());
         let mut b = RemoteNode::connect(server.addr()).unwrap();
@@ -610,8 +534,9 @@ mod tests {
         // merged trace's parent/child interval nesting is checkable.
         let time = TimeSource::real();
         let mut server =
-            CacheServer::spawn_clocked(("127.0.0.1", 0), 10_000, 16, 256, None, time.clone(), 1)
+            CacheServer::spawn_clocked(("127.0.0.1", 0), 10_000, 16, 256, None, time.clone())
                 .unwrap();
+        server.obs().set_origin(1);
         let client_obs = ObsRegistry::new(time);
         client_obs.set_origin(99);
         let mut client = RemoteNode::connect(server.addr())
@@ -631,14 +556,14 @@ mod tests {
 
         let snap = client.obs_dump().unwrap();
         let server_counts = snap.event_counts();
-        // 2 × (srv, srv_queue, srv_exec, lock_wait).
-        assert_eq!(server_counts.get("span_start"), Some(&8));
-        assert_eq!(server_counts.get("span_end"), Some(&8));
+        // 2 × (srv, srv_queue, srv_exec); no lock waited, so no lock_wait.
+        assert_eq!(server_counts.get("span_start"), Some(&6));
+        assert_eq!(server_counts.get("span_end"), Some(&6));
 
         // Merge both recorders and verify the full tree: every start
         // ended, no orphans, child intervals nested. Under the one root,
         // the put and get each form wire → srv → {srv_queue, srv_exec}
-        // (lock_wait spans live under srv_exec when the node records them).
+        // (a lock_wait span would live under srv_exec, had a lock waited).
         let mut events = client_obs.snapshot().events;
         events.extend(snap.events);
         let stats = ecc_obs::verify_spans(&events).expect("merged trace is well-formed");
@@ -656,8 +581,9 @@ mod tests {
 
         let time = TimeSource::real();
         let mut server =
-            CacheServer::spawn_clocked(("127.0.0.1", 0), 1 << 22, 32, 256, None, time.clone(), 1)
+            CacheServer::spawn_clocked(("127.0.0.1", 0), 1 << 22, 32, 256, None, time.clone())
                 .unwrap();
+        server.obs().set_origin(1);
         let client_obs = ObsRegistry::new(time);
         client_obs.set_origin(100);
         let addr = server.addr();
@@ -707,8 +633,9 @@ mod tests {
         assert_eq!(stats.roots, 256);
         assert_eq!(stats.traces, 256);
         // Every sampled request carries its server subtree: root + srv +
-        // srv_queue + srv_exec + lock_wait = 5 spans per trace.
-        assert_eq!(stats.spans, 1280);
+        // srv_queue + srv_exec = 4 spans per trace. GETs only read-lock,
+        // so none waits and none has a lock_wait span.
+        assert_eq!(stats.spans, 1024);
         server.stop();
     }
 

@@ -1,17 +1,20 @@
-//! Server thread lifecycle: every way of stopping a server ends with its
-//! port closed and its threads gone.
+//! Server lifecycle: every way of stopping a server ends with its port
+//! closed. A node on the process's reactor pool has its connections
+//! dropped by the time `stop` returns; a private pool's reactors are
+//! joined by it.
 //!
-//! The checks count this process's live `ecc-server-*` / `ecc-reactor-*`
+//! The private-pool check counts this process's live `ecc-reactor-*`
 //! threads, so the tests in this file take one lock and run one at a time.
 
 #![cfg(target_os = "linux")]
 #![allow(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "real-time polling of OS threads, serialized by a static std mutex"
+    reason = "real-time polling of OS threads and ports, serialized by a static std mutex"
 )]
 
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -41,16 +44,41 @@ fn wait_for_threads(prefix: &str, want: usize) -> usize {
     }
 }
 
+/// Poll until a connect to `addr` is refused or two seconds pass; returns
+/// whether it was refused.
+fn port_closes(addr: SocketAddr) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        if TcpStream::connect(addr).is_err() {
+            return true;
+        }
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Whether the server side of `raw` is already closed: a read returns EOF
+/// or an error at once instead of waiting for bytes.
+fn peer_closed(raw: &mut TcpStream) -> bool {
+    raw.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    match raw.read(&mut [0u8; 16]) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+    }
+}
+
 #[test]
-fn stop_after_a_wire_shutdown_still_closes_the_port_and_joins() {
+fn stop_joins_a_private_pools_reactors_after_a_wire_shutdown() {
     let _one = ONE_SERVER_AT_A_TIME
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    assert_eq!(threads_named("ecc-"), 0);
+    assert_eq!(threads_named("ecc-reactor"), 0);
     let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 1 << 20, 16, 256, Some(2)).unwrap();
     let addr = server.addr();
     // (A thread names itself as it starts, hence the wait.)
-    assert_eq!(wait_for_threads("ecc-", 3), 3, "acceptor + 2 reactors");
+    assert_eq!(wait_for_threads("ecc-reactor", 2), 2, "2 reactors");
 
     // The coordinator's dealloc order: wire Shutdown, then stop().
     let mut client = RemoteNode::connect(addr).unwrap();
@@ -62,34 +90,71 @@ fn stop_after_a_wire_shutdown_still_closes_the_port_and_joins() {
         "the listener outlived stop()"
     );
     assert_eq!(
-        wait_for_threads("ecc-", 0),
+        wait_for_threads("ecc-reactor", 0),
         0,
-        "stop() left a server thread running"
+        "stop() left a reactor running"
     );
     server.stop();
 }
 
 #[test]
-fn wire_shutdown_winds_down_every_reactor_without_stop() {
+fn a_pool_nodes_port_and_connections_are_closed_when_stop_returns() {
     let _one = ONE_SERVER_AT_A_TIME
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    assert_eq!(threads_named("ecc-"), 0);
-    let server = CacheServer::spawn_with(("127.0.0.1", 0), 1 << 20, 16, 256, Some(4)).unwrap();
-    let mut client = RemoteNode::connect(server.addr()).unwrap();
+    let mut server = CacheServer::spawn(1 << 20, 16).unwrap();
+    let addr = server.addr();
+    let mut client = RemoteNode::connect(addr).unwrap();
     assert!(client.ping().unwrap());
-    // Let all four block: three of them own no connection at all.
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(wait_for_threads("ecc-reactor", 4), 4);
+    // A second connection, admitted but never used.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while server.connections_accepted() < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(server.connections_accepted(), 2);
+
+    server.stop();
+
+    // No polling: both hold the moment stop() returns.
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "the listener outlived stop()"
+    );
+    assert!(peer_closed(&mut raw), "an idle connection outlived stop()");
+    assert!(client.ping().is_err(), "a used connection outlived stop()");
+}
+
+#[test]
+fn a_wire_shutdown_closes_the_port_without_stop() {
+    let _one = ONE_SERVER_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    // Two nodes on the process pool: one is shut down over the wire, the
+    // other keeps serving on the same reactors.
+    let server = CacheServer::spawn(1 << 20, 16).unwrap();
+    let other = CacheServer::spawn(1 << 20, 16).unwrap();
+    // The second connection lands on the reactor after the listener's, if
+    // the pool has two: the Shutdown it carries must reach the listener's.
+    let mut first = RemoteNode::connect(server.addr()).unwrap();
+    let mut client = RemoteNode::connect(server.addr()).unwrap();
+    assert!(first.ping().unwrap());
+    assert!(client.ping().unwrap());
 
     client.shutdown().unwrap();
-    drop(client);
-    assert_eq!(
-        wait_for_threads("ecc-reactor", 0),
-        0,
-        "a reactor blocked in its wait never saw the Shutdown"
+    assert!(
+        port_closes(server.addr()),
+        "the port outlived a wire Shutdown"
     );
+    let mut neighbour = RemoteNode::connect(other.addr()).unwrap();
+    assert!(neighbour.ping().unwrap());
 
-    drop(server);
-    assert_eq!(wait_for_threads("ecc-", 0), 0);
+    // A private pool's node closes its port the same way.
+    let private = CacheServer::spawn_with(("127.0.0.1", 0), 1 << 20, 16, 256, Some(2)).unwrap();
+    let mut client = RemoteNode::connect(private.addr()).unwrap();
+    client.shutdown().unwrap();
+    assert!(
+        port_closes(private.addr()),
+        "the port outlived a wire Shutdown"
+    );
 }

@@ -12,7 +12,7 @@ use ecc_net::server::CacheServer;
 fn partial_frame_then_eof_frees_slot() {
     // Bound of 1: if the dead connection's slot leaks, the next connect
     // is refused with Busy.
-    let mut server = CacheServer::spawn_bounded(("127.0.0.1", 0), 1 << 20, 8, 1).unwrap();
+    let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 1 << 20, 8, 1, None).unwrap();
     let addr = server.addr();
 
     {

@@ -103,11 +103,6 @@ impl LogHistogram {
         &self.buckets
     }
 
-    /// Inclusive upper bound of bucket `i` (for exposition rendering).
-    pub fn upper_bound(i: usize) -> u64 {
-        bucket_upper(i)
-    }
-
     /// Fold `other` into `self` (bucket-wise addition).
     pub fn merge(&mut self, other: &LogHistogram) {
         if other.count == 0 {

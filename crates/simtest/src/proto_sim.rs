@@ -15,7 +15,7 @@ use ecc_net::protocol::{
     decode_with_trace, encode_traced, read_frame, write_frame, Request, Response, TraceContext,
 };
 use ecc_net::server::{CacheServer, DEFAULT_MAX_CONNECTIONS};
-use ecc_obs::{ObsRegistry, TimeSource};
+use ecc_obs::ObsRegistry;
 
 use crate::event::{record_bytes, Fault, Schedule, SimEvent, WireOp};
 use crate::model::ModelServer;
@@ -89,20 +89,18 @@ fn send_fragmented(stream: &mut TcpStream, payload: &[u8], pos: u32) -> std::io:
 pub fn run(s: &Schedule) -> Result<(), SimFailure> {
     let cfg = &s.cfg;
 
-    // Client recorder and server share one clock epoch so the final span
-    // oracle can check cross-recorder interval nesting.
-    let time = TimeSource::real();
-    let mut server = CacheServer::spawn_clocked(
+    let mut server = CacheServer::spawn_with(
         ("127.0.0.1", 0),
         cfg.cap,
         cfg.ord.max(4),
         DEFAULT_MAX_CONNECTIONS,
         None,
-        time.clone(),
-        1,
     )
     .map_err(|e| SimFailure::infra(format!("server spawn failed: {e}")))?;
-    let client_obs = ObsRegistry::new(time);
+    server.obs().set_origin(1);
+    // Client recorder and server share one clock epoch so the final span
+    // oracle can check cross-recorder interval nesting.
+    let client_obs = ObsRegistry::new(server.obs().time());
     client_obs.set_origin(2);
     let mut stream = TcpStream::connect(server.addr())
         .map_err(|e| SimFailure::infra(format!("connect failed: {e}")))?;

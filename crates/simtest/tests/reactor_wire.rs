@@ -140,7 +140,7 @@ fn fragment_fault_schedule_agrees_with_the_model() {
 /// keep working afterwards.
 #[test]
 fn refused_connection_reads_exactly_one_busy_frame_then_eof() {
-    let mut server = CacheServer::spawn_bounded(("127.0.0.1", 0), 10_000, 8, 2).expect("spawn");
+    let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 10_000, 8, 2, None).expect("spawn");
     let mut a = RemoteNode::connect(server.addr()).expect("conn a");
     let mut b = RemoteNode::connect(server.addr()).expect("conn b");
     assert!(a.ping().unwrap());

@@ -16,7 +16,8 @@
 //!   call a blocking primitive at all: `read_exact` / `read_to_end` /
 //!   `write_all` loop until satisfied, the blocking frame helpers
 //!   (`read_frame*` / `write_frame*`) sit on top of them, channel
-//!   `.recv()` parks the thread, a mutex `.lock()` can block behind an
+//!   `.recv()` parks the thread, a listener's `.incoming()` is a blocking
+//!   accept loop, a mutex `.lock()` can block behind an
 //!   arbitrary holder, and `park_timeout` / `thread::sleep` are a timed
 //!   wait that answers a request only when the timer fires. A reactor
 //!   thread owns a whole slice of connections; any of these stalls all
@@ -50,6 +51,10 @@ const REACTOR_BLOCKING: &[(&str, &str)] = &[
         "is a blocking frame helper built on write_all",
     ),
     (".recv()", "parks the thread until a message arrives"),
+    (
+        ".incoming(",
+        "is a blocking accept loop: a reactor accepts when `poll` reports its listener readable",
+    ),
     (".lock()", "blocks behind whichever thread holds the mutex"),
     (
         "park_timeout",
@@ -496,6 +501,22 @@ fn drain(&mut self, stream: &mut TcpStream) {
         let f = analyze_source("crates/net/src/reactor.rs", src, ALL);
         let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![3, 4, 5, 6, 7, 8]);
+        assert!(f.iter().all(|f| f.rule == Rule::BlockingIoInReactor));
+    }
+
+    #[test]
+    fn a_blocking_accept_loop_in_a_reactor_file_is_flagged() {
+        let src = "\
+fn serve(listener: TcpListener) {
+    for conn in listener.incoming() {
+        handoff(conn);
+    }
+    let accepted = listener.accept();
+}
+";
+        let f = analyze_source("crates/net/src/reactor.rs", src, ALL);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2]);
         assert!(f.iter().all(|f| f.rule == Rule::BlockingIoInReactor));
     }
 

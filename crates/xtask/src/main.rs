@@ -611,8 +611,19 @@ fn obs_smoke() -> ExitCode {
     if analysis.requests.iter().map(|r| r.execute_us).sum::<u64>() == 0 {
         return fail("execute phase never observed");
     }
-    if !analysis.spans.iter().any(|s| s.kind == "lock_wait") {
-        return fail("no lock_wait spans in the dump");
+    // A `lock_wait` span is a traced request's lock acquisition that
+    // waited, so there are no more of them than recorded waits.
+    let lock_spans = analysis.spans.iter().filter(|s| s.kind == "lock_wait");
+    let lock_spans = lock_spans.count() as u64;
+    let waits: u64 = ["lock_wait_us:stripe", "lock_wait_us:structural"]
+        .iter()
+        .filter_map(|name| snap.hist(name))
+        .map(|h| h.count())
+        .sum();
+    if lock_spans > waits {
+        return fail(&format!(
+            "{lock_spans} lock_wait spans for {waits} recorded lock waits"
+        ));
     }
     if analysis.elastic_roots.is_empty() {
         return fail("no elastic operation roots in the dump");
