@@ -10,7 +10,7 @@
 //! ```
 
 use ecc_bench::{fig3_gba_cache, scale_arg, write_csv, PaperService};
-use ecc_cloudsim::Event;
+use ecc_core::engine::split_costs;
 use ecc_workload::driver::QueryStream;
 use ecc_workload::keys::KeyDist;
 use ecc_workload::schedule::RateSchedule;
@@ -28,48 +28,35 @@ fn main() {
         gba.query(key, uncached, || service.record(key));
     }
 
-    // Walk the merged event trace: an Allocated event immediately preceding
-    // a Migration belongs to the same split (GBA boots the node on the
-    // critical path, then sweeps).
+    // Fold the engine's events: a split's NodeAlloc is stamped when the
+    // node is asked for, its SweepMigrate when the node has booted (GBA
+    // boots it on the critical path, then sweeps).
+    let snapshot = gba.obs().snapshot();
+    assert_eq!(snapshot.dropped, 0, "the flight recorder dropped events");
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut pending_boot_us = 0u64;
-    let mut split_idx = 0u32;
     println!(
         "{:>6} {:>14} {:>12} {:>12} {:>12} {:>8}",
         "split", "at (virt. s)", "alloc (s)", "migrate (s)", "total (s)", "records"
     );
-    for event in gba.cloud().trace().events() {
-        match *event {
-            Event::Allocated { boot_us, .. } => pending_boot_us = boot_us,
-            Event::Migration {
-                at_us,
-                records,
-                duration_us,
-                allocated_node,
-                ..
-            } => {
-                split_idx += 1;
-                let alloc_us = if allocated_node { pending_boot_us } else { 0 };
-                let total_us = alloc_us + duration_us;
-                println!(
-                    "{split_idx:>6} {:>14.1} {:>12.2} {:>12.3} {:>12.2} {records:>8}",
-                    at_us as f64 / 1e6,
-                    alloc_us as f64 / 1e6,
-                    duration_us as f64 / 1e6,
-                    total_us as f64 / 1e6
-                );
-                rows.push(vec![
-                    split_idx.to_string(),
-                    at_us.to_string(),
-                    alloc_us.to_string(),
-                    duration_us.to_string(),
-                    total_us.to_string(),
-                    records.to_string(),
-                ]);
-                pending_boot_us = 0;
-            }
-            _ => {}
-        }
+    for (i, split) in split_costs(&snapshot.events).iter().enumerate() {
+        let split_idx = i + 1;
+        let total_us = split.alloc_us + split.migrate_us;
+        println!(
+            "{split_idx:>6} {:>14.1} {:>12.2} {:>12.3} {:>12.2} {:>8}",
+            split.at_us as f64 / 1e6,
+            split.alloc_us as f64 / 1e6,
+            split.migrate_us as f64 / 1e6,
+            total_us as f64 / 1e6,
+            split.records
+        );
+        rows.push(vec![
+            split_idx.to_string(),
+            split.at_us.to_string(),
+            split.alloc_us.to_string(),
+            split.migrate_us.to_string(),
+            total_us.to_string(),
+            split.records.to_string(),
+        ]);
     }
 
     let m = gba.metrics();

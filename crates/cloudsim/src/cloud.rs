@@ -6,7 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::billing::Billing;
 use crate::clock::SimClock;
-use crate::trace::{Event, EventTrace};
 use crate::US_PER_SEC;
 
 /// Opaque identifier of a (possibly terminated) instance.
@@ -140,16 +139,14 @@ pub struct AllocationReceipt {
     pub ready_at_us: u64,
 }
 
-/// The simulated provider: owns the instance table, boot-latency sampler,
-/// and event trace. All randomness comes from the seed given at
-/// construction.
+/// The simulated provider: owns the instance table and the boot-latency
+/// sampler. All randomness comes from the seed given at construction.
 #[derive(Debug)]
 pub struct SimCloud {
     clock: SimClock,
     rng: SmallRng,
     boot: BootLatency,
     instances: Vec<Instance>,
-    trace: EventTrace,
 }
 
 impl SimCloud {
@@ -161,7 +158,6 @@ impl SimCloud {
             rng: SmallRng::seed_from_u64(seed),
             boot,
             instances: Vec::new(),
-            trace: EventTrace::new(),
         }
     }
 
@@ -183,11 +179,6 @@ impl SimCloud {
             ready_at_us: now + boot_us,
             terminated_at_us: None,
         });
-        self.trace.push(Event::Allocated {
-            at_us: now,
-            id,
-            boot_us,
-        });
         AllocationReceipt {
             id,
             boot_us,
@@ -202,11 +193,9 @@ impl SimCloud {
     ///
     /// Panics if `id` was never allocated.
     pub fn deallocate(&mut self, id: InstanceId) {
-        let now = self.clock.now_us();
         let inst = &mut self.instances[id.0 as usize];
         if inst.terminated_at_us.is_none() {
-            inst.terminated_at_us = Some(now);
-            self.trace.push(Event::Deallocated { at_us: now, id });
+            inst.terminated_at_us = Some(self.clock.now_us());
         }
     }
 
@@ -217,11 +206,6 @@ impl SimCloud {
     /// Panics if `id` was never allocated.
     pub fn instance(&self, id: InstanceId) -> &Instance {
         &self.instances[id.0 as usize]
-    }
-
-    /// All instances ever launched, in launch order.
-    pub fn instances(&self) -> &[Instance] {
-        &self.instances
     }
 
     /// Number of currently running instances.
@@ -237,17 +221,6 @@ impl SimCloud {
     /// Billing snapshot as of the current virtual time.
     pub fn billing(&self) -> Billing {
         Billing::compute(&self.instances, self.clock.now_us())
-    }
-
-    /// The provider-side event trace.
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
-    }
-
-    /// Record a caller-side event (e.g. a migration) in the shared trace so
-    /// figure harnesses see one merged timeline.
-    pub fn record(&mut self, event: Event) {
-        self.trace.push(event);
     }
 }
 
@@ -302,18 +275,6 @@ mod tests {
         cloud.deallocate(a.id);
         assert_eq!(cloud.instance(a.id).terminated_at_us, t1);
         assert_eq!(cloud.active_count(), 0);
-    }
-
-    #[test]
-    fn trace_records_lifecycle() {
-        let (clock, mut cloud) = cloud();
-        let a = cloud.allocate(InstanceType::ec2_small());
-        clock.advance_secs(10.0);
-        cloud.deallocate(a.id);
-        let events = cloud.trace().events();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0], Event::Allocated { id, .. } if id == a.id));
-        assert!(matches!(events[1], Event::Deallocated { id, .. } if id == a.id));
     }
 
     #[test]

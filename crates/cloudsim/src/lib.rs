@@ -13,8 +13,12 @@
 //!   nodes allocated over the lifespan of the experiment",
 //! * a **network model** ([`NetModel`]) giving the per-record transfer time
 //!   `T_net` that the paper's complexity analysis is expressed in, and
-//! * an **event trace** ([`EventTrace`]) from which the figure harnesses
-//!   reconstruct allocation/migration overhead series.
+//! * a **persistent store** ([`PersistentStore`]) priced per
+//!   [`StorageTier`], the overflow tier evicted records are written to.
+//!
+//! What happens to the cache (allocations, migrations, merges) is not
+//! recorded here: the elasticity engine emits it as `ecc_obs` events,
+//! and the figure harnesses fold those.
 //!
 //! Everything stochastic (boot-latency jitter) is seeded, so a given seed
 //! reproduces an experiment bit-for-bit.
@@ -55,14 +59,12 @@ mod clock;
 mod cloud;
 mod netmodel;
 mod storage;
-mod trace;
 
 pub use billing::Billing;
 pub use clock::SimClock;
 pub use cloud::{AllocationReceipt, BootLatency, Instance, InstanceId, InstanceType, SimCloud};
 pub use netmodel::NetModel;
 pub use storage::{PersistentStore, StorageTier};
-pub use trace::{Event, EventTrace};
 
 /// Microseconds per second, the clock's base unit.
 pub const US_PER_SEC: u64 = 1_000_000;

@@ -16,7 +16,7 @@
 
 use ecc_bptree::ByteSize;
 use ecc_chash::HashRing;
-use ecc_cloudsim::{Event, InstanceId, NetModel, PersistentStore, SimClock, SimCloud};
+use ecc_cloudsim::{InstanceId, NetModel, PersistentStore, SimClock, SimCloud};
 use ecc_obs::{LogHistogram, ObsEvent, ObsRegistry, TimeSource};
 
 use crate::adaptive::WindowController;
@@ -450,7 +450,7 @@ impl ElasticCache {
     }
 
     /// Algorithm 1 lines 8–15: [`Engine::split`] relieves `nid`; this
-    /// cache counts the split and traces its migration for Figure 4.
+    /// cache counts the split.
     ///
     /// Cold and never inlined: inlined into `gba_insert`, the engine's
     /// split cost `sim_paper_phases` about a tenth of its queries per
@@ -464,13 +464,6 @@ impl ElasticCache {
         self.metrics.splits += 1;
         self.metrics.splits_with_allocation += u64::from(split.allocated);
         self.metrics.migration_us += split.duration_us;
-        self.fleet.cloud.record(Event::Migration {
-            at_us: split.at_us,
-            records: split.records,
-            bytes: split.bytes,
-            duration_us: split.duration_us,
-            allocated_node: split.allocated,
-        });
         #[cfg(debug_assertions)]
         self.validate();
         Ok(())
@@ -544,16 +537,9 @@ impl ElasticCache {
         // audit reports.
         let closed = self.engine.close_step(&mut self.fleet, resize_to);
         self.metrics.tier_writes = self.fleet.tier_writes;
-        if let Ok((evicted, merge)) = closed {
+        if let Ok((evicted, merged)) = closed {
             self.metrics.evictions += evicted;
-            if let Some(merge) = merge {
-                self.fleet.cloud.record(Event::Merge {
-                    at_us: merge.at_us,
-                    records: merge.records,
-                    duration_us: merge.duration_us,
-                });
-                self.metrics.merges += 1;
-            }
+            self.metrics.merges += u64::from(merged.is_some());
         }
         #[cfg(debug_assertions)]
         self.validate();
@@ -1085,6 +1071,36 @@ mod tests {
             pooled_us < blocking_us / 2,
             "warm pool should hide boots: {pooled_us} vs {blocking_us}"
         );
+    }
+
+    #[test]
+    fn a_split_stamps_its_node_alloc_when_it_asks_for_the_node() {
+        const BOOT_US: u64 = 7_000_000;
+        let splits = |warm: usize| {
+            let mut c = cfg_records(4);
+            c.boot_latency = ecc_cloudsim::BootLatency::fixed(BOOT_US);
+            c.warm_pool = warm;
+            let mut cache = ElasticCache::new(c);
+            // Standbys launched at t = 0 are ready one boot later.
+            cache.clock().advance_us(BOOT_US);
+            for k in 0..12u64 {
+                cache.insert(k * 80, rec()).unwrap();
+            }
+            let snapshot = cache.obs().snapshot();
+            assert_eq!(snapshot.dropped, 0);
+            crate::engine::split_costs(&snapshot.events)
+        };
+        // Every split allocates or not; one that does waits out the boot.
+        let booted = splits(0);
+        assert!(booted.iter().any(|s| s.allocated));
+        for split in &booted {
+            let boot = if split.allocated { BOOT_US } else { 0 };
+            assert_eq!(split.alloc_us, boot, "{split:?}");
+        }
+        // A ready standby arrives at once.
+        let pooled = splits(8);
+        assert!(pooled.iter().any(|s| s.allocated));
+        assert!(pooled.iter().all(|s| s.alloc_us == 0), "{pooled:?}");
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! [`Substrate`]'s: the simulator's nodes and virtual clock, or the live
 //! coordinator's ledger and wire.
 
+use std::collections::HashMap;
+
 use ecc_chash::HashRing;
 use ecc_obs::{ObsEvent, ObsRegistry, SpanGuard};
 
@@ -40,19 +42,64 @@ impl NodeKey for usize {
 }
 
 /// A migration the engine ran, a split's or a merge's, for its caller's
-/// counters.
+/// counters. What it moved, and when, is in its event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Migration {
-    /// Records moved.
-    pub records: u64,
-    /// Their payload bytes (not footprints).
-    pub bytes: u64,
-    /// When the migration started.
-    pub at_us: u64,
     /// How long it took, a split's release included.
     pub duration_us: u64,
     /// Its destination was allocated for it.
     pub allocated: bool,
+}
+
+/// One split's cost as Figure 4 reports it: allocating its destination,
+/// then migrating its records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitCost {
+    /// When the migration started.
+    pub at_us: u64,
+    /// How long the destination took to arrive: a boot or a spawn, 0 for
+    /// a ready standby or an existing node.
+    pub alloc_us: u64,
+    /// How long the migration took, the release included.
+    pub migrate_us: u64,
+    /// Records moved.
+    pub records: u64,
+    /// The destination was allocated for the split.
+    pub allocated: bool,
+}
+
+/// Every split's cost in `events`, in order. A split's `NodeAlloc` is
+/// stamped when the node is asked for and its `SweepMigrate` when the node
+/// has arrived, so their difference is the allocation's cost.
+pub fn split_costs(events: &[ObsEvent]) -> Vec<SplitCost> {
+    let mut asked_at = HashMap::new();
+    let mut costs = Vec::new();
+    for event in events {
+        match *event {
+            ObsEvent::NodeAlloc { at_us, node } => {
+                asked_at.insert(node, at_us);
+            }
+            ObsEvent::SweepMigrate {
+                at_us,
+                dest,
+                records,
+                duration_us,
+                allocated,
+                ..
+            } => costs.push(SplitCost {
+                at_us,
+                alloc_us: match asked_at.get(&dest) {
+                    Some(&asked) if allocated => at_us.saturating_sub(asked),
+                    _ => 0,
+                },
+                migrate_us: duration_us,
+                records,
+                allocated,
+            }),
+            _ => {}
+        }
+    }
+    costs
 }
 
 /// What the engine runs on: a fleet of nodes, read from memory, and the
@@ -139,8 +186,12 @@ impl<N: NodeKey> Engine<N> {
 
     /// Announce a node that joined the fleet outside a split.
     pub fn joined(&self, node: N) {
+        self.joined_at(self.obs.now_us(), node);
+    }
+
+    fn joined_at(&self, at_us: u64, node: N) {
         self.obs.emit(ObsEvent::NodeAlloc {
-            at_us: self.obs.now_us(),
+            at_us,
             node: node.index(),
         });
     }
@@ -162,8 +213,10 @@ impl<N: NodeKey> Engine<N> {
     /// Relieve `node`: split its fullest bucket at the median (or relocate
     /// it whole) onto the least-loaded node the records fit on, or a new
     /// one. Emits `NodeAlloc` (if it allocates), `BucketSplit`, then
-    /// `SweepMigrate`. A failed migration leaves the ring as it was and
-    /// deallocates a node allocated for it.
+    /// `SweepMigrate`; the `NodeAlloc` is stamped when the node is asked
+    /// for, the `SweepMigrate` when it has arrived ([`split_costs`]). A
+    /// failed migration leaves the ring as it was and deallocates a node
+    /// allocated for it.
     pub fn split<S: Substrate<Node = N>>(
         &mut self,
         sub: &mut S,
@@ -186,8 +239,9 @@ impl<N: NodeKey> Engine<N> {
             match gba::destination(sub.loads(), node, moved_bytes, self.capacity) {
                 Some(dest) => (dest, false),
                 None => {
+                    let asked_us = self.obs.now_us();
                     let dest = sub.alloc()?;
-                    self.joined(dest);
+                    self.joined_at(asked_us, dest);
                     (dest, true)
                 }
             };
@@ -226,9 +280,6 @@ impl<N: NodeKey> Engine<N> {
             allocated,
         });
         Ok(Migration {
-            records,
-            bytes,
-            at_us,
             duration_us,
             allocated,
         })
@@ -310,7 +361,7 @@ impl<N: NodeKey> Engine<N> {
             .flat_map(|&b| self.arc(sub, src, b).1)
             .collect();
         held.sort_unstable();
-        let (records, bytes) = sub.migrate(src, dest, &held)?;
+        let (records, _) = sub.migrate(src, dest, &held)?;
         let duration_us = self.obs.now_us() - at_us;
         self.obs.record(MIGRATE_HIST, duration_us);
         for bucket in buckets {
@@ -326,9 +377,6 @@ impl<N: NodeKey> Engine<N> {
         });
         self.dealloc(sub, src);
         Ok(Some(Migration {
-            records,
-            bytes,
-            at_us,
             duration_us,
             allocated: false,
         }))

@@ -412,7 +412,6 @@ impl LiveCoordinator {
         let placed = self.place();
         for slot in &mut self.cluster.nodes {
             if let Some(mut node) = slot.take() {
-                drop(node.client.shutdown());
                 node.server.stop();
             }
         }
@@ -781,7 +780,6 @@ impl Substrate for Cluster {
         retired.events.drain(..excess);
         retired.dropped += excess as u64;
         self.retired = retired;
-        drop(dead.client.shutdown());
         dead.server.stop();
     }
 

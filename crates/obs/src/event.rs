@@ -51,7 +51,7 @@ pub enum ObsEvent {
     },
     /// A cache node came online.
     NodeAlloc {
-        /// Event time, µs.
+        /// Event time, µs: for a split's node, when it was asked for.
         at_us: u64,
         /// The new node.
         node: u32,

@@ -5,8 +5,7 @@
 //! linearizing the query's location and time through a **space-filling
 //! curve**. This crate provides that front end:
 //!
-//! * [`morton`] — Z-order (Morton) curves in 2 and 3 dimensions,
-//! * [`hilbert`] — Hilbert curves in 2 dimensions (better locality),
+//! * [`morton`] — the Z-order (Morton) curve in 2 dimensions,
 //! * [`quantize`] — mapping of geographic coordinates and timestamps onto
 //!   fixed-width integer grids,
 //! * [`linear`] — the composed [`linear::Linearizer`] that turns a
@@ -39,7 +38,6 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
-pub mod hilbert;
 pub mod linear;
 pub mod morton;
 pub mod quantize;

@@ -1,18 +1,13 @@
 //! The composed spatiotemporal linearizer (the "B²-Tree front end").
 //!
 //! A [`Linearizer`] turns a `(latitude, longitude, timestamp)` query into a
-//! single `u64` key and back. Two layout schemes are offered:
-//!
-//! * [`Scheme::TimeMajor`] — `key = slot << (2*bits) | curve(x, y)`. Keys
-//!   from the same time slot are contiguous; this is the layout described
-//!   for B²-Trees, where a time-ordered sequence of spatial curves is
-//!   concatenated along the key line.
-//! * [`Scheme::SpaceMajor`] — `key = curve(x, y) << tbits | slot`. All
-//!   observations of one location cluster together instead.
+//! single `u64` key and back: `key = slot << (2*bits) | morton(x, y)`. Keys
+//! from the same time slot are contiguous; this is the layout described
+//! for B²-Trees, where a time-ordered sequence of spatial curves is
+//! concatenated along the key line.
 
 use serde::{Deserialize, Serialize};
 
-use crate::hilbert;
 use crate::morton;
 use crate::quantize::{GeoGrid, TimeGrid};
 
@@ -21,8 +16,6 @@ use crate::quantize::{GeoGrid, TimeGrid};
 pub enum Curve {
     /// Z-order curve: cheapest to compute, good locality.
     Morton,
-    /// Hilbert curve: slightly costlier, best locality.
-    Hilbert,
 }
 
 /// How the time slot and the spatial curve index combine into one key.
@@ -30,14 +23,6 @@ pub enum Curve {
 pub enum Scheme {
     /// Slot index in the high bits (B²-Tree layout).
     TimeMajor,
-    /// Curve index in the high bits.
-    SpaceMajor,
-    /// Fully interleaved 3-D Morton code over `(x, y, slot)`: space *and*
-    /// time locality in one curve. Requires the Morton curve and equal
-    /// spatial/temporal bit widths (each ≤ 21); queries near in both space
-    /// and time get nearby keys, which clusters them onto the same cache
-    /// node arcs.
-    Interleaved,
 }
 
 /// Converts spatiotemporal queries to one-dimensional cache keys.
@@ -45,38 +30,20 @@ pub enum Scheme {
 pub struct Linearizer {
     geo: GeoGrid,
     time: TimeGrid,
-    curve: Curve,
-    scheme: Scheme,
 }
 
 impl Linearizer {
     /// Build a linearizer from a spatial grid, a time grid, a curve and a
-    /// combination scheme.
+    /// combination scheme (each enum names the one layout there is).
     ///
     /// # Panics
     ///
     /// Panics if the combined key would exceed 64 bits.
     pub fn new(geo: GeoGrid, time: TimeGrid, curve: Curve, scheme: Scheme) -> Self {
+        let (Curve::Morton, Scheme::TimeMajor) = (curve, scheme);
         let total = 2 * geo.bits + time.bits;
         assert!(total <= 64, "key would need {total} bits (> 64)");
-        if scheme == Scheme::Interleaved {
-            assert_eq!(
-                curve,
-                Curve::Morton,
-                "interleaved scheme is defined on the Morton curve"
-            );
-            assert_eq!(
-                geo.bits, time.bits,
-                "interleaved scheme needs equal spatial and temporal widths"
-            );
-            assert!(geo.bits <= 21, "3-D Morton supports at most 21 bits/axis");
-        }
-        Self {
-            geo,
-            time,
-            curve,
-            scheme,
-        }
+        Self { geo, time }
     }
 
     /// The total number of distinct keys this linearizer can produce.
@@ -107,42 +74,17 @@ impl Linearizer {
 
     /// Linearize an already-quantized cell and slot.
     pub fn key_for_cell(&self, ix: u32, iy: u32, slot: u32) -> u64 {
-        if self.scheme == Scheme::Interleaved {
-            return morton::encode3(ix, iy, slot);
-        }
-        let spatial = self.curve_index(ix, iy);
-        match self.scheme {
-            Scheme::TimeMajor => ((slot as u64) << (2 * self.geo.bits)) | spatial,
-            Scheme::SpaceMajor => (spatial << self.time.bits) | slot as u64,
-            Scheme::Interleaved => unreachable!("handled above"),
-        }
+        // Mask to the grid's bit width so the code stays compact.
+        let mask = self.geo.side() - 1;
+        let spatial = morton::encode2(ix & mask, iy & mask);
+        ((slot as u64) << (2 * self.geo.bits)) | spatial
     }
 
     /// Invert a key to its grid cell and slot.
     pub fn cell_of(&self, key: u64) -> (u32, u32, u32) {
-        if self.scheme == Scheme::Interleaved {
-            return morton::decode3(key);
-        }
-        let (spatial, slot) = match self.scheme {
-            Scheme::TimeMajor => {
-                let mask = (1u64 << (2 * self.geo.bits)) - 1;
-                (key & mask, (key >> (2 * self.geo.bits)) as u32)
-            }
-            Scheme::SpaceMajor => {
-                let mask = if self.time.bits == 0 {
-                    0
-                } else {
-                    (1u64 << self.time.bits) - 1
-                };
-                (key >> self.time.bits, (key & mask) as u32)
-            }
-            Scheme::Interleaved => unreachable!("handled above"),
-        };
-        let (ix, iy) = match self.curve {
-            Curve::Morton => morton::decode2(spatial),
-            Curve::Hilbert => hilbert::d_to_xy(self.geo.bits, spatial),
-        };
-        (ix, iy, slot)
+        let mask = (1u64 << (2 * self.geo.bits)) - 1;
+        let (ix, iy) = morton::decode2(key & mask);
+        (ix, iy, (key >> (2 * self.geo.bits)) as u32)
     }
 
     /// Invert a key to the geographic center of its cell and the start of
@@ -152,31 +94,24 @@ impl Linearizer {
         let (lat, lon) = self.geo.center(ix, iy);
         (lat, lon, self.time.slot_start(slot))
     }
-
-    #[inline]
-    fn curve_index(&self, ix: u32, iy: u32) -> u64 {
-        match self.curve {
-            Curve::Morton => {
-                // Mask to the grid's bit width so the code stays compact.
-                let mask = self.geo.side() - 1;
-                morton::encode2(ix & mask, iy & mask)
-            }
-            Curve::Hilbert => hilbert::xy_to_d(self.geo.bits, ix, iy),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lin(curve: Curve, scheme: Scheme) -> Linearizer {
-        Linearizer::new(GeoGrid::global(8), TimeGrid::new(0, 3600, 8), curve, scheme)
+    fn lin() -> Linearizer {
+        Linearizer::new(
+            GeoGrid::global(8),
+            TimeGrid::new(0, 3600, 8),
+            Curve::Morton,
+            Scheme::TimeMajor,
+        )
     }
 
     #[test]
     fn key_space_counts_bits() {
-        assert_eq!(lin(Curve::Morton, Scheme::TimeMajor).key_space(), 1 << 24);
+        assert_eq!(lin().key_space(), 1 << 24);
         let spatial_only = Linearizer::new(
             GeoGrid::global(8),
             TimeGrid::disabled(),
@@ -187,40 +122,25 @@ mod tests {
     }
 
     #[test]
-    fn keys_roundtrip_to_cells_all_curves_and_schemes() {
-        for curve in [Curve::Morton, Curve::Hilbert] {
-            for scheme in [Scheme::TimeMajor, Scheme::SpaceMajor] {
-                let l = lin(curve, scheme);
-                for &(ix, iy, slot) in &[(0u32, 0u32, 0u32), (255, 255, 255), (17, 200, 99)] {
-                    let key = l.key_for_cell(ix, iy, slot);
-                    assert_eq!(l.cell_of(key), (ix, iy, slot), "{curve:?}/{scheme:?}");
-                }
-            }
+    fn keys_roundtrip_to_cells() {
+        let l = lin();
+        for &(ix, iy, slot) in &[(0u32, 0u32, 0u32), (255, 255, 255), (17, 200, 99)] {
+            let key = l.key_for_cell(ix, iy, slot);
+            assert_eq!(l.cell_of(key), (ix, iy, slot));
         }
     }
 
     #[test]
     fn time_major_groups_by_slot() {
-        let l = lin(Curve::Morton, Scheme::TimeMajor);
+        let l = lin();
         let early = l.key_for_cell(255, 255, 0);
         let late = l.key_for_cell(0, 0, 1);
         assert!(early < late, "all slot-0 keys precede slot-1 keys");
     }
 
     #[test]
-    fn space_major_groups_by_location() {
-        let l = lin(Curve::Morton, Scheme::SpaceMajor);
-        let a0 = l.key_for_cell(3, 7, 0);
-        let a255 = l.key_for_cell(3, 7, 255);
-        let b0 = l.key_for_cell(3, 8, 0);
-        assert!(a0 < a255, "slots of one cell are ordered");
-        assert!(a255 < b0, "slots of one cell stay together");
-        assert_eq!(a255 - a0, 255);
-    }
-
-    #[test]
     fn keys_stay_within_key_space() {
-        let l = lin(Curve::Hilbert, Scheme::TimeMajor);
+        let l = lin();
         let k = l.key(90.0, 180.0, u64::MAX);
         assert!(k < l.key_space());
     }
@@ -228,66 +148,10 @@ mod tests {
     #[test]
     fn nearby_points_share_prefix_behaviour() {
         // Two points in the same cell must produce the same key.
-        let l = lin(Curve::Morton, Scheme::TimeMajor);
+        let l = lin();
         let k1 = l.key(10.0001, 20.0001, 500);
         let k2 = l.key(10.0002, 20.0002, 500);
         assert_eq!(k1, k2);
-    }
-
-    #[test]
-    fn interleaved_scheme_roundtrips() {
-        let l = Linearizer::new(
-            GeoGrid::global(8),
-            TimeGrid::new(0, 3600, 8),
-            Curve::Morton,
-            Scheme::Interleaved,
-        );
-        for &(ix, iy, slot) in &[(0u32, 0u32, 0u32), (255, 255, 255), (17, 200, 99)] {
-            let key = l.key_for_cell(ix, iy, slot);
-            assert!(key < l.key_space());
-            assert_eq!(l.cell_of(key), (ix, iy, slot));
-        }
-    }
-
-    #[test]
-    fn interleaved_clusters_space_and_time() {
-        let l = Linearizer::new(
-            GeoGrid::global(8),
-            TimeGrid::new(0, 3600, 8),
-            Curve::Morton,
-            Scheme::Interleaved,
-        );
-        // A neighbour one cell away in the same time slot is closer on the
-        // key line than the far side of the map.
-        let here = l.key_for_cell(100, 100, 7);
-        let neighbour = l.key_for_cell(101, 100, 7);
-        let far = l.key_for_cell(200, 30, 7);
-        assert!(here.abs_diff(neighbour) < here.abs_diff(far));
-        // ...and the same cell one slot later is also nearby.
-        let later = l.key_for_cell(100, 100, 8);
-        assert!(here.abs_diff(later) < here.abs_diff(far));
-    }
-
-    #[test]
-    #[should_panic(expected = "equal spatial and temporal widths")]
-    fn interleaved_needs_matching_widths() {
-        Linearizer::new(
-            GeoGrid::global(8),
-            TimeGrid::new(0, 3600, 4),
-            Curve::Morton,
-            Scheme::Interleaved,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "Morton curve")]
-    fn interleaved_rejects_hilbert() {
-        Linearizer::new(
-            GeoGrid::global(8),
-            TimeGrid::new(0, 3600, 8),
-            Curve::Hilbert,
-            Scheme::Interleaved,
-        );
     }
 
     #[test]

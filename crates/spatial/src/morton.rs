@@ -1,4 +1,4 @@
-//! Z-order (Morton) space-filling curves.
+//! The Z-order (Morton) space-filling curve in two dimensions.
 //!
 //! A Morton code interleaves the bits of the coordinate components so that
 //! points close in space tend to be close on the resulting one-dimensional
@@ -31,31 +31,6 @@ pub fn compact2(x: u64) -> u32 {
     x as u32
 }
 
-/// Spread the low 21 bits of `x` so each input bit lands in every third
-/// output bit position (used by the 3-D encoding).
-#[inline]
-pub fn spread3(x: u32) -> u64 {
-    let mut x = (x as u64) & 0x1F_FFFF; // 21 bits
-    x = (x | (x << 32)) & 0x001F_0000_0000_FFFF;
-    x = (x | (x << 16)) & 0x001F_0000_FF00_00FF;
-    x = (x | (x << 8)) & 0x100F_00F0_0F00_F00F;
-    x = (x | (x << 4)) & 0x10C3_0C30_C30C_30C3;
-    x = (x | (x << 2)) & 0x1249_2492_4924_9249;
-    x
-}
-
-/// Inverse of [`spread3`].
-#[inline]
-pub fn compact3(x: u64) -> u32 {
-    let mut x = x & 0x1249_2492_4924_9249;
-    x = (x | (x >> 2)) & 0x10C3_0C30_C30C_30C3;
-    x = (x | (x >> 4)) & 0x100F_00F0_0F00_F00F;
-    x = (x | (x >> 8)) & 0x001F_0000_FF00_00FF;
-    x = (x | (x >> 16)) & 0x001F_0000_0000_FFFF;
-    x = (x | (x >> 32)) & 0x0000_0000_001F_FFFF;
-    x as u32
-}
-
 /// Morton-encode a 2-D point. Accepts full 32-bit coordinates and yields a
 /// 64-bit code with `x` in the even bit positions and `y` in the odd ones.
 #[inline]
@@ -67,20 +42,6 @@ pub fn encode2(x: u32, y: u32) -> u64 {
 #[inline]
 pub fn decode2(code: u64) -> (u32, u32) {
     (compact2(code), compact2(code >> 1))
-}
-
-/// Morton-encode a 3-D point. Each coordinate contributes its low 21 bits,
-/// for a 63-bit code.
-#[inline]
-pub fn encode3(x: u32, y: u32, z: u32) -> u64 {
-    spread3(x) | (spread3(y) << 1) | (spread3(z) << 2)
-}
-
-/// Decode a 3-D Morton code back to its `(x, y, z)` coordinates
-/// (21 bits each).
-#[inline]
-pub fn decode3(code: u64) -> (u32, u32, u32) {
-    (compact3(code), compact3(code >> 1), compact3(code >> 2))
 }
 
 #[cfg(test)]
@@ -124,38 +85,9 @@ mod tests {
     }
 
     #[test]
-    fn encode3_known_values() {
-        assert_eq!(encode3(1, 0, 0), 0b001);
-        assert_eq!(encode3(0, 1, 0), 0b010);
-        assert_eq!(encode3(0, 0, 1), 0b100);
-        assert_eq!(encode3(0b11, 0, 0), 0b001001);
-    }
-
-    #[test]
-    fn decode3_roundtrip_small() {
-        for x in 0..16u32 {
-            for y in 0..16u32 {
-                for z in 0..16u32 {
-                    assert_eq!(decode3(encode3(x, y, z)), (x, y, z));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn encode3_masks_to_21_bits() {
-        // Bits above the 21st of each component must not leak into the code.
-        let full = encode3(0x1F_FFFF, 0x1F_FFFF, 0x1F_FFFF);
-        let over = encode3(u32::MAX, u32::MAX, u32::MAX);
-        assert_eq!(full, over);
-        assert_eq!(decode3(over), (0x1F_FFFF, 0x1F_FFFF, 0x1F_FFFF));
-    }
-
-    #[test]
     fn spread_compact_are_inverses() {
         for &v in &[0u32, 1, 0xFFFF, 0xDEAD_BEEF, u32::MAX] {
             assert_eq!(compact2(spread2(v)), v);
-            assert_eq!(compact3(spread3(v & 0x1F_FFFF)), v & 0x1F_FFFF);
         }
     }
 

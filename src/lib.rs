@@ -10,10 +10,10 @@
 //!   static-N LRU baseline.
 //! * [`ecc_chash`] — the consistent-hash line with explicit buckets.
 //! * [`ecc_bptree`] — the linked-leaf B+-tree node index.
-//! * [`ecc_spatial`] — Morton/Hilbert linearization of
-//!   spatiotemporal query keys (the B²-Tree front end).
+//! * [`ecc_spatial`] — Morton linearization of spatiotemporal
+//!   query keys (the B²-Tree front end).
 //! * [`ecc_cloudsim`] — the EC2-like substrate: virtual clock,
-//!   allocation latency, billing, network model.
+//!   allocation latency, billing, network model, overflow storage.
 //! * [`ecc_shoreline`] — the shoreline-extraction service
 //!   workload (procedural CTMs, tides, marching squares).
 //! * [`ecc_workload`] — the paper's query-submission loop.

@@ -3,6 +3,7 @@
 //! contents, placement behaviour and growth, and make the same structural
 //! decisions in the same order.
 
+use elastic_cloud_cache::core::engine::{split_costs, SplitCost};
 use elastic_cloud_cache::net::coordinator::LiveCoordinator;
 use elastic_cloud_cache::prelude::*;
 
@@ -15,6 +16,29 @@ fn assert_same_decisions(live: &LiveCoordinator, sim: &ElasticCache) {
     let live_events: Vec<_> = live_events.filter_map(|(_, e)| e.untimed()).collect();
     let sim_events: Vec<_> = sim_events.filter_map(|(_, e)| e.untimed()).collect();
     assert_eq!(live_events, sim_events);
+}
+
+/// Figure 4's rows, folded from each substrate's events: the same splits
+/// (records moved, a node allocated or not), and every live allocation
+/// took time to spawn and connect.
+fn assert_same_split_costs(live: &LiveCoordinator, sim: &ElasticCache) {
+    let costs = |events: Vec<(u64, _)>| {
+        let events: Vec<_> = events.into_iter().map(|(_, e)| e).collect();
+        split_costs(&events)
+    };
+    let live_costs = costs(live.obs().events_since(0));
+    let sim_costs = costs(sim.obs().events_since(0));
+    let rows = |costs: &[SplitCost]| -> Vec<_> {
+        costs.iter().map(|c| (c.records, c.allocated)).collect()
+    };
+    assert!(!live_costs.is_empty(), "no split to compare");
+    assert_eq!(rows(&live_costs), rows(&sim_costs));
+    for cost in live_costs.iter().filter(|c| c.allocated) {
+        assert!(
+            cost.alloc_us > 0,
+            "a live allocation took no time: {cost:?}"
+        );
+    }
 }
 
 /// Deterministic pseudo-random key sequence.
@@ -57,6 +81,7 @@ fn live_and_simulated_caches_agree_on_contents() {
     // decisions.
     let (live_bytes, live_records) = live.totals().unwrap();
     assert_same_decisions(&live, &sim);
+    assert_same_split_costs(&live, &sim);
     assert_eq!(live_records as usize, sim.total_records());
     assert_eq!(live_bytes, sim.total_bytes());
     for &key in &keys {
@@ -128,6 +153,7 @@ fn live_cluster_survives_a_grow_evict_contract_cycle() {
     assert_eq!(sim.total_records(), warm.len());
     assert!(sim.metrics().merges > 0, "the cycle contracted nothing");
     assert_same_decisions(&live, &sim);
+    assert_same_split_costs(&live, &sim);
     sim.validate();
     live.shutdown().unwrap();
 }
