@@ -50,7 +50,7 @@ fn main() {
             cur_step += 1;
         }
         let m = cache.metrics();
-        let bill = cache.cloud().billing();
+        let bill = cache.cloud().billing(cache.clock().now_us());
         let launched = cache.cloud().total_launched();
         // Churn: every allocation beyond the end fleet was transient.
         let churn = launched as u64 + m.merges;

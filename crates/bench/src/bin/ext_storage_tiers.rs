@@ -56,7 +56,7 @@ fn main() {
         }
         let m = cache.metrics();
         let tier_cost = cache.tier_cost_microdollars() as f64 / 1e6;
-        let compute = cache.cloud().billing().dollars();
+        let compute = cache.cloud().billing(cache.clock().now_us()).dollars();
         println!(
             "{name:>10} {:>9.2} {:>10} {:>10} {:>11.3} {:>12.2} {:>12.2}",
             m.speedup(),

@@ -47,7 +47,7 @@ fn main() {
             cache.query(key, uncached, || service.record(key));
         }
         let m = cache.metrics();
-        let bill = cache.cloud().billing();
+        let bill = cache.cloud().billing(cache.clock().now_us());
         println!(
             "{name:>22} {:>10.2} {:>16.1} {:>8} {:>10} {:>10.2}",
             m.speedup(),

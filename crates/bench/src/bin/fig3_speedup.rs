@@ -68,7 +68,7 @@ fn main() {
             points.push((i as u64 + 1, gba.metrics().speedup(), gba.node_count()));
         }
     }
-    let bill = gba.cloud().billing();
+    let bill = gba.cloud().billing(gba.clock().now_us());
     println!(
         "GBA:      final speedup {:.2}x (hit rate {:.1} %), {} nodes at end, {:.1} nodes avg, ${:.2}",
         gba.metrics().speedup(),

@@ -2,14 +2,13 @@
 //!
 //! This is the cloudsim leg of the scenario zoo: the deterministic
 //! `(step, op, key)` stream that simtest's `workload` family also replays
-//! is fed to an in-process [`ElasticCache`] on a [`SimClock`], so elasticity
+//! is fed to an in-process [`ElasticCache`] on its virtual clock, so elasticity
 //! policies see millions of simulated queries in milliseconds of wall
 //! time. Reads go through the query path (a miss charges the modelled
 //! service time and populates), writes through the insert path, and step
 //! boundaries end the cache's time slice — exactly the paper's
 //! query-submission loop, generalized to the zoo.
 
-use ecc_cloudsim::SimClock;
 use ecc_core::{ElasticCache, Record, WindowConfig};
 use ecc_workload::driver::Op;
 use ecc_workload::scenario::Scenario;
@@ -72,7 +71,7 @@ pub fn run_scenario_sim(sc: &Scenario, seed: u64, steps: u64) -> ScenarioSummary
             threshold: None,
         }),
     );
-    let mut cache = ElasticCache::with_clock(cfg, SimClock::new());
+    let mut cache = ElasticCache::new(cfg);
 
     let mut events = 0u64;
     let mut writes = 0u64;

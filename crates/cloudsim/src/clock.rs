@@ -1,21 +1,18 @@
-//! The shared virtual clock.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! The virtual clock.
 
 use crate::US_PER_SEC;
 
-/// A monotonically advancing virtual clock, shared by cloning.
+/// A monotonically advancing virtual clock in microseconds.
 ///
 /// The clock only moves when a component explicitly charges time against it
 /// (`advance_*`), which makes experiments deterministic and lets a
-/// laptop-scale run cover weeks of simulated EC2 time. Internally an
-/// `Arc<AtomicU64>` of microseconds: cheap to clone into every subsystem and
-/// safe to share with the threaded TCP layer.
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    micros: Arc<AtomicU64>,
-}
+/// laptop-scale run cover weeks of simulated EC2 time. It has one owner,
+/// which is why it is not `Clone`: a simulated cache holds its clock, and
+/// every other component (the cloud's instance table and billing, the
+/// overflow tier, the elasticity engine's event stamps) is handed the time
+/// as a value.
+#[derive(Debug, Default)]
+pub struct SimClock(u64);
 
 impl SimClock {
     /// A fresh clock at time zero.
@@ -26,43 +23,26 @@ impl SimClock {
     /// Current virtual time in microseconds.
     #[inline]
     pub fn now_us(&self) -> u64 {
-        self.micros.load(Ordering::Relaxed)
+        self.0
     }
 
     /// Current virtual time in (fractional) seconds.
     #[inline]
     pub fn now_secs(&self) -> f64 {
-        self.now_us() as f64 / US_PER_SEC as f64
+        self.0 as f64 / US_PER_SEC as f64
     }
 
     /// Advance by `us` microseconds, returning the new time.
     #[inline]
-    pub fn advance_us(&self, us: u64) -> u64 {
-        self.micros.fetch_add(us, Ordering::Relaxed) + us
+    pub fn advance_us(&mut self, us: u64) -> u64 {
+        self.0 += us;
+        self.0
     }
 
     /// Advance by (fractional, non-negative) seconds.
-    pub fn advance_secs(&self, secs: f64) -> u64 {
+    pub fn advance_secs(&mut self, secs: f64) -> u64 {
         assert!(secs >= 0.0 && secs.is_finite(), "cannot rewind the clock");
         self.advance_us((secs * US_PER_SEC as f64).round() as u64)
-    }
-
-    /// Move the clock forward to `target_us` if it is ahead of now; no-op
-    /// otherwise. Returns the new time.
-    pub fn advance_to_us(&self, target_us: u64) -> u64 {
-        let mut cur = self.now_us();
-        while target_us > cur {
-            match self.micros.compare_exchange_weak(
-                cur,
-                target_us,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return target_us,
-                Err(seen) => cur = seen,
-            }
-        }
-        cur
     }
 }
 
@@ -72,7 +52,7 @@ mod tests {
 
     #[test]
     fn starts_at_zero_and_advances() {
-        let c = SimClock::new();
+        let mut c = SimClock::new();
         assert_eq!(c.now_us(), 0);
         assert_eq!(c.advance_us(5), 5);
         assert_eq!(c.now_us(), 5);
@@ -82,43 +62,8 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_time() {
-        let a = SimClock::new();
-        let b = a.clone();
-        a.advance_us(100);
-        assert_eq!(b.now_us(), 100);
-        b.advance_us(1);
-        assert_eq!(a.now_us(), 101);
-    }
-
-    #[test]
-    fn advance_to_only_moves_forward() {
-        let c = SimClock::new();
-        c.advance_us(50);
-        assert_eq!(c.advance_to_us(40), 50);
-        assert_eq!(c.advance_to_us(60), 60);
-        assert_eq!(c.now_us(), 60);
-    }
-
-    #[test]
     #[should_panic(expected = "rewind")]
     fn negative_seconds_rejected() {
         SimClock::new().advance_secs(-1.0);
-    }
-
-    #[test]
-    fn is_shareable_across_threads() {
-        let c = SimClock::new();
-        let c2 = c.clone();
-        let h = std::thread::spawn(move || {
-            for _ in 0..1000 {
-                c2.advance_us(1);
-            }
-        });
-        for _ in 0..1000 {
-            c.advance_us(1);
-        }
-        h.join().unwrap();
-        assert_eq!(c.now_us(), 2000);
     }
 }

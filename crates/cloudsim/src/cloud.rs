@@ -5,7 +5,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::billing::Billing;
-use crate::clock::SimClock;
 use crate::US_PER_SEC;
 
 /// Opaque identifier of a (possibly terminated) instance.
@@ -140,62 +139,55 @@ pub struct AllocationReceipt {
 }
 
 /// The simulated provider: owns the instance table and the boot-latency
-/// sampler. All randomness comes from the seed given at construction.
+/// sampler. All randomness comes from the seed given at construction; the
+/// time comes from the caller, with each call that stamps or bills.
 #[derive(Debug)]
 pub struct SimCloud {
-    clock: SimClock,
     rng: SmallRng,
     boot: BootLatency,
     instances: Vec<Instance>,
 }
 
 impl SimCloud {
-    /// Create a provider bound to `clock`, with deterministic jitter from
-    /// `seed` and the given boot-latency model.
-    pub fn new(clock: SimClock, seed: u64, boot: BootLatency) -> Self {
+    /// Create a provider with deterministic jitter from `seed` and the
+    /// given boot-latency model.
+    pub fn new(seed: u64, boot: BootLatency) -> Self {
         Self {
-            clock,
             rng: SmallRng::seed_from_u64(seed),
             boot,
             instances: Vec::new(),
         }
     }
 
-    /// The clock this provider charges time against.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// Request a new machine. Does **not** advance the clock — see
-    /// [`AllocationReceipt::boot_us`].
-    pub fn allocate(&mut self, itype: InstanceType) -> AllocationReceipt {
-        let now = self.clock.now_us();
+    /// Request a new machine at `now_us`. Does **not** advance any clock —
+    /// see [`AllocationReceipt::boot_us`].
+    pub fn allocate(&mut self, now_us: u64, itype: InstanceType) -> AllocationReceipt {
         let boot_us = self.boot.sample(&mut self.rng);
         let id = InstanceId(self.instances.len() as u32);
         self.instances.push(Instance {
             id,
             itype,
-            launched_at_us: now,
-            ready_at_us: now + boot_us,
+            launched_at_us: now_us,
+            ready_at_us: now_us + boot_us,
             terminated_at_us: None,
         });
         AllocationReceipt {
             id,
             boot_us,
-            ready_at_us: now + boot_us,
+            ready_at_us: now_us + boot_us,
         }
     }
 
-    /// Terminate a machine. Idempotent: terminating twice keeps the first
-    /// termination time.
+    /// Terminate a machine at `now_us`. Idempotent: terminating twice keeps
+    /// the first termination time.
     ///
     /// # Panics
     ///
     /// Panics if `id` was never allocated.
-    pub fn deallocate(&mut self, id: InstanceId) {
+    pub fn deallocate(&mut self, now_us: u64, id: InstanceId) {
         let inst = &mut self.instances[id.0 as usize];
         if inst.terminated_at_us.is_none() {
-            inst.terminated_at_us = Some(self.clock.now_us());
+            inst.terminated_at_us = Some(now_us);
         }
     }
 
@@ -218,9 +210,9 @@ impl SimCloud {
         self.instances.len()
     }
 
-    /// Billing snapshot as of the current virtual time.
-    pub fn billing(&self) -> Billing {
-        Billing::compute(&self.instances, self.clock.now_us())
+    /// Billing snapshot as of virtual time `now_us`.
+    pub fn billing(&self, now_us: u64) -> Billing {
+        Billing::compute(&self.instances, now_us)
     }
 }
 
@@ -228,21 +220,18 @@ impl SimCloud {
 mod tests {
     use super::*;
 
-    fn cloud() -> (SimClock, SimCloud) {
-        let clock = SimClock::new();
-        let cloud = SimCloud::new(clock.clone(), 7, BootLatency::fixed(80 * US_PER_SEC));
-        (clock, cloud)
+    fn cloud() -> SimCloud {
+        SimCloud::new(7, BootLatency::fixed(80 * US_PER_SEC))
     }
 
     #[test]
     fn allocation_assigns_dense_ids_and_boot_latency() {
-        let (clock, mut cloud) = cloud();
-        let a = cloud.allocate(InstanceType::ec2_small());
+        let mut cloud = cloud();
+        let a = cloud.allocate(0, InstanceType::ec2_small());
         assert_eq!(a.id, InstanceId(0));
         assert_eq!(a.boot_us, 80 * US_PER_SEC);
         assert_eq!(a.ready_at_us, 80 * US_PER_SEC);
-        clock.advance_us(a.boot_us);
-        let b = cloud.allocate(InstanceType::ec2_small());
+        let b = cloud.allocate(a.ready_at_us, InstanceType::ec2_small());
         assert_eq!(b.id, InstanceId(1));
         assert_eq!(cloud.active_count(), 2);
         assert_eq!(cloud.total_launched(), 2);
@@ -251,10 +240,9 @@ mod tests {
     #[test]
     fn jitter_is_deterministic_per_seed() {
         let mk = |seed| {
-            let clock = SimClock::new();
-            let mut c = SimCloud::new(clock, seed, BootLatency::ec2_like());
+            let mut c = SimCloud::new(seed, BootLatency::ec2_like());
             (0..10)
-                .map(|_| c.allocate(InstanceType::ec2_small()).boot_us)
+                .map(|_| c.allocate(0, InstanceType::ec2_small()).boot_us)
                 .collect::<Vec<_>>()
         };
         assert_eq!(mk(1), mk(1));
@@ -266,14 +254,14 @@ mod tests {
 
     #[test]
     fn deallocate_is_idempotent_and_stops_activity() {
-        let (clock, mut cloud) = cloud();
-        let a = cloud.allocate(InstanceType::ec2_small());
-        clock.advance_secs(100.0);
-        cloud.deallocate(a.id);
-        let t1 = cloud.instance(a.id).terminated_at_us;
-        clock.advance_secs(50.0);
-        cloud.deallocate(a.id);
-        assert_eq!(cloud.instance(a.id).terminated_at_us, t1);
+        let mut cloud = cloud();
+        let a = cloud.allocate(0, InstanceType::ec2_small());
+        cloud.deallocate(100 * US_PER_SEC, a.id);
+        cloud.deallocate(150 * US_PER_SEC, a.id);
+        assert_eq!(
+            cloud.instance(a.id).terminated_at_us,
+            Some(100 * US_PER_SEC)
+        );
         assert_eq!(cloud.active_count(), 0);
     }
 
@@ -287,8 +275,7 @@ mod tests {
 
     #[test]
     fn instant_boot_for_ablations() {
-        let clock = SimClock::new();
-        let mut cloud = SimCloud::new(clock, 0, BootLatency::instant());
-        assert_eq!(cloud.allocate(InstanceType::ec2_small()).boot_us, 0);
+        let mut cloud = SimCloud::new(0, BootLatency::instant());
+        assert_eq!(cloud.allocate(0, InstanceType::ec2_small()).boot_us, 0);
     }
 }

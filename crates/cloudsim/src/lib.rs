@@ -5,7 +5,8 @@
 //! knobs the paper's results depend on:
 //!
 //! * a **virtual clock** ([`SimClock`]) in microseconds — every cache
-//!   operation charges a modelled duration against it,
+//!   operation charges a modelled duration against it; the clock's owner
+//!   hands the time to everything else here,
 //! * **instance allocation** with EC2-boot-scale latency ([`SimCloud`]),
 //!   the dominant term of the paper's node-split overhead (Figure 4),
 //! * **billing** per started instance-hour, EC2's 2010 pricing model
@@ -28,16 +29,17 @@
 //! ```
 //! use ecc_cloudsim::{BootLatency, InstanceType, NetModel, SimClock, SimCloud};
 //!
-//! let clock = SimClock::new();
-//! let mut cloud = SimCloud::new(clock.clone(), 42, BootLatency::ec2_like());
-//! let receipt = cloud.allocate(InstanceType::ec2_small());
+//! // The clock has one owner; the cloud is handed the time.
+//! let mut clock = SimClock::new();
+//! let mut cloud = SimCloud::new(42, BootLatency::ec2_like());
+//! let receipt = cloud.allocate(clock.now_us(), InstanceType::ec2_small());
 //! // The caller decides whether the boot blocks the critical path:
 //! clock.advance_us(receipt.boot_us);
 //!
 //! let net = NetModel::lan();
 //! clock.advance_us(net.transfer_us(1024)); // ship a 1 KiB record
 //!
-//! cloud.deallocate(receipt.id);
+//! cloud.deallocate(clock.now_us(), receipt.id);
 //! assert_eq!(cloud.active_count(), 0);
 //! ```
 

@@ -52,22 +52,6 @@ impl NetModel {
         };
         self.latency_us + serialization
     }
-
-    /// A full request/response exchange carrying `req` and `resp` payload
-    /// bytes (two latencies, both serializations).
-    #[inline]
-    pub fn rtt_us(&self, req_bytes: u64, resp_bytes: u64) -> u64 {
-        self.transfer_us(req_bytes) + self.transfer_us(resp_bytes)
-    }
-
-    /// The paper's `T_net`: time to move one cached record of `record_bytes`
-    /// between nodes. Batched migration pays one latency per record batch in
-    /// practice; we keep the conservative per-record figure the analysis
-    /// uses.
-    #[inline]
-    pub fn t_net_us(&self, record_bytes: u64) -> u64 {
-        self.transfer_us(record_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -96,17 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn rtt_doubles_latency() {
-        let n = NetModel::lan();
-        assert_eq!(n.rtt_us(0, 0), 2 * n.latency_us);
-        assert!(n.rtt_us(100, 1000) > n.rtt_us(0, 0));
-    }
-
-    #[test]
     fn instant_network_is_free() {
         let n = NetModel::instant();
         assert_eq!(n.transfer_us(u64::MAX / US_PER_SEC), 0);
-        assert_eq!(n.rtt_us(1 << 30, 1 << 30), 0);
+        assert_eq!(n.transfer_us(1 << 30), 0);
     }
 
     #[test]
@@ -114,6 +91,6 @@ mod tests {
         // A shoreline result (< 1 KB) ships in well under a millisecond —
         // the hit path must be ~4 orders faster than the 23 s service.
         let n = NetModel::lan();
-        assert!(n.t_net_us(1024) < 1000);
+        assert!(n.transfer_us(1024) < 1000);
     }
 }

@@ -15,8 +15,8 @@ proptest! {
     fn billing_node_seconds_are_exact(
         ops in proptest::collection::vec((any::<bool>(), 1u64..10_000), 1..60),
     ) {
-        let clock = SimClock::new();
-        let mut cloud = SimCloud::new(clock.clone(), 1, BootLatency::instant());
+        let mut clock = SimClock::new();
+        let mut cloud = SimCloud::new(1, BootLatency::instant());
         let mut live: Vec<ecc_cloudsim::InstanceId> = Vec::new();
         let mut expected_us: u64 = 0;
         let mut last_t = 0u64;
@@ -28,28 +28,28 @@ proptest! {
             let now = clock.advance_us(dt_us);
             settle(now, &live, &mut last_t, &mut expected_us);
             if alloc || live.is_empty() {
-                live.push(cloud.allocate(InstanceType::ec2_small()).id);
+                live.push(cloud.allocate(now, InstanceType::ec2_small()).id);
             } else {
                 let id = live.swap_remove(0);
-                cloud.deallocate(id);
+                cloud.deallocate(now, id);
             }
         }
         let now = clock.advance_us(1000);
         settle(now, &live, &mut last_t, &mut expected_us);
-        prop_assert_eq!(cloud.billing().node_us, expected_us);
+        prop_assert_eq!(cloud.billing(now).node_us, expected_us);
     }
 
     /// Billing is monotone in time: waiting longer never reduces the bill.
     #[test]
     fn billing_is_monotone(waits in proptest::collection::vec(1u64..3600, 1..20)) {
-        let clock = SimClock::new();
-        let mut cloud = SimCloud::new(clock.clone(), 2, BootLatency::instant());
-        let _ = cloud.allocate(InstanceType::ec2_small());
-        let _ = cloud.allocate(InstanceType::ec2_large());
+        let mut clock = SimClock::new();
+        let mut cloud = SimCloud::new(2, BootLatency::instant());
+        let _ = cloud.allocate(0, InstanceType::ec2_small());
+        let _ = cloud.allocate(0, InstanceType::ec2_large());
         let mut last = 0;
         for w in waits {
-            clock.advance_us(w * US_PER_SEC);
-            let cost = cloud.billing().microdollars;
+            let now = clock.advance_us(w * US_PER_SEC);
+            let cost = cloud.billing(now).microdollars;
             prop_assert!(cost >= last);
             last = cost;
         }

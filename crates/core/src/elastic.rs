@@ -11,8 +11,10 @@
 //!   written behind to the overflow tier.
 //!
 //! All latencies (lookups, record transfers `T_net`, node boots) are
-//! charged to the shared virtual clock, so the metrics reproduce the
-//! paper's speedup and overhead figures.
+//! charged to the cache's virtual clock, which its `Fleet` owns, so the
+//! metrics reproduce the paper's speedup and overhead figures. Everything
+//! else, the cloud and the engine's event stamps included, is handed the
+//! time as a value.
 
 use ecc_bptree::ByteSize;
 use ecc_chash::HashRing;
@@ -49,7 +51,7 @@ impl std::fmt::Display for NodeId {
 const LOOKUP_REQ_BYTES: u64 = 32;
 /// Bytes of a negative lookup response.
 const MISS_RESP_BYTES: u64 = 8;
-/// Per-record key/framing overhead charged on migration transfers.
+/// Per-record key/framing overhead charged on record transfers.
 const RECORD_WIRE_OVERHEAD: u64 = 16;
 /// Slots of [`ElasticCache::query_us`], one per query outcome.
 const QUERY_HIT: usize = 0;
@@ -58,8 +60,6 @@ const QUERY_MISS: usize = 2;
 
 /// The coordinator of the elastic cooperative cache.
 pub struct ElasticCache {
-    clock: SimClock,
-    net: NetModel,
     /// The ring, the window and the elastic operations over `fleet`.
     engine: Engine<NodeId>,
     fleet: Fleet,
@@ -68,17 +68,13 @@ pub struct ElasticCache {
     controller: Option<WindowController>,
     /// Queries observed in the slice currently being recorded.
     slice_queries: u64,
-    /// Flight recorder + latency histograms, stamped off the virtual clock.
+    /// Flight recorder + latency histograms. Every event is stamped from
+    /// the fleet's virtual clock; the registry's own clock is not read.
     obs: ObsRegistry,
     /// Per-outcome query latencies of the open step, folded into `obs`
     /// once per [`ElasticCache::end_time_step`] instead of taking the
     /// registry lock per query.
     query_us: [(&'static str, LogHistogram); 3],
-    /// Virtual cost of every lookup before its response: the overhead
-    /// plus the request transfer. A hit adds its response transfer.
-    lookup_req_us: u64,
-    /// Virtual cost of a lookup that misses (request + negative response).
-    lookup_miss_us: u64,
 }
 
 impl ElasticCache {
@@ -91,28 +87,22 @@ impl ElasticCache {
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate();
         let clock = SimClock::new();
-        Self::with_clock(cfg, clock)
-    }
-
-    /// Build against an externally owned clock (shared with other
-    /// simulation components).
-    pub fn with_clock(cfg: CacheConfig, clock: SimClock) -> Self {
-        cfg.validate();
-        let mut cloud = SimCloud::new(clock.clone(), cfg.seed, cfg.boot_latency);
+        let now = clock.now_us();
+        let mut cloud = SimCloud::new(cfg.seed, cfg.boot_latency);
         // Initial node: bucket at the top of the line owns everything.
-        let receipt = cloud.allocate(cfg.instance_type.clone());
+        let receipt = cloud.allocate(now, cfg.instance_type.clone());
         let first = CacheNode::new(receipt.id, cfg.node_capacity_bytes, cfg.btree_order);
-        let net = cfg.net;
         let mut warm_pool = WarmPool::new(cfg.warm_pool);
-        warm_pool.replenish(&mut cloud, &cfg.instance_type);
+        warm_pool.replenish(now, &mut cloud, &cfg.instance_type);
         let controller = cfg.adaptive_window.map(WindowController::new);
         let tier = cfg.overflow_tier.clone().map(PersistentStore::new);
-        let obs = ObsRegistry::new(TimeSource::Sim(clock.clone()));
+        let obs = ObsRegistry::new(TimeSource::real());
         let mut engine = Engine::new(
             cfg.ring_range,
             cfg.node_capacity_bytes,
             NodeId(0),
             obs.clone(),
+            now,
         );
         engine.window = cfg
             .window
@@ -121,12 +111,10 @@ impl ElasticCache {
         engine.epsilon = cfg.contraction_epsilon;
         engine.min_nodes = cfg.min_nodes;
         engine.merge_threshold = cfg.merge_fill_threshold;
-        let lookup_req_us = cfg.lookup_overhead_us + net.transfer_us(LOOKUP_REQ_BYTES);
-        let lookup_miss_us = lookup_req_us + net.transfer_us(MISS_RESP_BYTES);
         let fleet = Fleet {
+            charges: Charges::new(&cfg),
             cfg,
-            clock: clock.clone(),
-            net,
+            clock,
             cloud,
             nodes: vec![Some(first)],
             warm_pool,
@@ -135,8 +123,6 @@ impl ElasticCache {
             tier_writes: 0,
         };
         Self {
-            clock,
-            net,
             engine,
             fleet,
             metrics: Metrics::new(),
@@ -149,8 +135,6 @@ impl ElasticCache {
                 ("cache_query_us:tier", LogHistogram::new()),
                 ("cache_query_us:miss", LogHistogram::new()),
             ],
-            lookup_req_us,
-            lookup_miss_us,
         }
     }
 
@@ -161,9 +145,15 @@ impl ElasticCache {
         &self.fleet.cfg
     }
 
-    /// The shared virtual clock.
+    /// The virtual clock every charge advances.
     pub fn clock(&self) -> &SimClock {
-        &self.clock
+        &self.fleet.clock
+    }
+
+    /// The clock, to let idle time pass between operations (standbys boot
+    /// meanwhile).
+    pub fn clock_mut(&mut self) -> &mut SimClock {
+        &mut self.fleet.clock
     }
 
     /// Cumulative metrics.
@@ -171,7 +161,7 @@ impl ElasticCache {
         &self.metrics
     }
 
-    /// The cloud provider (billing, instance table, event trace).
+    /// The cloud provider (billing, instance table).
     pub fn cloud(&self) -> &SimCloud {
         &self.fleet.cloud
     }
@@ -258,13 +248,13 @@ impl ElasticCache {
     /// the lookup, service and put-transfer charges reach the clock as one
     /// sum — after `miss` returns, and before anything reads the clock.
     pub fn query(&mut self, key: u64, uncached_us: u64, miss: impl FnOnce() -> Record) -> Record {
-        let t0 = self.clock.now_us();
+        let t0 = self.fleet.clock.now_us();
         self.metrics.baseline_us += uncached_us;
         let (owner, lookup_us) = match self.lookup_uncharged(key) {
             Ok((rec, lookup_us)) => {
-                let dt = self.clock.advance_us(lookup_us) - t0;
-                self.metrics.observed_us += dt;
-                self.query_us[QUERY_HIT].1.record(dt);
+                self.fleet.clock.advance_us(lookup_us);
+                self.metrics.observed_us += lookup_us;
+                self.query_us[QUERY_HIT].1.record(lookup_us);
                 return rec;
             }
             Err(absent) => absent,
@@ -275,14 +265,14 @@ impl ElasticCache {
         // service by orders of magnitude (§IV-D trade-off).
         if let Some(tier) = &mut self.fleet.tier {
             // The fetch reads the clock: charge the lookup first.
-            let now = self.clock.advance_us(pending_us);
+            let now = self.fleet.clock.advance_us(pending_us);
             let (found, dur_us) = tier.get(now, key);
             pending_us = dur_us;
             if let Some(bytes) = found {
                 let rec = Record::from_bytes(bytes);
                 self.metrics.tier_hits += 1;
                 self.admit(key, rec.clone(), owner, pending_us);
-                let dt = self.clock.now_us() - t0;
+                let dt = self.fleet.clock.now_us() - t0;
                 self.metrics.observed_us += dt;
                 self.query_us[QUERY_TIER].1.record(dt);
                 return rec;
@@ -292,7 +282,7 @@ impl ElasticCache {
         let rec = miss();
         self.metrics.service_us += uncached_us;
         self.admit(key, rec.clone(), owner, pending_us + uncached_us);
-        let dt = self.clock.now_us() - t0;
+        let dt = self.fleet.clock.now_us() - t0;
         self.metrics.observed_us += dt;
         self.query_us[QUERY_MISS].1.record(dt);
         rec
@@ -314,7 +304,7 @@ impl ElasticCache {
             Err(_) => {
                 self.metrics.insert_errors += 1;
                 self.obs.emit(ObsEvent::InsertError {
-                    at_us: self.clock.now_us(),
+                    at_us: self.fleet.clock.now_us(),
                     key,
                 });
             }
@@ -323,12 +313,12 @@ impl ElasticCache {
 
     /// Look up `key`, charging the lookup path and recording hit/miss.
     pub fn lookup(&mut self, key: u64) -> Option<Record> {
-        let t0 = self.clock.now_us();
         let (rec, lookup_us) = match self.lookup_uncharged(key) {
             Ok((rec, us)) => (Some(rec), us),
             Err((_, us)) => (None, us),
         };
-        self.metrics.observed_us += self.clock.advance_us(lookup_us) - t0;
+        self.fleet.clock.advance_us(lookup_us);
+        self.metrics.observed_us += lookup_us;
         rec
     }
 
@@ -338,7 +328,6 @@ impl ElasticCache {
     /// charges the cost, together with whatever the query does next.
     #[inline]
     fn lookup_uncharged(&mut self, key: u64) -> Result<(Record, u64), (Option<NodeId>, u64)> {
-        self.metrics.queries += 1;
         self.slice_queries += 1;
         if let Some(w) = &mut self.engine.window {
             w.note_query(key);
@@ -350,17 +339,8 @@ impl ElasticCache {
         let rec = owner
             .and_then(|nid| self.node_at(nid))
             .and_then(|n| n.get(key).cloned());
-        match rec {
-            Some(rec) => {
-                self.metrics.hits += 1;
-                let us = self.lookup_req_us + self.net.transfer_us(rec.len() as u64);
-                Ok((rec, us))
-            }
-            None => {
-                self.metrics.misses += 1;
-                Err((owner, self.lookup_miss_us))
-            }
-        }
+        let charged = self.fleet.charges.lookup(&mut self.metrics, rec);
+        charged.map_err(|us| (owner, us))
     }
 
     // ------------------------------------------------------- GBA insertion
@@ -387,7 +367,7 @@ impl ElasticCache {
     ) -> Result<(), CacheError> {
         let result = self.gba_insert(key, record, owner, &mut pending_us);
         if pending_us > 0 {
-            self.clock.advance_us(pending_us);
+            self.fleet.clock.advance_us(pending_us);
         }
         result
     }
@@ -407,9 +387,7 @@ impl ElasticCache {
         self.engine.admits(key, size)?;
         // Charge the put transfer once (the record travels to whichever
         // node finally stores it).
-        *pending_us += self
-            .net
-            .transfer_us(record.len() as u64 + RECORD_WIRE_OVERHEAD);
+        *pending_us += self.fleet.charges.record_us(record.len());
         // The first attempt may use the lookup's owner, which also proved
         // the key absent; a retry after a split resolves both again.
         for _ in 0..MAX_SPLIT_RETRIES {
@@ -433,10 +411,8 @@ impl ElasticCache {
                 }
             };
             let fits = self.try_node(nid)?.fits(size.saturating_sub(old_size));
-            // Settle what is owed here: a split reads the clock, and the
-            // clock's atomic add is cheapest before the tree insert's stores
-            // queue up behind it.
-            self.clock.advance_us(std::mem::take(pending_us));
+            // Settle what is owed before a split reads the clock.
+            self.fleet.clock.advance_us(std::mem::take(pending_us));
             if fits {
                 self.try_node_mut(nid)?.insert(key, record);
                 #[cfg(debug_assertions)]
@@ -514,8 +490,9 @@ impl ElasticCache {
                         .fold(f64::INFINITY, f64::min);
                     if peer_headroom >= relieve_to {
                         let fleet = &mut self.fleet;
-                        let receipt = fleet.cloud.allocate(fleet.cfg.instance_type.clone());
-                        self.engine.joined(fleet.add(receipt.id));
+                        let now = fleet.clock.now_us();
+                        let receipt = fleet.cloud.allocate(now, fleet.cfg.instance_type.clone());
+                        self.engine.joined(now, fleet.add(receipt.id));
                     }
                     // Best effort — an unsplittable node waits for GBA.
                     if self.split_node(nid).is_err() {
@@ -560,7 +537,7 @@ impl ElasticCache {
         self.fleet
             .tier
             .as_ref()
-            .map(|t| t.cost_microdollars(self.clock.now_us()))
+            .map(|t| t.cost_microdollars(self.fleet.clock.now_us()))
             .unwrap_or(0)
     }
 
@@ -629,6 +606,60 @@ impl ElasticCache {
     }
 }
 
+/// What a simulated cache charges its virtual clock. [`StaticCache`]
+/// prices its lookups and puts here too, so Figure 3's baseline differs
+/// from this cache only in placement and replacement.
+///
+/// [`StaticCache`]: crate::StaticCache
+pub(crate) struct Charges {
+    net: NetModel,
+    /// Every lookup before its response: the overhead plus the request
+    /// transfer. A hit adds its response transfer.
+    lookup_req_us: u64,
+    /// A lookup that misses (request + negative response).
+    lookup_miss_us: u64,
+}
+
+impl Charges {
+    pub(crate) fn new(cfg: &CacheConfig) -> Self {
+        let net = cfg.net;
+        let lookup_req_us = cfg.lookup_overhead_us + net.transfer_us(LOOKUP_REQ_BYTES);
+        let lookup_miss_us = lookup_req_us + net.transfer_us(MISS_RESP_BYTES);
+        Self {
+            net,
+            lookup_req_us,
+            lookup_miss_us,
+        }
+    }
+
+    /// Count a lookup that `found` a record or not in `metrics`, and price
+    /// it: the record with the hit's cost, or the miss's cost.
+    #[inline]
+    pub(crate) fn lookup(
+        &self,
+        metrics: &mut Metrics,
+        found: Option<Record>,
+    ) -> Result<(Record, u64), u64> {
+        metrics.queries += 1;
+        let Some(rec) = found else {
+            metrics.misses += 1;
+            return Err(self.lookup_miss_us);
+        };
+        metrics.hits += 1;
+        let us = self.lookup_req_us + self.net.transfer_us(rec.len() as u64);
+        Ok((rec, us))
+    }
+
+    /// Moving a record of `len` payload bytes: a put to its node, or the
+    /// paper's `T_net` between nodes. A batched migration pays one latency
+    /// per batch in practice; this keeps the conservative per-record
+    /// figure the analysis uses.
+    #[inline]
+    pub(crate) fn record_us(&self, len: usize) -> u64 {
+        self.net.transfer_us(len as u64 + RECORD_WIRE_OVERHEAD)
+    }
+}
+
 /// Node `id` of `nodes`, if it is active.
 fn node_mut(nodes: &mut [Option<CacheNode>], id: NodeId) -> Result<&mut CacheNode, CacheError> {
     let node = nodes.get_mut(id.0 as usize).and_then(Option::as_mut);
@@ -637,12 +668,12 @@ fn node_mut(nodes: &mut [Option<CacheNode>], id: NodeId) -> Result<&mut CacheNod
     })
 }
 
-/// The simulator as the [`Engine`]'s [`Substrate`]: the cache's nodes
-/// and the cloud they run on.
+/// The simulator as the [`Engine`]'s [`Substrate`]: the cache's nodes,
+/// the cloud they run on, and the one virtual clock.
 struct Fleet {
     cfg: CacheConfig,
     clock: SimClock,
-    net: NetModel,
+    charges: Charges,
     cloud: SimCloud,
     nodes: Vec<Option<CacheNode>>,
     warm_pool: WarmPool,
@@ -668,6 +699,10 @@ impl Substrate for Fleet {
     type Node = NodeId;
     type Error = CacheError;
 
+    fn now_us(&self) -> u64 {
+        self.clock.now_us()
+    }
+
     fn loads(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         let nodes = self.nodes.iter().enumerate();
         nodes.filter_map(|(i, n)| Some((NodeId(i as u32), n.as_ref()?.used_bytes())))
@@ -683,15 +718,16 @@ impl Substrate for Fleet {
     /// a pre-booted standby is handed over instantly and the pool refills
     /// in the background; otherwise the boot blocks the critical path.
     fn alloc(&mut self) -> Result<NodeId, CacheError> {
-        let instance = match self.warm_pool.take_ready(self.clock.now_us()) {
+        let now = self.clock.now_us();
+        let instance = match self.warm_pool.take_ready(now) {
             Some(standby) => {
                 // Asynchronous preloading: no boot on the critical path.
                 self.warm_pool
-                    .replenish(&mut self.cloud, &self.cfg.instance_type);
+                    .replenish(now, &mut self.cloud, &self.cfg.instance_type);
                 standby
             }
             None => {
-                let receipt = self.cloud.allocate(self.cfg.instance_type.clone());
+                let receipt = self.cloud.allocate(now, self.cfg.instance_type.clone());
                 self.clock.advance_us(receipt.boot_us);
                 self.alloc_us += receipt.boot_us;
                 receipt.id
@@ -715,8 +751,7 @@ impl Substrate for Fleet {
                 continue;
             };
             for (k, rec) in node_mut(&mut self.nodes, src)?.drain_range(lo, hi) {
-                let wire = rec.len() as u64 + RECORD_WIRE_OVERHEAD;
-                self.clock.advance_us(self.net.t_net_us(wire));
+                self.clock.advance_us(self.charges.record_us(rec.len()));
                 moved.0 += 1;
                 moved.1 += rec.len() as u64;
                 node_mut(&mut self.nodes, dest)?.insert(k, rec);
@@ -747,7 +782,7 @@ impl Substrate for Fleet {
 
     fn dealloc(&mut self, node: NodeId) {
         if let Some(n) = self.nodes.get_mut(node.0 as usize).and_then(Option::take) {
-            self.cloud.deallocate(n.instance);
+            self.cloud.deallocate(self.clock.now_us(), n.instance);
         }
     }
 }
@@ -1003,7 +1038,7 @@ mod tests {
         for k in 0..40u64 {
             cache.insert(k * 25, rec()).unwrap();
         }
-        let billing = cache.cloud().billing();
+        let billing = cache.cloud().billing(cache.clock().now_us());
         assert_eq!(billing.launched, cache.node_count());
         assert!(billing.microdollars > 0);
     }
@@ -1053,7 +1088,7 @@ mod tests {
             c.warm_pool = warm;
             let mut cache = ElasticCache::new(c);
             // Give background standbys time to boot (they boot at t=0).
-            cache.clock().advance_us(60_000_000);
+            cache.clock_mut().advance_us(60_000_000);
             let t0 = cache.clock().now_us();
             for k in 0..12u64 {
                 cache.insert(k * 80, rec()).unwrap();
@@ -1082,7 +1117,7 @@ mod tests {
             c.warm_pool = warm;
             let mut cache = ElasticCache::new(c);
             // Standbys launched at t = 0 are ready one boot later.
-            cache.clock().advance_us(BOOT_US);
+            cache.clock_mut().advance_us(BOOT_US);
             for k in 0..12u64 {
                 cache.insert(k * 80, rec()).unwrap();
             }
@@ -1101,6 +1136,46 @@ mod tests {
         let pooled = splits(8);
         assert!(pooled.iter().any(|s| s.allocated));
         assert!(pooled.iter().all(|s| s.alloc_us == 0), "{pooled:?}");
+    }
+
+    #[test]
+    fn simulated_events_carry_only_virtual_time() {
+        // The registry's own clock is real time. The second run pauses
+        // between steps, so an event stamped from that clock would differ
+        // between the runs; one stamped from the virtual clock cannot.
+        let run = |pause: std::time::Duration| {
+            let mut c = windowed_cfg(4, 2);
+            c.boot_latency = ecc_cloudsim::BootLatency::fixed(3_000_000);
+            c.warm_pool = 1;
+            c.proactive_split_fill = Some(0.7);
+            let mut cache = ElasticCache::new(c);
+            for step in 0..12u64 {
+                for i in 0..10u64 {
+                    let key = (i * 53 + (step / 3 % 2) * 211) % 1024;
+                    cache.query(key, 1_000 + key, rec);
+                }
+                cache.end_time_step();
+                std::thread::sleep(pause);
+            }
+            let snapshot = cache.obs().snapshot();
+            assert_eq!(snapshot.dropped, 0);
+            (snapshot.events, cache.clock().now_us())
+        };
+        let (events, clock) = run(std::time::Duration::ZERO);
+        let kinds: std::collections::BTreeSet<_> = events.iter().map(ObsEvent::kind).collect();
+        for kind in [
+            "node_alloc",
+            "bucket_split",
+            "sweep_migrate",
+            "slice_expire",
+            "evict_batch",
+            "node_merge",
+            "node_dealloc",
+        ] {
+            assert!(kinds.contains(kind), "no {kind} in {kinds:?}");
+        }
+        let paused = run(std::time::Duration::from_millis(2));
+        assert_eq!(paused, (events, clock));
     }
 
     #[test]
@@ -1257,7 +1332,7 @@ mod tests {
         });
         c.overflow_tier = Some(ecc_cloudsim::StorageTier::s3_2010());
         let mut cache = ElasticCache::new(c);
-        let reference = ObsRegistry::new(TimeSource::Sim(SimClock::new()));
+        let reference = ObsRegistry::new(TimeSource::real());
         let query_hists = |obs: &ObsRegistry| {
             let mut hists = obs.snapshot().hists;
             hists.retain(|name, _| name.starts_with("cache_query_us:"));
@@ -1305,15 +1380,15 @@ mod tests {
             None => {
                 let mut from_tier = None;
                 if let Some(tier) = &mut cache.fleet.tier {
-                    let (found, dur_us) = tier.get(cache.clock.now_us(), key);
-                    cache.clock.advance_us(dur_us);
+                    let (found, dur_us) = tier.get(cache.fleet.clock.now_us(), key);
+                    cache.fleet.clock.advance_us(dur_us);
                     from_tier = found.map(Record::from_bytes);
                 }
                 let slot = if from_tier.is_some() {
                     cache.metrics.tier_hits += 1;
                     QUERY_TIER
                 } else {
-                    cache.clock().advance_us(uncached_us);
+                    cache.clock_mut().advance_us(uncached_us);
                     cache.metrics.service_us += uncached_us;
                     QUERY_MISS
                 };
@@ -1323,7 +1398,7 @@ mod tests {
                     Err(_) => {
                         cache.metrics.insert_errors += 1;
                         cache.obs.emit(ObsEvent::InsertError {
-                            at_us: cache.clock.now_us(),
+                            at_us: cache.clock().now_us(),
                             key,
                         });
                     }
@@ -1347,7 +1422,7 @@ mod tests {
         // Every charge non-zero, so a misplaced one moves a timestamp.
         let base = || {
             let mut c = windowed_cfg(8, 2);
-            c.net = NetModel::lan();
+            c.net = ecc_cloudsim::NetModel::lan();
             c.lookup_overhead_us = 200;
             c.boot_latency = ecc_cloudsim::BootLatency::fixed(BOOT_US);
             c

@@ -6,9 +6,11 @@
 //! λ-eviction ([`Engine::close_step`]) and the ε-merge ([`Engine::merge`]).
 //! The decisions are [`gba`]'s. The engine emits every structural event
 //! and returns a report of what it did, so each caller keeps its own
-//! counters. What the nodes are, and what a move costs, is the
-//! [`Substrate`]'s: the simulator's nodes and virtual clock, or the live
-//! coordinator's ledger and wire.
+//! counters. What the nodes are, what a move costs and what time it is,
+//! is the [`Substrate`]'s: the simulator's nodes and virtual clock, or the
+//! live coordinator's ledger, wire and registry clock. Every event's time
+//! and every `coord_migrate_us` duration is read from
+//! [`Substrate::now_us`].
 
 use std::collections::HashMap;
 
@@ -110,6 +112,9 @@ pub trait Substrate {
     /// A failed effect; the engine's own failures arrive as [`CacheError`].
     type Error: From<CacheError>;
 
+    /// The time in microseconds: the substrate's own clock, which every
+    /// effect that takes time advances.
+    fn now_us(&self) -> u64;
     /// `(node, used bytes)` of every active node, in node order.
     fn loads(&self) -> impl Iterator<Item = (Self::Node, u64)> + '_;
     /// `node`'s records in `[lo, hi]`, a span of an arc it owns, in key
@@ -163,10 +168,11 @@ pub struct Engine<N> {
 
 impl<N: NodeKey> Engine<N> {
     /// An engine whose one bucket, at the top of a ring of `ring_range`
-    /// positions, names `first`, for nodes of `capacity` bytes. Events go
-    /// to `obs`, stamped by its clock. Eviction is off; ε is 1, the floor
-    /// one node and the merge threshold 65 % until the caller sets them.
-    pub fn new(ring_range: u64, capacity: u64, first: N, obs: ObsRegistry) -> Self {
+    /// positions, names `first`, which joined at `at_us`, for nodes of
+    /// `capacity` bytes. Events go to `obs`. Eviction is off; ε is 1, the
+    /// floor one node and the merge threshold 65 % until the caller sets
+    /// them.
+    pub fn new(ring_range: u64, capacity: u64, first: N, obs: ObsRegistry, at_us: u64) -> Self {
         let mut ring = HashRing::new(ring_range);
         let seeded = ring.insert_bucket(ring_range - 1, first);
         debug_assert!(seeded.is_ok(), "a fresh ring has no bucket to collide with");
@@ -180,16 +186,12 @@ impl<N: NodeKey> Engine<N> {
             expirations: 0,
             obs,
         };
-        engine.joined(first);
+        engine.joined(at_us, first);
         engine
     }
 
-    /// Announce a node that joined the fleet outside a split.
-    pub fn joined(&self, node: N) {
-        self.joined_at(self.obs.now_us(), node);
-    }
-
-    fn joined_at(&self, at_us: u64, node: N) {
+    /// Announce a node that joined the fleet at `at_us` outside a split.
+    pub fn joined(&self, at_us: u64, node: N) {
         self.obs.emit(ObsEvent::NodeAlloc {
             at_us,
             node: node.index(),
@@ -239,13 +241,13 @@ impl<N: NodeKey> Engine<N> {
             match gba::destination(sub.loads(), node, moved_bytes, self.capacity) {
                 Some(dest) => (dest, false),
                 None => {
-                    let asked_us = self.obs.now_us();
+                    let asked_us = sub.now_us();
                     let dest = sub.alloc()?;
-                    self.joined_at(asked_us, dest);
+                    self.joined(asked_us, dest);
                     (dest, true)
                 }
             };
-        let at_us = self.obs.now_us();
+        let at_us = sub.now_us();
         let (records, bytes) = match sub.migrate(node, dest, moved) {
             Ok(copied) => copied,
             Err(e) => {
@@ -262,13 +264,13 @@ impl<N: NodeKey> Engine<N> {
                 what: "split bucket occupied or vanished before the flip",
             })?;
         self.obs.emit(ObsEvent::BucketSplit {
-            at_us: self.obs.now_us(),
+            at_us: sub.now_us(),
             node: node.index(),
             new_node: dest.index(),
             bucket,
         });
         sub.release(node, moved);
-        let duration_us = self.obs.now_us() - at_us;
+        let duration_us = sub.now_us() - at_us;
         self.obs.record(MIGRATE_HIST, duration_us);
         self.obs.emit(ObsEvent::SweepMigrate {
             at_us,
@@ -313,7 +315,7 @@ impl<N: NodeKey> Engine<N> {
             window.recycle(slice);
         }
         self.obs.emit(ObsEvent::SliceExpire {
-            at_us: self.obs.now_us(),
+            at_us: sub.now_us(),
             expiration: self.expirations,
             victims: victims.len() as u64,
         });
@@ -325,7 +327,7 @@ impl<N: NodeKey> Engine<N> {
         sub.evict(&mut evicted)?;
         // Stable: each node's keys stay in window order.
         evicted.sort_by_key(|&(_, node)| node);
-        let at_us = self.obs.now_us();
+        let at_us = sub.now_us();
         for batch in evicted.chunk_by(|a, b| a.1 == b.1) {
             self.obs.emit(ObsEvent::EvictBatch {
                 at_us,
@@ -354,7 +356,7 @@ impl<N: NodeKey> Engine<N> {
             return Ok(None);
         };
         let _span = sub.span("elastic_merge");
-        let at_us = self.obs.now_us();
+        let at_us = sub.now_us();
         let buckets = self.ring.buckets_of_node(&src);
         let mut held: Vec<_> = buckets
             .iter()
@@ -362,7 +364,7 @@ impl<N: NodeKey> Engine<N> {
             .collect();
         held.sort_unstable();
         let (records, _) = sub.migrate(src, dest, &held)?;
-        let duration_us = self.obs.now_us() - at_us;
+        let duration_us = sub.now_us() - at_us;
         self.obs.record(MIGRATE_HIST, duration_us);
         for bucket in buckets {
             let remapped = self.ring.remap_bucket(bucket, dest);
@@ -393,7 +395,7 @@ impl<N: NodeKey> Engine<N> {
     fn dealloc<S: Substrate<Node = N>>(&self, sub: &mut S, node: N) {
         sub.dealloc(node);
         self.obs.emit(ObsEvent::NodeDealloc {
-            at_us: self.obs.now_us(),
+            at_us: sub.now_us(),
             node: node.index(),
         });
     }

@@ -594,12 +594,10 @@ mod tests {
 
     #[test]
     fn only_a_lock_acquisition_that_waits_is_timed() {
-        use ecc_cloudsim::SimClock;
         use ecc_obs::TimeSource;
         use std::sync::atomic::AtomicBool;
 
-        let clock = SimClock::new();
-        let obs = ObsRegistry::new(TimeSource::Sim(clock.clone()));
+        let obs = ObsRegistry::new(TimeSource::real());
         let n = ShardedNode::new(1 << 20, 8, 4).with_obs(obs.clone());
         n.put_slice(7, &[1u8; 10]);
         assert!(n.get(7).is_some());
@@ -611,8 +609,7 @@ mod tests {
 
         // A writer holds key 7's stripe across a GET of it. The reader
         // raises `started` just before it calls `get`; the holder then
-        // gives it real time to reach the lock, moves the virtual clock by
-        // the hold time and lets go.
+        // holds on for 50 ms, 50 times `HOLD_US`, and lets go.
         const HOLD_US: u64 = 1_000;
         let started = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -625,7 +622,6 @@ mod tests {
                 std::thread::yield_now();
             }
             std::thread::sleep(std::time::Duration::from_millis(50));
-            clock.advance_us(HOLD_US);
             drop(held);
             assert_eq!(reader.join().expect("reader"), None);
         });

@@ -10,29 +10,22 @@
 
 use ecc_bptree::ByteSize;
 use ecc_chash::HashRing;
-use ecc_cloudsim::{NetModel, SimClock, SimCloud};
+use ecc_cloudsim::{SimClock, SimCloud};
 
 use crate::config::CacheConfig;
+use crate::elastic::Charges;
 use crate::lru::Lru;
 use crate::metrics::Metrics;
 use crate::record::Record;
-
-/// Bytes of a lookup request on the wire (key + framing).
-const LOOKUP_REQ_BYTES: u64 = 32;
-/// Bytes of a negative lookup response.
-const MISS_RESP_BYTES: u64 = 8;
-/// Per-record key/framing overhead charged on the put path.
-const RECORD_WIRE_OVERHEAD: u64 = 16;
 
 /// A fixed-size cooperative LRU cache.
 pub struct StaticCache {
     clock: SimClock,
     cloud: SimCloud,
-    net: NetModel,
+    charges: Charges,
     ring: HashRing<usize>,
     nodes: Vec<Lru<u64, Record>>,
     capacity_bytes: u64,
-    lookup_overhead_us: u64,
     metrics: Metrics,
 }
 
@@ -47,7 +40,7 @@ impl StaticCache {
         assert!(n_nodes >= 1, "need at least one node");
         cfg.validate();
         let clock = SimClock::new();
-        let mut cloud = SimCloud::new(clock.clone(), cfg.seed, cfg.boot_latency);
+        let mut cloud = SimCloud::new(cfg.seed, cfg.boot_latency);
         let mut ring = HashRing::new(cfg.ring_range);
         let mut nodes = Vec::with_capacity(n_nodes);
         for i in 0..n_nodes {
@@ -56,7 +49,7 @@ impl StaticCache {
                 reason = "boot latency is deliberately not charged: a reserved \
                           cluster exists before the experiment starts"
             )]
-            let _ = cloud.allocate(cfg.instance_type.clone());
+            let _ = cloud.allocate(clock.now_us(), cfg.instance_type.clone());
             // Evenly spaced buckets; the last sits at r-1 so arcs tile the
             // line exactly.
             let pos = ((i as u64 + 1) * cfg.ring_range) / n_nodes as u64 - 1;
@@ -67,11 +60,10 @@ impl StaticCache {
         Self {
             clock,
             cloud,
-            net: cfg.net,
+            charges: Charges::new(cfg),
             ring,
             nodes,
             capacity_bytes: cfg.node_capacity_bytes,
-            lookup_overhead_us: cfg.lookup_overhead_us,
             metrics: Metrics::new(),
         }
     }
@@ -107,55 +99,47 @@ impl StaticCache {
     }
 
     /// Full cached-service query, mirroring
-    /// [`crate::ElasticCache::query`].
+    /// [`crate::ElasticCache::query`]: the lookup, the service and the put
+    /// transfer reach the clock as one sum.
     pub fn query(&mut self, key: u64, uncached_us: u64, miss: impl FnOnce() -> Record) -> Record {
-        let t0 = self.clock.now_us();
         self.metrics.baseline_us += uncached_us;
-        self.metrics.queries += 1;
-        // The ring is populated at construction and never shrinks; an empty
-        // resolution degrades to a miss rather than a crash.
-        let nid = self.ring.node_for_key(key).copied();
-        self.clock.advance_us(self.lookup_overhead_us);
-        let cached = nid
-            .and_then(|n| self.nodes.get_mut(n))
-            .and_then(|node| node.get(&key).cloned());
-        if let Some(rec) = cached {
-            self.clock
-                .advance_us(self.net.rtt_us(LOOKUP_REQ_BYTES, rec.len() as u64));
-            self.metrics.hits += 1;
-            self.metrics.observed_us += self.clock.now_us() - t0;
-            return rec;
-        }
-        self.clock
-            .advance_us(self.net.rtt_us(LOOKUP_REQ_BYTES, MISS_RESP_BYTES));
-        self.metrics.misses += 1;
+        let lookup_us = match self.lookup_uncharged(key) {
+            Ok((rec, us)) => {
+                self.charge(us);
+                return rec;
+            }
+            Err(us) => us,
+        };
         let rec = miss();
-        self.clock.advance_us(uncached_us);
         self.metrics.service_us += uncached_us;
-        self.insert(key, rec.clone());
-        self.metrics.observed_us += self.clock.now_us() - t0;
+        let put_us = self.place(key, rec.clone());
+        self.charge(lookup_us + uncached_us + put_us);
         rec
     }
 
     /// Insert, displacing LRU records until the owning node fits. Records
     /// larger than a whole node are not cached.
     pub fn insert(&mut self, key: u64, record: Record) {
+        let put_us = self.place(key, record);
+        self.clock.advance_us(put_us);
+    }
+
+    /// The body of [`StaticCache::insert`]; returns the put transfer's
+    /// cost, still to be charged.
+    fn place(&mut self, key: u64, record: Record) -> u64 {
         // Displacement frees room for the *charged* footprint (what the
-        // LRU's byte accounting will debit), while the wire transfer below
+        // LRU's byte accounting will debit), while the wire transfer
         // costs only the raw payload length.
         let size = record.byte_size() as u64;
         if size > self.capacity_bytes {
-            return;
+            return 0;
         }
         let Some(&nid) = self.ring.node_for_key(key) else {
-            return;
+            return 0;
         };
-        self.clock.advance_us(
-            self.net
-                .transfer_us(record.len() as u64 + RECORD_WIRE_OVERHEAD),
-        );
+        let put_us = self.charges.record_us(record.len());
         let Some(node) = self.nodes.get_mut(nid) else {
-            return;
+            return put_us;
         };
         // Replacement frees the old bytes first — but a *growing*
         // replacement can still overflow the node, so displacement runs in
@@ -182,31 +166,35 @@ impl StaticCache {
             node.insert(key, record);
         }
         debug_assert!(self.nodes[nid].bytes() <= self.capacity_bytes);
+        put_us
     }
 
     /// Look up without the service fallback.
     pub fn lookup(&mut self, key: u64) -> Option<Record> {
-        let t0 = self.clock.now_us();
-        self.metrics.queries += 1;
+        let (found, us) = match self.lookup_uncharged(key) {
+            Ok((rec, us)) => (Some(rec), us),
+            Err(us) => (None, us),
+        };
+        self.charge(us);
+        found
+    }
+
+    /// The lookup step of a query, priced but not charged. A hit makes the
+    /// record its node's most recently used.
+    fn lookup_uncharged(&mut self, key: u64) -> Result<(Record, u64), u64> {
+        // The ring is populated at construction and never shrinks; an empty
+        // resolution degrades to a miss rather than a crash.
         let nid = self.ring.node_for_key(key).copied();
-        self.clock.advance_us(self.lookup_overhead_us);
         let found = nid
             .and_then(|n| self.nodes.get_mut(n))
             .and_then(|node| node.get(&key).cloned());
-        match &found {
-            Some(rec) => {
-                self.clock
-                    .advance_us(self.net.rtt_us(LOOKUP_REQ_BYTES, rec.len() as u64));
-                self.metrics.hits += 1;
-            }
-            None => {
-                self.clock
-                    .advance_us(self.net.rtt_us(LOOKUP_REQ_BYTES, MISS_RESP_BYTES));
-                self.metrics.misses += 1;
-            }
-        }
-        self.metrics.observed_us += self.clock.now_us() - t0;
-        found
+        self.charges.lookup(&mut self.metrics, found)
+    }
+
+    /// Advance the clock by `us`, all of it on the query path.
+    fn charge(&mut self, us: u64) {
+        self.clock.advance_us(us);
+        self.metrics.observed_us += us;
     }
 }
 
@@ -228,7 +216,7 @@ mod tests {
     fn fleet_is_fixed_and_preallocated() {
         let cache = StaticCache::new(&cfg_records(8), 4);
         assert_eq!(cache.node_count(), 4);
-        assert_eq!(cache.cloud().billing().launched, 4);
+        assert_eq!(cache.cloud().billing(0).launched, 4);
     }
 
     #[test]

@@ -52,11 +52,12 @@ impl WarmPool {
         Some(self.standby.swap_remove(idx).0)
     }
 
-    /// Launch standbys until the pool is back at its target. Boots proceed
-    /// in (virtual) background time — this never advances the clock.
-    pub fn replenish(&mut self, cloud: &mut SimCloud, itype: &InstanceType) {
+    /// Launch standbys at `now_us` until the pool is back at its target.
+    /// Boots proceed in (virtual) background time — this never advances
+    /// the clock.
+    pub fn replenish(&mut self, now_us: u64, cloud: &mut SimCloud, itype: &InstanceType) {
         while self.standby.len() < self.target {
-            let receipt = cloud.allocate(itype.clone());
+            let receipt = cloud.allocate(now_us, itype.clone());
             self.standby.push((receipt.id, receipt.ready_at_us));
         }
     }
@@ -65,56 +66,54 @@ impl WarmPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecc_cloudsim::{BootLatency, SimClock};
+    use ecc_cloudsim::BootLatency;
 
-    fn setup(target: usize) -> (SimClock, SimCloud, WarmPool) {
-        let clock = SimClock::new();
-        let cloud = SimCloud::new(clock.clone(), 1, BootLatency::fixed(5_000_000));
-        (clock, cloud, WarmPool::new(target))
+    /// Boot time of every standby.
+    const BOOT_US: u64 = 5_000_000;
+
+    fn setup(target: usize) -> (SimCloud, WarmPool) {
+        let cloud = SimCloud::new(1, BootLatency::fixed(BOOT_US));
+        (cloud, WarmPool::new(target))
     }
 
     #[test]
     fn replenish_fills_to_target_without_blocking() {
-        let (clock, mut cloud, mut pool) = setup(3);
-        pool.replenish(&mut cloud, &InstanceType::ec2_small());
+        let (mut cloud, mut pool) = setup(3);
+        pool.replenish(0, &mut cloud, &InstanceType::ec2_small());
         assert_eq!(pool.len(), 3);
-        assert_eq!(clock.now_us(), 0, "replenish must not advance the clock");
         // Nothing is ready until boots complete.
-        assert!(pool.take_ready(0).is_none());
-        clock.advance_us(5_000_000);
+        assert!(pool.take_ready(BOOT_US - 1).is_none());
         for _ in 0..3 {
-            assert!(pool.take_ready(clock.now_us()).is_some());
+            assert!(pool.take_ready(BOOT_US).is_some());
         }
         assert!(pool.is_empty());
     }
 
     #[test]
     fn take_ready_hands_over_booted_standbys_oldest_first() {
-        let (clock, mut cloud, mut pool) = setup(1);
-        pool.replenish(&mut cloud, &InstanceType::ec2_small());
-        clock.advance_us(5_000_000);
-        let first = pool.take_ready(clock.now_us()).expect("ready");
+        let (mut cloud, mut pool) = setup(1);
+        pool.replenish(0, &mut cloud, &InstanceType::ec2_small());
+        let first = pool.take_ready(BOOT_US).expect("ready");
         assert!(pool.is_empty());
         // Replenish launches a new, later-ready standby.
-        pool.replenish(&mut cloud, &InstanceType::ec2_small());
+        pool.replenish(BOOT_US, &mut cloud, &InstanceType::ec2_small());
         assert_ne!(pool.standby[0].0, first);
-        assert!(pool.take_ready(clock.now_us()).is_none(), "still booting");
+        assert!(pool.take_ready(BOOT_US).is_none(), "still booting");
     }
 
     #[test]
     fn standbys_bill_from_launch() {
-        let (clock, mut cloud, mut pool) = setup(2);
-        pool.replenish(&mut cloud, &InstanceType::ec2_small());
-        clock.advance_us(3600 * 1_000_000);
-        let bill = cloud.billing();
+        let (mut cloud, mut pool) = setup(2);
+        pool.replenish(0, &mut cloud, &InstanceType::ec2_small());
+        let bill = cloud.billing(3600 * 1_000_000);
         assert_eq!(bill.launched, 2);
         assert!(bill.microdollars >= 2 * 85_000, "standbys are not free");
     }
 
     #[test]
     fn zero_target_pool_is_inert() {
-        let (_clock, mut cloud, mut pool) = setup(0);
-        pool.replenish(&mut cloud, &InstanceType::ec2_small());
+        let (mut cloud, mut pool) = setup(0);
+        pool.replenish(0, &mut cloud, &InstanceType::ec2_small());
         assert!(pool.is_empty());
         assert_eq!(cloud.total_launched(), 0);
     }

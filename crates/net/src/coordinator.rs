@@ -156,7 +156,7 @@ impl LiveCoordinator {
         };
         let first = cluster.alloc()?;
         Ok(LiveCoordinator {
-            engine: Engine::new(ring_range, capacity_bytes, first, obs),
+            engine: Engine::new(ring_range, capacity_bytes, first, obs, cluster.now_us()),
             cluster,
             fills: Vec::new(),
             fill_bytes: 0,
@@ -660,6 +660,11 @@ impl Substrate for Cluster {
     type Node = usize;
     type Error = io::Error;
 
+    /// The registry's clock: the epoch every node's recorder shares.
+    fn now_us(&self) -> u64 {
+        self.obs.now_us()
+    }
+
     fn loads(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         let nodes = self.nodes.iter().enumerate();
         nodes.filter_map(|(id, n)| Some((id, n.as_ref()?.used)))
@@ -1138,7 +1143,7 @@ mod tests {
     fn two_node_fleet() -> LiveCoordinator {
         let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
         let n1 = c.cluster.alloc().unwrap();
-        c.engine.joined(n1);
+        c.engine.joined(c.cluster.now_us(), n1);
         c.nodes_spawned += 1;
         c.engine.ring.insert_bucket(9_999, n1).unwrap();
         c

@@ -20,12 +20,13 @@
 //!   the `ObsDump` protocol op, and [`ObsSnapshot::render_prometheus`]
 //!   renders the merged cluster view as exposition text.
 //!
-//! Timestamps flow through [`TimeSource`]: the simulated cache injects its
-//! `SimClock`, the live TCP path uses a process-relative monotonic reading.
-//! `TimeSource::real` reads the wall clock under an explicit exemption
-//! from `crates/clippy.toml`'s `disallowed-methods`; instrumented crates
-//! never read it themselves — they go through a [`TimeSource`] handed to
-//! them.
+//! A registry's own timestamps (span starts and ends) come from its
+//! [`TimeSource`], a process-relative monotonic reading. `TimeSource::real`
+//! reads the wall clock under an explicit exemption from
+//! `crates/clippy.toml`'s `disallowed-methods`; instrumented crates never
+//! read it themselves — they go through a [`TimeSource`] handed to them.
+//! The simulated cache asks its registry for no time: it stamps every
+//! event it emits from its own virtual clock.
 
 #![forbid(unsafe_code)]
 #![deny(

@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ecc_cloudsim::SimClock;
 use parking_lot::Mutex;
 
 use crate::event::ObsEvent;
@@ -25,15 +24,13 @@ use crate::hist::LogHistogram;
 use crate::recorder::{FlightRecorder, DEFAULT_CAPACITY};
 use crate::trace::{current_span, SpanGuard};
 
-/// Where timestamps come from. Simulated components inject their
-/// [`SimClock`]; the live TCP path uses a process-relative monotonic
-/// reading so library crates never touch the wall clock themselves.
+/// Where a registry's own timestamps come from: monotonic microseconds
+/// since a captured epoch, so library crates never touch the wall clock
+/// themselves. Clones share the epoch. Simulated components read no time
+/// here: they stamp their events from their own virtual clock.
 #[derive(Debug, Clone)]
-pub enum TimeSource {
-    /// Virtual time from the deterministic simulation clock.
-    Sim(SimClock),
-    /// Monotonic micros since the captured epoch.
-    Real(Instant),
+pub struct TimeSource {
+    epoch: Instant,
 }
 
 impl TimeSource {
@@ -43,15 +40,14 @@ impl TimeSource {
         reason = "obs owns the real-time epoch, so instrumented crates never read the wall clock"
     )]
     pub fn real() -> Self {
-        TimeSource::Real(Instant::now())
+        TimeSource {
+            epoch: Instant::now(),
+        }
     }
 
-    /// Current time in microseconds under this source.
+    /// Microseconds since the epoch.
     pub fn now_us(&self) -> u64 {
-        match self {
-            TimeSource::Sim(clock) => clock.now_us(),
-            TimeSource::Real(epoch) => epoch.elapsed().as_micros() as u64,
-        }
+        self.epoch.elapsed().as_micros() as u64
     }
 }
 
@@ -490,15 +486,6 @@ impl ObsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sim_time_source_tracks_the_clock() {
-        let clock = SimClock::new();
-        let reg = ObsRegistry::new(TimeSource::Sim(clock.clone()));
-        assert_eq!(reg.now_us(), 0);
-        clock.advance_us(1234);
-        assert_eq!(reg.now_us(), 1234);
-    }
 
     #[test]
     fn clones_share_state() {

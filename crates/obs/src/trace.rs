@@ -231,9 +231,11 @@ pub struct SpanStats {
 /// is acyclic, and each child's interval nests inside its parent's under
 /// the shared clock. Returns summary stats on success.
 ///
-/// Only meaningful over recorders that share one clock epoch (one
-/// `SimClock`, or `TimeSource::Real` handles cloned from one `Instant`) —
-/// which is how every in-process cluster here is built.
+/// Only meaningful over recorders that share one clock epoch ([`TimeSource`]
+/// handles cloned from one) — which is how every in-process cluster here is
+/// built.
+///
+/// [`TimeSource`]: crate::TimeSource
 pub fn verify_spans(events: &[ObsEvent]) -> Result<SpanStats, String> {
     let spans = build_spans(events)?;
     let by_id: HashMap<u64, usize> = spans.iter().enumerate().map(|(i, s)| (s.span, i)).collect();

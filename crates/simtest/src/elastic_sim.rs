@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ecc_cloudsim::{BootLatency, InstanceType, NetModel, SimClock};
+use ecc_cloudsim::{BootLatency, InstanceType, NetModel};
 use ecc_core::{CacheConfig, ElasticCache, Record, WindowConfig};
 use ecc_obs::ObsEvent;
 
@@ -61,8 +61,7 @@ fn resident(cache: &ElasticCache) -> BTreeMap<u64, Vec<u8>> {
 /// Run one elastic-family schedule to completion or first divergence.
 pub fn run(s: &Schedule) -> Result<(), SimFailure> {
     let cfg = &s.cfg;
-    let clock = SimClock::new();
-    let mut cache = ElasticCache::with_clock(cache_config(cfg), clock.clone());
+    let mut cache = ElasticCache::new(cache_config(cfg));
     let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let mut window = (cfg.m > 0).then(|| ModelWindow::new(cfg.m, cfg.alpha(), cfg.threshold()));
     let mut model_evictions = 0u64;
@@ -193,7 +192,7 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
                 }
             }
             SimEvent::AdvanceClock { us } => {
-                clock.advance_us(us);
+                cache.clock_mut().advance_us(us);
             }
             other => {
                 return Err(fail(format!(

@@ -278,7 +278,7 @@ pub enum SimEvent {
     },
     /// Close the current time slice (eviction + contraction may run).
     EndStep,
-    /// Advance the shared virtual clock (boot-delay interleaving).
+    /// Advance the cache's virtual clock (boot-delay interleaving).
     AdvanceClock {
         /// Microseconds to advance.
         us: u64,

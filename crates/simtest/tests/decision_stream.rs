@@ -145,7 +145,7 @@ fn sim_decisions(seed: u64) -> String {
                 note(&format!("event {step}"), &cache);
             }
             SimEvent::AdvanceClock { us } => {
-                cache.clock().advance_us(us);
+                cache.clock_mut().advance_us(us);
             }
             other => panic!("event {other:?} is not part of the elastic family"),
         }

@@ -75,7 +75,7 @@ fn main() {
     run_phase("waning interest", &quiet, 300, &mut cache);
 
     let m = cache.metrics();
-    let bill = cache.cloud().billing();
+    let bill = cache.cloud().billing(cache.clock().now_us());
     println!(
         "\noverall: {:.2}x speedup, peak-to-now fleet {} -> {} nodes, ${:.2} total, avg {:.1} nodes",
         m.speedup(),

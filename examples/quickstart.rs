@@ -57,7 +57,7 @@ fn main() {
     println!(
         "fleet: {} node(s), bill: ${:.3}",
         cache.node_count(),
-        cache.cloud().billing().dollars()
+        cache.cloud().billing(cache.clock().now_us()).dollars()
     );
 
     // 5. Heat up a whole region to watch the fleet grow.
@@ -79,6 +79,6 @@ fn main() {
     println!(
         "cumulative speedup {:.2}x, bill ${:.2}",
         m.speedup(),
-        cache.cloud().billing().dollars()
+        cache.cloud().billing(cache.clock().now_us()).dollars()
     );
 }

@@ -177,7 +177,7 @@ fn billing_tracks_elasticity_through_a_burst() {
     }
     let after = cache.node_count();
     assert!(after < peak, "no contraction: {peak} -> {after}");
-    let billing = cache.cloud().billing();
+    let billing = cache.cloud().billing(cache.clock().now_us());
     assert_eq!(billing.launched, cache.cloud().total_launched());
     assert_eq!(billing.active, after);
     assert!(billing.launched > after, "some instances were terminated");

@@ -70,7 +70,7 @@ fn warm_pool_and_adaptive_window_compose() {
         ema_weight: 0.3,
     });
     let mut cache = ElasticCache::new(cfg);
-    cache.clock().advance_secs(200.0); // let the standby boot
+    cache.clock_mut().advance_secs(200.0); // let the standby boot
 
     // Quiet, surge, quiet — the full disaster arc with both features on.
     let step = |cache: &mut ElasticCache, n: u64, stride: u64| {
