@@ -82,7 +82,7 @@ pub use elastic::{ElasticCache, NodeId};
 pub use error::{CacheAuditError, CacheError};
 pub use lockorder::{LockClass, LockOrderViolation, LockToken};
 pub use lru::Lru;
-pub use metrics::{Metrics, NodeCounters, NodeOpStats};
+pub use metrics::Metrics;
 pub use node::CacheNode;
 pub use record::Record;
 pub use shard::{PutOutcome, ShardAuditError, ShardedNode, DEFAULT_STRIPES};

@@ -1,7 +1,5 @@
 //! Hit/miss/time accounting — the raw series behind every figure.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use serde::{Deserialize, Serialize};
 
 /// Cumulative cache statistics. Figure harnesses snapshot this each
@@ -106,87 +104,6 @@ impl Metrics {
             tier_hits: self.tier_hits.saturating_sub(earlier.tier_hits),
             tier_writes: self.tier_writes.saturating_sub(earlier.tier_writes),
             insert_errors: self.insert_errors.saturating_sub(earlier.insert_errors),
-        }
-    }
-}
-
-/// Lock-free per-op counters for a concurrently-served cache node.
-///
-/// Every field is a relaxed [`AtomicU64`]: recording an op from a request
-/// thread never takes a lock, so a stats poll can't stall the data path
-/// and a GET never needs exclusive access just to bump `hits`.
-#[derive(Debug, Default)]
-pub struct NodeCounters {
-    gets: AtomicU64,
-    hits: AtomicU64,
-    puts: AtomicU64,
-    removes: AtomicU64,
-    overflows: AtomicU64,
-    sweeps: AtomicU64,
-}
-
-/// A point-in-time copy of [`NodeCounters`] (plain integers, serializable).
-#[must_use]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeOpStats {
-    /// GET lookups served (hits + misses).
-    pub gets: u64,
-    /// GETs that found a record.
-    pub hits: u64,
-    /// Records stored (inserts and replacements).
-    pub puts: u64,
-    /// Records removed by key.
-    pub removes: u64,
-    /// PUTs refused because the byte growth would overflow the node.
-    pub overflows: u64,
-    /// Range drains (migration sweeps) executed.
-    pub sweeps: u64,
-}
-
-impl NodeCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Count one GET; `hit` marks whether it found a record.
-    #[inline]
-    pub fn note_get(&self, hit: bool) {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count a batch of PUTs: `stored` successful, `refused` overflows.
-    #[inline]
-    pub fn note_puts(&self, stored: u64, refused: u64) {
-        self.puts.fetch_add(stored, Ordering::Relaxed);
-        self.overflows.fetch_add(refused, Ordering::Relaxed);
-    }
-
-    /// Count one successful remove.
-    #[inline]
-    pub fn note_remove(&self) {
-        self.removes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one range drain.
-    #[inline]
-    pub fn note_sweep(&self) {
-        self.sweeps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counters (lock-free; fields are read independently, so
-    /// a snapshot taken mid-op may be off by the in-flight op).
-    pub fn snapshot(&self) -> NodeOpStats {
-        NodeOpStats {
-            gets: self.gets.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            removes: self.removes.load(Ordering::Relaxed),
-            overflows: self.overflows.load(Ordering::Relaxed),
-            sweeps: self.sweeps.load(Ordering::Relaxed),
         }
     }
 }

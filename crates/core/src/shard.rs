@@ -46,7 +46,6 @@ use ecc_obs::ObsRegistry;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::lockorder::{LockClass, Ordered};
-use crate::metrics::NodeCounters;
 use crate::record::Record;
 use crate::slab::{self, ClassStats, SlabArena};
 
@@ -136,7 +135,6 @@ pub struct ShardedNode {
     used: AtomicU64,
     /// Resident record count.
     count: AtomicU64,
-    counters: NodeCounters,
     /// When present, stripe/structural lock acquisitions that had to wait
     /// record how long under `lock_wait_us:{stripe,structural}`.
     obs: Option<ObsRegistry>,
@@ -170,7 +168,6 @@ impl ShardedNode {
             arena: SlabArena::new(),
             used: AtomicU64::new(0),
             count: AtomicU64::new(0),
-            counters: NodeCounters::new(),
             obs: None,
         }
     }
@@ -205,11 +202,6 @@ impl ShardedNode {
     #[inline]
     pub fn record_count(&self) -> u64 {
         self.count.load(Ordering::Acquire)
-    }
-
-    /// Cumulative per-op counters (lock-free).
-    pub fn counters(&self) -> &NodeCounters {
-        &self.counters
     }
 
     /// The node's payload arena (diagnostics, tests).
@@ -286,9 +278,7 @@ impl ShardedNode {
         let _structural = self.read_lock(&self.structural, LockClass::Structural);
         let idx = stripe_of(key, self.mask);
         let stripe = self.read_lock(&self.stripes[idx], LockClass::Stripe(idx));
-        let found = stripe.get(&key);
-        self.counters.note_get(found.is_some());
-        f(found)
+        f(stripe.get(&key))
     }
 
     /// Look up a record; the returned clone shares the payload allocation
@@ -302,11 +292,7 @@ impl ShardedNode {
     /// raw wire bytes go through [`ShardedNode::put_many`], which lands
     /// them in the slab arena.
     pub fn put(&self, key: u64, record: Record) -> PutOutcome {
-        let out = self.store(key, record.len(), move || record);
-        let stored = out == PutOutcome::Stored;
-        self.counters
-            .note_puts(u64::from(stored), u64::from(!stored));
-        out
+        self.store(key, record.len(), move || record)
     }
 
     /// Copy `payload` into a slot of the node's arena and store it — a
@@ -324,19 +310,15 @@ impl ShardedNode {
     /// rest. An item takes the structural lock and then its own stripe, and
     /// makes one B+-tree descent; the leaf shows it the old record, the
     /// admission CAS runs, and only an admitted item takes a slab slot, so
-    /// a refused one touches neither the arena nor the allocator. The
-    /// node's per-op counters move once per batch; `used_bytes`,
-    /// `record_count` and the slab's counters stay exact per item.
+    /// a refused one touches neither the arena nor the allocator.
+    /// `used_bytes`, `record_count` and the slab's counters stay exact per
+    /// item.
     pub fn put_many(&self, items: &[(u64, &[u8])], mut verdict: impl FnMut(PutOutcome)) {
-        let mut stored = 0;
         for &(key, payload) in items {
-            let out = self.store(key, payload.len(), || {
+            verdict(self.store(key, payload.len(), || {
                 Record::alloc_in(&self.arena, payload)
-            });
-            stored += u64::from(out == PutOutcome::Stored);
-            verdict(out);
+            }));
         }
-        self.counters.note_puts(stored, items.len() as u64 - stored);
     }
 
     /// The one store path, under `structural.read` + the key's stripe
@@ -390,7 +372,6 @@ impl ShardedNode {
             self.used
                 .fetch_sub(slab::footprint(rec.len()), Ordering::AcqRel);
             self.count.fetch_sub(1, Ordering::AcqRel);
-            self.counters.note_remove();
         }
         removed
     }
@@ -420,7 +401,6 @@ impl ShardedNode {
             });
             self.used.fetch_sub(bytes, Ordering::AcqRel);
             self.count.fetch_sub(records, Ordering::AcqRel);
-            self.counters.note_sweep();
             out.sort_unstable_by_key(|(k, _)| *k);
             out
         })
@@ -517,8 +497,6 @@ mod tests {
         assert_eq!(n.used_bytes(), 352);
         assert_eq!(n.record_count(), 1);
         n.validate();
-        let c = n.counters().snapshot();
-        assert_eq!((c.gets, c.hits, c.puts, c.removes), (2, 1, 2, 1));
     }
 
     #[test]
@@ -537,7 +515,6 @@ mod tests {
         // Shrinking replacement frees footprint.
         assert_eq!(n.put(1, Record::filler(10)), PutOutcome::Stored);
         assert_eq!(n.used_bytes(), 64);
-        assert_eq!(n.counters().snapshot().overflows, 1);
         n.validate();
     }
 
@@ -588,8 +565,6 @@ mod tests {
         let seen = n.get_with(7, |r| r.map(|r| (r.as_slice().as_ptr(), r.len())));
         assert_eq!(seen, Some((stored, 100)));
         assert!(n.get_with(8, |r| r.is_none()));
-        let c = n.counters().snapshot();
-        assert_eq!((c.gets, c.hits), (3, 2));
     }
 
     #[test]
@@ -768,8 +743,6 @@ mod tests {
         assert_eq!((class(80).live_slots, class(64).live_slots), (0, 2));
         assert_eq!((n.used_bytes(), n.record_count()), (128, 2));
         assert_eq!(n.get(2), None);
-        let c = n.counters().snapshot();
-        assert_eq!((c.puts, c.overflows), (3, 1));
         n.validate();
     }
 

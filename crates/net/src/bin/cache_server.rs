@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Serves the elastic-cache wire protocol (GET/PUT/GET_MANY/PUT_MANY/
-//! EVICT_MANY/KEYS/RANGE_STATS/STATS/OBS_DUMP/PING/SHUTDOWN) until a
-//! SHUTDOWN request arrives.
+//! EVICT_MANY/KEYS/STATS/OBS_DUMP/PING/SHUTDOWN) until a SHUTDOWN request
+//! arrives.
 
 use std::process::ExitCode;
 use std::time::Duration;

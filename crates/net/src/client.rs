@@ -9,7 +9,7 @@ use ecc_obs::{ObsRegistry, SpanGuard};
 
 use crate::protocol::{
     append_frame, decode_get_many, decode_keys, decode_stats, decode_statuses, encode_traced_into,
-    read_frame_into, write_frame_buffered, FrameAssembler, Op, Request, Status, TraceContext,
+    FrameAssembler, Op, Request, Status, TraceContext,
 };
 
 /// Static span kind for a client-side wire exchange (`wire:<op>`), so the
@@ -29,11 +29,12 @@ pub(crate) fn wire_span_kind(op: Op) -> &'static str {
     }
 }
 
-/// A persistent connection to a cache server.
+/// A persistent connection to a cache server: a [`PipelinedConn`] used
+/// at depth one, plus the typed calls.
 ///
-/// The handle owns a read and a write buffer that are reused across
-/// requests, so steady-state calls perform no per-frame allocations on
-/// the framing path.
+/// Every call is one request and its reply over the connection's reused
+/// write buffer and frame assembler, so steady-state calls perform no
+/// per-frame allocations on the framing path.
 ///
 /// With [`RemoteNode::with_obs`] attached, every call made while the
 /// calling thread has a live span opens a `wire:<op>` span under it and
@@ -42,9 +43,7 @@ pub(crate) fn wire_span_kind(op: Op) -> &'static str {
 #[derive(Debug)]
 pub struct RemoteNode {
     addr: SocketAddr,
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
+    conn: PipelinedConn,
     obs: Option<ObsRegistry>,
 }
 
@@ -53,32 +52,12 @@ fn bad_frame(what: &str) -> io::Error {
 }
 
 impl RemoteNode {
-    /// Connect to a server.
+    /// Connect to a server. Reads block with no bound until
+    /// [`RemoteNode::set_read_timeout`] sets one.
     pub fn connect(addr: SocketAddr) -> io::Result<RemoteNode> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
         Ok(RemoteNode {
             addr,
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            obs: None,
-        })
-    }
-
-    /// Connect with a connection timeout and the same bound on every
-    /// subsequent read, so a node that accepts but never answers surfaces
-    /// as a [`io::ErrorKind::WouldBlock`] / [`io::ErrorKind::TimedOut`]
-    /// error instead of hanging the caller forever.
-    pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<RemoteNode> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        Ok(RemoteNode {
-            addr,
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
+            conn: PipelinedConn::over(TcpStream::connect(addr)?)?,
             obs: None,
         })
     }
@@ -96,7 +75,7 @@ impl RemoteNode {
     /// Bound how long any single response read may block (`None` removes
     /// the bound).
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.conn.stream.set_read_timeout(timeout)
     }
 
     /// The server's address.
@@ -104,10 +83,10 @@ impl RemoteNode {
         self.addr
     }
 
-    /// One request/response exchange through the reused buffers; the
-    /// returned body borrows from the connection's read buffer. The wire
-    /// span parents under the innermost live span on the calling thread —
-    /// how a coordinator's calls attach to its elastic root spans.
+    /// One request/response exchange; the returned body borrows from the
+    /// connection's read buffer. The wire span parents under the innermost
+    /// live span on the calling thread — how a coordinator's calls attach
+    /// to its elastic root spans.
     fn call(&mut self, req: &Request) -> io::Result<(Status, &[u8])> {
         let span = self.send(req, ecc_obs::current_span())?;
         let reply = self.recv();
@@ -136,38 +115,21 @@ impl RemoteNode {
                     parent_span_id: parent,
                     sampled: true,
                 };
-                write_frame_buffered(&mut self.stream, &mut self.wbuf, |b| {
-                    encode_traced_into(&ctx, req, b)
-                })?;
+                self.conn.enqueue_traced(req, Some(&ctx))?;
                 Some(span)
             }
             _ => {
-                write_frame_buffered(&mut self.stream, &mut self.wbuf, |b| req.encode_into(b))?;
+                self.conn.enqueue(req)?;
                 None
             }
         };
+        self.conn.flush()?;
         Ok(span)
     }
 
-    /// The receive half of a call: read the next reply, its body borrowing
-    /// the connection's read buffer.
+    /// The receive half of a call: [`PipelinedConn::recv`].
     pub(crate) fn recv(&mut self) -> io::Result<(Status, &[u8])> {
-        read_frame_into(&mut self.stream, &mut self.rbuf)?;
-        let (&status_byte, body) = self
-            .rbuf
-            .split_first()
-            .ok_or_else(|| bad_frame("empty response frame"))?;
-        let status =
-            Status::from_u8(status_byte).ok_or_else(|| bad_frame("bad response status"))?;
-        if status == Status::Busy {
-            // The server is at its connection bound; it sent this one
-            // frame and closed. Surface it as a refusal, not a payload.
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                "server at connection capacity",
-            ));
-        }
-        Ok((status, body))
+        self.conn.recv()
     }
 
     /// Look up a key.
@@ -301,16 +263,18 @@ pub(crate) fn obs_dump_reply(status: Status, body: &[u8]) -> io::Result<ecc_obs:
     ecc_obs::decode_dump(body).ok_or_else(|| bad_frame("bad obs-dump body"))
 }
 
-/// A pipelining connection: many requests in flight at once.
+/// A pipelining connection: many requests in flight at once, and the one
+/// client transport ([`RemoteNode`] is this at depth one).
 ///
-/// [`RemoteNode`] is strictly request/response — every call pays a full
-/// round trip plus two syscalls each way. `PipelinedConn` decouples the
-/// two halves: [`enqueue`](PipelinedConn::enqueue) buffers encoded request
-/// frames, [`flush`](PipelinedConn::flush) ships the whole batch in one
-/// write, and [`recv`](PipelinedConn::recv) pops responses in request
-/// order, reading the socket in bulk through a [`FrameAssembler`] (one
-/// `read` can deliver a whole burst of responses). With depth D in
-/// flight, per-request syscall cost approaches 2/D.
+/// A request/response client pays a full round trip plus a syscall each
+/// way per call. `PipelinedConn` decouples the two halves:
+/// [`enqueue`](PipelinedConn::enqueue) buffers encoded request frames,
+/// [`flush`](PipelinedConn::flush) ships the whole batch in one write, and
+/// [`recv`](PipelinedConn::recv) pops responses in request order, reading
+/// the socket in bulk through a [`FrameAssembler`] (one `read` can deliver
+/// a whole burst of responses). With depth D in flight, per-request
+/// syscall cost approaches 2/D.
+#[derive(Debug)]
 pub struct PipelinedConn {
     stream: TcpStream,
     asm: FrameAssembler,
@@ -345,8 +309,14 @@ impl PipelinedConn {
     /// blocking read.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<PipelinedConn> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
+        PipelinedConn::over(stream)
+    }
+
+    /// A connection over a connected `stream`, its reads as the caller
+    /// left them.
+    fn over(stream: TcpStream) -> io::Result<PipelinedConn> {
+        stream.set_nodelay(true)?;
         Ok(PipelinedConn {
             stream,
             asm: FrameAssembler::new(),
@@ -399,10 +369,10 @@ impl PipelinedConn {
 
     /// Receive the next response in request order: `(status, body)`, the
     /// body borrowing the connection's read buffer. Blocks (bounded by
-    /// the connect timeout) until a full frame arrives; a `Busy` status
-    /// maps to [`io::ErrorKind::ConnectionRefused`] like
-    /// [`RemoteNode::call`]. Flushes buffered requests first — a `recv`
-    /// can never deadlock against its own unsent request.
+    /// the read timeout, if one is set) until a full frame arrives; a
+    /// `Busy` status maps to [`io::ErrorKind::ConnectionRefused`]. Flushes
+    /// buffered requests first — a `recv` can never deadlock against its
+    /// own unsent request.
     pub fn recv(&mut self) -> io::Result<(Status, &[u8])> {
         self.flush()?;
         while !self.asm.has_frame()? {
@@ -423,6 +393,8 @@ impl PipelinedConn {
         let status =
             Status::from_u8(status_byte).ok_or_else(|| bad_frame("bad response status"))?;
         if status == Status::Busy {
+            // The server is at its connection bound; it sent this one
+            // frame and closed. Surface it as a refusal, not a payload.
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 "server at connection capacity",

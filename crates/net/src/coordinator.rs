@@ -802,9 +802,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::protocol::{
-        decode_with_trace, read_frame, read_frame_into, write_frame, Op, Response,
-    };
+    use crate::protocol::{decode_with_trace, read_frame, write_frame, Op, Response};
     use ecc_obs::ObsEvent;
 
     #[test]
@@ -1078,9 +1076,8 @@ mod tests {
             let Ok(mut upstream) = TcpStream::connect(upstream) else {
                 return;
             };
-            let mut buf = Vec::new();
-            while read_frame_into(&mut conn, &mut buf).is_ok() {
-                let act = match decode_with_trace(&buf[..]) {
+            while let Ok(buf) = read_frame(&mut conn) {
+                let act = match decode_with_trace(&buf) {
                     Some((_, req)) => {
                         if let Some(counts) = &counts {
                             counts[req.op() as usize].fetch_add(1, Ordering::Relaxed);

@@ -10,9 +10,11 @@
 //!
 //! The wire format ([`protocol`]) is a length-prefixed binary protocol
 //! (`bytes`-based): `GET`/`PUT` for the data path, `GET_MANY`/`PUT_MANY`/
-//! `EVICT_MANY` for migration and eviction, `KEYS`/`RANGE_STATS`/`STATS`
-//! for the coordinator's split planning, `OBS_DUMP` for observability,
-//! and `PING`/`SHUTDOWN` for lifecycle.
+//! `EVICT_MANY` for fills, migration and eviction, `KEYS` to re-read what
+//! a node the coordinator is unsure of holds (with `GET_MANY` and
+//! `STATS`), `STATS` for a node's used bytes, record count and capacity
+//! (the cluster's totals), `OBS_DUMP` for observability, and
+//! `PING`/`SHUTDOWN` for lifecycle.
 //!
 //! Threading model: one event-driven reactor pool per process
 //! ([`reactor`]) serves every node in it. A node is a listener registered
@@ -23,9 +25,11 @@
 //! [`ecc_core::ShardedNode`], and flush all responses in one gathered
 //! write per sweep; a reactor with nothing to do blocks in `poll(2)` on
 //! its sockets and listeners, so an idle node costs no CPU and a request
-//! into it costs one kernel wakeup. Clients can pipeline
-//! ([`client::PipelinedConn`]) to amortize syscalls across in-flight
-//! requests. Unix only (`poll`, `UnixStream` wakers).
+//! into it costs one kernel wakeup. There is one client transport,
+//! [`client::PipelinedConn`], which pipelines requests to amortize
+//! syscalls across those in flight; [`client::RemoteNode`], the
+//! coordinator's typed client, is that transport at depth one. Unix only
+//! (`poll`, `UnixStream` wakers).
 //!
 //! # Example
 //!

@@ -592,16 +592,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one `[u32 len][payload]` frame.
+/// Read one `[u32 len][payload]` frame with two blocking `read_exact`s.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Bytes> {
-    let mut buf = Vec::new();
-    read_frame_into(r, &mut buf)?;
-    Ok(Bytes::from(buf))
-}
-
-/// Read one frame's payload into a caller-owned buffer, reusing its
-/// allocation across frames. The buffer is resized to the payload length.
-pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<()> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
@@ -611,14 +603,15 @@ pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<()> 
             format!("frame of {len} bytes exceeds limit"),
         ));
     }
-    buf.resize(len as usize, 0);
-    r.read_exact(buf)
+    let mut buf = vec![0u8; len as usize];
+    r.read_exact(&mut buf)?;
+    Ok(Bytes::from(buf))
 }
 
 /// Incremental frame extraction from a byte stream that arrives in
-/// arbitrary chunks — the nonblocking counterpart of [`read_frame_into`].
+/// arbitrary chunks — the nonblocking counterpart of [`read_frame`].
 ///
-/// The reactor and the pipelined client both read whatever the socket has
+/// The reactor and the client both read whatever the socket has
 /// (`fill_from`) and then pop every complete `[u32 len][payload]` frame
 /// (`next_frame`); a frame split across reads simply stays buffered until
 /// its tail arrives. The internal buffer is reused across frames: steady
@@ -763,37 +756,12 @@ impl FrameAssembler {
     }
 }
 
-/// Assemble `[u32 len][payload]` in a reusable scratch buffer and write it
-/// with a single `write_all` — the allocation-free counterpart of
-/// [`write_frame`]. `fill` appends the payload bytes to the (cleared)
-/// scratch buffer after the 4-byte length placeholder; the prefix is
-/// back-filled once the payload length is known.
-pub fn write_frame_buffered<W: Write>(
-    w: &mut W,
-    scratch: &mut Vec<u8>,
-    fill: impl FnOnce(&mut Vec<u8>),
-) -> io::Result<()> {
-    scratch.clear();
-    scratch.extend_from_slice(&[0u8; 4]);
-    fill(scratch);
-    let len = (scratch.len() - 4) as u32;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit"),
-        ));
-    }
-    scratch[..4].copy_from_slice(&len.to_le_bytes());
-    w.write_all(scratch)?;
-    w.flush()
-}
-
 /// Append one `[u32 len][payload]` frame to a caller-owned buffer without
-/// clearing it — the batching counterpart of [`write_frame_buffered`],
-/// used by the reactor's per-connection write queue and the pipelined
-/// client to coalesce many frames into one socket write. `fill` appends
-/// the payload after a 4-byte placeholder that is back-filled with the
-/// measured length.
+/// clearing it — the batching, allocation-free counterpart of
+/// [`write_frame`], used by the reactor's per-connection write queue and
+/// the client ([`crate::client::PipelinedConn`]) to coalesce frames into
+/// one socket write. `fill` appends the payload after a 4-byte
+/// placeholder that is back-filled with the measured length.
 pub fn append_frame(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
     let at = buf.len();
     buf.extend_from_slice(&[0u8; 4]);
@@ -1055,26 +1023,6 @@ mod tests {
         assert_eq!(decode_get_many(&enc[..enc.len() - 1]), None);
         // Hostile count prefix.
         assert_eq!(decode_get_many(&[0xFF, 0xFF, 0xFF, 0xFF]), None);
-    }
-
-    #[test]
-    fn buffered_frame_io_roundtrips() {
-        let mut wire = Vec::new();
-        let mut scratch = vec![0xAA; 64]; // dirty scratch must not leak
-        write_frame_buffered(&mut wire, &mut scratch, |b| {
-            b.extend_from_slice(b"first");
-        })
-        .unwrap();
-        write_frame_buffered(&mut wire, &mut scratch, |b| {
-            b.extend_from_slice(b"second payload");
-        })
-        .unwrap();
-        let mut cursor = std::io::Cursor::new(wire);
-        let mut buf = Vec::new();
-        read_frame_into(&mut cursor, &mut buf).unwrap();
-        assert_eq!(buf, b"first");
-        read_frame_into(&mut cursor, &mut buf).unwrap();
-        assert_eq!(buf, b"second payload");
     }
 
     #[test]

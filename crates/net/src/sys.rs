@@ -95,6 +95,59 @@ mod tests {
         assert_ne!(fds[0].revents() & POLLHUP, 0);
     }
 
+    /// `SIGUSR1` on Linux's x86 and Arm ports; on any port the test only
+    /// needs a catchable signal that nothing else in the binary raises.
+    #[cfg(target_os = "linux")]
+    const SIGUSR1: c_int = 10;
+
+    #[cfg(target_os = "linux")]
+    extern "C" {
+        fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
+        fn pthread_kill(thread: std::os::unix::thread::RawPthread, sig: c_int) -> c_int;
+    }
+
+    #[cfg(target_os = "linux")]
+    extern "C" fn ignore(_: c_int) {}
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test bounds a real-time wait"
+    )]
+    fn a_signal_ends_the_wait_with_zero() {
+        use std::os::unix::thread::JoinHandleExt;
+        use std::time::{Duration, Instant};
+
+        // SAFETY: `ignore` is an `extern "C" fn(c_int)` that touches
+        // nothing, so it is async-signal-safe, and the handler stays valid
+        // for the life of the process. Nothing else in this test binary
+        // raises `SIGUSR1`, so the new disposition changes no other test.
+        let old = unsafe { signal(SIGUSR1, ignore) };
+        assert_ne!(old, usize::MAX, "signal(SIGUSR1) returned SIG_ERR");
+        let (a, _b) = UnixStream::pair().unwrap();
+        let waiter = std::thread::spawn(move || {
+            let mut fds = [PollFd::new(a.as_raw_fd(), POLLIN)];
+            let t0 = Instant::now();
+            (wait(&mut fds, 10_000), t0.elapsed())
+        });
+        // A signal that lands before the thread enters `poll` is spent on
+        // nothing, so keep sending until the wait returns (or 5 s pass,
+        // so that a wait which swallows the signal fails the test).
+        let t0 = Instant::now();
+        while !waiter.is_finished() && t0.elapsed() < Duration::from_secs(5) {
+            // SAFETY: `waiter` is not joined yet, so its `pthread_t` names
+            // a thread that has not been reclaimed, even one that has just
+            // returned; `SIGUSR1` has the no-op handler installed above. A
+            // failed send shows as a wait that runs to its timeout.
+            unsafe { pthread_kill(waiter.as_pthread_t(), SIGUSR1) };
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let (got, took) = waiter.join().unwrap();
+        assert_eq!(got.unwrap(), 0);
+        assert!(took < Duration::from_secs(5), "the wait ran {took:?}");
+    }
+
     #[test]
     fn timeout_zero_on_a_quiet_set_returns_zero() {
         let (a, _b) = UnixStream::pair().unwrap();

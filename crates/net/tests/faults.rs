@@ -163,7 +163,10 @@ fn never_answering_node_times_out_instead_of_hanging() {
     });
 
     let timeout = Duration::from_millis(200);
-    let mut client = RemoteNode::connect_with_timeout(addr, timeout).expect("connect");
+    let mut client = RemoteNode::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Some(timeout))
+        .expect("read timeout");
     let t0 = Instant::now();
     let err = client.get(1).expect_err("a silent peer must not answer");
     assert!(
