@@ -1,14 +1,12 @@
 //! The simulated elastic cooperative cache: the paper's §III on a
 //! virtual clock.
 //!
-//! * **GBA-Insert** (Algorithm 1) — [`ElasticCache::insert`]: hash the key
-//!   to its node; while the node would overflow, [`Engine::split`]
-//!   relieves it, and the insert retries.
-//! * **Sweep-and-Migrate** (Algorithm 2), **eviction** and **contraction**
-//!   (§III-B) are the [`Engine`]'s. This cache is its substrate: a sweep
-//!   is the B+-tree linked-leaf walk, moving a record charges `T_net`,
-//!   allocating a node boots a cloud instance, and an evicted record is
-//!   written behind to the overflow tier.
+//! * **GBA-Insert** (Algorithm 1), **Sweep-and-Migrate** (Algorithm 2),
+//!   **eviction** and **contraction** (§III-B) are the [`Engine`]'s. This
+//!   cache is its substrate: a store is one B+-tree descent that decides
+//!   the fit at the leaf, a sweep is the B+-tree linked-leaf walk, moving
+//!   a record charges `T_net`, allocating a node boots a cloud instance,
+//!   and an evicted record is written behind to the overflow tier.
 //!
 //! All latencies (lookups, record transfers `T_net`, node boots) are
 //! charged to the cache's virtual clock, which its `Fleet` owns, so the
@@ -23,7 +21,7 @@ use ecc_obs::{LogHistogram, ObsEvent, ObsRegistry, TimeSource};
 
 use crate::adaptive::WindowController;
 use crate::config::CacheConfig;
-use crate::engine::{Engine, NodeKey, Substrate, MAX_SPLIT_RETRIES};
+use crate::engine::{Engine, Migration, NodeKey, Substrate, MAX_SPLIT_RETRIES};
 use crate::error::{CacheAuditError, CacheError};
 use crate::metrics::Metrics;
 use crate::node::CacheNode;
@@ -121,6 +119,7 @@ impl ElasticCache {
             tier,
             alloc_us: 0,
             tier_writes: 0,
+            owed_us: 0,
         };
         Self {
             engine,
@@ -221,19 +220,6 @@ impl ElasticCache {
         self.fleet.nodes.get(id.0 as usize).and_then(Option::as_ref)
     }
 
-    /// Fallible dereference for typed-error paths: the ring resolving to an
-    /// inactive node is a coordinator bug, reported as
-    /// [`CacheError::Internal`] rather than a panic.
-    fn try_node(&self, id: NodeId) -> Result<&CacheNode, CacheError> {
-        self.node_at(id).ok_or(CacheError::Internal {
-            what: "ring references an inactive node",
-        })
-    }
-
-    fn try_node_mut(&mut self, id: NodeId) -> Result<&mut CacheNode, CacheError> {
-        node_mut(&mut self.fleet.nodes, id)
-    }
-
     // -------------------------------------------------------------- queries
 
     /// Full cached-service query: look up `key`; on a miss run `miss` (the
@@ -243,23 +229,21 @@ impl ElasticCache {
     /// baseline the speedup figures divide by); for a miss it is also the
     /// time actually charged for the service execution.
     ///
-    /// Each step runs once: the ring owner is resolved once and handed
-    /// from the lookup to the insert, the record moves into the tree, and
-    /// the lookup, service and put-transfer charges reach the clock as one
-    /// sum — after `miss` returns, and before anything reads the clock.
+    /// Each step runs once: the record moves into the tree, and the
+    /// lookup, service and put-transfer charges reach the clock as one sum
+    /// — after `miss` returns, and before anything reads the clock.
     pub fn query(&mut self, key: u64, uncached_us: u64, miss: impl FnOnce() -> Record) -> Record {
         let t0 = self.fleet.clock.now_us();
         self.metrics.baseline_us += uncached_us;
-        let (owner, lookup_us) = match self.lookup_uncharged(key) {
+        let mut pending_us = match self.lookup_uncharged(key) {
             Ok((rec, lookup_us)) => {
                 self.fleet.clock.advance_us(lookup_us);
                 self.metrics.observed_us += lookup_us;
                 self.query_us[QUERY_HIT].1.record(lookup_us);
                 return rec;
             }
-            Err(absent) => absent,
+            Err(miss_us) => miss_us,
         };
-        let mut pending_us = lookup_us;
         // Memory miss: the persistent overflow tier (if any) may still
         // hold an evicted copy — a tier fetch beats re-running the 23 s
         // service by orders of magnitude (§IV-D trade-off).
@@ -271,7 +255,7 @@ impl ElasticCache {
             if let Some(bytes) = found {
                 let rec = Record::from_bytes(bytes);
                 self.metrics.tier_hits += 1;
-                self.admit(key, rec.clone(), owner, pending_us);
+                self.admit(key, rec.clone(), pending_us);
                 let dt = self.fleet.clock.now_us() - t0;
                 self.metrics.observed_us += dt;
                 self.query_us[QUERY_TIER].1.record(dt);
@@ -281,7 +265,7 @@ impl ElasticCache {
         // Execute the service.
         let rec = miss();
         self.metrics.service_us += uncached_us;
-        self.admit(key, rec.clone(), owner, pending_us + uncached_us);
+        self.admit(key, rec.clone(), pending_us + uncached_us);
         let dt = self.fleet.clock.now_us() - t0;
         self.metrics.observed_us += dt;
         self.query_us[QUERY_MISS].1.record(dt);
@@ -298,8 +282,8 @@ impl ElasticCache {
     /// crate; this and the other query-path helpers are `#[inline]` so they
     /// are compiled there with it, not called across the crate boundary.
     #[inline]
-    fn admit(&mut self, key: u64, rec: Record, owner: Option<NodeId>, pending_us: u64) {
-        match self.insert_charged(key, rec, owner, pending_us) {
+    fn admit(&mut self, key: u64, rec: Record, pending_us: u64) {
+        match self.insert_charged(key, rec, pending_us) {
             Ok(()) | Err(CacheError::RecordTooLarge { .. }) => {}
             Err(_) => {
                 self.metrics.insert_errors += 1;
@@ -315,7 +299,7 @@ impl ElasticCache {
     pub fn lookup(&mut self, key: u64) -> Option<Record> {
         let (rec, lookup_us) = match self.lookup_uncharged(key) {
             Ok((rec, us)) => (Some(rec), us),
-            Err((_, us)) => (None, us),
+            Err(us) => (None, us),
         };
         self.fleet.clock.advance_us(lookup_us);
         self.metrics.observed_us += lookup_us;
@@ -323,11 +307,11 @@ impl ElasticCache {
     }
 
     /// The lookup step of a query: count it, note it in the window, and
-    /// resolve the owner once. Returns the record with the lookup's cost,
-    /// or on a miss the owner it resolved with the miss's cost. The caller
-    /// charges the cost, together with whatever the query does next.
+    /// read the key on its owner. Returns the record with the lookup's
+    /// cost, or on a miss the miss's cost. The caller charges the cost,
+    /// together with whatever the query does next.
     #[inline]
-    fn lookup_uncharged(&mut self, key: u64) -> Result<(Record, u64), (Option<NodeId>, u64)> {
+    fn lookup_uncharged(&mut self, key: u64) -> Result<(Record, u64), u64> {
         self.slice_queries += 1;
         if let Some(w) = &mut self.engine.window {
             w.note_query(key);
@@ -335,111 +319,60 @@ impl ElasticCache {
         // The ring always has a bucket by construction; an empty ring or a
         // dangling owner degrades to a miss instead of tearing down the
         // whole cache.
-        let owner = self.engine.ring.node_for_key(key).copied();
+        let owner = self.engine.ring.node_for_key(key);
         let rec = owner
-            .and_then(|nid| self.node_at(nid))
+            .and_then(|&nid| self.node_at(nid))
             .and_then(|n| n.get(key).cloned());
-        let charged = self.fleet.charges.lookup(&mut self.metrics, rec);
-        charged.map_err(|us| (owner, us))
+        self.fleet.charges.lookup(&mut self.metrics, rec)
     }
 
     // ------------------------------------------------------- GBA insertion
 
-    /// Algorithm 1: GBA-Insert. Inserts `record` under `key`, splitting
-    /// buckets and (as a last resort) allocating cloud nodes until the
-    /// owning node can hold it.
+    /// Algorithm 1: GBA-Insert ([`Engine::insert`]). Inserts `record`
+    /// under `key`, splitting buckets and (as a last resort) allocating
+    /// cloud nodes until the owning node can hold it.
     pub fn insert(&mut self, key: u64, record: Record) -> Result<(), CacheError> {
-        self.insert_charged(key, record, None, 0)
+        self.insert_charged(key, record, 0)
     }
 
     /// [`ElasticCache::insert`] with `pending_us` of earlier charges still
-    /// owed to the clock, and optionally the owner a lookup just resolved
-    /// for a key it found absent. Whatever is owed reaches the clock in one
-    /// advance: GBA settles it before placing the record, and an early
+    /// owed to the clock. Whatever is owed reaches the clock in one
+    /// advance: the fleet's `store` settles it, with the put transfer,
+    /// before the record lands or a split reads the clock, and an early
     /// return leaves it here.
     #[inline]
     fn insert_charged(
         &mut self,
         key: u64,
         record: Record,
-        owner: Option<NodeId>,
-        mut pending_us: u64,
+        pending_us: u64,
     ) -> Result<(), CacheError> {
-        let result = self.gba_insert(key, record, owner, &mut pending_us);
-        if pending_us > 0 {
-            self.fleet.clock.advance_us(pending_us);
-        }
-        result
-    }
-
-    /// The body of GBA-Insert. Adds the put transfer to `*pending_us` and
-    /// settles it before the record is placed or a split reads the clock.
-    fn gba_insert(
-        &mut self,
-        key: u64,
-        record: Record,
-        mut owner: Option<NodeId>,
-        pending_us: &mut u64,
-    ) -> Result<(), CacheError> {
+        self.fleet.owed_us = pending_us;
         // Capacity decisions charge the record's true slot footprint; the
-        // wire transfer below is charged its raw payload length.
+        // put transfer is charged its raw payload length, once: the record
+        // travels to whichever node finally stores it.
         let size = record.byte_size() as u64;
-        self.engine.admits(key, size)?;
-        // Charge the put transfer once (the record travels to whichever
-        // node finally stores it).
-        *pending_us += self.fleet.charges.record_us(record.len());
-        // The first attempt may use the lookup's owner, which also proved
-        // the key absent; a retry after a split resolves both again.
-        for _ in 0..MAX_SPLIT_RETRIES {
-            // A replacement is charged only for its byte *growth*: an
-            // existing record's bytes are freed by the overwrite, so the
-            // overflow test applies to `size - old_size`. A growing
-            // replacement that no longer fits triggers a split like any
-            // other overflow.
-            let (nid, old_size) = match owner.take() {
-                Some(nid) => (nid, 0),
-                None => {
-                    let nid = *self
-                        .engine
-                        .ring
-                        .node_for_key(key)
-                        .ok_or(CacheError::Internal {
-                            what: "ring has no buckets",
-                        })?;
-                    let old = self.try_node(nid)?.get(key);
-                    (nid, old.map_or(0, |r| r.byte_size() as u64))
-                }
-            };
-            let fits = self.try_node(nid)?.fits(size.saturating_sub(old_size));
-            // Settle what is owed before a split reads the clock.
-            self.fleet.clock.advance_us(std::mem::take(pending_us));
-            if fits {
-                self.try_node_mut(nid)?.insert(key, record);
-                #[cfg(debug_assertions)]
-                self.validate();
-                return Ok(());
-            }
-            // Overflow: split the fullest bucket referencing this node.
-            self.split_node(nid)?;
-        }
-        Err(CacheError::SplitLoopExceeded)
+        let inserted = self.engine.admits(key, size).and_then(|()| {
+            self.fleet.owed_us += self.fleet.charges.record_us(record.len());
+            let metrics = &mut self.metrics;
+            let counted = |split| count_split(metrics, split);
+            self.engine.insert(&mut self.fleet, key, record, counted)
+        });
+        self.fleet
+            .clock
+            .advance_us(std::mem::take(&mut self.fleet.owed_us));
+        self.metrics.alloc_us = self.fleet.alloc_us;
+        #[cfg(debug_assertions)]
+        self.validate();
+        inserted
     }
 
-    /// Algorithm 1 lines 8–15: [`Engine::split`] relieves `nid`; this
-    /// cache counts the split.
-    ///
-    /// Cold and never inlined: inlined into `gba_insert`, the engine's
-    /// split cost `sim_paper_phases` about a tenth of its queries per
-    /// second, on a path that splits a few times per 75 000 queries.
-    #[cold]
-    #[inline(never)]
+    /// Proactive splitting's [`Engine::split`]: relieve `nid` and count
+    /// the split.
     fn split_node(&mut self, nid: NodeId) -> Result<(), CacheError> {
         let split = self.engine.split(&mut self.fleet, nid);
         self.metrics.alloc_us = self.fleet.alloc_us;
-        let split = split?;
-        self.metrics.splits += 1;
-        self.metrics.splits_with_allocation += u64::from(split.allocated);
-        self.metrics.migration_us += split.duration_us;
+        count_split(&mut self.metrics, split?);
         #[cfg(debug_assertions)]
         self.validate();
         Ok(())
@@ -660,6 +593,13 @@ impl Charges {
     }
 }
 
+/// Count a split in `metrics`.
+fn count_split(metrics: &mut Metrics, split: Migration) {
+    metrics.splits += 1;
+    metrics.splits_with_allocation += u64::from(split.allocated);
+    metrics.migration_us += split.duration_us;
+}
+
 /// Node `id` of `nodes`, if it is active.
 fn node_mut(nodes: &mut [Option<CacheNode>], id: NodeId) -> Result<&mut CacheNode, CacheError> {
     let node = nodes.get_mut(id.0 as usize).and_then(Option::as_mut);
@@ -682,6 +622,8 @@ struct Fleet {
     /// effects add to.
     alloc_us: u64,
     tier_writes: u64,
+    /// Charges an insert owes the clock; `store` settles them.
+    owed_us: u64,
 }
 
 impl Fleet {
@@ -698,6 +640,7 @@ impl Fleet {
 impl Substrate for Fleet {
     type Node = NodeId;
     type Error = CacheError;
+    type Record = Record;
 
     fn now_us(&self) -> u64 {
         self.clock.now_us()
@@ -711,6 +654,20 @@ impl Substrate for Fleet {
     fn records(&self, node: NodeId, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         let node = self.nodes.get(node.0 as usize).and_then(Option::as_ref);
         node.into_iter().flat_map(move |n| n.records(lo, hi))
+    }
+
+    /// Settle what the insert owes the clock, then store by the node's own
+    /// rule ([`CacheNode::store`]).
+    #[inline]
+    fn store(
+        &mut self,
+        _ring: &HashRing<NodeId>,
+        node: NodeId,
+        key: u64,
+        record: Record,
+    ) -> Result<Option<Record>, CacheError> {
+        self.clock.advance_us(std::mem::take(&mut self.owed_us));
+        Ok(node_mut(&mut self.nodes, node)?.store(key, record))
     }
 
     /// Allocate a fresh cloud node (the last-resort branch of Algorithm 2,

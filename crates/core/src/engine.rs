@@ -1,9 +1,10 @@
 //! The paper's elasticity control loop, written once over a substrate.
 //!
 //! [`Engine`] owns the ring, the eviction window and the contraction
-//! policy, and runs §III's three operations: GBA-Insert's split with
-//! Sweep-and-Migrate's hand-off ([`Engine::split`]), the step close's
-//! λ-eviction ([`Engine::close_step`]) and the ε-merge ([`Engine::merge`]).
+//! policy, and runs §III's four operations: GBA-Insert's store-or-split
+//! loop ([`Engine::insert`]), its split with Sweep-and-Migrate's hand-off
+//! ([`Engine::split`]), the step close's λ-eviction
+//! ([`Engine::close_step`]) and the ε-merge ([`Engine::merge`]).
 //! The decisions are [`gba`]'s. The engine emits every structural event
 //! and returns a report of what it did, so each caller keeps its own
 //! counters. What the nodes are, what a move costs and what time it is,
@@ -23,7 +24,7 @@ use crate::window::SlidingWindow;
 
 /// GBA-Insert's split-and-retry bound: the most splits one record may
 /// cause before its insert fails.
-pub const MAX_SPLIT_RETRIES: u32 = 64;
+pub(crate) const MAX_SPLIT_RETRIES: u32 = 64;
 
 /// An arc's spans in sweep order, and the records in them.
 type InArc = (Vec<(u64, u64)>, Vec<(u64, u64)>);
@@ -111,6 +112,8 @@ pub trait Substrate {
     type Node: NodeKey;
     /// A failed effect; the engine's own failures arrive as [`CacheError`].
     type Error: From<CacheError>;
+    /// A record as [`Substrate::store`] takes it.
+    type Record;
 
     /// The time in microseconds: the substrate's own clock, which every
     /// effect that takes time advances.
@@ -120,6 +123,17 @@ pub trait Substrate {
     /// `node`'s records in `[lo, hi]`, a span of an arc it owns, in key
     /// order.
     fn records(&self, node: Self::Node, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_;
+    /// Store `key`'s `record` on `node`, its owner on `ring`, if the node's
+    /// used bytes, grown by the record's slab footprint over the node's
+    /// current copy of `key`, stay within capacity. Otherwise hand the
+    /// record back: `Ok(Some(record))`, and the engine splits `node`.
+    fn store(
+        &mut self,
+        ring: &HashRing<Self::Node>,
+        node: Self::Node,
+        key: u64,
+        record: Self::Record,
+    ) -> Result<Option<Self::Record>, Self::Error>;
     /// A new, empty node.
     fn alloc(&mut self) -> Result<Self::Node, Self::Error>;
     /// Put a copy of `records` on `dest` and return how many records and
@@ -212,6 +226,32 @@ impl<N: NodeKey> Engine<N> {
         }
     }
 
+    /// Algorithm 1, GBA-Insert: store `record` under `key` on the key's
+    /// owner; while the owner hands it back, [`Engine::split`] the owner
+    /// and try again, at most [`MAX_SPLIT_RETRIES`] splits. `on_split`
+    /// gets each split's report as it lands, also when a later step
+    /// fails. The caller checks [`Engine::admits`] first.
+    #[inline]
+    pub fn insert<S: Substrate<Node = N>>(
+        &mut self,
+        sub: &mut S,
+        key: u64,
+        mut record: S::Record,
+        mut on_split: impl FnMut(Migration),
+    ) -> Result<(), S::Error> {
+        for _ in 0..MAX_SPLIT_RETRIES {
+            let owner = *self.ring.node_for_key(key).ok_or(CacheError::Internal {
+                what: "ring has no buckets",
+            })?;
+            match sub.store(&self.ring, owner, key, record)? {
+                None => return Ok(()),
+                Some(refused) => record = refused,
+            }
+            on_split(self.split(sub, owner)?);
+        }
+        Err(CacheError::SplitLoopExceeded.into())
+    }
+
     /// Relieve `node`: split its fullest bucket at the median (or relocate
     /// it whole) onto the least-loaded node the records fit on, or a new
     /// one. Emits `NodeAlloc` (if it allocates), `BucketSplit`, then
@@ -219,6 +259,12 @@ impl<N: NodeKey> Engine<N> {
     /// for, the `SweepMigrate` when it has arrived ([`split_costs`]). A
     /// failed migration leaves the ring as it was and deallocates a node
     /// allocated for it.
+    ///
+    /// Cold and never inlined: inlined into the simulator's query path,
+    /// the split cost `sim_paper_phases` about a tenth of its queries per
+    /// second, on a path that splits a few times per 75 000 queries.
+    #[cold]
+    #[inline(never)]
     pub fn split<S: Substrate<Node = N>>(
         &mut self,
         sub: &mut S,
@@ -417,5 +463,120 @@ impl<N: NodeKey> Engine<N> {
             Some(&node) => Err(CacheAuditError::NodeWithoutBucket { node }),
             None => Ok(()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ecc_obs::TimeSource;
+
+    use super::*;
+
+    /// An in-memory fleet whose store hands the record back `refusals`
+    /// times, then takes it. Every span holds a record at each of its
+    /// ends, so a split moves the lowest one under a new bucket.
+    struct Fake {
+        nodes: usize,
+        refusals: u32,
+        stores: u32,
+    }
+
+    impl Substrate for Fake {
+        type Node = usize;
+        type Error = CacheError;
+        type Record = ();
+
+        fn now_us(&self) -> u64 {
+            0
+        }
+
+        fn loads(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+            (0..self.nodes).map(|node| (node, 0))
+        }
+
+        fn records(&self, _node: usize, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+            let ends = if lo < hi { vec![lo, hi] } else { vec![lo] };
+            ends.into_iter().map(|key| (key, 1))
+        }
+
+        fn store(
+            &mut self,
+            _ring: &HashRing<usize>,
+            _node: usize,
+            _key: u64,
+            record: (),
+        ) -> Result<Option<()>, CacheError> {
+            self.stores += 1;
+            if self.refusals == 0 {
+                return Ok(None);
+            }
+            self.refusals -= 1;
+            Ok(Some(record))
+        }
+
+        fn alloc(&mut self) -> Result<usize, CacheError> {
+            self.nodes += 1;
+            Ok(self.nodes - 1)
+        }
+
+        fn migrate(
+            &mut self,
+            _src: usize,
+            _dest: usize,
+            records: &[(u64, u64)],
+        ) -> Result<(u64, u64), CacheError> {
+            Ok((records.len() as u64, records.len() as u64))
+        }
+
+        fn evict(&mut self, _victims: &mut Vec<(u64, usize)>) -> Result<(), CacheError> {
+            Ok(())
+        }
+
+        fn dealloc(&mut self, _node: usize) {}
+    }
+
+    /// Insert the top key of a line of `range` positions into a one-node
+    /// fleet that refuses `refusals` times. Returns the result, the splits
+    /// `on_split` saw, the store calls and the buckets.
+    fn insert(range: u64, refusals: u32) -> (Result<(), CacheError>, u32, u32, usize) {
+        let obs = ObsRegistry::new(TimeSource::real());
+        let mut engine = Engine::new(range, 1 << 20, 0, obs, 0);
+        let mut fake = Fake {
+            nodes: 1,
+            refusals,
+            stores: 0,
+        };
+        let mut splits = 0;
+        let inserted = engine.insert(&mut fake, range - 1, (), |_| splits += 1);
+        (inserted, splits, fake.stores, engine.ring.len())
+    }
+
+    #[test]
+    fn a_store_that_always_refuses_splits_to_the_bound_then_fails() {
+        let (inserted, splits, stores, buckets) = insert(1 << 16, u32::MAX);
+        assert_eq!(inserted, Err(CacheError::SplitLoopExceeded));
+        // Check, then split: the last split is followed by no store.
+        assert_eq!((splits, stores), (MAX_SPLIT_RETRIES, MAX_SPLIT_RETRIES));
+        assert_eq!(buckets, MAX_SPLIT_RETRIES as usize + 1);
+    }
+
+    #[test]
+    fn a_store_that_accepts_after_k_refusals_splits_k_times() {
+        for k in [0, 1, 5, MAX_SPLIT_RETRIES - 1] {
+            let (inserted, splits, stores, buckets) = insert(1 << 16, k);
+            assert_eq!(inserted, Ok(()), "k = {k}");
+            assert_eq!((splits, stores), (k, k + 1), "k = {k}");
+            assert_eq!(buckets, k as usize + 1, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn a_failed_split_reaches_the_caller_after_the_splits_before_it() {
+        // A line of two positions: the first split moves position 0 to a
+        // new node; the top bucket then holds one record and is its node's
+        // only bucket, so it cannot split.
+        let (inserted, splits, stores, buckets) = insert(2, u32::MAX);
+        assert_eq!(inserted, Err(CacheError::CannotSplit { bucket: 1 }));
+        assert_eq!((splits, stores, buckets), (1, 2, 2));
     }
 }

@@ -44,13 +44,6 @@ impl CacheNode {
         self.used_bytes() as f64 / self.capacity_bytes as f64
     }
 
-    /// The overflow test of Algorithm 1 line 5: would inserting `extra`
-    /// bytes still fit?
-    #[inline]
-    pub fn fits(&self, extra: u64) -> bool {
-        self.used_bytes() + extra <= self.capacity_bytes
-    }
-
     /// Number of records stored.
     #[inline]
     pub fn record_count(&self) -> usize {
@@ -65,6 +58,23 @@ impl CacheNode {
     /// Look up a record (B+-tree search).
     pub fn get(&self, key: u64) -> Option<&Record> {
         self.tree.get(&key)
+    }
+
+    /// Algorithm 1's overflow test and store in one B+-tree descent, the
+    /// test decided at the leaf: store `record` under `key` if the used
+    /// bytes, grown by its footprint over the current copy of `key`, stay
+    /// within capacity, and otherwise hand it back. Only a replacement's
+    /// growth counts: the overwrite frees the copy's bytes.
+    #[inline]
+    pub fn store(&mut self, key: u64, record: Record) -> Option<Record> {
+        let (used, capacity) = (self.used_bytes(), self.capacity_bytes);
+        let size = record.byte_size() as u64;
+        let mut record = Some(record);
+        self.tree.upsert(key, |old| {
+            let old = old.map_or(0, |r| r.byte_size() as u64);
+            record.take_if(|_| used + size <= capacity + old)
+        });
+        record
     }
 
     /// Insert a record; returns any displaced previous value.
@@ -129,13 +139,9 @@ mod tests {
     #[test]
     fn accounting_tracks_inserts_and_removes() {
         let mut n = node(1000);
-        assert!(n.fits(1000));
         n.insert(1, Record::filler(300));
         n.insert(2, Record::filler(300));
         assert_eq!(n.used_bytes(), 2 * fp(300));
-        let headroom = 1000 - 2 * fp(300);
-        assert!(n.fits(headroom));
-        assert!(!n.fits(headroom + 1));
         assert!((n.fill() - (2 * fp(300)) as f64 / 1000.0).abs() < 1e-12);
         n.remove(1);
         assert_eq!(n.used_bytes(), fp(300));
@@ -167,6 +173,27 @@ mod tests {
         assert_eq!(n.record_count(), 50);
         assert_eq!(n.used_bytes(), 50 * fp(10));
         assert!(moved.windows(2).all(|w| w[0].0 < w[1].0));
+        n.validate();
+    }
+
+    #[test]
+    fn store_admits_only_the_growth_that_fits() {
+        let mut n = node(2 * fp(300) + fp(100));
+        for (key, len) in [(1, 300), (2, 300), (3, 100)] {
+            assert!(n.store(key, Record::filler(len)).is_none(), "key {key}");
+        }
+        assert_eq!(n.used_bytes(), n.capacity_bytes());
+        // Full: a new key is handed back, a same-size replacement fits.
+        assert_eq!(n.store(4, Record::filler(1)).map(|r| r.len()), Some(1));
+        assert!(n.store(3, Record::filler(100)).is_none());
+        // A growing replacement that does not fit leaves the copy intact…
+        assert_eq!(n.store(3, Record::filler(300)).map(|r| r.len()), Some(300));
+        assert_eq!(n.get(3).map(Record::len), Some(100));
+        // …and fits once a shrinking one frees the bytes it needs.
+        assert!(n.store(1, Record::filler(100)).is_none());
+        assert!(n.store(3, Record::filler(300)).is_none());
+        assert_eq!(n.used_bytes(), n.capacity_bytes());
+        assert_eq!(n.record_count(), 3);
         n.validate();
     }
 

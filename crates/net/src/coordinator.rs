@@ -23,12 +23,12 @@
 //!   appends the fill to a buffer: no frame. A `get` of a buffered key
 //!   answers from the buffer. Every other call that reads or changes node
 //!   state first *places* the buffer, and so does a `put` that would take
-//!   it past one node's capacity: a walk in put order against the ledger,
-//!   by the node's own admission rule, that sends the fills as one
-//!   `PutMany` per node and splits an owner a fill would overflow. Each
-//!   node sees a synchronous put's mutations in the same order. The placing
-//!   call returns a placement's error; the fills it did not place are
-//!   dropped.
+//!   it past one node's capacity: the engine's GBA-Insert, fill by fill in
+//!   put order, against the ledger by the node's own admission rule. The
+//!   fills go out as one `PutMany` per node, and an owner a fill would
+//!   overflow is split. Each node sees a synchronous put's mutations in
+//!   the same order. The placing call returns a placement's error; the
+//!   fills it did not place are dropped.
 
 use std::collections::HashMap;
 use std::io;
@@ -36,8 +36,8 @@ use std::net::SocketAddr;
 
 use bytes::Bytes;
 use ecc_chash::HashRing;
-use ecc_core::engine::{Engine, Substrate, MAX_SPLIT_RETRIES};
-use ecc_core::{slab, CacheError, SlidingWindow};
+use ecc_core::engine::{Engine, Substrate};
+use ecc_core::{slab, SlidingWindow};
 use ecc_obs::recorder::DEFAULT_CAPACITY;
 use ecc_obs::{ObsRegistry, ObsSnapshot, SpanGuard, TimeSource};
 
@@ -78,6 +78,17 @@ struct Entry {
     fill: Option<u32>,
 }
 
+/// The fills GBA-Insert stored on their owners ([`Substrate::store`]),
+/// not yet sent.
+struct Batches {
+    /// Per node id, its fills in put order.
+    fills: Vec<Vec<(u64, Vec<u8>)>>,
+    /// Per node id, its used bytes once its fills land.
+    used: Vec<u64>,
+    /// Per batched key, its newest fill's footprint.
+    footprints: HashMap<u64, u64>,
+}
+
 /// A violated coordinator-internal invariant, surfaced as a typed
 /// [`io::Error`] on the operation that found it (the coordinator keeps
 /// serving; nothing panics).
@@ -110,6 +121,8 @@ struct Cluster {
     nodes: Vec<Option<ManagedNode>>,
     /// Key → its copy and its buffered fill (see the module docs).
     ledger: HashMap<u64, Entry>,
+    /// The fills being placed, batched by owner; `None` while none is.
+    batches: Option<Batches>,
     capacity_bytes: u64,
     /// Coordinator-side flight recorder + latency histograms.
     obs: ObsRegistry,
@@ -150,6 +163,7 @@ impl LiveCoordinator {
         let mut cluster = Cluster {
             nodes: Vec::new(),
             ledger: HashMap::new(),
+            batches: None,
             capacity_bytes,
             obs: obs.clone(),
             retired: ObsSnapshot::new(),
@@ -275,8 +289,9 @@ impl LiveCoordinator {
         Ok(())
     }
 
-    /// Re-read every unsure node, then place the buffered fills: the
-    /// ledger is exact when this returns `Ok`.
+    /// Re-read every unsure node, then place the buffered fills, in put
+    /// order, by the engine's GBA-Insert: the ledger is exact when this
+    /// returns `Ok`.
     fn place(&mut self) -> io::Result<()> {
         self.cluster.resync(&self.engine.ring)?;
         if self.fills.is_empty() {
@@ -284,9 +299,15 @@ impl LiveCoordinator {
         }
         let fills = std::mem::take(&mut self.fills);
         self.fill_bytes = 0;
-        let placed = self.walk(&fills);
+        let (engine, cluster, splits) = (&mut self.engine, &mut self.cluster, &mut self.splits);
+        let placed = fills
+            .into_iter()
+            .try_for_each(|(key, value)| engine.insert(cluster, key, value, |_| *splits += 1))
+            .and_then(|()| cluster.send_batches());
+        self.nodes_spawned = self.cluster.nodes.len();
         if placed.is_err() {
             // The fills not placed are dropped.
+            self.cluster.batches = None;
             self.cluster.ledger.retain(|_, e| {
                 e.fill = None;
                 e.copy.is_some()
@@ -295,64 +316,12 @@ impl LiveCoordinator {
         placed
     }
 
-    /// Placement's walk (see the module docs). A fill fits its owner if the
-    /// owner's used bytes, with the fills already batched for it, grow by
-    /// no more than its free bytes; as in the node's own admission, only
-    /// the footprint growth over the key's current copy counts. Before a
-    /// split the batches go out; after it, unsure nodes are re-read.
-    fn walk(&mut self, fills: &[(u64, Vec<u8>)]) -> io::Result<()> {
-        // Per node: the batched fills and the used bytes once they land;
-        // per batched key: its new footprint.
-        let mut batches: Vec<Vec<(u64, &[u8])>> = vec![Vec::new(); self.cluster.nodes.len()];
-        let mut used = self.cluster.used_by_node();
-        let mut batched: HashMap<u64, u64> = HashMap::new();
-        for (key, value) in fills {
-            let footprint = slab::footprint(value.len());
-            for splits in 0.. {
-                let owner = self.owner(*key)?;
-                let copy = self.cluster.ledger.get(key).and_then(|e| e.copy);
-                let old = batched.get(key).copied().or(copy).unwrap_or(0);
-                if used[owner] + footprint <= self.cluster.capacity_bytes + old {
-                    used[owner] = used[owner] + footprint - old;
-                    batched.insert(*key, footprint);
-                    batches[owner].push((*key, value));
-                    break;
-                }
-                if splits == MAX_SPLIT_RETRIES {
-                    return Err(CacheError::SplitLoopExceeded.into());
-                }
-                self.cluster.send_batches(&mut batches)?;
-                batched.clear();
-                self.split_node(owner)?;
-                // A split's failed delete leaves its source unsure.
-                self.cluster.resync(&self.engine.ring)?;
-                used = self.cluster.used_by_node();
-                batches.resize(used.len(), Vec::new());
-            }
-        }
-        self.cluster.send_batches(&mut batches)
-    }
-
     /// The engine, told the contraction policy callers may have changed,
     /// and the cluster it runs on.
     fn engine(&mut self) -> (&mut Engine<usize>, &mut Cluster) {
         self.engine.epsilon = self.contraction_epsilon;
         self.engine.merge_threshold = self.merge_fill_threshold;
         (&mut self.engine, &mut self.cluster)
-    }
-
-    /// Relieve node `nid` ([`Engine::split`], decided from the ledger). The
-    /// hand-off is copy → ack → ring flip → delete: `nid` keeps every moved
-    /// record until the destination has acked all of them and the ring
-    /// routes their arc to it, so a failure before the flip leaves `nid`
-    /// and the ring as they were.
-    fn split_node(&mut self, nid: usize) -> io::Result<()> {
-        let (engine, cluster) = self.engine();
-        let split = engine.split(cluster, nid);
-        self.nodes_spawned = self.cluster.nodes.len();
-        split?;
-        self.splits += 1;
-        Ok(())
     }
 
     /// Close a time slice: evict expired keys, contract every `ε`
@@ -482,12 +451,6 @@ impl Cluster {
         Err(e)
     }
 
-    /// Every node's used bytes by the ledger, by node id (0 if inactive).
-    fn used_by_node(&self) -> Vec<u64> {
-        let nodes = self.nodes.iter();
-        nodes.map(|n| n.as_ref().map_or(0, |n| n.used)).collect()
-    }
-
     fn node(&mut self, id: usize) -> io::Result<&mut ManagedNode> {
         self.nodes
             .get_mut(id)
@@ -511,26 +474,27 @@ impl Cluster {
         got
     }
 
-    /// Send every pending batch as one `PutMany` per node, then enter the
+    /// Send the batched fills as one `PutMany` per node, then enter the
     /// acked fills in the ledger, in put order.
-    fn send_batches(&mut self, batches: &mut [Vec<(u64, &[u8])>]) -> io::Result<()> {
-        if batches.iter().all(Vec::is_empty) {
+    fn send_batches(&mut self) -> io::Result<()> {
+        let Some(Batches { fills, .. }) = self.batches.take() else {
+            return Ok(());
+        };
+        if fills.iter().all(Vec::is_empty) {
             return Ok(());
         }
-        {
-            let batches = &*batches;
-            self.fan_out(
-                |id| {
-                    let items = batches.get(id).filter(|b| !b.is_empty())?.clone();
-                    Some(Request::PutMany { items })
-                },
-                |id, s, b| {
-                    put_many_reply(batches.get(id).map_or(0, Vec::len), s, b).and_then(put_acked)
-                },
-            )?;
-        }
-        for (id, batch) in batches.iter_mut().enumerate() {
-            for (key, value) in batch.drain(..) {
+        self.fan_out(
+            |id| {
+                let batch = fills.get(id).filter(|b| !b.is_empty())?;
+                let items = batch.iter().map(|(key, value)| (*key, &value[..]));
+                Some(Request::PutMany {
+                    items: items.collect(),
+                })
+            },
+            |id, s, b| put_many_reply(fills.get(id).map_or(0, Vec::len), s, b).and_then(put_acked),
+        )?;
+        for (id, batch) in fills.into_iter().enumerate() {
+            for (key, value) in batch {
                 let footprint = slab::footprint(value.len());
                 let copy = Some(footprint);
                 let old = self.ledger.insert(key, Entry { copy, fill: None });
@@ -659,6 +623,7 @@ impl Cluster {
 impl Substrate for Cluster {
     type Node = usize;
     type Error = io::Error;
+    type Record = Vec<u8>;
 
     /// The registry's clock: the epoch every node's recorder shares.
     fn now_us(&self) -> u64 {
@@ -682,6 +647,46 @@ impl Substrate for Cluster {
         let mut held: Vec<_> = span.filter_map(|(&key, e)| Some((key, e.copy?))).collect();
         held.sort_unstable();
         held.into_iter()
+    }
+
+    /// Batch the fill for `node` if the node's used bytes, with the fills
+    /// already batched for it, grow by no more than its free bytes; as in
+    /// the node's own admission, only the footprint growth over the key's
+    /// current copy counts. Before it hands a fill back it sends the
+    /// batches, so the split moves them. A split's failed delete leaves its
+    /// source unsure, so unsure nodes are re-read first.
+    fn store(
+        &mut self,
+        ring: &HashRing<usize>,
+        node: usize,
+        key: u64,
+        value: Vec<u8>,
+    ) -> io::Result<Option<Vec<u8>>> {
+        self.resync(ring)?;
+        let footprint = slab::footprint(value.len());
+        let copy = self.ledger.get(&key).and_then(|e| e.copy);
+        let nodes = &self.nodes;
+        let batches = self.batches.get_or_insert_with(|| Batches {
+            fills: vec![Vec::new(); nodes.len()],
+            used: nodes
+                .iter()
+                .map(|n| n.as_ref().map_or(0, |n| n.used))
+                .collect(),
+            footprints: HashMap::new(),
+        });
+        let old = batches.footprints.get(&key).copied().or(copy).unwrap_or(0);
+        let (Some(used), Some(fills)) = (batches.used.get_mut(node), batches.fills.get_mut(node))
+        else {
+            return Err(internal("ring references an inactive node"));
+        };
+        if *used + footprint <= self.capacity_bytes + old {
+            *used = *used + footprint - old;
+            fills.push((key, value));
+            batches.footprints.insert(key, footprint);
+            return Ok(None);
+        }
+        self.send_batches()?;
+        Ok(Some(value))
     }
 
     /// Start a cache server. The coordinator's span ids come from origin
@@ -804,6 +809,22 @@ mod tests {
     use super::*;
     use crate::protocol::{decode_with_trace, read_frame, write_frame, Op, Response};
     use ecc_obs::ObsEvent;
+
+    impl LiveCoordinator {
+        /// Relieve node `nid` ([`Engine::split`], decided from the ledger)
+        /// outside GBA-Insert. The hand-off is copy → ack → ring flip →
+        /// delete: `nid` keeps every moved record until the destination
+        /// has acked all of them and the ring routes their arc to it, so a
+        /// failure before the flip leaves `nid` and the ring as they were.
+        fn split_node(&mut self, nid: usize) -> io::Result<()> {
+            let (engine, cluster) = self.engine();
+            let split = engine.split(cluster, nid);
+            self.nodes_spawned = self.cluster.nodes.len();
+            split?;
+            self.splits += 1;
+            Ok(())
+        }
+    }
 
     #[test]
     fn put_get_roundtrip() {

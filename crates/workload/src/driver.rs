@@ -15,25 +15,6 @@ pub enum Op {
     Write,
 }
 
-impl Op {
-    /// Stable one-character tag used by the trace format.
-    pub fn tag(self) -> char {
-        match self {
-            Op::Read => 'r',
-            Op::Write => 'w',
-        }
-    }
-
-    /// Parse a trace tag.
-    pub fn from_tag(c: char) -> Option<Op> {
-        match c {
-            'r' => Some(Op::Read),
-            'w' => Some(Op::Write),
-            _ => None,
-        }
-    }
-}
-
 /// A deterministic stream of queries following a rate schedule.
 ///
 /// Iteration yields `(time_step, key)` pairs: at each 0-based time step the
@@ -279,13 +260,5 @@ mod tests {
                 lo + 64
             );
         }
-    }
-
-    #[test]
-    fn op_tags_roundtrip() {
-        for op in [Op::Read, Op::Write] {
-            assert_eq!(Op::from_tag(op.tag()), Some(op));
-        }
-        assert_eq!(Op::from_tag('x'), None);
     }
 }

@@ -20,9 +20,7 @@
 //!   distributions for sensitivity studies, and
 //! * [`driver`] — an iterator yielding `(time_step, key)` pairs — or full
 //!   `(time_step, op, key)` triples once a write ratio is set — that a
-//!   harness feeds to any cache implementation,
-//! * [`trace`] — capture/replay of those events on disk, for byte-identical
-//!   cross-version comparisons, and
+//!   harness feeds to any cache implementation, and
 //! * [`scenario`] — the scenario zoo: named bundles of the above
 //!   (shifting hot sets, diurnal waves, flash crowds, multi-tenant mixes)
 //!   shared by cloudsim (`cargo xtask scenario`) and simtest.
@@ -52,4 +50,3 @@ pub mod driver;
 pub mod keys;
 pub mod scenario;
 pub mod schedule;
-pub mod trace;

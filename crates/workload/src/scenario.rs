@@ -9,7 +9,6 @@
 use crate::driver::{Op, QueryStream};
 use crate::keys::KeyDist;
 use crate::schedule::{RateSchedule, Spike};
-use crate::trace::Trace;
 
 /// A named workload configuration.
 #[derive(Debug, Clone)]
@@ -143,11 +142,6 @@ impl Scenario {
     pub fn events(&self, seed: u64, steps: u64) -> impl Iterator<Item = (u64, Op, u64)> {
         self.stream(seed).take_steps_ops(steps)
     }
-
-    /// Capture the first `steps` time steps as a replayable [`Trace`].
-    pub fn capture(&self, seed: u64, steps: u64) -> Trace {
-        Trace::capture_ops(self.events(seed, steps))
-    }
 }
 
 #[cfg(test)]
@@ -174,19 +168,6 @@ mod tests {
             assert_eq!(a, b, "{} not deterministic", sc.name());
             let c: Vec<_> = sc.events(43, 8).collect();
             assert_ne!(a, c, "{} ignores its seed", sc.name());
-        }
-    }
-
-    #[test]
-    fn every_scenario_replays_byte_identically_through_a_trace() {
-        for sc in Scenario::all() {
-            let t = sc.capture(7, 6);
-            let mut buf = Vec::new();
-            t.write_to(&mut buf).unwrap();
-            let back = Trace::read_from(&buf[..]).unwrap();
-            let replayed: Vec<_> = back.iter_ops().collect();
-            let fresh: Vec<_> = sc.events(7, 6).collect();
-            assert_eq!(replayed, fresh, "{} trace replay diverged", sc.name());
         }
     }
 

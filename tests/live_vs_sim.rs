@@ -157,3 +157,55 @@ fn live_cluster_survives_a_grow_evict_contract_cycle() {
     sim.validate();
     live.shutdown().unwrap();
 }
+
+#[test]
+fn a_growing_replacement_splits_alike_on_both_substrates() {
+    let capacity = 8 * 1024u64;
+    let mut live = LiveCoordinator::start(1 << 16, capacity).unwrap();
+
+    let mut cfg = CacheConfig::small_test();
+    cfg.ring_range = 1 << 16;
+    cfg.node_capacity_bytes = capacity;
+    cfg.btree_order = 64;
+    let mut sim = ElasticCache::new(cfg);
+
+    // Seven 1 KiB records fill the one node: an eighth would not fit.
+    let keys = key_seq(7, 7);
+    for &key in &keys {
+        live.put(key, vec![1; 1024]).unwrap();
+        sim.insert(key, Record::from_vec(vec![1; 1024])).unwrap();
+    }
+    assert!(
+        sim.total_bytes() / 7 * 8 > capacity,
+        "an eighth record fits"
+    );
+    // A same-size replacement fits only because its copy's bytes count.
+    live.put(keys[1], vec![3; 1024]).unwrap();
+    sim.insert(keys[1], Record::from_vec(vec![3; 1024]))
+        .unwrap();
+    live.totals().unwrap();
+    assert_eq!((live.splits, sim.metrics().splits), (0, 0));
+
+    // One of them, put again at 3 KiB: its growth over the copy it
+    // replaces no longer fits the node, so the node splits.
+    let grown = keys[0];
+    live.put(grown, vec![2; 3 * 1024]).unwrap();
+    sim.insert(grown, Record::from_vec(vec![2; 3 * 1024]))
+        .unwrap();
+    let (live_bytes, live_records) = live.totals().unwrap();
+    assert!(live.splits >= 1, "the growing replacement split nothing");
+    assert_same_decisions(&live, &sim);
+    assert_same_split_costs(&live, &sim);
+    assert_eq!(live_records, 7);
+    assert_eq!(sim.total_records(), 7);
+    assert_eq!(live_bytes, sim.total_bytes());
+    for &key in &keys {
+        let l = live.get(key).unwrap();
+        let s = sim.lookup(key).map(|r| r.as_slice().to_vec());
+        assert_eq!(l, s, "disagreement on key {key}");
+    }
+    assert_eq!(live.get(grown).unwrap().map(|v| v.len()), Some(3 * 1024));
+    sim.validate();
+    live.check_invariants().unwrap();
+    live.shutdown().unwrap();
+}
