@@ -5,7 +5,7 @@
 //! neighbouring test allocates inside a counted window.
 //!
 //! The windows are the one owner of the hot path's no-allocation rule,
-//! on the paths they drive: wire GET, PUT-replace and Ping and the
+//! on the paths they drive: wire GET and PUT-replace and the
 //! `PutMany`/`GetMany`/`EvictMany` batches (`protocol.rs`, `server.rs`,
 //! `reactor.rs`, `record.rs`), shard PUT-replace and GET (`shard.rs`,
 //! `slab.rs`, the B+-tree), fresh-insert/remove churn that splits and
@@ -66,10 +66,6 @@ fn get(key: u64) -> Request<'static> {
 
 fn put(key: u64) -> Request<'static> {
     Request::Put { key, value: &VALUE }
-}
-
-fn ping(_: u64) -> Request<'static> {
-    Request::Ping
 }
 
 const HIT: (Status, usize) = (Status::Ok, 64);
@@ -137,7 +133,6 @@ struct WireCounts {
     put_manys: u64,
     get_manys: u64,
     evict_manys: u64,
-    pings: u64,
 }
 
 /// The wire paths through `protocol.rs`, `server.rs`, `reactor.rs` and
@@ -147,7 +142,7 @@ struct WireCounts {
 /// copied into a recycled slab slot, the old one freed. `PutMany` +
 /// `GetMany` frames over resident keys. Then `EvictMany` of resident keys
 /// (each record dropped, its slab slot and B+-tree nodes back on their
-/// free lists) and Ping.
+/// free lists).
 fn wire_windows() -> WireCounts {
     let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 1 << 20, 64, 256, Some(1)).unwrap();
     load(&server, 0..RESIDENT);
@@ -165,7 +160,6 @@ fn wire_windows() -> WireCounts {
         window(&mut conn, 0..WINDOW, put, OK);
         put_many_frame(&mut conn, 0..WINDOW, &mut items);
         key_batch_frame(&mut conn, 0..WINDOW, &mut key_list, false);
-        window(&mut conn, 0..WINDOW, ping, OK);
     }
     // One full delete and reload of the doomed keys sizes the slab's and
     // the trees' free lists for the measured deletes.
@@ -207,11 +201,6 @@ fn wire_windows() -> WireCounts {
         key_batch_frame(&mut conn, first..first + WINDOW, &mut key_list, true);
     }
     let evict_manys = allocation_count() - before;
-    let before = allocation_count();
-    for first in (DOOMED..DOOMED + DOOMED_COUNT).step_by(WINDOW as usize) {
-        window(&mut conn, first..first + WINDOW, ping, OK);
-    }
-    let pings = allocation_count() - before;
     drop(conn);
     server.stop();
     WireCounts {
@@ -220,7 +209,6 @@ fn wire_windows() -> WireCounts {
         put_manys,
         get_manys,
         evict_manys,
-        pings,
     }
 }
 
@@ -357,7 +345,6 @@ fn steady_state_serving_never_enters_the_allocator() {
         wire.evict_manys,
         DOOMED_COUNT / WINDOW
     );
-    assert_eq!(wire.pings, 0, "allocator calls over 4 096 wire Pings");
     assert_eq!(
         shard_churn(),
         0,

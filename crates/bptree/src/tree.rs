@@ -206,26 +206,6 @@ impl<K: Ord + Clone, V: ByteSize, const CAP: usize> BPlusTree<K, V, CAP> {
         self.get(key).is_some()
     }
 
-    /// Smallest key, if any.
-    pub fn first_key(&self) -> Option<&K> {
-        match &self.slab[self.head as usize] {
-            Node::Leaf { keys, .. } => keys.first(),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Largest key, if any.
-    pub fn last_key(&self) -> Option<&K> {
-        let mut idx = self.root;
-        loop {
-            match &self.slab[idx as usize] {
-                Node::Internal { children, .. } => idx = *children.last().unwrap(),
-                Node::Leaf { keys, .. } => return keys.last(),
-                Node::Free => unreachable!(),
-            }
-        }
-    }
-
     // ------------------------------------------------------------ insertion
 
     /// Insert a record, returning the previous value for `key` if any.
@@ -1015,8 +995,6 @@ mod tests {
         assert_eq!(t.len(), 0);
         assert_eq!(t.bytes(), 0);
         assert_eq!(t.get(&1), None);
-        assert_eq!(t.first_key(), None);
-        assert_eq!(t.last_key(), None);
         assert_eq!(t.iter().count(), 0);
         t.validate();
     }
@@ -1153,13 +1131,6 @@ mod tests {
         // Bounds that fall between stored keys.
         let got: Vec<u64> = t.range(15..55).map(|(k, _)| *k).collect();
         assert_eq!(got, vec![20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn first_and_last_key() {
-        let t = tree_with(4, 321);
-        assert_eq!(t.first_key(), Some(&0));
-        assert_eq!(t.last_key(), Some(&320));
     }
 
     #[test]

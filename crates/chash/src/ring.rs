@@ -301,17 +301,6 @@ impl<N: Clone + Eq> HashRing<N> {
         Ok(())
     }
 
-    /// Remove the bucket at `position`, returning its node.
-    pub fn remove_bucket(&mut self, position: u64) -> Result<N, RingError> {
-        let node = self
-            .buckets
-            .remove(&position)
-            .ok_or(RingError::NoSuchBucket { position })?;
-        #[cfg(debug_assertions)]
-        self.validate();
-        Ok(node)
-    }
-
     /// Re-map an existing bucket to a different node (used when merging two
     /// cache nodes: the dying node's buckets are pointed at the survivor).
     pub fn remap_bucket(&mut self, position: u64, node: N) -> Result<N, RingError> {
@@ -454,12 +443,6 @@ impl<N: Clone + Eq> HashRing<N> {
             .map(|(&b, _)| b)
             .ok_or(RingError::EmptyRing)?;
         Ok(Arc::between(pred, position, self.r))
-    }
-
-    /// The keys that move to the successor bucket when the bucket at
-    /// `position` is removed (exactly that bucket's arc).
-    pub fn relocation_on_remove(&self, position: u64) -> Result<Arc, RingError> {
-        self.arc_of_bucket(position)
     }
 
     /// Audit the ring's structural invariants, mirroring
@@ -674,18 +657,6 @@ mod tests {
             ring.predecessor(11),
             Err(RingError::NoSuchBucket { position: 11 })
         );
-    }
-
-    #[test]
-    fn remove_bucket_hands_arc_to_successor() {
-        let mut ring = two_node_ring();
-        let arc = ring.relocation_on_remove(50).unwrap();
-        assert_eq!(arc, Arc::contiguous(31, 50));
-        ring.remove_bucket(50).unwrap();
-        // Those keys now belong to bucket 70 (still node 2 here).
-        for k in 31..=50 {
-            assert_eq!(ring.bucket_for_key(k), Some(70));
-        }
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl Billing {
             self.node_us as f64 / now_us as f64
         }
     }
-
-    /// Node-hours consumed.
-    pub fn node_hours(&self) -> f64 {
-        self.node_us as f64 / (3600.0 * US_PER_SEC as f64)
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,6 @@ mod tests {
         let insts = [inst(0, 0, None), inst(1, 0, Some(50))];
         let b = Billing::compute(&insts, 100 * US_PER_SEC);
         assert!((b.avg_nodes(100 * US_PER_SEC) - 1.5).abs() < 1e-12);
-        assert!((b.node_hours() - 150.0 / 3600.0).abs() < 1e-9);
     }
 
     #[test]

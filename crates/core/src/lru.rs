@@ -3,7 +3,7 @@
 //! paper §IV-B — the same policy memcached uses, §V).
 //!
 //! Implemented as a slab of doubly linked entries plus a key → slot map:
-//! `get`, `insert`, `remove` and `pop_lru` are all O(1) expected.
+//! `get`, `insert` and `pop_lru` are all O(1) expected.
 
 use std::collections::HashMap;
 
@@ -68,12 +68,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: ByteSize> Lru<K, V> {
         self.slab[idx as usize].as_ref().map(|e| &e.value)
     }
 
-    /// Look up without touching recency (diagnostics).
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        let idx = *self.map.get(key)?;
-        self.slab[idx as usize].as_ref().map(|e| &e.value)
-    }
-
     /// Insert (or replace) and mark most recently used. Returns the
     /// previous value for the key, if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
@@ -108,16 +102,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: ByteSize> Lru<K, V> {
         None
     }
 
-    /// Remove `key`.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.map.remove(key)?;
-        self.unlink(idx);
-        let entry = self.slab[idx as usize].take()?;
-        self.free.push(idx);
-        self.bytes -= entry.value.byte_size() as u64;
-        Some(entry.value)
-    }
-
     /// Evict the least recently used entry.
     pub fn pop_lru(&mut self) -> Option<(K, V)> {
         if self.tail == NIL {
@@ -135,14 +119,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: ByteSize> Lru<K, V> {
     /// Whether `key` is present (does not touch recency).
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
-    }
-
-    /// Iterate over entries from most to least recently used.
-    pub fn iter_mru(&self) -> impl Iterator<Item = (&K, &V)> {
-        LruIter {
-            lru: self,
-            cur: self.head,
-        }
     }
 
     fn unlink(&mut self, idx: u32) {
@@ -201,34 +177,12 @@ impl<K: std::hash::Hash + Eq + Clone, V: ByteSize> Default for Lru<K, V> {
     }
 }
 
-struct LruIter<'a, K, V> {
-    lru: &'a Lru<K, V>,
-    cur: u32,
-}
-
-impl<'a, K, V> Iterator for LruIter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let e = self
-            .lru
-            .slab
-            .get(self.cur as usize)
-            .and_then(Option::as_ref)?;
-        self.cur = e.next;
-        Some((&e.key, &e.value))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn insert_get_remove_roundtrip() {
+    fn insert_get_pop_roundtrip() {
         // Footprint accounting: each Vec value costs its 24-byte struct
         // header plus the buffer (see `ByteSize`).
         let hdr = std::mem::size_of::<Vec<u8>>() as u64;
@@ -239,9 +193,9 @@ mod tests {
         assert_eq!(l.len(), 2);
         assert_eq!(l.bytes(), 2 * hdr + 30);
         assert_eq!(l.get(&1).map(Vec::len), Some(10));
-        assert_eq!(l.remove(&1).map(|v| v.len()), Some(10));
-        assert_eq!(l.bytes(), hdr + 20);
-        assert_eq!(l.get(&1), None);
+        assert_eq!(l.pop_lru().map(|(k, v)| (k, v.len())), Some((2, 20)));
+        assert_eq!(l.bytes(), hdr + 10);
+        assert_eq!(l.get(&2), None);
     }
 
     #[test]
@@ -280,34 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_touch() {
-        let mut l: Lru<u64, u64> = Lru::new();
-        l.insert(1, 1);
-        l.insert(2, 2);
-        assert_eq!(l.peek(&1), Some(&1));
-        assert_eq!(l.pop_lru().map(|(k, _)| k), Some(1));
-    }
-
-    #[test]
-    fn iter_mru_walks_recency_order() {
-        let mut l: Lru<u64, u64> = Lru::new();
-        for k in 0..5 {
-            l.insert(k, k);
-        }
-        l.get(&0);
-        let order: Vec<u64> = l.iter_mru().map(|(k, _)| *k).collect();
-        assert_eq!(order, vec![0, 4, 3, 2, 1]);
-    }
-
-    #[test]
     fn slots_are_recycled() {
         let mut l: Lru<u64, u64> = Lru::new();
         for k in 0..100 {
             l.insert(k, k);
         }
-        for k in 0..100 {
-            l.remove(&k);
-        }
+        while l.pop_lru().is_some() {}
         for k in 100..200 {
             l.insert(k, k);
         }
@@ -326,7 +258,7 @@ mod tests {
             // capacity == len, so its byte_size is header + size.
             let hdr = std::mem::size_of::<Vec<u8>>() as u64;
             if i % 5 == 0 {
-                if let Some(v) = l.remove(&k) {
+                if let Some((_, v)) = l.pop_lru() {
                     expected_bytes -= hdr + v.len() as u64;
                 }
             } else if let Some(old) = l.insert(k, vec![0; size]) {

@@ -8,13 +8,11 @@
 //! ```
 //!
 //! Serves the elastic-cache wire protocol (GET/PUT/GET_MANY/PUT_MANY/
-//! EVICT_MANY/KEYS/STATS/OBS_DUMP/PING/SHUTDOWN) until a SHUTDOWN request
-//! arrives.
+//! EVICT_MANY/KEYS/STATS/OBS_DUMP) until its process is killed: like a
+//! cloud instance, the node is stopped by whoever started it.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
-use ecc_net::client::RemoteNode;
 use ecc_net::server::{CacheServer, DEFAULT_MAX_CONNECTIONS};
 
 struct Args {
@@ -97,16 +95,9 @@ fn main() -> ExitCode {
         args.btree_order
     );
 
-    // Serve until a SHUTDOWN request closes the port (probed via loopback
-    // ping).
-    let probe_addr = std::net::SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+    // The reactors serve; this thread only keeps `server` alive until the
+    // process is killed.
     loop {
-        std::thread::sleep(Duration::from_millis(500));
-        match RemoteNode::connect(probe_addr).and_then(|mut c| c.ping()) {
-            Ok(true) => continue,
-            _ => break,
-        }
+        std::thread::park();
     }
-    println!("cache server stopped");
-    ExitCode::SUCCESS
 }

@@ -20,8 +20,6 @@ pub(crate) fn wire_span_kind(op: Op) -> &'static str {
         Op::Put => "wire:put",
         Op::Keys => "wire:keys",
         Op::Stats => "wire:stats",
-        Op::Ping => "wire:ping",
-        Op::Shutdown => "wire:shutdown",
         Op::PutMany => "wire:put_many",
         Op::GetMany => "wire:get_many",
         Op::EvictMany => "wire:evict_many",
@@ -201,17 +199,6 @@ impl RemoteNode {
     pub fn obs_dump(&mut self) -> io::Result<ecc_obs::ObsSnapshot> {
         let (status, body) = self.call(&Request::ObsDump)?;
         obs_dump_reply(status, body)
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> io::Result<bool> {
-        Ok(self.call(&Request::Ping)?.0 == Status::Ok)
-    }
-
-    /// Ask the server to stop.
-    pub fn shutdown(&mut self) -> io::Result<()> {
-        let _ = self.call(&Request::Shutdown)?;
-        Ok(())
     }
 }
 

@@ -141,8 +141,6 @@ pub struct LiveCoordinator {
     fills: Vec<(u64, Vec<u8>)>,
     /// Their summed slab footprint.
     fill_bytes: u64,
-    /// Contraction threshold (fraction of one node's capacity).
-    pub merge_fill_threshold: f64,
     /// Contraction cadence in slice expirations.
     pub contraction_epsilon: u64,
     /// Nodes spawned over the coordinator's lifetime.
@@ -174,7 +172,6 @@ impl LiveCoordinator {
             cluster,
             fills: Vec::new(),
             fill_bytes: 0,
-            merge_fill_threshold: 0.65,
             contraction_epsilon: 1,
             nodes_spawned: 1,
             splits: 0,
@@ -316,11 +313,10 @@ impl LiveCoordinator {
         placed
     }
 
-    /// The engine, told the contraction policy callers may have changed,
+    /// The engine, told the contraction cadence callers may have changed,
     /// and the cluster it runs on.
     fn engine(&mut self) -> (&mut Engine<usize>, &mut Cluster) {
         self.engine.epsilon = self.contraction_epsilon;
-        self.engine.merge_threshold = self.merge_fill_threshold;
         (&mut self.engine, &mut self.cluster)
     }
 
@@ -1303,7 +1299,7 @@ mod tests {
         // A window eviction of a moved key reaches its owner, node 1; node
         // 0's old copy must not come back when the two merge.
         c.cluster.evict(&mut vec![(10_000, 1)]).unwrap();
-        c.merge_fill_threshold = 2.0;
+        c.engine.merge_threshold = 2.0;
         c.try_contract().unwrap();
         assert_eq!(c.merges, 1);
         assert_eq!(c.node_count(), 1);

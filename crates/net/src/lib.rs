@@ -13,8 +13,8 @@
 //! `EVICT_MANY` for fills, migration and eviction, `KEYS` to re-read what
 //! a node the coordinator is unsure of holds (with `GET_MANY` and
 //! `STATS`), `STATS` for a node's used bytes, record count and capacity
-//! (the cluster's totals), `OBS_DUMP` for observability, and
-//! `PING`/`SHUTDOWN` for lifecycle.
+//! (the cluster's totals) and `OBS_DUMP` for observability. A node has no
+//! stop op: whoever started it stops it ([`server::CacheServer::stop`]).
 //!
 //! Threading model: one event-driven reactor pool per process
 //! ([`reactor`]) serves every node in it. A node is a listener registered

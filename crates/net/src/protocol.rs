@@ -21,18 +21,16 @@ pub enum Op {
     /// Store one record.
     Put = 0x02,
     // 0x03 (a single-key remove; `EvictMany` covers deletion), 0x04 (a
-    // destructive range read) and 0x09 (`RangeStats`, a range's bytes and
-    // records; the coordinator's ledger knows them) are retired. Never reuse them: a
-    // peer that still sends one must get `BadRequest`.
+    // destructive range read), 0x07 (`Ping`; `Stats` answers as well), 0x08
+    // (`Shutdown`; the party that allocated a node stops it) and 0x09
+    // (`RangeStats`, a range's bytes and records; the coordinator's ledger
+    // knows them) are retired. Never reuse them: a peer that still sends one
+    // must get `BadRequest`.
     /// List keys in an inclusive range (the coordinator's audit and
     /// re-sync).
     Keys = 0x05,
     /// Report `used_bytes`, `record_count`, `capacity_bytes`.
     Stats = 0x06,
-    /// Liveness probe.
-    Ping = 0x07,
-    /// Stop the server.
-    Shutdown = 0x08,
     /// Store a batch of records in one frame; per-item status response.
     PutMany = 0x0A,
     /// Look up a batch of keys in one frame; per-item value response.
@@ -53,8 +51,6 @@ impl Op {
             Op::Put => "put",
             Op::Keys => "keys",
             Op::Stats => "stats",
-            Op::Ping => "ping",
-            Op::Shutdown => "shutdown",
             Op::PutMany => "put_many",
             Op::GetMany => "get_many",
             Op::EvictMany => "evict_many",
@@ -69,8 +65,6 @@ impl Op {
             0x02 => Op::Put,
             0x05 => Op::Keys,
             0x06 => Op::Stats,
-            0x07 => Op::Ping,
-            0x08 => Op::Shutdown,
             0x0A => Op::PutMany,
             0x0B => Op::GetMany,
             0x0C => Op::EvictMany,
@@ -140,10 +134,6 @@ pub enum Request<'a> {
     },
     /// Node statistics.
     Stats,
-    /// Liveness probe.
-    Ping,
-    /// Stop the server.
-    Shutdown,
     /// Store a batch of records. The response is `Ok` with one status byte
     /// per item (`Ok` / `Overflow`): a refused item never fails the batch.
     PutMany {
@@ -176,8 +166,6 @@ impl<'a> Request<'a> {
             Request::Put { .. } => Op::Put,
             Request::Keys { .. } => Op::Keys,
             Request::Stats => Op::Stats,
-            Request::Ping => Op::Ping,
-            Request::Shutdown => Op::Shutdown,
             Request::PutMany { .. } => Op::PutMany,
             Request::GetMany { .. } => Op::GetMany,
             Request::EvictMany { .. } => Op::EvictMany,
@@ -211,8 +199,6 @@ impl<'a> Request<'a> {
                 b.put_u64_le(*hi);
             }
             Request::Stats => b.put_u8(Op::Stats as u8),
-            Request::Ping => b.put_u8(Op::Ping as u8),
-            Request::Shutdown => b.put_u8(Op::Shutdown as u8),
             Request::ObsDump => b.put_u8(Op::ObsDump as u8),
             Request::PutMany { items } => {
                 b.put_u8(Op::PutMany as u8);
@@ -276,8 +262,6 @@ impl<'a> Request<'a> {
                 }
             }
             Op::Stats => Request::Stats,
-            Op::Ping => Request::Ping,
-            Op::Shutdown => Request::Shutdown,
             Op::ObsDump => {
                 if payload.has_remaining() {
                     return None;
@@ -792,8 +776,6 @@ mod tests {
             },
             Request::Keys { lo: 0, hi: 0 },
             Request::Stats,
-            Request::Ping,
-            Request::Shutdown,
             Request::ObsDump,
         ];
         for req in cases {
@@ -820,7 +802,7 @@ mod tests {
                 value: b"hello",
             },
             Request::GetMany { keys: vec![1, 2] },
-            Request::Ping,
+            Request::Stats,
         ];
         for req in reqs {
             let enc = encode_traced(&sample_ctx(), &req);
@@ -836,7 +818,7 @@ mod tests {
             sampled: false,
             ..sample_ctx()
         };
-        let enc = encode_traced(&ctx, &Request::Ping);
+        let enc = encode_traced(&ctx, &Request::Stats);
         let (back, _) = decode_with_trace(&enc).unwrap();
         assert!(!back.unwrap().sampled);
     }
@@ -871,10 +853,10 @@ mod tests {
         assert!(decode_with_trace(&[0x0E]).is_none());
         assert!(decode_with_trace(&[0x0E, 1]).is_none());
         // Version 0 is invalid.
-        assert!(decode_with_trace(&[0x0E, 0, 0, 0x07]).is_none());
+        assert!(decode_with_trace(&[0x0E, 0, 0, 0x06]).is_none());
         // v1 with the wrong ext_len.
         let mut b = vec![0x0E, 1, 3, 0, 0, 0];
-        b.push(Op::Ping as u8);
+        b.push(Op::Stats as u8);
         assert!(decode_with_trace(&b).is_none());
         // ext_len longer than the remaining payload.
         assert!(decode_with_trace(&[0x0E, 1, 200, 1, 2]).is_none());
@@ -920,6 +902,11 @@ mod tests {
         range.extend_from_slice(&[0; 16]);
         assert_eq!(Op::from_u8(0x09), None);
         assert_eq!(Request::decode(&range), None);
+        // The retired Ping and Shutdown opcodes, which had no body.
+        for op in [0x07, 0x08] {
+            assert_eq!(Op::from_u8(op), None);
+            assert_eq!(Request::decode(&[op]), None);
+        }
         // GET with a short key.
         assert_eq!(Request::decode(&[0x01, 1, 2]), None);
         assert_eq!(Response::decode(Bytes::new()), None);

@@ -24,10 +24,9 @@
 //!   owned socket (`POLLIN` while `Conn::wants_read`, `POLLOUT` while
 //!   responses are unflushed), so an idle pool costs no CPU.
 //! * **Commands.** What a reactor hears from other threads — a listener, a
-//!   sibling's hand-off, a wire `Shutdown`'s request to close a listener,
-//!   a deregistration, a private pool's halt — arrives as a [`Command`] on
-//!   its channel, followed by one byte on its waker (a nonblocking
-//!   `UnixStream` pair whose read end is in the `poll` set).
+//!   sibling's hand-off, a deregistration, a private pool's halt — arrives
+//!   as a [`Command`] on its channel, followed by one byte on its waker (a
+//!   nonblocking `UnixStream` pair whose read end is in the `poll` set).
 //! * **Leaving.** [`ReactorPool::deregister`] is a handshake in two
 //!   rounds: the home drops the node's listener and connections, then
 //!   every other reactor does, each acknowledging by dropping a channel
@@ -122,8 +121,6 @@ struct Conn {
     wpos: usize,
     /// Peer sent EOF: serve what already arrived, flush, then close.
     got_eof: bool,
-    /// Close once `wbuf` drains (the connection that requested Shutdown).
-    close_after_flush: bool,
     /// Its node, whose connection bound it holds a place under until it
     /// is dropped.
     node: Arc<NodeCtx>,
@@ -140,11 +137,10 @@ impl Conn {
         self.wbuf.len() - self.wpos
     }
 
-    /// Whether a sweep reads this socket: not after EOF, not while closing,
-    /// and not while the peer is a slow consumer with a full write queue
-    /// (backpressure).
+    /// Whether a sweep reads this socket: not after EOF, and not while the
+    /// peer is a slow consumer with a full write queue (backpressure).
     fn wants_read(&self) -> bool {
-        !self.got_eof && !self.close_after_flush && self.pending_write() < WRITE_HIGH_WATER
+        !self.got_eof && self.pending_write() < WRITE_HIGH_WATER
     }
 
     /// The `poll` events whose arrival lets the next sweep move bytes on
@@ -192,8 +188,6 @@ enum Command {
     Listen(Arc<NodeCtx>, TcpListener),
     /// Own an admitted connection.
     Adopt(Conn),
-    /// Close the node's listener: a wire `Shutdown` executed.
-    Unlisten(Arc<NodeCtx>),
     /// Drop the node's listener and connections. Dropping the sender, once
     /// they are gone, is the acknowledgement.
     Forget(Arc<NodeCtx>, mpsc::Sender<()>),
@@ -362,8 +356,7 @@ impl SweepObs {
 /// owns, and what it measured for the node.
 struct Served {
     node: Arc<NodeCtx>,
-    /// Set on the node's home until the node leaves or a wire `Shutdown`
-    /// closes it.
+    /// Set on the node's home until the node leaves.
     listener: Option<TcpListener>,
     /// The listener was reported readable, or was just handed over.
     accept_due: bool,
@@ -526,11 +519,6 @@ impl Reactor {
                     let node = Arc::clone(&conn.node);
                     self.served_mut(&node).conns.push(conn);
                 }
-                Command::Unlisten(node) => {
-                    if let Some(at) = self.find(&node) {
-                        self.served[at].listener = None;
-                    }
-                }
                 Command::Forget(node, ack) => {
                     if let Some(at) = self.find(&node) {
                         self.served.swap_remove(at).close();
@@ -592,7 +580,6 @@ impl Reactor {
                 wbuf: Vec::new(),
                 wpos: 0,
                 got_eof: false,
-                close_after_flush: false,
                 node: Arc::clone(node),
             };
             let to = served.next;
@@ -609,27 +596,14 @@ impl Reactor {
     /// bytes or frames moved, or a connection closed (the freed place
     /// readmits a waiting client at the accept bound).
     fn sweep(&mut self, s: usize, woke_at: &mut Option<u64>) -> bool {
-        let (index, pool, clock) = (self.index, &self.pool, &self.clock);
+        let clock = &self.clock;
         let Served {
-            node,
-            listener,
-            conns,
-            obs,
-            ..
+            node, conns, obs, ..
         } = &mut self.served[s];
-        // A wire `Shutdown` closes the node's port at once: here if this is
-        // its home, else by a command queued before the reply leaves.
-        let mut unlisten = || {
-            if node.home == index {
-                *listener = None;
-            } else {
-                pool.send(node.home, Command::Unlisten(Arc::clone(node)));
-            }
-        };
         let mut progress = false;
         let mut i = 0;
         while i < conns.len() {
-            match sweep_conn(&mut conns[i], node, obs, woke_at, clock, &mut unlisten) {
+            match sweep_conn(&mut conns[i], node, obs, woke_at, clock) {
                 Ok(Sweep::Progress(p)) => {
                     progress |= p;
                     i += 1;
@@ -717,7 +691,7 @@ fn serve_traced(
 enum Sweep {
     /// Keep the connection; `true` if any bytes or frames moved.
     Progress(bool),
-    /// Close the connection (clean EOF or explicit shutdown).
+    /// Close the connection (clean EOF).
     Close,
 }
 
@@ -725,15 +699,13 @@ enum Sweep {
 /// every complete frame against the node, flush the response queue.
 /// `obs` is the reactor's batch for this node. `woke_at` is when the
 /// blocking wait returned, on `clock`, if this sweep follows one and no
-/// connection has read a byte since. `unlisten` runs when a `Shutdown`
-/// frame executed, before its reply is flushed.
+/// connection has read a byte since.
 fn sweep_conn(
     conn: &mut Conn,
     node: &NodeCtx,
     obs: &mut SweepObs,
     woke_at: &mut Option<u64>,
     clock: &TimeSource,
-    unlisten: &mut dyn FnMut(),
 ) -> io::Result<Sweep> {
     let mut progress = false;
 
@@ -776,7 +748,6 @@ fn sweep_conn(
     // read once per frame, when its response is queued.
     let mut frame_start = t_wake;
     let mut dispatched: u64 = 0;
-    let mut shutdown_requested = false;
     let mut framing_error: Option<io::Error> = None;
     let Conn { asm, wbuf, .. } = conn;
     loop {
@@ -798,12 +769,10 @@ fn sweep_conn(
         append_frame(wbuf, |out| match decode_with_trace(frame) {
             Some((ctx, req)) => {
                 slot = req.op() as usize;
-                match req {
-                    Request::Shutdown => shutdown_requested = true,
-                    // The dump must hold every frame served before it,
-                    // the ones of this very sweep included.
-                    Request::ObsDump => obs.fold_into(&node.obs),
-                    _ => {}
+                // The dump must hold every frame served before it, the
+                // ones of this very sweep included.
+                if matches!(req, Request::ObsDump) {
+                    obs.fold_into(&node.obs);
                 }
                 serve_traced(ctx, req, node, t_wake, out);
             }
@@ -819,13 +788,6 @@ fn sweep_conn(
         obs.record(slot, now - frame_start);
         frame_start = now;
         dispatched += 1;
-        if shutdown_requested {
-            break;
-        }
-    }
-    if shutdown_requested {
-        conn.close_after_flush = true;
-        unlisten();
     }
     if dispatched > 0 {
         progress = true;
@@ -845,9 +807,6 @@ fn sweep_conn(
         obs.record(DISPATCH_US, node.obs.now_us() - t_wake);
     }
 
-    if conn.pending_write() == 0 && conn.close_after_flush {
-        return Ok(Sweep::Close);
-    }
     if conn.got_eof && conn.pending_write() == 0 {
         // Peer closed and everything decodable has been served and
         // flushed: the decode loop above retired every complete frame, so

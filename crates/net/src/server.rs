@@ -155,9 +155,9 @@ impl CacheServer {
     }
 
     /// Take the node out of service. Returns once its port is closed and
-    /// every connection to it dropped, also when a wire `Shutdown` already
-    /// closed the port: no reactor holds the node any more, so dropping
-    /// the server frees it. A private pool's reactors are joined.
+    /// every connection to it dropped: no reactor holds the node any more,
+    /// so dropping the server frees it. A private pool's reactors are
+    /// joined.
     /// Idempotent.
     pub fn stop(&mut self) {
         let Some((pool, threads)) = self.pool.take() else {
@@ -239,7 +239,6 @@ pub(crate) fn handle(req: Request, node: &ShardedNode, obs: &ObsRegistry, out: &
                 node.capacity_bytes(),
             ),
         ),
-        Request::Ping => reply(out, Status::Ok, &[]),
         // Encoded from the registry part by part, each under its own
         // lock, straight into the write queue: no snapshot, no
         // intermediate buffer. The dump carries the slab's mapping as of
@@ -249,8 +248,6 @@ pub(crate) fn handle(req: Request, node: &ShardedNode, obs: &ObsRegistry, out: &
             out.push(Status::Ok as u8);
             obs.encode_dump_into(out);
         }
-        // The reactor closes the node's port; the reply confirms it.
-        Request::Shutdown => reply(out, Status::Ok, &[]),
     }
 }
 
@@ -269,8 +266,6 @@ pub(crate) fn op_hist_name(op: Option<Op>) -> &'static str {
         Some(Op::Put) => "server_op_us:put",
         Some(Op::Keys) => "server_op_us:keys",
         Some(Op::Stats) => "server_op_us:stats",
-        Some(Op::Ping) => "server_op_us:ping",
-        Some(Op::Shutdown) => "server_op_us:shutdown",
         Some(Op::PutMany) => "server_op_us:put_many",
         Some(Op::GetMany) => "server_op_us:get_many",
         Some(Op::EvictMany) => "server_op_us:evict_many",
@@ -297,7 +292,7 @@ mod tests {
     fn server_serves_basic_operations() {
         let mut server = CacheServer::spawn(10_000, 16).unwrap();
         let mut client = RemoteNode::connect(server.addr()).unwrap();
-        assert!(client.ping().unwrap());
+        assert_eq!(client.stats().unwrap(), (0, 0, 10_000));
         assert_eq!(client.get(5).unwrap(), None);
         assert_eq!(client.put(5, b"abc".to_vec()).unwrap(), Status::Ok);
         assert_eq!(client.get(5).unwrap(), Some(b"abc".to_vec()));
@@ -336,7 +331,7 @@ mod tests {
 
         // The same connection still serves well-formed requests, and the
         // node is untouched.
-        let req = Request::Ping.encode();
+        let req = Request::Stats.encode();
         write_frame(&mut raw, &req).unwrap();
         let resp = read_frame(&mut raw).unwrap();
         assert_eq!(Status::from_u8(resp[0]), Some(Status::Ok));
@@ -433,8 +428,8 @@ mod tests {
         let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 10_000, 16, 2, None).unwrap();
         let mut a = RemoteNode::connect(server.addr()).unwrap();
         let mut b = RemoteNode::connect(server.addr()).unwrap();
-        assert!(a.ping().unwrap());
-        assert!(b.ping().unwrap());
+        a.stats().unwrap();
+        b.stats().unwrap();
 
         // Third connection: one Busy frame, then EOF.
         let mut raw = TcpStream::connect(server.addr()).unwrap();
@@ -451,14 +446,14 @@ mod tests {
 
         // Admitted connections are unaffected, and closing one frees the
         // slot for a new client.
-        assert!(a.ping().unwrap());
+        a.stats().unwrap();
         drop(b);
         let admitted = (0..50).find_map(|_| {
             std::thread::sleep(std::time::Duration::from_millis(10));
             let mut c = RemoteNode::connect(server.addr()).ok()?;
-            c.ping().ok()
+            c.stats().ok()
         });
-        assert_eq!(admitted, Some(true), "freed slot must admit a new client");
+        assert!(admitted.is_some(), "freed slot must admit a new client");
         server.stop();
     }
 
@@ -466,9 +461,9 @@ mod tests {
     fn client_maps_busy_to_connection_refused() {
         let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 10_000, 16, 1, None).unwrap();
         let mut a = RemoteNode::connect(server.addr()).unwrap();
-        assert!(a.ping().unwrap());
+        a.stats().unwrap();
         let mut b = RemoteNode::connect(server.addr()).unwrap();
-        let err = b.ping().expect_err("refused connection must error");
+        let err = b.stats().expect_err("refused connection must error");
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
         server.stop();
     }

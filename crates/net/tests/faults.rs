@@ -10,13 +10,15 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ecc_net::client::RemoteNode;
-use ecc_net::protocol::{read_frame, write_frame, Op, Request, Status};
+use ecc_net::protocol::{
+    decode_stats, encode_traced, read_frame, write_frame, Op, Request, Status, TraceContext,
+};
 use ecc_net::server::CacheServer;
 
 /// The post-fault liveness probe every test ends with.
 fn assert_still_serving(server: &CacheServer, key: u64) {
     let mut client = RemoteNode::connect(server.addr()).expect("fresh connection after the fault");
-    assert!(client.ping().expect("ping after the fault"));
+    client.stats().expect("stats after the fault");
     assert_eq!(
         client.put(key, vec![key as u8; 16]).expect("put"),
         Status::Ok
@@ -87,6 +89,37 @@ fn truncated_put_many_is_rejected_whole() {
     assert_eq!(Status::from_u8(resp[0]), Some(Status::NotFound));
 
     assert_still_serving(&server, 4);
+    server.stop();
+}
+
+#[test]
+fn retired_ping_and_shutdown_opcodes_get_bad_request_and_the_port_keeps_serving() {
+    let mut server = CacheServer::spawn(10_000, 8).expect("spawn");
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let ctx = TraceContext {
+        trace_id: 7,
+        span_id: 8,
+        parent_span_id: 0,
+        sampled: true,
+    };
+    for op in [0x07u8, 0x08] {
+        // A traced Stats ends in its opcode: swap in the retired one.
+        let mut traced = encode_traced(&ctx, &Request::Stats).to_vec();
+        *traced.last_mut().expect("an opcode") = op;
+        for payload in [vec![op], traced] {
+            write_frame(&mut raw, &payload).expect("send");
+            let resp = read_frame(&mut raw).expect("response");
+            assert_eq!(&resp[..], [Status::BadRequest as u8], "{payload:?}");
+            // Exactly one reply: the next frame on the connection is the
+            // answer to this Stats.
+            write_frame(&mut raw, &Request::Stats.encode()).expect("probe");
+            let resp = read_frame(&mut raw).expect("probe response");
+            assert_eq!(Status::from_u8(resp[0]), Some(Status::Ok));
+            assert_eq!(decode_stats(&resp[1..]), Some((0, 0, 10_000)));
+        }
+    }
+
+    assert_still_serving(&server, 3);
     server.stop();
 }
 

@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use ecc_net::client::RemoteNode;
-use ecc_net::protocol::{append_frame, read_frame, Request, Status};
+use ecc_net::protocol::{append_frame, decode_stats, read_frame, Request, Status};
 use ecc_net::server::CacheServer;
 
 /// Long enough for a reactor to leave its hot yield window and block.
@@ -51,7 +51,7 @@ fn read_big_responses(raw: &mut TcpStream, n: usize) {
 fn idle_connection_costs_no_wakeups() {
     let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 1 << 20, 16, 256, Some(2)).unwrap();
     let mut client = RemoteNode::connect(server.addr()).unwrap();
-    assert!(client.ping().unwrap());
+    client.stats().unwrap();
     std::thread::sleep(GO_COLD);
 
     let wakes = || server.obs().gauge("reactor_idle_wakes").unwrap_or(0);
@@ -64,7 +64,7 @@ fn idle_connection_costs_no_wakeups() {
     );
 
     // The connection is idle, not dead: its next request is one wake.
-    assert!(client.ping().unwrap());
+    client.stats().unwrap();
     assert_eq!(wakes(), before + 1);
     server.stop();
 }
@@ -87,17 +87,19 @@ fn stalled_flush_resumes_when_the_peer_drains() {
 fn backpressure_rearms_reads_once_the_queue_drains() {
     // 32 MiB of responses puts the write queue far past the 4 MiB
     // high-water mark whatever the kernel buffered, so the reactor stops
-    // reading this connection; the ping behind the burst stays unread.
+    // reading this connection; the Stats behind the burst stays unread.
     let gets = 128;
     let (mut server, mut raw) = server_with_unread_responses(gets);
     std::thread::sleep(GO_COLD);
-    let mut ping = Vec::new();
-    append_frame(&mut ping, |b| Request::Ping.encode_into(b)).unwrap();
-    raw.write_all(&ping).unwrap();
+    let mut stats = Vec::new();
+    append_frame(&mut stats, |b| Request::Stats.encode_into(b)).unwrap();
+    raw.write_all(&stats).unwrap();
     std::thread::sleep(GO_COLD);
 
     read_big_responses(&mut raw, gets);
     let resp = read_frame(&mut raw).unwrap();
-    assert_eq!(resp, [Status::Ok as u8], "ping behind the backpressure");
+    assert_eq!(resp[0], Status::Ok as u8, "Stats behind the backpressure");
+    let count = decode_stats(&resp[1..]).map(|(_, count, _)| count);
+    assert_eq!(count, Some(1), "Stats behind the backpressure");
     server.stop();
 }

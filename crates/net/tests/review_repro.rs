@@ -27,9 +27,6 @@ fn partial_frame_then_eof_frees_slot() {
     std::thread::sleep(Duration::from_millis(200));
 
     let mut c = RemoteNode::connect(addr).expect("connect after dead peer");
-    assert!(
-        c.ping().expect("slot should have been freed"),
-        "ping failed"
-    );
+    c.stats().expect("slot should have been freed");
     server.stop();
 }

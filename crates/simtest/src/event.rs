@@ -216,8 +216,6 @@ pub enum WireOp {
     },
     /// `STATS`.
     Stats,
-    /// `PING`.
-    Ping,
 }
 
 /// A frame-level fault applied to one wire operation before it is sent.
@@ -330,7 +328,6 @@ impl SimEvent {
                     WireOp::EvictMany { lo, hi } => write!(out, "E{lo}.{hi}"),
                     WireOp::Keys { lo, hi } => write!(out, "K{lo}.{hi}"),
                     WireOp::Stats => write!(out, "T"),
-                    WireOp::Ping => write!(out, "I"),
                 }
             }
         }
@@ -401,7 +398,7 @@ impl SimEvent {
             'g' => SimEvent::Get {
                 key: args.parse().map_err(|_| bad())?,
             },
-            'G' | 'P' | 'M' | 'E' | 'K' | 'T' | 'I' => {
+            'G' | 'P' | 'M' | 'E' | 'K' | 'T' => {
                 let op = match tag {
                     'G' => WireOp::Get {
                         key: args.parse().map_err(|_| bad())?,
@@ -426,7 +423,6 @@ impl SimEvent {
                         WireOp::Keys { lo, hi }
                     }
                     'T' if args.is_empty() => WireOp::Stats,
-                    'I' if args.is_empty() => WireOp::Ping,
                     _ => return Err(bad()),
                 };
                 SimEvent::Frame {
@@ -612,10 +608,6 @@ mod tests {
                 SimEvent::Frame {
                     fault: Fault::None,
                     op: WireOp::Stats,
-                },
-                SimEvent::Frame {
-                    fault: Fault::None,
-                    op: WireOp::Ping,
                 },
             ],
         };

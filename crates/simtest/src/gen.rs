@@ -252,10 +252,8 @@ fn gen_proto(rng: &mut SmallRng) -> Schedule {
                 lo: key,
                 hi: rng.gen_range(0u64..=64),
             }
-        } else if roll < 98 {
-            WireOp::Stats
         } else {
-            WireOp::Ping
+            WireOp::Stats
         };
         events.push(SimEvent::Frame { fault, op });
     }

@@ -272,13 +272,11 @@ impl ModelServer {
                     .collect();
                 Response::ok(encode_statuses(&statuses))
             }
-            Request::Ping => Response::status(Status::Ok),
             // The dump body is dynamic (live histograms + events), so the
             // model predicts status only; harnesses that compare bodies
             // must special-case ObsDump and validate the body by decoding
             // it with `ecc_obs::decode_dump` instead.
             Request::ObsDump => Response::status(Status::Ok),
-            Request::Shutdown => Response::status(Status::Ok),
         }
     }
 }

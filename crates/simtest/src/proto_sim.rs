@@ -38,7 +38,6 @@ fn request_for(op: WireOp, step: usize, value: &mut Vec<u8>) -> Request<'_> {
         },
         WireOp::Keys { lo, hi } => Request::Keys { lo, hi },
         WireOp::Stats => Request::Stats,
-        WireOp::Ping => Request::Ping,
     }
 }
 
@@ -106,10 +105,9 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
         .map_err(|e| SimFailure::infra(format!("connect failed: {e}")))?;
     drop(stream.set_nodelay(true));
     let mut model = ModelServer::new(cfg.cap);
-    let mut shut_down = false;
     let mut traced_sent = 0u64;
 
-    'schedule: for (step, ev) in s.events.iter().enumerate() {
+    for (step, ev) in s.events.iter().enumerate() {
         let fail = |what: String| SimFailure::at(step, what);
         let SimEvent::Frame { fault, op } = *ev else {
             return Err(fail(format!(
@@ -152,7 +150,6 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
             // The oracle sees exactly what the server will decode —
             // trace extension included.
             let decoded = decode_with_trace(&wire_bytes).map(|(_, r)| r);
-            let is_shutdown = matches!(decoded, Some(Request::Shutdown));
             // A corrupt opcode can land on ObsDump; its body is a live
             // observability snapshot the model cannot predict, so compare
             // status only and require that the body decodes as a dump.
@@ -193,61 +190,53 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
                     want.body.len()
                 )));
             }
-            if is_shutdown {
-                // A corrupt byte turned the opcode into Shutdown: the server
-                // acknowledged and is closing; nothing further can be sent.
-                shut_down = true;
-                break 'schedule;
-            }
         }
     }
 
-    if !shut_down {
-        // Final accounting handshake on the same connection.
-        let payload = Request::Stats.encode();
-        let want = model.respond(Some(Request::Stats));
-        write_frame(&mut stream, &payload)
-            .map_err(|e| SimFailure::end(format!("final stats send failed: {e}")))?;
-        let raw = read_frame(&mut stream)
-            .map_err(|e| SimFailure::end(format!("final stats read failed: {e}")))?;
-        let got = Response::decode(raw)
-            .ok_or_else(|| SimFailure::end("undecodable final stats response".into()))?;
-        if got != want {
-            return Err(SimFailure::end(format!(
-                "final stats diverged: server {:?}, model {:?} (used={} records={})",
-                got.body,
-                want.body,
-                model.used(),
-                model.len()
-            )));
-        }
+    // Final accounting handshake on the same connection.
+    let payload = Request::Stats.encode();
+    let want = model.respond(Some(Request::Stats));
+    write_frame(&mut stream, &payload)
+        .map_err(|e| SimFailure::end(format!("final stats send failed: {e}")))?;
+    let raw = read_frame(&mut stream)
+        .map_err(|e| SimFailure::end(format!("final stats read failed: {e}")))?;
+    let got = Response::decode(raw)
+        .ok_or_else(|| SimFailure::end("undecodable final stats response".into()))?;
+    if got != want {
+        return Err(SimFailure::end(format!(
+            "final stats diverged: server {:?}, model {:?} (used={} records={})",
+            got.body,
+            want.body,
+            model.used(),
+            model.len()
+        )));
+    }
 
-        // Span oracle: dump the server's recorder, merge it with the
-        // client's, and demand a well-formed forest — every start ended,
-        // zero orphans, child intervals nested — with exactly one root per
-        // traced frame delivered. Only sound while nothing fell out of
-        // either ring.
-        let payload = Request::ObsDump.encode();
-        write_frame(&mut stream, &payload)
-            .map_err(|e| SimFailure::end(format!("final obs dump send failed: {e}")))?;
-        let raw = read_frame(&mut stream)
-            .map_err(|e| SimFailure::end(format!("final obs dump read failed: {e}")))?;
-        let got = Response::decode(raw)
-            .ok_or_else(|| SimFailure::end("undecodable final obs dump response".into()))?;
-        let server_snap = ecc_obs::decode_dump(&got.body)
-            .ok_or_else(|| SimFailure::end("final obs dump body failed to decode".into()))?;
-        let mut merged = client_obs.snapshot();
-        merged.merge(&server_snap);
-        if merged.dropped == 0 {
-            let stats = ecc_obs::verify_spans(&merged.events)
-                .map_err(|e| SimFailure::end(format!("span oracle: {e}")))?;
-            if stats.roots as u64 != traced_sent || stats.traces as u64 != traced_sent {
-                return Err(SimFailure::end(format!(
-                    "span oracle: {traced_sent} traced frames delivered but the \
-                     merged stream holds {} roots / {} traces",
-                    stats.roots, stats.traces
-                )));
-            }
+    // Span oracle: dump the server's recorder, merge it with the
+    // client's, and demand a well-formed forest — every start ended,
+    // zero orphans, child intervals nested — with exactly one root per
+    // traced frame delivered. Only sound while nothing fell out of
+    // either ring.
+    let payload = Request::ObsDump.encode();
+    write_frame(&mut stream, &payload)
+        .map_err(|e| SimFailure::end(format!("final obs dump send failed: {e}")))?;
+    let raw = read_frame(&mut stream)
+        .map_err(|e| SimFailure::end(format!("final obs dump read failed: {e}")))?;
+    let got = Response::decode(raw)
+        .ok_or_else(|| SimFailure::end("undecodable final obs dump response".into()))?;
+    let server_snap = ecc_obs::decode_dump(&got.body)
+        .ok_or_else(|| SimFailure::end("final obs dump body failed to decode".into()))?;
+    let mut merged = client_obs.snapshot();
+    merged.merge(&server_snap);
+    if merged.dropped == 0 {
+        let stats = ecc_obs::verify_spans(&merged.events)
+            .map_err(|e| SimFailure::end(format!("span oracle: {e}")))?;
+        if stats.roots as u64 != traced_sent || stats.traces as u64 != traced_sent {
+            return Err(SimFailure::end(format!(
+                "span oracle: {traced_sent} traced frames delivered but the \
+                 merged stream holds {} roots / {} traces",
+                stats.roots, stats.traces
+            )));
         }
     }
     drop(stream);

@@ -143,8 +143,8 @@ fn refused_connection_reads_exactly_one_busy_frame_then_eof() {
     let mut server = CacheServer::spawn_with(("127.0.0.1", 0), 10_000, 8, 2, None).expect("spawn");
     let mut a = RemoteNode::connect(server.addr()).expect("conn a");
     let mut b = RemoteNode::connect(server.addr()).expect("conn b");
-    assert!(a.ping().unwrap());
-    assert!(b.ping().unwrap());
+    a.stats().unwrap();
+    b.stats().unwrap();
 
     let mut raw = TcpStream::connect(server.addr()).expect("third connect");
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -157,14 +157,14 @@ fn refused_connection_reads_exactly_one_busy_frame_then_eof() {
     );
 
     // The bounded slots were untouched by the refusal.
-    assert!(a.ping().unwrap());
-    assert!(b.ping().unwrap());
+    a.stats().unwrap();
+    b.stats().unwrap();
     drop((a, b));
     server.stop();
 
     // And a regular frame write against the refused socket can't resurrect
     // it: the server already closed its end.
-    let err = write_frame(&mut raw, &Request::Ping.encode())
+    let err = write_frame(&mut raw, &Request::Stats.encode())
         .and_then(|()| read_frame(&mut raw))
         .map(|_| ());
     assert!(err.is_err(), "refused connection stayed readable");

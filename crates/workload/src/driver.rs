@@ -15,6 +15,17 @@ pub enum Op {
     Write,
 }
 
+impl Op {
+    /// Stable one-character tag (`r`/`w`), for byte fingerprints of a
+    /// stream.
+    pub fn tag(self) -> char {
+        match self {
+            Op::Read => 'r',
+            Op::Write => 'w',
+        }
+    }
+}
+
 /// A deterministic stream of queries following a rate schedule.
 ///
 /// Iteration yields `(time_step, key)` pairs: at each 0-based time step the
