@@ -9,9 +9,11 @@
 //! `PutMany`/`GetMany`/`EvictMany` batches (`protocol.rs`, `server.rs`,
 //! `reactor.rs`, `record.rs`), shard PUT-replace and GET (`shard.rs`,
 //! `slab.rs`, the B+-tree), fresh-insert/remove churn that splits and
-//! merges B+-tree nodes through `tree.rs`'s free list, and hits plus
+//! merges B+-tree nodes through `tree.rs`'s free list, hits plus
 //! replacing inserts on the simulator's `CacheNode` (`node.rs`) and the
-//! static baseline's `Lru` (`lru.rs`). A batch frame may allocate once: the decoded item list of a
+//! static baseline's `Lru` (`lru.rs`), and simulated hits through
+//! `ElasticCache::query` with the λ-window on (`elastic.rs`, `window.rs`:
+//! a hit lends the stored record). A batch frame may allocate once: the decoded item list of a
 //! `PutMany`, whose values still point into the read buffer, or the
 //! decoded key list of a `GetMany` or an `EvictMany`. `Keys` and `ObsDump`
 //! are not windows.
@@ -22,7 +24,9 @@ use std::time::Duration;
 
 use ecc_bench::alloc_count::allocation_count;
 use ecc_cloudsim::InstanceId;
-use ecc_core::{CacheNode, Lru, Record, ShardedNode, DEFAULT_STRIPES};
+use ecc_core::{
+    CacheConfig, CacheNode, ElasticCache, Lru, Record, ShardedNode, WindowConfig, DEFAULT_STRIPES,
+};
 use ecc_net::client::{PipelinedConn, RemoteNode};
 use ecc_net::protocol::{Request, Response, Status};
 use ecc_net::server::CacheServer;
@@ -311,6 +315,40 @@ fn node_and_lru_hits_and_replaces() -> (u64, u64) {
     (node_allocations, allocation_count() - before)
 }
 
+/// Simulated hits through `ElasticCache::query` on resident keys, with
+/// eviction on: a query notes its key in the window's open slice, and a
+/// hit lends the stored record. The steps before the window fill every
+/// slice, so the counted step's slice buffer and the step closes'
+/// victim scoring have reached their sizes.
+fn elastic_query_hits() -> u64 {
+    const RESIDENT: u64 = 1_024;
+    const QUERIES: u64 = 20_000;
+    let mut cfg = CacheConfig::paper_default();
+    cfg.window = Some(WindowConfig::paper(4));
+    let mut cache = ElasticCache::new(cfg);
+    let shared = Record::filler(64);
+    for key in 0..RESIDENT {
+        cache.insert(key, shared.clone()).unwrap();
+    }
+    let key_at = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % RESIDENT;
+    let step = |cache: &mut ElasticCache| {
+        for i in 0..QUERIES {
+            let hit = cache.query(key_at(i), 1_000, || unreachable!("resident"));
+            assert_eq!(hit.len(), 64);
+        }
+    };
+    for _ in 0..8 {
+        step(&mut cache);
+        cache.end_time_step();
+    }
+    let before = allocation_count();
+    step(&mut cache);
+    let allocations = allocation_count() - before;
+    assert_eq!(cache.total_records() as u64, RESIDENT, "nothing evicted");
+    assert_eq!(cache.metrics().misses, 0);
+    allocations
+}
+
 #[test]
 fn steady_state_serving_never_enters_the_allocator() {
     // The empty body of every bare-status response: all of them share one
@@ -359,5 +397,10 @@ fn steady_state_serving_never_enters_the_allocator() {
         node_and_lru_hits_and_replaces(),
         (0, 0),
         "allocator calls over 100 000 get hits + replacing inserts on CacheNode and on Lru"
+    );
+    assert_eq!(
+        elastic_query_hits(),
+        0,
+        "allocator calls over 20 000 simulated hits through ElasticCache::query"
     );
 }

@@ -117,6 +117,13 @@ impl<K: Ord + Clone, V: ByteSize, const CAP: usize> BPlusTree<K, V, CAP> {
         self.bytes
     }
 
+    /// Heap bytes of the tree's node storage: the node slab's capacity
+    /// and the free list's. A value's own heap allocation is not counted.
+    pub fn node_bytes(&self) -> usize {
+        self.slab.capacity() * std::mem::size_of::<Node<K, V, CAP>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// The configured branching factor.
     #[inline]
     pub fn order(&self) -> usize {
@@ -1052,6 +1059,27 @@ mod tests {
         t.remove(&1);
         assert_eq!(t.bytes(), 0);
         t.validate();
+    }
+
+    #[test]
+    fn node_bytes_counts_the_node_slab() {
+        let mut t: BPlusTree<u64, u64> = BPlusTree::new(8);
+        let one = t.node_bytes();
+        assert_eq!(one, std::mem::size_of::<Node<u64, u64, DEFAULT_NODE_CAP>>());
+        for k in 0..1_000 {
+            t.insert(k, k);
+        }
+        let grown = t.node_bytes();
+        assert!(
+            grown >= t.slab.len() * one,
+            "{grown} B for {} nodes",
+            t.slab.len()
+        );
+        // Removal recycles nodes through the free list; the slab keeps them.
+        for k in 0..1_000 {
+            t.remove(&k);
+        }
+        assert!(t.node_bytes() >= grown);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! else, the cloud and the engine's event stamps included, is handed the
 //! time as a value.
 
+use std::borrow::Cow;
+
 use ecc_bptree::ByteSize;
 use ecc_chash::HashRing;
 use ecc_cloudsim::{InstanceId, NetModel, PersistentStore, SimClock, SimCloud};
@@ -232,15 +234,31 @@ impl ElasticCache {
     /// Each step runs once: the record moves into the tree, and the
     /// lookup, service and put-transfer charges reach the clock as one sum
     /// — after `miss` returns, and before anything reads the clock.
-    pub fn query(&mut self, key: u64, uncached_us: u64, miss: impl FnOnce() -> Record) -> Record {
+    ///
+    /// A hit lends the stored record ([`Cow::Borrowed`]: no refcount
+    /// write); a miss returns a clone of the record it stored
+    /// ([`Cow::Owned`]).
+    pub fn query(
+        &mut self,
+        key: u64,
+        uncached_us: u64,
+        miss: impl FnOnce() -> Record,
+    ) -> Cow<'_, Record> {
         let t0 = self.fleet.clock.now_us();
         self.metrics.baseline_us += uncached_us;
         let mut pending_us = match self.lookup_uncharged(key) {
-            Ok((rec, lookup_us)) => {
+            Ok((owner, lookup_us)) => {
                 self.fleet.clock.advance_us(lookup_us);
                 self.metrics.observed_us += lookup_us;
                 self.query_us[QUERY_HIT].1.record(lookup_us);
-                return rec;
+                // Lend the record. Borrowing it in the lookup would hold
+                // `self` on the miss arm too, so it is read again here: the
+                // leaf the lookup just loaded, which nothing wrote since,
+                // so the service never runs on this arm.
+                return match self.node_at(owner).and_then(|n| n.get(key)) {
+                    Some(rec) => Cow::Borrowed(rec),
+                    None => Cow::Owned(miss()),
+                };
             }
             Err(miss_us) => miss_us,
         };
@@ -259,7 +277,7 @@ impl ElasticCache {
                 let dt = self.fleet.clock.now_us() - t0;
                 self.metrics.observed_us += dt;
                 self.query_us[QUERY_TIER].1.record(dt);
-                return rec;
+                return Cow::Owned(rec);
             }
         }
         // Execute the service.
@@ -269,7 +287,7 @@ impl ElasticCache {
         let dt = self.fleet.clock.now_us() - t0;
         self.metrics.observed_us += dt;
         self.query_us[QUERY_MISS].1.record(dt);
-        rec
+        Cow::Owned(rec)
     }
 
     /// Cache a record the query path fetched, charging `pending_us` with
@@ -296,22 +314,22 @@ impl ElasticCache {
     }
 
     /// Look up `key`, charging the lookup path and recording hit/miss.
-    pub fn lookup(&mut self, key: u64) -> Option<Record> {
-        let (rec, lookup_us) = match self.lookup_uncharged(key) {
-            Ok((rec, us)) => (Some(rec), us),
+    pub fn lookup(&mut self, key: u64) -> Option<&Record> {
+        let (owner, lookup_us) = match self.lookup_uncharged(key) {
+            Ok((owner, us)) => (Some(owner), us),
             Err(us) => (None, us),
         };
         self.fleet.clock.advance_us(lookup_us);
         self.metrics.observed_us += lookup_us;
-        rec
+        self.node_at(owner?)?.get(key)
     }
 
     /// The lookup step of a query: count it, note it in the window, and
-    /// read the key on its owner. Returns the record with the lookup's
-    /// cost, or on a miss the miss's cost. The caller charges the cost,
-    /// together with whatever the query does next.
+    /// read the key on its owner. Returns the node holding the record with
+    /// the lookup's cost, or on a miss the miss's cost. The caller charges
+    /// the cost, together with whatever the query does next.
     #[inline]
-    fn lookup_uncharged(&mut self, key: u64) -> Result<(Record, u64), u64> {
+    fn lookup_uncharged(&mut self, key: u64) -> Result<(NodeId, u64), u64> {
         self.slice_queries += 1;
         if let Some(w) = &mut self.engine.window {
             w.note_query(key);
@@ -319,11 +337,12 @@ impl ElasticCache {
         // The ring always has a bucket by construction; an empty ring or a
         // dangling owner degrades to a miss instead of tearing down the
         // whole cache.
-        let owner = self.engine.ring.node_for_key(key);
-        let rec = owner
-            .and_then(|&nid| self.node_at(nid))
-            .and_then(|n| n.get(key).cloned());
-        self.fleet.charges.lookup(&mut self.metrics, rec)
+        let found = self
+            .engine
+            .ring
+            .node_for_key(key)
+            .and_then(|&nid| Some((nid, self.node_at(nid)?.get(key)?.len())));
+        self.fleet.charges.lookup(&mut self.metrics, found)
     }
 
     // ------------------------------------------------------- GBA insertion
@@ -565,22 +584,22 @@ impl Charges {
         }
     }
 
-    /// Count a lookup that `found` a record or not in `metrics`, and price
-    /// it: the record with the hit's cost, or the miss's cost.
+    /// Count a lookup in `metrics` that `found` a record (where it is,
+    /// and its payload length) or not, and price it: where the record is
+    /// with the hit's cost, or the miss's cost.
     #[inline]
-    pub(crate) fn lookup(
+    pub(crate) fn lookup<T>(
         &self,
         metrics: &mut Metrics,
-        found: Option<Record>,
-    ) -> Result<(Record, u64), u64> {
+        found: Option<(T, usize)>,
+    ) -> Result<(T, u64), u64> {
         metrics.queries += 1;
-        let Some(rec) = found else {
+        let Some((at, len)) = found else {
             metrics.misses += 1;
             return Err(self.lookup_miss_us);
         };
         metrics.hits += 1;
-        let us = self.lookup_req_us + self.net.transfer_us(rec.len() as u64);
-        Ok((rec, us))
+        Ok((at, self.lookup_req_us + self.net.transfer_us(len as u64)))
     }
 
     /// Moving a record of `len` payload bytes: a put to its node, or the
@@ -784,6 +803,26 @@ mod tests {
         assert_eq!(m.service_us, 1_000_000);
         assert!(m.observed_us >= 1_000_000);
         assert!(m.speedup() > 1.0);
+    }
+
+    #[test]
+    fn a_hit_lends_the_stored_record_and_a_miss_clones_it() {
+        let mut cache = ElasticCache::new(cfg_records(8));
+        let stored = |c: &ElasticCache| -> (*const Record, *const u8) {
+            let r = c.nodes().find_map(|(_, n)| n.get(7)).unwrap();
+            (r, r.as_slice().as_ptr())
+        };
+        let miss = cache.query(7, 1_000, rec);
+        let (owned, payload) = (matches!(miss, Cow::Owned(_)), miss.as_slice().as_ptr());
+        assert!(owned, "a miss returns a handle of its own");
+        let (copy, stored_payload) = stored(&cache);
+        assert_eq!(payload, stored_payload, "on the stored allocation");
+        let lent = match cache.query(7, 1_000, || unreachable!("must hit")) {
+            Cow::Borrowed(r) => Some(r as *const Record),
+            Cow::Owned(_) => None,
+        };
+        assert_eq!(lent, Some(copy), "a hit lends the stored copy");
+        assert_eq!((cache.metrics().hits, cache.metrics().misses), (1, 1));
     }
 
     #[test]
@@ -1263,9 +1302,11 @@ mod tests {
         assert_eq!(cache.tier().unwrap().len(), 5);
         // Re-query: served from the tier, not the service; re-admitted.
         let t0 = cache.clock().now_us();
-        let r = cache.query(3, 23_000_000, || unreachable!("tier must serve this"));
+        let len = cache
+            .query(3, 23_000_000, || unreachable!("tier must serve this"))
+            .len();
         let took = cache.clock().now_us() - t0;
-        assert_eq!(r.len(), 100);
+        assert_eq!(len, 100);
         assert_eq!(cache.metrics().tier_hits, 1);
         assert!(took < 1_000_000, "tier fetch should be ~ms, took {took} µs");
         assert_eq!(cache.total_records(), 1, "tier hit re-admits to memory");
@@ -1329,7 +1370,7 @@ mod tests {
         let t0 = cache.clock().now_us();
         cache.metrics.baseline_us += uncached_us;
         let observed = cache.metrics.observed_us;
-        let found = cache.lookup(key);
+        let found = cache.lookup(key).cloned();
         // The query accounts its whole span below.
         cache.metrics.observed_us = observed;
         let (slot, rec) = match found {
@@ -1406,7 +1447,7 @@ mod tests {
                     let uncached_us = 1_000 + key;
                     let a = fused.query(key, uncached_us, || Record::filler(len));
                     let b = stepwise_query(&mut twin, key, uncached_us, Record::filler(len));
-                    assert_eq!(a, b, "{name}: step {step} key {key}");
+                    assert_eq!(*a, b, "{name}: step {step} key {key}");
                     assert_eq!(fused.clock().now_us(), twin.clock().now_us(), "{name}");
                     assert_eq!(fused.metrics(), twin.metrics(), "{name}: key {key}");
                 }

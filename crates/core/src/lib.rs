@@ -38,9 +38,10 @@
 //! // First access misses and runs the (expensive) service...
 //! let uncached_us = 23_000_000;
 //! let r1 = cache.query(key, uncached_us, || Record::from_vec(vec![7; 100]));
-//! // ...the second is served from cache.
+//! let r1 = r1.into_owned(); // a clone of what the cache stored
+//! // ...the second is served from cache: the stored record, lent.
 //! let r2 = cache.query(key, uncached_us, || unreachable!("must hit"));
-//! assert_eq!(r1, r2);
+//! assert_eq!(r1, *r2);
 //! assert_eq!(cache.metrics().hits, 1);
 //! assert_eq!(cache.metrics().misses, 1);
 //! ```

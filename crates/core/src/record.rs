@@ -1,5 +1,7 @@
 //! The cached value type.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use ecc_bptree::ByteSize;
 
@@ -8,19 +10,21 @@ use crate::slab::{SlabArena, SlabRef};
 /// Where a record's payload bytes live.
 #[derive(Debug, Clone)]
 enum Payload {
-    /// A one-off heap allocation behind a refcounted [`Bytes`] handle —
-    /// wire-ingested values not yet slab-resident, and oversize payloads
-    /// that bypass the arena's class table.
-    Heap(Bytes),
+    /// A one-off heap allocation: refcount and bytes in one block, the
+    /// slice's length in the fat pointer. The simulated caches' records,
+    /// and oversize payloads that bypass the arena's class table.
+    Heap(Arc<[u8]>),
     /// A slot in the node's slab arena (DESIGN.md §17) — the steady-state
     /// home of resident records; recycled, never individually freed.
     Slab(SlabRef),
 }
 
 /// A cached derived result: an immutable byte payload behind a refcounted
-/// handle — either a [`Bytes`] heap allocation or a slab-arena slot — so
-/// every clone (a hit returned to a caller, a migration sweep, a batch
-/// response body) is a refcount bump, never a memcpy of the payload.
+/// handle — either an `Arc<[u8]>` heap allocation or a slab-arena slot —
+/// so a clone (a miss's record kept by the cache and returned to the
+/// caller, a migration sweep) is a refcount bump, never a memcpy of the
+/// payload. A simulated hit lends the stored record and clones nothing;
+/// a wire response copies the bytes straight from the record in place.
 #[derive(Debug, Clone)]
 pub struct Record {
     data: Payload,
@@ -38,18 +42,22 @@ impl PartialEq for Record {
 impl Eq for Record {}
 
 impl Record {
-    /// Wrap an owned payload (takes ownership of the allocation; no copy).
+    /// Copy an owned payload into the record's one allocation (the
+    /// refcount sits in front of the bytes, so the `Vec` cannot be kept).
     pub fn from_vec(data: Vec<u8>) -> Self {
-        Self {
-            data: Payload::Heap(Bytes::from(data)),
-        }
+        Self::heap(&data)
     }
 
-    /// Wrap an already-refcounted payload — the zero-copy ingestion path
-    /// from the wire codecs, which decode values as [`Bytes`].
+    /// Copy a [`Bytes`] view's payload into a record: the overflow tier's
+    /// fetch (E4). Wire values do not come this way; they are copied
+    /// straight into a slab slot ([`Record::alloc_in`]).
     pub fn from_bytes(data: Bytes) -> Self {
+        Self::heap(&data)
+    }
+
+    fn heap(payload: &[u8]) -> Self {
         Self {
-            data: Payload::Heap(data),
+            data: Payload::Heap(Arc::from(payload)),
         }
     }
 
@@ -62,9 +70,7 @@ impl Record {
             Some(slab) => Self {
                 data: Payload::Slab(slab),
             },
-            None => Self {
-                data: Payload::Heap(Bytes::from(payload)),
-            },
+            None => Self::heap(payload),
         }
     }
 
@@ -85,12 +91,13 @@ impl Record {
     /// the zero-copy hand-off of an evicted record to the overflow tier's
     /// write-behind. Wire responses do not need it: a `Get` or a `GetMany`
     /// entry is copied straight from the record in place (see
-    /// [`crate::ShardedNode::get_with`]). For a slab-resident record the
-    /// returned [`Bytes`] owns a clone of the slot handle, so the slot
-    /// stays live (and out of the freelist) until the view is dropped.
+    /// [`crate::ShardedNode::get_with`]). The returned [`Bytes`] owns a
+    /// clone of the record's handle, so the payload (for a slab record,
+    /// the slot, kept out of the freelist) stays live until the view is
+    /// dropped.
     pub fn bytes(&self) -> Bytes {
         match &self.data {
-            Payload::Heap(b) => b.clone(),
+            Payload::Heap(h) => Bytes::from_owner(Arc::clone(h)),
             Payload::Slab(s) => Bytes::from_owner(s.clone()),
         }
     }
@@ -135,12 +142,6 @@ impl From<Vec<u8>> for Record {
     }
 }
 
-impl From<Bytes> for Record {
-    fn from(b: Bytes) -> Self {
-        Self::from_bytes(b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,12 +158,13 @@ mod tests {
     }
 
     #[test]
-    fn record_is_four_words() {
+    fn record_is_three_words() {
         // Records sit inline in B+-tree leaves, so their size is the
         // leaves' density: `Payload`'s discriminant lives in the niche of
-        // the handles' non-null pointers, and a fifth word would make
-        // every leaf a quarter larger.
-        assert_eq!(std::mem::size_of::<Record>(), 32);
+        // `SlabRef`'s non-null arena pointer, beside the heap variant's
+        // two-word `Arc<[u8]>`, and a fourth word would make every leaf's
+        // values a third larger.
+        assert_eq!(std::mem::size_of::<Record>(), 24);
     }
 
     #[test]
@@ -178,11 +180,9 @@ mod tests {
         let r = Record::filler(512);
         let b = r.bytes();
         assert!(std::ptr::eq(r.as_slice().as_ptr(), b.as_ref().as_ptr()));
+        // `from_bytes` copies: a heap record's refcount shares its block.
         let roundtrip = Record::from_bytes(b);
-        assert!(std::ptr::eq(
-            r.as_slice().as_ptr(),
-            roundtrip.as_slice().as_ptr()
-        ));
+        assert_eq!(roundtrip, r);
     }
 
     #[test]

@@ -209,6 +209,17 @@ impl ShardedNode {
         &self.arena
     }
 
+    /// Heap bytes of the stripes' B+-tree node storage, summed: the
+    /// `mem_bytes:tree` gauge. Holds `structural.read` and reads the
+    /// stripes in index order, one read lock at a time.
+    pub fn tree_bytes(&self) -> u64 {
+        let _structural = self.read_lock(&self.structural, LockClass::Structural);
+        let stripes = self.stripes.iter().enumerate();
+        stripes
+            .map(|(i, stripe)| self.read_lock(stripe, LockClass::Stripe(i)).node_bytes() as u64)
+            .sum()
+    }
+
     /// Per-class slab occupancy, read under each class's freelist lock.
     pub fn slab_stats(&self) -> Vec<ClassStats> {
         self.arena.class_stats()
@@ -497,6 +508,17 @@ mod tests {
         assert_eq!(n.used_bytes(), 352);
         assert_eq!(n.record_count(), 1);
         n.validate();
+    }
+
+    #[test]
+    fn tree_bytes_sums_the_stripes_node_storage() {
+        let n = ShardedNode::new(1 << 20, 8, 4);
+        let one = BPlusTree::<u64, Record>::new(8).node_bytes() as u64;
+        assert_eq!(n.tree_bytes(), 4 * one, "one root leaf per stripe");
+        for key in 0..1_000 {
+            n.put_slice(key, &[1; 8]);
+        }
+        assert!(n.tree_bytes() > 4 * one);
     }
 
     #[test]

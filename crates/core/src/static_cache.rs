@@ -8,6 +8,8 @@
 //! one evenly spaced bucket per node — but the fleet never grows or
 //! shrinks: on overflow a node displaces its least-recently-used records.
 
+use std::borrow::Cow;
+
 use ecc_bptree::ByteSize;
 use ecc_chash::HashRing;
 use ecc_cloudsim::{SimClock, SimCloud};
@@ -100,13 +102,24 @@ impl StaticCache {
 
     /// Full cached-service query, mirroring
     /// [`crate::ElasticCache::query`]: the lookup, the service and the put
-    /// transfer reach the clock as one sum.
-    pub fn query(&mut self, key: u64, uncached_us: u64, miss: impl FnOnce() -> Record) -> Record {
+    /// transfer reach the clock as one sum, a hit lends the stored record,
+    /// and a miss returns a clone of the record it stored.
+    pub fn query(
+        &mut self,
+        key: u64,
+        uncached_us: u64,
+        miss: impl FnOnce() -> Record,
+    ) -> Cow<'_, Record> {
         self.metrics.baseline_us += uncached_us;
         let lookup_us = match self.lookup_uncharged(key) {
-            Ok((rec, us)) => {
+            Ok((nid, us)) => {
                 self.charge(us);
-                return rec;
+                // Read again to lend, as `ElasticCache::query` does: the
+                // entry is already most recently used.
+                return match self.nodes.get_mut(nid).and_then(|n| n.get(&key)) {
+                    Some(rec) => Cow::Borrowed(rec),
+                    None => Cow::Owned(miss()),
+                };
             }
             Err(us) => us,
         };
@@ -114,7 +127,7 @@ impl StaticCache {
         self.metrics.service_us += uncached_us;
         let put_us = self.place(key, rec.clone());
         self.charge(lookup_us + uncached_us + put_us);
-        rec
+        Cow::Owned(rec)
     }
 
     /// Insert, displacing LRU records until the owning node fits. Records
@@ -170,24 +183,25 @@ impl StaticCache {
     }
 
     /// Look up without the service fallback.
-    pub fn lookup(&mut self, key: u64) -> Option<Record> {
-        let (found, us) = match self.lookup_uncharged(key) {
-            Ok((rec, us)) => (Some(rec), us),
+    pub fn lookup(&mut self, key: u64) -> Option<&Record> {
+        let (nid, us) = match self.lookup_uncharged(key) {
+            Ok((nid, us)) => (Some(nid), us),
             Err(us) => (None, us),
         };
         self.charge(us);
-        found
+        self.nodes.get_mut(nid?)?.get(&key)
     }
 
-    /// The lookup step of a query, priced but not charged. A hit makes the
-    /// record its node's most recently used.
-    fn lookup_uncharged(&mut self, key: u64) -> Result<(Record, u64), u64> {
+    /// The lookup step of a query, priced but not charged: the node
+    /// holding the record with the hit's cost, or the miss's cost. A hit
+    /// makes the record its node's most recently used.
+    fn lookup_uncharged(&mut self, key: u64) -> Result<(usize, u64), u64> {
         // The ring is populated at construction and never shrinks; an empty
         // resolution degrades to a miss rather than a crash.
-        let nid = self.ring.node_for_key(key).copied();
-        let found = nid
-            .and_then(|n| self.nodes.get_mut(n))
-            .and_then(|node| node.get(&key).cloned());
+        let found = self
+            .ring
+            .node_for_key(key)
+            .and_then(|&nid| Some((nid, self.nodes.get_mut(nid)?.get(&key)?.len())));
         self.charges.lookup(&mut self.metrics, found)
     }
 
@@ -227,6 +241,26 @@ mod tests {
         let m = cache.metrics();
         assert_eq!((m.hits, m.misses), (1, 1));
         assert!(m.speedup() > 0.0);
+    }
+
+    #[test]
+    fn a_hit_lends_the_stored_record_and_a_miss_clones_it() {
+        let mut cache = StaticCache::new(&cfg_records(8), 2);
+        let stored = |c: &mut StaticCache| -> (*const Record, *const u8) {
+            let r = c.nodes.iter_mut().find_map(|n| n.get(&7)).unwrap();
+            (r, r.as_slice().as_ptr())
+        };
+        let miss = cache.query(7, 1_000, || Record::filler(100));
+        let (owned, payload) = (matches!(miss, Cow::Owned(_)), miss.as_slice().as_ptr());
+        assert!(owned, "a miss returns a handle of its own");
+        let (copy, stored_payload) = stored(&mut cache);
+        assert_eq!(payload, stored_payload, "on the stored allocation");
+        let lent = match cache.query(7, 1_000, || unreachable!("must hit")) {
+            Cow::Borrowed(r) => Some(r as *const Record),
+            Cow::Owned(_) => None,
+        };
+        assert_eq!(lent, Some(copy), "a hit lends the stored copy");
+        assert_eq!((cache.metrics().hits, cache.metrics().misses), (1, 1));
     }
 
     #[test]

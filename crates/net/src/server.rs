@@ -241,10 +241,11 @@ pub(crate) fn handle(req: Request, node: &ShardedNode, obs: &ObsRegistry, out: &
         ),
         // Encoded from the registry part by part, each under its own
         // lock, straight into the write queue: no snapshot, no
-        // intermediate buffer. The dump carries the slab's mapping as of
-        // now.
+        // intermediate buffer. The dump carries the slab's mapping and
+        // the stripes' B+-tree node storage as of now.
         Request::ObsDump => {
             obs.set_gauge("mem_bytes:slab", node.arena().mapped_bytes());
+            obs.set_gauge("mem_bytes:tree", node.tree_bytes());
             out.push(Status::Ok as u8);
             obs.encode_dump_into(out);
         }

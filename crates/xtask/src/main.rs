@@ -524,7 +524,7 @@ fn obs_smoke() -> ExitCode {
     );
     // Where the surviving nodes' memory went, summed over nodes (a node
     // merged away leaves its events and histograms, not its gauges).
-    for gauge in ["mem_bytes:slab", "mem_bytes:conn_buf"] {
+    for gauge in ["mem_bytes:slab", "mem_bytes:tree", "mem_bytes:conn_buf"] {
         match snap.gauge(gauge) {
             Some(bytes) => println!("obs smoke: {gauge} = {bytes}"),
             None => return fail(&format!("cluster snapshot has no `{gauge}` gauge")),

@@ -35,14 +35,15 @@ fn main() {
         let key = service.linearizer().key(lat, lon, 0);
         let uncached = service.exec_time_for(key);
         let t0 = cache.clock().now_us();
-        let result = cache.query(key, uncached, || {
-            let out = service.execute_key(key);
-            Record::from_vec(out.shoreline.to_bytes())
-        });
+        let len = cache
+            .query(key, uncached, || {
+                let out = service.execute_key(key);
+                Record::from_vec(out.shoreline.to_bytes())
+            })
+            .len();
         let took = (cache.clock().now_us() - t0) as f64 / 1e6;
         println!(
-            "query ({lat:>6.2}, {lon:>7.2}) -> {:>4} B shoreline in {took:>7.3} s (virtual)",
-            result.len()
+            "query ({lat:>6.2}, {lon:>7.2}) -> {len:>4} B shoreline in {took:>7.3} s (virtual)"
         );
     }
 

@@ -29,7 +29,7 @@ fn geographic_queries_roundtrip_through_the_cache() {
         let rec = cache.query(key, service.exec_time_for(key), || {
             Record::from_vec(service.execute_key(key).shoreline.to_bytes())
         });
-        first.push(rec);
+        first.push(rec.into_owned());
     }
     assert_eq!(cache.metrics().misses, spots.len() as u64);
     for (i, &(lat, lon)) in spots.iter().enumerate() {
@@ -37,7 +37,7 @@ fn geographic_queries_roundtrip_through_the_cache() {
         let rec = cache.query(key, service.exec_time_for(key), || {
             unreachable!("second pass must hit")
         });
-        assert_eq!(rec, first[i]);
+        assert_eq!(*rec, first[i]);
         // The payload parses back to a real shoreline.
         let shoreline =
             elastic_cloud_cache::shoreline::extract::Shoreline::from_bytes(rec.as_slice())

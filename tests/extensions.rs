@@ -29,7 +29,7 @@ fn overflow_tier_avoids_rederiving_evicted_shorelines() {
         let r = cache.query(k, service.exec_time_for(k), || {
             Record::from_vec(service.execute_key(k).shoreline.to_bytes())
         });
-        originals.push(r);
+        originals.push(r.into_owned());
     }
     for _ in 0..3 {
         cache.end_time_step();
@@ -42,7 +42,7 @@ fn overflow_tier_avoids_rederiving_evicted_shorelines() {
         let r = cache.query(k, service.exec_time_for(k), || {
             unreachable!("tier must serve evicted key {k}")
         });
-        assert_eq!(r, originals[i], "tier corrupted key {k}");
+        assert_eq!(*r, originals[i], "tier corrupted key {k}");
     }
     assert_eq!(cache.metrics().tier_hits, 30);
     // A tier round-trip is milliseconds, not 23 s: the post-eviction pass
