@@ -774,7 +774,9 @@ impl<K: Ord + Clone, V: ByteSize, const CAP: usize> BPlusTree<K, V, CAP> {
 
     /// Remove and return every record with key in `[start, end]`, in key
     /// order. This is the destructive half of Sweep-and-Migrate: the caller
-    /// ships the returned records to the destination node.
+    /// ships the returned records to the destination node. The keys are
+    /// listed by one linked-leaf walk; each is then removed with its own
+    /// root-to-leaf descent and rebalance.
     pub fn drain_range(&mut self, start: &K, end: &K) -> Vec<(K, V)> {
         let keys = self.keys_in_range(start.clone()..=end.clone());
         let mut out = Vec::with_capacity(keys.len());

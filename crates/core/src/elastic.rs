@@ -4,7 +4,8 @@
 //! * **GBA-Insert** (Algorithm 1), **Sweep-and-Migrate** (Algorithm 2),
 //!   **eviction** and **contraction** (§III-B) are the [`Engine`]'s. This
 //!   cache is its substrate: a store is one B+-tree descent that decides
-//!   the fit at the leaf, a sweep is the B+-tree linked-leaf walk, moving
+//!   the fit at the leaf, a sweep lists the span's keys by walking the
+//!   B+-tree's linked leaves and removes each with its own descent, moving
 //!   a record charges `T_net`, allocating a node boots a cloud instance,
 //!   and an evicted record is written behind to the overflow tier.
 //!
@@ -122,6 +123,7 @@ impl ElasticCache {
             alloc_us: 0,
             tier_writes: 0,
             owed_us: 0,
+            evicted: Vec::new(),
         };
         Self {
             engine,
@@ -643,6 +645,9 @@ struct Fleet {
     tier_writes: u64,
     /// Charges an insert owes the clock; `store` settles them.
     owed_us: u64,
+    /// The records one `evict` removed, dropped after its removal loop so
+    /// no refcount release stalls the next victim's descent; reused.
+    evicted: Vec<Record>,
 }
 
 impl Fleet {
@@ -713,8 +718,9 @@ impl Substrate for Fleet {
     }
 
     /// The destructive sweep: drain each ascending run of `records` (one
-    /// per span) from `src` with one linked-leaf walk, charging `T_net`
-    /// per record.
+    /// per span) from `src` — a linked-leaf walk lists the run's keys, then
+    /// each is removed with its own root-to-leaf descent — charging
+    /// `T_net` per record.
     fn migrate(
         &mut self,
         src: NodeId,
@@ -738,6 +744,7 @@ impl Substrate for Fleet {
 
     /// Remove each victim from its node, writing it behind to the overflow
     /// tier (off the query path; the write proceeds between time steps).
+    /// The removed records are released together after the loop.
     fn evict(&mut self, victims: &mut Vec<(u64, NodeId)>) -> Result<(), CacheError> {
         victims.retain(|&(key, nid)| {
             let Some(rec) = node_mut(&mut self.nodes, nid)
@@ -751,8 +758,10 @@ impl Substrate for Fleet {
                 self.clock.advance_us(dur);
                 self.tier_writes += 1;
             }
+            self.evicted.push(rec);
             true
         });
+        self.evicted.clear();
         Ok(())
     }
 

@@ -9,7 +9,8 @@
 //!   **GBA-Insert** (Algorithm 1: split the fullest bucket of an overflowed
 //!   node at its median key and migrate the lower half greedily to the
 //!   least-loaded existing node, allocating a new cloud node only as a last
-//!   resort), **Sweep-and-Migrate** (Algorithm 2: linked-leaf range sweep),
+//!   resort), **Sweep-and-Migrate** (Algorithm 2: a linked-leaf walk lists
+//!   the span's keys, then each is removed with its own descent),
 //!   sliding-window **eviction** (decay-scored, §III-B) and conservative
 //!   node **contraction**.
 //! * [`engine`] — the elastic operations (split, step close, merge),
@@ -86,7 +87,7 @@ pub use lru::Lru;
 pub use metrics::Metrics;
 pub use node::CacheNode;
 pub use record::Record;
-pub use shard::{PutOutcome, ShardAuditError, ShardedNode, DEFAULT_STRIPES};
+pub use shard::{PutOutcome, ShardAuditError, ShardedNode, DEFAULT_STRIPES, GET_BATCH};
 pub use slab::{ClassStats, SizeClasses, SlabArena, SlabRef, SLOT_HEADER};
 pub use static_cache::StaticCache;
 pub use warmpool::WarmPool;

@@ -327,6 +327,34 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_read_holds_its_stripes_together_then_a_second_batch_starts_afresh() {
+        // One batch: structural, then its stripes ascending, all held.
+        let batch = |stripes: &[usize]| {
+            let s = acquire(LockClass::Structural);
+            let guards: Vec<LockToken> = stripes
+                .iter()
+                .map(|&i| acquire(LockClass::Stripe(i)))
+                .collect();
+            assert_eq!(guards.len() + 1, held().len());
+            drop(guards);
+            drop(s);
+            assert_quiescent();
+        };
+        batch(&[1, 4, 9]);
+        // The same thread's next batch may start below the last one's top.
+        batch(&[0, 2, 9, 15]);
+
+        // Descending inside a batch is the inversion the order forbids.
+        let s = acquire(LockClass::Structural);
+        let hi = acquire(LockClass::Stripe(9));
+        let descending = std::panic::catch_unwind(|| acquire(LockClass::Stripe(4)));
+        assert!(descending.is_err(), "a descending batch must panic");
+        drop(hi);
+        drop(s);
+        assert_quiescent();
+    }
+
+    #[test]
     fn acquire_panics_on_inversion() {
         let _structural_after = try_acquire(LockClass::Stripe(0)).expect("stripe");
         let result = std::panic::catch_unwind(|| acquire(LockClass::Structural));

@@ -100,8 +100,9 @@ impl CacheNode {
     }
 
     /// Remove and return all records in the inclusive key range, in order —
-    /// the destructive sweep of Algorithm 2 (search the start leaf, walk
-    /// the linked leaves, delete as you go).
+    /// the destructive sweep of Algorithm 2: a linked-leaf walk lists the
+    /// range's keys, then each is removed with its own root-to-leaf
+    /// descent and rebalance ([`BPlusTree::drain_range`]).
     pub fn drain_range(&mut self, lo: u64, hi: u64) -> Vec<(u64, Record)> {
         self.tree.drain_range(&lo, &hi)
     }

@@ -91,7 +91,7 @@ impl Record {
     /// the zero-copy hand-off of an evicted record to the overflow tier's
     /// write-behind. Wire responses do not need it: a `Get` or a `GetMany`
     /// entry is copied straight from the record in place (see
-    /// [`crate::ShardedNode::get_with`]). The returned [`Bytes`] owns a
+    /// [`crate::ShardedNode::get_many_with`]). The returned [`Bytes`] owns a
     /// clone of the record's handle, so the payload (for a slab record,
     /// the slot, kept out of the freelist) stays live until the view is
     /// dropped.

@@ -35,8 +35,10 @@
 //! any stripe lock; stripe locks only in ascending stripe index; the slab
 //! arena's per-class page/freelist mutexes are leaves below every stripe
 //! (records drop — and free slots — while a stripe guard is held); the
-//! accounting atomics participate in no lock order. Point ops hold
-//! `structural.read` + exactly one stripe lock; structural ops hold
+//! accounting atomics participate in no lock order. A write holds
+//! `structural.read` + exactly one stripe lock; a batch read holds
+//! `structural.read` + the read locks of its keys' stripes, taken in
+//! ascending index and held together; structural ops hold
 //! `structural.write` + stripes in ascending order, one at a time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,6 +53,19 @@ use crate::slab::{self, ClassStats, SlabArena};
 
 /// Default stripe count for the wire server (must be a power of two).
 pub const DEFAULT_STRIPES: usize = 16;
+
+/// Most stripes a node has: a batch read's stripe set is one `u64` mask.
+const MAX_STRIPES: usize = 64;
+
+/// Most keys one batch read serves under one set of stripe guards
+/// ([`ShardedNode::get_many_with`]).
+pub const GET_BATCH: usize = 32;
+
+/// A batch read also ends once the records it lent reach this many
+/// payload bytes, so a stripe writer waits for at most this much copying
+/// plus one record's, whatever the values' size (DESIGN.md §12 prices
+/// it).
+const BATCH_BYTES: usize = 64 * 1024;
 
 /// Multiplicative (Fibonacci) hash spreading adjacent keys — which the
 /// paper's range semantics make *likely* — across stripes.
@@ -116,6 +131,30 @@ impl std::fmt::Display for ShardAuditError {
 
 impl std::error::Error for ShardAuditError {}
 
+/// One stripe's audited read guard.
+type StripeRead<'a> = Ordered<RwLockReadGuard<'a, BPlusTree<u64, Record>>>;
+
+/// The locks of a batch read of at most `N` keys: the read guards of its
+/// stripes, in ascending stripe order, then `structural.read`. Fields drop
+/// in order, so the stripes are released before the structural lock.
+struct StripeReads<'a, const N: usize> {
+    mask: usize,
+    /// Bit `i` set: stripe `i` is held, its guard at the rank of bit `i`.
+    held: u64,
+    guards: [Option<StripeRead<'a>>; N],
+    _structural: Ordered<RwLockReadGuard<'a, ()>>,
+}
+
+impl<const N: usize> StripeReads<'_, N> {
+    /// Look `key` up in its stripe, which must be one of the batch's.
+    #[inline]
+    fn get(&self, key: u64) -> Option<&Record> {
+        let below = (1u64 << stripe_of(key, self.mask)) - 1;
+        let slot = (self.held & below).count_ones() as usize;
+        self.guards.get(slot)?.as_ref()?.get(&key)
+    }
+}
+
 /// A cache-server index that scales with cores: hash-striped B+-trees,
 /// atomic accounting, a slab payload arena, and a structural lock for
 /// range ops.
@@ -154,9 +193,9 @@ impl std::fmt::Debug for ShardedNode {
 impl ShardedNode {
     /// A node with `capacity_bytes` of usable memory, B+-trees of
     /// `btree_order`, and `stripes` hash stripes (rounded up to a power
-    /// of two, minimum 1).
+    /// of two, from 1 to 64).
     pub fn new(capacity_bytes: u64, btree_order: usize, stripes: usize) -> Self {
-        let n = stripes.max(1).next_power_of_two();
+        let n = stripes.clamp(1, MAX_STRIPES).next_power_of_two();
         let stripes: Vec<RwLock<BPlusTree<u64, Record>>> = (0..n)
             .map(|_| RwLock::new(BPlusTree::new(btree_order)))
             .collect();
@@ -279,17 +318,67 @@ impl ShardedNode {
         guard
     }
 
-    /// Look up a record and hand it to `f` by reference, under
-    /// `structural.read` + one stripe read lock — the one lookup path.
-    /// Nothing is cloned or allocated: a caller that only needs the bytes
-    /// (the wire `Get`) copies them out inside `f`, so writers of that
-    /// stripe wait for at most that one copy, and concurrent GETs never
-    /// exclude each other.
+    /// Take `structural.read`, then the read lock of every stripe the
+    /// first `N` of `keys` fall in, once each and in ascending index — the
+    /// locks of one batch read, held until the returned guards drop.
+    fn read_stripes<const N: usize>(&self, keys: &[u64]) -> StripeReads<'_, N> {
+        let structural = self.read_lock(&self.structural, LockClass::Structural);
+        let mut held = 0u64;
+        for &key in keys.iter().take(N) {
+            held |= 1 << stripe_of(key, self.mask);
+        }
+        let mut guards = [const { None }; N];
+        let mut wanted = held;
+        for guard in &mut guards {
+            if wanted == 0 {
+                break;
+            }
+            let i = wanted.trailing_zeros() as usize;
+            wanted &= wanted - 1;
+            *guard = Some(self.read_lock(&self.stripes[i], LockClass::Stripe(i)));
+        }
+        StripeReads {
+            mask: self.mask,
+            held,
+            guards,
+            _structural: structural,
+        }
+    }
+
+    /// Look up each key and hand its record to `f` by reference, in key
+    /// order — the one lookup path. The keys are served in batches of up
+    /// to [`GET_BATCH`] keys, a batch ending early once its records reach
+    /// 64 KiB of payload. A batch takes `structural.read` once and each of
+    /// its stripes' read locks once, in ascending index and held for the
+    /// whole batch, then makes every lookup with no lock operation in
+    /// between, so the cache misses of consecutive lookups overlap. A
+    /// batch is one linearizable read of its keys: no write lands between
+    /// two of its lookups. Nothing is cloned or allocated: a caller that
+    /// only needs the bytes (the wire `Get`) copies them out inside `f`,
+    /// so a writer of a batch's stripe waits for at most that batch's
+    /// copies, and concurrent readers never exclude each other.
+    pub fn get_many_with(&self, mut keys: &[u64], mut f: impl FnMut(Option<&Record>)) {
+        while !keys.is_empty() {
+            let batch = &keys[..keys.len().min(GET_BATCH)];
+            let reads = self.read_stripes::<GET_BATCH>(batch);
+            let (mut served, mut lent) = (0, 0);
+            for &key in batch {
+                let rec = reads.get(key);
+                lent += rec.map_or(0, Record::len);
+                f(rec);
+                served += 1;
+                if lent >= BATCH_BYTES {
+                    break;
+                }
+            }
+            keys = &keys[served..];
+        }
+    }
+
+    /// [`Self::get_many_with`] for one key: a batch of one.
     pub fn get_with<T>(&self, key: u64, f: impl FnOnce(Option<&Record>) -> T) -> T {
-        let _structural = self.read_lock(&self.structural, LockClass::Structural);
-        let idx = stripe_of(key, self.mask);
-        let stripe = self.read_lock(&self.stripes[idx], LockClass::Stripe(idx));
-        f(stripe.get(&key))
+        let reads = self.read_stripes::<1>(&[key]);
+        f(reads.get(key))
     }
 
     /// Look up a record; the returned clone shares the payload allocation
@@ -587,6 +676,108 @@ mod tests {
         let seen = n.get_with(7, |r| r.map(|r| (r.as_slice().as_ptr(), r.len())));
         assert_eq!(seen, Some((stored, 100)));
         assert!(n.get_with(8, |r| r.is_none()));
+    }
+
+    #[test]
+    fn get_many_with_answers_in_key_order_across_batches() {
+        let n = ShardedNode::new(1 << 20, 8, DEFAULT_STRIPES);
+        for key in (0..200u64).step_by(2) {
+            assert_eq!(n.put_slice(key, &[key as u8; 3]), PutOutcome::Stored);
+        }
+        // More keys than one batch, repeats, misses and every stripe.
+        let keys: Vec<u64> = (0..3 * GET_BATCH as u64 + 5).map(|i| i * 7 % 211).collect();
+        let mut seen = Vec::new();
+        n.get_many_with(&keys, |r| seen.push(r.map(|r| r.as_slice()[0])));
+        let want: Vec<Option<u8>> = keys
+            .iter()
+            .map(|&k| (k % 2 == 0 && k < 200).then_some(k as u8))
+            .collect();
+        assert_eq!(seen, want);
+        crate::lockorder::assert_quiescent();
+        n.get_many_with(&[], |_| unreachable!("no keys, no call"));
+
+        // Values large enough that a batch ends at its byte bound, after
+        // two of them: every key is still answered, in order.
+        for key in 300..305u64 {
+            assert_eq!(
+                n.put_slice(key, &vec![key as u8; 40_000]),
+                PutOutcome::Stored
+            );
+        }
+        let keys = [304, 7, 300, 303, 1, 302, 301, 304];
+        let mut seen = Vec::new();
+        n.get_many_with(&keys, |r| seen.push(r.map(|r| (r.len(), r.as_slice()[0]))));
+        let want: Vec<_> = keys
+            .iter()
+            .map(|&k| (k >= 300).then_some((40_000, k as u8)))
+            .collect();
+        assert_eq!(seen, want);
+        crate::lockorder::assert_quiescent();
+    }
+
+    /// The writer wait behind DESIGN.md §12's batch bounds. For values of
+    /// 64 B, 2 KiB and the top slab class (76 992 B payload, 77 000 B
+    /// slot), a reader reads the same 32 keys back to back with
+    /// `get_many_with`, copying into a fresh buffer as a cold
+    /// connection's write queue grows, while a writer keeps replacing one
+    /// of them. Prints each call's time and the writer's
+    /// `lock_wait_us:stripe`. Run it with `cargo test --release -p
+    /// ecc-core --lib -- --ignored writer_wait --nocapture`.
+    #[test]
+    #[ignore = "timing probe; prints, asserts nothing about speed"]
+    fn writer_wait_behind_back_to_back_batch_reads() {
+        use ecc_obs::TimeSource;
+        use std::sync::atomic::AtomicBool;
+
+        assert_eq!(slab::footprint(76_992), 77_000);
+        for len in [64, 2048, 76_992] {
+            let obs = ObsRegistry::new(TimeSource::real());
+            let n = ShardedNode::new(1 << 30, 64, DEFAULT_STRIPES).with_obs(obs.clone());
+            let keys: Vec<u64> = (0..GET_BATCH as u64).collect();
+            let value = vec![7u8; len];
+            for &k in &keys {
+                assert_eq!(n.put_slice(k, &value), PutOutcome::Stored);
+            }
+            let done = AtomicBool::new(false);
+            let mut calls = Vec::new();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    while !done.load(Ordering::Acquire) {
+                        n.put_slice(0, &value);
+                    }
+                });
+                let clock = TimeSource::real();
+                for _ in 0..2_000 {
+                    let mut out: Vec<u8> = Vec::new();
+                    let t0 = clock.now_us();
+                    n.get_many_with(&keys, |r| {
+                        out.extend_from_slice(r.map_or(&[], |r| r.as_slice()))
+                    });
+                    calls.push(clock.now_us() - t0);
+                    assert_eq!(out.len(), GET_BATCH * len);
+                }
+                done.store(true, Ordering::Release);
+            });
+            calls.sort_unstable();
+            let snap = obs.snapshot();
+            let waits = snap.hist("lock_wait_us:stripe");
+            eprintln!(
+                "{GET_BATCH} x {len} B: call p50 {} us, max {} us; writer waits {}, p50 {:?} p90 {:?} max {:?} us",
+                calls[calls.len() / 2],
+                calls[calls.len() - 1],
+                waits.map_or(0, |h| h.count()),
+                waits.map(|h| h.p50()),
+                waits.map(|h| h.p90()),
+                waits.and_then(|h| h.max()),
+            );
+        }
+    }
+
+    #[test]
+    fn stripe_count_is_capped_at_one_mask_word() {
+        assert_eq!(ShardedNode::new(1, 8, 1000).stripe_count(), MAX_STRIPES);
+        assert_eq!(ShardedNode::new(1, 8, 0).stripe_count(), 1);
+        assert_eq!(ShardedNode::new(1, 8, 5).stripe_count(), 8);
     }
 
     #[test]

@@ -36,9 +36,18 @@
 //!
 //! Unix only: `poll` and the waker pair are the platform's.
 //!
+//! Batched reads: a sweep collects consecutive unsampled `Get` frames, up
+//! to [`GET_BATCH`], and serves them with one
+//! [`ShardedNode::get_many_with`] — the structural lock, each stripe's
+//! read lock and the clock once per run instead of once per frame, so the
+//! cache misses of the run's lookups overlap. Their replies are appended
+//! in request order. Any other frame, a sampled `Get` included, first
+//! serves the run before it, then is served alone as before.
+//!
 //! Observability: nothing shared is touched per frame. A reactor keeps one
 //! `SweepObs` per node it serves — `server_op_us:<op>` (one clock read per
-//! frame, when its response is queued), `reactor_frames_per_wake`,
+//! frame or run of GETs, when its responses are queued; a run's span is
+//! shared equally among its frames), `reactor_frames_per_wake`,
 //! `reactor_dispatch_us` (first clock read → responses flushed),
 //! `reactor_wake_us` (blocking wait returned → first byte read, charged to
 //! the node whose connection read it) and `frame_bytes_rx`/`_tx` — and
@@ -59,13 +68,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use ecc_core::ShardedNode;
+use ecc_core::{ShardedNode, GET_BATCH};
 use ecc_obs::{LogHistogram, ObsRegistry, TimeSource};
 
 use crate::protocol::{
     append_frame, decode_with_trace, release_buf, FrameAssembler, Op, Request, Status, TraceContext,
 };
-use crate::server::{handle, op_hist_name, reply};
+use crate::server::{get_reply, handle, op_hist_name, reply};
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 
 /// Default reactor-thread count: one per core up to 4. Cache serving is
@@ -345,6 +354,16 @@ impl SweepObs {
 
     fn record(&mut self, slot: usize, value: u64) {
         self.hists[slot].1.record(value);
+    }
+
+    /// Record `frames` samples in `slot` that share `span`: an equal share
+    /// each and the remainder on the last, so they add up to `span`.
+    fn record_shared(&mut self, slot: usize, span: u64, frames: u64) {
+        let share = span / frames.max(1);
+        for _ in 1..frames {
+            self.record(slot, share);
+        }
+        self.record(slot, span - share * frames.saturating_sub(1));
     }
 
     fn fold_into(&mut self, registry: &ObsRegistry) {
@@ -687,6 +706,37 @@ fn serve_traced(
     handle(req, &node.node, obs, out);
 }
 
+/// Serve a run of unsampled GETs (none: nothing to do) with one batch
+/// read, appending their replies in request order, and share the run's
+/// span, from `frame_start` to one clock read, equally among their
+/// `server_op_us:get` samples.
+fn serve_gets(
+    keys: &[u64],
+    node: &NodeCtx,
+    wbuf: &mut Vec<u8>,
+    obs: &mut SweepObs,
+    frame_start: &mut u64,
+) -> io::Result<()> {
+    if keys.is_empty() {
+        return Ok(());
+    }
+    let queued = wbuf.len();
+    let mut framed = Ok(());
+    node.node.get_many_with(keys, |rec| {
+        if framed.is_ok() {
+            framed = append_frame(wbuf, |out| get_reply(out, rec));
+        }
+    });
+    framed?;
+    // Request boundary: the batch's guards are all released.
+    ecc_core::lockorder::assert_quiescent();
+    obs.bytes[TX].1 += (wbuf.len() - queued - 4 * keys.len()) as u64;
+    let now = node.obs.now_us();
+    obs.record_shared(Op::Get as usize, now - *frame_start, keys.len() as u64);
+    *frame_start = now;
+    Ok(())
+}
+
 /// Per-sweep verdict for one connection.
 enum Sweep {
     /// Keep the connection; `true` if any bytes or frames moved.
@@ -745,10 +795,14 @@ fn sweep_conn(
         0
     };
     // Where the next frame's `server_op_us` sample starts: the clock is
-    // read once per frame, when its response is queued.
+    // read once per frame, or once per run of GETs, when its responses
+    // are queued.
     let mut frame_start = t_wake;
     let mut dispatched: u64 = 0;
     let mut framing_error: Option<io::Error> = None;
+    // The keys of the run of unsampled GETs not yet served.
+    let mut run = [0u64; GET_BATCH];
+    let mut in_run = 0;
     let Conn { asm, wbuf, .. } = conn;
     loop {
         let frame = match asm.next_frame() {
@@ -764,9 +818,24 @@ fn sweep_conn(
             }
         };
         obs.bytes[RX].1 += frame.len() as u64;
+        dispatched += 1;
+        let decoded = decode_with_trace(frame);
+        if let Some((ctx, Request::Get { key })) = &decoded {
+            if !ctx.is_some_and(|c| c.sampled) {
+                run[in_run] = *key;
+                in_run += 1;
+                if in_run == GET_BATCH {
+                    let keys = &run[..std::mem::take(&mut in_run)];
+                    serve_gets(keys, node, wbuf, obs, &mut frame_start)?;
+                }
+                continue;
+            }
+        }
+        let keys = &run[..std::mem::take(&mut in_run)];
+        serve_gets(keys, node, wbuf, obs, &mut frame_start)?;
         let queued = wbuf.len();
         let mut slot = 0;
-        append_frame(wbuf, |out| match decode_with_trace(frame) {
+        append_frame(wbuf, |out| match decoded {
             Some((ctx, req)) => {
                 slot = req.op() as usize;
                 // The dump must hold every frame served before it, the
@@ -787,8 +856,9 @@ fn sweep_conn(
         let now = node.obs.now_us();
         obs.record(slot, now - frame_start);
         frame_start = now;
-        dispatched += 1;
     }
+    let keys = &run[..in_run];
+    serve_gets(keys, node, wbuf, obs, &mut frame_start)?;
     if dispatched > 0 {
         progress = true;
         obs.record(FRAMES_PER_WAKE, dispatched);
@@ -815,4 +885,26 @@ fn sweep_conn(
         return Ok(Sweep::Close);
     }
     Ok(Sweep::Progress(progress))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_shared_span_is_split_into_samples_that_add_up_to_it() {
+        let get = Op::Get as usize;
+        // (span, frames) → (count, sum, min, max) of the samples.
+        let split = |span, frames| {
+            let mut obs = SweepObs::new();
+            obs.record_shared(get, span, frames);
+            let h = &obs.hists[get].1;
+            (h.count(), h.sum(), h.min(), h.max())
+        };
+        // Equal shares, the remainder on the last frame.
+        assert_eq!(split(7, 3), (3, 7, Some(2), Some(3)));
+        assert_eq!(split(2, 5), (5, 2, Some(0), Some(2)));
+        assert_eq!(split(9, 1), (1, 9, Some(9), Some(9)));
+        assert_eq!(split(32, 32), (32, 32, Some(1), Some(1)));
+    }
 }

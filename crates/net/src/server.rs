@@ -188,14 +188,9 @@ impl Drop for CacheServer {
 /// from the reactor threads, one pipelined frame at a time.
 pub(crate) fn handle(req: Request, node: &ShardedNode, obs: &ObsRegistry, out: &mut Vec<u8>) {
     match req {
-        // The hit is copied out of the stored record under the stripe read
-        // guard — the one payload copy a GET makes in user space (the
-        // socket write is the kernel's). No record clone, no `Bytes`, no
-        // allocation; a writer of that stripe waits for at most this copy.
-        Request::Get { key } => node.get_with(key, |rec| match rec {
-            Some(rec) => reply(out, Status::Ok, rec.as_slice()),
-            None => reply(out, Status::NotFound, &[]),
-        }),
+        // A batch of one; the reactor serves a run of unsampled GETs with
+        // one batch read instead.
+        Request::Get { key } => node.get_with(key, |rec| get_reply(out, rec)),
         Request::Put { key, value } => reply(out, put_status(node.put_slice(key, value)), &[]),
         // One batch, its values still in the read buffer; each verdict is
         // appended to the reply as it is decided. A refused item never
@@ -205,16 +200,14 @@ pub(crate) fn handle(req: Request, node: &ShardedNode, obs: &ObsRegistry, out: &
             out.put_u32_le(items.len() as u32);
             node.put_many(&items, |verdict| out.push(put_status(verdict) as u8));
         }
-        // Like `Get`, entry by entry: each value is copied from its record
-        // into the write queue under that key's stripe guard.
+        // Batch reads, entry by entry: each value is copied from its
+        // record into the write queue under its stripe's read guard.
         Request::GetMany { keys } => {
             out.push(Status::Ok as u8);
             out.put_u32_le(keys.len() as u32);
-            for key in keys {
-                node.get_with(key, |rec| {
-                    encode_get_many_entry(out, rec.map(Record::as_slice));
-                });
-            }
+            node.get_many_with(&keys, |rec| {
+                encode_get_many_entry(out, rec.map(Record::as_slice));
+            });
         }
         Request::EvictMany { keys } => {
             out.push(Status::Ok as u8);
@@ -249,6 +242,18 @@ pub(crate) fn handle(req: Request, node: &ShardedNode, obs: &ObsRegistry, out: &
             out.push(Status::Ok as u8);
             obs.encode_dump_into(out);
         }
+    }
+}
+
+/// Append a GET's response payload. A hit is copied out of the stored
+/// record under its stripe's read guard — the one payload copy a GET
+/// makes in user space (the socket write is the kernel's). No record
+/// clone, no `Bytes`, no allocation.
+#[inline]
+pub(crate) fn get_reply(out: &mut Vec<u8>, rec: Option<&Record>) {
+    match rec {
+        Some(rec) => reply(out, Status::Ok, rec.as_slice()),
+        None => reply(out, Status::NotFound, &[]),
     }
 }
 
@@ -633,6 +638,114 @@ mod tests {
         // so none waits and none has a lock_wait span.
         assert_eq!(stats.spans, 1024);
         server.stop();
+    }
+
+    #[test]
+    fn a_mixed_burst_answers_byte_for_byte_as_its_frames_served_alone() {
+        use crate::protocol::{append_frame, encode_traced_into, read_frame, write_frame};
+        use crate::protocol::{decode_with_trace, TraceContext};
+        use ecc_core::GET_BATCH;
+        use std::io::Write;
+
+        let traced = |sampled, key| {
+            let ctx = TraceContext {
+                trace_id: 7,
+                span_id: 8,
+                parent_span_id: 0,
+                sampled,
+            };
+            let mut b = Vec::new();
+            encode_traced_into(&ctx, &Request::Get { key }, &mut b);
+            b
+        };
+        let plain = |req: Request| {
+            let mut b = Vec::new();
+            req.encode_into(&mut b);
+            b
+        };
+        let mut frames = vec![
+            plain(Request::Put {
+                key: 1,
+                value: b"one",
+            }),
+            plain(Request::Put {
+                key: 2,
+                value: &[2; 300],
+            }),
+        ];
+        // A run longer than one batch, of hits (1, 2) and misses.
+        frames.extend((0..GET_BATCH as u64 + 8).map(|k| plain(Request::Get { key: k % 5 })));
+        frames.extend([
+            traced(true, 1),
+            traced(false, 2),
+            plain(Request::Get { key: 2 }),
+            plain(Request::GetMany {
+                keys: vec![1, 9, 2],
+            }),
+            plain(Request::Get { key: 9 }),
+            plain(Request::Put {
+                key: 9,
+                value: b"nine",
+            }),
+            plain(Request::Get { key: 9 }),
+            plain(Request::Stats),
+            vec![0xFF, 1],
+            plain(Request::Get { key: 1 }),
+            plain(Request::Get { key: 3 }),
+        ]);
+        let gets = frames
+            .iter()
+            .filter(|f| matches!(decode_with_trace(f), Some((_, Request::Get { .. }))))
+            .count() as u64;
+
+        // Every reply, each frame sent alone or all in one write, then the
+        // node's registry once the server has stopped and folded it all.
+        let serve = |burst: bool| {
+            let mut server = CacheServer::spawn(1 << 20, 16).unwrap();
+            let mut raw = TcpStream::connect(server.addr()).unwrap();
+            raw.set_nodelay(true).unwrap();
+            if burst {
+                let mut buf = Vec::new();
+                for f in &frames {
+                    append_frame(&mut buf, |b| b.extend_from_slice(f)).unwrap();
+                }
+                raw.write_all(&buf).unwrap();
+            }
+            let mut replies = Vec::new();
+            for f in &frames {
+                if !burst {
+                    write_frame(&mut raw, f).unwrap();
+                }
+                let reply = read_frame(&mut raw).unwrap();
+                append_frame(&mut replies, |b| b.extend_from_slice(&reply)).unwrap();
+            }
+            server.stop();
+            (replies, server.obs().snapshot())
+        };
+        let (alone, alone_obs) = serve(false);
+        let (burst, burst_obs) = serve(true);
+        assert_eq!(burst, alone, "a batched sweep changed a reply");
+        let swept = burst_obs.hist("reactor_frames_per_wake").unwrap();
+        assert!(
+            swept.max() > Some(GET_BATCH as u64),
+            "the burst took one sweep"
+        );
+
+        for obs in [&alone_obs, &burst_obs] {
+            // One `server_op_us:get` sample per GET frame, batched or not.
+            let get = obs.hist("server_op_us:get").unwrap();
+            assert_eq!(get.count(), gets);
+            // A sweep's op samples add up to its span, which ends before
+            // its `reactor_dispatch_us` sample does.
+            let ops: u64 = obs
+                .hists
+                .iter()
+                .filter(|(name, _)| name.starts_with("server_op_us:"))
+                .map(|(_, h)| h.sum())
+                .sum();
+            let dispatch = obs.hist("reactor_dispatch_us").unwrap();
+            assert!(ops <= dispatch.sum(), "{ops} us of ops in {dispatch:?}");
+        }
     }
 
     #[test]

@@ -383,6 +383,12 @@ pub enum ModelOp {
         /// Record key.
         key: u64,
     },
+    /// `get_many_with(keys)` — one batch read, each answer checked
+    /// against the oracle in key order.
+    GetMany {
+        /// Keys to read, in order.
+        keys: [u64; 2],
+    },
     /// `remove(key)` — result checked against the oracle.
     Remove {
         /// Record key.
@@ -449,6 +455,16 @@ fn run_node_ops(
                 let want = oracle.get(&key).copied();
                 if got != want {
                     return Err(format!("get({key}) = {got:?}, oracle says {want:?}"));
+                }
+            }
+            ModelOp::GetMany { keys } => {
+                let mut got = Vec::with_capacity(keys.len());
+                node.get_many_with(&keys, |r| got.push(r.map(Record::len)));
+                let want: Vec<_> = keys.iter().map(|k| oracle.get(k).copied()).collect();
+                if got != want {
+                    return Err(format!(
+                        "get_many({keys:?}) = {got:?}, oracle says {want:?}"
+                    ));
                 }
             }
             ModelOp::Remove { key } => {
@@ -545,9 +561,9 @@ pub fn explore_node_ops(
 // The suite behind `cargo xtask interleave`
 // ---------------------------------------------------------------------
 
-/// The standard op mix: three threads racing puts/gets/removes/audits on
-/// overlapping keys near the capacity limit, where admission decisions
-/// are schedule-dependent in the buggy world.
+/// The standard op mix: three threads racing puts/gets/batch reads/
+/// removes/audits on overlapping keys near the capacity limit, where
+/// admission decisions are schedule-dependent in the buggy world.
 fn standard_node_threads(smoke: bool) -> Vec<Vec<ModelOp>> {
     if smoke {
         vec![
@@ -555,6 +571,7 @@ fn standard_node_threads(smoke: bool) -> Vec<Vec<ModelOp>> {
                 ModelOp::Put { key: 1, len: 40 },
                 ModelOp::Put { key: 2, len: 40 },
                 ModelOp::Get { key: 1 },
+                ModelOp::GetMany { keys: [2, 1] },
             ],
             vec![
                 ModelOp::Put { key: 1, len: 60 },
@@ -578,6 +595,7 @@ fn standard_node_threads(smoke: bool) -> Vec<Vec<ModelOp>> {
                 ModelOp::Put { key: 3, len: 30 },
                 ModelOp::Audit,
                 ModelOp::Get { key: 3 },
+                ModelOp::GetMany { keys: [3, 1] },
             ],
         ]
     }
@@ -737,8 +755,8 @@ mod tests {
             &ExploreConfig::exhaustive(),
         );
         assert!(report.proven(), "{:?}", report.failures);
-        // C(6,3) = 20 interleavings of two 3-op threads.
-        assert_eq!(report.schedules, 20);
+        // C(7,3) = 35 interleavings of a 4-op and a 3-op thread.
+        assert_eq!(report.schedules, 35);
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Multi-threaded stress: concurrent writers, readers and a migration
-//! sweep against one node, checked two ways.
+//! Multi-threaded stress: concurrent writers, readers, a batched reader
+//! and a migration sweep against one node, checked two ways.
 //!
-//! * In-process: [`ShardedNode`] under N writers + M readers + a
-//!   concurrent drain/re-put "migration", then `check_invariants` and
-//!   flat-map agreement against a single-threaded `BTreeMap` model.
-//! * Over the wire: the same thread mix against a live [`CacheServer`],
+//! * In-process: [`ShardedNode`] under N writers + M readers + a batched
+//!   reader + a concurrent drain/re-put "migration", then
+//!   `check_invariants` and flat-map agreement against a single-threaded
+//!   `BTreeMap` model.
+//! * Over the wire: the same thread mix against a live [`CacheServer`]
+//!   (the batched reader pipelines windows of GETs, which the server
+//!   serves as batch reads),
 //!   with the final state compared **bit-exactly** — raw response frames
 //!   — against [`ModelServer`], the simtest differential oracle, fed the
 //!   same final contents.
@@ -19,9 +22,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use ecc_core::{PutOutcome, Record, ShardedNode};
-use ecc_net::client::RemoteNode;
-use ecc_net::protocol::{read_frame, write_frame, Request, Response};
+use std::time::Duration;
+
+use ecc_core::{PutOutcome, Record, ShardedNode, GET_BATCH};
+use ecc_net::client::{PipelinedConn, RemoteNode};
+use ecc_net::protocol::{read_frame, write_frame, Request, Response, Status};
 use ecc_net::server::CacheServer;
 use ecc_simtest::model::ModelServer;
 
@@ -64,6 +69,21 @@ fn expected_final() -> BTreeMap<u64, Vec<u8>> {
 /// A value observed for `key` mid-run must be one of the round values —
 /// same fill byte, a generated length. Detects torn payloads and
 /// cross-key mixups under concurrency.
+/// The `i`-th window of keys a batched reader asks for: writer keys and
+/// migration keys, each twice.
+fn batch_keys(i: u64) -> Vec<u64> {
+    let half = (GET_BATCH / 2) as u64;
+    let keys = (0..half).map(|j| {
+        let k = (i * 37 + j * 101) % (WRITERS * 1_000 + 64);
+        if k < WRITERS * 1_000 {
+            k
+        } else {
+            MIG_LO + (k - WRITERS * 1_000)
+        }
+    });
+    keys.flat_map(|k| [k, k]).collect()
+}
+
 fn assert_value_integrity(key: u64, v: &[u8]) {
     let fill = (key % 251) as u8;
     assert!(v.iter().all(|&b| b == fill), "torn payload for key {key}");
@@ -111,6 +131,31 @@ fn sharded_node_stress_matches_flat_model() {
                     let key = (state >> 33) % (WRITERS * 1_000);
                     if let Some(rec) = node.get(key) {
                         assert_value_integrity(key, rec.as_slice());
+                    }
+                }
+            });
+        }
+        // A batched reader. A batch is one linearizable read, so a key
+        // asked for twice in one batch reads the same stored record both
+        // times, whatever the writers and the drain do around it.
+        {
+            let node = Arc::clone(&node);
+            let stop = Arc::clone(&stop);
+            scope.spawn(move || {
+                let mut i = 0;
+                while !stop.load(Ordering::Acquire) {
+                    let keys = batch_keys(i);
+                    i += 1;
+                    let mut seen = Vec::with_capacity(keys.len());
+                    node.get_many_with(&keys, |r| {
+                        if let Some(r) = r {
+                            assert_value_integrity(keys[seen.len()], r.as_slice());
+                        }
+                        seen.push(r.map(|r| (r.as_slice().as_ptr(), r.len())));
+                    });
+                    assert_eq!(seen.len(), keys.len());
+                    for (pair, key) in seen.chunks(2).zip(keys.chunks(2)) {
+                        assert_eq!(pair[0], pair[1], "key {} changed inside a batch", key[0]);
                     }
                 }
             });
@@ -207,6 +252,30 @@ fn wire_stress_matches_model_server_bit_exactly() {
                     let key = (state >> 33) % (WRITERS * 1_000);
                     if let Some(v) = c.get(key).unwrap() {
                         assert_value_integrity(key, &v);
+                    }
+                }
+            });
+        }
+        // A batched reader: one pipelined window of GETs per write.
+        {
+            let stop = Arc::clone(&stop);
+            scope.spawn(move || {
+                let mut c = PipelinedConn::connect(addr, Duration::from_secs(10)).unwrap();
+                let mut i = 0;
+                while !stop.load(Ordering::Acquire) {
+                    let keys = batch_keys(i);
+                    i += 1;
+                    for &key in &keys {
+                        c.enqueue(&Request::Get { key }).unwrap();
+                    }
+                    c.flush().unwrap();
+                    for &key in &keys {
+                        let (status, body) = c.recv().unwrap();
+                        match status {
+                            Status::Ok => assert_value_integrity(key, body),
+                            Status::NotFound => assert!(body.is_empty()),
+                            other => panic!("GET {key} answered {other:?}"),
+                        }
                     }
                 }
             });
