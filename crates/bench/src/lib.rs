@@ -3,8 +3,8 @@
 //! Every binary in `src/bin/` regenerates one of the paper's figures (see
 //! DESIGN.md §4 for the index). This library holds what they share: the
 //! paper-constant cache configuration, the padded-record service adapter,
-//! the eviction-experiment runner behind Figures 5–7, and small CSV/arg
-//! helpers.
+//! the eviction-experiment runner behind Figures 5–7, the scenario-zoo
+//! runner ([`scenario`]), and small CSV/arg helpers.
 
 #![deny(unsafe_code)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]

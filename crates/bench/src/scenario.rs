@@ -1,6 +1,7 @@
 //! Drive zoo scenarios through the elastic cache under virtual time.
 //!
-//! This is the cloudsim leg of the scenario zoo: the deterministic
+//! This is the cloudsim leg of the scenario zoo, run by the `scenario_zoo`
+//! binary at each scenario's default horizon: the deterministic
 //! `(step, op, key)` stream that simtest's `workload` family also replays
 //! is fed to an in-process [`ElasticCache`] on its virtual clock, so elasticity
 //! policies see millions of simulated queries in milliseconds of wall

@@ -719,10 +719,13 @@ mod tests {
     /// 64 B, 2 KiB and the top slab class (76 992 B payload, 77 000 B
     /// slot), a reader reads the same 32 keys back to back with
     /// `get_many_with`, copying into a fresh buffer as a cold
-    /// connection's write queue grows, while a writer keeps replacing one
-    /// of them. Prints each call's time and the writer's
-    /// `lock_wait_us:stripe`. Run it with `cargo test --release -p
-    /// ecc-core --lib -- --ignored writer_wait --nocapture`.
+    /// connection's write queue grows, while a writer loops on one of two
+    /// things: replacing one of the keys (a stripe writer), or listing
+    /// every key with `keys_in_range` (a structural writer, as the
+    /// coordinator's re-sync and audit are). Prints each call's time and
+    /// the writer's `lock_wait_us:stripe` or `lock_wait_us:structural`.
+    /// Run it with `cargo test --release -p ecc-core --lib -- --ignored
+    /// writer_wait --nocapture`.
     #[test]
     #[ignore = "timing probe; prints, asserts nothing about speed"]
     fn writer_wait_behind_back_to_back_batch_reads() {
@@ -731,45 +734,51 @@ mod tests {
 
         assert_eq!(slab::footprint(76_992), 77_000);
         for len in [64, 2048, 76_992] {
-            let obs = ObsRegistry::new(TimeSource::real());
-            let n = ShardedNode::new(1 << 30, 64, DEFAULT_STRIPES).with_obs(obs.clone());
-            let keys: Vec<u64> = (0..GET_BATCH as u64).collect();
-            let value = vec![7u8; len];
-            for &k in &keys {
-                assert_eq!(n.put_slice(k, &value), PutOutcome::Stored);
-            }
-            let done = AtomicBool::new(false);
-            let mut calls = Vec::new();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    while !done.load(Ordering::Acquire) {
-                        n.put_slice(0, &value);
-                    }
-                });
-                let clock = TimeSource::real();
-                for _ in 0..2_000 {
-                    let mut out: Vec<u8> = Vec::new();
-                    let t0 = clock.now_us();
-                    n.get_many_with(&keys, |r| {
-                        out.extend_from_slice(r.map_or(&[], |r| r.as_slice()))
-                    });
-                    calls.push(clock.now_us() - t0);
-                    assert_eq!(out.len(), GET_BATCH * len);
+            for writer in ["stripe", "structural"] {
+                let obs = ObsRegistry::new(TimeSource::real());
+                let n = ShardedNode::new(1 << 30, 64, DEFAULT_STRIPES).with_obs(obs.clone());
+                let keys: Vec<u64> = (0..GET_BATCH as u64).collect();
+                let value = vec![7u8; len];
+                for &k in &keys {
+                    assert_eq!(n.put_slice(k, &value), PutOutcome::Stored);
                 }
-                done.store(true, Ordering::Release);
-            });
-            calls.sort_unstable();
-            let snap = obs.snapshot();
-            let waits = snap.hist("lock_wait_us:stripe");
-            eprintln!(
-                "{GET_BATCH} x {len} B: call p50 {} us, max {} us; writer waits {}, p50 {:?} p90 {:?} max {:?} us",
-                calls[calls.len() / 2],
-                calls[calls.len() - 1],
-                waits.map_or(0, |h| h.count()),
-                waits.map(|h| h.p50()),
-                waits.map(|h| h.p90()),
-                waits.and_then(|h| h.max()),
-            );
+                let done = AtomicBool::new(false);
+                let mut calls = Vec::new();
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        while !done.load(Ordering::Acquire) {
+                            match writer {
+                                "stripe" => drop(n.put_slice(0, &value)),
+                                _ => drop(n.keys_in_range(0, u64::MAX)),
+                            }
+                        }
+                    });
+                    let clock = TimeSource::real();
+                    for _ in 0..2_000 {
+                        let mut out: Vec<u8> = Vec::new();
+                        let t0 = clock.now_us();
+                        n.get_many_with(&keys, |r| {
+                            out.extend_from_slice(r.map_or(&[], |r| r.as_slice()))
+                        });
+                        calls.push(clock.now_us() - t0);
+                        assert_eq!(out.len(), GET_BATCH * len);
+                    }
+                    done.store(true, Ordering::Release);
+                });
+                calls.sort_unstable();
+                let snap = obs.snapshot();
+                let waits = snap.hist(&format!("lock_wait_us:{writer}"));
+                eprintln!(
+                    "{GET_BATCH} x {len} B, {writer} writer: call p50 {} us, max {} us; \
+                     writer waits {}, p50 {:?} p90 {:?} max {:?} us",
+                    calls[calls.len() / 2],
+                    calls[calls.len() - 1],
+                    waits.map_or(0, |h| h.count()),
+                    waits.map(|h| h.p50()),
+                    waits.map(|h| h.p90()),
+                    waits.and_then(|h| h.max()),
+                );
+            }
         }
     }
 

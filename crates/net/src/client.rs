@@ -1,16 +1,19 @@
 //! Client handle to one remote cache node.
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use bytes::Bytes;
+use ecc_core::ShardedNode;
 use ecc_obs::{ObsRegistry, SpanGuard};
 
 use crate::protocol::{
-    append_frame, decode_get_many, decode_keys, decode_stats, decode_statuses, encode_traced_into,
-    FrameAssembler, Op, Request, Status, TraceContext,
+    append_frame, decode_get_many, decode_keys, decode_stats, decode_statuses, decode_with_trace,
+    encode_traced_into, release_buf, FrameAssembler, Op, Request, Status, TraceContext,
 };
+use crate::reactor::serve_traced;
+use crate::server::{op_hist_name, reply};
 
 /// Static span kind for a client-side wire exchange (`wire:<op>`), so the
 /// traced path never allocates a label string.
@@ -40,7 +43,6 @@ pub(crate) fn wire_span_kind(op: Op) -> &'static str {
 /// span becomes its child in the merged trace.
 #[derive(Debug)]
 pub struct RemoteNode {
-    addr: SocketAddr,
     conn: PipelinedConn,
     obs: Option<ObsRegistry>,
 }
@@ -54,10 +56,27 @@ impl RemoteNode {
     /// [`RemoteNode::set_read_timeout`] sets one.
     pub fn connect(addr: SocketAddr) -> io::Result<RemoteNode> {
         Ok(RemoteNode {
-            addr,
             conn: PipelinedConn::over(TcpStream::connect(addr)?)?,
             obs: None,
         })
+    }
+
+    /// A client of `node` over a local link: the node is served on the
+    /// calling thread ([`LocalNode`]).
+    pub(crate) fn local(node: ShardedNode, obs: ObsRegistry) -> RemoteNode {
+        RemoteNode {
+            conn: PipelinedConn::with_link(Link::Local(Box::new(LocalNode::new(node, obs)))),
+            obs: None,
+        }
+    }
+
+    /// The node's answer to each later request is what `script` says:
+    /// a local link's fault injection.
+    #[cfg(test)]
+    pub(crate) fn script(&mut self, script: impl FnMut(&Request<'_>) -> Act + Send + 'static) {
+        if let Link::Local(node) = &mut self.conn.link {
+            node.script = Some(Box::new(script));
+        }
     }
 
     /// Attach the registry that records this connection's wire spans
@@ -73,12 +92,11 @@ impl RemoteNode {
     /// Bound how long any single response read may block (`None` removes
     /// the bound).
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.conn.stream.set_read_timeout(timeout)
-    }
-
-    /// The server's address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+        match &self.conn.link {
+            Link::Tcp(stream) => stream.set_read_timeout(timeout),
+            // A local read never waits.
+            Link::Local(_) => Ok(()),
+        }
     }
 
     /// One request/response exchange; the returned body borrows from the
@@ -261,13 +279,183 @@ pub(crate) fn obs_dump_reply(status: Status, body: &[u8]) -> io::Result<ecc_obs:
 /// the socket in bulk through a [`FrameAssembler`] (one `read` can deliver
 /// a whole burst of responses). With depth D in flight, per-request
 /// syscall cost approaches 2/D.
+///
+/// The byte stream is a socket, or a local link to a node served on the
+/// caller's thread; the framing is the same on both.
 #[derive(Debug)]
 pub struct PipelinedConn {
-    stream: TcpStream,
+    link: Link,
     asm: FrameAssembler,
     wbuf: Vec<u8>,
     in_flight: usize,
     io: IoStats,
+}
+
+/// The byte stream under a [`PipelinedConn`].
+#[derive(Debug)]
+enum Link {
+    /// A socket to a cache server.
+    Tcp(TcpStream),
+    /// A node served on the caller's thread.
+    Local(Box<LocalNode>),
+}
+
+impl Read for Link {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Link::Tcp(stream) => stream.read(buf),
+            Link::Local(node) => node.read(buf),
+        }
+    }
+}
+
+impl Write for Link {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Link::Tcp(stream) => stream.write(buf),
+            Link::Local(node) => node.write(buf),
+        }
+    }
+
+    /// Neither link buffers: a `TcpStream`'s flush is a no-op too.
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What a local link's fault script does with one request.
+#[cfg(test)]
+#[derive(Clone, Copy)]
+pub(crate) enum Act {
+    /// Serve it.
+    Forward,
+    /// Answer `BadRequest` without serving it.
+    Refuse,
+    /// Serve it, but answer `BadRequest`: the node applied it, the client
+    /// never learns so.
+    LoseAck,
+    /// Drop it and the requests behind it in the same write, unanswered,
+    /// so the reply read finds EOF, as on a dead node's socket. A dead
+    /// node's script hangs up on every request.
+    HangUp,
+}
+
+/// A local link's fault script: what the node does with each request.
+#[cfg(test)]
+type Script = Box<dyn FnMut(&Request<'_>) -> Act + Send>;
+
+/// A node served on the caller's thread: the far end of a local link.
+///
+/// A write serves each complete request frame through the reactor's
+/// per-frame path (decode, [`serve_traced`], then the node's
+/// `server_op_us:<op>` sample) and queues its reply frame; a read returns
+/// queued reply bytes, and `Ok(0)` once none are left, since no reply can
+/// come later. The production encoder, decoder, handler and reply decoder
+/// all stay on the path, with no socket, thread or kernel timing.
+struct LocalNode {
+    node: ShardedNode,
+    obs: ObsRegistry,
+    /// Request bytes not yet served: at most a partial frame.
+    requests: FrameAssembler,
+    /// Reply frames, unread from `read` on.
+    replies: Vec<u8>,
+    read: usize,
+    /// Decides each request's fate; every request is served without one.
+    #[cfg(test)]
+    script: Option<Script>,
+}
+
+impl std::fmt::Debug for LocalNode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LocalNode")
+            .field("node", &self.node)
+            .finish_non_exhaustive()
+    }
+}
+
+impl LocalNode {
+    fn new(node: ShardedNode, obs: ObsRegistry) -> LocalNode {
+        LocalNode {
+            node,
+            obs,
+            requests: FrameAssembler::new(),
+            replies: Vec::new(),
+            read: 0,
+            #[cfg(test)]
+            script: None,
+        }
+    }
+
+    /// Take request bytes, and serve every frame they complete.
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.requests.fill_from(&mut &*buf)?;
+        #[cfg(test)]
+        let script = &mut self.script;
+        let LocalNode {
+            node,
+            obs,
+            requests,
+            replies,
+            ..
+        } = self;
+        while let Some(frame) = requests.next_frame()? {
+            let decoded = decode_with_trace(frame);
+            #[cfg(test)]
+            if let (Some(script), Some((_, req))) = (script.as_mut(), &decoded) {
+                let refused = |out: &mut Vec<u8>| reply(out, Status::BadRequest, &[]);
+                match script(req) {
+                    Act::Forward => {}
+                    Act::Refuse => {
+                        append_frame(replies, refused)?;
+                        continue;
+                    }
+                    Act::LoseAck => {
+                        serve(node, obs, decoded, &mut Vec::new())?;
+                        append_frame(replies, refused)?;
+                        continue;
+                    }
+                    Act::HangUp => {
+                        *requests = FrameAssembler::new();
+                        break;
+                    }
+                }
+            }
+            serve(node, obs, decoded, replies)?;
+        }
+        requests.release();
+        Ok(n)
+    }
+
+    /// Hand out queued reply bytes.
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (&self.replies[self.read..]).read(buf)?;
+        self.read += n;
+        if self.read == self.replies.len() {
+            self.replies.clear();
+            self.read = 0;
+            release_buf(&mut self.replies);
+        }
+        Ok(n)
+    }
+}
+
+/// Serve one decoded request frame (`None`: undecodable) into `out` as a
+/// reactor does, and record its `server_op_us:<op>` sample.
+fn serve(
+    node: &ShardedNode,
+    obs: &ObsRegistry,
+    decoded: Option<(Option<TraceContext>, Request<'_>)>,
+    out: &mut Vec<u8>,
+) -> io::Result<()> {
+    let start = obs.now_us();
+    let op = decoded.as_ref().map(|(_, req)| req.op());
+    append_frame(out, |out| match decoded {
+        Some((ctx, req)) => serve_traced(ctx, req, node, obs, start, out),
+        None => reply(out, Status::BadRequest, &[]),
+    })?;
+    ecc_core::lockorder::assert_quiescent();
+    obs.record(op_hist_name(op), obs.now_us() - start);
+    Ok(())
 }
 
 /// What a [`PipelinedConn`] has moved over its socket: syscalls, frames
@@ -304,13 +492,17 @@ impl PipelinedConn {
     /// left them.
     fn over(stream: TcpStream) -> io::Result<PipelinedConn> {
         stream.set_nodelay(true)?;
-        Ok(PipelinedConn {
-            stream,
+        Ok(PipelinedConn::with_link(Link::Tcp(stream)))
+    }
+
+    fn with_link(link: Link) -> PipelinedConn {
+        PipelinedConn {
+            link,
             asm: FrameAssembler::new(),
             wbuf: Vec::new(),
             in_flight: 0,
             io: IoStats::default(),
-        })
+        }
     }
 
     /// Socket traffic since the connection was made.
@@ -346,7 +538,7 @@ impl PipelinedConn {
     /// Ship every buffered request in one write.
     pub fn flush(&mut self) -> io::Result<()> {
         if !self.wbuf.is_empty() {
-            self.stream.write_all(&self.wbuf)?;
+            self.link.write_all(&self.wbuf)?;
             self.io.writes += 1;
             self.io.bytes_tx += self.wbuf.len() as u64;
             self.wbuf.clear();
@@ -363,7 +555,7 @@ impl PipelinedConn {
     pub fn recv(&mut self) -> io::Result<(Status, &[u8])> {
         self.flush()?;
         while !self.asm.has_frame()? {
-            let n = self.asm.fill_from(&mut self.stream)?;
+            let n = self.asm.fill_from(&mut self.link)?;
             if n == 0 {
                 return Err(io::ErrorKind::UnexpectedEof.into());
             }

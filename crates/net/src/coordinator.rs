@@ -1,11 +1,17 @@
 //! The live coordinator: GBA over real sockets.
 //!
 //! Runs the elasticity engine ([`ecc_core::engine`]) that the simulated
-//! [`ecc_core::ElasticCache`] runs, over a cluster of TCP cache servers:
+//! [`ecc_core::ElasticCache`] runs, over a cluster of cache servers:
 //! every migration travels the wire as copy → ack → ring flip → delete,
 //! and registering a node with the process's reactor pool stands in for
 //! booting an EC2 instance: a split starts no thread and a merge joins
 //! none.
+//!
+//! The coordinator reaches a node only through its request interface: a
+//! [`RemoteNode`] whose byte stream is a socket to the node's server
+//! ([`LiveCoordinator::start`]) or a local link that serves the node on
+//! the coordinator's thread ([`LiveCoordinator::start_local`], a test
+//! seam). Both carry the same frames through the same codec and handler.
 //!
 //! One coordinator owns the ring and is the only writer, as in the paper
 //! (queries are "first sent to a coordinating compute node"). So it decides
@@ -37,7 +43,7 @@ use std::net::SocketAddr;
 use bytes::Bytes;
 use ecc_chash::HashRing;
 use ecc_core::engine::{Engine, Substrate};
-use ecc_core::{slab, SlidingWindow};
+use ecc_core::{slab, ShardedNode, SlidingWindow, DEFAULT_STRIPES};
 use ecc_obs::recorder::DEFAULT_CAPACITY;
 use ecc_obs::{ObsRegistry, ObsSnapshot, SpanGuard, TimeSource};
 
@@ -56,10 +62,11 @@ const CHUNK_BYTES: usize = 64 << 10;
 /// B+-tree order of every node's index.
 const BTREE_ORDER: usize = 64;
 
-/// One managed node: the in-process server plus the coordinator's client
-/// connection to it.
+/// One managed node: its registry, its in-process server (`None` on a
+/// local link) and the coordinator's client to it.
 struct ManagedNode {
-    server: CacheServer,
+    server: Option<CacheServer>,
+    obs: ObsRegistry,
     client: RemoteNode,
     /// Σ footprint of the node's records.
     used: u64,
@@ -124,6 +131,8 @@ struct Cluster {
     /// The fills being placed, batched by owner; `None` while none is.
     batches: Option<Batches>,
     capacity_bytes: u64,
+    /// New nodes are served on local links, not by TCP servers.
+    local: bool,
     /// Coordinator-side flight recorder + latency histograms.
     obs: ObsRegistry,
     /// Events and histograms of the nodes deallocated, until `cluster_obs`
@@ -154,6 +163,17 @@ pub struct LiveCoordinator {
 impl LiveCoordinator {
     /// Start a coordinator with one cache server of the given capacity.
     pub fn start(ring_range: u64, capacity_bytes: u64) -> io::Result<LiveCoordinator> {
+        Self::start_on(ring_range, capacity_bytes, false)
+    }
+
+    /// [`LiveCoordinator::start`] with every node on a local link instead
+    /// of a TCP server: a test seam with no socket, thread or kernel
+    /// timing, whose decisions and frames are those over TCP.
+    pub fn start_local(ring_range: u64, capacity_bytes: u64) -> io::Result<LiveCoordinator> {
+        Self::start_on(ring_range, capacity_bytes, true)
+    }
+
+    fn start_on(ring_range: u64, capacity_bytes: u64, local: bool) -> io::Result<LiveCoordinator> {
         // One clock epoch for the coordinator and every node it spawns, so
         // span intervals from different recorders are comparable after a
         // `cluster_obs` merge.
@@ -163,6 +183,7 @@ impl LiveCoordinator {
             ledger: HashMap::new(),
             batches: None,
             capacity_bytes,
+            local,
             obs: obs.clone(),
             retired: ObsSnapshot::new(),
         };
@@ -215,10 +236,11 @@ impl LiveCoordinator {
         Ok(own.merged(std::iter::once(retired).chain(nodes)))
     }
 
-    /// Address of node `id`'s cache server, if it is active.
+    /// Address of node `id`'s cache server, if it is active and not on a
+    /// local link.
     pub fn node_addr(&self, id: usize) -> Option<SocketAddr> {
-        let node = self.cluster.nodes.get(id).and_then(Option::as_ref);
-        node.map(|n| n.server.addr())
+        let node = self.cluster.nodes.get(id).and_then(Option::as_ref)?;
+        node.server.as_ref().map(CacheServer::addr)
     }
 
     /// Total `(bytes, records)` across nodes as the nodes report them,
@@ -371,13 +393,13 @@ impl LiveCoordinator {
         Ok(())
     }
 
-    /// Place the buffered fills, then stop every cache server. Returns the
-    /// placement's error, if any.
+    /// Place the buffered fills, then stop every cache server and drop
+    /// every local node. Returns the placement's error, if any.
     pub fn shutdown(&mut self) -> io::Result<()> {
         let placed = self.place();
         for slot in &mut self.cluster.nodes {
-            if let Some(mut node) = slot.take() {
-                node.server.stop();
+            if let Some(mut server) = slot.take().and_then(|node| node.server) {
+                server.stop();
             }
         }
         placed
@@ -685,24 +707,35 @@ impl Substrate for Cluster {
         Ok(Some(value))
     }
 
-    /// Start a cache server. The coordinator's span ids come from origin
-    /// 0, node `id`'s from origin `id + 1`: distinct per recorder, so
-    /// merged span ids never collide.
+    /// Start a cache server, or a node on a local link. Every node's
+    /// recorder runs on the coordinator's clock. The coordinator's span
+    /// ids come from origin 0, node `id`'s from origin `id + 1`: distinct
+    /// per recorder, so merged span ids never collide.
     fn alloc(&mut self) -> io::Result<usize> {
         let id = self.nodes.len();
-        let server = CacheServer::spawn_clocked(
-            ("127.0.0.1", 0),
-            self.capacity_bytes,
-            BTREE_ORDER,
-            DEFAULT_MAX_CONNECTIONS,
-            None,
-            self.obs.time(),
-        )?;
-        server.obs().set_origin(id as u32 + 1);
-        let client = RemoteNode::connect(server.addr())?.with_obs(self.obs.clone());
+        let (server, obs, client) = if self.local {
+            let obs = ObsRegistry::new(self.obs.time());
+            let node = ShardedNode::new(self.capacity_bytes, BTREE_ORDER, DEFAULT_STRIPES);
+            let client = RemoteNode::local(node.with_obs(obs.clone()), obs.clone());
+            (None, obs, client)
+        } else {
+            let server = CacheServer::spawn_clocked(
+                ("127.0.0.1", 0),
+                self.capacity_bytes,
+                BTREE_ORDER,
+                DEFAULT_MAX_CONNECTIONS,
+                None,
+                self.obs.time(),
+            )?;
+            let client = RemoteNode::connect(server.addr())?;
+            let obs = server.obs().clone();
+            (Some(server), obs, client)
+        };
+        obs.set_origin(id as u32 + 1);
         self.nodes.push(Some(ManagedNode {
             server,
-            client,
+            obs,
+            client: client.with_obs(self.obs.clone()),
             used: 0,
             unsure: false,
         }));
@@ -776,17 +809,19 @@ impl Substrate for Cluster {
     /// describe memory that goes with it. Read in process, before its
     /// server stops: a server records a request before it sends the reply.
     fn dealloc(&mut self, id: usize) {
-        let Some(mut dead) = self.nodes.get_mut(id).and_then(Option::take) else {
+        let Some(dead) = self.nodes.get_mut(id).and_then(Option::take) else {
             return;
         };
-        let mut snap = dead.server.obs().snapshot();
+        let mut snap = dead.obs.snapshot();
         snap.gauges.clear();
         let mut retired = std::mem::take(&mut self.retired).merged([snap]);
         let excess = retired.events.len().saturating_sub(DEFAULT_CAPACITY);
         retired.events.drain(..excess);
         retired.dropped += excess as u64;
         self.retired = retired;
-        dead.server.stop();
+        if let Some(mut server) = dead.server {
+            server.stop();
+        }
     }
 
     /// A first-class root span: every wire op of the operation attaches
@@ -798,12 +833,10 @@ impl Substrate for Cluster {
 
 #[cfg(test)]
 mod tests {
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     use super::*;
-    use crate::protocol::{decode_with_trace, read_frame, write_frame, Op, Response};
+    use crate::client::Act;
     use ecc_obs::ObsEvent;
 
     impl LiveCoordinator {
@@ -859,7 +892,7 @@ mod tests {
 
     #[test]
     fn eviction_and_contraction_over_the_wire() {
-        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        let mut c = LiveCoordinator::start_local(1 << 16, 1000).unwrap();
         c.enable_window(2, 0.99, 0.99f64.powi(1));
         for k in 0..32u64 {
             if c.get(k * 999).unwrap().is_none() {
@@ -899,7 +932,7 @@ mod tests {
 
     #[test]
     fn cluster_obs_merges_nodes_and_coordinator() {
-        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        let mut c = LiveCoordinator::start_local(1 << 16, 1000).unwrap();
         c.enable_window(2, 0.99, 0.99f64.powi(1));
         for k in 0..32u64 {
             if c.get(k * 999).unwrap().is_none() {
@@ -944,7 +977,7 @@ mod tests {
 
     #[test]
     fn elastic_operations_trace_as_complete_root_span_trees() {
-        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        let mut c = LiveCoordinator::start_local(1 << 16, 1000).unwrap();
         c.enable_window(2, 0.99, 0.99f64.powi(1));
         for k in 0..32u64 {
             if c.get(k * 999).unwrap().is_none() {
@@ -997,13 +1030,13 @@ mod tests {
 
     #[test]
     fn a_merged_node_is_freed_when_dealloc_returns() {
-        let mut c = two_node_fleet();
+        let mut c = two_nodes(LiveCoordinator::start(1 << 16, 1000).unwrap());
         for k in [100, 200] {
             c.put(k, vec![7; 60]).unwrap();
         }
         c.put(10_000, vec![9; 100]).unwrap();
         let node = c.cluster.nodes[0].as_ref().unwrap();
-        let merged = Arc::downgrade(&node.server.node);
+        let merged = Arc::downgrade(&node.server.as_ref().unwrap().node);
         c.try_contract().unwrap();
         assert_eq!(c.merges, 1);
         // The coordinator dropped its server; no reactor holds the node
@@ -1053,82 +1086,8 @@ mod tests {
         assert_eq!(c.get(10_000).unwrap(), Some(vec![9; 100]));
     }
 
-    /// What a [`relay`] does with one request.
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum Act {
-        /// Send it to the node, and its reply back.
-        Forward,
-        /// Answer `BadRequest` without sending it; the connection stays.
-        Refuse,
-        /// Send it to the node, but answer `BadRequest`: the node applied
-        /// it, the coordinator never learns so.
-        LoseAck,
-        /// Close the connection, as a dead node would.
-        HangUp,
-    }
-
-    /// Frames the coordinator sent through a [`relay`], by opcode.
-    type FrameCounts = Arc<[AtomicU64; 16]>;
-
-    /// Node `id`'s connection now runs through a relay to its server that
-    /// does with each request what `script` says, and counts it by opcode
-    /// into `counts` if given. The ledger still counts the node, so a node
-    /// that hangs up is still chosen as a destination. The relay leaves the
-    /// buffered fills alone: a test that must not send them through it
-    /// places them first.
-    fn relay(
-        c: &mut LiveCoordinator,
-        id: usize,
-        mut script: impl FnMut(&Request<'_>) -> Act + Send + 'static,
-        counts: Option<&FrameCounts>,
-    ) {
-        let upstream = c.node_addr(id).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let counts = counts.cloned();
-        std::thread::spawn(move || {
-            let Ok((mut conn, _)) = listener.accept() else {
-                return;
-            };
-            let Ok(mut upstream) = TcpStream::connect(upstream) else {
-                return;
-            };
-            while let Ok(buf) = read_frame(&mut conn) {
-                let act = match decode_with_trace(&buf) {
-                    Some((_, req)) => {
-                        if let Some(counts) = &counts {
-                            counts[req.op() as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                        script(&req)
-                    }
-                    None => Act::Forward,
-                };
-                let refused = Response::status(Status::BadRequest).encode();
-                let reply = match act {
-                    Act::HangUp => return,
-                    Act::Refuse => refused,
-                    Act::Forward | Act::LoseAck => {
-                        let relayed = write_frame(&mut upstream, &buf)
-                            .and_then(|()| read_frame(&mut upstream));
-                        match relayed {
-                            Ok(_) if act == Act::LoseAck => refused,
-                            Ok(reply) => reply,
-                            Err(_) => return,
-                        }
-                    }
-                };
-                if write_frame(&mut conn, &reply).is_err() {
-                    return;
-                }
-            }
-        });
-        let obs = c.cluster.obs.clone();
-        c.cluster.nodes[id].as_mut().unwrap().client =
-            RemoteNode::connect(addr).unwrap().with_obs(obs);
-    }
-
-    /// A [`relay`] script: `act` on the first request `pick` matches,
-    /// forward everything else.
+    /// A fault script: `act` on the first request `pick` matches, forward
+    /// everything else.
     fn first(pick: fn(&Request<'_>) -> bool, act: Act) -> impl FnMut(&Request<'_>) -> Act + Send {
         let mut done = false;
         move |req| {
@@ -1140,7 +1099,7 @@ mod tests {
         }
     }
 
-    /// A [`relay`] script for a dead node.
+    /// A fault script for a dead node.
     fn hang_up(_: &Request<'_>) -> Act {
         Act::HangUp
     }
@@ -1153,9 +1112,26 @@ mod tests {
         matches!(req, Request::PutMany { .. })
     }
 
-    /// Two nodes: node 1 owns the arc `[0, 9_999]`, node 0 the rest.
+    /// Node `id` answers each later request as `script` says. The ledger
+    /// still counts the node, so a node that hangs up is still chosen as
+    /// a destination. Buffered fills are not placed: a test that must not
+    /// send them through the script places them first.
+    fn script(
+        c: &mut LiveCoordinator,
+        id: usize,
+        script: impl FnMut(&Request<'_>) -> Act + Send + 'static,
+    ) {
+        c.cluster.client(id).unwrap().script(script);
+    }
+
+    /// Two nodes of 1000 B on local links: node 1 owns the arc
+    /// `[0, 9_999]`, node 0 the rest.
     fn two_node_fleet() -> LiveCoordinator {
-        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        two_nodes(LiveCoordinator::start_local(1 << 16, 1000).unwrap())
+    }
+
+    /// `c`, grown to [`two_node_fleet`]'s two nodes.
+    fn two_nodes(mut c: LiveCoordinator) -> LiveCoordinator {
         let n1 = c.cluster.alloc().unwrap();
         c.engine.joined(c.cluster.now_us(), n1);
         c.nodes_spawned += 1;
@@ -1197,7 +1173,7 @@ mod tests {
         }
         let ring = ring_of(&c);
         c.place().unwrap();
-        relay(&mut c, 1, hang_up, None);
+        script(&mut c, 1, hang_up);
         // The fill is buffered; its split fails when it is placed.
         assert!(c
             .put(17_000, vec![1; 100])
@@ -1224,7 +1200,7 @@ mod tests {
         }
         let ring = ring_of(&c);
         c.place().unwrap();
-        relay(&mut c, 0, hang_up, None);
+        script(&mut c, 0, hang_up);
         assert!(c.try_contract().is_err());
         assert_eq!(c.merges, 0);
         assert_eq!(ring_of(&c), ring, "the ring flipped to a dead node");
@@ -1236,38 +1212,30 @@ mod tests {
 
     #[test]
     fn the_wire_carries_only_effects() {
-        let counts: FrameCounts = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
-        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        let mut c = LiveCoordinator::start_local(1 << 16, 1000).unwrap();
         c.enable_window(4, 0.99, 0.99f64.powi(3));
-        // Every node gets a relay before the next call; a node spawned
-        // inside a call is counted from the call after.
-        let mut relayed = 0;
-        let mut relay_new = |c: &mut LiveCoordinator| {
-            for id in relayed..c.cluster.nodes.len() {
-                if c.cluster.nodes[id].is_some() {
-                    relay(c, id, |_| Act::Forward, Some(&counts));
-                }
-            }
-            relayed = c.cluster.nodes.len();
-        };
         // The differential script, buffered, with no totals, audit or key
         // listing from the test.
         for step in differential_script() {
             for (key, len) in step {
-                relay_new(&mut c);
                 assert_eq!(c.get(key).unwrap(), None);
                 c.put(key, vec![key as u8; len]).unwrap();
             }
-            relay_new(&mut c);
             c.end_time_step().unwrap();
         }
         assert!(c.splits >= 2 && c.merges >= 1);
-        let sent = |op: Op| counts[op as usize].load(Ordering::Relaxed);
-        for op in [Op::PutMany, Op::GetMany, Op::EvictMany] {
-            assert!(sent(op) > 0, "no {op:?} frame");
+        // What every node served, as its own samples count it: the merged
+        // nodes' included.
+        let snap = c.cluster_obs().unwrap();
+        let served = |op: &str| {
+            let hist = snap.hist(&format!("server_op_us:{op}"));
+            hist.map_or(0, |h| h.count())
+        };
+        for op in ["put_many", "get_many", "evict_many"] {
+            assert!(served(op) > 0, "no {op} frame");
         }
-        for op in [Op::Stats, Op::Keys, Op::Put] {
-            assert_eq!(sent(op), 0, "{op:?} frames");
+        for op in ["stats", "keys", "put"] {
+            assert_eq!(served(op), 0, "{op} frames");
         }
     }
 
@@ -1279,7 +1247,7 @@ mod tests {
             c.put(k, vec![k as u8; 100]).unwrap();
         }
         c.place().unwrap();
-        relay(&mut c, 0, first(evict_many, Act::Refuse), None);
+        script(&mut c, 0, first(evict_many, Act::Refuse));
         // The split flips [10_000, 13_000] to node 1, then its delete on
         // node 0 is refused: the split stands, node 0 keeps its old copies
         // and is unsure.
@@ -1370,7 +1338,7 @@ mod tests {
     fn puts_past_one_nodes_capacity_are_placed_without_a_placing_call() {
         // Twenty 100 B records (136 B slots) into nodes of 1000 B: the
         // buffer is placed whenever it would pass 1000 B.
-        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        let mut c = LiveCoordinator::start_local(1 << 16, 1000).unwrap();
         let keys: Vec<u64> = (0..20).map(|k| k * 3_000 + 7).collect();
         for &k in &keys {
             c.put(k, vec![k as u8; 100]).unwrap();
@@ -1417,7 +1385,7 @@ mod tests {
         // Node 1's stand-in hangs up on the fill's `PutMany` without an
         // ack.
         c.place().unwrap();
-        relay(&mut c, 1, hang_up, None);
+        script(&mut c, 1, hang_up);
         c.put(100, b"lost".to_vec()).unwrap();
         // A get sends no frame and does not place; the placing call
         // returns the fill's error; the call after it is served.
@@ -1454,7 +1422,7 @@ mod tests {
     /// Returns the structural events, times dropped, and every node's keys
     /// after each step close.
     fn run_differential(eager: bool) -> (Vec<ObsEvent>, Vec<KeySets>) {
-        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        let mut c = LiveCoordinator::start_local(1 << 16, 1000).unwrap();
         c.enable_window(4, 0.99, 0.99f64.powi(3));
         let mut key_sets = Vec::new();
         for step in differential_script() {
@@ -1502,7 +1470,7 @@ mod tests {
 
     #[test]
     fn a_key_read_but_never_stored_is_evicted_in_no_frame_and_no_event() {
-        let mut c = LiveCoordinator::start(1 << 16, 100_000).unwrap();
+        let mut c = LiveCoordinator::start_local(1 << 16, 100_000).unwrap();
         c.enable_window(2, 0.99, 0.99f64.powi(1));
         let evict_batches = |c: &LiveCoordinator| -> Vec<Vec<u64>> {
             let events = c.obs().events_since(0);
@@ -1563,7 +1531,7 @@ mod tests {
         let mut c = two_node_fleet();
         c.put(20_000, b"before".to_vec()).unwrap();
         c.totals().unwrap();
-        relay(&mut c, 0, first(put_many, Act::LoseAck), None);
+        script(&mut c, 0, first(put_many, Act::LoseAck));
         c.put(30_000, b"applied".to_vec()).unwrap();
         c.put(20_000, vec![5; 200]).unwrap();
         // The placing call fails; node 0 holds both fills all the same.
@@ -1582,13 +1550,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        let mut c = LiveCoordinator::start(1024, 500).unwrap();
+        let mut c = LiveCoordinator::start_local(1024, 500).unwrap();
         assert!(c.put(5000, vec![1]).is_err());
         assert!(c.put(1, vec![0; 501]).is_err());
         c.shutdown().unwrap();
         // A value within capacity whose slab footprint is not: refused at
         // the put, so it neither spawns a node nor fails a later fill.
-        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        let mut c = LiveCoordinator::start_local(1 << 16, 1000).unwrap();
         for k in [100, 200] {
             c.put(k, vec![1; 100]).unwrap();
         }

@@ -687,14 +687,14 @@ fn drain_waker(waker: &mut UnixStream) {
 /// descendants (`lock_wait` in the sharded node) attach through the
 /// thread-local span stack. `srv` closes when the response is queued; the
 /// flush that follows is charged to the client's network share.
-fn serve_traced(
+pub(crate) fn serve_traced(
     ctx: Option<TraceContext>,
     req: Request,
-    node: &NodeCtx,
+    node: &ShardedNode,
+    obs: &ObsRegistry,
     t_wake: u64,
     out: &mut Vec<u8>,
 ) {
-    let obs = &node.obs;
     let srv = ctx.filter(|c| c.sampled).map(|c| {
         let srv = obs.span_start_at("srv", c.trace_id, c.span_id, t_wake);
         drop(obs.span_start_at("srv_queue", c.trace_id, srv.id(), t_wake));
@@ -703,7 +703,7 @@ fn serve_traced(
     let _exec = srv
         .as_ref()
         .map(|s| obs.span_start("srv_exec", s.trace_id(), s.id()));
-    handle(req, &node.node, obs, out);
+    handle(req, node, obs, out);
 }
 
 /// Serve a run of unsampled GETs (none: nothing to do) with one batch
@@ -843,7 +843,7 @@ fn sweep_conn(
                 if matches!(req, Request::ObsDump) {
                     obs.fold_into(&node.obs);
                 }
-                serve_traced(ctx, req, node, t_wake, out);
+                serve_traced(ctx, req, &node.node, &node.obs, t_wake, out);
             }
             None => reply(out, Status::BadRequest, &[]),
         })?;

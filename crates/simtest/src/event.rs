@@ -20,8 +20,8 @@ use std::fmt;
 pub enum Family {
     /// [`ecc_core::ElasticCache`] vs. a flat `BTreeMap` + window model.
     Elastic,
-    /// [`ecc_net::coordinator::LiveCoordinator`] over real sockets vs. the
-    /// same model.
+    /// [`ecc_net::coordinator::LiveCoordinator`], on local links and over
+    /// real sockets, vs. the same model.
     Live,
     /// Frame-level fault injection against one [`ecc_net::server::CacheServer`]
     /// vs. a wire-semantics model.
@@ -281,14 +281,14 @@ pub enum SimEvent {
         /// Microseconds to advance.
         us: u64,
     },
-    /// Coordinator put over real sockets (live family).
+    /// Coordinator put (live family).
     Put {
         /// Key stored.
         key: u64,
         /// Payload length.
         len: u32,
     },
-    /// Coordinator get over real sockets (live family).
+    /// Coordinator get (live family).
     Get {
         /// Key fetched.
         key: u64,

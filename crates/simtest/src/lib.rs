@@ -2,11 +2,11 @@
 //! differential oracles.
 //!
 //! Drives the elastic cache, the static baseline, the wire protocol, and
-//! the live socket coordinator through seeded randomized schedules — plus
-//! a `workload` family that replays slices of the zoo scenarios
-//! (`ecc_workload::scenario`: shifting hot sets, flash crowds, tenant
-//! mixes) through the elastic harness — and checks every step against two
-//! oracles:
+//! the live coordinator (on local links, and over sockets) through seeded
+//! randomized schedules — plus a `workload` family that replays slices of
+//! the zoo scenarios (`ecc_workload::scenario`: shifting hot sets, flash
+//! crowds, tenant mixes) through the elastic harness — and checks every
+//! step against two oracles:
 //!
 //! 1. an independent flat model (a `BTreeMap`/reference-LRU/wire-semantics
 //!    reimplementation, per family) that predicts contents, responses and

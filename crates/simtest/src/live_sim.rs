@@ -1,9 +1,10 @@
-//! The live-family harness: drives a [`LiveCoordinator`] — real TCP cache
-//! servers, real migrations over the wire — against the same flat-map +
-//! window model as the elastic harness.
+//! The live-family harness: drives a [`LiveCoordinator`] — its nodes on
+//! local links, or real TCP cache servers, with migrations over the wire
+//! either way — against the same flat-map + window model as the elastic
+//! harness.
 //!
-//! Socket setup failures (bind/connect denied by the environment) are
-//! reported as [`SimFailure::infra`] so the runner can distinguish an
+//! On TCP, socket setup failures (bind/connect denied by the environment)
+//! are reported as [`SimFailure::infra`] so the runner can distinguish an
 //! environment problem from a semantic divergence.
 
 use std::collections::BTreeMap;
@@ -14,11 +15,21 @@ use crate::event::{record_bytes, Schedule, SimEvent};
 use crate::model::ModelWindow;
 use crate::runner::SimFailure;
 
-/// Run one live-family schedule to completion or first divergence.
-pub fn run(s: &Schedule) -> Result<(), SimFailure> {
+/// Run one live-family schedule to completion or first divergence, with
+/// the coordinator's nodes on local links or, `over_tcp`, on TCP servers.
+pub fn run(s: &Schedule, over_tcp: bool) -> Result<(), SimFailure> {
     let cfg = &s.cfg;
-    let mut coord = LiveCoordinator::start(cfg.ring, cfg.cap)
-        .map_err(|e| SimFailure::infra(format!("coordinator start failed: {e}")))?;
+    let coord = if over_tcp {
+        LiveCoordinator::start(cfg.ring, cfg.cap)
+    } else {
+        LiveCoordinator::start_local(cfg.ring, cfg.cap)
+    };
+    let setup: fn(String) -> SimFailure = if over_tcp {
+        SimFailure::infra
+    } else {
+        SimFailure::end
+    };
+    let mut coord = coord.map_err(|e| setup(format!("coordinator start failed: {e}")))?;
     coord.contraction_epsilon = cfg.eps.max(1);
     if cfg.m > 0 {
         coord.enable_window(cfg.m, cfg.alpha(), cfg.threshold());
@@ -181,6 +192,6 @@ pub fn run(s: &Schedule) -> Result<(), SimFailure> {
     }
     coord
         .shutdown()
-        .map_err(|e| SimFailure::infra(format!("shutdown failed: {e}")))?;
+        .map_err(|e| setup(format!("shutdown failed: {e}")))?;
     Ok(())
 }

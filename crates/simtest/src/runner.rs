@@ -79,10 +79,16 @@ thread_local! {
     static CATCHING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Run one schedule under its family's harness. Panics (debug-build
-/// `validate()` assertions and the like) are caught and recorded as
-/// failures, so a multi-seed run survives them.
+/// Run one schedule under its family's harness; a live schedule runs on
+/// local links, then over TCP. Panics (debug-build `validate()`
+/// assertions and the like) are caught and recorded as failures, so a
+/// multi-seed run survives them.
 pub fn run_schedule(s: &Schedule) -> Result<(), SimFailure> {
+    run_on(s, true)
+}
+
+/// [`run_schedule`], a live schedule over TCP only if `over_tcp`.
+fn run_on(s: &Schedule, over_tcp: bool) -> Result<(), SimFailure> {
     let outer = CATCHING.replace(true);
     let res = catch_unwind(AssertUnwindSafe(|| match s.family {
         // Workload schedules use the elastic event subset, so the elastic
@@ -90,7 +96,15 @@ pub fn run_schedule(s: &Schedule) -> Result<(), SimFailure> {
         Family::Elastic | Family::Workload => elastic_sim::run(s),
         Family::Static => static_sim::run(s),
         Family::Proto => proto_sim::run(s),
-        Family::Live => live_sim::run(s),
+        Family::Live => live_sim::run(s, false).and_then(|()| {
+            if !over_tcp {
+                return Ok(());
+            }
+            live_sim::run(s, true).map_err(|mut f| {
+                f.what = format!("over TCP: {}", f.what);
+                f
+            })
+        }),
     }));
     CATCHING.set(outer);
     match res {
@@ -116,24 +130,22 @@ pub struct SeedOutcome {
 }
 
 /// Run every family's schedule for one seed; failures are shrunk before
-/// being returned. The live family (real sockets, ~3 orders of magnitude
-/// slower) only runs when `include_live` is set — the multi-seed driver
-/// enables it on a stride.
-pub fn check_seed(seed: u64, include_live: bool) -> Vec<SeedOutcome> {
+/// being returned. The live family runs on local links, and also over
+/// TCP (real sockets, slower) when `over_tcp` is set — the multi-seed
+/// driver sets it on a stride.
+pub fn check_seed(seed: u64, over_tcp: bool) -> Vec<SeedOutcome> {
     let mut out = Vec::new();
     for family in Family::ALL {
-        if family == Family::Live && !include_live {
-            continue;
-        }
         let original = gen::generate(family, seed);
-        let Err(first) = run_schedule(&original) else {
+        let run = |s: &Schedule| run_on(s, over_tcp);
+        let Err(first) = run(&original) else {
             continue;
         };
         let (shrunken, failure) = if first.infra {
             (original.clone(), first)
         } else {
-            let small = shrink::shrink(&original, |c| run_schedule(c).is_err(), SHRINK_BUDGET);
-            match run_schedule(&small) {
+            let small = shrink::shrink(&original, |c| run(c).is_err(), SHRINK_BUDGET);
+            match run(&small) {
                 Err(f) => (small, f),
                 // Flaky reproduction (should not happen with deterministic
                 // harnesses): fall back to the original.

@@ -23,7 +23,8 @@
 //!   harness feeds to any cache implementation, and
 //! * [`scenario`] — the scenario zoo: named bundles of the above
 //!   (shifting hot sets, diurnal waves, flash crowds, multi-tenant mixes)
-//!   shared by cloudsim (`cargo xtask scenario`) and simtest.
+//!   shared by the simulated elastic cache (`ecc-bench`'s `scenario_zoo`)
+//!   and simtest.
 //!
 //! # Example
 //!

@@ -2,9 +2,11 @@
 //!
 //! A [`Scenario`] bundles a rate schedule, a key distribution, a read/write
 //! mix and a default horizon under a stable name, so the same workload can
-//! be driven through cloudsim (virtual time, `cargo xtask scenario`) and
-//! the simtest oracle — both byte-identical from one seed. The registry is the single source of truth: everything that
-//! accepts a scenario name resolves it through [`Scenario::by_name`].
+//! be driven through the simulated elastic cache (virtual time, `ecc-bench`'s
+//! `scenario_zoo` binary, which writes `results/scenarios.csv`) and the
+//! simtest oracle — both byte-identical from one seed. The registry is the
+//! single source of truth: everything that accepts a scenario name
+//! resolves it through [`Scenario::by_name`].
 
 use crate::driver::{Op, QueryStream};
 use crate::keys::KeyDist;
@@ -14,7 +16,6 @@ use crate::schedule::{RateSchedule, Spike};
 #[derive(Debug, Clone)]
 pub struct Scenario {
     name: &'static str,
-    summary: &'static str,
     schedule: RateSchedule,
     dist: KeyDist,
     write_ratio: f64,
@@ -25,41 +26,41 @@ impl Scenario {
     /// The registry: every zoo scenario, in stable order.
     pub fn all() -> Vec<Scenario> {
         vec![
+            // Paper §IV-C eviction phases, uniform 32K keys (50/250/50 q/step).
             Scenario {
                 name: "paper_shoreline",
-                summary: "paper §IV-C eviction phases, uniform 32K keys (50/250/50 q/step)",
                 schedule: RateSchedule::paper_eviction_phases(),
                 dist: KeyDist::uniform(32 * 1024),
                 write_ratio: 0.0,
                 default_steps: 500,
             },
+            // Flat 200 q/step, Zipf s=1.1 over 64K keys (skewed hot ranks).
             Scenario {
                 name: "zipf_hot",
-                summary: "flat 200 q/step, Zipf s=1.1 over 64K keys (skewed hot ranks)",
                 schedule: RateSchedule::constant(200),
                 dist: KeyDist::zipf(64 * 1024, 1.1),
                 write_ratio: 0.0,
                 default_steps: 400,
             },
+            // Flat 200 q/step, 512-key hot set (p=0.9) rotating every 50 steps.
             Scenario {
                 name: "shifting_hotset",
-                summary: "flat 200 q/step, 512-key hot set (p=0.9) rotating every 50 steps",
                 schedule: RateSchedule::constant(200),
                 dist: KeyDist::shifting_hotspot(64 * 1024, 512, 0.9, 50),
                 write_ratio: 0.0,
                 default_steps: 400,
             },
+            // Sine load 150±120 q/step over a 200-step day, Zipf s=0.9 keys.
             Scenario {
                 name: "diurnal",
-                summary: "sine load 150±120 q/step over a 200-step day, Zipf s=0.9 keys",
                 schedule: RateSchedule::diurnal(150, 120, 200),
                 dist: KeyDist::zipf(32 * 1024, 0.9),
                 write_ratio: 0.0,
                 default_steps: 600,
             },
+            // Baseline 40 q/step with a ×50 spike at steps 200..220, hotspot keys.
             Scenario {
                 name: "flash_crowd",
-                summary: "baseline 40 q/step with a ×50 spike at steps 200..220, hotspot keys",
                 schedule: RateSchedule::constant(40).with_flash_crowds(vec![Spike {
                     at: 200,
                     len: 20,
@@ -69,9 +70,9 @@ impl Scenario {
                 write_ratio: 0.0,
                 default_steps: 400,
             },
+            // Three tenants (weights 5/3/1: Zipf, hotspot, uniform), 10% writes.
             Scenario {
                 name: "multi_tenant",
-                summary: "three tenants (weights 5/3/1: Zipf, hotspot, uniform), 10% writes",
                 schedule: RateSchedule::constant(150),
                 dist: KeyDist::multi_tenant(vec![
                     (5.0, KeyDist::zipf(16 * 1024, 1.0)),
@@ -81,9 +82,9 @@ impl Scenario {
                 write_ratio: 0.1,
                 default_steps: 400,
             },
+            // Flat 150 q/step, uniform 32K keys, 50% writes.
             Scenario {
                 name: "write_heavy",
-                summary: "flat 150 q/step, uniform 32K keys, 50% writes",
                 schedule: RateSchedule::constant(150),
                 dist: KeyDist::uniform(32 * 1024),
                 write_ratio: 0.5,
@@ -105,11 +106,6 @@ impl Scenario {
     /// The scenario's stable name.
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// A one-line human description.
-    pub fn summary(&self) -> &'static str {
-        self.summary
     }
 
     /// The rate schedule.

@@ -14,12 +14,11 @@
 //!   must fail — an all-green run of it fails the command.
 //! * `simtest [--seeds N] [--live-every K]` — run the deterministic
 //!   cluster-simulation battery (`crates/simtest`) over seeds `0..N`;
-//!   failures are shrunk, printed as replayable SIMSEEDs, and written
-//!   under `target/simtest/`.
-//! * `simtest --replay '<SIMSEED>'` — re-run one schedule exactly.
-//! * `scenario --list | --name NAME | --all [--steps N] [--seed N]` — run
-//!   zoo scenarios through the cloudsim elastic cache; `--all` writes
-//!   `results/scenarios.csv`.
+//!   the live family runs every seed on local links and every K-th seed
+//!   (default 8) over TCP too. Failures are shrunk, printed as replayable
+//!   SIMSEEDs, and written under `target/simtest/`.
+//! * `simtest --replay '<SIMSEED>'` — re-run one schedule exactly (a live
+//!   one on local links, then over TCP).
 //! * `obs <trace.jsonl>` — pretty-print a flight-recorder trace.
 //! * `obs --smoke` — the live smoke: grow a multi-node cluster, drive
 //!   sampled pipelined GETs at its nodes, shrink it through window
@@ -47,7 +46,6 @@ use ecc_simtest::{check_seed, run_schedule, QuietPanics, Schedule, SeedOutcome};
 
 const USAGE: &str = "usage: cargo xtask <analyze | interleave [--smoke] | simtest \
      [--seeds N] [--live-every K] [--replay SIMSEED] | \
-     scenario <--list | --name NAME | --all> [--steps N] [--seed N] | \
      obs <TRACE.jsonl | --smoke> | trace <TRACE.jsonl...> [--csv PATH]>";
 
 fn main() -> ExitCode {
@@ -56,7 +54,6 @@ fn main() -> ExitCode {
         Some("analyze") => analyze(),
         Some("interleave") => interleave(&args[1..]),
         Some("simtest") => simtest(&args[1..]),
-        Some("scenario") => scenario(&args[1..]),
         Some("obs") => obs(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
         Some(other) => {
@@ -207,107 +204,6 @@ fn write_interleave_failures(
     }
     std::fs::write(&path, body)?;
     Ok(path)
-}
-
-/// `cargo xtask scenario` — run zoo scenarios through the cloudsim
-/// elastic cache.
-fn scenario(args: &[String]) -> ExitCode {
-    use ecc_bench::scenario::{run_scenario_sim, scenario_csv_rows, SCENARIO_CSV_HEADER};
-    use ecc_workload::scenario::Scenario;
-
-    let mut list = false;
-    let mut all = false;
-    let mut name: Option<String> = None;
-    let mut steps: Option<u64> = None;
-    let mut seed = 7u64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--list" => list = true,
-            "--all" => all = true,
-            "--name" => match it.next() {
-                Some(n) => name = Some(n.clone()),
-                None => return usage_error("--name takes a scenario name"),
-            },
-            "--steps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => steps = Some(n),
-                None => return usage_error("--steps takes an integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seed = n,
-                None => return usage_error("--seed takes an integer"),
-            },
-            other => return usage_error(&format!("unknown scenario flag `{other}`")),
-        }
-    }
-
-    if list {
-        for sc in Scenario::all() {
-            println!(
-                "{:<16} {} (default {} steps)",
-                sc.name(),
-                sc.summary(),
-                sc.default_steps()
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let targets: Vec<Scenario> = if all {
-        Scenario::all()
-    } else if let Some(n) = &name {
-        match Scenario::by_name(n) {
-            Some(sc) => vec![sc],
-            None => {
-                eprintln!(
-                    "xtask scenario: unknown scenario {n:?}; known: {}",
-                    Scenario::names().join(", ")
-                );
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        return usage_error("scenario needs --list, --name NAME or --all");
-    };
-
-    println!(
-        "{:<16} {:>6} {:>9} {:>7} {:>9} {:>9} {:>8} {:>6} {:>8}",
-        "scenario", "steps", "events", "writes", "hits", "misses", "hit_rate", "nodes", "speedup"
-    );
-    let mut summaries = Vec::new();
-    for sc in &targets {
-        let horizon = steps.unwrap_or_else(|| sc.default_steps());
-        let s = run_scenario_sim(sc, seed, horizon);
-        println!(
-            "{:<16} {:>6} {:>9} {:>7} {:>9} {:>9} {:>8.3} {:>6} {:>8.2}",
-            s.name,
-            s.steps,
-            s.events,
-            s.writes,
-            s.hits,
-            s.misses,
-            s.hit_rate(),
-            s.nodes_end,
-            s.speedup
-        );
-        summaries.push(s);
-    }
-
-    if all {
-        match ecc_bench::write_csv(
-            "scenarios.csv",
-            SCENARIO_CSV_HEADER,
-            &scenario_csv_rows(&summaries),
-        ) {
-            Ok(path) => println!("scenario: wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("xtask scenario: could not write scenarios.csv: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    println!("scenario: {} scenario(s) simulated", summaries.len());
-    ExitCode::SUCCESS
 }
 
 fn obs(args: &[String]) -> ExitCode {
@@ -866,8 +762,7 @@ fn simtest(args: &[String]) -> ExitCode {
     let _quiet = QuietPanics::install();
     let mut failures: Vec<SeedOutcome> = Vec::new();
     for seed in 0..seeds {
-        let include_live = seed % live_every == 0;
-        failures.extend(check_seed(seed, include_live));
+        failures.extend(check_seed(seed, seed % live_every == 0));
         if (seed + 1) % 100 == 0 {
             println!(
                 "simtest: {}/{seeds} seeds, {} failure(s)",
