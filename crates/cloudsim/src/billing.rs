@@ -1,7 +1,5 @@
 //! Cost accounting in EC2's 2010 billing model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cloud::Instance;
 use crate::US_PER_SEC;
 
@@ -15,7 +13,7 @@ use crate::US_PER_SEC;
 /// * **node-seconds** — the integral `∫ active_nodes dt`, whose average the
 ///   paper reports as e.g. "⌈12.6⌉ = 13 nodes … averaged over the lifespan
 ///   of this experiment".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[must_use]
 pub struct Billing {
     /// Total cost in micro-dollars (per-started-hour rounding).

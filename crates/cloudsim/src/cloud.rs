@@ -2,13 +2,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::billing::Billing;
 use crate::US_PER_SEC;
 
 /// Opaque identifier of a (possibly terminated) instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u32);
 
 impl std::fmt::Display for InstanceId {
@@ -18,7 +17,7 @@ impl std::fmt::Display for InstanceId {
 }
 
 /// A machine-type definition: memory capacity and hourly price.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceType {
     /// Human-readable type name (e.g. `m1.small`).
     pub name: String,
@@ -61,7 +60,7 @@ impl InstanceType {
 }
 
 /// Boot latency model: uniform over `[base_us, base_us + jitter_us]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BootLatency {
     /// Minimum boot time in microseconds.
     pub base_us: u64,
@@ -103,7 +102,7 @@ impl BootLatency {
 }
 
 /// One allocated (or by-now terminated) machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Instance {
     /// Identifier, dense from zero.
     pub id: InstanceId,

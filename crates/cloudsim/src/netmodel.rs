@@ -1,14 +1,12 @@
 //! The network cost model (`T_net` in the paper's analysis).
 
-use serde::{Deserialize, Serialize};
-
 use crate::US_PER_SEC;
 
 /// A latency + bandwidth pipe: transferring `b` bytes costs
 /// `latency_us + b / bandwidth`. One such pipe connects the coordinator to
 /// every cache node, and cache nodes to each other (EC2 intra-region
 /// networking is flat).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetModel {
     /// One-way message latency in microseconds.
     pub latency_us: u64,

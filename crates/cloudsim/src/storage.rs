@@ -13,12 +13,11 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::US_PER_SEC;
 
 /// Pricing and performance model of one storage service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageTier {
     /// Service name (e.g. `s3`).
     pub name: String,

@@ -11,10 +11,8 @@
 //! slices early so contraction can release nodes sooner — the
 //! cost-saving behaviour of small m, applied exactly when it is cheap.
 
-use serde::{Deserialize, Serialize};
-
 /// Controller parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveWindowConfig {
     /// Smallest window the controller may shrink to.
     pub min_slices: usize,

@@ -14,12 +14,11 @@
 //! | merge threshold (65 %) | [`CacheConfig::merge_fill_threshold`] |
 
 use ecc_cloudsim::{BootLatency, InstanceType, NetModel, StorageTier};
-use serde::{Deserialize, Serialize};
 
 use crate::adaptive::AdaptiveWindowConfig;
 
 /// Sliding-window eviction parameters (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowConfig {
     /// `m` — number of time slices the window retains.
     pub slices: usize,
@@ -63,7 +62,7 @@ impl WindowConfig {
 
 /// Full configuration of an [`crate::ElasticCache`] (and, where fields
 /// apply, a [`crate::StaticCache`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// `r` — the hash line is `[0, ring_range)`. Must be at least the key
     /// space size so `h'` stays injective on keys (contiguous key ranges ↔

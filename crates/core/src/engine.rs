@@ -228,7 +228,7 @@ impl<N: NodeKey> Engine<N> {
 
     /// Algorithm 1, GBA-Insert: store `record` under `key` on the key's
     /// owner; while the owner hands it back, [`Engine::split`] the owner
-    /// and try again, at most [`MAX_SPLIT_RETRIES`] splits. `on_split`
+    /// and try again, at most `MAX_SPLIT_RETRIES` splits. `on_split`
     /// gets each split's report as it lands, also when a later step
     /// fails. The caller checks [`Engine::admits`] first.
     #[inline]

@@ -1,11 +1,9 @@
 //! Hit/miss/time accounting — the raw series behind every figure.
 
-use serde::{Deserialize, Serialize};
-
 /// Cumulative cache statistics. Figure harnesses snapshot this each
 /// reporting interval and difference consecutive snapshots.
 #[must_use]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Metrics {
     /// Total queries observed.
     pub queries: u64,

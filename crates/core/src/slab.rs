@@ -36,8 +36,9 @@
 //!   is in no shared structure).
 //! * **live** — the owner published it by storing refcount = 1
 //!   (`Release`); every reader got its [`SlabRef`] via a happens-after
-//!   edge (the stripe lock of the tree that stores the [`Record`], or a
-//!   `Clone` of an existing handle), so the payload write is visible.
+//!   edge (the stripe lock of the tree that stores the
+//!   [`Record`](crate::Record), or a `Clone` of an existing handle), so
+//!   the payload write is visible.
 //!   Clones bump the refcount (`Relaxed` — same argument as `Arc`);
 //!   the final `Drop` does a `Release` decrement followed by an
 //!   `Acquire` fence before pushing the slot back to the freelist.

@@ -64,7 +64,7 @@ enum Occ {
 /// The global sliding window of queried keys.
 ///
 /// The open slice is the raw list of queried keys; closing it sorts and
-/// run-length-encodes it into a [`Slice`]. Alongside the slices the window
+/// run-length-encodes it into a `Slice`. Alongside the slices the window
 /// keeps a per-key *occurrence index*: for every key resident anywhere in
 /// the completed window, the `(epoch, count)` pairs of the slices it
 /// appears in. Each `(key, slice)` occurrence is added exactly once (at

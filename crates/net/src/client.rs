@@ -9,11 +9,12 @@ use ecc_core::ShardedNode;
 use ecc_obs::{ObsRegistry, SpanGuard};
 
 use crate::protocol::{
-    append_frame, decode_get_many, decode_keys, decode_stats, decode_statuses, decode_with_trace,
-    encode_traced_into, release_buf, FrameAssembler, Op, Request, Status, TraceContext,
+    append_frame, decode_get_many, decode_keys, decode_stats, decode_statuses, encode_traced_into,
+    release_buf, FrameAssembler, Op, Request, Status, TraceContext,
 };
-use crate::reactor::serve_traced;
-use crate::server::{op_hist_name, reply};
+use crate::reactor::{serve_frames, SweepObs};
+#[cfg(test)]
+use crate::server::reply;
 
 /// Static span kind for a client-side wire exchange (`wire:<op>`), so the
 /// traced path never allocates a label string.
@@ -71,7 +72,8 @@ impl RemoteNode {
     }
 
     /// The node's answer to each later request is what `script` says:
-    /// a local link's fault injection.
+    /// a local link's fault injection. Exact per request, since every
+    /// write of a `RemoteNode` is one request frame.
     #[cfg(test)]
     pub(crate) fn script(&mut self, script: impl FnMut(&Request<'_>) -> Act + Send + 'static) {
         if let Link::Local(node) = &mut self.conn.link {
@@ -122,6 +124,10 @@ impl RemoteNode {
         req: &Request,
         scope: Option<(u64, u64)>,
     ) -> io::Result<Option<SpanGuard>> {
+        #[cfg(test)]
+        if let Link::Local(node) = &mut self.conn.link {
+            node.act = node.script.as_mut().map(|script| script(req));
+        }
         let span = match (&self.obs, scope) {
             (Some(obs), Some((trace_id, parent))) => {
                 let span = obs.span_start(wire_span_kind(req.op()), trace_id, parent);
@@ -334,9 +340,8 @@ pub(crate) enum Act {
     /// Serve it, but answer `BadRequest`: the node applied it, the client
     /// never learns so.
     LoseAck,
-    /// Drop it and the requests behind it in the same write, unanswered,
-    /// so the reply read finds EOF, as on a dead node's socket. A dead
-    /// node's script hangs up on every request.
+    /// Drop it unanswered, so the reply read finds EOF, as on a dead
+    /// node's socket. A dead node's script hangs up on every request.
     HangUp,
 }
 
@@ -346,15 +351,15 @@ type Script = Box<dyn FnMut(&Request<'_>) -> Act + Send>;
 
 /// A node served on the caller's thread: the far end of a local link.
 ///
-/// A write serves each complete request frame through the reactor's
-/// per-frame path (decode, [`serve_traced`], then the node's
-/// `server_op_us:<op>` sample) and queues its reply frame; a read returns
+/// A write serves every request frame it completes through the reactor's
+/// frame loop ([`serve_frames`]) and queues the replies; a read returns
 /// queued reply bytes, and `Ok(0)` once none are left, since no reply can
-/// come later. The production encoder, decoder, handler and reply decoder
-/// all stay on the path, with no socket, thread or kernel timing.
+/// come later. Only the socket, the thread and the kernel's timing are
+/// left out.
 struct LocalNode {
     node: ShardedNode,
     obs: ObsRegistry,
+    sweep: SweepObs,
     /// Request bytes not yet served: at most a partial frame.
     requests: FrameAssembler,
     /// Reply frames, unread from `read` on.
@@ -363,6 +368,9 @@ struct LocalNode {
     /// Decides each request's fate; every request is served without one.
     #[cfg(test)]
     script: Option<Script>,
+    /// The script's verdict on the request being written.
+    #[cfg(test)]
+    act: Option<Act>,
 }
 
 impl std::fmt::Debug for LocalNode {
@@ -378,52 +386,46 @@ impl LocalNode {
         LocalNode {
             node,
             obs,
+            sweep: SweepObs::new(),
             requests: FrameAssembler::new(),
             replies: Vec::new(),
             read: 0,
             #[cfg(test)]
             script: None,
+            #[cfg(test)]
+            act: None,
         }
     }
 
-    /// Take request bytes, and serve every frame they complete.
+    /// Take all of `buf`, so a script's verdict covers the whole write,
+    /// and serve every frame it completes.
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.requests.fill_from(&mut &*buf)?;
+        let mut rest = buf;
+        while !rest.is_empty() {
+            self.requests.fill_from(&mut rest)?;
+        }
         #[cfg(test)]
-        let script = &mut self.script;
+        let (act, queued) = (self.act.take(), self.replies.len());
+        #[cfg(test)]
+        if matches!(act, Some(Act::Refuse | Act::HangUp)) {
+            self.requests = FrameAssembler::new();
+        }
         let LocalNode {
             node,
             obs,
+            sweep,
             requests,
             replies,
             ..
         } = self;
-        while let Some(frame) = requests.next_frame()? {
-            let decoded = decode_with_trace(frame);
-            #[cfg(test)]
-            if let (Some(script), Some((_, req))) = (script.as_mut(), &decoded) {
-                let refused = |out: &mut Vec<u8>| reply(out, Status::BadRequest, &[]);
-                match script(req) {
-                    Act::Forward => {}
-                    Act::Refuse => {
-                        append_frame(replies, refused)?;
-                        continue;
-                    }
-                    Act::LoseAck => {
-                        serve(node, obs, decoded, &mut Vec::new())?;
-                        append_frame(replies, refused)?;
-                        continue;
-                    }
-                    Act::HangUp => {
-                        *requests = FrameAssembler::new();
-                        break;
-                    }
-                }
-            }
-            serve(node, obs, decoded, replies)?;
+        let (_, framing_error) = serve_frames(requests, replies, node, obs, sweep, obs.now_us())?;
+        #[cfg(test)]
+        if matches!(act, Some(Act::Refuse | Act::LoseAck)) {
+            replies.truncate(queued);
+            append_frame(replies, |out| reply(out, Status::BadRequest, &[]))?;
         }
         requests.release();
-        Ok(n)
+        framing_error.map_or(Ok(buf.len()), Err)
     }
 
     /// Hand out queued reply bytes.
@@ -437,25 +439,6 @@ impl LocalNode {
         }
         Ok(n)
     }
-}
-
-/// Serve one decoded request frame (`None`: undecodable) into `out` as a
-/// reactor does, and record its `server_op_us:<op>` sample.
-fn serve(
-    node: &ShardedNode,
-    obs: &ObsRegistry,
-    decoded: Option<(Option<TraceContext>, Request<'_>)>,
-    out: &mut Vec<u8>,
-) -> io::Result<()> {
-    let start = obs.now_us();
-    let op = decoded.as_ref().map(|(_, req)| req.op());
-    append_frame(out, |out| match decoded {
-        Some((ctx, req)) => serve_traced(ctx, req, node, obs, start, out),
-        None => reply(out, Status::BadRequest, &[]),
-    })?;
-    ecc_core::lockorder::assert_quiescent();
-    obs.record(op_hist_name(op), obs.now_us() - start);
-    Ok(())
 }
 
 /// What a [`PipelinedConn`] has moved over its socket: syscalls, frames

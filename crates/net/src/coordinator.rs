@@ -11,7 +11,7 @@
 //! [`RemoteNode`] whose byte stream is a socket to the node's server
 //! ([`LiveCoordinator::start`]) or a local link that serves the node on
 //! the coordinator's thread ([`LiveCoordinator::start_local`], a test
-//! seam). Both carry the same frames through the same codec and handler.
+//! seam). Both run the same codec and frame loop, GET batching included.
 //!
 //! One coordinator owns the ring and is the only writer, as in the paper
 //! (queries are "first sent to a coordinating compute node"). So it decides
@@ -364,7 +364,7 @@ impl LiveCoordinator {
     /// Audit coordinator-wide invariants: the engine's ring-level audit
     /// (the ring partitions the hash line, every bucket maps to a live
     /// server, every live server owns at least one bucket), and the ledger
-    /// is exact: each node holds (by [`Cluster::read_node`]) exactly the
+    /// is exact: each node holds (by `Cluster::read_node`) exactly the
     /// entries in its arcs, as many bytes as its used bytes and no more
     /// than its capacity, and no entry is left unplaced. Returns a typed
     /// [`io::Error`] on the first violation (the simulation harness
@@ -1277,6 +1277,74 @@ mod tests {
         }
         let survivor = c.cluster.loads().next().unwrap().0;
         assert_records_in_arcs(&mut c, &[survivor]);
+    }
+
+    #[test]
+    fn the_re_read_of_an_unsure_source_deletes_its_stale_copies() {
+        let mut c = two_node_fleet();
+        for k in (0..7).map(|k| 10_000 + k * 1_000) {
+            c.put(k, vec![k as u8; 100]).unwrap();
+        }
+        c.place().unwrap();
+        script(&mut c, 0, first(evict_many, Act::Refuse));
+        // The split stands; node 0 keeps the copies it moved, and is unsure.
+        c.split_node(0).unwrap();
+        assert!(c.cluster.nodes[0].as_ref().unwrap().unsure);
+        // The next decision re-reads node 0 and deletes them.
+        c.end_time_step().unwrap();
+        assert!(!c.cluster.nodes[0].as_ref().unwrap().unsure);
+        assert_records_in_arcs(&mut c, &[0, 1]);
+    }
+
+    #[test]
+    fn a_scripted_verdict_covers_a_frame_longer_than_one_read() {
+        let mut c = LiveCoordinator::start_local(1 << 16, 1 << 20).unwrap();
+        script(&mut c, 0, first(put_many, Act::Refuse));
+        // 40 KB in one frame: more than one read window of the node's
+        // assembler.
+        let items: Vec<_> = (0..40).map(|k| (k, Bytes::from(vec![7u8; 1000]))).collect();
+        let node = c.cluster.client(0).unwrap();
+        assert!(node.put_many(items.clone()).is_err());
+        // Nothing of it was applied, and the link is still in step.
+        assert_eq!(node.get(0).unwrap(), None);
+        assert_eq!(node.put_many(items).unwrap(), vec![Status::Ok; 40]);
+    }
+
+    /// The differential script with a read-back of every step's keys, on
+    /// the nodes `c` starts: what they served, as their samples count it
+    /// per op, and their `frame_bytes_rx`/`_tx`.
+    fn served_frames(c: io::Result<LiveCoordinator>) -> Vec<(String, u64)> {
+        let mut c = c.unwrap();
+        c.enable_window(4, 0.99, 0.99f64.powi(3));
+        for step in differential_script() {
+            for &(key, len) in &step {
+                c.put(key, vec![key as u8; len]).unwrap();
+            }
+            c.end_time_step().unwrap();
+            for (key, _) in step {
+                c.get(key).unwrap();
+            }
+        }
+        assert!(c.splits >= 2 && c.merges >= 1);
+        let snap = c.cluster_obs().unwrap();
+        let ops = snap
+            .hists
+            .iter()
+            .filter(|(name, _)| name.starts_with("server_op_us:"));
+        let mut served: Vec<_> = ops.map(|(name, h)| (name.clone(), h.count())).collect();
+        for name in ["frame_bytes_rx", "frame_bytes_tx"] {
+            served.push((name.to_string(), snap.gauge(name).unwrap_or(0)));
+        }
+        served
+    }
+
+    #[test]
+    fn both_links_serve_the_same_frames_through_one_loop() {
+        let local = served_frames(LiveCoordinator::start_local(1 << 16, 1000));
+        assert!(local
+            .iter()
+            .any(|(name, n)| name == "server_op_us:get" && *n > 0));
+        assert_eq!(local, served_frames(LiveCoordinator::start(1 << 16, 1000)));
     }
 
     /// Samples of `hist` across the coordinator and every live node.

@@ -1,10 +1,10 @@
 //! Event-driven reactor pool: a fixed set of reactor threads serving every
 //! cache node of the process (DESIGN §15).
 //!
-//! * **Joining.** A node is a [`NodeCtx`] plus a nonblocking `TcpListener`
+//! * **Joining.** A node is a `NodeCtx` plus a nonblocking `TcpListener`
 //!   handed to one reactor, its *home*; no thread is created for it. The
 //!   listener sits in the home's `poll` set, where `POLLIN` means a
-//!   connection waits. The home accepts (also every [`HOT_SWEEPS`] loop
+//!   connection waits. The home accepts (also every `HOT_SWEEPS` loop
 //!   turns while it never blocks), enforces the node's connection bound
 //!   (one [`Status::Busy`] frame past it) and hands each admitted
 //!   connection round-robin to the pool's reactors, starting with itself.
@@ -16,18 +16,18 @@
 //!   nonblocking into its reused [`FrameAssembler`], executes every
 //!   complete frame back-to-back against the connection's node, and
 //!   flushes the responses with a *single* gathered `write`. A connection
-//!   holding more than [`WRITE_HIGH_WATER`] unflushed bytes is not read
+//!   holding more than `WRITE_HIGH_WATER` unflushed bytes is not read
 //!   until its peer drains (backpressure).
 //! * **Idle discipline.** A turn that moved nothing is followed by
-//!   `yield_now`, up to [`HOT_SWEEPS`] times; then the reactor blocks in
+//!   `yield_now`, up to `HOT_SWEEPS` times; then the reactor blocks in
 //!   `sys::wait` with no timeout on its waker, its listeners and every
 //!   owned socket (`POLLIN` while `Conn::wants_read`, `POLLOUT` while
 //!   responses are unflushed), so an idle pool costs no CPU.
 //! * **Commands.** What a reactor hears from other threads — a listener, a
 //!   sibling's hand-off, a deregistration, a private pool's halt — arrives
-//!   as a [`Command`] on its channel, followed by one byte on its waker (a
+//!   as a `Command` on its channel, followed by one byte on its waker (a
 //!   nonblocking `UnixStream` pair whose read end is in the `poll` set).
-//! * **Leaving.** [`ReactorPool::deregister`] is a handshake in two
+//! * **Leaving.** `ReactorPool::deregister` is a handshake in two
 //!   rounds: the home drops the node's listener and connections, then
 //!   every other reactor does, each acknowledging by dropping a channel
 //!   sender. After the first round no connection of the node can be handed
@@ -36,13 +36,13 @@
 //!
 //! Unix only: `poll` and the waker pair are the platform's.
 //!
-//! Batched reads: a sweep collects consecutive unsampled `Get` frames, up
-//! to [`GET_BATCH`], and serves them with one
-//! [`ShardedNode::get_many_with`] — the structural lock, each stripe's
-//! read lock and the clock once per run instead of once per frame, so the
-//! cache misses of the run's lookups overlap. Their replies are appended
-//! in request order. Any other frame, a sampled `Get` included, first
-//! serves the run before it, then is served alone as before.
+//! Batched reads: the frame loop (`serve_frames`, a local link's too)
+//! collects consecutive unsampled `Get` frames, up to [`GET_BATCH`], and
+//! serves them with one [`ShardedNode::get_many_with`] — the structural
+//! lock, each stripe's read lock and the clock once per run instead of
+//! once per frame, so the cache misses of the run's lookups overlap. Their
+//! replies are appended in request order. Any other frame, a sampled `Get`
+//! included, first serves the run before it, then is served alone.
 //!
 //! Observability: nothing shared is touched per frame. A reactor keeps one
 //! `SweepObs` per node it serves — `server_op_us:<op>` (one clock read per
@@ -326,10 +326,10 @@ const WAKE_US: usize = DISPATCH_US + 1;
 const RX: usize = 0;
 const TX: usize = 1;
 
-/// What one reactor measured for one node since it last folded into the
-/// node's registry: plain thread-local data, so recording a sample is an
-/// array index and a few adds.
-struct SweepObs {
+/// What one reactor, or a local link, measured for one node since it last
+/// folded into the node's registry: plain thread-local data, so recording
+/// a sample is an array index and a few adds.
+pub(crate) struct SweepObs {
     hists: [(&'static str, LogHistogram); WAKE_US + 1],
     /// Payload bytes of the request frames read and of the response frames
     /// queued.
@@ -337,7 +337,7 @@ struct SweepObs {
 }
 
 impl SweepObs {
-    fn new() -> SweepObs {
+    pub(crate) fn new() -> SweepObs {
         SweepObs {
             hists: std::array::from_fn(|slot| {
                 let name = match slot {
@@ -687,7 +687,7 @@ fn drain_waker(waker: &mut UnixStream) {
 /// descendants (`lock_wait` in the sharded node) attach through the
 /// thread-local span stack. `srv` closes when the response is queued; the
 /// flush that follows is charged to the client's network share.
-pub(crate) fn serve_traced(
+fn serve_traced(
     ctx: Option<TraceContext>,
     req: Request,
     node: &ShardedNode,
@@ -712,7 +712,8 @@ pub(crate) fn serve_traced(
 /// `server_op_us:get` samples.
 fn serve_gets(
     keys: &[u64],
-    node: &NodeCtx,
+    node: &ShardedNode,
+    registry: &ObsRegistry,
     wbuf: &mut Vec<u8>,
     obs: &mut SweepObs,
     frame_start: &mut u64,
@@ -722,7 +723,7 @@ fn serve_gets(
     }
     let queued = wbuf.len();
     let mut framed = Ok(());
-    node.node.get_many_with(keys, |rec| {
+    node.get_many_with(keys, |rec| {
         if framed.is_ok() {
             framed = append_frame(wbuf, |out| get_reply(out, rec));
         }
@@ -731,10 +732,93 @@ fn serve_gets(
     // Request boundary: the batch's guards are all released.
     ecc_core::lockorder::assert_quiescent();
     obs.bytes[TX].1 += (wbuf.len() - queued - 4 * keys.len()) as u64;
-    let now = node.obs.now_us();
+    let now = registry.now_us();
     obs.record_shared(Op::Get as usize, now - *frame_start, keys.len() as u64);
     *frame_start = now;
     Ok(())
+}
+
+/// A node's one frame loop, on either link: serve every request frame
+/// complete in `asm`, replies to `wbuf` in request order, samples to
+/// `obs` (`registry`'s batch) from `t_wake` on. Returns the frames served
+/// and a framing error, which the caller reports after flushing.
+pub(crate) fn serve_frames(
+    asm: &mut FrameAssembler,
+    wbuf: &mut Vec<u8>,
+    node: &ShardedNode,
+    registry: &ObsRegistry,
+    obs: &mut SweepObs,
+    t_wake: u64,
+) -> io::Result<(u64, Option<io::Error>)> {
+    // Where the next frame's `server_op_us` sample starts: the clock is
+    // read once per frame, or once per run of GETs, when its responses
+    // are queued.
+    let mut frame_start = t_wake;
+    let mut dispatched: u64 = 0;
+    let mut framing_error = None;
+    // The keys of the run of unsampled GETs not yet served.
+    let mut run = [0u64; GET_BATCH];
+    let mut in_run = 0;
+    loop {
+        let frame = match asm.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
+            // Framing lost (oversized length prefix): the caller flushes
+            // the responses already owed, then drops the connection.
+            Err(e) => {
+                framing_error = Some(e);
+                break;
+            }
+        };
+        obs.bytes[RX].1 += frame.len() as u64;
+        dispatched += 1;
+        let decoded = decode_with_trace(frame);
+        if let Some((ctx, Request::Get { key })) = &decoded {
+            if !ctx.is_some_and(|c| c.sampled) {
+                run[in_run] = *key;
+                in_run += 1;
+                if in_run == GET_BATCH {
+                    let keys = &run[..std::mem::take(&mut in_run)];
+                    serve_gets(keys, node, registry, wbuf, obs, &mut frame_start)?;
+                }
+                continue;
+            }
+        }
+        let keys = &run[..std::mem::take(&mut in_run)];
+        serve_gets(keys, node, registry, wbuf, obs, &mut frame_start)?;
+        let queued = wbuf.len();
+        let mut slot = 0;
+        append_frame(wbuf, |out| match decoded {
+            Some((ctx, req)) => {
+                slot = req.op() as usize;
+                // The dump must hold every frame served before it, the
+                // ones of this very sweep included.
+                if matches!(req, Request::ObsDump) {
+                    obs.fold_into(registry);
+                }
+                serve_traced(ctx, req, node, registry, t_wake, out);
+            }
+            None => reply(out, Status::BadRequest, &[]),
+        })?;
+        // Request boundary: every `handle()` must return with all
+        // ShardedNode guards released — a guard surviving into the next
+        // pipelined frame would block every connection on that stripe.
+        // Debug-build check, compiled out in release.
+        ecc_core::lockorder::assert_quiescent();
+        obs.bytes[TX].1 += (wbuf.len() - queued - 4) as u64;
+        let now = registry.now_us();
+        obs.record(slot, now - frame_start);
+        frame_start = now;
+    }
+    let keys = &run[..in_run];
+    serve_gets(keys, node, registry, wbuf, obs, &mut frame_start)?;
+    if dispatched > 0 {
+        obs.record(FRAMES_PER_WAKE, dispatched);
+        // Before the replies can be read: whoever reads one finds it
+        // counted.
+        obs.fold_into(registry);
+    }
+    Ok((dispatched, framing_error))
 }
 
 /// Per-sweep verdict for one connection.
@@ -746,10 +830,10 @@ enum Sweep {
 }
 
 /// One sweep over one connection: ingest whatever the socket has, retire
-/// every complete frame against the node, flush the response queue.
-/// `obs` is the reactor's batch for this node. `woke_at` is when the
-/// blocking wait returned, on `clock`, if this sweep follows one and no
-/// connection has read a byte since.
+/// every complete frame against the node ([`serve_frames`]), flush the
+/// response queue. `obs` is the reactor's batch for this node. `woke_at`
+/// is when the blocking wait returned, on `clock`, if this sweep follows
+/// one and no connection has read a byte since.
 fn sweep_conn(
     conn: &mut Conn,
     node: &NodeCtx,
@@ -786,85 +870,16 @@ fn sweep_conn(
         }
     }
 
-    // Decode and execute every frame that fully arrived. `t_wake` to
-    // flush-complete is the `reactor_dispatch_us` sample; the clock is not
-    // read for a sweep with nothing buffered, which dispatches nothing.
+    // `t_wake` to flush-complete is the `reactor_dispatch_us` sample; a
+    // sweep with nothing buffered dispatches nothing, so reads no clock.
     let t_wake = if conn.asm.buffered() > 0 {
         node.obs.now_us()
     } else {
         0
     };
-    // Where the next frame's `server_op_us` sample starts: the clock is
-    // read once per frame, or once per run of GETs, when its responses
-    // are queued.
-    let mut frame_start = t_wake;
-    let mut dispatched: u64 = 0;
-    let mut framing_error: Option<io::Error> = None;
-    // The keys of the run of unsampled GETs not yet served.
-    let mut run = [0u64; GET_BATCH];
-    let mut in_run = 0;
     let Conn { asm, wbuf, .. } = conn;
-    loop {
-        let frame = match asm.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            // Framing lost (oversized length prefix): fall through to a
-            // best-effort flush of responses already owed, then drop the
-            // connection — exactly what the blocking server's
-            // per-connection error exit did.
-            Err(e) => {
-                framing_error = Some(e);
-                break;
-            }
-        };
-        obs.bytes[RX].1 += frame.len() as u64;
-        dispatched += 1;
-        let decoded = decode_with_trace(frame);
-        if let Some((ctx, Request::Get { key })) = &decoded {
-            if !ctx.is_some_and(|c| c.sampled) {
-                run[in_run] = *key;
-                in_run += 1;
-                if in_run == GET_BATCH {
-                    let keys = &run[..std::mem::take(&mut in_run)];
-                    serve_gets(keys, node, wbuf, obs, &mut frame_start)?;
-                }
-                continue;
-            }
-        }
-        let keys = &run[..std::mem::take(&mut in_run)];
-        serve_gets(keys, node, wbuf, obs, &mut frame_start)?;
-        let queued = wbuf.len();
-        let mut slot = 0;
-        append_frame(wbuf, |out| match decoded {
-            Some((ctx, req)) => {
-                slot = req.op() as usize;
-                // The dump must hold every frame served before it, the
-                // ones of this very sweep included.
-                if matches!(req, Request::ObsDump) {
-                    obs.fold_into(&node.obs);
-                }
-                serve_traced(ctx, req, &node.node, &node.obs, t_wake, out);
-            }
-            None => reply(out, Status::BadRequest, &[]),
-        })?;
-        // Request boundary: every `handle()` must return with all
-        // ShardedNode guards released — a guard surviving into the next
-        // pipelined frame would block every connection on that stripe.
-        // Debug-build check, compiled out in release.
-        ecc_core::lockorder::assert_quiescent();
-        obs.bytes[TX].1 += (wbuf.len() - queued - 4) as u64;
-        let now = node.obs.now_us();
-        obs.record(slot, now - frame_start);
-        frame_start = now;
-    }
-    let keys = &run[..in_run];
-    serve_gets(keys, node, wbuf, obs, &mut frame_start)?;
-    if dispatched > 0 {
-        progress = true;
-        obs.record(FRAMES_PER_WAKE, dispatched);
-        // Before the write: whoever reads these replies finds them counted.
-        obs.fold_into(&node.obs);
-    }
+    let (dispatched, framing_error) = serve_frames(asm, wbuf, &node.node, &node.obs, obs, t_wake)?;
+    progress |= dispatched > 0;
 
     // One gathered write for every response this sweep produced (plus any
     // residue a previous partial write left behind).

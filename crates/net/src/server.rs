@@ -181,11 +181,10 @@ impl Drop for CacheServer {
 }
 
 /// Execute one request against the node and append the response payload
-/// (status byte, then body) to `out` — the connection's write queue, inside
-/// the frame the reactor opened. Point ops take only the key's stripe
-/// lock; Stats reads atomics with no lock at all; Keys serializes behind
-/// the structural lock. Called
-/// from the reactor threads, one pipelined frame at a time.
+/// (status byte, then body) to `out`, inside the frame the frame loop
+/// (`reactor::serve_frames`) opened; one frame at a time, on either link.
+/// Point ops take only the key's stripe lock; Stats reads atomics with no
+/// lock at all; Keys serializes behind the structural lock.
 pub(crate) fn handle(req: Request, node: &ShardedNode, obs: &ObsRegistry, out: &mut Vec<u8>) {
     match req {
         // A batch of one; the reactor serves a run of unsampled GETs with

@@ -6,27 +6,25 @@
 //! for B²-Trees, where a time-ordered sequence of spatial curves is
 //! concatenated along the key line.
 
-use serde::{Deserialize, Serialize};
-
 use crate::morton;
 use crate::quantize::{GeoGrid, TimeGrid};
 
 /// Which space-filling curve linearizes the spatial grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Curve {
     /// Z-order curve: cheapest to compute, good locality.
     Morton,
 }
 
 /// How the time slot and the spatial curve index combine into one key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
     /// Slot index in the high bits (B²-Tree layout).
     TimeMajor,
 }
 
 /// Converts spatiotemporal queries to one-dimensional cache keys.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Linearizer {
     geo: GeoGrid,
     time: TimeGrid,

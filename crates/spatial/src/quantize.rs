@@ -7,10 +7,8 @@
 //! space ("64K possibilities": 8 bits per axis, no time, or any equivalent
 //! split).
 
-use serde::{Deserialize, Serialize};
-
 /// A rectangular geographic region quantized to `2^bits x 2^bits` cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoGrid {
     /// Minimum latitude (degrees, inclusive).
     pub lat_min: f64,
@@ -89,7 +87,7 @@ impl GeoGrid {
 }
 
 /// Quantization of timestamps into fixed-length slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeGrid {
     /// Epoch (seconds) at which slot 0 begins.
     pub epoch: u64,

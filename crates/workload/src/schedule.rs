@@ -1,9 +1,7 @@
 //! Query-rate schedules (`R` per time step).
 
-use serde::{Deserialize, Serialize};
-
 /// One phase of a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// A constant rate for a number of steps.
     Flat {
@@ -75,7 +73,7 @@ impl Phase {
 /// A flash crowd: a multiplicative arrival spike layered over a baseline
 /// schedule for `[at, at + len)` steps (the paper's shoreline scenario —
 /// a disaster hits and everyone asks for the same map region at once).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Spike {
     /// First step of the spike (0-based).
     pub at: u64,
@@ -88,10 +86,9 @@ pub struct Spike {
 /// A piecewise rate schedule; steps past the last phase repeat the final
 /// phase's ending rate. Optional [`Spike`] overlays multiply the phase
 /// rate while active (flash crowds).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RateSchedule {
     phases: Vec<Phase>,
-    #[serde(default)]
     spikes: Vec<Spike>,
 }
 
