@@ -167,7 +167,7 @@ pub fn run_eviction_experiment_with_threshold(
 }
 
 /// Run the eviction workload against an arbitrary cache configuration
-/// (extension ablations: warm pools, proactive splits, adaptive windows).
+/// (extension ablations: adaptive windows).
 pub fn run_eviction_with_config(
     cfg: CacheConfig,
     steps: u64,

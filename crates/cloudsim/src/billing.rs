@@ -79,7 +79,6 @@ mod tests {
             id: InstanceId(id),
             itype: InstanceType::ec2_small(),
             launched_at_us: launched_s * US_PER_SEC,
-            ready_at_us: launched_s * US_PER_SEC,
             terminated_at_us: terminated_s.map(|s| s * US_PER_SEC),
         }
     }

@@ -110,8 +110,6 @@ pub struct Instance {
     pub itype: InstanceType,
     /// Virtual time the allocation was requested (billing starts here).
     pub launched_at_us: u64,
-    /// Virtual time the machine became usable (`launched_at + boot`).
-    pub ready_at_us: u64,
     /// Virtual time of termination, if terminated.
     pub terminated_at_us: Option<u64>,
 }
@@ -130,11 +128,9 @@ pub struct AllocationReceipt {
     /// The new instance's id.
     pub id: InstanceId,
     /// Sampled boot latency. The *caller* decides whether this blocks the
-    /// critical path (`clock.advance_us(boot_us)`) — GBA blocks on it, an
-    /// asynchronous-preloading variant would not.
+    /// critical path (`clock.advance_us(boot_us)`) — GBA blocks on it,
+    /// proactive splitting's background boot does not.
     pub boot_us: u64,
-    /// `launched_at + boot_us`.
-    pub ready_at_us: u64,
 }
 
 /// The simulated provider: owns the instance table and the boot-latency
@@ -167,14 +163,9 @@ impl SimCloud {
             id,
             itype,
             launched_at_us: now_us,
-            ready_at_us: now_us + boot_us,
             terminated_at_us: None,
         });
-        AllocationReceipt {
-            id,
-            boot_us,
-            ready_at_us: now_us + boot_us,
-        }
+        AllocationReceipt { id, boot_us }
     }
 
     /// Terminate a machine at `now_us`. Idempotent: terminating twice keeps
@@ -229,8 +220,7 @@ mod tests {
         let a = cloud.allocate(0, InstanceType::ec2_small());
         assert_eq!(a.id, InstanceId(0));
         assert_eq!(a.boot_us, 80 * US_PER_SEC);
-        assert_eq!(a.ready_at_us, 80 * US_PER_SEC);
-        let b = cloud.allocate(a.ready_at_us, InstanceType::ec2_small());
+        let b = cloud.allocate(a.boot_us, InstanceType::ec2_small());
         assert_eq!(b.id, InstanceId(1));
         assert_eq!(cloud.active_count(), 2);
         assert_eq!(cloud.total_launched(), 2);

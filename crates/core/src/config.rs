@@ -95,10 +95,6 @@ pub struct CacheConfig {
     pub lookup_overhead_us: u64,
     /// Seed for the provider's boot-latency jitter.
     pub seed: u64,
-    /// Standby instances to keep pre-booting so splits never block on
-    /// allocation (§VI asynchronous preloading); `0` disables the pool —
-    /// the paper's evaluated configuration.
-    pub warm_pool: usize,
     /// Proactively split any node whose fill exceeds this fraction at a
     /// time-step boundary, off the query critical path (§VI "record
     /// prefetching from a node that is predictably close to invoking
@@ -135,7 +131,6 @@ impl CacheConfig {
             min_nodes: 1,
             lookup_overhead_us: 200,
             seed: 0x5EED,
-            warm_pool: 0,
             proactive_split_fill: None,
             adaptive_window: None,
             overflow_tier: None,
@@ -158,7 +153,6 @@ impl CacheConfig {
             min_nodes: 1,
             lookup_overhead_us: 0,
             seed: 7,
-            warm_pool: 0,
             proactive_split_fill: None,
             adaptive_window: None,
             overflow_tier: None,

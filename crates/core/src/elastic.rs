@@ -29,7 +29,6 @@ use crate::error::{CacheAuditError, CacheError};
 use crate::metrics::Metrics;
 use crate::node::CacheNode;
 use crate::record::Record;
-use crate::warmpool::WarmPool;
 use crate::window::SlidingWindow;
 
 /// Index of a cache node within the coordinator's node table.
@@ -93,8 +92,6 @@ impl ElasticCache {
         // Initial node: bucket at the top of the line owns everything.
         let receipt = cloud.allocate(now, cfg.instance_type.clone());
         let first = CacheNode::new(receipt.id, cfg.node_capacity_bytes, cfg.btree_order);
-        let mut warm_pool = WarmPool::new(cfg.warm_pool);
-        warm_pool.replenish(now, &mut cloud, &cfg.instance_type);
         let controller = cfg.adaptive_window.map(WindowController::new);
         let tier = cfg.overflow_tier.clone().map(PersistentStore::new);
         let obs = ObsRegistry::new(TimeSource::real());
@@ -118,7 +115,6 @@ impl ElasticCache {
             clock,
             cloud,
             nodes: vec![Some(first)],
-            warm_pool,
             tier,
             alloc_us: 0,
             tier_writes: 0,
@@ -153,8 +149,7 @@ impl ElasticCache {
         &self.fleet.clock
     }
 
-    /// The clock, to let idle time pass between operations (standbys boot
-    /// meanwhile).
+    /// The clock, to let idle time pass between operations.
     pub fn clock_mut(&mut self) -> &mut SimClock {
         &mut self.fleet.clock
     }
@@ -476,11 +471,6 @@ impl ElasticCache {
         self.validate();
     }
 
-    /// The warm standby pool (empty unless `warm_pool > 0`).
-    pub fn warm_pool(&self) -> &WarmPool {
-        &self.fleet.warm_pool
-    }
-
     /// The persistent overflow tier, if configured.
     pub fn tier(&self) -> Option<&PersistentStore> {
         self.fleet.tier.as_ref()
@@ -637,7 +627,6 @@ struct Fleet {
     charges: Charges,
     cloud: SimCloud,
     nodes: Vec<Option<CacheNode>>,
-    warm_pool: WarmPool,
     tier: Option<PersistentStore>,
     /// [`Metrics::alloc_us`] and [`Metrics::tier_writes`], which the
     /// effects add to.
@@ -695,26 +684,14 @@ impl Substrate for Fleet {
     }
 
     /// Allocate a fresh cloud node (the last-resort branch of Algorithm 2,
-    /// and the dominant overhead of Figure 4). With a warm pool configured,
-    /// a pre-booted standby is handed over instantly and the pool refills
-    /// in the background; otherwise the boot blocks the critical path.
+    /// and the dominant overhead of Figure 4): the boot blocks the
+    /// critical path.
     fn alloc(&mut self) -> Result<NodeId, CacheError> {
         let now = self.clock.now_us();
-        let instance = match self.warm_pool.take_ready(now) {
-            Some(standby) => {
-                // Asynchronous preloading: no boot on the critical path.
-                self.warm_pool
-                    .replenish(now, &mut self.cloud, &self.cfg.instance_type);
-                standby
-            }
-            None => {
-                let receipt = self.cloud.allocate(now, self.cfg.instance_type.clone());
-                self.clock.advance_us(receipt.boot_us);
-                self.alloc_us += receipt.boot_us;
-                receipt.id
-            }
-        };
-        Ok(self.add(instance))
+        let receipt = self.cloud.allocate(now, self.cfg.instance_type.clone());
+        self.clock.advance_us(receipt.boot_us);
+        self.alloc_us += receipt.boot_us;
+        Ok(self.add(receipt.id))
     }
 
     /// The destructive sweep: drain each ascending run of `records` (one
@@ -1085,62 +1062,23 @@ mod tests {
     }
 
     #[test]
-    fn warm_pool_takes_boot_off_the_critical_path() {
-        let boot = ecc_cloudsim::BootLatency::fixed(50_000_000);
-        let run = |warm: usize| -> (u64, usize) {
-            let mut c = cfg_records(4);
-            c.boot_latency = boot;
-            c.warm_pool = warm;
-            let mut cache = ElasticCache::new(c);
-            // Give background standbys time to boot (they boot at t=0).
-            cache.clock_mut().advance_us(60_000_000);
-            let t0 = cache.clock().now_us();
-            for k in 0..12u64 {
-                cache.insert(k * 80, rec()).unwrap();
-            }
-            (cache.clock().now_us() - t0, cache.node_count())
-        };
-        let (blocking_us, nodes_a) = run(0);
-        let (pooled_us, nodes_b) = run(2);
-        assert_eq!(nodes_a, nodes_b, "same growth either way");
-        assert!(
-            blocking_us >= 2 * 50_000_000,
-            "blocking boots must show up: {blocking_us}"
-        );
-        assert!(
-            pooled_us < blocking_us / 2,
-            "warm pool should hide boots: {pooled_us} vs {blocking_us}"
-        );
-    }
-
-    #[test]
     fn a_split_stamps_its_node_alloc_when_it_asks_for_the_node() {
         const BOOT_US: u64 = 7_000_000;
-        let splits = |warm: usize| {
-            let mut c = cfg_records(4);
-            c.boot_latency = ecc_cloudsim::BootLatency::fixed(BOOT_US);
-            c.warm_pool = warm;
-            let mut cache = ElasticCache::new(c);
-            // Standbys launched at t = 0 are ready one boot later.
-            cache.clock_mut().advance_us(BOOT_US);
-            for k in 0..12u64 {
-                cache.insert(k * 80, rec()).unwrap();
-            }
-            let snapshot = cache.obs().snapshot();
-            assert_eq!(snapshot.dropped, 0);
-            crate::engine::split_costs(&snapshot.events)
-        };
+        let mut c = cfg_records(4);
+        c.boot_latency = ecc_cloudsim::BootLatency::fixed(BOOT_US);
+        let mut cache = ElasticCache::new(c);
+        for k in 0..12u64 {
+            cache.insert(k * 80, rec()).unwrap();
+        }
+        let snapshot = cache.obs().snapshot();
+        assert_eq!(snapshot.dropped, 0);
+        let splits = crate::engine::split_costs(&snapshot.events);
         // Every split allocates or not; one that does waits out the boot.
-        let booted = splits(0);
-        assert!(booted.iter().any(|s| s.allocated));
-        for split in &booted {
+        assert!(splits.iter().any(|s| s.allocated));
+        for split in &splits {
             let boot = if split.allocated { BOOT_US } else { 0 };
             assert_eq!(split.alloc_us, boot, "{split:?}");
         }
-        // A ready standby arrives at once.
-        let pooled = splits(8);
-        assert!(pooled.iter().any(|s| s.allocated));
-        assert!(pooled.iter().all(|s| s.alloc_us == 0), "{pooled:?}");
     }
 
     #[test]
@@ -1151,7 +1089,6 @@ mod tests {
         let run = |pause: std::time::Duration| {
             let mut c = windowed_cfg(4, 2);
             c.boot_latency = ecc_cloudsim::BootLatency::fixed(3_000_000);
-            c.warm_pool = 1;
             c.proactive_split_fill = Some(0.7);
             let mut cache = ElasticCache::new(c);
             for step in 0..12u64 {
@@ -1181,16 +1118,6 @@ mod tests {
         }
         let paused = run(std::time::Duration::from_millis(2));
         assert_eq!(paused, (events, clock));
-    }
-
-    #[test]
-    fn warm_pool_standbys_appear_on_the_bill() {
-        let mut c = cfg_records(64);
-        c.warm_pool = 3;
-        let cache = ElasticCache::new(c);
-        assert_eq!(cache.warm_pool().len(), 3);
-        // 1 active node + 3 standbys launched.
-        assert_eq!(cache.cloud().total_launched(), 4);
     }
 
     #[test]
@@ -1419,10 +1346,10 @@ mod tests {
         rec
     }
 
-    /// The twin oracle over three configurations: plain, pool, tier. The
-    /// pool run hands a ready standby to GBA, and whether one is ready
-    /// depends on the clock at split time, so it pins `query`'s rule of
-    /// settling its charges before a split reads the clock.
+    /// The twin oracle over three configurations: plain, proactive, tier.
+    /// A split stamps its events from the clock, so the plain run alone
+    /// pins `query`'s rule of settling its charges before a split reads
+    /// it: without `Fleet::store`'s settling, its timestamps move.
     #[test]
     fn query_equals_lookup_then_charge_then_insert() {
         const BOOT_US: u64 = 2_000_000;
@@ -1434,12 +1361,15 @@ mod tests {
             c.boot_latency = ecc_cloudsim::BootLatency::fixed(BOOT_US);
             c
         };
-        let mut pooled = base();
-        pooled.warm_pool = 1;
-        pooled.proactive_split_fill = Some(0.9);
+        let mut proactive = base();
+        proactive.proactive_split_fill = Some(0.9);
         let mut tiered = base();
         tiered.overflow_tier = Some(ecc_cloudsim::StorageTier::s3_2010());
-        for (name, cfg) in [("plain", base()), ("pool", pooled), ("tier", tiered)] {
+        for (name, cfg) in [
+            ("plain", base()),
+            ("proactive", proactive),
+            ("tier", tiered),
+        ] {
             let mut fused = ElasticCache::new(cfg.clone());
             let mut twin = ElasticCache::new(cfg);
             for step in 0..16u64 {
@@ -1479,12 +1409,8 @@ mod tests {
                 "{name}: {m:?}"
             );
             assert!(m.hits > 0 && m.evictions > 0, "{name}: {m:?}");
-            match name {
-                // Fewer boots blocked than allocations made: a ready
-                // standby served at least one, with no boot charged.
-                "pool" => assert!(m.alloc_us < m.splits_with_allocation * BOOT_US, "{m:?}"),
-                "tier" => assert!(m.tier_hits > 0, "{m:?}"),
-                _ => {}
+            if name == "tier" {
+                assert!(m.tier_hits > 0, "{m:?}");
             }
         }
     }

@@ -61,7 +61,7 @@ pub struct SplitCost {
     /// When the migration started.
     pub at_us: u64,
     /// How long the destination took to arrive: a boot or a spawn, 0 for
-    /// a ready standby or an existing node.
+    /// an existing node.
     pub alloc_us: u64,
     /// How long the migration took, the release included.
     pub migrate_us: u64,

@@ -75,7 +75,6 @@ mod record;
 mod shard;
 pub mod slab;
 mod static_cache;
-mod warmpool;
 mod window;
 
 pub use adaptive::{AdaptiveWindowConfig, WindowController};
@@ -90,5 +89,4 @@ pub use record::Record;
 pub use shard::{PutOutcome, ShardAuditError, ShardedNode, DEFAULT_STRIPES, GET_BATCH};
 pub use slab::{ClassStats, SizeClasses, SlabArena, SlabRef, SLOT_HEADER};
 pub use static_cache::StaticCache;
-pub use warmpool::WarmPool;
 pub use window::SlidingWindow;

@@ -39,7 +39,6 @@ pub fn cache_config(cfg: &SimConfig) -> CacheConfig {
         min_nodes: cfg.min_nodes.max(1),
         lookup_overhead_us: 0,
         seed: 7,
-        warm_pool: cfg.warm,
         proactive_split_fill: (cfg.pf_pct > 0).then(|| cfg.pf_pct as f64 / 100.0),
         adaptive_window: None,
         overflow_tier: None,

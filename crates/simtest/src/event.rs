@@ -92,8 +92,6 @@ pub struct SimConfig {
     pub eps: u64,
     /// Contraction floor.
     pub min_nodes: usize,
-    /// Warm-pool standbys.
-    pub warm: usize,
     /// Proactive-split fill as an integer percentage; `0` disables.
     pub pf_pct: u32,
     /// Fixed node boot latency, µs.
@@ -123,7 +121,6 @@ impl SimConfig {
             alpha_pct: 99,
             eps: 1,
             min_nodes: 1,
-            warm: 0,
             pf_pct: 0,
             boot_us: 0,
             nodes: 2,
@@ -132,7 +129,7 @@ impl SimConfig {
 
     fn encode(&self) -> String {
         format!(
-            "ring={},cap={},ord={},m={},a={},eps={},min={},wp={},pf={},boot={},n={}",
+            "ring={},cap={},ord={},m={},a={},eps={},min={},pf={},boot={},n={}",
             self.ring,
             self.cap,
             self.ord,
@@ -140,7 +137,6 @@ impl SimConfig {
             self.alpha_pct,
             self.eps,
             self.min_nodes,
-            self.warm,
             self.pf_pct,
             self.boot_us,
             self.nodes,
@@ -164,7 +160,6 @@ impl SimConfig {
                 "a" => cfg.alpha_pct = n as u32,
                 "eps" => cfg.eps = n,
                 "min" => cfg.min_nodes = n as usize,
-                "wp" => cfg.warm = n as usize,
                 "pf" => cfg.pf_pct = n as u32,
                 "boot" => cfg.boot_us = n,
                 "n" => cfg.nodes = n as usize,
@@ -564,7 +559,6 @@ mod tests {
                 alpha_pct: 97,
                 eps: 2,
                 min_nodes: 1,
-                warm: 2,
                 pf_pct: 70,
                 boot_us: 1000,
                 nodes: 3,

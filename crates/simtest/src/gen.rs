@@ -54,11 +54,10 @@ fn gen_elastic(rng: &mut SmallRng) -> Schedule {
     };
     cfg.alpha_pct = rng.gen_range(50u32..=99);
     cfg.eps = rng.gen_range(1u64..=4);
-    cfg.warm = if rng.gen_bool(0.75) {
-        0
-    } else {
-        rng.gen_range(1usize..=2)
-    };
+    // Once the warm pool's size; still drawn so no later draw shifts.
+    if !rng.gen_bool(0.75) {
+        rng.gen_range(1usize..=2);
+    }
     cfg.pf_pct = if rng.gen_bool(0.7) {
         0
     } else {

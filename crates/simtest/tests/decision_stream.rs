@@ -12,8 +12,8 @@
 //! [`ElasticCache`], and `tests/golden/sim_decisions.txt` holds a line per
 //! step close (and one at the end) that changed the ring, the active
 //! nodes, the split / merge / eviction / insert-error counters or the
-//! virtual clock. The family draws warm pools, proactive splits and boot
-//! latency on small fleets, which no figure covers at those sizes.
+//! virtual clock. The family draws proactive splits and boot latency on
+//! small fleets, which no figure covers at those sizes.
 //!
 //! simtest's families check contents against a model; these tests also
 //! pin *how* the fleet got there, so a wrong but valid split bucket or

@@ -27,14 +27,14 @@ fn assert_passes(simseed: &str) {
 /// 610 B node already holding 233 B. Caught by the PR-1 `validate()` audit
 /// ("node over capacity") under the elastic harness; fixed by charging only
 /// the byte growth (`fits(size - old_size)`) and splitting on overflow.
-const ELASTIC_REPLACEMENT_GROWTH: &str = "SIMSEED/1/elastic/ring=1024,cap=610,ord=8,m=0,a=69,eps=4,min=1,wp=0,pf=0,boot=185222,n=2/q13.89,q10.51,i0.145,q2.233,i0.251";
+const ELASTIC_REPLACEMENT_GROWTH: &str = "SIMSEED/1/elastic/ring=1024,cap=610,ord=8,m=0,a=69,eps=4,min=1,pf=0,boot=185222,n=2/q13.89,q10.51,i0.145,q2.233,i0.251";
 
 /// Bug 2 — `StaticCache::insert` skipped LRU displacement entirely for
 /// replacements, so a growing replacement (key 4: 92 B → 271 B) overflowed
 /// its node and tripped the `bytes() <= capacity_bytes` debug assertion.
 /// Fixed by displacing after the overwrite (fresh record is MRU, so it
 /// never displaces itself).
-const STATIC_REPLACEMENT_GROWTH: &str = "SIMSEED/1/static/ring=1024,cap=1039,ord=8,m=0,a=99,eps=1,min=1,wp=0,pf=0,boot=0,n=1/q7.119,i10.209,q4.92,q2.252,q14.211,i4.271";
+const STATIC_REPLACEMENT_GROWTH: &str = "SIMSEED/1/static/ring=1024,cap=1039,ord=8,m=0,a=99,eps=1,min=1,pf=0,boot=0,n=1/q7.119,i10.209,q4.92,q2.252,q14.211,i4.271";
 
 /// Bug 3 — the wire server's Put handler checked `fits(size)` without
 /// crediting the replaced record's bytes, answering Overflow (and storing
@@ -42,12 +42,12 @@ const STATIC_REPLACEMENT_GROWTH: &str = "SIMSEED/1/static/ring=1024,cap=1039,ord
 /// previously accepted growth past capacity. Caught as a status divergence
 /// against [`ecc_simtest::model::ModelServer`] under frame corruption;
 /// fixed with the same growth-only charge as bug 1.
-const PROTO_REPLACEMENT_GROWTH: &str = "SIMSEED/1/proto/ring=1024,cap=587,ord=8,m=0,a=99,eps=1,min=1,wp=0,pf=0,boot=0,n=2/P62.61,P42.103,P47.78,P56.27,2!P27.104,x16.146!P64.41,x26.242!P10.106,P28.34,x30.109!P62.100";
+const PROTO_REPLACEMENT_GROWTH: &str = "SIMSEED/1/proto/ring=1024,cap=587,ord=8,m=0,a=99,eps=1,min=1,pf=0,boot=0,n=2/P62.61,P42.103,P47.78,P56.27,2!P27.104,x16.146!P64.41,x26.242!P10.106,P28.34,x30.109!P62.100";
 
 /// Bug 3 over a live fleet — the same server-side Put bug let key 0 grow
 /// 24 B → 151 B past a 1400 B node's budget; caught by the new
 /// `LiveCoordinator::check_invariants` (per-node `used <= cap` over Stats).
-const LIVE_REPLACEMENT_GROWTH: &str = "SIMSEED/1/live/ring=4096,cap=1400,ord=8,m=0,a=99,eps=2,min=1,wp=0,pf=0,boot=0,n=2/p3.126,p4.180,p68.147,p112.158,p95.35,p49.129,p7.160,p2.143,p0.24,p5.175,p0.151";
+const LIVE_REPLACEMENT_GROWTH: &str = "SIMSEED/1/live/ring=4096,cap=1400,ord=8,m=0,a=99,eps=2,min=1,pf=0,boot=0,n=2/p3.126,p4.180,p68.147,p112.158,p95.35,p49.129,p7.160,p2.143,p0.24,p5.175,p0.151";
 
 #[test]
 fn elastic_replacement_growth_stays_fixed() {

@@ -56,10 +56,10 @@ fn overflow_tier_avoids_rederiving_evicted_shorelines() {
 }
 
 #[test]
-fn warm_pool_and_adaptive_window_compose() {
+fn proactive_split_and_adaptive_window_compose() {
     let service = ShorelineService::paper_default(13);
     let mut cfg = base_cfg();
-    cfg.warm_pool = 1;
+    cfg.proactive_split_fill = Some(0.7);
     cfg.window = Some(WindowConfig::paper(10));
     cfg.adaptive_window = Some(elastic_cloud_cache::core::AdaptiveWindowConfig {
         min_slices: 4,
@@ -70,7 +70,6 @@ fn warm_pool_and_adaptive_window_compose() {
         ema_weight: 0.3,
     });
     let mut cache = ElasticCache::new(cfg);
-    cache.clock_mut().advance_secs(200.0); // let the standby boot
 
     // Quiet, surge, quiet — the full disaster arc with both features on.
     let step = |cache: &mut ElasticCache, n: u64, stride: u64| {
@@ -91,12 +90,13 @@ fn warm_pool_and_adaptive_window_compose() {
     }
     let surge_m = cache.window().unwrap().slices();
     assert!(surge_m > quiet_m, "adaptive window: {quiet_m} -> {surge_m}");
-    // Growth happened without a single boot on the critical path.
+    // The surge grew the fleet. Without proactive splitting every split
+    // here allocates; with it, some land on a node booted between steps.
+    let m = cache.metrics();
     assert!(cache.node_count() >= 2);
-    assert_eq!(
-        cache.metrics().alloc_us,
-        0,
-        "warm pool must absorb allocations"
+    assert!(
+        m.splits > m.splits_with_allocation,
+        "no proactive split: {m:?}"
     );
     for _ in 0..40 {
         cache.end_time_step();
